@@ -30,15 +30,6 @@ def inv_mod(a: int, m: int) -> int:
     return x % m
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Solve x = r1 mod m1, x = r2 mod m2 for coprime moduli."""
-    g, u, _ = xgcd(m1, m2)
-    assert g == 1
-    m = m1 * m2
-    x = (r1 + (r2 - r1) * u % m2 * m1) % m
-    return x, m
-
-
 def symmetric_mod(a: int, m: int) -> int:
     """Representative of a mod m in (-m/2, m/2]."""
     a %= m

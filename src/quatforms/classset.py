@@ -153,9 +153,11 @@ def neighbors(b, p, seed=0):
         u_rows = span_basis_mod([act(w, r) for r in r_basis], ell)
         assert len(u_rows) == 2 * f, "cyclic submodule has unexpected dimension"
         lat = QuatLattice(alg, base + [V.lift(u) for u in u_rows])
-        assert b.covolume() / lat.covolume() == npn ** 2
+        if b.covolume() / lat.covolume() != npn ** 2:
+            raise ArithmeticError("neighbor does not have index Np^2 over b")
         out.append(lat)
-    assert len(set(out)) == npn + 1
+    if len(set(out)) != npn + 1:
+        raise ArithmeticError("neighbors are not Np + 1 distinct lattices")
     return out
 
 
@@ -183,7 +185,8 @@ def is_isomorphic(a, b):
         sols = norm_equation_solutions(L, F.mul(beta, e))
         if sols:
             u = sols[0]
-            assert b.lmul_element(u) == a
+            if b.lmul_element(u) != a:
+                raise ArithmeticError("isomorphism witness does not map b onto a")
             return u
     return None
 
@@ -395,7 +398,8 @@ def compute_class_set(R, support):
         lefts[ci] = reps[ci].left_order()
         before = units[ci].order
         units[ci] = unit_group(lefts[ci])
-        assert units[ci].order == before
+        if units[ci].order != before:
+            raise ArithmeticError("support normalization changed the unit group order")
     return ClassSet(
         order=R,
         representatives=reps,
@@ -446,21 +450,3 @@ def compute_theta(cs, bound):
         _walk_prime(cs, pi, pr, entries)
     return ThetaTable(bound=bound, primes=primes, entries=entries)
 
-
-def extend_theta(cs, th, bound):
-    """Grow a neighbor table to a larger prime bound.
-
-    Existing entries are kept untouched; only primes beyond the old list
-    are walked.  Returns th itself when the bound does not increase.
-    """
-    if bound <= th.bound:
-        return th
-    F = cs.order.alg.base
-    primes = F.prime_ideals_up_to(bound)
-    for old, new in zip(th.primes, primes):
-        if old.ideal != new.ideal:
-            raise ArithmeticError("prime list is not a prefix of the extension")
-    entries = dict(th.entries)
-    for pi in range(len(th.primes), len(primes)):
-        _walk_prime(cs, pi, primes[pi], entries)
-    return ThetaTable(bound=bound, primes=primes, entries=entries)

@@ -120,7 +120,8 @@ def decompose(blocks):
             primes=[b.prime for b in blocks],
             certified=any(e == 1 for _, e in factors),
         ))
-    assert sum(c.dimension for c in out) == n
+    if sum(c.dimension for c in out) != n:
+        raise ArithmeticError("constituent dimensions do not add up to the space")
     out.sort(key=_constituent_key)
     return out
 
@@ -157,9 +158,9 @@ def present_eigenvalues(c, blocks):
     for i, block in enumerate(blocks):
         Mi = M if i == gi else _restrict(block.matrix, c.basis)
         coeffs = P.solve_right(Mi.apply(w))
-        assert coeffs is not None
         # the cyclic vector identity extends to the whole piece, checked
-        assert poly_at_matrix(Poly(coeffs), M) == Mi
+        if coeffs is None or poly_at_matrix(Poly(coeffs), M) != Mi:
+            raise ArithmeticError("operator is not a polynomial in the generator")
         pres.append(list(coeffs))
     c.presentations = pres
     return pres
@@ -209,14 +210,6 @@ class EigenReport:
     weight: object
     primes: list
     constituents: list
-
-    @property
-    def eisenstein_count(self):
-        return sum(1 for c in self.constituents if c.eisenstein)
-
-    @property
-    def fully_split(self):
-        return all(c.certified for c in self.constituents)
 
 
 def build_report(F, level, weight, blocks):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .classset import split_residue_matrix
 from .eigen import decompose, flag_eisenstein
-from .intmat import hnf_solve, hnf_with_transform
+from .intmat import hnf_with_transform
 from .matrices import Matrix
 from .numberfield import PrimeIdeal
 from .residue import LatticeQuotient, mat2_act, mat2_det, mat2_mul, p1_points
@@ -23,11 +23,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight vector, one integer >= 2 per real place, all the same parity.
-
-    The normalization data follows from k alone: m = k - 2, mu lifts to
-    the largest component and v fills the gaps, so m + 2v = mu * (1,..,1).
-    """
+    """Weight vector, one integer >= 2 per real place, all the same parity."""
 
     k: tuple
 
@@ -40,19 +36,6 @@ class WeightSpec:
             raise ValueError("weight components must be at least 2")
         if len({c % 2 for c in ks}) != 1:
             raise ValueError("weight components must share parity")
-
-    @property
-    def m(self):
-        return tuple(c - 2 for c in self.k)
-
-    @property
-    def mu(self):
-        return max(self.m)
-
-    @property
-    def v(self):
-        mu = self.mu
-        return tuple((mu - c) // 2 for c in self.m)
 
     @property
     def is_parallel_two(self):
@@ -167,8 +150,7 @@ class _LevelComponent:
                     alpha[s] += ct * J.rows[t][s]
         t_el = F.el(alpha)
         gap = F.sub(F.one, t_el)
-        assert hnf_solve([list(r) for r in self.prime.rows],
-                         [int(c) for c in gap]) is not None
+        assert self.prime.contains(gap)
         self._mult_cache[d] = t_el
         return t_el
 
@@ -324,7 +306,8 @@ def build_space(cs, N, w, seed=0):
         ostab = []
         for orb in orbs:
             q, r = divmod(units.order, len(orb))
-            assert r == 0, "orbit size must divide the unit group order"
+            if r:
+                raise ArithmeticError("orbit size does not divide the unit group order")
             ostab.append(q)
         orbits.append(orbs)
         stabs.append(ostab)

@@ -1,39 +1,24 @@
-"""Integer matrix routines: Hermite normal form, kernels, lattice solves.
+"""Integer matrix routines: Hermite normal form and coordinates over it.
 
 All matrices are lists of lists of python ints, row-major.  Rows span the
-lattice.  The HNF used here is the row-style lower-left echelon: pivots move
-right as you go down, pivot entries are positive, and entries above a pivot
-are reduced into [0, pivot).
+lattice.  The HNF used here is the row echelon form: pivots move right as
+you go down, pivot entries are positive, and entries above a pivot are
+reduced into [0, pivot).
+
+hnf_coords is the one place where coordinates of a vector over an HNF
+basis are solved.  Lattice membership, quotient projections
+(residue.QuotientSpace), stabilizer orders (QuatLattice._coords) and the
+inverse inside integral_preimage_rows all go through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def mat_copy(m):
-    return [row[:] for row in m]
+from math import lcm
 
 
 def identity_int(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul_int(a, b):
-    n, k = len(a), len(b)
-    assert all(len(row) == k for row in a)
-    cols = len(b[0]) if k else 0
-    out = [[0] * cols for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                for j in range(cols):
-                    oi[j] += x * bt[j]
-    return out
 
 
 def hnf_with_transform(mat):
@@ -42,7 +27,7 @@ def hnf_with_transform(mat):
     Returns (H, U) with U unimodular, U * mat = H, H in row Hermite form
     with zero rows (if any) at the bottom.
     """
-    h = mat_copy(mat)
+    h = [row[:] for row in mat]
     n = len(h)
     m = len(h[0]) if n else 0
     u = identity_int(n)
@@ -89,99 +74,31 @@ def hnf_rows(mat):
     return [row for row in h if any(row)]
 
 
-def int_kernel(mat):
-    """Basis (rows) of the left integer kernel {x : x * mat = 0}."""
-    h, u = hnf_with_transform(mat)
-    return [u[i] for i in range(len(h)) if not any(h[i])]
+def hnf_coords(hnf, vec, den=1):
+    """Coordinates w with vec = w * hnf / den, by forward substitution.
 
-
-def hnf_solve(hnf, target):
-    """Coordinates of `target` over HNF basis rows, or None if not in lattice.
-
-    `hnf` must be the output of hnf_rows (full set of nonzero echelon rows).
+    `hnf` holds integer echelon rows (hnf_rows output, or any rows whose
+    first nonzero entries move strictly right).  `vec` holds ints or
+    Fractions.  The coordinates are Fractions; all are integral exactly
+    when vec lies in the lattice spanned by hnf / den.  Raises ValueError
+    when vec is outside the rational span of the rows.
     """
-    t = list(target)
-    coords = []
+    t = [Fraction(v) * den for v in vec]
+    out = []
+    last = -1
     for row in hnf:
-        # pivot column of this row
-        col = next(j for j, v in enumerate(row) if v)
-        q, r = divmod(t[col], row[col])
-        if r:
-            return None
-        coords.append(q)
-        t = [a - q * b for a, b in zip(t, row)]
-    if any(t):
-        return None
-    return coords
-
-
-def lattice_contains(hnf, target):
-    return hnf_solve(hnf, target) is not None
-
-
-def lattice_index(hnf_sub, hnf_sup):
-    """Index [sup : sub] for full-rank nested row lattices in HNF."""
-    assert len(hnf_sub) == len(hnf_sup)
-    num = 1
-    for row in hnf_sub:
-        num *= row[next(j for j, v in enumerate(row) if v)]
-    den = 1
-    for row in hnf_sup:
-        den *= row[next(j for j, v in enumerate(row) if v)]
-    q, r = divmod(num, den)
-    assert r == 0, "lattices not nested"
-    return q
-
-
-def solve_int_rows(rows, target):
-    """Integer combination x with x * rows = target, or None."""
-    h, u = hnf_with_transform(rows)
-    nz = [i for i in range(len(h)) if any(h[i])]
-    coords = hnf_solve([h[i] for i in nz], target)
-    if coords is None:
-        return None
-    x = [0] * len(rows)
-    for c, i in zip(coords, nz):
+        j = next((i for i, c in enumerate(row) if c), -1)
+        if j <= last:
+            raise ValueError("basis rows are not in echelon form")
+        last = j
+        c = t[j] / row[j]
+        out.append(c)
         if c:
-            x = [a + c * b for a, b in zip(x, u[i])]
-    return x
-
-
-def rational_row_space_solve(rows, target):
-    """Rational combination x with x * rows = target, or None.
-
-    rows entries may be ints or Fractions; target likewise.
-    """
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    aug = [[Fraction(rows[i][j]) for i in range(n)] for j in range(m)]
-    rhs = [Fraction(t) for t in target]
-    # Gaussian elimination on the m x n system aug * x = rhs
-    x = [Fraction(0)] * n
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        rhs[r] *= inv
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-                rhs[i] -= f * rhs[r]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if rhs[i] != 0:
-            return None
-    for i, c in enumerate(pivots):
-        x[c] = rhs[i]
-    return x
+            for i in range(j, len(t)):
+                t[i] -= c * row[i]
+    if any(t):
+        raise ValueError("vector outside the span of the basis rows")
+    return out
 
 
 def integral_preimage_rows(mat):
@@ -200,26 +117,12 @@ def integral_preimage_rows(mat):
         for j in range(len(mat[0]))
     ]
     basis = hnf_rows(cols)
-    assert len(basis) == n, "matrix does not have full row rank"
-    inv = _invert_frac([[Fraction(v) for v in row] for row in basis])
+    if len(basis) != n:
+        raise ValueError("matrix does not have full row rank")
+    # row k of basis^-1 holds the coordinates of the k-th unit vector
+    inv = [hnf_coords(basis, [int(i == k) for i in range(n)]) for k in range(n)]
     # dual of rowspan(basis/e) has basis rows e * inv^T
     return [[e * inv[k][i] for k in range(n)] for i in range(n)]
-
-
-def _invert_frac(mat):
-    n = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def denominator_scale(rows):
@@ -227,12 +130,5 @@ def denominator_scale(rows):
     d = 1
     for row in rows:
         for v in row:
-            f = Fraction(v)
-            d = d * f.denominator // _gcd(d, f.denominator)
+            d = lcm(d, Fraction(v).denominator)
     return d
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

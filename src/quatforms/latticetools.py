@@ -133,21 +133,6 @@ class TraceFormLattice:
         return len(self.gram)
 
 
-def lll_reduce(lat: TraceFormLattice) -> TraceFormLattice:
-    """Same lattice, LLL-reduced basis (delta = 0.99)."""
-    g2, u = lll_gram(lat.gram)
-    basis = None
-    if lat.basis is not None:
-        basis = [
-            [
-                sum(u[i][k] * Fraction(lat.basis[k][j]) for k in range(len(u)))
-                for j in range(len(lat.basis[0]))
-            ]
-            for i in range(len(u))
-        ]
-    return TraceFormLattice(gram=g2, basis=basis, ambient=lat.ambient)
-
-
 # ---------------------------------------------------------------------------
 # Short vector enumeration
 

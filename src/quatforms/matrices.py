@@ -167,11 +167,6 @@ class Matrix:
             x[pc] = red.rows[r][nc]
         return x
 
-    def column_space_coords(self, vecs: list[list[Fraction]], target: list) -> list[Fraction] | None:
-        """Coordinates of target in span(vecs), or None.  Columns given as lists."""
-        m = Matrix([list(col) for col in zip(*vecs)]) if vecs else Matrix([[ ] for _ in target])
-        return m.solve_right(target) if vecs else None
-
     # -- characteristic polynomial ----------------------------------------
 
     def charpoly(self) -> Poly:
@@ -183,10 +178,6 @@ class Matrix:
         if n <= _RATIONAL_CUTOFF:
             return _charpoly_rational(self.rows)
         return _charpoly_crt(self.rows)
-
-    def minimal_poly_bound(self) -> Poly:
-        # the charpoly always annihilates; callers refine per factor
-        return self.charpoly()
 
 
 def poly_at_matrix(p: Poly, a: Matrix) -> Matrix:

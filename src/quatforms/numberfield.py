@@ -30,7 +30,7 @@ from math import gcd, isqrt
 
 from .arith import factor_int, next_prime
 from .intervals import Iv, eval_poly_interval, sign_at_root
-from .intmat import hnf_rows, hnf_solve, int_kernel, integral_preimage_rows
+from .intmat import hnf_coords, hnf_rows, integral_preimage_rows
 from .latticetools import fincke_pohst, iroot, nth_root_interval
 from .matrices import Matrix
 from .polynomials import Poly, factor_poly, isolate_real_roots, refine_root
@@ -569,31 +569,6 @@ class FieldCtx:
                 return bits
         raise ValueError("ideal class outside the stored narrow class group")
 
-    def coprime_class_reps(self, n_ideal: "FieldIdeal") -> list["FieldIdeal"]:
-        """Integral class representatives coprime to the given ideal."""
-        out = []
-        for i, r in enumerate(self.class_reps):
-            if (r + n_ideal) == self.unit_ideal():
-                out.append(r)
-                continue
-            if i == 0:
-                out.append(self.unit_ideal())
-                continue
-            found = None
-            p = 2
-            while found is None and p < 10**4:
-                for cand, f, _e in self.primes_above(p):
-                    if (cand + n_ideal) != self.unit_ideal():
-                        continue
-                    if self.principal_generator(cand * r.inverse()) is not None:
-                        found = cand
-                        break
-                p = next_prime(p)
-            if found is None:
-                raise ValueError("no coprime representative found")
-            out.append(found)
-        return out
-
     def descriptor(self, width: Fraction = Fraction(1, 2**32)) -> dict:
         """Export as a fieldctx/1 document (round-trips through the loader)."""
         embs = []
@@ -666,10 +641,7 @@ class FieldIdeal:
         return self.den == 1
 
     def contains(self, vec) -> bool:
-        t = [Fraction(c) * self.den for c in vec]
-        if any(c.denominator != 1 for c in t):
-            return False
-        return hnf_solve([list(r) for r in self.rows], [int(c) for c in t]) is not None
+        return all(c.denominator == 1 for c in hnf_coords(self.rows, vec, self.den))
 
     def divides(self, other: "FieldIdeal") -> bool:
         return all(self.contains(v) for v in other.basis_vectors())
@@ -722,22 +694,6 @@ class FieldIdeal:
             mat.append(row)
         pre = integral_preimage_rows(mat)
         return _canonical_ideal(F, pre)
-
-    def intersect(self, other: "FieldIdeal") -> "FieldIdeal":
-        m = self.den * other.den // gcd(self.den, other.den)
-        a2 = [[c * (m // self.den) for c in r] for r in self.rows]
-        b2 = [[c * (m // other.den) for c in r] for r in other.rows]
-        stacked = a2 + b2
-        rows = []
-        for k in int_kernel(stacked):
-            x = [0] * self.field.degree
-            for ci, ri in zip(k[: len(a2)], a2):
-                if ci:
-                    for j, v in enumerate(ri):
-                        x[j] += ci * v
-            if any(x):
-                rows.append([Fraction(c, m) for c in x])
-        return _canonical_ideal(self.field, rows)
 
     def valuation(self, prime: "FieldIdeal") -> int:
         pinv = prime.inverse()

@@ -134,7 +134,8 @@ class Poly:
         return Poly([c / lc for c in self.coeffs])
 
     def int_coeffs(self) -> list[int]:
-        assert all(c.denominator == 1 for c in self.coeffs), "not integral"
+        if any(c.denominator != 1 for c in self.coeffs):
+            raise ValueError("coefficients are not integral")
         return [c.numerator for c in self.coeffs]
 
     def __eq__(self, other):
@@ -182,13 +183,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic() if not b.is_zero() else b
     if b.is_zero():
         return a.monic()
-    try:
-        fa, fb = a.int_coeffs(), b.int_coeffs()
-    except AssertionError:
+    if any(c.denominator != 1 for c in a.coeffs + b.coeffs):
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
-    g = gcd_int_poly(fa, fb)
+    g = gcd_int_poly(a.int_coeffs(), b.int_coeffs())
     lc = g[-1]
     return Poly([Fraction(c, lc) for c in g])
 

@@ -15,7 +15,7 @@ from math import gcd, isqrt
 import logging
 
 from .arith import factor_int
-from .intmat import hnf_rows, int_kernel, integral_preimage_rows
+from .intmat import hnf_coords, hnf_rows, integral_preimage_rows
 from .latticetools import TraceFormLattice, enumerate_norm, rescale_multiplier
 from .matrices import Matrix
 from .residue import (
@@ -218,17 +218,7 @@ class QuatLattice:
 
     def _coords(self, vec):
         """Coordinates of vec over the basis rows (exact, possibly fractional)."""
-        t = [Fraction(v) * self.den for v in vec]
-        out = []
-        for row in self.rows:
-            j = next(i for i, c in enumerate(row) if c)
-            c = t[j] / row[j]
-            out.append(c)
-            if c:
-                for i in range(j, len(t)):
-                    t[i] -= c * row[i]
-        assert not any(t), "vector outside the ambient span"
-        return out
+        return hnf_coords(self.rows, vec, self.den)
 
     def contains(self, vec):
         return all(c.denominator == 1 for c in self._coords(vec))
@@ -241,10 +231,6 @@ class QuatLattice:
         for i, row in enumerate(self.rows):
             num *= row[i]
         return Fraction(num, self.den ** self.alg.dim)
-
-    def index_in(self, sup):
-        """[sup : self] as a Fraction of covolumes (integer when nested)."""
-        return self.covolume() / sup.covolume()
 
     def __eq__(self, other):
         return (
@@ -303,10 +289,6 @@ class QuatLattice:
         alg = self.alg
         return QuatLattice(alg, [alg.mul(x, v) for v in self.basis_vectors()])
 
-    def rmul_element(self, x):
-        alg = self.alg
-        return QuatLattice(alg, [alg.mul(v, x) for v in self.basis_vectors()])
-
     def compose(self, other):
         """Ideal product; the factors' inner orders must match."""
         if self.right_order() != other.left_order():
@@ -316,22 +298,6 @@ class QuatLattice:
     def conjugate(self):
         alg = self.alg
         return QuatLattice(alg, [alg.conj(v) for v in self.basis_vectors()])
-
-    def intersect(self, other):
-        assert self.alg is other.alg
-        m = self.den * other.den // gcd(self.den, other.den)
-        a2 = [[c * (m // self.den) for c in r] for r in self.rows]
-        b2 = [[c * (m // other.den) for c in r] for r in other.rows]
-        vecs = []
-        for k in int_kernel(a2 + b2):
-            x = [0] * self.alg.dim
-            for ci, ri in zip(k[: len(a2)], a2):
-                if ci:
-                    for j, v in enumerate(ri):
-                        x[j] += ci * v
-            if any(x):
-                vecs.append([Fraction(c, m) for c in x])
-        return QuatLattice(self.alg, vecs)
 
     # -- invariants --------------------------------------------------------
 

@@ -9,13 +9,15 @@ quaternion orders).
 
 Vectors are tuples of ints mod p; matrices are tuples of row tuples.
 Randomized searches take explicit seeds, so every run is reproducible.
+A quotient L/M takes the basis of L in HNF: ambient vectors reach
+quotient coordinates through intmat.hnf_coords over that basis.
 """
 
 from fractions import Fraction
 import itertools
 import random
 
-from .intmat import hnf_rows
+from .intmat import hnf_coords, hnf_rows
 from .polynomials import _poly_xgcd_mod, _zdivmod_monic, _zgcd_mod, _zmod, _zmul, factor_mod_p
 
 
@@ -249,7 +251,8 @@ def subalgebra(A, basis_rows, identity):
 class QuotientSpace:
     """The F_p-vector space L/M for lattices M <= L with pL <= M <= L.
 
-    Lattices are (rows, den) pairs in a common ambient coordinate system.
+    Lattices are (rows, den) pairs in a common ambient coordinate system;
+    the rows of L are an HNF basis, which the coordinate solve relies on.
     Elementary divisors of M in L must all be 1 or p.  No multiplicative
     structure is assumed; LatticeQuotient adds one.
     """
@@ -259,15 +262,7 @@ class QuotientSpace:
         self.p = p
         self.L_rows = L_rows
         self.L_den = L_den
-        c_rows = [
-            [
-                int(c)
-                for c in _express_vector(
-                    tuple(Fraction(x, M_den) for x in r), L_rows, L_den, integral=True
-                )
-            ]
-            for r in M_rows
-        ]
+        c_rows = [self._lattice_coords([Fraction(x, M_den) for x in r]) for r in M_rows]
         H = hnf_rows(tuple(tuple(r) for r in c_rows))
         if len(H) != n:
             raise ValueError("sublattice not full rank")
@@ -282,12 +277,16 @@ class QuotientSpace:
             tuple(Fraction(c, L_den) for c in L_rows[pos]) for pos in self.positions
         ]
 
+    def _lattice_coords(self, vec_ambient):
+        """Integer coordinates over the basis of L; ValueError outside L."""
+        w = hnf_coords(self.L_rows, vec_ambient, self.L_den)
+        if any(c.denominator != 1 for c in w):
+            raise ValueError("vector not in lattice")
+        return [int(c) for c in w]
+
     def proj(self, vec_ambient):
         """Reduce an ambient rational vector lying in L to quotient coordinates."""
-        w = [
-            int(c)
-            for c in _express_vector(vec_ambient, self.L_rows, self.L_den, integral=True)
-        ]
+        w = self._lattice_coords(vec_ambient)
         H = self.H
         for j in range(len(w)):
             q = w[j] // H[j][j]
@@ -323,34 +322,6 @@ class LatticeQuotient(QuotientSpace):
             for x in self.basis_ambient
         ]
         self.algebra = FpAlgebra(p, mult, self.proj(one_ambient))
-
-
-def _express_vector(vec, basis_rows, basis_den, integral=False):
-    """Solve vec = w . basis/basis_den exactly; basis is square invertible."""
-    n = len(basis_rows)
-    mat = [[Fraction(basis_rows[j][i]) for j in range(n)] for i in range(n)]
-    rhs = [Fraction(v) * basis_den for v in vec]
-    w = _solve_square(mat, rhs)
-    if integral:
-        for c in w:
-            if c.denominator != 1:
-                raise ValueError("vector not in lattice")
-    return w
-
-
-def _solve_square(mat, rhs):
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if a[i][c])
-        a[c], a[pr] = a[pr], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [a[i][n] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

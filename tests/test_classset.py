@@ -313,3 +313,21 @@ def test_class_set_is_deterministic():
     ta = compute_theta(a, 3)
     tb = compute_theta(b, 3)
     assert ta.entries == tb.entries
+
+
+def test_isomorphism_witness_checked_under_optimize(run_optimized):
+    # a norm equation that returns a bogus witness must still be caught
+    # with asserts stripped
+    out = run_optimized(
+        "from quatforms import classset\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
+        "alg = hilbert_ramification_free_algebra(field_from_spec('quad:5'))\n"
+        "R = alg.maximal_order()\n"
+        "classset.norm_equation_solutions = lambda lat, alpha: [alg.one]\n"
+        "try:\n"
+        "    print('returned', classset.is_isomorphic(R, R.lmul_element(alg.el(1, 1, 1, 0))))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: isomorphism witness")

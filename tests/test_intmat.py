@@ -1,18 +1,19 @@
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quatforms.intmat import (
+    denominator_scale,
+    hnf_coords,
     hnf_rows,
     hnf_with_transform,
     identity_int,
-    int_kernel,
-    lattice_contains,
-    lattice_index,
-    mat_mul_int,
-    solve_int_rows,
-    rational_row_space_solve,
+    integral_preimage_rows,
 )
+from quatforms.matrices import Matrix
+from quatforms.residue import QuotientSpace
 
 small_int = st.integers(min_value=-30, max_value=30)
 
@@ -34,7 +35,7 @@ def test_hnf_zero_matrix():
 @settings(max_examples=60, deadline=None)
 def test_hnf_transform_identity(mat):
     h, u = hnf_with_transform(mat)
-    assert mat_mul_int(u, mat) == h
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in u] == h
     # u unimodular: integer square matrix whose rows span Z^n
     assert hnf_rows(u) == identity_int(3)
 
@@ -46,43 +47,18 @@ def test_membership_of_row_combinations(mat, coeffs):
     v = [0, 0, 0]
     for c, row in zip(coeffs, mat):
         v = [a + c * b for a, b in zip(v, row)]
-    if h and len(h) == 3:
-        assert lattice_contains(h, v)
-    sol = solve_int_rows(mat, v)
-    assert sol is not None
+    sol = hnf_coords(h, v)
+    assert all(c.denominator == 1 for c in sol)
     w = [0, 0, 0]
-    for c, row in zip(sol, mat):
+    for c, row in zip(sol, h):
         w = [a + c * b for a, b in zip(w, row)]
     assert w == v
 
 
 def test_membership_negative():
     h = hnf_rows([[2, 0], [0, 2]])
-    assert not lattice_contains(h, [1, 0])
-    assert lattice_contains(h, [4, -2])
-
-
-def test_kernel():
-    ker = hnf_rows(int_kernel([[1, 2], [2, 4], [3, 6]]))
-    # rank-1 matrix with 3 rows: kernel is rank 2
-    assert len(ker) == 2
-    for row in ker:
-        assert row[0] * 1 + row[1] * 2 + row[2] * 3 == 0
-        assert row[0] * 2 + row[1] * 4 + row[2] * 6 == 0
-
-
-def test_lattice_index():
-    sup = hnf_rows([[1, 0], [0, 1]])
-    sub = hnf_rows([[2, 1], [0, 3]])
-    assert lattice_index(sub, sup) == 6
-
-
-def test_rational_solve():
-    rows = [[2, 0, 0], [0, 3, 0]]
-    x = rational_row_space_solve(rows, [1, 1, 0])
-    assert x is not None
-    assert [x[0] * 2, x[1] * 3, 0] == [1, 1, 0]
-    assert rational_row_space_solve(rows, [0, 0, 1]) is None
+    assert hnf_coords(h, [1, 0]) == [Fraction(1, 2), 0]
+    assert hnf_coords(h, [4, -2]) == [2, -1]
 
 
 def test_solve_against_random_unimodular():
@@ -98,10 +74,6 @@ def test_solve_against_random_unimodular():
 
 
 # --- rational preimage lattices ---
-
-from fractions import Fraction
-
-from quatforms.intmat import denominator_scale, integral_preimage_rows
 
 
 def test_preimage_scalar_and_diagonal():
@@ -143,9 +115,7 @@ def test_preimage_random_square():
             x = _solve_left(m, y)
             target = [v * den for v in x]
             assert all(Fraction(t).denominator == 1 for t in target)
-            from quatforms.intmat import lattice_contains
-
-            assert lattice_contains(scaled, [int(t) for t in target])
+            assert all(c.denominator == 1 for c in hnf_coords(scaled, target))
 
 
 def _solve_left(m, y):
@@ -163,3 +133,44 @@ def _solve_left(m, y):
                 f = aug[i][c]
                 aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
     return [aug[i][n] for i in range(n)]
+
+
+# --- the shared HNF coordinate solve ---
+
+
+@st.composite
+def hnf_bases(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    mat = draw(st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n))
+    h = hnf_rows(mat)
+    assume(len(h) == n)
+    return h, draw(st.integers(min_value=1, max_value=12))
+
+
+fracs = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+@given(hnf_bases(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_hnf_coords_matches_dense_solve(basis, data):
+    h, den = basis
+    vec = data.draw(st.lists(fracs, min_size=len(h), max_size=len(h)))
+    # w * h / den = vec is the column system (h / den)^T w = vec
+    system = Matrix([[Fraction(h[i][j], den) for i in range(len(h))] for j in range(len(h))])
+    assert hnf_coords(h, vec, den) == system.solve_right(vec)
+
+
+def test_hnf_coords_rejects_vectors_outside_the_span():
+    with pytest.raises(ValueError, match="outside the span"):
+        hnf_coords([[1, 0, 0], [0, 2, 0]], [0, 0, 1])
+    with pytest.raises(ValueError, match="echelon"):
+        hnf_coords([[0, 1], [1, 0]], [1, 1])
+
+
+def test_quotient_projection_rejects_vectors_outside_the_lattice():
+    V = QuotientSpace([[1, 1], [0, 2]], 1, [[5, 5], [0, 10]], 1, 5)
+    assert V.proj((Fraction(3), Fraction(1))) == (3, 4)
+    with pytest.raises(ValueError, match="not in lattice"):
+        V.proj((Fraction(1, 2), Fraction(0)))
+    with pytest.raises(ValueError, match="not in lattice"):
+        V.proj((Fraction(1), Fraction(0)))

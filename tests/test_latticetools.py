@@ -10,7 +10,6 @@ from quatforms.latticetools import (
     fincke_pohst,
     iroot,
     lll_gram,
-    lll_reduce,
     nth_root_interval,
     rescale_multiplier,
     round_frac,
@@ -188,7 +187,12 @@ def test_enumerate_norm_basis_independent():
 def test_lll_reduce_keeps_lattice():
     basis = [[3, 1, 0], [1, 4, 1], [0, 1, 5]]
     lat = TraceFormLattice(gram=_gram_of(basis), basis=basis)
-    red = lll_reduce(lat)
+    g2, u = lll_gram(lat.gram)
+    # the reduced basis is u * basis, and its Gram is g2
+    red_basis = [[sum(u[i][k] * basis[k][j] for k in range(3)) for j in range(3)]
+                 for i in range(3)]
+    assert g2 == _gram_of(red_basis)
+    red = TraceFormLattice(gram=g2, basis=red_basis)
     assert enumerate_norm(lat, 9).vectors == enumerate_norm(red, 9).vectors
 
 

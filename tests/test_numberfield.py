@@ -145,10 +145,8 @@ def test_ideal_norm_and_inverse_random():
             b = _random_ideal(F, rng)
             assert (a * b).norm() == a.norm() * b.norm()
             assert a * a.inverse() == F.unit_ideal()
-            i, s = a.intersect(b), a + b
-            assert a.divides(i) and b.divides(i)
+            s = a + b
             assert s.divides(a) and s.divides(b)
-            assert s * i == a * b
 
 
 small = st.integers(min_value=-6, max_value=6)
@@ -249,17 +247,6 @@ def test_minkowski_pool_covered():
         F = make_quadratic_field(d)
         for pr in F.prime_ideals_up_to(10):
             assert F.class_of(pr.ideal) in range(F.class_number)
-
-
-def test_coprime_class_reps():
-    F = F85()
-    P3 = F.primes_above(3)[0][0]
-    reps = F.coprime_class_reps(F.ideal(3))
-    assert len(reps) == 2
-    for r in reps:
-        assert (r + F.ideal(3)) == F.unit_ideal()
-    assert F.principal_generator(reps[1] * P3.inverse()) is not None or \
-        F.class_of(reps[1]) == F.class_of(P3)
 
 
 # -- units ---------------------------------------------------------------

@@ -199,3 +199,15 @@ def test_factor_mod_p_multiply_back():
                     prod = _pmul(prod, list(q), p)
             assert total == deg
             assert prod == [c % p for c in f]
+
+
+def test_poly_gcd_rational_inputs_under_optimize(run_optimized):
+    # the integer/rational branch must not hinge on an assert that -O strips
+    out = run_optimized(
+        "from fractions import Fraction\n"
+        "from quatforms.polynomials import Poly, factor_poly, poly_gcd\n"
+        "a = Poly([Fraction(1, 2), 1])\n"
+        "print(poly_gcd(a, a * Poly([3, 1])))\n"
+        "print(factor_poly(a * a)[1])\n"
+    )
+    assert out.splitlines() == ["Poly(x + 1/2)", "[(Poly(x + 1/2), 2)]"]
