@@ -1,8 +1,13 @@
 """Right ideal classes of a maximal quaternion order.
 
-The class set is grown by prime neighbor steps and certified complete
-against the exact Eichler mass.  Unit groups, isomorphism witnesses and
-the neighbor orbit tables that feed Brandt matrices all live here.
+The class set is grown by prime neighbor steps, each new neighbor tested
+for isomorphism against the classes found so far, and certified complete
+against the exact Eichler mass.  The neighbor tables that feed Brandt
+matrices (compute_theta) need no neighbor lattices: for every ordered
+pair of classes (a, b) and every prime p, one norm equation search over
+a * b^-1 finds the p-neighbors of b in the class of a, counted modulo
+the units of the left order of a.  Column sums Np + 1, whole unit orbits
+and an index Np^2 check of every witness certify the table.
 """
 
 import itertools
@@ -202,37 +207,21 @@ class UnitGroup:
     order: int
 
 
-def same_up_to_units(alg, x, y):
-    """Whether x = c * y for a unit c of the base ring."""
-    F = alg.base
-    if not any(y):
-        return not any(x)
-    z = alg.mul(x, alg.inv(y))
-    n = F.degree
-    if any(c != 0 for c in z[n:]):
-        return False
-    c = F.el(z[:n])
-    if not any(c):
-        return False
-    return F.is_integral(c) and F.is_integral(F.inv(c))
-
-
 def unit_group(O):
     """Units of the order O modulo base ring units.
 
     Every coset contains an element whose reduced norm equals one of the
-    stored totally positive unit representatives on the nose, so solving
-    those norm equations lists all cosets.  The representatives can repeat
-    modulo unit squares, which duplicates cosets, hence the merge.
+    totally positive unit representatives on the nose, unique up to
+    sign.  The representatives are distinct modulo unit squares, so the
+    solutions of those norm equations list each coset exactly once.
     """
     alg = O.alg
     F = alg.base
-    found = []
-    for e in F.totally_positive_units():
-        for x in norm_equation_solutions(O, e):
-            if not any(same_up_to_units(alg, x, y) for y in found):
-                found.append(x)
-    assert any(same_up_to_units(alg, alg.one, y) for y in found)
+    found = [
+        x for e in F.totally_positive_units() for x in norm_equation_solutions(O, e)
+    ]
+    if alg.one not in found:
+        raise ArithmeticError("unit group misses the identity")
     return UnitGroup(elements=found, order=len(found))
 
 
@@ -412,11 +401,13 @@ def compute_class_set(R, support):
 
 @dataclass
 class ThetaTable:
-    """Isomorphism witnesses for all neighbor steps between classes.
+    """Neighbor witnesses between the classes at every prime up to a bound.
 
-    entries[(pi, ai, bi)] lists the u with representative[ai] = u * c,
-    one per neighbor c of representative[bi] at primes[pi] in class ai.
-    Column sums over ai equal Np + 1.
+    entries[(pi, ai, bi)] holds one u per neighbor c of representative[bi]
+    at primes[pi] that lies in class ai, with representative[ai] = u * c;
+    a key is absent when there is no such neighbor.  compute_theta
+    certifies that every column sum over ai equals Np + 1 and that each
+    u carries representative[bi] into representative[ai] at index Np^2.
     """
 
     bound: int
@@ -424,29 +415,105 @@ class ThetaTable:
     entries: dict
 
 
-def _walk_prime(cs, pi, pr, entries):
-    """Classify every neighbor of every representative at one prime."""
-    for bi, b in enumerate(cs.representatives):
-        count = 0
-        for c in neighbors(b, pr):
-            for ai, a in enumerate(cs.representatives):
-                u = is_isomorphic(a, c)
-                if u is not None:
-                    entries.setdefault((pi, ai, bi), []).append(u)
-                    count += 1
-                    break
-            else:
-                raise ArithmeticError("neighbor missed every representative")
-        if count != pr.norm + 1:
-            raise ArithmeticError("orbit table column does not sum to Np + 1")
+def _norm_one_units(alg, G):
+    """The stored units of reduced norm exactly 1: the norm-one group mod +-1."""
+    one = alg.base.one
+    return [g for g in G.elements if alg.nr(g) == one]
+
+
+def _norm_coset_targets(alg, G):
+    """One totally positive unit rep per coset of the reduced norms of G.
+
+    The norms of the unit group, taken modulo squares, form a subgroup
+    N of the totally positive units modulo squares.  Left multiplication
+    by a unit moves witnesses of norm beta * e to norm beta * e * nr(g),
+    so targets in one coset of N give the same neighbors and targets in
+    different cosets give disjoint ones.
+    """
+    reps = alg.base.totally_positive_units()
+    index = {e: i for i, e in enumerate(reps)}
+    norms = set()
+    for g in G.elements:
+        i = index.get(alg.nr(g))
+        if i is None:
+            raise ArithmeticError("unit norm is not a totally positive unit representative")
+        norms.add(i)
+    out = []
+    covered = set()
+    for i, e in enumerate(reps):
+        if i not in covered:
+            out.append(e)
+            covered.update(i ^ j for j in norms)
+    return out
+
+
+def _orbit_witnesses(alg, sols, units_one):
+    """One solution per orbit of left multiplication by +-units_one.
+
+    Two solutions of one norm equation give the same neighbor exactly
+    when they differ by such a unit.  The orbits are free, so the count
+    of solutions must be the orbit count times len(units_one).
+    """
+    seen = set()
+    out = []
+    for u in sols:
+        if u in seen:
+            continue
+        out.append(u)
+        seen.update(alg.sign_normal(alg.mul(g, u)) for g in units_one)
+    if len(sols) != len(out) * len(units_one):
+        raise ArithmeticError("norm equation solutions are not whole unit orbits")
+    return out
 
 
 def compute_theta(cs, bound):
-    """Tabulate neighbor orbits of the class set at all primes up to bound."""
-    F = cs.order.alg.base
-    primes = F.prime_ideals_up_to(bound)
-    entries = {}
-    for pi, pr in enumerate(primes):
-        _walk_prime(cs, pi, pr, entries)
-    return ThetaTable(bound=bound, primes=primes, entries=entries)
+    """Neighbor witnesses between all classes at all primes up to bound.
 
+    For classes a, b and a prime p, the p-neighbors c of b in the class
+    of a are the c = u^-1 a for u in L = a * b^-1 whose reduced norm
+    generates J = nr(a) p nr(b)^-1, counted modulo left multiplication by
+    the units of the left order of a.  When J has no totally positive
+    generator the cell is empty.  Otherwise, with beta one such
+    generator, one norm equation nr(u) = beta * e over L is solved per
+    coset target e (see _norm_coset_targets) and its solutions are
+    grouped into unit orbits, one witness each.
+
+    Certificates, each raising ArithmeticError: every target's solutions
+    are whole orbits, every witness u has u * b inside a at index Np^2,
+    and the neighbors of each b at each p number Np + 1.
+    """
+    alg = cs.order.alg
+    F = alg.base
+    primes = F.prime_ideals_up_to(bound)
+    reps = cs.representatives
+    nrs = [r.nr_ideal() for r in reps]
+    units = [(_norm_one_units(alg, G), _norm_coset_targets(alg, G)) for G in cs.unit_groups]
+    entries = {}
+    for bi, b in enumerate(reps):
+        b_inv = b.inverse()
+        nr_b_inv = nrs[bi].inverse()
+        counts = [0] * len(primes)
+        for ai, a in enumerate(reps):
+            units_one, targets = units[ai]
+            L = None
+            for pi, pr in enumerate(primes):
+                beta = F.narrowly_principal_generator(nrs[ai] * pr.ideal * nr_b_inv)
+                if beta is None:
+                    continue
+                if L is None:
+                    L = a.compose(b_inv)
+                us = []
+                for e in targets:
+                    sols = norm_equation_solutions(L, F.mul(beta, e))
+                    us += _orbit_witnesses(alg, sols, units_one)
+                covolume = pr.norm ** 2 * a.covolume()
+                for u in us:
+                    ub = b.lmul_element(u)
+                    if ub.covolume() != covolume or not a.contains_lattice(ub):
+                        raise ArithmeticError("theta witness does not map b into a at index Np^2")
+                if us:
+                    entries[(pi, ai, bi)] = us
+                    counts[pi] += len(us)
+        if any(c != pr.norm + 1 for c, pr in zip(counts, primes)):
+            raise ArithmeticError("orbit table column does not sum to Np + 1")
+    return ThetaTable(bound=bound, primes=primes, entries=entries)

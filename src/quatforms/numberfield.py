@@ -361,9 +361,13 @@ class FieldCtx:
     def totally_positive_units(self) -> list[tuple]:
         """Representatives of the totally positive units modulo squares.
 
-        The exponent lattice {v : prod u_i^v_i has constant sign} is cut
-        out by two affine conditions mod 2; generators of that lattice,
-        sign corrected, multiply out to 2^r representatives.
+        The exponent vectors v with prod u_i^v_i of constant sign form a
+        lattice containing 2Z^r; its image mod 2 is cut out by the sign
+        conditions.  Each basis vector of that F_2-space, sign corrected,
+        gives one generator g_j, and reps[i] is the product of the g_j
+        selected by the binary digits of i.  The reps are pairwise
+        distinct modulo squares, reps[0] is 1, and reps[i] * reps[j] is
+        reps[i ^ j] times a square.
         """
         if self._tpu is not None:
             return self._tpu
@@ -371,28 +375,26 @@ class FieldCtx:
         r = len(units)
         n = self.degree
         srows = [tuple(1 if s < 0 else 0 for s in self.sign_vector(u)) for u in units]
-        from .residue import kernel_mod, solve_right_mod
+        from .residue import kernel_mod, solve_right_mod, span_basis_mod
 
         mt = tuple(tuple(srows[j][i] for j in range(r)) for i in range(n))
-        gens = [[2 * int(i == j) for j in range(r)] for i in range(r)]
-        for h in kernel_mod(mt, 2):
-            gens.append([int(c) for c in h])
+        gens = list(kernel_mod(mt, 2))
         part = solve_right_mod(mt, tuple([1] * n), 2)
         if part is not None:
-            gens.append([int(c) for c in part])
-        basis = hnf_rows(gens)
-        assert len(basis) == r
+            gens.append(part)
         gs = []
-        for row in basis:
+        for row in span_basis_mod(gens, 2):
             g = self.one
             for uj, e in zip(units, row):
-                g = self.mul(g, self.el_pow(uj, e))
+                if e:
+                    g = self.mul(g, uj)
             if all(s < 0 for s in self.sign_vector(g)):
                 g = self.neg(g)
-            assert self.is_totally_positive(g)
+            if not self.is_totally_positive(g):
+                raise ArithmeticError("unit of constant sign is not totally positive")
             gs.append(g)
         reps = []
-        for bits in itertools.product((0, 1), repeat=r):
+        for bits in itertools.product((0, 1), repeat=len(gs)):
             v = self.one
             for g, b in zip(gs, bits):
                 if b:

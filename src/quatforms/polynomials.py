@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import inv_mod, is_probable_prime, next_prime, symmetric_mod, xgcd
+from .arith import inv_mod, next_prime, symmetric_mod
 
 
 class Poly:

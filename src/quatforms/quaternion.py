@@ -125,6 +125,11 @@ class QuatAlgebra:
         )
         return z0 + z1 + z2 + z3
 
+    def sign_normal(self, x):
+        """The one of x, -x whose first nonzero coordinate is positive."""
+        lead = next(v for v in x if v)
+        return self.neg(x) if lead < 0 else x
+
     def conj(self, x):
         n = self.base.degree
         return tuple(Fraction(c) if t < n else -Fraction(c)
@@ -572,10 +577,6 @@ def norm_equation_solutions(lat, alpha):
     for y in shell.vectors:
         if F.el(alg.nr(y)) != beta:
             continue
-        x = alg.fmul(c_inv, y)
-        lead = next(v for v in x if v)
-        if lead < 0:
-            x = alg.neg(x)
-        out.append(x)
+        out.append(alg.sign_normal(alg.fmul(c_inv, y)))
     out.sort()
     return out

@@ -203,9 +203,6 @@ class FpAlgebra:
             power = self.mul(power, x)
         return out
 
-    def is_invertible(self, x):
-        return rank_mod(self.rep_left(x), self.p) == self.dim
-
     def inv(self, x):
         sol = solve_right_mod(self.rep_left(x), self.one, self.p)
         if sol is None:
@@ -695,13 +692,16 @@ def mat2_det(k, M):
 
 
 def p1_normalize(k, x, y):
-    """Canonical representative of (x : y): leading invertible coordinate 1."""
-    if k.is_invertible(x):
-        xi = k.inv(x)
-        return (k.one, k.mul(xi, y))
-    if k.is_invertible(y):
-        yi = k.inv(y)
-        return (k.mul(yi, x), k.one)
+    """Canonical representative of (x : y) over a field k: leading nonzero
+    coordinate 1.
+
+    A nonzero coordinate without an inverse means k is not a field; k.inv
+    then raises ZeroDivisionError, an ArithmeticError.
+    """
+    if any(x):
+        return (k.one, k.mul(k.inv(x), y))
+    if any(y):
+        return (k.mul(k.inv(y), x), k.one)
     raise ValueError("not a projective point over a field")
 
 

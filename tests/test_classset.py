@@ -13,7 +13,6 @@ from quatforms.classset import (
     is_isomorphic,
     narrow_support,
     neighbors,
-    same_up_to_units,
     unit_group,
 )
 from quatforms.numberfield import field_from_spec
@@ -27,11 +26,12 @@ from quatforms.quaternion import (
 F85 = field_from_spec("quad:85")
 F10 = field_from_spec("quad:10")
 F5 = field_from_spec("quad:5")
+F3 = field_from_spec("quad:3")
 
 
 @functools.cache
 def maximal_order(spec):
-    F = {"quad:85": F85, "quad:10": F10, "quad:5": F5}[spec]
+    F = {"quad:85": F85, "quad:10": F10, "quad:5": F5, "quad:3": F3}[spec]
     alg = hilbert_ramification_free_algebra(F)
     return maximalize(alg.standard_order())
 
@@ -154,22 +154,28 @@ def test_unit_group_orders():
 
 
 def test_unit_group_contains_identity_and_is_closed():
+    # elements are one per coset of the base units: z and g share a coset
+    # exactly when z * g^-1 is central, i.e. has no i, j, k part
     O = maximal_order("quad:10")
     alg = O.alg
+    n = alg.base.degree
     G = unit_group(O)
-    assert any(same_up_to_units(alg, alg.one, g) for g in G.elements)
+    assert alg.one in G.elements
     for x in G.elements:
         assert O.contains(x)
         for y in G.elements:
             z = alg.mul(x, y)
-            assert sum(same_up_to_units(alg, z, g) for g in G.elements) == 1
+            assert sum(not any(alg.mul(z, alg.inv(g))[n:]) for g in G.elements) == 1
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_unit_scaling_equivalence(seed):
+    # theta witnesses count neighbors u^-1 * a, which a base unit scaling
+    # of u leaves alone: c * x generates the same right ideal x * R
     rng = random.Random(seed)
-    alg = maximal_order("quad:10").alg
+    R = maximal_order("quad:10")
+    alg = R.alg
     F = alg.base
     x = tuple(Fraction(rng.randint(-9, 9)) for _ in range(alg.dim))
     if not any(x):
@@ -180,8 +186,9 @@ def test_unit_scaling_equivalence(seed):
         c = F.inv(c)
     if rng.random() < 0.5:
         c = F.neg(c)
-    assert same_up_to_units(alg, alg.fmul(c, x), x)
-    assert not same_up_to_units(alg, alg.fmul(F.from_int(3), x), x)
+    xR = R.lmul_element(x)
+    assert R.lmul_element(alg.fmul(c, x)) == xR
+    assert R.lmul_element(alg.fmul(F.from_int(3), x)) != xR
 
 
 def test_class_set_quad5():
@@ -242,21 +249,41 @@ def test_class_set_needs_generating_support():
 
 
 def test_theta_column_sums_and_weighted_symmetry():
-    cs = class_set("quad:10")
-    th = compute_theta(cs, 5)
-    n = cs.size
-    assert [p.norm for p in th.primes] == [2, 3, 3, 5]
-    for pi, pr in enumerate(th.primes):
-        counts = [
-            [len(th.entries.get((pi, a, b), [])) for b in range(n)] for a in range(n)
-        ]
-        for b in range(n):
-            assert sum(counts[a][b] for a in range(n)) == pr.norm + 1
-        for a in range(n):
+    # quad:3 has totally positive units that are not squares, and units
+    # of reduced norm 2 + sqrt 3
+    for spec, bound in (("quad:10", 5), ("quad:3", 4)):
+        cs = class_set(spec)
+        th = compute_theta(cs, bound)
+        n = cs.size
+        if spec == "quad:10":
+            assert [p.norm for p in th.primes] == [2, 3, 3, 5]
+        for pi, pr in enumerate(th.primes):
+            counts = [
+                [len(th.entries.get((pi, a, b), [])) for b in range(n)] for a in range(n)
+            ]
             for b in range(n):
-                lhs = cs.unit_groups[a].order * counts[a][b]
-                rhs = cs.unit_groups[b].order * counts[b][a]
-                assert lhs == rhs
+                assert sum(counts[a][b] for a in range(n)) == pr.norm + 1
+            for a in range(n):
+                for b in range(n):
+                    lhs = cs.unit_groups[a].order * counts[a][b]
+                    rhs = cs.unit_groups[b].order * counts[b][a]
+                    assert lhs == rhs
+
+
+@pytest.mark.parametrize("spec,bound", [("quad:10", 3), ("quad:3", 4)])
+def test_theta_matches_neighbor_classification(spec, bound):
+    # the independent method: build every neighbor lattice and classify it
+    # by isomorphism tests against the representatives
+    cs = class_set(spec)
+    th = compute_theta(cs, bound)
+    reps = cs.representatives
+    for pi, pr in enumerate(th.primes):
+        for bi, b in enumerate(reps):
+            counts = [0] * cs.size
+            for c in neighbors(b, pr):
+                (ai,) = [i for i, a in enumerate(reps) if is_isomorphic(a, c) is not None]
+                counts[ai] += 1
+            assert counts == [len(th.entries.get((pi, ai, bi), [])) for ai in range(cs.size)]
 
 
 def test_theta_witnesses_live_in_ideal_quotients():
@@ -284,19 +311,14 @@ def test_theta_diagonal_matches_direct_orbit_count():
     cs = class_set("quad:5")
     th = compute_theta(cs, 4)
     (pi,) = [i for i, p in enumerate(th.primes) if p.norm == 4]
-    G = unit_group(R)
     sols = []
     for e in F5.totally_positive_units():
         sols.extend(norm_equation_solutions(R, F5.mul(F5.from_int(2), e)))
+    # x and y have unit-multiple norms, so x ~ y under R^x exactly when
+    # x * conj(y) / nr(y) lies in R
     orbits = []
     for x in sols:
-        z_new = True
-        for y in orbits:
-            q = alg.mul(x, alg.inv(y))
-            if any(same_up_to_units(alg, q, g) for g in G.elements):
-                z_new = False
-                break
-        if z_new:
+        if not any(R.contains(alg.mul(x, alg.inv(y))) for y in orbits):
             orbits.append(x)
     assert len(orbits) == 5
     assert len(th.entries[(pi, 0, 0)]) == 5
@@ -331,3 +353,22 @@ def test_isomorphism_witness_checked_under_optimize(run_optimized):
         "    print('ArithmeticError:', exc)\n"
     )
     assert out.startswith("ArithmeticError: isomorphism witness")
+
+
+def test_theta_orbit_count_checked_under_optimize(run_optimized):
+    # a norm equation search that reports every solution twice must be
+    # caught by the orbit count with asserts stripped
+    out = run_optimized(
+        "from quatforms import classset\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
+        "alg = hilbert_ramification_free_algebra(field_from_spec('quad:5'))\n"
+        "cs = classset.compute_class_set(alg.maximal_order(), [])\n"
+        "solve = classset.norm_equation_solutions\n"
+        "classset.norm_equation_solutions = lambda lat, alpha: 2 * solve(lat, alpha)\n"
+        "try:\n"
+        "    print('returned', classset.compute_theta(cs, 4))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: norm equation solutions are not whole unit orbits")

@@ -252,15 +252,33 @@ def test_minkowski_pool_covered():
 # -- units ---------------------------------------------------------------
 
 
+def _is_unit_square(F, x):
+    # x = eps^(2k) for some |k| <= 5, which covers the exponents tested below
+    eps = F.fundamental_units[0]
+    return any(F.el_pow(eps, 2 * k) == x or F.el_pow(F.inv(eps), 2 * k) == x
+               for k in range(6))
+
+
 def test_totally_positive_units():
-    assert make_quadratic_field(10).totally_positive_units() == [(1, 0), (19, 6)]
-    assert make_quadratic_field(5).totally_positive_units() == [(1, 0), (1, 1)]
-    assert make_quadratic_field(3).totally_positive_units() == [(1, 0), (2, 1)]
-    for d in (3, 5, 10, 85):
+    for d, count in ((3, 2), (5, 1), (10, 1), (85, 1)):
         F = make_quadratic_field(d)
-        for u in F.totally_positive_units():
+        reps = F.totally_positive_units()
+        assert len(reps) == count
+        assert reps[0] == F.one
+        for u in reps:
             assert F.is_totally_positive(u)
             assert abs(F.norm(u)) == 1
+        # pairwise distinct modulo unit squares
+        for i, u in enumerate(reps):
+            for v in reps[i + 1:]:
+                assert not _is_unit_square(F, F.mul(u, F.inv(v)))
+        # every totally positive +-eps^k, |k| <= 4, is a rep times a square
+        eps = F.fundamental_units[0]
+        for k in range(-4, 5):
+            for sign in (1, -1):
+                x = F.smul(sign, F.el_pow(eps, k) if k >= 0 else F.el_pow(F.inv(eps), -k))
+                if F.is_totally_positive(x):
+                    assert any(_is_unit_square(F, F.mul(x, F.inv(u))) for u in reps)
 
 
 # -- descriptor ----------------------------------------------------------

@@ -76,8 +76,9 @@ def test_fp_algebra_field_basics():
     assert k.mul(x, x) == (3, 0)
     xi = k.inv(x)
     assert k.mul(x, xi) == k.one
-    assert k.is_invertible((2, 3))
-    assert not k.is_invertible((0, 0))
+    assert k.mul((2, 3), k.inv((2, 3))) == k.one
+    with pytest.raises(ZeroDivisionError):
+        k.inv((0, 0))
     # Frobenius fixes exactly the prime field
     fr = k.frobenius_matrix()
     delta = tuple(
@@ -300,6 +301,16 @@ def test_p1_points_and_action():
     # a singular pair is rejected
     with pytest.raises(ValueError):
         p1_normalize(k, k.zero(), k.zero())
+
+
+def test_p1_normalize_rejects_zero_divisors():
+    # over F_5 x F_5, which is not a field, (1, 0) is nonzero but has no inverse
+    k = FpAlgebra(5, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], (1, 1))
+    assert p1_normalize(k, (2, 3), (1, 1)) == (k.one, (3, 2))
+    with pytest.raises(ArithmeticError):
+        p1_normalize(k, (1, 0), (0, 1))
+    with pytest.raises(ArithmeticError):
+        p1_normalize(k, k.zero(), (0, 4))
 
 
 def test_p1_points_f4():
