@@ -1,15 +1,14 @@
 """Exact interval arithmetic over Q.
 
 Used to decide signs of algebraic numbers given by polynomial expressions
-in a root isolated by a rational interval.  All endpoints are Fractions;
-nothing here ever rounds.
+in a root isolated by a rational interval.  Intervals add, subtract and
+multiply; all endpoints are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .polynomials import Poly, refine_root
 
@@ -49,22 +48,6 @@ class Iv:
 
     __rmul__ = __mul__
 
-    def inv(self) -> "Iv":
-        # only defined away from zero
-        if self.lo > 0 or self.hi < 0:
-            return Iv(1 / self.hi, 1 / self.lo)
-        raise ZeroDivisionError("interval straddles zero")
-
-    def __truediv__(self, other):
-        return self * _as_iv(other).inv()
-
-    def __rtruediv__(self, other):
-        return _as_iv(other) * self.inv()
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def sign(self) -> int | None:
         """-1, 0 (exact zero point), +1, or None when the sign is undecided."""
         if self.lo > 0:
@@ -81,23 +64,6 @@ def _as_iv(v) -> Iv:
         return v
     f = Fraction(v)
     return Iv(f, f)
-
-
-def sqrt_interval(d, width=Fraction(1, 2**20)) -> Iv:
-    """Interval of the requested width containing sqrt(d), d > 0 rational."""
-    d = Fraction(d)
-    assert d > 0
-    lo = Fraction(isqrt(d.numerator * d.denominator), d.denominator)
-    hi = lo + 1
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        if mid * mid <= d:
-            lo = mid
-        else:
-            hi = mid
-    if hi * hi == d:
-        hi += width / 2
-    return Iv(lo, hi)
 
 
 def eval_poly_interval(p: Poly, x: Iv) -> Iv:

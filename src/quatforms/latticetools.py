@@ -1,11 +1,10 @@
 """Positive definite lattice algorithms over exact rationals.
 
 Everything here works on Gram matrices with Fraction entries: LLL
-reduction, Fincke-Pohst enumeration of short vectors, and the rescaling
-trick that balances the real embeddings of a totally positive field
-element before a norm-equation search.  No floating point is used on
-any accept/reject path; intervals only steer the rounding step of the
-rescaler, and the final ratio is certified by an exact interval.
+reduction, Fincke-Pohst enumeration of short vectors, and the exact
+shell enumeration that norm-equation searches are built on.  Integer
+roots and rational n-th root intervals serve the field code.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import Iv, sqrt_interval
+from .intervals import Iv
 
 log = logging.getLogger(__name__)
 
@@ -115,12 +114,11 @@ class TraceFormLattice:
     basis rows give ambient coordinates of the lattice generators; gram
     is the matrix of the bilinear form on those generators.  basis may
     be None, in which case ambient coordinates are the coefficient
-    vectors themselves.  ambient is an opaque tag for callers.
+    vectors themselves.
     """
 
     gram: list
     basis: list | None = None
-    ambient: object = None
 
     def __post_init__(self):
         n = len(self.gram)
@@ -217,7 +215,6 @@ class NormSolutions:
     """Solution vectors in ambient coordinates, one per +-pair."""
 
     vectors: list
-    paired: bool = True
 
 
 def enumerate_norm(lat: TraceFormLattice, t) -> NormSolutions:
@@ -257,7 +254,7 @@ def enumerate_norm(lat: TraceFormLattice, t) -> NormSolutions:
     found.sort()
     log.debug("enumerate_norm rank=%d t=%s candidates=%d hits=%d",
               n, t, seen, len(found))
-    return NormSolutions(vectors=found, paired=True)
+    return NormSolutions(vectors=found)
 
 
 # ---------------------------------------------------------------------------
@@ -301,129 +298,3 @@ def nth_root_interval(x, k: int, rel=Fraction(1, 2**24)) -> Iv:
         else:
             hi = mid
     return Iv(lo, hi)
-
-
-def _sqrt_of_interval(iv: Iv, width) -> Iv:
-    assert iv.lo > 0
-    return Iv(sqrt_interval(iv.lo, width).lo, sqrt_interval(iv.hi, width).hi)
-
-
-# ---------------------------------------------------------------------------
-# Rescaling multiplier
-
-
-@dataclass
-class RescaleResult:
-    """Multiplier c and a certified interval around Tr(c^2 a) / N(c^2 a)^(1/n)."""
-
-    c: tuple
-    ratio: Iv
-
-
-def _interval_solve(rows, rhs):
-    """Solve a square linear system with interval entries.
-
-    Raises ZeroDivisionError when some pivot interval straddles zero,
-    which the caller treats as a request for more precision.
-    """
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for c in range(n):
-        piv = None
-        best = None
-        for i in range(c, n):
-            e = aug[i][c]
-            if e.lo > 0 or e.hi < 0:
-                m = abs(e.lo + e.hi)
-                if best is None or m > best:
-                    best, piv = m, i
-        if piv is None:
-            raise ZeroDivisionError("pivot interval straddles zero")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c].inv()
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c:
-                f = aug[i][c]
-                if f.lo != 0 or f.hi != 0:
-                    aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
-
-
-def _balanced_rounding(fld, alpha, scale):
-    """Integer coordinate vector c with sigma_i(c) near scale / sqrt(sigma_i(alpha)).
-
-    Interval arithmetic drives the linear solve and the rounding; any
-    ambiguity triggers a refinement, and after a few rounds a midpoint
-    round is accepted (the caller certifies quality afterwards, so the
-    tie-break only affects which candidate gets tried).
-    """
-    n = fld.degree
-    unit_vecs = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    width = Fraction(1, 2**24)
-    for _ in range(6):
-        alpha_emb = fld.embeddings(alpha, width)
-        targets = [Iv(scale, scale) / _sqrt_of_interval(iv, width) for iv in alpha_emb]
-        cols = [fld.embeddings(v, width) for v in unit_vecs]
-        rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-        try:
-            sol = _interval_solve(rows, targets)
-        except ZeroDivisionError:
-            width /= 2**8
-            continue
-        coords = []
-        for iv in sol:
-            a, b = round_frac(iv.lo), round_frac(iv.hi)
-            if a != b:
-                coords = None
-                break
-            coords.append(a)
-        if coords is not None:
-            return tuple(coords)
-        width /= 2**8
-    alpha_emb = fld.embeddings(alpha, width)
-    targets = [Iv(scale, scale) / _sqrt_of_interval(iv, width) for iv in alpha_emb]
-    cols = [fld.embeddings(v, width) for v in unit_vecs]
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    sol = _interval_solve(rows, targets)
-    return tuple(round_frac((iv.lo + iv.hi) / 2) for iv in sol)
-
-
-def rescale_multiplier(fld, alpha, C=None, eps=Fraction(1, 20), budget=40):
-    """Find c with all sigma_i(c^2 * alpha) roughly equal.
-
-    alpha must be totally positive.  Builds the real vector with entries
-    C / sqrt(sigma_i(alpha)), writes it over the integral basis, and
-    rounds the coordinates; C doubles until the certified ratio
-    Tr(c^2 alpha) / N(c^2 alpha)^(1/n) drops to n + eps or the retry
-    budget runs out, in which case the best candidate found is returned.
-    The ratio can never go below n, so eps controls how tight a balance
-    is demanded.
-    """
-    n = fld.degree
-    eps = Fraction(eps)
-    alpha_emb = fld.embeddings(alpha, Fraction(1, 2**16))
-    assert all(iv.lo > 0 for iv in alpha_emb), "alpha is not totally positive"
-    if C is None:
-        top = max(iv.hi for iv in alpha_emb)
-        C = Fraction(2**16) * sqrt_interval(top).hi
-    C = Fraction(C)
-    assert C > 0
-    target = Fraction(n) + eps
-    best = None
-    for _ in range(budget):
-        c = _balanced_rounding(fld, alpha, C)
-        if any(c):
-            beta = fld.mul(fld.mul(c, c), alpha)
-            tr = Fraction(fld.trace(beta))
-            nm = Fraction(fld.norm(beta))
-            assert nm > 0
-            ratio = Iv(tr, tr) / nth_root_interval(nm, n)
-            res = RescaleResult(c=c, ratio=ratio)
-            if ratio.hi <= target:
-                return res
-            if best is None or ratio.hi < best.ratio.hi:
-                best = res
-        C *= 2
-    assert best is not None, "rescaling never produced a nonzero candidate"
-    return best

@@ -16,7 +16,7 @@ import logging
 
 from .arith import factor_int
 from .intmat import hnf_coords, hnf_rows, integral_preimage_rows
-from .latticetools import TraceFormLattice, enumerate_norm, rescale_multiplier
+from .latticetools import TraceFormLattice, enumerate_norm
 from .matrices import Matrix
 from .residue import (
     LatticeQuotient,
@@ -55,7 +55,7 @@ class QuatAlgebra:
             Fraction(1) if t == 0 else _ZERO for t in range(self.dim)
         )
         self.zero = (_ZERO,) * self.dim
-        self._maximal_order = None
+        self._maximalized = {}
 
     def __repr__(self):
         return "QuatAlgebra(%r, a=%s, b=%s)" % (self.base, self.a, self.b)
@@ -181,9 +181,7 @@ class QuatAlgebra:
         )
 
     def maximal_order(self):
-        if self._maximal_order is None:
-            self._maximal_order = maximalize(self.standard_order())
-        return self._maximal_order
+        return maximalize(self.standard_order())
 
 
 class QuatLattice:
@@ -272,11 +270,6 @@ class QuatLattice:
         return QuatLattice(alg, [alg.smul(c, v) for v in self.basis_vectors()])
 
     __rmul__ = __mul__
-
-    def fscale(self, c):
-        """Scale by a field element."""
-        alg = self.alg
-        return QuatLattice(alg, [alg.fmul(c, v) for v in self.basis_vectors()])
 
     def iscale(self, ideal):
         """Scale by a fractional ideal of the base field."""
@@ -385,9 +378,11 @@ def reduced_discriminant_norm(order):
     algebra: an integral ideal of norm 1 is the unit ideal.
     """
     q = Fraction(order.disc_z(), order.alg.base.disc ** 4)
-    assert q.denominator == 1 and q > 0, "not the discriminant of an order"
+    if q.denominator != 1 or q <= 0:
+        raise ArithmeticError("not the discriminant of an order")
     s = isqrt(int(q))
-    assert s * s == int(q), "discriminant norm is not a square"
+    if s * s != q:
+        raise ArithmeticError("discriminant norm is not a square")
     return s
 
 
@@ -471,16 +466,31 @@ def maximalize(order, trail=None):
 
     Enlarges prime by prime until the reduced discriminant norm stops
     dropping; `trail` (a list, when given) collects the strictly
-    decreasing norms along the way.
+    decreasing norms along the way.  The result and its norms are kept
+    per algebra, so maximalizing the same order again costs nothing.
     """
+    memo = order.alg._maximalized
+    if order not in memo:
+        memo[order] = _maximalize(order)
+    top, norms = memo[order]
+    if trail is not None:
+        for nd in norms:
+            if not trail or trail[-1] != nd:
+                trail.append(nd)
+    return top
+
+
+def _maximalize(order):
+    """(maximal order, strictly decreasing reduced discriminant norms)."""
     if not is_order(order):
         raise ValueError("input lattice is not an order")
     O = order
+    norms = []
     settled = set()
     while True:
         nd = reduced_discriminant_norm(O)
-        if trail is not None and (not trail or trail[-1] != nd):
-            trail.append(nd)
+        if not norms or norms[-1] != nd:
+            norms.append(nd)
         if nd == 1:
             break
         ps = sorted(p for p in factor_int(nd) if p not in settled)
@@ -492,7 +502,7 @@ def maximalize(order, trail=None):
             log.debug("maximalize: settled at p=%d, residual norm %d", ps[0], nd)
         else:
             O = O2
-    return O
+    return O, norms
 
 
 def _structure_candidates(F, budget):
@@ -537,7 +547,6 @@ def hilbert_ramification_free_algebra(F, budget=24):
         alg = QuatAlgebra(F, a, b)
         R = maximalize(alg.standard_order())
         if reduced_discriminant_norm(R) == 1:
-            alg._maximal_order = R
             return alg
         log.debug("structure constants %s, %s leave ramification", a, b)
     raise ValueError("structure constant search budget exhausted")
@@ -547,36 +556,34 @@ def hilbert_ramification_free_algebra(F, budget=24):
 # norm equations
 
 
-def trace_form_lattice(lat):
-    """The positive definite Gram of b(x,y) = Tr(trd(x conj(y))) on a basis."""
+def trace_form_lattice(lat, w):
+    """The Gram of b(x, y) = Tr(w trd(x conj(y))) on a basis of the lattice.
+
+    Positive definite when the field element w is totally positive.
+    """
     alg = lat.alg
+    F = alg.base
     bs = lat.basis_vectors()
-    gram = [[alg.base.trace(alg.pair(x, y)) for y in bs] for x in bs]
-    return TraceFormLattice(gram=gram, basis=[list(b) for b in bs], ambient=alg)
+    gram = [[F.trace(F.mul(w, alg.pair(x, y))) for y in bs] for x in bs]
+    return TraceFormLattice(gram=gram, basis=[list(b) for b in bs])
 
 
 def norm_equation_solutions(lat, alpha):
     """All x in the lattice with nr(x) = alpha, one per +-pair, sorted.
 
-    Rescales by a field multiplier so the quadratic form Tr(trd(x conj x))
-    stays balanced across the real places, enumerates the finite shell,
-    and keeps exactly the vectors whose reduced norm matches.  alpha must
-    be totally positive; the form is definite so the shell is finite.
+    With w = N(alpha) / alpha, a solution x has w nr(x) = N(alpha), a
+    rational number, so it lies on the shell Tr(w trd(x conj x)) =
+    2 n N(alpha) of the form weighted by w (n the field degree).  The
+    weight is totally positive exactly when alpha is, which makes the
+    form definite and the shell finite; the shell vectors whose reduced
+    norm is alpha are the solutions.
     """
     alg = lat.alg
     F = alg.base
     alpha = F.el(alpha) if not isinstance(alpha, int) else F.from_int(alpha)
     if not F.is_totally_positive(alpha):
         raise ValueError("norm target must be totally positive")
-    c = rescale_multiplier(F, alpha).c
-    beta = F.mul(F.mul(c, c), alpha)
-    scaled = lat.fscale(c)
-    shell = enumerate_norm(trace_form_lattice(scaled), 2 * F.trace(beta))
-    c_inv = F.inv(c)
-    out = []
-    for y in shell.vectors:
-        if F.el(alg.nr(y)) != beta:
-            continue
-        out.append(alg.sign_normal(alg.fmul(c_inv, y)))
-    out.sort()
-    return out
+    nm = F.norm(alpha)
+    w = F.smul(nm, F.inv(alpha))
+    shell = enumerate_norm(trace_form_lattice(lat, w), 2 * F.degree * nm)
+    return [y for y in shell.vectors if F.el(alg.nr(y)) == alpha]

@@ -337,6 +337,27 @@ def test_class_set_is_deterministic():
     assert ta.entries == tb.entries
 
 
+def test_norm_equation_skewed_targets():
+    # eps = 3 + sqrt(10) has norm -1, so eps^2k alpha is totally positive
+    # and far from balanced; x -> eps^k x maps the solutions for alpha
+    # onto those for eps^2k alpha in any O_F-stable lattice
+    cs = class_set("quad:10")
+    alg = cs.order.alg
+    a, b = cs.representatives[2], cs.representatives[1]
+    ratio = a.compose(b.inverse())
+    assert not ratio.nr_ideal().is_integral()
+    eps = F10.el((3, 1))
+    for lat in (cs.order, ratio):
+        for alpha in (1, 3):
+            base = norm_equation_solutions(lat, alpha)
+            assert base
+            for k in (1, 2, 3):
+                ek = F10.el_pow(eps, k)
+                target = F10.mul(F10.mul(ek, ek), F10.from_int(alpha))
+                moved = sorted(alg.sign_normal(alg.fmul(ek, x)) for x in base)
+                assert norm_equation_solutions(lat, target) == moved
+
+
 def test_isomorphism_witness_checked_under_optimize(run_optimized):
     # a norm equation that returns a bogus witness must still be caught
     # with asserts stripped

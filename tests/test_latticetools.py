@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from quatforms.intervals import Iv, sqrt_interval
+from quatforms.intervals import Iv
 from quatforms.latticetools import (
     TraceFormLattice,
     enumerate_norm,
@@ -11,7 +11,6 @@ from quatforms.latticetools import (
     iroot,
     lll_gram,
     nth_root_interval,
-    rescale_multiplier,
     round_frac,
 )
 
@@ -162,9 +161,7 @@ def test_fincke_pohst_empty_below_minimum():
 
 def test_enumerate_norm_axes():
     lat = TraceFormLattice(gram=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    res = enumerate_norm(lat, 1)
-    assert res.paired
-    assert res.vectors == [
+    assert enumerate_norm(lat, 1).vectors == [
         (0, 0, 1),
         (0, 1, 0),
         (1, 0, 0),
@@ -218,69 +215,3 @@ def test_nth_root_interval():
         iv = nth_root_interval(x, k)
         assert iv.lo**k <= x <= iv.hi**k
         assert iv.hi - iv.lo <= iv.hi * Fraction(1, 2**24)
-
-
-# --- rescaling over small real quadratic fields ---
-
-
-class QuadField:
-    """Just enough of a field context for the rescaler: basis (1, sqrt d)."""
-
-    degree = 2
-
-    def __init__(self, d):
-        self.d = d
-
-    def embeddings(self, v, width):
-        a, b = Fraction(v[0]), Fraction(v[1])
-        s = sqrt_interval(self.d, width / (2 + 2 * abs(b)))
-        return [a + b * s, a + b * Iv(-s.hi, -s.lo)]
-
-    def mul(self, x, y):
-        a, b = Fraction(x[0]), Fraction(x[1])
-        c, e = Fraction(y[0]), Fraction(y[1])
-        return (a * c + self.d * b * e, a * e + b * c)
-
-    def trace(self, v):
-        return 2 * Fraction(v[0])
-
-    def norm(self, v):
-        return Fraction(v[0]) ** 2 - self.d * Fraction(v[1]) ** 2
-
-
-def test_rescale_symmetric_alpha():
-    f = QuadField(10)
-    res = rescale_multiplier(f, (1, 0))
-    # alpha = 1 is already balanced: c is rational, ratio exactly 2
-    assert res.c[1] == 0 and res.c[0] > 0
-    assert res.ratio.lo <= 2 <= res.ratio.hi
-    assert res.ratio.hi < Fraction(41, 20)
-
-
-def test_rescale_skewed_unit():
-    f = QuadField(10)
-    res = rescale_multiplier(f, (19, 6), C=10**4)
-    assert res.ratio.hi < Fraction(201, 100)
-    # certified interval really contains the ratio and sits above the floor
-    assert res.ratio.hi >= 2
-
-
-def test_rescale_random_totally_positive():
-    for d in (10, 85):
-        f = QuadField(d)
-        rng = random.Random(d)
-        done = 0
-        while done < 20:
-            a = rng.randint(1, 60)
-            b = rng.randint(-6, 6)
-            if a * a <= d * b * b:
-                continue
-            done += 1
-            res = rescale_multiplier(f, (a, b))
-            beta = f.mul(f.mul(res.c, res.c), (a, b))
-            ratio_sq = f.trace(beta) ** 2 / f.norm(beta)
-            # inside the certificate, above the arithmetic-geometric floor,
-            # and within the demanded tolerance
-            assert res.ratio.lo**2 <= ratio_sq <= res.ratio.hi**2
-            assert ratio_sq >= 4
-            assert res.ratio.hi <= Fraction(2) + Fraction(1, 20)

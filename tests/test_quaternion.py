@@ -227,7 +227,7 @@ def test_ideal_scaling_and_conjugate():
     assert two.covolume() / R.covolume() == 2 ** alg.dim
     assert two.nr_ideal() == F10.ideal(F10.from_int(4))
     w = F10.el((0, 1))  # sqrt(10)
-    scaled = R.fscale(w)
+    scaled = R.iscale(F10.ideal(w))
     assert scaled.nr_ideal() == F10.ideal(F10.from_int(10))
     assert R.conjugate() == R
 
@@ -269,11 +269,30 @@ def test_unit_counts_of_maximal_orders():
 def test_trace_form_is_positive_definite():
     alg = hilbert_ramification_free_algebra(F10)
     R = alg.maximal_order()
-    tf = trace_form_lattice(R)
-    n = len(tf.gram)
-    # leading principal minors all positive
     from quatforms.matrices import Matrix
 
-    for t in range(1, n + 1):
-        sub = Matrix([row[:t] for row in tf.gram[:t]])
-        assert sub.det() > 0
+    # the plain form, and the weight N(eps^2) / eps^2 of a skewed target
+    eps_sq = F10.el_pow(F10.el((3, 1)), 2)
+    skewed = F10.smul(F10.norm(eps_sq), F10.inv(eps_sq))
+    for w in (F10.from_int(1), skewed):
+        gram = trace_form_lattice(R, w).gram
+        # leading principal minors all positive
+        for t in range(1, len(gram) + 1):
+            sub = Matrix([row[:t] for row in gram[:t]])
+            assert sub.det() > 0
+
+
+def test_discriminant_certificate_checked_under_optimize(run_optimized):
+    # a Gram determinant whose quotient by disc(F)^4 is not a square must
+    # be rejected with asserts stripped
+    out = run_optimized(
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import QuatAlgebra, QuatLattice, reduced_discriminant_norm\n"
+        "F = field_from_spec('quad:10')\n"
+        "QuatLattice.disc_z = lambda self: 2 * F.disc ** 4\n"
+        "try:\n"
+        "    print('returned', reduced_discriminant_norm(QuatAlgebra(F, -1, -1).standard_order()))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: discriminant norm is not a square")
