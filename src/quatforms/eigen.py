@@ -56,7 +56,8 @@ def _restrict(mat, basis):
     rows = []
     for v in basis:
         c = cols.solve_right(mat.apply(v))
-        assert c is not None, "subspace is not stable"
+        if c is None:
+            raise ArithmeticError("subspace is not stable")
         rows.append(c)
     return Matrix(rows).transpose()
 
@@ -103,7 +104,8 @@ def decompose(blocks):
                 continue
             for g, e in facs:
                 ker = poly_at_matrix(g ** e, M).right_kernel()
-                assert len(ker) == g.degree * e
+                if len(ker) != g.degree * e:
+                    raise ArithmeticError("generalized eigenspace has the wrong dimension")
                 nxt.append((_lift(ker, basis), e == 1))
         spaces = nxt
     out = []
@@ -112,7 +114,8 @@ def decompose(blocks):
         for block in blocks:
             M = _restrict(block.matrix, basis)
             _, facs = factor_poly(M.charpoly())
-            assert len(facs) == 1, "piece is not isotypic for some operator"
+            if len(facs) != 1:
+                raise ArithmeticError("piece is not isotypic for some operator")
             factors.append(facs[0])
         out.append(Constituent(
             basis=basis,

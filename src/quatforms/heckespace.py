@@ -84,7 +84,8 @@ def build_p1(N):
     count = 1
     for _, kq in factors:
         count *= kq.algebra.p ** kq.algebra.dim + 1
-    assert len(points) == count == len(set(points))
+    if not len(points) == count == len(set(points)):
+        raise ArithmeticError("P^1 point count differs from prod (Nq + 1)")
     return P1Space(N, factors, points, {pt: i for i, pt in enumerate(points)})
 
 
@@ -182,10 +183,13 @@ class SplittingMap:
     support, which is coprime to the level, so every left order agrees
     with the base order locally at the level: one map serves all classes
     and the conjugation ambiguity between classes collapses.
+
+    unit_images[a][i] is the image of cs.unit_groups[a].elements[i].
     """
 
     level: object
     components: list
+    unit_images: list
 
     def image(self, x):
         return tuple(c.reduce(x) for c in self.components)
@@ -209,7 +213,8 @@ def build_splitting(cs, N, seed=0):
 
     Checks: the level avoids the support, the identity maps to the
     identity, determinants match reduced norms on every stored unit, and
-    multiplicativity holds on a sample of unit products.
+    multiplicativity holds on a sample of unit products.  The unit images
+    computed for the determinant check are kept in sm.unit_images.
     """
     R = cs.order
     alg = R.alg
@@ -224,20 +229,23 @@ def build_splitting(cs, N, seed=0):
         if q in support:
             raise ValueError("level shares a prime with the class set support")
         factors.append((q, F.residue_field(q)))
-    sm = SplittingMap(N, [
-        _LevelComponent(R, q, kq, seed=seed) for q, kq in factors
-    ])
+    sm = SplittingMap(
+        N, [_LevelComponent(R, q, kq, seed=seed) for q, kq in factors], unit_images=[]
+    )
     if sm.image(alg.one) != sm.identity_image():
         raise ArithmeticError("splitting does not fix the identity")
     sample = []
     for units in cs.unit_groups:
+        images = []
         for u in units.elements:
             mats = sm.image(u)
             nr = alg.nr(u)
             for comp, m in zip(sm.components, mats):
                 if mat2_det(comp.k, m) != comp.reduce_scalar(nr):
                     raise ArithmeticError("splitting determinant mismatch")
+            images.append(mats)
             sample.append((u, mats))
+        sm.unit_images.append(images)
     for (u, mu), (v, mv) in zip(sample, sample[1:9]):
         mats = sm.image(alg.mul(u, v))
         for comp, m1, m2, m3 in zip(sm.components, mu, mv, mats):
@@ -272,7 +280,17 @@ class CoinvariantSpace:
 
 
 def build_space(cs, N, w, seed=0):
-    """Orbit decomposition of P^1(O/N) under every class unit group."""
+    """Orbit decomposition of P^1(O/N) under every class unit group.
+
+    units.elements is the whole unit group modulo base field units, and
+    base units act on P^1 as scalars, so trivially.  The orbit of a point
+    is therefore exactly its set of images under the stored elements: one
+    image per element, no closure.  Certificate, raised as
+    ArithmeticError: each orbit contains its start point (the identity is
+    among the elements) and no point lies in two orbits; every point not
+    yet covered starts an orbit, so the orbits partition P^1.  Each orbit
+    size must also divide the unit group order.
+    """
     if not w.is_parallel_two:
         raise ValueError("only parallel weight 2 is supported")
     p1 = build_p1(N)
@@ -282,27 +300,19 @@ def build_space(cs, N, w, seed=0):
     lookups = []
     offsets = []
     total = 0
-    for units in cs.unit_groups:
-        gens = [sm.image(u) for u in units.elements]
+    for units, images in zip(cs.unit_groups, sm.unit_images):
         seen = {}
         orbs = []
         for start in range(p1.size):
             if start in seen:
                 continue
-            orbit = {start}
-            frontier = [p1.points[start]]
-            while frontier:
-                pt = frontier.pop()
-                for mats in gens:
-                    qi = p1.index[sm.act(mats, pt)]
-                    if qi not in orbit:
-                        orbit.add(qi)
-                        frontier.append(p1.points[qi])
-            orb = tuple(sorted(orbit))
+            pt = p1.points[start]
+            orb = tuple(sorted({p1.index[sm.act(mats, pt)] for mats in images}))
+            if start not in orb or any(i in seen for i in orb):
+                raise ArithmeticError("unit orbits do not partition P^1")
             for i in orb:
                 seen[i] = len(orbs)
             orbs.append(orb)
-        assert sum(len(o) for o in orbs) == p1.size
         ostab = []
         for orb in orbs:
             q, r = divmod(units.order, len(orb))

@@ -1,21 +1,48 @@
 """Exact dense linear algebra over Q.
 
-Matrix wraps a list of Fraction rows.  The characteristic polynomial runs
-over Q directly in small dimension and otherwise switches to a modular
-Hessenberg computation recombined by CRT under a Hadamard-style coefficient
-bound, which keeps the cost polynomial instead of letting rational
-intermediates blow up.
+Matrix stores a list of Fraction rows.  Products, matrix-vector products,
+polynomial evaluation and row reduction do not compute in Fractions: they
+clear the rows to integers over one common denominator, run on Python
+ints (elimination is fraction-free, each row kept primitive by its
+content), and divide once per output entry.  The characteristic
+polynomial runs over Q directly in small dimension and otherwise switches
+to a modular Hessenberg computation recombined by CRT under a
+Hadamard-style coefficient bound, which keeps the cost polynomial instead
+of letting rational intermediates blow up.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import inv_mod, next_prime, symmetric_mod
 from .polynomials import Poly
 
 _RATIONAL_CUTOFF = 8
+
+
+def _integral(rows):
+    """(d, int_rows) with int_rows = d * rows, d the least common denominator.
+
+    Entries may be ints or Fractions.
+    """
+    d = lcm(*(v.denominator for row in rows for v in row))
+    return d, [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries (zero stays zero)."""
+    g = gcd(*row)
+    if g > 1:
+        return [v // g for v in row]
+    return row
+
+
+def _int_product(a, b):
+    """Product of two integer matrices given as row lists."""
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 class Matrix:
@@ -70,15 +97,20 @@ class Matrix:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         assert self.ncols == other.nrows
-        bt = list(zip(*other.rows))
-        return Matrix([[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows])
+        da, ia = _integral(self.rows)
+        db, ib = _integral(other.rows)
+        d = da * db
+        return Matrix([[Fraction(v, d) for v in row] for row in _int_product(ia, ib)])
 
     __rmul__ = scale
 
     def apply(self, vec: list) -> list[Fraction]:
         """Matrix times column vector."""
         assert len(vec) == self.ncols
-        return [sum(a * Fraction(b) for a, b in zip(row, vec)) for row in self.rows]
+        da, ia = _integral(self.rows)
+        dv, (iv,) = _integral([vec])
+        d = da * dv
+        return [Fraction(sum(a * b for a, b in zip(row, iv)), d) for row in ia]
 
     def transpose(self) -> "Matrix":
         return Matrix([list(c) for c in zip(*self.rows)])
@@ -96,8 +128,16 @@ class Matrix:
     # -- elimination ------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and its pivot column list."""
-        m = [row[:] for row in self.rows]
+        """Reduced row echelon form and its pivot column list.
+
+        Fraction-free Gauss-Jordan on the integer rows: row_i becomes
+        a*row_i - f*row_r for pivot a, divided by its content.  Every row
+        stays a nonzero multiple of the rational elimination's row, so the
+        pivots agree and dividing each pivot row by its pivot at the end
+        gives the unique RREF.
+        """
+        _, m = _integral(self.rows)
+        m = [_primitive(row) for row in m]
         nr, nc = len(m), len(m[0]) if m else 0
         pivots = []
         r = 0
@@ -106,16 +146,19 @@ class Matrix:
             if piv is None:
                 continue
             m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [v * inv for v in m[r]]
+            prow = m[r]
+            a = prow[c]
             for i in range(nr):
                 if i != r and m[i][c] != 0:
                     f = m[i][c]
-                    m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+                    m[i] = _primitive([a * v - f * w for v, w in zip(m[i], prow)])
             pivots.append(c)
             r += 1
             if r == nr:
                 break
+        for i, c in enumerate(pivots):
+            a = m[i][c]
+            m[i] = [Fraction(v, a) for v in m[i]]
         return Matrix(m), pivots
 
     def rank(self) -> int:
@@ -181,13 +224,29 @@ class Matrix:
 
 
 def poly_at_matrix(p: Poly, a: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix (Horner)."""
+    """Evaluate a polynomial at a square matrix, exactly.
+
+    With a = A/d for the integer matrix A and L the least common
+    denominator of the coefficients, L d^deg p(a) = sum_k (L c_k d^(deg-k))
+    A^k has integer coefficients: Horner runs on A over the integers and
+    one division per entry happens at the end.
+    """
     assert a.is_square()
     n = a.nrows
-    out = Matrix.zero(n)
-    for c in reversed(p.coeffs):
-        out = out * a + Matrix.identity(n).scale(c)
-    return out
+    d, ia = _integral(a.rows)
+    cs = p.coeffs
+    deg = len(cs) - 1
+    L = lcm(*(c.denominator for c in cs))
+    out = [[0] * n for _ in range(n)]
+    for k in range(deg, -1, -1):
+        ck = cs[k].numerator * (L // cs[k].denominator) * d ** (deg - k)
+        if k < deg:
+            out = _int_product(out, ia)
+        if ck:
+            for i in range(n):
+                out[i][i] += ck
+    den = L * d ** max(deg, 0)
+    return Matrix([[Fraction(v, den) for v in row] for row in out])
 
 
 def _hessenberg_charpoly_generic(h, n, mul, sub, one, zero):

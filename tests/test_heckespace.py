@@ -24,6 +24,82 @@ def q5_bound4():
     return F, cs, compute_theta(cs, 4)
 
 
+def level(F, *norms):
+    """Product of the first prime of each norm, in prime_ideals_up_to order."""
+    N = F.unit_ideal()
+    for n in norms:
+        N = N * next(p for p in F.prime_ideals_up_to(n) if p.norm == n).ideal
+    return N
+
+
+def closure_orbits(sp, units):
+    """Orbits of the unit images on P^1 by breadth-first closure."""
+    sm, p1 = sp.splitting, sp.p1
+    gens = [sm.image(u) for u in units.elements]
+    seen = set()
+    orbits = []
+    for start in range(p1.size):
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            pt = p1.points[frontier.pop()]
+            for mats in gens:
+                qi = p1.index[sm.act(mats, pt)]
+                if qi not in orbit:
+                    orbit.add(qi)
+                    frontier.append(qi)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+@pytest.mark.parametrize("norms", [(31,), (31, 41)])
+def test_orbits_equal_the_closure_under_unit_images(norms):
+    F, cs, _ = q5_bound4()
+    sp = build_space(cs, level(F, *norms), parallel_weight_two(F))
+    (units,) = cs.unit_groups
+    assert sp.splitting.unit_images == [[sp.splitting.image(u) for u in units.elements]]
+    assert sp.orbits == [closure_orbits(sp, units)]
+    assert sum(len(o) for o in sp.orbits[0]) == sp.p1.size == 32 * 42 ** (len(norms) - 1)
+    assert all(sp.lookups[0][i] == k for k, orb in enumerate(sp.orbits[0]) for i in orb)
+
+
+def test_orbit_partition_checked_under_optimize(run_optimized):
+    # a unit group missing one element leaves an image set short of its
+    # orbit, so a later start point overlaps it; asserts are stripped
+    out = run_optimized(
+        "import dataclasses\n"
+        "from quatforms.classset import UnitGroup, compute_class_set, narrow_support\n"
+        "from quatforms.heckespace import build_space, parallel_weight_two\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
+        "F = field_from_spec('quad:5')\n"
+        "R = hilbert_ramification_free_algebra(F).maximal_order()\n"
+        "cs = compute_class_set(R, narrow_support(F))\n"
+        "els = cs.unit_groups[0].elements\n"
+        "els = els[:7] + els[8:]\n"
+        "cs = dataclasses.replace(cs, unit_groups=[UnitGroup(els, len(els))])\n"
+        "N = F.unit_ideal()\n"
+        "for n in (31, 41):\n"
+        "    N = N * next(p for p in F.prime_ideals_up_to(n) if p.norm == n).ideal\n"
+        "try:\n"
+        "    print('returned', build_space(cs, N, parallel_weight_two(F)).dim)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: unit orbits do not partition")
+
+
+def test_dimension_report_at_31_times_41():
+    F, cs, _ = q5_bound4()
+    dr = dimension_report(cs, compute_theta(cs, 5), level(F, 31, 41))
+    assert (dr.total, dr.eisenstein, dr.cusp, dr.new_strict, dr.new_above_one) == (
+        24, 1, 23, 19, 23,
+    )
+
+
 def test_level_one_report_is_the_eisenstein_line():
     F, cs, th = q5_bound4()
     N = F.unit_ideal()
@@ -52,3 +128,20 @@ def test_build_space_rejects_higher_weight():
     F, cs, _ = q5_bound4()
     with pytest.raises(ValueError, match="parallel weight 2"):
         build_space(cs, F.unit_ideal(), WeightSpec((4, 4)))
+
+
+def test_non_commuting_blocks_rejected_under_optimize(run_optimized):
+    # diag(1, 2) splits the plane into two lines that the swap does not
+    # keep; with asserts stripped this must still raise, not fail later
+    out = run_optimized(
+        "from types import SimpleNamespace\n"
+        "from quatforms.eigen import decompose\n"
+        "from quatforms.matrices import Matrix\n"
+        "blocks = [SimpleNamespace(matrix=Matrix(m), prime=None)\n"
+        "          for m in ([[1, 0], [0, 2]], [[0, 1], [1, 0]])]\n"
+        "try:\n"
+        "    print('returned', decompose(blocks))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: subspace is not stable")

@@ -148,3 +148,121 @@ def test_trace_is_charpoly_coefficient():
     m = Matrix([[1, 2], [3, 4]])
     cp = m.charpoly()
     assert cp.coeffs[1] == -m.trace()
+
+
+# -- the integer-row kernels against plain Fraction references ------------
+
+rationals = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=12)
+)
+
+
+@st.composite
+def rational_mats(draw, nrows=None, ncols=None):
+    """Rational matrices with some zero rows and some dependent rows."""
+    nr = draw(st.integers(1, 5)) if nrows is None else nrows
+    nc = draw(st.integers(1, 5)) if ncols is None else ncols
+    rows = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "combination")))
+        if kind == "zero":
+            rows.append([Fraction(0)] * nc)
+        elif kind == "combination" and len(rows) >= 2:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, b = draw(rationals), draw(rationals)
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append(draw(st.lists(rationals, min_size=nc, max_size=nc)))
+    return Matrix(rows)
+
+
+def ref_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b.rows)] for row in a.rows]
+
+
+def ref_apply(a, vec):
+    return [sum((x * Fraction(y) for x, y in zip(row, vec)), Fraction(0)) for row in a.rows]
+
+
+def ref_rref(rows):
+    m = [[Fraction(v) for v in row] for row in rows]
+    nr, nc = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, pivots
+
+
+def ref_kernel(a):
+    red, pivots = ref_rref(a.rows)
+    basis = []
+    for fc in (c for c in range(a.ncols) if c not in pivots):
+        v = [Fraction(0)] * a.ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_solve(a, b):
+    red, pivots = ref_rref([row + [Fraction(bv)] for row, bv in zip(a.rows, b)])
+    if a.ncols in pivots:
+        return None
+    x = [Fraction(0)] * a.ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][a.ncols]
+    return x
+
+
+def ref_poly_at(p, a):
+    n = a.nrows
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p.coeffs):
+        out = ref_mul(Matrix(out), a)
+        out = [[v + (c if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(out)]
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_and_apply_match_fraction_reference(data):
+    a = data.draw(rational_mats())
+    b = data.draw(rational_mats(nrows=a.ncols))
+    vec = data.draw(st.lists(rationals | small, min_size=a.ncols, max_size=a.ncols))
+    assert (a * b).rows == ref_mul(a, b)
+    assert a.apply(vec) == ref_apply(a, vec)
+
+
+@given(rational_mats(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_elimination_matches_fraction_reference(a, data):
+    red, pivots = a.rref()
+    assert (red.rows, pivots) == ref_rref(a.rows)
+    assert a.rank() == len(pivots)
+    assert a.right_kernel() == ref_kernel(a)
+    # consistent right-hand sides (in the column span) and arbitrary ones
+    x = data.draw(st.lists(rationals, min_size=a.ncols, max_size=a.ncols))
+    for b in (ref_apply(a, x), data.draw(st.lists(rationals, min_size=a.nrows, max_size=a.nrows))):
+        assert a.solve_right(b) == ref_solve(a, b)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: rational_mats(nrows=n, ncols=n)),
+       st.lists(rationals, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_poly_at_matrix_matches_fraction_reference(a, coeffs):
+    p = Poly(coeffs)
+    assert poly_at_matrix(p, a).rows == ref_poly_at(p, a)
