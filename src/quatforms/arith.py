@@ -118,12 +118,3 @@ def factor_int(n: int) -> dict[int, int]:
         d = _pollard_rho(m)
         stack += [d, m // d]
     return dict(sorted(out.items()))
-
-
-def valuation(n: int, p: int) -> int:
-    assert n != 0
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v

@@ -10,8 +10,6 @@ the units of the left order of a.  Column sums Np + 1, whole unit orbits
 and an index Np^2 check of every witness certify the table.
 """
 
-import itertools
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +25,6 @@ from .residue import (
     span_basis_mod,
     subalgebra,
 )
-
-log = logging.getLogger(__name__)
 
 # fresh seeds tried when the random idempotent search inside a residue
 # splitting fails before its own internal budget is declared hopeless
@@ -246,18 +242,6 @@ class ClassSet:
         return len(self.representatives)
 
 
-def auxiliary_split_prime(F, support):
-    """Smallest degree one unramified prime outside the given support."""
-    used = {_prime_parts(p)[0] for p in support}
-    bound = 20
-    while bound <= 20000:
-        for pr in F.prime_ideals_up_to(bound):
-            if pr.f == 1 and pr.e == 1 and pr.ideal not in used:
-                return pr
-        bound *= 4
-    raise ArithmeticError("no auxiliary split prime found")
-
-
 def narrow_support(F, bound=200):
     """A minimal prime list generating the narrow class group.
 
@@ -283,60 +267,17 @@ def narrow_support(F, bound=200):
     return out
 
 
-def _small_exponent_vectors(n, budget):
-    count = 0
-    for total in itertools.count(0):
-        for v in itertools.product(range(total + 1), repeat=n):
-            if sum(v) != total:
-                continue
-            yield v
-            count += 1
-            if count >= budget:
-                return
-        if n == 0:
-            return
-
-
-def _support_normalize(c, support, budget=40):
-    """An ideal isomorphic to c whose reduced norm is supported in support.
-
-    Multiplies c by a quaternion whose reduced norm clears the factors of
-    nr(c) outside the support; such a norm exists once the class of the
-    outside part lies in the subgroup generated by the support, which the
-    caller guarantees.
-    """
-    F = c.alg.base
-    supp = {_prime_parts(p)[0] for p in support}
-    outside = [(q, e) for q, e in c.nr_ideal().factor() if q not in supp]
-    if not outside:
-        return c
-    base = F.unit_ideal()
-    for q, e in outside:
-        base = base * q ** (-e)
-    s_ideals = sorted(supp, key=lambda i: (i.norm(), i.rows))
-    R = c.right_order()
-    for exps in _small_exponent_vectors(len(s_ideals), budget):
-        target = base
-        for s, e in zip(s_ideals, exps):
-            target = target * s ** e
-        gamma = F.narrowly_principal_generator(target)
-        if gamma is None:
-            continue
-        sols = norm_equation_solutions(R, gamma)
-        if sols:
-            return c.lmul_element(sols[0])
-    raise ArithmeticError("could not move the norm into the support")
-
-
 def compute_class_set(R, support):
     """Breadth first closure of the neighbor walk, certified by the mass.
 
-    Starting from the trivial class, representatives are expanded at the
-    support primes; the walk terminates exactly when sum 1/|unit group|
-    equals the Eichler mass.  If the support alone stalls below the mass,
-    one auxiliary small split prime joins the walk (and any class first
-    reached through it is renormalized back into the support); stalling
-    even then means the support cannot generate the narrow class group.
+    Starting from the trivial class, every representative is expanded at
+    every support prime, and each neighbor not isomorphic to a known
+    representative becomes a new one.  The walk stops exactly when the
+    sum of 1/|unit group| equals the Eichler mass.  By strong
+    approximation (Kirschmer-Voight 2010), a walk at primes whose classes
+    generate the narrow class group reaches every class; a walk that
+    closes below the mass raises ArithmeticError, since its support does
+    not generate.
     """
     alg = R.alg
     F = alg.base
@@ -345,50 +286,30 @@ def compute_class_set(R, support):
     lefts = [R]
     units = [unit_group(R)]
     mass = Fraction(1, units[0].order)
-    primes = list(support)
-    pending = [(0, t) for t in range(len(primes))]
+    pending = [(0, p) for p in support]
     pos = 0
-    via_aux = set()
     while mass != target:
         if mass > target:
             raise ArithmeticError(
                 "unit masses exceed the Eichler mass; class identification is broken"
             )
         if pos == len(pending):
-            if len(primes) == len(support):
-                aux = auxiliary_split_prime(F, support)
-                log.info(
-                    "walk stalled at mass %s of %s; adding a split prime of norm %d",
-                    mass, target, aux.norm,
-                )
-                primes.append(aux)
-                pending.extend((ci, len(support)) for ci in range(len(reps)))
-                continue
             raise ArithmeticError(
                 "neighbor walk closed below the Eichler mass; "
                 "the support does not generate the narrow class group"
             )
-        ci, ti = pending[pos]
+        ci, p = pending[pos]
         pos += 1
-        for c in neighbors(reps[ci], primes[ti]):
+        for c in neighbors(reps[ci], p):
             if any(is_isomorphic(a, c) is not None for a in reps):
                 continue
             reps.append(c)
             lefts.append(c.left_order())
             units.append(unit_group(lefts[-1]))
             mass += Fraction(1, units[-1].order)
-            pending.extend((len(reps) - 1, t) for t in range(len(primes)))
-            if ti >= len(support):
-                via_aux.add(len(reps) - 1)
+            pending.extend((len(reps) - 1, q) for q in support)
             if mass == target:
                 break
-    for ci in sorted(via_aux):
-        reps[ci] = _support_normalize(reps[ci], support)
-        lefts[ci] = reps[ci].left_order()
-        before = units[ci].order
-        units[ci] = unit_group(lefts[ci])
-        if units[ci].order != before:
-            raise ArithmeticError("support normalization changed the unit group order")
     return ClassSet(
         order=R,
         representatives=reps,

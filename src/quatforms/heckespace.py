@@ -339,9 +339,6 @@ class HeckeBlock:
     space: CoinvariantSpace
     matrix: Matrix
 
-    def charpoly(self):
-        return self.matrix.charpoly()
-
 
 def hecke_operator(cs, th, sp, p):
     """Transport action at p on the orbit basis, as a block matrix.

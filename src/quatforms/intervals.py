@@ -27,15 +27,6 @@ class Iv:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Iv(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_as_iv(other))
-
-    def __rsub__(self, other):
-        return _as_iv(other) + (-self)
-
     def __mul__(self, other):
         other = _as_iv(other)
         vals = [

@@ -126,10 +126,6 @@ class TraceFormLattice:
         if self.basis is not None:
             assert len(self.basis) == n
 
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
-
 
 # ---------------------------------------------------------------------------
 # Short vector enumeration

@@ -1,6 +1,6 @@
 """Exact dense linear algebra over Q.
 
-Matrix stores a list of Fraction rows.  Products, matrix-vector products,
+Matrix stores a list of Fraction rows.  Matrix-vector products,
 polynomial evaluation and row reduction do not compute in Fractions: they
 clear the rows to integers over one common denominator, run on Python
 ints (elimination is fraction-free, each row kept primitive by its
@@ -50,16 +50,8 @@ class Matrix:
 
     def __init__(self, rows):
         self.rows = [[Fraction(v) for v in row] for row in rows]
-        assert all(len(r) == len(self.rows[0]) for r in self.rows)
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(n: int, m: int | None = None) -> "Matrix":
-        m = n if m is None else m
-        return Matrix([[0] * m for _ in range(n)])
+        if any(len(r) != len(self.rows[0]) for r in self.rows):
+            raise ValueError("matrix rows have different lengths")
 
     @property
     def nrows(self) -> int:
@@ -75,35 +67,6 @@ class Matrix:
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
-    def __add__(self, other):
-        assert self.nrows == other.nrows and self.ncols == other.ncols
-        return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        assert self.nrows == other.nrows and self.ncols == other.ncols
-        return Matrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.rows])
-
-    def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix([[a * c for a in r] for r in self.rows])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        assert self.ncols == other.nrows
-        da, ia = _integral(self.rows)
-        db, ib = _integral(other.rows)
-        d = da * db
-        return Matrix([[Fraction(v, d) for v in row] for row in _int_product(ia, ib)])
-
-    __rmul__ = scale
-
     def apply(self, vec: list) -> list[Fraction]:
         """Matrix times column vector."""
         assert len(vec) == self.ncols
@@ -114,13 +77,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix([list(c) for c in zip(*self.rows)])
-
-    def trace(self) -> Fraction:
-        assert self.is_square()
-        return sum(self.rows[i][i] for i in range(self.nrows))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for r in self.rows for v in r)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -165,7 +121,8 @@ class Matrix:
         return len(self.rref()[1])
 
     def det(self) -> Fraction:
-        assert self.is_square()
+        if not self.is_square():
+            raise ValueError("determinant of a non-square matrix")
         m = [row[:] for row in self.rows]
         n = len(m)
         out = Fraction(1)
@@ -214,7 +171,8 @@ class Matrix:
 
     def charpoly(self) -> Poly:
         """det(x*I - A), computed exactly."""
-        assert self.is_square()
+        if not self.is_square():
+            raise ValueError("characteristic polynomial of a non-square matrix")
         n = self.nrows
         if n == 0:
             return Poly([1])

@@ -5,13 +5,10 @@ table and everything downstream needs exactly: refinable real embeddings,
 the trace form, fundamental units, class and narrow class data, and the
 value of the Dedekind zeta function at -1.
 
-Real quadratic fields are computed from scratch: units by continued
-fractions, the class group by enumerating primes below the Minkowski
-bound with a certified short-vector principality test, zeta(-1) by the
-finite divisor sum.  Higher even degree fields load from a descriptor
-document; local consistency of the table is verified on every load and
-the global invariants (class data, units as a fundamental system) are
-trusted and marked as such.
+The fields built are real quadratic (make_quadratic_field), with every
+invariant computed from scratch: units by continued fractions, the class
+group by enumerating primes below the Minkowski bound with a certified
+short-vector principality test, zeta(-1) by the finite divisor sum.
 
 Elements are plain coordinate tuples of Fractions over the integral
 basis, whose first element must be 1.  Embeddings go through a primitive
@@ -136,12 +133,11 @@ class FieldCtx:
     (identity first, commutative, associative, trace form of the stated
     discriminant, irreducible primitive element with all roots real).
 
-    Class data, units and zeta(-1) are attached by the factories
-    (make_quadratic_field, load_field_descriptor); `trusted` records
-    whether any of it was taken from a descriptor rather than proved.
+    Class data, units and zeta(-1) are attached by make_quadratic_field,
+    which computes and certifies each of them.
     """
 
-    def __init__(self, mult_table, disc: int, *, name: str, trusted: bool):
+    def __init__(self, mult_table, disc: int, *, name: str):
         n = len(mult_table)
         if n < 2 or n % 2 != 0:
             raise ValueError("degree must be even and at least 2")
@@ -153,7 +149,6 @@ class FieldCtx:
         self.degree = n
         self.mult_table = table
         self.name = name
-        self.trusted = trusted
         self.disc = int(disc)
         self.one = tuple(_ONE if i == 0 else _ZERO for i in range(n))
         self.zero = tuple(_ZERO for _ in range(n))
@@ -571,41 +566,6 @@ class FieldCtx:
                 return bits
         raise ValueError("ideal class outside the stored narrow class group")
 
-    def descriptor(self, width: Fraction = Fraction(1, 2**32)) -> dict:
-        """Export as a fieldctx/1 document (round-trips through the loader)."""
-        embs = []
-        for i in range(self.degree):
-            row = []
-            for j in range(self.degree):
-                iv = self.embeddings(self._basis(j), width)[i]
-                # pad so the loader always sees a positive-width enclosure
-                row.append([str(iv.lo - width), str(iv.hi + width)])
-            embs.append(row)
-        return {
-            "schema": "fieldctx/1",
-            "name": self.name,
-            "degree": self.degree,
-            "mult_table": [[list(cell) for cell in row] for row in self.mult_table],
-            "disc": self.disc,
-            "embeddings": embs,
-            "units": [[str(c) for c in u] for u in self.fundamental_units],
-            "class_group": {
-                "order": self.class_number,
-                "generators": [
-                    {"rows": [list(r) for r in g.rows], "den": g.den}
-                    for g in self.class_reps[1:]
-                ],
-            },
-            "narrow_class_group": {
-                "order": self.narrow_class_number,
-                "generators": [
-                    {"rows": [list(r) for r in g.rows], "den": g.den}
-                    for g in self.narrow_gens
-                ],
-            },
-            "zeta_minus_one": str(self.zeta_minus_one),
-        }
-
     def __repr__(self):
         return f"FieldCtx({self.name}, degree {self.degree}, disc {self.disc})"
 
@@ -639,9 +599,6 @@ class FieldIdeal:
             self._norm = Fraction(abs(det), self.den ** self.field.degree)
         return self._norm
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def contains(self, vec) -> bool:
         return all(c.denominator == 1 for c in hnf_coords(self.rows, vec, self.den))
 
@@ -665,9 +622,6 @@ class FieldIdeal:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __add__(self, other: "FieldIdeal") -> "FieldIdeal":
-        return _canonical_ideal(self.field, self.basis_vectors() + other.basis_vectors())
 
     def __pow__(self, k: int) -> "FieldIdeal":
         if k < 0:
@@ -790,7 +744,7 @@ def make_quadratic_field(d: int) -> FieldCtx:
     """The real quadratic field Q(sqrt d), d squarefree and > 1.
 
     Basis (1, omega) with omega = (1+sqrt d)/2 when d = 1 mod 4 and
-    omega = sqrt d otherwise.  All invariants are computed, none trusted.
+    omega = sqrt d otherwise.  All invariants are computed.
     """
     if not isinstance(d, int) or d <= 1:
         raise ValueError("d must be an integer greater than 1")
@@ -803,7 +757,7 @@ def make_quadratic_field(d: int) -> FieldCtx:
     else:
         table = [[ident[0], ident[1]], [ident[1], [d, 0]]]
         disc = 4 * d
-    F = FieldCtx(table, disc, name=f"quad:{d}", trusted=False)
+    F = FieldCtx(table, disc, name=f"quad:{d}")
     F.fundamental_units = [F.el(_fundamental_unit_quadratic(d))]
     F.zeta_minus_one = siegel_zeta_quadratic(disc)
     _attach_class_data_by_search(F)
@@ -919,108 +873,6 @@ def _attach_narrow_data(F: FieldCtx):
             raise ValueError("narrow class generator does not have order 2")
     F.narrow_gens = gens
     F.narrow_class_number = h_plus
-
-
-# -- descriptor loading -----------------------------------------------------
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ValueError("boolean is not a number")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise ValueError(f"cannot read number from {v!r}")
-
-
-def _ideal_from_doc(F: FieldCtx, doc) -> FieldIdeal:
-    rows = [[int(c) for c in r] for r in doc["rows"]]
-    den = int(doc.get("den", 1))
-    ideal = _canonical_ideal(F, [[Fraction(c, den) for c in r] for r in rows])
-    for b in ideal.basis_vectors():
-        for k in range(F.degree):
-            if not ideal.contains(F.mul(F._basis(k), b)):
-                raise ValueError("descriptor ideal is not stable under the ring")
-    return ideal
-
-
-def load_field_descriptor(doc: dict) -> FieldCtx:
-    """Build a field from a fieldctx/1 document.
-
-    Structural facts are verified on load: table shape, identity,
-    commutativity, associativity, stated discriminant, irreducibility,
-    totally real embeddings matching the stated intervals bijectively,
-    unit integrality and norms, ideal stability, and the narrow order
-    against the unit sign count.  Class data and completeness of the
-    unit system are trusted; the result is flagged `trusted`.
-    """
-    if not isinstance(doc, dict) or doc.get("schema") != "fieldctx/1":
-        raise ValueError("not a fieldctx/1 document")
-    for key in ("name", "degree", "mult_table", "disc", "embeddings", "units",
-                "class_group", "narrow_class_group", "zeta_minus_one"):
-        if key not in doc:
-            raise ValueError(f"descriptor is missing {key!r}")
-    n = int(doc["degree"])
-    if len(doc["mult_table"]) != n:
-        raise ValueError("degree does not match the table")
-    F = FieldCtx(doc["mult_table"], int(doc["disc"]), name=str(doc["name"]), trusted=True)
-
-    units = [F.el([_as_fraction(c) for c in u]) for u in doc["units"]]
-    if len(units) != n - 1:
-        raise ValueError("expected degree-1 fundamental units")
-    for u in units:
-        if not F.is_integral(u):
-            raise ValueError("unit is not integral")
-        if abs(F.norm(u)) != 1:
-            raise ValueError("unit does not have norm +-1")
-    F.fundamental_units = units
-
-    embs = doc["embeddings"]
-    if len(embs) != n or any(len(row) != n for row in embs):
-        raise ValueError("embedding block has wrong shape")
-    matched = []
-    for row in embs:
-        ivs = [(_as_fraction(lo), _as_fraction(hi)) for lo, hi in row]
-        width = min(hi - lo for lo, hi in ivs)
-        if width <= 0:
-            raise ValueError("degenerate embedding interval")
-        hits = []
-        for i in range(n):
-            ok = True
-            for j, (lo, hi) in enumerate(ivs):
-                got = F.embeddings(F._basis(j), width / 8)[i]
-                if not (lo <= got.lo and got.hi <= hi):
-                    ok = False
-                    break
-            if ok:
-                hits.append(i)
-        if len(hits) != 1:
-            raise ValueError("embedding intervals do not isolate a real place")
-        matched.append(hits[0])
-    if sorted(matched) != list(range(n)):
-        raise ValueError("embedding intervals do not match places bijectively")
-
-    F.zeta_minus_one = _as_fraction(doc["zeta_minus_one"])
-
-    cg = doc["class_group"]
-    F.class_number = int(cg["order"])
-    F.class_reps = [F.unit_ideal()] + [_ideal_from_doc(F, g) for g in cg.get("generators", [])]
-
-    ng = doc["narrow_class_group"]
-    F.narrow_class_number = int(ng["order"])
-    F.narrow_gens = [_ideal_from_doc(F, g) for g in ng.get("generators", [])]
-    from .residue import span_basis_mod
-
-    sign_rows = [tuple([1] * n)]
-    for u in units:
-        sign_rows.append(tuple(1 if s < 0 else 0 for s in F.sign_vector(u)))
-    rank = len(span_basis_mod(tuple(sign_rows), 2))
-    if F.narrow_class_number != F.class_number * 2 ** (n - rank):
-        raise ValueError("narrow class order contradicts the unit sign group")
-    if 2 ** len(F.narrow_gens) != F.narrow_class_number:
-        raise ValueError("narrow generator count contradicts the stated order")
-    return F
 
 
 def field_from_spec(spec: str) -> FieldCtx:

@@ -28,14 +28,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly([c])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -64,9 +56,6 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

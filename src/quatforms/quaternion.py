@@ -86,9 +86,6 @@ class QuatAlgebra:
     def add(self, x, y):
         return tuple(Fraction(u) + Fraction(v) for u, v in zip(x, y))
 
-    def sub(self, x, y):
-        return tuple(Fraction(u) - Fraction(v) for u, v in zip(x, y))
-
     def neg(self, x):
         return tuple(-Fraction(u) for u in x)
 
@@ -250,12 +247,6 @@ class QuatLattice:
         return "QuatLattice(den=%d, rank=%d)" % (self.den, len(self.rows))
 
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        assert self.alg is other.alg
-        return QuatLattice(
-            self.alg, self.basis_vectors() + other.basis_vectors()
-        )
 
     def __mul__(self, other):
         alg = self.alg

@@ -385,7 +385,8 @@ def algebra_radical(A):
         mp = _int_mat_pow(lifted_left_matrix(z), q)
         tr = sum(mp[t][t] for t in range(n))
         quo, rem = divmod(tr, q)
-        assert rem == 0, "divided trace undefined on the current ideal"
+        if rem:
+            raise ArithmeticError("divided trace undefined on the current ideal")
         return quo % p
 
     V = [A.unit(j) for j in range(n)]
@@ -413,8 +414,9 @@ def algebra_radical(A):
     # the chain's output must be a nilpotent two-sided ideal; cheap to verify
     for r in rad:
         for l in range(n):
-            assert in_span_mod(rad, A.mul(r, A.unit(l)), p)
-            assert in_span_mod(rad, A.mul(A.unit(l), r), p)
+            if not (in_span_mod(rad, A.mul(r, A.unit(l)), p)
+                    and in_span_mod(rad, A.mul(A.unit(l), r), p)):
+                raise ArithmeticError("radical candidate is not a two-sided ideal")
     power = rad
     for _ in range(n):
         if not power:
@@ -422,7 +424,8 @@ def algebra_radical(A):
         power = span_basis_mod(
             [A.mul(x, y) for x in power for y in rad], p
         )
-    assert not power, "radical candidate is not nilpotent"
+    if power:
+        raise ArithmeticError("radical candidate is not nilpotent")
     return rad
 
 
@@ -486,12 +489,6 @@ class LocalComponent:
             for i in range(res.dim)
         )
         self.res_kernel = kernel_mod(self.res_proj, p)
-
-    def reduce(self, parent_coords):
-        p = self.parent.p
-        return tuple(
-            sum(r * c for r, c in zip(row, parent_coords)) % p for row in self.res_proj
-        )
 
 
 def local_components(A):

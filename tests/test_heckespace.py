@@ -6,7 +6,9 @@ from quatforms.classset import compute_class_set, compute_theta, narrow_support
 from quatforms.eigen import build_report
 from quatforms.heckespace import (
     WeightSpec,
+    _LevelComponent,
     build_space,
+    build_splitting,
     dimension_report,
     hecke_operator,
     parallel_weight_two,
@@ -97,6 +99,30 @@ def test_dimension_report_at_31_times_41():
     dr = dimension_report(cs, compute_theta(cs, 5), level(F, 31, 41))
     assert (dr.total, dr.eisenstein, dr.cusp, dr.new_strict, dr.new_above_one) == (
         24, 1, 23, 19, 23,
+    )
+
+
+def test_level_three_over_quad10_clears_denominators(monkeypatch):
+    # units of the left orders other than R have coordinates with
+    # denominator 4 at the support prime of norm 2; reducing them at the
+    # level needs a field multiplier congruent to 1 mod the level prime
+    F = field_from_spec("quad:10")
+    R = hilbert_ramification_free_algebra(F).maximal_order()
+    cs = compute_class_set(R, narrow_support(F))
+    N = level(F, 3)
+    calls = []
+    one_mod_prime = _LevelComponent._one_mod_prime
+
+    def counting(self, d):
+        calls.append(d)
+        return one_mod_prime(self, d)
+
+    monkeypatch.setattr(_LevelComponent, "_one_mod_prime", counting)
+    build_splitting(cs, N)
+    assert calls == [4, 4]
+    dr = dimension_report(cs, compute_theta(cs, 5), N)
+    assert (dr.total, dr.eisenstein, dr.cusp, dr.new_strict, dr.new_above_one) == (
+        6, 2, 4, 0, 2,
     )
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatforms.numberfield import (
+    FieldCtx,
     FieldIdeal,
     field_from_spec,
-    load_field_descriptor,
     make_quadratic_field,
     siegel_zeta_quadratic,
 )
@@ -28,6 +28,14 @@ def test_rejects_bad_d():
     for d in (0, 1, -5, 12, 45, 99):
         with pytest.raises(ValueError):
             make_quadratic_field(d)
+
+
+def test_field_ctx_rejects_inconsistent_tables():
+    # omega^2 = 11 has trace form determinant 44, not the stated 40
+    with pytest.raises(ValueError, match="discriminant"):
+        FieldCtx([[[1, 0], [0, 1]], [[0, 1], [11, 0]]], 40, name="bad")
+    with pytest.raises(ValueError, match="even"):
+        FieldCtx([[[1]]], 1, name="q")
 
 
 def test_field_from_spec():
@@ -145,7 +153,7 @@ def test_ideal_norm_and_inverse_random():
             b = _random_ideal(F, rng)
             assert (a * b).norm() == a.norm() * b.norm()
             assert a * a.inverse() == F.unit_ideal()
-            s = a + b
+            s = F.ideal(*a.basis_vectors(), *b.basis_vectors())
             assert s.divides(a) and s.divides(b)
 
 
@@ -181,7 +189,7 @@ def test_ideal_factor():
 def test_contains_and_integrality():
     F = F85()
     P = F.primes_above(3)[0][0]
-    assert P.is_integral()
+    assert P.den == 1
     assert P.contains(F.el((1, 2)))
     assert not P.contains(F.one)
     assert not F.ideal(3).contains(F.el((1, 2)))
@@ -279,72 +287,3 @@ def test_totally_positive_units():
                 x = F.smul(sign, F.el_pow(eps, k) if k >= 0 else F.el_pow(F.inv(eps), -k))
                 if F.is_totally_positive(x):
                     assert any(_is_unit_square(F, F.mul(x, F.inv(u))) for u in reps)
-
-
-# -- descriptor ----------------------------------------------------------
-
-
-def test_descriptor_round_trip():
-    F = F10()
-    doc = F.descriptor()
-    G = load_field_descriptor(doc)
-    assert G.trusted
-    assert G.class_number == 2 and G.narrow_class_number == 2
-    assert G.zeta_minus_one == Fraction(7, 6)
-    assert G.fundamental_units == [(3, 1)]
-    assert [(f, e) for _, f, e in G.primes_above(2)] == [(1, 2)]
-
-
-def test_descriptor_rejects_corruption():
-    F = F10()
-    good = F.descriptor()
-
-    bad = F.descriptor()
-    bad["mult_table"][1][1] = [11, 0]
-    with pytest.raises(ValueError):
-        load_field_descriptor(bad)
-
-    bad = F.descriptor()
-    bad["schema"] = "fieldctx/2"
-    with pytest.raises(ValueError):
-        load_field_descriptor(bad)
-
-    bad = F.descriptor()
-    del bad["units"]
-    with pytest.raises(ValueError):
-        load_field_descriptor(bad)
-
-    bad = F.descriptor()
-    bad["units"] = [["2", "0"]]
-    with pytest.raises(ValueError):
-        load_field_descriptor(bad)
-
-    bad = F.descriptor()
-    bad["narrow_class_group"]["order"] = 4
-    with pytest.raises(ValueError):
-        load_field_descriptor(bad)
-
-    # degree-1 document: even-degree requirement
-    with pytest.raises(ValueError):
-        load_field_descriptor({
-            "schema": "fieldctx/1", "name": "q", "degree": 1,
-            "mult_table": [[[1]]], "disc": 1,
-            "embeddings": [[["0", "2"]]], "units": [],
-            "class_group": {"order": 1, "generators": []},
-            "narrow_class_group": {"order": 1, "generators": []},
-            "zeta_minus_one": "0",
-        })
-
-    # swapped embedding rows must still match bijectively, so corrupt one
-    bad = F.descriptor()
-    bad["embeddings"][0][1] = ["7/2", "4"]
-    with pytest.raises(ValueError):
-        load_field_descriptor(bad)
-
-    # a non-stable lattice offered as a class group generator
-    bad = F.descriptor()
-    bad["class_group"]["generators"] = [{"rows": [[1, 0], [0, 2]], "den": 1}]
-    with pytest.raises(ValueError):
-        load_field_descriptor(bad)
-
-    assert load_field_descriptor(good).name == F.name

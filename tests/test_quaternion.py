@@ -211,7 +211,7 @@ def test_lattice_sum_and_intersection():
     y = alg.el(1, 0, 1, 1)
     I = R.lmul_element(x)
     J = R.lmul_element(y)
-    S = I + J
+    S = QuatLattice(alg, I.basis_vectors() + J.basis_vectors())
     assert S.right_order() == R
     for b in I.basis_vectors():
         assert S.contains(b)

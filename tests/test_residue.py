@@ -90,6 +90,12 @@ def test_fp_algebra_field_basics():
     assert comps[0].f == 2 and comps[0].rad_dim == 0
 
 
+def _reduce(comp, coords):
+    """Residue field coordinates of an element of the parent algebra."""
+    p = comp.parent.p
+    return tuple(sum(r * c for r, c in zip(row, coords)) % p for row in comp.res_proj)
+
+
 def test_local_components_split():
     # F_5[x]/(x^2-1) = F_5 x F_5
     mult = [
@@ -101,16 +107,16 @@ def test_local_components_split():
     assert len(comps) == 2
     for c in comps:
         assert c.f == 1 and c.rad_dim == 0
-        # reduce is a ring map onto the residue field
-        assert c.reduce(a.one) == c.res_field.one
+        # res_proj is a ring map onto the residue field
+        assert _reduce(c, a.one) == c.res_field.one
         for u in ((1, 2), (3, 1), (0, 4)):
             for v in ((2, 2), (1, 4)):
-                lhs = c.reduce(a.mul(u, v))
-                rhs = c.res_field.mul(c.reduce(u), c.reduce(v))
+                lhs = _reduce(c, a.mul(u, v))
+                rhs = c.res_field.mul(_reduce(c, u), _reduce(c, v))
                 assert lhs == rhs
     # x + 1 and x - 1 vanish on different components
     kills = [
-        {v for v in ((1, 1), (4, 1)) if c.reduce(v) == (0,)} for c in comps
+        {v for v in ((1, 1), (4, 1)) if _reduce(c, v) == (0,)} for c in comps
     ]
     assert kills[0] and kills[1] and kills[0] != kills[1]
 
@@ -125,7 +131,7 @@ def test_local_components_nilpotent():
     comps = local_components(a)
     assert len(comps) == 1
     assert comps[0].f == 1 and comps[0].rad_dim == 1
-    assert comps[0].reduce((0, 1)) == (0,)
+    assert _reduce(comps[0], (0, 1)) == (0,)
 
 
 def test_subalgebra_rejects_bad_span():
@@ -420,3 +426,17 @@ def test_radical_split_quaternion():
     # at odd p the Hamilton table gives a matrix algebra, radical zero
     assert algebra_radical(_hamilton_mod_p(3)) == []
     assert algebra_radical(_hamilton_mod_p(5)) == []
+
+
+def test_radical_certificate_checked_under_optimize(run_optimized):
+    # a kernel that keeps all of F_5 offers the unit ideal as its radical;
+    # with asserts stripped the nilpotency check must still raise
+    out = run_optimized(
+        "from quatforms import residue\n"
+        "residue.kernel_mod = lambda mat, p: [(1,)]\n"
+        "try:\n"
+        "    print('returned', residue.algebra_radical(residue.FpAlgebra(5, [[(1,)]], (1,))))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: radical candidate is not nilpotent")
