@@ -267,6 +267,16 @@ def narrow_support(F, bound=200):
     return out
 
 
+def _first_split_prime(F):
+    """The smallest degree one unramified prime of F."""
+    bound = 20
+    while True:
+        for pr in F.prime_ideals_up_to(bound):
+            if pr.f == 1 and pr.e == 1:
+                return pr
+        bound *= 4
+
+
 def compute_class_set(R, support):
     """Breadth first closure of the neighbor walk, certified by the mass.
 
@@ -277,7 +287,9 @@ def compute_class_set(R, support):
     approximation (Kirschmer-Voight 2010), a walk at primes whose classes
     generate the narrow class group reaches every class; a walk that
     closes below the mass raises ArithmeticError, since its support does
-    not generate.
+    not generate.  An empty support (narrow class number 1) generates
+    nothing to walk at, so the walk then uses the smallest split prime,
+    which lies in the trivial narrow class like every ideal.
     """
     alg = R.alg
     F = alg.base
@@ -286,6 +298,9 @@ def compute_class_set(R, support):
     lefts = [R]
     units = [unit_group(R)]
     mass = Fraction(1, units[0].order)
+    support = list(support)
+    if not support and mass != target:
+        support = [_first_split_prime(F)]
     pending = [(0, p) for p in support]
     pos = 0
     while mass != target:
@@ -315,7 +330,7 @@ def compute_class_set(R, support):
         representatives=reps,
         left_orders=lefts,
         unit_groups=units,
-        support=list(support),
+        support=support,
         mass=mass,
     )
 

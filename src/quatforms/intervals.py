@@ -1,8 +1,8 @@
 """Exact interval arithmetic over Q.
 
 Used to decide signs of algebraic numbers given by polynomial expressions
-in a root isolated by a rational interval.  Intervals add, subtract and
-multiply; all endpoints are Fractions.
+in a root isolated by a rational interval.  Intervals add and multiply;
+all endpoints are Fractions.
 """
 
 from __future__ import annotations

@@ -129,7 +129,7 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
+            other = Poly([other])
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -159,7 +159,7 @@ class Poly:
 def _coerce(v) -> Poly:
     if isinstance(v, Poly):
         return v
-    return Poly.constant(v)
+    return Poly([v])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

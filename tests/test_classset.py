@@ -190,6 +190,23 @@ def test_class_set_quad5():
     assert cs.representatives[0] == cs.order
 
 
+def test_class_set_walks_a_split_prime_at_narrow_class_number_one():
+    # the unit 32 + 5 sqrt 41 has norm -1, so h+ = h = 1 and the narrow
+    # support is empty, yet the mass 2/3 needs a second class; the walk
+    # then runs at the smallest split prime, which the support records
+    F41 = field_from_spec("quad:41")
+    assert narrow_support(F41) == []
+    R = maximalize(hilbert_ramification_free_algebra(F41).standard_order())
+    cs = compute_class_set(R, [])
+    assert cs.mass == eichler_mass(F41) == Fraction(2, 3)
+    assert [u.order for u in cs.unit_groups] == [6, 2]
+    (p,) = cs.support
+    assert (p.norm, p.e, p.f) == (2, 1, 1)
+    assert cs.representatives[1].nr_ideal() * p.ideal == R.nr_ideal()
+    th = compute_theta(cs, 5)
+    assert len(th.entries) == 14
+
+
 def test_class_set_quad10():
     cs = class_set("quad:10")
     assert cs.size == 4

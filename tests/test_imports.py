@@ -1,4 +1,9 @@
-"""Every name a package module imports is used in that module."""
+"""Static checks over the package source.
+
+Every name a module imports is used in that module, and every
+`Class.attr` reference to a package class names an attribute that the
+class, or a package class it derives from, defines.
+"""
 
 import ast
 from pathlib import Path
@@ -24,12 +29,63 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def class_attributes(sources):
+    """Class name -> the names its body binds and its base class names."""
+    out = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(stmt.name)
+                for sub in ast.walk(stmt) if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else ():
+                    if isinstance(sub, ast.Name):
+                        names.add(sub.id)
+            bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+            out[node.name] = (names, bases)
+    return out
+
+
+def dangling_class_attributes(source, classes):
+    def defines(cls, attr):
+        names, bases = classes[cls]
+        return attr in names or any(b in classes and defines(b, attr) for b in bases)
+
+    return sorted(
+        (node.lineno, f"{node.value.id}.{node.attr}")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in classes
+        and not node.attr.startswith("__")
+        and not defines(node.value.id, node.attr)
+    )
+
+
 def test_scan_flags_an_unused_import():
     assert unused_imports("import os\nfrom math import gcd, lcm\nprint(gcd)\n") == [
         (1, "os"), (2, "lcm"),
     ]
 
 
+def test_scan_flags_a_dangling_class_attribute():
+    source = (
+        "class A:\n    k = 1\n    def f(self):\n        return A.g()\n"
+        "class B(A):\n    x: int\n    def h(self):\n        return B.f, B.k, B.x, B.y\n"
+    )
+    assert dangling_class_attributes(source, class_attributes([source])) == [
+        (4, "A.g"), (8, "B.y"),
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dangling_class_attributes(path):
+    classes = class_attributes(p.read_text() for p in MODULES)
+    assert dangling_class_attributes(path.read_text(), classes) == []

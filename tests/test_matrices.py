@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatforms.matrices import Matrix, poly_at_matrix
+from quatforms.matrices import Matrix, _int_product, poly_at_matrix
 from quatforms.polynomials import Poly
 
 small = st.integers(min_value=-9, max_value=9)
@@ -256,10 +256,14 @@ def ref_poly_at(p, a):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_product_and_apply_match_fraction_reference(data):
-    # products of whole matrices run inside poly_at_matrix, tested below
+    # matrix products run on integer rows, inside poly_at_matrix
     a = data.draw(rational_mats())
     vec = data.draw(st.lists(rationals | small, min_size=a.ncols, max_size=a.ncols))
     assert a.apply(vec) == ref_apply(a, vec)
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    x = data.draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=n, max_size=n))
+    y = data.draw(st.lists(st.lists(small, min_size=m, max_size=m), min_size=k, max_size=k))
+    assert _int_product(x, y) == ref_mul(Matrix(x), Matrix(y))
 
 
 @given(rational_mats(), st.data())

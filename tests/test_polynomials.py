@@ -18,6 +18,15 @@ polys = st.lists(small_coeff, min_size=0, max_size=6).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
+def test_scalar_operands():
+    assert Poly([1, 1]) - 1 == Poly([0, 1])
+    assert 1 + Poly([0, 1]) == Poly([1, 1])
+    assert sum([Poly([0, 1]), Poly([2])]) == Poly([2, 1])
+    assert Poly([4, 2]) // 2 == Poly([2, 1]) and (Poly([4, 2]) % 2).is_zero()
+    assert Poly([2]) == 2 and Poly([Fraction(1, 2)]) == Fraction(1, 2)
+    assert Poly([0, 1]) != 0
+
+
 @given(polys, polys)
 @settings(max_examples=80, deadline=None)
 def test_ring_identities(a, b):
