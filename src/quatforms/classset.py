@@ -12,10 +12,12 @@ and an index Np^2 check of every witness certify the table.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arith import factor_int
+from .intmat import abs_det, int_product
 from .numberfield import PrimeIdeal
-from .quaternion import QuatLattice, norm_equation_solutions
+from .quaternion import QuatLattice, norm_equation_coords, norm_equation_solutions
 from .residue import (
     LatticeQuotient,
     MatrixSplitting,
@@ -383,21 +385,44 @@ def _norm_coset_targets(alg, G):
     return out
 
 
-def _orbit_witnesses(alg, sols, units_one):
-    """One solution per orbit of left multiplication by +-units_one.
+def _unit_matrices(L, units):
+    """Integer matrices of left multiplication by the units on L.
 
-    Two solutions of one norm equation give the same neighbor exactly
-    when they differ by such a unit.  The orbits are free, so the count
-    of solutions must be the orbit count times len(units_one).
+    L must be a left module over the order holding the units: row i of
+    the matrix M_g holds the coordinates of g * rows[i] / den on the
+    basis rows, so g * (x over the rows) is x M_g.  Each matrix comes
+    back as its columns, the form _orbit_representatives uses.
+    """
+    out = []
+    for g in units:
+        lam, d = L.alg.left_matrix(g)
+        m = L.int_coords(int_product(L.rows, lam), L.den * d)
+        if m is None:
+            raise ArithmeticError("unit does not preserve the lattice")
+        out.append(list(zip(*m)))
+    return out
+
+
+def _orbit_representatives(sols, unit_cols):
+    """One coordinate vector per orbit of left multiplication by +-units.
+
+    sols are sign-normalized integer coordinate vectors of one norm
+    equation and unit_cols the column lists of _unit_matrices.  Two
+    solutions give the same neighbor exactly when they differ by such a
+    unit.  The orbits are free, so the count of solutions must be the
+    orbit count times the number of units.
     """
     seen = set()
     out = []
-    for u in sols:
-        if u in seen:
+    for x in sols:
+        if x in seen:
             continue
-        out.append(u)
-        seen.update(alg.sign_normal(alg.mul(g, u)) for g in units_one)
-    if len(sols) != len(out) * len(units_one):
+        out.append(x)
+        for cols in unit_cols:
+            y = tuple([sum(map(mul, x, col)) for col in cols])
+            lead = next(v for v in y if v)
+            seen.add(y if lead > 0 else tuple([-v for v in y]))
+    if len(sols) != len(out) * len(unit_cols):
         raise ArithmeticError("norm equation solutions are not whole unit orbits")
     return out
 
@@ -412,7 +437,10 @@ def compute_theta(cs, bound):
     generator the cell is empty.  Otherwise, with beta one such
     generator, one norm equation nr(u) = beta * e over L is solved per
     coset target e (see _norm_coset_targets) and its solutions are
-    grouped into unit orbits, one witness each.
+    grouped into unit orbits, one witness each.  Solutions stay integer
+    coordinate vectors on the basis of L throughout: the units act on
+    them by integer matrices, and only the orbit representatives become
+    quaternions.
 
     Certificates, each raising ArithmeticError: every target's solutions
     are whole orbits, every witness u has u * b inside a at index Np^2,
@@ -438,14 +466,17 @@ def compute_theta(cs, bound):
                     continue
                 if L is None:
                     L = a.compose(b_inv)
+                    unit_cols = _unit_matrices(L, units_one)
                 us = []
                 for e in targets:
-                    sols = norm_equation_solutions(L, F.mul(beta, e))
-                    us += _orbit_witnesses(alg, sols, units_one)
-                covolume = pr.norm ** 2 * a.covolume()
+                    sols = norm_equation_coords(L, F.mul(beta, e))
+                    us += [L.vector(x) for x in _orbit_representatives(sols, unit_cols)]
                 for u in us:
-                    ub = b.lmul_element(u)
-                    if ub.covolume() != covolume or not a.contains_lattice(ub):
+                    # the coordinates of u * b over a: integral exactly when
+                    # u * b lies in a, with |det| the index
+                    lam, d = alg.left_matrix(u)
+                    c = a.int_coords(int_product(b.rows, lam), b.den * d)
+                    if c is None or abs_det(c) != pr.norm ** 2:
                         raise ArithmeticError("theta witness does not map b into a at index Np^2")
                 if us:
                     entries[(pi, ai, bi)] = us

@@ -8,13 +8,39 @@ reduced into [0, pivot).
 hnf_coords is the one place where coordinates of a vector over an HNF
 basis are solved.  Lattice membership, quotient projections
 (residue.QuotientSpace), stabilizer orders (QuatLattice._coords) and the
-inverse inside integral_preimage_rows all go through it.
+inverse of inverse_rows all go through it.  inverse_rows gives that
+inverse as an integer matrix over one denominator, so that coordinates
+of whole integer matrices (QuatLattice.int_coords) are one int_product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import mul
+
+
+def integral_rows(rows):
+    """(d, int_rows) with int_rows = d * rows, d the least common denominator.
+
+    Entries may be ints or Fractions.
+    """
+    d = lcm(*(v.denominator for row in rows for v in row))
+    return d, [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+
+
+def int_product(a, b):
+    """Product of two integer matrices given as row lists."""
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def abs_det(mat):
+    """|det| of a square integer matrix: the product of its HNF pivots."""
+    h = hnf_rows(mat)
+    if len(h) < len(mat):
+        return 0
+    return prod(row[i] for i, row in enumerate(h))
 
 
 def identity_int(n):
@@ -111,24 +137,22 @@ def integral_preimage_rows(mat):
     column lattice basis.
     """
     n = len(mat)
-    e = denominator_scale(mat)
-    cols = [
-        [int(Fraction(mat[i][j]) * e) for i in range(n)]
-        for j in range(len(mat[0]))
-    ]
+    e, cols = integral_rows(list(zip(*mat)))
     basis = hnf_rows(cols)
     if len(basis) != n:
         raise ValueError("matrix does not have full row rank")
-    # row k of basis^-1 holds the coordinates of the k-th unit vector
-    inv = [hnf_coords(basis, [int(i == k) for i in range(n)]) for k in range(n)]
-    # dual of rowspan(basis/e) has basis rows e * inv^T
-    return [[e * inv[k][i] for k in range(n)] for i in range(n)]
+    adj, d = inverse_rows(basis)
+    # dual of rowspan(basis/e) has basis rows e * (basis^-1)^T
+    return [[Fraction(e * adj[k][i], d) for k in range(n)] for i in range(n)]
 
 
-def denominator_scale(rows):
-    """lcm of denominators over a matrix of Fractions/ints."""
-    d = 1
-    for row in rows:
-        for v in row:
-            d = lcm(d, Fraction(v).denominator)
-    return d
+def inverse_rows(rows):
+    """(adj, d) with adj / d the inverse of a square integer HNF matrix.
+
+    adj is an integer matrix and d > 0 the least common denominator.
+    """
+    n = len(rows)
+    # row k of the inverse holds the coordinates of the k-th unit vector
+    inv = [hnf_coords(rows, [int(i == k) for i in range(n)]) for k in range(n)]
+    d, adj = integral_rows(inv)
+    return adj, d

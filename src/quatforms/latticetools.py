@@ -1,10 +1,14 @@
-"""Positive definite lattice algorithms over exact rationals.
+"""Positive definite lattice algorithms in exact integer arithmetic.
 
-Everything here works on Gram matrices with Fraction entries: LLL
-reduction, Fincke-Pohst enumeration of short vectors, and the exact
-shell enumeration that norm-equation searches are built on.  Integer
-roots and rational n-th root intervals serve the field code.  No
-floating point is used anywhere.
+Gram matrices may hold ints or Fractions.  LLL reduction and
+Fincke-Pohst enumeration of short vectors each scale their Gram to
+integers once and then run on Python ints: integral LLL keeps the
+Gram-Schmidt data as integer minors, and the enumeration clears its
+Cholesky coefficients to per-row common denominators.  enumerate_norm
+is the exact shell enumeration that norm-equation searches are built
+on; on a lattice without an ambient basis it returns integer
+coefficient vectors.  Integer roots and rational n-th root intervals
+serve the field code.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -15,15 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intervals import Iv
+from .intmat import integral_rows
 
 log = logging.getLogger(__name__)
-
-HALF = Fraction(1, 2)
-
-
-def round_frac(x) -> int:
-    """Nearest integer, halves rounding up."""
-    return math.floor(Fraction(x) + HALF)
 
 
 # ---------------------------------------------------------------------------
@@ -34,72 +32,79 @@ def lll_gram(gram, delta=Fraction(99, 100)):
     """LLL-reduce a positive definite Gram matrix.
 
     Returns (reduced_gram, U) with U integral, |det U| = 1 and
-    reduced_gram = U * gram * U^T.  Exact rational arithmetic throughout.
+    reduced_gram = U * gram * U^T.  Integral LLL (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7) on the Gram
+    scaled to integers: the Gram-Schmidt data are kept as the integers
+    d_i (leading principal minors) and lambda_ij = d_j mu_ij, and every
+    rounding and Lovasz test is the rational one cleared of
+    denominators.  The reduced Gram comes back in ints when the input is
+    integral.
     """
     n = len(gram)
-    g = [[Fraction(v) for v in row] for row in gram]
+    den, g = integral_rows(gram)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    if n <= 1:
-        if n == 1:
-            assert g[0][0] > 0, "form is not positive definite"
-        return g, u
-
     delta = Fraction(delta)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    b[0] = g[0][0]
-    assert b[0] > 0, "form is not positive definite"
+    p, q = delta.numerator, delta.denominator
+    lam = [[0] * n for _ in range(n)]
+    # d[i + 1] is the leading principal minor of size i + 1; d[0] = 1
+    d = [1] * (n + 1)
+    if n:
+        d[1] = g[0][0]
+        if d[1] <= 0:
+            raise ArithmeticError("form is not positive definite")
 
     def size_reduce(k, l):
-        if abs(mu[k][l]) <= HALF:
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) <= dl:
             return
-        q = round_frac(mu[k][l])
+        r = (2 * lam[k][l] + dl) // (2 * dl)
         for j in range(n):
-            g[k][j] -= q * g[l][j]
+            g[k][j] -= r * g[l][j]
         for i in range(n):
-            g[i][k] -= q * g[i][l]
+            g[i][k] -= r * g[i][l]
         for j in range(n):
-            u[k][j] -= q * u[l][j]
-        mu[k][l] -= q
+            u[k][j] -= r * u[l][j]
+        lam[k][l] -= r * dl
         for i in range(l):
-            mu[k][i] -= q * mu[l][i]
+            lam[k][i] -= r * lam[l][i]
 
     k = 1
     kmax = 0
     while k < n:
         if k > kmax:
             kmax = k
-            for j in range(k):
-                mu[k][j] = g[k][j]
+            for j in range(k + 1):
+                t = g[k][j]
                 for i in range(j):
-                    mu[k][j] -= mu[j][i] * mu[k][i] * b[i]
-                mu[k][j] /= b[j]
-            b[k] = g[k][k]
-            for i in range(k):
-                b[k] -= mu[k][i] ** 2 * b[i]
-            assert b[k] > 0, "form is not positive definite"
+                    t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = t
+                elif t <= 0:
+                    raise ArithmeticError("form is not positive definite")
+                else:
+                    d[k + 1] = t
         size_reduce(k, k - 1)
-        if b[k] < (delta - mu[k][k - 1] ** 2) * b[k - 1]:
+        m = lam[k][k - 1]
+        if q * d[k + 1] * d[k - 1] < p * d[k] ** 2 - q * m * m:
             g[k], g[k - 1] = g[k - 1], g[k]
             for row in g:
                 row[k], row[k - 1] = row[k - 1], row[k]
             u[k], u[k - 1] = u[k - 1], u[k]
-            m = mu[k][k - 1]
-            bb = b[k] + m * m * b[k - 1]
-            mu[k][k - 1] = m * b[k - 1] / bb
-            b[k] = b[k - 1] * b[k] / bb
-            b[k - 1] = bb
             for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            b = (d[k - 1] * d[k + 1] + m * m) // d[k]
             for i in range(k + 1, kmax + 1):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+            d[k] = b
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
+    if den != 1:
+        g = [[Fraction(v, den) for v in row] for row in g]
     return g, u
 
 
@@ -122,9 +127,10 @@ class TraceFormLattice:
 
     def __post_init__(self):
         n = len(self.gram)
-        assert all(len(row) == n for row in self.gram)
-        if self.basis is not None:
-            assert len(self.basis) == n
+        if any(len(row) != n for row in self.gram):
+            raise ValueError("Gram matrix is not square")
+        if self.basis is not None and len(self.basis) != n:
+            raise ValueError("basis and Gram matrix differ in rank")
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +138,33 @@ class TraceFormLattice:
 
 
 def _cholesky(gram):
-    """q with Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2."""
+    """(s, k, e, c): the Cholesky form of s * Q in integers.
+
+    Q is an integer form.  With C_i(x) = sum_{j>i} c[i][j] x_j,
+    s * Q(x) = sum_i k[i] * (e[i] x_i + C_i(x))^2: the rational
+    coefficients q of Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2
+    are computed once, e[i] clears the denominators of row i and s
+    those of the k[i].
+    """
     n = len(gram)
     q = [[Fraction(v) for v in row] for row in gram]
     for i in range(n):
-        assert q[i][i] > 0, "form is not positive definite"
+        if q[i][i] <= 0:
+            raise ArithmeticError("form is not positive definite")
         for j in range(i + 1, n):
             q[j][i] = q[i][j]
             q[i][j] = q[i][j] / q[i][i]
         for r in range(i + 1, n):
             for c in range(r, n):
                 q[r][c] -= q[r][i] * q[i][c]
-    return q
+    e = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n)))
+         for i in range(n)]
+    kq = [q[i][i] / (e[i] * e[i]) for i in range(n)]
+    s = math.lcm(*(v.denominator for v in kq))
+    k = [int(v * s) for v in kq]
+    c = [[0] * (i + 1) + [int(q[i][j] * e[i]) for j in range(i + 1, n)]
+         for i in range(n)]
+    return s, k, e, c
 
 
 def fincke_pohst(gram, bound):
@@ -152,42 +173,49 @@ def fincke_pohst(gram, bound):
     One representative per +-pair: the last nonzero coordinate is
     positive.  Each level walks outward from the real center of its
     interval, so short vectors tend to appear early; callers doing
-    existence tests can stop at the first hit.
+    existence tests can stop at the first hit.  The walk runs on the
+    integer Cholesky form of the Gram scaled to integers, so centers,
+    remainders and every comparison are Python ints; values come back
+    exact (ints for an integer Gram).
     """
     n = len(gram)
     bound = Fraction(bound)
     if n == 0 or bound < 0:
         return
-    q = _cholesky(gram)
+    d, ints = integral_rows(gram)
+    s, k, e, c = _cholesky(ints)
+    top = s * math.floor(bound * d)
     x = [0] * n
 
     def walk(i, rem, tie):
         if i < 0:
             if not tie:
-                yield tuple(x), bound - rem
+                val = (top - rem) // s
+                yield tuple(x), val if d == 1 else Fraction(val, d)
             return
-        qi = q[i][i]
+        ki, ei = k[i], e[i]
         if tie:
             # all higher coordinates are zero, so the center is zero;
             # nonnegative values only, which halves the search
             v = 0
             while True:
-                t = qi * v * v
+                t = ki * (ei * v) ** 2
                 if t > rem:
                     break
                 x[i] = v
                 yield from walk(i - 1, rem - t, v == 0)
                 v += 1
         else:
-            c = Fraction(0)
+            ci = c[i]
+            cen = 0
             for j in range(i + 1, n):
                 if x[j]:
-                    c += q[i][j] * x[j]
-            v0 = round_frac(-c)
+                    cen += ci[j] * x[j]
+            # the nearest integer to -cen / ei, halves rounding up
+            v0 = (ei - 2 * cen) // (2 * ei)
             v = v0
             while True:
-                s = v + c
-                t = qi * s * s
+                t = ki * (ei * v + cen) ** 2
                 if t > rem:
                     break
                 x[i] = v
@@ -195,20 +223,20 @@ def fincke_pohst(gram, bound):
                 v += 1
             v = v0 - 1
             while True:
-                s = v + c
-                t = qi * s * s
+                t = ki * (ei * v + cen) ** 2
                 if t > rem:
                     break
                 x[i] = v
                 yield from walk(i - 1, rem - t, False)
                 v -= 1
 
-    yield from walk(n - 1, bound, True)
+    yield from walk(n - 1, top, True)
 
 
 @dataclass
 class NormSolutions:
-    """Solution vectors in ambient coordinates, one per +-pair."""
+    """Solution vectors, one per +-pair: ambient coordinates, or integer
+    coefficient vectors for a lattice without an ambient basis."""
 
     vectors: list
 
@@ -219,9 +247,14 @@ def enumerate_norm(lat: TraceFormLattice, t) -> NormSolutions:
     Reduces the basis first, then enumerates.  Vectors come back in
     ambient coordinates, sign-normalized (first nonzero entry positive)
     and sorted, so the result does not depend on the input basis.
+    Without an ambient basis they are coefficient vectors, integer
+    tuples.
     """
     t = Fraction(t)
-    assert t > 0
+    if t <= 0:
+        raise ValueError("norm target must be positive")
+    if t.denominator == 1:
+        t = t.numerator
     g2, u = lll_gram(lat.gram)
     n = len(g2)
     if lat.basis is not None:
@@ -231,18 +264,18 @@ def enumerate_norm(lat: TraceFormLattice, t) -> NormSolutions:
             for i in range(n)
         ]
     else:
-        rows = [[Fraction(v) for v in row] for row in u]
+        rows = u
     found = []
     seen = 0
     for coords, val in fincke_pohst(g2, t):
         seen += 1
         if val != t:
             continue
-        vec = [Fraction(0)] * len(rows[0])
+        vec = [0] * len(rows[0])
         for i, ci in enumerate(coords):
             if ci:
-                for j in range(len(vec)):
-                    vec[j] += ci * rows[i][j]
+                for j, r in enumerate(rows[i]):
+                    vec[j] += ci * r
         lead = next(v for v in vec if v)
         if lead < 0:
             vec = [-v for v in vec]

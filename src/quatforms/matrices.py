@@ -17,18 +17,10 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .arith import inv_mod, next_prime, symmetric_mod
+from .intmat import int_product, integral_rows
 from .polynomials import Poly
 
 _RATIONAL_CUTOFF = 8
-
-
-def _integral(rows):
-    """(d, int_rows) with int_rows = d * rows, d the least common denominator.
-
-    Entries may be ints or Fractions.
-    """
-    d = lcm(*(v.denominator for row in rows for v in row))
-    return d, [[v.numerator * (d // v.denominator) for v in row] for row in rows]
 
 
 def _primitive(row):
@@ -39,17 +31,14 @@ def _primitive(row):
     return row
 
 
-def _int_product(a, b):
-    """Product of two integer matrices given as row lists."""
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 class Matrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = [[Fraction(v) for v in row] for row in rows]
+        # copies the rows; entries already Fractions are not rebuilt
+        self.rows = [
+            [v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows
+        ]
         if any(len(r) != len(self.rows[0]) for r in self.rows):
             raise ValueError("matrix rows have different lengths")
 
@@ -70,8 +59,8 @@ class Matrix:
     def apply(self, vec: list) -> list[Fraction]:
         """Matrix times column vector."""
         assert len(vec) == self.ncols
-        da, ia = _integral(self.rows)
-        dv, (iv,) = _integral([vec])
+        da, ia = integral_rows(self.rows)
+        dv, (iv,) = integral_rows([vec])
         d = da * dv
         return [Fraction(sum(a * b for a, b in zip(row, iv)), d) for row in ia]
 
@@ -92,7 +81,7 @@ class Matrix:
         pivots agree and dividing each pivot row by its pivot at the end
         gives the unique RREF.
         """
-        _, m = _integral(self.rows)
+        _, m = integral_rows(self.rows)
         m = [_primitive(row) for row in m]
         nr, nc = len(m), len(m[0]) if m else 0
         pivots = []
@@ -191,7 +180,7 @@ def poly_at_matrix(p: Poly, a: Matrix) -> Matrix:
     """
     assert a.is_square()
     n = a.nrows
-    d, ia = _integral(a.rows)
+    d, ia = integral_rows(a.rows)
     cs = p.coeffs
     deg = len(cs) - 1
     L = lcm(*(c.denominator for c in cs))
@@ -199,7 +188,7 @@ def poly_at_matrix(p: Poly, a: Matrix) -> Matrix:
     for k in range(deg, -1, -1):
         ck = cs[k].numerator * (L // cs[k].denominator) * d ** (deg - k)
         if k < deg:
-            out = _int_product(out, ia)
+            out = int_product(out, ia)
         if ck:
             for i in range(n):
                 out[i][i] += ck

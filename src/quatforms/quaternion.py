@@ -7,15 +7,26 @@ degree, blocks ordered (1, i, j, k) and each block holding coordinates
 over the field's integral basis.  Lattices of full rank 4n carry the
 order and ideal arithmetic; maximal orders come out of `maximalize`,
 whose certificate is the reduced discriminant dropping to the unit
-ideal (norm 1).
+ideal (norm 1).  The structure constants on the ambient basis are
+integers (QuatAlgebra.mul_table); lattice products and left
+multiplication run on them, and norm equations are solved in integer
+coordinates on a lattice's basis, where the reduced norm is a set of
+integer quadratic forms (QuatLattice.norm_forms).
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 import logging
 
 from .arith import factor_int
-from .intmat import hnf_coords, hnf_rows, integral_preimage_rows
+from .intmat import (
+    hnf_coords,
+    hnf_rows,
+    int_product,
+    integral_preimage_rows,
+    inverse_rows,
+)
 from .latticetools import TraceFormLattice, enumerate_norm
 from .matrices import Matrix
 from .residue import (
@@ -56,6 +67,7 @@ class QuatAlgebra:
         )
         self.zero = (_ZERO,) * self.dim
         self._maximalized = {}
+        self._table = None
 
     def __repr__(self):
         return "QuatAlgebra(%r, a=%s, b=%s)" % (self.base, self.a, self.b)
@@ -122,10 +134,42 @@ class QuatAlgebra:
         )
         return z0 + z1 + z2 + z3
 
-    def sign_normal(self, x):
-        """The one of x, -x whose first nonzero coordinate is positive."""
-        lead = next(v for v in x if v)
-        return self.neg(x) if lead < 0 else x
+    def mul_table(self):
+        """T with e_s * e_t = sum_u T[s][t][u] e_u on the standard basis.
+
+        The standard basis is the ambient coordinate basis: the integral
+        basis of the field times 1, i, j, k.  a and b are integral, so
+        every structure constant is an integer.
+        """
+        if self._table is None:
+            N = self.dim
+            basis = [tuple(Fraction(int(s == t)) for t in range(N)) for s in range(N)]
+            table = []
+            for x in basis:
+                row = []
+                for y in basis:
+                    z = self.mul(x, y)
+                    if any(c.denominator != 1 for c in z):
+                        raise ArithmeticError("structure constants are not integral")
+                    row.append([int(c) for c in z])
+                table.append(row)
+            self._table = table
+        return self._table
+
+    def left_matrix(self, x):
+        """(M, d): y -> x * y is y -> y M / d on ambient row vectors.
+
+        M is an integer matrix and d the least common denominator of x.
+        """
+        d = lcm(*(Fraction(c).denominator for c in x))
+        xs = [int(Fraction(c) * d) for c in x]
+        table = self.mul_table()
+        N = self.dim
+        # row t of M is x * e_t
+        return [
+            [sum(c * table[s][t][u] for s, c in enumerate(xs) if c) for u in range(N)]
+            for t in range(N)
+        ], d
 
     def conj(self, x):
         n = self.base.degree
@@ -184,7 +228,9 @@ class QuatAlgebra:
 class QuatLattice:
     """Full-rank Z-lattice in B: integer HNF rows over a common denominator."""
 
-    __slots__ = ("alg", "rows", "den", "_left", "_right", "_nr", "_disc")
+    __slots__ = (
+        "alg", "rows", "den", "_left", "_right", "_nr", "_disc", "_forms", "_inv",
+    )
 
     def __init__(self, alg, vectors):
         den = 1
@@ -197,6 +243,16 @@ class QuatLattice:
         ints = tuple(
             tuple(int(c * den) for c in row) for row in vecs
         )
+        self._set_rows(alg, ints, den)
+
+    @classmethod
+    def _from_int_rows(cls, alg, ints, den):
+        """The lattice spanned by the integer rows ints, divided by den."""
+        lat = cls.__new__(cls)
+        lat._set_rows(alg, ints, den)
+        return lat
+
+    def _set_rows(self, alg, ints, den):
         rows = tuple(tuple(int(c) for c in row) for row in hnf_rows(ints))
         if len(rows) != alg.dim:
             raise ValueError("lattice does not have full rank")
@@ -211,14 +267,43 @@ class QuatLattice:
         self.rows = rows
         self.den = den
         self._left = self._right = self._nr = self._disc = None
+        self._forms = self._inv = None
 
     def basis_vectors(self):
         d = self.den
         return [tuple(Fraction(c, d) for c in row) for row in self.rows]
 
+    def vector(self, x):
+        """The element sum_i x[i] * rows[i] / den for integer coordinates x."""
+        acc = [0] * len(self.rows)
+        for xi, row in zip(x, self.rows):
+            if xi:
+                for j, c in enumerate(row):
+                    acc[j] += xi * c
+        d = self.den
+        return tuple(Fraction(c, d) for c in acc)
+
     def _coords(self, vec):
         """Coordinates of vec over the basis rows (exact, possibly fractional)."""
         return hnf_coords(self.rows, vec, self.den)
+
+    def int_coords(self, mat, den):
+        """Coordinates of the vectors mat[i] / den over the basis rows.
+
+        mat is an integer matrix.  Returns an integer matrix, or None when
+        some vector lies outside the lattice.
+        """
+        if self._inv is None:
+            self._inv = inverse_rows(self.rows)
+        adj, rho = self._inv
+        q = den * rho
+        out = []
+        for row in int_product(mat, adj):
+            row = [c * self.den for c in row]
+            if any(c % q for c in row):
+                return None
+            out.append([c // q for c in row])
+        return out
 
     def contains(self, vec):
         return all(c.denominator == 1 for c in self._coords(vec))
@@ -252,11 +337,12 @@ class QuatLattice:
         alg = self.alg
         if isinstance(other, QuatLattice):
             assert alg is other.alg
-            bs = other.basis_vectors()
-            return QuatLattice(
-                alg,
-                [alg.mul(x, y) for x in self.basis_vectors() for y in bs],
-            )
+            # x * y = y M_x for the integer left multiplication matrix M_x
+            # of each integer row x
+            rows = []
+            for x in self.rows:
+                rows += int_product(other.rows, alg.left_matrix(x)[0])
+            return QuatLattice._from_int_rows(alg, rows, self.den * other.den)
         c = Fraction(other)
         return QuatLattice(alg, [alg.smul(c, v) for v in self.basis_vectors()])
 
@@ -314,19 +400,43 @@ class QuatLattice:
             mat.append(row)
         return QuatLattice(alg, integral_preimage_rows(mat))
 
+    def norm_forms(self):
+        """The reduced norm on the basis rows as integer quadratic forms.
+
+        Returns (forms, D) with nr(sum_i x_i rows[i] / den) =
+        sum_k (x forms[k] x^T / D) w_k for integer x, w_k the integral
+        basis of the base field and D = 2 den^2.  forms[k][i][j] is
+        coordinate k of trd(r_i conj(r_j)) for the integer rows r_i, so
+        its diagonal holds 2 nr(r_i).
+        """
+        if self._forms is None:
+            alg = self.alg
+            n = alg.base.degree
+            table = alg.mul_table()
+            N = alg.dim
+            # trd(e_s conj(e_t)) = +-2 (e_s e_t)_k: conj fixes the first
+            # n basis vectors (the field) and negates the others
+            rt = list(zip(*self.rows))
+            forms = []
+            for k in range(n):
+                p = [[2 * table[s][t][k] * (1 if t < n else -1) for t in range(N)]
+                     for s in range(N)]
+                forms.append(int_product(int_product(self.rows, p), rt))
+            self._forms = (forms, 2 * self.den ** 2)
+        return self._forms
+
     def nr_ideal(self):
         """Field ideal generated by reduced norms of lattice elements."""
         if self._nr is None:
-            alg = self.alg
-            bs = self.basis_vectors()
-            gens = [alg.nr(b) for b in bs]
-            for s in range(len(bs)):
-                for t in range(s + 1, len(bs)):
-                    both = alg.nr(alg.add(bs[s], bs[t]))
-                    gens.append(
-                        alg.base.sub(alg.base.sub(both, gens[s]), gens[t])
-                    )
-            self._nr = alg.base.ideal(*gens)
+            forms, scale = self.norm_forms()
+            m = len(self.rows)
+            # nr(b_i) on the diagonal, trd(b_i conj(b_j)) off it
+            gens = [
+                tuple(Fraction(N[i][j] * (1 if i == j else 2), scale) for N in forms)
+                for i in range(m)
+                for j in range(i, m)
+            ]
+            self._nr = self.alg.base.ideal(*gens)
         return self._nr
 
     def inverse(self):
@@ -547,34 +657,76 @@ def hilbert_ramification_free_algebra(F, budget=24):
 # norm equations
 
 
-def trace_form_lattice(lat, w):
-    """The Gram of b(x, y) = Tr(w trd(x conj(y))) on a basis of the lattice.
+def _quad(form, x):
+    """x form x^T for an integer symmetric form and integer vector x."""
+    return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, form) if xi)
 
-    Positive definite when the field element w is totally positive.
+
+def trace_form_gram(lat, w):
+    """(gram, scale): scale times the Gram of Tr(w trd(x conj(y))) on lat.
+
+    The Gram is taken on the basis rows of the lattice and built from its
+    integer norm forms; gram is the primitive integer multiple.  It is
+    positive definite when the field element w is totally positive.
     """
-    alg = lat.alg
-    F = alg.base
-    bs = lat.basis_vectors()
-    gram = [[F.trace(F.mul(w, alg.pair(x, y))) for y in bs] for x in bs]
-    return TraceFormLattice(gram=gram, basis=[list(b) for b in bs])
+    F = lat.alg.base
+    forms, D = lat.norm_forms()
+    # Tr(w trd(x conj y)) = (2 / D) sum_k Tr(w w_k) x forms[k] y^T
+    weights = [
+        F.trace(F.mul(w, tuple(int(s == k) for s in range(F.degree))))
+        for k in range(F.degree)
+    ]
+    den = lcm(*(t.denominator for t in weights))
+    ints = [int(t * den) for t in weights]
+    m = len(forms[0])
+    gram = [
+        [sum(t * N[i][j] for t, N in zip(ints, forms)) for j in range(m)]
+        for i in range(m)
+    ]
+    g = gcd(*(v for row in gram for v in row))
+    gram = [[v // g for v in row] for row in gram]
+    return gram, Fraction(den * D, 2 * g)
 
 
-def norm_equation_solutions(lat, alpha):
-    """All x in the lattice with nr(x) = alpha, one per +-pair, sorted.
+def norm_equation_coords(lat, alpha):
+    """All x with nr(sum_i x_i rows[i] / den) = alpha, one per +-pair.
+
+    x runs over integer coordinate vectors on the basis rows of the
+    lattice; the result is sorted with the first nonzero entry of each
+    vector positive.  The basis rows are upper triangular with a
+    positive diagonal, so this order and sign are those of the ambient
+    vectors (QuatLattice.vector) as well.
 
     With w = N(alpha) / alpha, a solution x has w nr(x) = N(alpha), a
     rational number, so it lies on the shell Tr(w trd(x conj x)) =
     2 n N(alpha) of the form weighted by w (n the field degree).  The
     weight is totally positive exactly when alpha is, which makes the
-    form definite and the shell finite; the shell vectors whose reduced
-    norm is alpha are the solutions.
+    form definite and the shell finite.  The shell is enumerated on the
+    integer Gram of trace_form_gram, and its vectors are kept when each
+    norm form takes the value D * alpha_k; no ambient vector is built.
     """
-    alg = lat.alg
-    F = alg.base
+    F = lat.alg.base
     alpha = F.el(alpha) if not isinstance(alpha, int) else F.from_int(alpha)
     if not F.is_totally_positive(alpha):
         raise ValueError("norm target must be totally positive")
+    forms, D = lat.norm_forms()
+    want = [D * a for a in alpha]
+    if any(v.denominator != 1 for v in want):
+        return []  # D nr(x) is integral on the lattice
+    want = [int(v) for v in want]
     nm = F.norm(alpha)
-    w = F.smul(nm, F.inv(alpha))
-    shell = enumerate_norm(trace_form_lattice(lat, w), 2 * F.degree * nm)
-    return [y for y in shell.vectors if F.el(alg.nr(y)) == alpha]
+    gram, scale = trace_form_gram(lat, F.smul(nm, F.inv(alpha)))
+    shell = enumerate_norm(TraceFormLattice(gram=gram), scale * 2 * F.degree * nm)
+    return [
+        x for x in shell.vectors
+        if all(_quad(N, x) == v for N, v in zip(forms, want))
+    ]
+
+
+def norm_equation_solutions(lat, alpha):
+    """All x in the lattice with nr(x) = alpha, one per +-pair, sorted.
+
+    The ambient vectors of norm_equation_coords: sign-normalized (first
+    nonzero coordinate positive) and in lexicographic order.
+    """
+    return [lat.vector(x) for x in norm_equation_coords(lat, alpha)]

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatforms.classset import (
+    _norm_one_units,
+    _unit_matrices,
     compute_class_set,
     compute_theta,
     eichler_mass,
@@ -14,11 +17,13 @@ from quatforms.classset import (
     neighbors,
     unit_group,
 )
+from quatforms.latticetools import TraceFormLattice, enumerate_norm
 from quatforms.numberfield import field_from_spec
 from quatforms.quaternion import (
     hilbert_ramification_free_algebra,
     is_order,
     maximalize,
+    norm_equation_coords,
     norm_equation_solutions,
 )
 
@@ -344,6 +349,11 @@ def test_class_set_is_deterministic():
     assert ta.entries == tb.entries
 
 
+def sign_normal(alg, x):
+    """The one of x, -x whose first nonzero coordinate is positive."""
+    return alg.neg(x) if next(v for v in x if v) < 0 else x
+
+
 def test_norm_equation_skewed_targets():
     # eps = 3 + sqrt(10) has norm -1, so eps^2k alpha is totally positive
     # and far from balanced; x -> eps^k x maps the solutions for alpha
@@ -361,7 +371,7 @@ def test_norm_equation_skewed_targets():
             for k in (1, 2, 3):
                 ek = F10.el_pow(eps, k)
                 target = F10.mul(F10.mul(ek, ek), F10.from_int(alpha))
-                moved = sorted(alg.sign_normal(alg.fmul(ek, x)) for x in base)
+                moved = sorted(sign_normal(alg, alg.fmul(ek, x)) for x in base)
                 assert norm_equation_solutions(lat, target) == moved
 
 
@@ -392,11 +402,103 @@ def test_theta_orbit_count_checked_under_optimize(run_optimized):
         "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
         "alg = hilbert_ramification_free_algebra(field_from_spec('quad:5'))\n"
         "cs = classset.compute_class_set(alg.maximal_order(), [])\n"
-        "solve = classset.norm_equation_solutions\n"
-        "classset.norm_equation_solutions = lambda lat, alpha: 2 * solve(lat, alpha)\n"
+        "solve = classset.norm_equation_coords\n"
+        "classset.norm_equation_coords = lambda lat, alpha: 2 * solve(lat, alpha)\n"
         "try:\n"
         "    print('returned', classset.compute_theta(cs, 4))\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
     assert out.startswith("ArithmeticError: norm equation solutions are not whole unit orbits")
+
+
+@functools.cache
+def class_pair_lattices(spec, limit=None):
+    """(a, L) with L = a * b^-1 for ordered pairs of class representatives."""
+    cs = class_set(spec)
+    reps = cs.representatives
+    pairs = [(ai, bi) for ai in range(len(reps)) for bi in range(len(reps))]
+    if limit is not None:
+        pairs = random.Random(spec).sample(pairs, min(limit, len(pairs)))
+    return [(ai, reps[ai].compose(reps[bi].inverse())) for ai, bi in pairs]
+
+
+def reference_norm_equation_solutions(lat, alpha):
+    # the Fraction shell-and-filter search: the Gram of Tr(w trd(x conj y))
+    # from alg.pair on the ambient basis vectors, the shell in ambient
+    # coordinates, and alg.nr on every shell vector
+    alg = lat.alg
+    F = alg.base
+    alpha = F.el(alpha) if not isinstance(alpha, int) else F.from_int(alpha)
+    nm = F.norm(alpha)
+    w = F.smul(nm, F.inv(alpha))
+    bs = lat.basis_vectors()
+    gram = [[F.trace(F.mul(w, alg.pair(x, y))) for y in bs] for x in bs]
+    shell = enumerate_norm(
+        TraceFormLattice(gram=gram, basis=[list(b) for b in bs]), 2 * F.degree * nm
+    )
+    return [y for y in shell.vectors if F.el(alg.nr(y)) == alpha]
+
+
+@pytest.mark.parametrize("spec", ["quad:10", "quad:85"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_norm_forms_match_reduced_norm(spec, data):
+    # nr(x) = sum_k (x N_k x^T / D) w_k on random integer coordinates, over
+    # the maximal order and over the ideal quotients theta searches
+    lats = [maximal_order(spec)] + [L for _, L in class_pair_lattices(spec, limit=6)]
+    lat = data.draw(st.sampled_from(lats))
+    alg = lat.alg
+    x = data.draw(st.lists(st.integers(-30, 30), min_size=alg.dim, max_size=alg.dim))
+    forms, D = lat.norm_forms()
+    value = tuple(
+        Fraction(sum(x[i] * N[i][j] * x[j] for i in range(alg.dim) for j in range(alg.dim)), D)
+        for N in forms
+    )
+    assert value == alg.nr(lat.vector(x))
+
+
+@pytest.mark.parametrize("spec", ["quad:5", "quad:10", "quad:85"])
+def test_unit_matrices_match_quaternion_products(spec):
+    # x M_g holds the coordinates of g * x on the lattice basis
+    cs = class_set(spec)
+    rng = random.Random(7)
+    for ai, L in class_pair_lattices(spec, limit=4):
+        units = _norm_one_units(L.alg, cs.unit_groups[ai])
+        for g, cols in zip(units, _unit_matrices(L, units)):
+            x = [rng.randint(-5, 5) for _ in range(L.alg.dim)]
+            y = [sum(a * b for a, b in zip(x, col)) for col in cols]
+            assert L.vector(y) == L.alg.mul(g, L.vector(x))
+
+
+@pytest.mark.parametrize("spec,limit", [("quad:3", None), ("quad:5", None),
+                                        ("quad:10", None), ("quad:85", 12)])
+def test_norm_equation_solutions_match_fraction_reference(spec, limit):
+    # the integer search against the Fraction one, at the targets theta
+    # solves and at unit multiples of them, lists and reprs alike
+    cs = class_set(spec)
+    F = cs.order.alg.base
+    primes = F.prime_ideals_up_to(5)
+    nonempty = 0
+    for ai, L in class_pair_lattices(spec, limit):
+        for pr in primes:
+            beta = F.narrowly_principal_generator(L.nr_ideal() * pr.ideal)
+            if beta is None:
+                continue
+            for e in F.totally_positive_units():
+                alpha = F.mul(beta, e)
+                got = norm_equation_solutions(L, alpha)
+                want = reference_norm_equation_solutions(L, alpha)
+                assert got == want
+                assert repr(got) == repr(want)
+                assert [L.vector(x) for x in norm_equation_coords(L, alpha)] == got
+                nonempty += bool(got)
+    assert nonempty
+
+
+def test_theta_witnesses_pinned_on_quad85():
+    # the witnesses themselves, not only their counts, at the paper's field
+    th = compute_theta(class_set("quad:85"), 6)
+    assert sum(len(v) for v in th.entries.values()) == 152
+    digest = hashlib.sha256(repr(sorted(th.entries.items())).encode()).hexdigest()
+    assert digest == "cb7fcde8dd59a76c17a19b0c53f3c2c044f4868d95e6c3521b543ccb2d7af6d9"

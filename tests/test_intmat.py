@@ -5,12 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quatforms.intmat import (
-    denominator_scale,
+    abs_det,
     hnf_coords,
     hnf_rows,
     hnf_with_transform,
     identity_int,
+    int_product,
     integral_preimage_rows,
+    integral_rows,
+    inverse_rows,
 )
 from quatforms.matrices import Matrix
 from quatforms.residue import QuotientSpace
@@ -38,6 +41,31 @@ def test_hnf_transform_identity(mat):
     assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in u] == h
     # u unimodular: integer square matrix whose rows span Z^n
     assert hnf_rows(u) == identity_int(3)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_int_product_matches_fraction_reference(data):
+    # matrix products run on integer rows, inside poly_at_matrix and the
+    # quaternion lattice products
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    x = data.draw(st.lists(st.lists(small_int, min_size=k, max_size=k), min_size=n, max_size=n))
+    y = data.draw(st.lists(st.lists(small_int, min_size=m, max_size=m), min_size=k, max_size=k))
+    want = [[sum(Fraction(x[i][t]) * y[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
+    assert int_product(x, y) == want
+
+
+@given(square_mats(4))
+@settings(max_examples=60, deadline=None)
+def test_abs_det_and_inverse_rows(mat):
+    det = Matrix(mat).det()
+    assert abs_det(mat) == abs(det)
+    assume(det != 0)
+    h = hnf_rows(mat)
+    adj, d = inverse_rows(h)
+    assert d > 0
+    assert int_product(h, adj) == [[d * int(i == j) for j in range(4)] for i in range(4)]
 
 
 @given(square_mats(3), st.lists(small_int, min_size=3, max_size=3))
@@ -102,7 +130,7 @@ def test_preimage_random_square():
             if len(h) == 3:
                 break
         pre = integral_preimage_rows(m)
-        den = denominator_scale(pre)
+        den, _ = integral_rows(pre)
         # every basis row of the preimage really maps into Z^3
         for r in pre:
             for c in range(3):

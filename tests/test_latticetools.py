@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import isqrt
+
+import pytest
 
 from quatforms.intervals import Iv
 from quatforms.latticetools import (
@@ -11,7 +14,6 @@ from quatforms.latticetools import (
     iroot,
     lll_gram,
     nth_root_interval,
-    round_frac,
 )
 
 
@@ -76,13 +78,6 @@ def _solve(mat, rhs):
                 f = aug[i][c]
                 aug[i] = [v - f * w for v, w in zip(aug[i], aug[c])]
     return [aug[i][n] for i in range(n)]
-
-
-def test_round_frac():
-    assert round_frac(Fraction(3, 2)) == 2
-    assert round_frac(Fraction(-3, 2)) == -1
-    assert round_frac(Fraction(7, 5)) == 1
-    assert round_frac(2) == 2
 
 
 def test_lll_orthogonal_untouched():
@@ -153,6 +148,88 @@ def test_fincke_pohst_against_brute_force():
             neg = tuple(-c for c in x)
             assert brute[neg] == v
             assert neg not in got
+
+
+def _rational_walk(gram, bound):
+    # the Fincke-Pohst walk over Fractions, every center and remainder a
+    # rational number; it must yield the same vectors in the same order
+    n = len(gram)
+    q = [[Fraction(v) for v in row] for row in gram]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for r in range(i + 1, n):
+            for c in range(r, n):
+                q[r][c] -= q[r][i] * q[i][c]
+    x = [0] * n
+    bound = Fraction(bound)
+
+    def walk(i, rem, tie):
+        if i < 0:
+            if not tie:
+                yield tuple(x), bound - rem
+            return
+        c = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        start = 0 if tie else math.floor(-c + Fraction(1, 2))
+        for step in (1, -1):
+            v = start if step == 1 else start - 1
+            while q[i][i] * (v + c) ** 2 <= rem:
+                x[i] = v
+                yield from walk(i - 1, rem - q[i][i] * (v + c) ** 2, tie and v == 0)
+                v += step
+            if tie:
+                break
+
+    yield from walk(n - 1, bound, True)
+
+
+def test_fincke_pohst_order_matches_rational_walk():
+    # callers that stop at the first hit (principal generators) see the
+    # same vectors in the same order, with values of the same kind
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.choice([2, 3, 4, 5])
+        g = _gram_of(_random_basis(rng, n, spread=4))
+        if rng.random() < 0.4:
+            d = rng.randint(2, 6)
+            g = [[Fraction(v, d) for v in row] for row in g]
+        t = Fraction(rng.randint(1, 60), rng.choice([1, 1, 2, 3]))
+        got = list(fincke_pohst(g, t))
+        assert got == list(_rational_walk(g, t))
+        integral = all(Fraction(v).denominator == 1 for row in g for v in row)
+        assert all(isinstance(v, int) == integral for _, v in got)
+
+
+def test_indefinite_forms_rejected():
+    for bad in ([[1, 0], [0, -1]], [[0]], [[1, 2], [2, 1]]):
+        with pytest.raises(ArithmeticError, match="not positive definite"):
+            list(fincke_pohst(bad, 5))
+        with pytest.raises(ArithmeticError, match="not positive definite"):
+            lll_gram(bad)
+    with pytest.raises(ValueError):
+        enumerate_norm(TraceFormLattice(gram=[[1]]), 0)
+    with pytest.raises(ValueError):
+        TraceFormLattice(gram=[[1, 0]])
+    with pytest.raises(ValueError):
+        TraceFormLattice(gram=[[1]], basis=[[1], [0]])
+
+
+def test_indefinite_forms_rejected_under_optimize(run_optimized):
+    # with asserts stripped an indefinite form must still raise; the walk
+    # on [[1, 0], [0, -1]] would otherwise never end
+    out = run_optimized(
+        "from quatforms.latticetools import fincke_pohst, lll_gram\n"
+        "calls = (lambda: list(fincke_pohst([[1, 0], [0, -1]], 5)),\n"
+        "         lambda: lll_gram([[-1]]),\n"
+        "         lambda: lll_gram([[2, 1, 0], [1, 2, 0], [0, 0, -3]]))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('ArithmeticError:', exc)\n"
+    )
+    assert out.splitlines() == ["ArithmeticError: form is not positive definite"] * 3
 
 
 def test_fincke_pohst_empty_below_minimum():

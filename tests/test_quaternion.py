@@ -14,7 +14,7 @@ from quatforms.quaternion import (
     maximalize,
     norm_equation_solutions,
     reduced_discriminant_norm,
-    trace_form_lattice,
+    trace_form_gram,
 )
 
 F85 = field_from_spec("quad:85")
@@ -204,6 +204,33 @@ def test_compose_requires_matching_orders():
         I.compose(I)
 
 
+def test_int_coords_and_lattice_products():
+    # integer coordinates of whole matrices against the Fraction solve,
+    # None for vectors outside the lattice, and the integer lattice
+    # product against the span of all quaternion products
+    alg = _alg(F10)
+    R = alg.maximal_order()
+    I = R.lmul_element(alg.el(1, 1, 1, 0))
+    rng = random.Random(4)
+    mat = [[rng.randint(-6, 6) for _ in range(alg.dim)] for _ in range(5)]
+    for den in (1, 2, 3):
+        want = [R._coords([Fraction(c, den) for c in row]) for row in mat]
+        got = R.int_coords(mat, den)
+        if all(c.denominator == 1 for row in want for c in row):
+            assert got == want
+        else:
+            assert got is None
+    assert R.int_coords([list(r) for r in R.rows], R.den) == [
+        [int(i == j) for j in range(alg.dim)] for i in range(alg.dim)
+    ]
+    assert R.int_coords([list(r) for r in R.rows], 2 * R.den) is None
+    for x, y in ((I, R), (R, I), (I, I.conjugate())):
+        span = QuatLattice(
+            alg, [alg.mul(u, v) for u in x.basis_vectors() for v in y.basis_vectors()]
+        )
+        assert x * y == span
+
+
 def test_lattice_sum_and_intersection():
     alg = hilbert_ramification_free_algebra(F85)
     R = alg.maximal_order()
@@ -274,8 +301,13 @@ def test_trace_form_is_positive_definite():
     # the plain form, and the weight N(eps^2) / eps^2 of a skewed target
     eps_sq = F10.el_pow(F10.el((3, 1)), 2)
     skewed = F10.smul(F10.norm(eps_sq), F10.inv(eps_sq))
+    bs = R.basis_vectors()
     for w in (F10.from_int(1), skewed):
-        gram = trace_form_lattice(R, w).gram
+        gram, scale = trace_form_gram(R, w)
+        # the integer Gram is scale times the Fraction one from alg.pair
+        assert [[Fraction(v) / scale for v in row] for row in gram] == [
+            [F10.trace(F10.mul(w, alg.pair(x, y))) for y in bs] for x in bs
+        ]
         # leading principal minors all positive
         for t in range(1, len(gram) + 1):
             sub = Matrix([row[:t] for row in gram[:t]])
