@@ -51,15 +51,20 @@ class Constituent:
 
 
 def _restrict(mat, basis):
-    """Matrix of mat on the span of basis, in basis coordinates."""
-    cols = Matrix([list(col) for col in zip(*basis)])
-    rows = []
-    for v in basis:
-        c = cols.solve_right(mat.apply(v))
-        if c is None:
-            raise ArithmeticError("subspace is not stable")
-        rows.append(c)
-    return Matrix(rows).transpose()
+    """Matrix of mat on the span of basis, in basis coordinates.
+
+    One elimination of [basis columns | images of the basis]: a pivot in
+    the image block means some image leaves the span.
+    """
+    k = len(basis)
+    images = [mat.apply(v) for v in basis]
+    red, pivots = Matrix([list(row) for row in zip(*basis, *images)]).rref()
+    if any(pc >= k for pc in pivots):
+        raise ArithmeticError("subspace is not stable")
+    out = [[Fraction(0)] * k for _ in range(k)]
+    for r, pc in enumerate(pivots):
+        out[pc] = red.rows[r][k:]
+    return Matrix(out)
 
 
 def _lift(coord_vecs, basis):

@@ -151,7 +151,8 @@ class _LevelComponent:
                     alpha[s] += ct * J.rows[t][s]
         t_el = F.el(alpha)
         gap = F.sub(F.one, t_el)
-        assert self.prime.contains(gap)
+        if not self.prime.contains(gap):
+            raise ArithmeticError("multiplier is not congruent to 1 modulo the prime")
         self._mult_cache[d] = t_el
         return t_el
 

@@ -7,8 +7,8 @@ Gram-Schmidt data as integer minors, and the enumeration clears its
 Cholesky coefficients to per-row common denominators.  enumerate_norm
 is the exact shell enumeration that norm-equation searches are built
 on; on a lattice without an ambient basis it returns integer
-coefficient vectors.  Integer roots and rational n-th root intervals
-serve the field code.  No floating point is used anywhere.
+coefficient vectors.  Integer roots serve the unit search of the field
+code.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intervals import Iv
 from .intmat import integral_rows
 
 log = logging.getLogger(__name__)
@@ -287,7 +286,7 @@ def enumerate_norm(lat: TraceFormLattice, t) -> NormSolutions:
 
 
 # ---------------------------------------------------------------------------
-# Integer roots and interval n-th roots
+# Integer roots
 
 
 def iroot(a: int, k: int) -> int:
@@ -307,23 +306,3 @@ def iroot(a: int, k: int) -> int:
         x += 1
     return x
 
-
-def nth_root_interval(x, k: int, rel=Fraction(1, 2**24)) -> Iv:
-    """Interval around x ** (1/k) for rational x > 0, relative width rel."""
-    x = Fraction(x)
-    assert x > 0 and k >= 1
-    num, den = x.numerator, x.denominator
-    lo = Fraction(iroot(num * den ** (k - 1), k), den)
-    hi = lo + Fraction(1, den)
-    if lo > 0 and lo**k == x:
-        return Iv(lo, lo)
-    while hi - lo > hi * rel:
-        mid = (lo + hi) / 2
-        mk = mid**k
-        if mk == x:
-            return Iv(mid, mid)
-        if mk < x:
-            lo = mid
-        else:
-            hi = mid
-    return Iv(lo, hi)

@@ -1,20 +1,19 @@
-"""Totally real number fields presented by an integral basis.
+"""Real quadratic fields Q(sqrt d) over the integral basis (1, omega).
 
-A field context carries an integral basis with an integer multiplication
-table and everything downstream needs exactly: refinable real embeddings,
-the trace form, fundamental units, class and narrow class data, and the
-value of the Dedekind zeta function at -1.
+A field context carries the relation omega^2 = t0 + t1 omega, the
+discriminant D, and everything downstream needs exactly: signs at the
+two real embeddings, the trace form, the fundamental unit, class and
+narrow class data, and the value of the Dedekind zeta function at -1.
 
-The fields built are real quadratic (make_quadratic_field), with every
-invariant computed from scratch: units by continued fractions, the class
-group by enumerating primes below the Minkowski bound with a certified
-short-vector principality test, zeta(-1) by the finite divisor sum.
+make_quadratic_field computes every invariant from scratch: the unit by
+continued fractions, the class group by enumerating primes below the
+Minkowski bound with a certified short-vector principality test, zeta(-1)
+by the finite divisor sum.
 
-Elements are plain coordinate tuples of Fractions over the integral
-basis, whose first element must be 1.  Embeddings go through a primitive
-element: its minimal polynomial is computed exactly, the real roots are
-isolated once and cached, and every embedding value is a polynomial
-evaluated on a refinable isolating interval.  Sign decisions are exact.
+Elements are coordinate tuples of Fractions over (1, omega), and their
+arithmetic is in closed form.  An element is (a + b sqrt D)/2 with a, b
+rational, so its sign at either embedding is decided exactly by
+comparing a^2 with D b^2.
 """
 
 from __future__ import annotations
@@ -26,23 +25,13 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .arith import factor_int, next_prime
-from .intervals import Iv, eval_poly_interval, sign_at_root
 from .intmat import hnf_coords, hnf_rows, integral_preimage_rows
-from .latticetools import fincke_pohst, iroot, nth_root_interval
-from .matrices import Matrix
-from .polynomials import Poly, factor_poly, isolate_real_roots, refine_root
+from .latticetools import fincke_pohst, iroot
 
 log = logging.getLogger(__name__)
 
-DEFAULT_WIDTH = Fraction(1, 2**24)
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _ceil_frac(x: Fraction) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 def _sigma1(n: int) -> int:
@@ -120,45 +109,57 @@ def _fundamental_unit_quadratic(d: int) -> tuple[int, int]:
     else:
         u = found
         cube = _half_mul(d, _half_mul(d, u, u), u)
-        assert cube == whole, "unit index check failed"
+        if cube != whole:
+            raise ArithmeticError("unit index check failed")
     x, y = u
     return (x - y) // 2, y
 
 
+def _sign_plus_root(a, b, D: int) -> int:
+    """Sign of a + b sqrt(D) for rationals a, b and a non-square D > 0.
+
+    With a and b of opposite signs the term of larger absolute value
+    wins, and a^2 = D b^2 cannot hold unless both vanish.
+    """
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa or D * b * b > a * a:
+        return sb
+    return sa
+
+
 class FieldCtx:
-    """Immutable context for a totally real field of even degree.
+    """Immutable context for the real quadratic field Q(sqrt d).
 
-    Field elements everywhere are coordinate tuples over the integral
-    basis.  The multiplication table is validated on construction
-    (identity first, commutative, associative, trace form of the stated
-    discriminant, irreducible primitive element with all roots real).
+    d is a squarefree integer greater than 1.  The integral basis is
+    (1, omega) with omega = (1 + sqrt d)/2 and discriminant D = d when
+    d = 1 mod 4, and omega = sqrt d and D = 4d otherwise; in both cases
+    omega^2 = t0 + t1 omega and omega = (t1 + sqrt D)/2.  Field elements
+    everywhere are coordinate tuples over (1, omega).  The two real
+    embeddings are ordered by their value at omega, the smaller first, so
+    the first sends sqrt D to -sqrt D.
 
-    Class data, units and zeta(-1) are attached by make_quadratic_field,
-    which computes and certifies each of them.
+    The fundamental unit, class data and zeta(-1) are attached by
+    make_quadratic_field, which computes and certifies each of them.
     """
 
-    def __init__(self, mult_table, disc: int, *, name: str):
-        n = len(mult_table)
-        if n < 2 or n % 2 != 0:
-            raise ValueError("degree must be even and at least 2")
-        table = tuple(
-            tuple(tuple(int(c) for c in cell) for cell in row) for row in mult_table
-        )
-        if any(len(row) != n or any(len(cell) != n for cell in row) for row in table):
-            raise ValueError("multiplication table has wrong shape")
-        self.degree = n
-        self.mult_table = table
-        self.name = name
-        self.disc = int(disc)
-        self.one = tuple(_ONE if i == 0 else _ZERO for i in range(n))
-        self.zero = tuple(_ZERO for _ in range(n))
-        self._validate_table()
-        self._init_embeddings()
-        gram = [[self.trace(self.mul(self._basis(i), self._basis(j))) for j in range(n)]
-                for i in range(n)]
-        if Matrix(gram).det() != self.disc:
-            raise ValueError("discriminant does not match the trace form")
-        # attached by factories
+    degree = 2
+
+    def __init__(self, d: int):
+        if not isinstance(d, int) or d <= 1:
+            raise ValueError("d must be an integer greater than 1")
+        if any(e > 1 for e in factor_int(d).values()):
+            raise ValueError("d must be squarefree")
+        if d % 4 == 1:
+            self.t0, self.t1, self.disc = (d - 1) // 4, 1, d
+        else:
+            self.t0, self.t1, self.disc = d, 0, 4 * d
+        self.name = f"quad:{d}"
+        self.one = (_ONE, _ZERO)
+        self.zero = (_ZERO, _ZERO)
+        # attached by make_quadratic_field
         self.fundamental_units: list[tuple] = []
         self.zeta_minus_one: Fraction | None = None
         self.class_reps: list[FieldIdeal] = []
@@ -166,22 +167,18 @@ class FieldCtx:
         self.narrow_gens: list[FieldIdeal] = []
         self.narrow_class_number: int | None = None
         self._tpu = None
-        self._unit_bounds = {}
         self._primes_cache = {}
 
     # -- basic element arithmetic ------------------------------------
 
-    def _basis(self, i: int) -> tuple:
-        return tuple(_ONE if j == i else _ZERO for j in range(self.degree))
-
     def el(self, seq) -> tuple:
         v = tuple(Fraction(c) for c in seq)
-        if len(v) != self.degree:
+        if len(v) != 2:
             raise ValueError("wrong coordinate length")
         return v
 
     def from_int(self, m) -> tuple:
-        return tuple(Fraction(m) if i == 0 else _ZERO for i in range(self.degree))
+        return (Fraction(m), _ZERO)
 
     def add(self, x, y) -> tuple:
         return tuple(a + b for a, b in zip(x, y))
@@ -197,159 +194,66 @@ class FieldCtx:
         return tuple(c * a for a in x)
 
     def mul(self, x, y) -> tuple:
-        n = self.degree
-        out = [_ZERO] * n
-        table = self.mult_table
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                cell = row[j]
-                for k in range(n):
-                    if cell[k]:
-                        out[k] += c * cell[k]
-        return tuple(out)
+        x0, x1 = x
+        y0, y1 = y
+        # each Fraction operation costs a gcd, and quaternion products
+        # pass many zero coordinates, so only nonzero terms are formed
+        z0 = x0 * y0 if x0 and y0 else _ZERO
+        z1 = x0 * y1 if x0 and y1 else _ZERO
+        if x1 and y0:
+            z1 = z1 + x1 * y0 if z1 else x1 * y0
+        if x1 and y1:
+            c = x1 * y1
+            z0 = z0 + self.t0 * c if z0 else self.t0 * c
+            if self.t1:
+                z1 = z1 + c if z1 else c
+        return (z0, z1)
 
     def el_pow(self, x, k: int) -> tuple:
-        assert k >= 0
+        if k < 0:
+            raise ValueError("exponent must be nonnegative")
         out = self.one
         for _ in range(k):
             out = self.mul(out, x)
         return out
 
-    def rep_rows(self, x) -> list[list[Fraction]]:
+    def rep_rows(self, x) -> list[list]:
         """Rows of multiplication by x: row i is e_i * x."""
-        n = self.degree
-        table = self.mult_table
-        rows = []
-        for i in range(n):
-            acc = [_ZERO] * n
-            for j, xj in enumerate(x):
-                if not xj:
-                    continue
-                cell = table[i][j]
-                for k in range(n):
-                    if cell[k]:
-                        acc[k] += xj * cell[k]
-            rows.append(acc)
-        return rows
+        x0, x1 = x
+        return [[x0, x1], [self.t0 * x1, x0 + self.t1 * x1]]
 
-    def trace(self, x) -> Fraction:
-        return sum((xj * t for xj, t in zip(x, self._trace_vec)), _ZERO)
+    def trace(self, x):
+        return 2 * x[0] + self.t1 * x[1]
 
-    def norm(self, x) -> Fraction:
-        return Matrix(self.rep_rows(x)).det()
+    def norm(self, x):
+        x0, x1 = x
+        return x0 * x0 + self.t1 * x0 * x1 - self.t0 * x1 * x1
 
     def inv(self, x) -> tuple:
-        cols = Matrix(self.rep_rows(x)).transpose()
-        sol = cols.solve_right(list(self.one))
-        if sol is None:
+        """The conjugate over the norm."""
+        n = Fraction(self.norm(x))
+        if not n:
             raise ZeroDivisionError("element is not invertible")
-        return tuple(sol)
+        x0, x1 = x
+        return ((x0 + self.t1 * x1) / n, -x1 / n)
 
     def is_integral(self, x) -> bool:
         return all(Fraction(c).denominator == 1 for c in x)
 
-    # -- embeddings ---------------------------------------------------
+    # -- signs ------------------------------------------------------------
 
-    def _validate_table(self):
-        n = self.degree
-        basis = [self._basis(i) for i in range(n)]
-        for j in range(n):
-            if self.mult_table[0][j] != tuple(int(i == j) for i in range(n)):
-                raise ValueError("first basis element must act as the identity")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.mult_table[i][j] != self.mult_table[j][i]:
-                    raise ValueError("multiplication table is not commutative")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = self.mul(self.mul(basis[i], basis[j]), basis[k])
-                    right = self.mul(basis[i], self.mul(basis[j], basis[k]))
-                    if left != right:
-                        raise ValueError("multiplication table is not associative")
-        self._trace_vec = []
-        for j in range(n):
-            t = _ZERO
-            for i in range(n):
-                t += self.mult_table[i][j][i]
-            self._trace_vec.append(t)
+    def sign_vector(self, x) -> tuple[int, int]:
+        """Signs of x at the two real embeddings, in their fixed order.
 
-    def _init_embeddings(self):
-        n = self.degree
-        theta, powers = self._find_primitive()
-        self._theta = theta
-        sol = Matrix(powers[:n]).transpose().solve_right(list(powers[n]))
-        coeffs = [-c for c in sol] + [_ONE]
-        mp = Poly(coeffs)
-        if any(c.denominator != 1 for c in mp.coeffs):
-            raise ValueError("primitive element is not integral")
-        _, factors = factor_poly(mp)
-        if len(factors) != 1 or factors[0][1] != 1:
-            raise ValueError("multiplication table has zero divisors")
-        roots = isolate_real_roots(mp)
-        if len(roots) != n:
-            raise ValueError("field is not totally real")
-        self._minpoly = mp
-        self._roots = sorted(roots)
-        pw = Matrix(powers[:n]).transpose()
-        self._basis_polys = []
-        for j in range(n):
-            y = pw.solve_right(list(self._basis(j)))
-            self._basis_polys.append(tuple(y))
+        x = (a + b sqrt D)/2 with a = 2 x0 + t1 x1 and b = x1, and the
+        embeddings send it to (a - b sqrt D)/2 and (a + b sqrt D)/2.
+        """
+        a = 2 * x[0] + self.t1 * x[1]
+        b = x[1]
+        return (_sign_plus_root(a, -b, self.disc), _sign_plus_root(a, b, self.disc))
 
-    def _find_primitive(self):
-        n = self.degree
-        for radius in range(1, 5):
-            for rev in itertools.product(range(radius + 1), repeat=n - 1):
-                if max(rev) != radius:
-                    continue
-                cand = self.el((0,) + tuple(reversed(rev)))
-                powers = [self.one]
-                for _ in range(n):
-                    powers.append(self.mul(powers[-1], cand))
-                if Matrix([list(p) for p in powers[:n]]).rank() == n:
-                    return cand, [list(p) for p in powers]
-        raise ValueError("no primitive element found in search box")
-
-    def _theta_poly(self, vec) -> Poly:
-        n = self.degree
-        coeffs = [_ZERO] * n
-        for j, c in enumerate(vec):
-            if not c:
-                continue
-            bp = self._basis_polys[j]
-            for k in range(n):
-                coeffs[k] += Fraction(c) * bp[k]
-        return Poly(coeffs)
-
-    def embeddings(self, vec, width: Fraction = DEFAULT_WIDTH) -> list[Iv]:
-        """Interval enclosures of the real embeddings, each narrower than
-        width, in the fixed (ascending primitive root) order."""
-        g = self._theta_poly(vec)
-        out = []
-        for idx in range(self.degree):
-            lo, hi = self._roots[idx]
-            while True:
-                iv = eval_poly_interval(g, Iv(lo, hi))
-                if iv.hi - iv.lo <= width:
-                    break
-                lo, hi = refine_root(self._minpoly, lo, hi, (hi - lo) / 16)
-            self._roots[idx] = (lo, hi)
-            out.append(iv)
-        return out
-
-    def sign_vector(self, vec) -> tuple[int, ...]:
-        g = self._theta_poly(vec)
-        return tuple(sign_at_root(g, self._minpoly, r) for r in self._roots)
-
-    def is_totally_positive(self, vec) -> bool:
-        return all(s > 0 for s in self.sign_vector(vec))
+    def is_totally_positive(self, x) -> bool:
+        return all(s > 0 for s in self.sign_vector(x))
 
     # -- units ---------------------------------------------------------
 
@@ -398,24 +302,6 @@ class FieldCtx:
         self._tpu = reps
         return reps
 
-    def _unit_magnitude_bound(self, u) -> Fraction:
-        """Rational M with 1/M <= |sigma_i(u)| <= M for every embedding."""
-        key = tuple(u)
-        if key in self._unit_bounds:
-            return self._unit_bounds[key]
-        width = DEFAULT_WIDTH
-        while True:
-            ivs = self.embeddings(u, width)
-            if all(iv.lo > 0 or iv.hi < 0 for iv in ivs):
-                break
-            width /= 2**8
-        best = _ONE
-        for iv in ivs:
-            lo, hi = (iv.lo, iv.hi) if iv.lo > 0 else (-iv.hi, -iv.lo)
-            best = max(best, hi, _ONE / lo)
-        self._unit_bounds[key] = best
-        return best
-
     # -- ideals ---------------------------------------------------------
 
     def unit_ideal(self) -> "FieldIdeal":
@@ -458,11 +344,13 @@ class FieldCtx:
             assert comp.algebra.dim % f == 0
             out.append((ideal, f, comp.algebra.dim // f))
         out.sort(key=lambda t: (p ** t[1], t[0].rows))
-        assert sum(f * e for _, f, e in out) == n
+        if sum(f * e for _, f, e in out) != n:
+            raise ArithmeticError("prime factorization of p has the wrong degree")
         prod = self.unit_ideal()
         for ideal, _, e in out:
             prod = prod * ideal**e
-        assert prod == self.ideal(p), "prime factorization of p does not multiply back"
+        if prod != self.ideal(p):
+            raise ArithmeticError("prime factorization of p does not multiply back")
         self._primes_cache[p] = out
         return out
 
@@ -482,9 +370,11 @@ class FieldCtx:
         from .residue import LatticeQuotient
 
         nrm = prime.norm()
-        assert prime.den == 1 and nrm.denominator == 1
+        if prime.den != 1 or nrm.denominator != 1:
+            raise ValueError("residue field of a non-integral ideal")
         fac = factor_int(int(nrm))
-        assert len(fac) == 1
+        if len(fac) != 1:
+            raise ValueError("ideal norm is not a prime power")
         p = next(iter(fac))
         n = self.degree
         ident = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -494,13 +384,16 @@ class FieldCtx:
 
     def _generator_bound(self, norm_int: int) -> int:
         # If the lattice is principal, some generator, unit-balanced by
-        # Babai rounding on the log embeddings, has trace-of-square at
-        # most n * N^(2/n) * prod_j M_j.
-        prod = _ONE
-        for u in self.fundamental_units:
-            prod *= self._unit_magnitude_bound(u)
-        root = nth_root_interval(Fraction(norm_int) ** 2, self.degree)
-        return _ceil_frac(self.degree * root.hi * prod) + 1
+        # rounding its log embeddings against the fundamental unit
+        # eps = u + v sqrt d, has trace of square at most 2 N M, where
+        # M = |u| + |v| sqrt d bounds |eps| and |1/eps| at both
+        # embeddings.  With eps = (a + b sqrt D)/2, 2 N M is
+        # N |a| + sqrt(N^2 b^2 D), rounded up here exactly.
+        (eps,) = self.fundamental_units
+        a = int(2 * eps[0] + self.t1 * eps[1])
+        s = norm_int * norm_int * int(eps[1]) ** 2 * self.disc
+        r = isqrt(s)
+        return norm_int * abs(a) + r + (r * r != s) + 1
 
     def principal_generator(self, a: "FieldIdeal"):
         """A generator of a, or None (certified) if a is not principal."""
@@ -639,15 +532,8 @@ class FieldIdeal:
         """The fractional inverse {x : x * a within O}, via an integral
         preimage of the stacked multiplication matrices."""
         F = self.field
-        n = F.degree
-        bs = self.basis_vectors()
-        mat = []
-        for k in range(n):
-            ek = F._basis(k)
-            row = []
-            for b in bs:
-                row.extend(F.mul(ek, b))
-            mat.append(row)
+        reps = [F.rep_rows(b) for b in self.basis_vectors()]
+        mat = [[c for rows in reps for c in rows[k]] for k in range(F.degree)]
         pre = integral_preimage_rows(mat)
         return _canonical_ideal(F, pre)
 
@@ -685,7 +571,8 @@ class FieldIdeal:
                 if v:
                     out.append((prime, v))
                     check = check * prime**v
-        assert check == self, "factorization does not multiply back"
+        if check != self:
+            raise ArithmeticError("factorization does not multiply back")
         return out
 
     def __eq__(self, other):
@@ -746,20 +633,9 @@ def make_quadratic_field(d: int) -> FieldCtx:
     Basis (1, omega) with omega = (1+sqrt d)/2 when d = 1 mod 4 and
     omega = sqrt d otherwise.  All invariants are computed.
     """
-    if not isinstance(d, int) or d <= 1:
-        raise ValueError("d must be an integer greater than 1")
-    if any(e > 1 for e in factor_int(d).values()):
-        raise ValueError("d must be squarefree")
-    ident = [[1, 0], [0, 1]]
-    if d % 4 == 1:
-        table = [[ident[0], ident[1]], [ident[1], [(d - 1) // 4, 1]]]
-        disc = d
-    else:
-        table = [[ident[0], ident[1]], [ident[1], [d, 0]]]
-        disc = 4 * d
-    F = FieldCtx(table, disc, name=f"quad:{d}")
+    F = FieldCtx(d)
     F.fundamental_units = [F.el(_fundamental_unit_quadratic(d))]
-    F.zeta_minus_one = siegel_zeta_quadratic(disc)
+    F.zeta_minus_one = siegel_zeta_quadratic(F.disc)
     _attach_class_data_by_search(F)
     _attach_narrow_data(F)
     return F

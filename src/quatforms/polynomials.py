@@ -835,21 +835,3 @@ def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
     out.sort()
     return out
 
-
-def refine_root(f: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval by bisection until hi - lo < width."""
-    slo = f(lo)
-    assert slo != 0 and f(hi) != 0 and (slo > 0) != (f(hi) > 0)
-    neg = slo < 0
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        v = f(mid)
-        if v == 0:
-            # nudge: return a tiny interval straddling the exact root
-            eps = width / 4
-            return mid - eps, mid + eps
-        if (v < 0) == neg:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi

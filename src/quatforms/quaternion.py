@@ -441,13 +441,19 @@ class QuatLattice:
 
     def inverse(self):
         """conj(I) / nr(I); inverts locally principal ideals, which is every
-        lattice whose left (equivalently right) order is maximal."""
+        lattice whose left (equivalently right) order is maximal.
+
+        The left order of the inverse is O_r(I) and its right order is
+        O_l(I); whichever of these is already known is set on the result.
+        """
         alg = self.alg
         ninv = self.nr_ideal().inverse()
         cb = self.conjugate().basis_vectors()
-        return QuatLattice(
+        out = QuatLattice(
             alg, [alg.fmul(g, v) for g in ninv.basis_vectors() for v in cb]
         )
+        out._left, out._right = self._right, self._left
+        return out
 
     def disc_z(self):
         """Determinant of the Z-Gram of Tr_{F/Q}(trd(x * conj(y)))."""
@@ -637,13 +643,11 @@ def _structure_candidates(F, budget):
 def hilbert_ramification_free_algebra(F, budget=24):
     """The definite quaternion algebra over F with no finite ramification.
 
-    Requires even degree (odd-degree fields have none); tries (-1, -1)
-    and then (-1, u) over small totally negative u, accepting the first
-    pair whose maximalized standard order certifies norm-1 reduced
-    discriminant.
+    It exists because F is quadratic: the two real places are an even
+    number.  Tries (-1, -1) and then (-1, u) over small totally negative
+    u, accepting the first pair whose maximalized standard order
+    certifies norm-1 reduced discriminant.
     """
-    if F.degree % 2:
-        raise ValueError("field degree must be even")
     for a, b in _structure_candidates(F, budget):
         alg = QuatAlgebra(F, a, b)
         R = maximalize(alg.standard_order())

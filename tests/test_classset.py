@@ -20,6 +20,7 @@ from quatforms.classset import (
 from quatforms.latticetools import TraceFormLattice, enumerate_norm
 from quatforms.numberfield import field_from_spec
 from quatforms.quaternion import (
+    QuatLattice,
     hilbert_ramification_free_algebra,
     is_order,
     maximalize,
@@ -239,6 +240,19 @@ def test_class_set_invariants():
             assert is_order(cs.left_orders[i])
             for q, _ in rep.nr_ideal().factor():
                 assert q in support
+
+
+def test_inverse_presets_orders_known_by_construction():
+    # O_l(b^-1) = O_r(b) and O_r(b^-1) = O_l(b), so compose need not
+    # recompute the left order of b^-1
+    for spec in ("quad:10", "quad:85"):
+        for b in class_set(spec).representatives:
+            left, right = b.left_order(), b.right_order()
+            inv = b.inverse()
+            assert inv._left is right and inv._right is left
+            fresh = QuatLattice(inv.alg, inv.basis_vectors())
+            assert fresh._stabilizer(left=True) == right
+            assert fresh._stabilizer(left=False) == left
 
 
 def test_class_set_representatives_pairwise_distinct():

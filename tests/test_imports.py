@@ -1,8 +1,10 @@
 """Static checks over the package source.
 
-Every name a module imports is used in that module, and every
+Every name a module imports is used in that module, every
 `Class.attr` reference to a package class names an attribute that the
-class, or a package class it derives from, defines.
+class, or a package class it derives from, defines, and every package
+module is imported by another package module or by the benchmark
+pipeline, which drives the package from outside.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 import quatforms
 
 MODULES = sorted(Path(quatforms.__file__).parent.glob("*.py"))
+PIPELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "pipeline.py"
 
 
 def unused_imports(source):
@@ -64,6 +67,38 @@ def dangling_class_attributes(source, classes):
     )
 
 
+def imported_modules(source):
+    """Names of the package modules that source imports, as `from .m`,
+    `from . import m`, `from quatforms.m` or `import quatforms.m`."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] == "quatforms":
+                parts = parts[1:]
+            elif node.level != 1:
+                continue
+            if parts and parts[0]:
+                out.add(parts[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "quatforms" and len(parts) > 1:
+                    out.add(parts[1])
+    return out
+
+
+def orphan_modules(sources, entry):
+    """Modules of sources (name -> text), other than __init__, that no
+    other module and not the entry text imports."""
+    used = imported_modules(entry)
+    for name, source in sources.items():
+        used |= imported_modules(source) - {name}
+    return sorted(set(sources) - used - {"__init__"})
+
+
 def test_scan_flags_an_unused_import():
     assert unused_imports("import os\nfrom math import gcd, lcm\nprint(gcd)\n") == [
         (1, "os"), (2, "lcm"),
@@ -78,6 +113,24 @@ def test_scan_flags_a_dangling_class_attribute():
     assert dangling_class_attributes(source, class_attributes([source])) == [
         (4, "A.g"), (8, "B.y"),
     ]
+
+
+def test_scan_flags_an_orphan_module():
+    sources = {
+        "__init__": "",
+        "a": "from .b import f\n",
+        "b": "from . import c\n",
+        "c": "",
+        "d": "from .d import g\n",
+        "e": "import quatforms.a\n",
+    }
+    assert orphan_modules(sources, "from quatforms.e import h\n") == ["d"]
+    assert orphan_modules(sources, "") == ["d", "e"]
+
+
+def test_no_orphan_modules():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert orphan_modules(sources, PIPELINE.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -6,14 +6,12 @@ from math import isqrt
 
 import pytest
 
-from quatforms.intervals import Iv
 from quatforms.latticetools import (
     TraceFormLattice,
     enumerate_norm,
     fincke_pohst,
     iroot,
     lll_gram,
-    nth_root_interval,
 )
 
 
@@ -281,14 +279,3 @@ def test_iroot():
     assert iroot(1, 5) == 1
     assert iroot(2**60, 6) == 2**10
 
-
-def test_nth_root_interval():
-    assert nth_root_interval(16, 4) == Iv(Fraction(2), Fraction(2))
-    assert nth_root_interval(Fraction(1, 16), 4) == Iv(Fraction(1, 2), Fraction(1, 2))
-    rng = random.Random(13)
-    for _ in range(40):
-        x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
-        k = rng.randint(1, 5)
-        iv = nth_root_interval(x, k)
-        assert iv.lo**k <= x <= iv.hi**k
-        assert iv.hi - iv.lo <= iv.hi * Fraction(1, 2**24)

@@ -1,5 +1,7 @@
+import functools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,14 +30,8 @@ def test_rejects_bad_d():
     for d in (0, 1, -5, 12, 45, 99):
         with pytest.raises(ValueError):
             make_quadratic_field(d)
-
-
-def test_field_ctx_rejects_inconsistent_tables():
-    # omega^2 = 11 has trace form determinant 44, not the stated 40
-    with pytest.raises(ValueError, match="discriminant"):
-        FieldCtx([[[1, 0], [0, 1]], [[0, 1], [11, 0]]], 40, name="bad")
-    with pytest.raises(ValueError, match="even"):
-        FieldCtx([[[1]]], 1, name="q")
+        with pytest.raises(ValueError):
+            FieldCtx(d)
 
 
 def test_field_from_spec():
@@ -78,11 +74,138 @@ def test_element_arithmetic():
     assert F.trace(w) == 1 and F.norm(w) == -21
     x = F.el((3, Fraction(1, 2)))
     assert F.mul(x, F.inv(x)) == F.one
-    embs = F.embeddings(w)
-    assert embs[0].hi < embs[1].lo  # ascending embedding order
+    # omega = (1 +- sqrt 85)/2 is about -4.11 and 5.11, the smaller first
     assert F.sign_vector(w) == (-1, 1)
+    assert F.sign_vector(F.el((-5, 1))) == (-1, 1)
+    assert F.sign_vector(F.el((5, -1))) == (1, -1)
+    assert F.sign_vector(F.zero) == (0, 0)
     assert F.is_totally_positive(F.el((5, 1)))
     assert not F.is_totally_positive(w)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+    with pytest.raises(ValueError):
+        F.el_pow(w, -1)
+
+
+# -- closed forms against the table-driven references --------------------
+
+ARITH_DS = (2, 3, 5, 10, 41, 85)
+
+
+@functools.cache
+def _field(d):
+    return make_quadratic_field(d)
+
+
+def _table(d):
+    """Multiplication table of (1, omega): table[i][j] = e_i * e_j."""
+    w2 = [(d - 1) // 4, 1] if d % 4 == 1 else [d, 0]
+    return [[[1, 0], [0, 1]], [[0, 1], w2]]
+
+
+def _table_mul(table, x, y):
+    out = [Fraction(0)] * 2
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k in range(2):
+                out[k] += xi * yj * table[i][j][k]
+    return tuple(out)
+
+
+def _table_norm(table, x):
+    # determinant of multiplication by x
+    (a, b), (c, e) = (_table_mul(table, basis, x) for basis in ((1, 0), (0, 1)))
+    return a * e - b * c
+
+
+def _isqrt_sign(d, x, root_sign):
+    """Sign of x at the embedding omega -> (t1 + root_sign * sqrt D)/2.
+
+    Clears denominators to A + B sqrt D with integers A, B; for B != 0,
+    r = isqrt(B^2 D) < |B| sqrt D < r + 1 brackets the irrational part,
+    and an integer A cannot fall strictly between -r - 1 and -r.
+    """
+    t0, t1 = _table(d)[1][1]
+    D = t1 * t1 + 4 * t0
+    den = x[0].denominator * x[1].denominator
+    A = int(den * (2 * x[0] + t1 * x[1]))
+    B = int(den * x[1]) * root_sign
+    if B == 0:
+        return (A > 0) - (A < 0)
+    r = isqrt(B * B * D)
+    if B > 0:
+        return 1 if A + r >= 0 else -1
+    return -1 if r - A >= 0 else 1
+
+
+def _conj(d, x):
+    t1 = _table(d)[1][1][1]
+    return (x[0] + t1 * x[1], -x[1])
+
+
+# zero coordinates often, since mul skips the terms they zero out
+coords = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=12),
+)
+
+
+def field_elements(d):
+    """Random elements of Q(sqrt d), and +-eps^k or its conjugate plus a
+    small shift, whose embeddings nearly cancel."""
+    F = _field(d)
+    eps = F.fundamental_units[0]
+    near = st.builds(
+        lambda k, conj, sign, shift: F.add(
+            F.smul(sign, F.el(_conj(d, F.el_pow(eps, k))) if conj else F.el_pow(eps, k)),
+            F.from_int(shift),
+        ),
+        st.integers(min_value=1, max_value=12),
+        st.booleans(),
+        st.sampled_from((1, -1)),
+        st.sampled_from((0, 1, -1, Fraction(1, 7), Fraction(-1, 7))),
+    )
+    return st.one_of(st.builds(lambda a, b: F.el((a, b)), coords, coords), near)
+
+
+@given(st.sampled_from(ARITH_DS).flatmap(
+    lambda d: st.tuples(st.just(d), field_elements(d), field_elements(d))))
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_match_references(dxy):
+    d, x, y = dxy
+    F = _field(d)
+    table = _table(d)
+    assert F.sign_vector(x) == (_isqrt_sign(d, x, -1), _isqrt_sign(d, x, 1))
+    assert F.mul(x, y) == _table_mul(table, x, y)
+    assert F.norm(x) == _table_norm(table, x)
+    assert F.trace(x) == x[0] + _table_mul(table, x, (0, 1))[1]
+    if any(x):
+        assert _table_mul(table, x, F.inv(x)) == F.one
+
+
+def test_signs_of_unit_powers():
+    for d in ARITH_DS:
+        F = _field(d)
+        x = F.one
+        for _ in range(12):
+            x = F.mul(x, F.fundamental_units[0])
+            signs = (_isqrt_sign(d, x, -1), _isqrt_sign(d, x, 1))
+            assert F.sign_vector(x) == signs
+            assert F.sign_vector(F.neg(x)) == (-signs[0], -signs[1])
+            assert F.sign_vector(F.el(_conj(d, x))) == signs[::-1]
+
+
+def test_unit_index_checked_under_optimize(run_optimized):
+    # a wrong cube of the half-integral unit must raise with asserts stripped
+    out = run_optimized(
+        "from quatforms import numberfield\n"
+        "numberfield._half_mul = lambda d, u, v: (0, 0)\n"
+        "try:\n"
+        "    print('returned', numberfield.make_quadratic_field(5).fundamental_units)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: unit index check failed")
 
 
 # -- primes ------------------------------------------------------------
@@ -133,6 +256,9 @@ def test_residue_fields():
         assert q.proj(F.mul(x, y)) == q.algebra.mul(q.proj(x), q.proj(y))
     ram5 = F.primes_above(5)[0][0]
     assert F.residue_field(ram5).algebra.dim == 1
+    for not_prime in (F.ideal(6), F.ideal(Fraction(1, 3))):
+        with pytest.raises(ValueError):
+            F.residue_field(not_prime)
 
 
 # -- ideal arithmetic ---------------------------------------------------

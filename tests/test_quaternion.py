@@ -1,5 +1,4 @@
 import random
-import types
 from fractions import Fraction
 
 import pytest
@@ -165,12 +164,6 @@ def test_ramification_free_search_quadratic():
     assert reduced_discriminant_norm(top) == 1
     # the cached order is reused
     assert alg.maximal_order() is top
-
-
-def test_ramification_free_search_rejects_odd_degree():
-    fake = types.SimpleNamespace(degree=3)
-    with pytest.raises(ValueError):
-        hilbert_ramification_free_algebra(fake)
 
 
 def test_principal_ideal_identities():
