@@ -84,7 +84,7 @@ def _field_basis_rows(Aq, alg):
     return span_basis_mod(rows, Aq.algebra.p)
 
 
-def neighbors(b, p, seed=0):
+def neighbors(b, p):
     """The Np+1 right ideals c containing b with nr(b) = nr(c) * p.
 
     c/b runs over the simple right submodules of the residue module
@@ -104,7 +104,8 @@ def neighbors(b, p, seed=0):
         [list(r) for r in b.rows], b.den,
         ell,
     )
-    assert V.dim == 4 * f
+    if V.dim != 4 * f:
+        raise ArithmeticError("residue module does not have dimension 4 f")
 
     pR = R.iscale(ideal)
     Aq = LatticeQuotient(
@@ -117,7 +118,7 @@ def neighbors(b, p, seed=0):
     if len(k_rows) != f:
         raise ArithmeticError("residue field image has wrong dimension")
 
-    sp = split_residue_matrix(A, k_rows, seed=seed)
+    sp = split_residue_matrix(A, k_rows)
 
     def act(v, x_amb):
         # right multiplication of V by an ambient element of R; this is
@@ -129,7 +130,8 @@ def neighbors(b, p, seed=0):
         [act(tuple(int(s == t) for s in range(V.dim)), e11) for t in range(V.dim)],
         ell,
     )
-    assert len(corner) == 2 * f, "corner module has unexpected dimension"
+    if len(corner) != 2 * f:
+        raise ArithmeticError("corner module has unexpected dimension")
 
     # split corner into two k-lines: corner = k*w1 + k*w2
     k_amb = [Aq.lift(r) for r in k_rows]
@@ -154,7 +156,8 @@ def neighbors(b, p, seed=0):
         wy = act(w2, scalar_lift(y))
         w = tuple((u + v) % ell for u, v in zip(wx, wy))
         u_rows = span_basis_mod([act(w, r) for r in r_basis], ell)
-        assert len(u_rows) == 2 * f, "cyclic submodule has unexpected dimension"
+        if len(u_rows) != 2 * f:
+            raise ArithmeticError("cyclic submodule has unexpected dimension")
         lat = QuatLattice(alg, base + [V.lift(u) for u in u_rows])
         if b.covolume() / lat.covolume() != npn ** 2:
             raise ArithmeticError("neighbor does not have index Np^2 over b")
@@ -244,17 +247,17 @@ class ClassSet:
         return len(self.representatives)
 
 
-def narrow_support(F, bound=200):
+def narrow_support(F):
     """A minimal prime list generating the narrow class group.
 
-    Primes are scanned in canonical order and kept only when their class
-    enlarges the subgroup generated so far, so the result is deterministic
-    and empty when the narrow class number is 1.
+    Primes of norm up to 200 are scanned in canonical order and kept only
+    when their class enlarges the subgroup generated so far, so the result
+    is deterministic and empty when the narrow class number is 1.
     """
     k = len(F.narrow_gens)
     have = []
     out = []
-    for pr in F.prime_ideals_up_to(bound):
+    for pr in F.prime_ideals_up_to(200):
         if len(out) == k:
             break
         bits = F.narrow_dlog(pr.ideal)

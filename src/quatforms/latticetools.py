@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 # LLL on a Gram matrix
 
 
-def lll_gram(gram, delta=Fraction(99, 100)):
+def lll_gram(gram):
     """LLL-reduce a positive definite Gram matrix.
 
     Returns (reduced_gram, U) with U integral, |det U| = 1 and
@@ -42,8 +42,7 @@ def lll_gram(gram, delta=Fraction(99, 100)):
     n = len(gram)
     den, g = integral_rows(gram)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    delta = Fraction(delta)
-    p, q = delta.numerator, delta.denominator
+    p, q = 99, 100  # the Lovasz constant p/q
     lam = [[0] * n for _ in range(n)]
     # d[i + 1] is the leading principal minor of size i + 1; d[0] = 1
     d = [1] * (n + 1)

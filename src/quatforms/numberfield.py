@@ -2,13 +2,18 @@
 
 A field context carries the relation omega^2 = t0 + t1 omega, the
 discriminant D, and everything downstream needs exactly: signs at the
-two real embeddings, the trace form, the fundamental unit, class and
-narrow class data, and the value of the Dedekind zeta function at -1.
+two real embeddings, the trace form, the fundamental unit, the primes,
+class and narrow class data, and the value of the Dedekind zeta
+function at -1.
 
 make_quadratic_field computes every invariant from scratch: the unit by
 continued fractions, the class group by enumerating primes below the
 Minkowski bound with a certified short-vector principality test, zeta(-1)
-by the finite divisor sum.
+by the finite divisor sum.  The rest is in closed form for a quadratic
+field: the primes above p come from x^2 - t1 x - t0 mod p by
+Dedekind-Kummer, and the norm of the fundamental unit decides the
+totally positive units and the kernel of the map from the narrow class
+group onto the class group.
 
 Elements are coordinate tuples of Fractions over (1, omega), and their
 arithmetic is in closed form.  An element is (a + b sqrt D)/2 with a, b
@@ -27,6 +32,7 @@ from math import gcd, isqrt
 from .arith import factor_int, next_prime
 from .intmat import hnf_coords, hnf_rows, integral_preimage_rows
 from .latticetools import fincke_pohst, iroot
+from .polynomials import factor_mod_p
 
 log = logging.getLogger(__name__)
 
@@ -166,7 +172,6 @@ class FieldCtx:
         self.class_number: int | None = None
         self.narrow_gens: list[FieldIdeal] = []
         self.narrow_class_number: int | None = None
-        self._tpu = None
         self._primes_cache = {}
 
     # -- basic element arithmetic ------------------------------------
@@ -260,53 +265,20 @@ class FieldCtx:
     def totally_positive_units(self) -> list[tuple]:
         """Representatives of the totally positive units modulo squares.
 
-        The exponent vectors v with prod u_i^v_i of constant sign form a
-        lattice containing 2Z^r; its image mod 2 is cut out by the sign
-        conditions.  Each basis vector of that F_2-space, sign corrected,
-        gives one generator g_j, and reps[i] is the product of the g_j
-        selected by the binary digits of i.  The reps are pairwise
-        distinct modulo squares, reps[0] is 1, and reps[i] * reps[j] is
-        reps[i ^ j] times a square.
+        A fundamental unit eps of norm -1 has mixed signs, and then only
+        the squares are totally positive.  Otherwise eps or -eps is
+        totally positive and represents the one other class.  reps[0] is
+        1, and reps[i] * reps[j] is reps[i ^ j] times a square.
         """
-        if self._tpu is not None:
-            return self._tpu
-        units = self.fundamental_units
-        r = len(units)
-        n = self.degree
-        srows = [tuple(1 if s < 0 else 0 for s in self.sign_vector(u)) for u in units]
-        from .residue import kernel_mod, solve_right_mod, span_basis_mod
-
-        mt = tuple(tuple(srows[j][i] for j in range(r)) for i in range(n))
-        gens = list(kernel_mod(mt, 2))
-        part = solve_right_mod(mt, tuple([1] * n), 2)
-        if part is not None:
-            gens.append(part)
-        gs = []
-        for row in span_basis_mod(gens, 2):
-            g = self.one
-            for uj, e in zip(units, row):
-                if e:
-                    g = self.mul(g, uj)
-            if all(s < 0 for s in self.sign_vector(g)):
-                g = self.neg(g)
-            if not self.is_totally_positive(g):
-                raise ArithmeticError("unit of constant sign is not totally positive")
-            gs.append(g)
-        reps = []
-        for bits in itertools.product((0, 1), repeat=len(gs)):
-            v = self.one
-            for g, b in zip(gs, bits):
-                if b:
-                    v = self.mul(v, g)
-            reps.append(v)
-        self._tpu = reps
-        return reps
+        (eps,) = self.fundamental_units
+        if self.norm(eps) == -1:
+            return [self.one]
+        return [self.one, eps if self.is_totally_positive(eps) else self.neg(eps)]
 
     # -- ideals ---------------------------------------------------------
 
     def unit_ideal(self) -> "FieldIdeal":
-        n = self.degree
-        return FieldIdeal(self, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+        return FieldIdeal(self, ((1, 0), (0, 1)), 1)
 
     def ideal(self, *gens) -> "FieldIdeal":
         vecs = []
@@ -325,26 +297,24 @@ class FieldCtx:
 
     def primes_above(self, p: int) -> list[tuple["FieldIdeal", int, int]]:
         """Complete factorization data of pO: list of (P, f, e), sorted by
-        (norm, basis).  The product with multiplicities is checked."""
+        (norm, basis).
+
+        O = Z[omega] is monogenic, so Dedekind-Kummer reads the primes off
+        the factors of x^2 - t1 x - t0 mod p: a linear factor x + c of
+        multiplicity e gives (p, c + omega) with f = 1, and an irreducible
+        quadratic leaves pO prime with f = 2.  The degree sum and the
+        product with multiplicities are checked.
+        """
         if p in self._primes_cache:
             return self._primes_cache[p]
-        from .residue import LatticeQuotient, local_components
-
-        n = self.degree
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        pid = [[p * int(i == j) for j in range(n)] for i in range(n)]
-        q = LatticeQuotient(ident, 1, pid, 1, p, self.mul, self.one)
         out = []
-        for comp in local_components(q.algebra):
-            rows = [list(r) for r in pid]
-            for v in comp.res_kernel:
-                rows.append([int(c) for c in q.lift(v)])
-            ideal = _canonical_ideal(self, rows)
-            f = comp.f
-            assert comp.algebra.dim % f == 0
-            out.append((ideal, f, comp.algebra.dim // f))
+        for q, e in factor_mod_p([-self.t0, -self.t1, 1], p):
+            if len(q) == 2:
+                out.append((self.ideal(p, (q[0], 1)), 1, e))
+            else:
+                out.append((self.ideal(p), 2, e))
         out.sort(key=lambda t: (p ** t[1], t[0].rows))
-        if sum(f * e for _, f, e in out) != n:
+        if sum(f * e for _, f, e in out) != self.degree:
             raise ArithmeticError("prime factorization of p has the wrong degree")
         prod = self.unit_ideal()
         for ideal, _, e in out:
@@ -376,9 +346,8 @@ class FieldCtx:
         if len(fac) != 1:
             raise ValueError("ideal norm is not a prime power")
         p = next(iter(fac))
-        n = self.degree
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        return LatticeQuotient(ident, 1, [list(r) for r in prime.rows], 1, p, self.mul, self.one)
+        rows = [list(r) for r in prime.rows]
+        return LatticeQuotient([[1, 0], [0, 1]], 1, rows, 1, p, self.mul, self.one)
 
     # -- principality ----------------------------------------------------
 
@@ -398,10 +367,7 @@ class FieldCtx:
     def principal_generator(self, a: "FieldIdeal"):
         """A generator of a, or None (certified) if a is not principal."""
         rows = [self.el(r) for r in a.rows]
-        target = 1
-        for i in range(self.degree):
-            target *= a.rows[i][i]
-        target = abs(target)
+        target = abs(a.rows[0][0] * a.rows[1][1])
         bound = self._generator_bound(target)
         gram = [[self.trace(self.mul(bi, bj)) for bj in rows] for bi in rows]
         for coords, _val in fincke_pohst(gram, bound):
@@ -423,18 +389,11 @@ class FieldCtx:
         g = self.principal_generator(a)
         if g is None:
             return None
-        r = len(self.fundamental_units)
-        for sign_bit in (0, 1):
-            for bits in itertools.product((0, 1), repeat=r):
-                v = self.one
-                for u, b in zip(self.fundamental_units, bits):
-                    if b:
-                        v = self.mul(v, u)
-                x = self.mul(g, v)
-                if sign_bit:
-                    x = self.neg(x)
-                if self.is_totally_positive(x):
-                    return x
+        (eps,) = self.fundamental_units
+        ge = self.mul(g, eps)
+        for x in (g, ge, self.neg(g), self.neg(ge)):
+            if self.is_totally_positive(x):
+                return x
         return None
 
     # -- class data --------------------------------------------------------
@@ -486,10 +445,8 @@ class FieldIdeal:
 
     def norm(self) -> Fraction:
         if self._norm is None:
-            det = 1
-            for i in range(len(self.rows)):
-                det *= self.rows[i][i]
-            self._norm = Fraction(abs(det), self.den ** self.field.degree)
+            det = self.rows[0][0] * self.rows[1][1]
+            self._norm = Fraction(abs(det), self.den ** 2)
         return self._norm
 
     def contains(self, vec) -> bool:
@@ -684,47 +641,19 @@ def _attach_class_data_by_search(F: FieldCtx):
 def _attach_narrow_data(F: FieldCtx):
     """Narrow class generators; the group must be 2-elementary.
 
-    The order is cross-checked against h * 2^degree / |unit sign group|,
-    so the greedy generator search and the sign computation validate each
-    other.
+    Cl+ -> Cl is onto, and its kernel holds the narrow classes of the
+    principal ideals.  When the fundamental unit has norm -1 some
+    generator of every principal ideal is totally positive, so the kernel
+    is trivial.  Otherwise it has order 2 and is generated by (sqrt d),
+    all of whose generators have mixed signs.  The greedy generator
+    search is cross-checked against h * |kernel|.
     """
-    from .residue import span_basis_mod
-
-    n = F.degree
-    sign_rows = [tuple([1] * n)]
-    for u in F.fundamental_units:
-        sign_rows.append(tuple(1 if s < 0 else 0 for s in F.sign_vector(u)))
-    basis = span_basis_mod(tuple(sign_rows), 2)
-    rank = len(basis)
-    expected = F.class_number * 2 ** (n - rank)
-
+    (eps,) = F.fundamental_units
     kernel_ideals = []
-    if rank < n:
-        want = 2 ** (n - rank) - 1
-
-        def reduce_pattern(vec):
-            v = list(vec)
-            for row in basis:
-                piv = next(i for i, c in enumerate(row) if c)
-                if v[piv]:
-                    v = [(a + b) % 2 for a, b in zip(v, row)]
-            return tuple(v)
-
-        seen = {reduce_pattern([0] * n)}
-        for radius in range(1, 9):
-            for coords in itertools.product(range(-radius, radius + 1), repeat=n):
-                if max(abs(c) for c in coords) != radius:
-                    continue
-                x = F.el(coords)
-                sig = F.sign_vector(x)
-                pat = reduce_pattern([1 if s < 0 else 0 for s in sig])
-                if pat not in seen:
-                    seen.add(pat)
-                    kernel_ideals.append(F.principal_ideal(x))
-            if len(kernel_ideals) == want:
-                break
-        if len(kernel_ideals) != want:
-            raise ValueError("could not realize all unit sign cosets")
+    if F.norm(eps) == 1:
+        # sqrt d is 2 omega - 1 when d = 1 mod 4 and omega otherwise
+        kernel_ideals.append(F.principal_ideal((-1, 2) if F.t1 else (0, 1)))
+    expected = F.class_number * 2 ** len(kernel_ideals)
 
     def in_span(c, gens):
         for bits in itertools.product((0, 1), repeat=len(gens)):

@@ -36,7 +36,8 @@ class Poly:
         return not self.coeffs
 
     def leading(self) -> Fraction:
-        assert self.coeffs, "zero polynomial has no leading coefficient"
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def is_monic(self) -> bool:
@@ -72,7 +73,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        assert n >= 0
+        if n < 0:
+            raise ValueError("negative polynomial power")
         out = Poly([1])
         base = self
         while n:
@@ -83,7 +85,8 @@ class Poly:
         return out
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        assert not other.is_zero(), "division by zero polynomial"
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
         q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
         r = list(self.coeffs)
         dlead = other.coeffs[-1]
@@ -352,7 +355,8 @@ def _zdivides(g, f) -> bool:
 
 def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """f = lc * prod g_i^i with g_i monic squarefree pairwise coprime."""
-    assert not f.is_zero()
+    if f.is_zero():
+        raise ValueError("zero polynomial has no squarefree decomposition")
     lc = f.leading()
     f = f.monic()
     if f.degree == 0:
@@ -492,7 +496,8 @@ def factor_squarefree_mod_p(f: list[int], p: int, rng: random.Random) -> list[li
             xq = _zpowmod(xq, p, rem, p)
     if len(rem) > 1:
         found.append(rem)
-    assert sum(len(g) - 1 for g in found) == len(_zmod(f, p)) - 1
+    if sum(len(g) - 1 for g in found) != len(_zmod(f, p)) - 1:
+        raise ArithmeticError("modular factor degrees do not sum to the degree")
     return sorted(found)
 
 
@@ -607,8 +612,8 @@ def _coeff_bound(f: list[int]) -> int:
     return (1 << (len(f))) * norm2
 
 
-def _factor_degree_sets(f: list[int], tries: int = 5) -> set[int] | None:
-    """Possible degrees of factors of squarefree monic f, from several primes.
+def _factor_degree_sets(f: list[int]) -> set[int] | None:
+    """Possible degrees of factors of squarefree monic f, from five primes.
 
     Returns None when not enough good primes were found quickly.
     """
@@ -618,7 +623,7 @@ def _factor_degree_sets(f: list[int], tries: int = 5) -> set[int] | None:
     good = 0
     attempts = 0
     rng = random.Random(1)
-    while good < tries and attempts < 60:
+    while good < 5 and attempts < 60:
         p = next_prime(p)
         attempts += 1
         if f[-1] % p == 0:
@@ -695,7 +700,8 @@ def _recombine(f, lifted, modulus, degset):
             card += 1
     if len(fcur) > 1:
         out.append(fcur)
-    assert sorted(len(g) - 1 for g in out) and _ztrim(_zsubtract(_zprod(out), f)) == []
+    if _zsubtract(_zprod(out), f):
+        raise ArithmeticError("recombined factors do not multiply back")
     return sorted(out)
 
 
@@ -739,7 +745,8 @@ def factor_poly(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     scaling (returned monic, so coefficients may be rational).  Sorted by
     (degree, coefficient tuple) for reproducible output.
     """
-    assert not f.is_zero()
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
     unit, sqfree = squarefree_decomposition(f)
     out: list[tuple[Poly, int]] = []
     for g, mult in sqfree:
@@ -804,11 +811,13 @@ def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
 
     Requires f squarefree.  Interval endpoints are never roots.
     """
-    assert not f.is_zero()
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no isolated roots")
     if f.degree == 0:
         return []
     g = poly_gcd(f, f.derivative())
-    assert g.degree == 0, "input must be squarefree"
+    if g.degree != 0:
+        raise ValueError("input must be squarefree")
     chain = sturm_chain(f.monic())
     bound = root_bound(f)
     lo, hi = -bound, bound

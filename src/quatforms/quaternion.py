@@ -33,8 +33,8 @@ from .residue import (
     LatticeQuotient,
     algebra_radical,
     kernel_mod,
-    local_components,
     matmul_mod,
+    primitive_idempotents,
     quotient_by_ideal,
     span_basis_mod,
     subalgebra,
@@ -398,7 +398,10 @@ class QuatLattice:
                 prod = alg.mul(u, b) if left else alg.mul(b, u)
                 row.extend(self._coords(prod))
             mat.append(row)
-        return QuatLattice(alg, integral_preimage_rows(mat))
+        # an order is its own left and right order
+        order = QuatLattice(alg, integral_preimage_rows(mat))
+        order._left = order._right = order
+        return order
 
     def norm_forms(self):
         """The reduced norm on the basis rows as integer quadratic forms.
@@ -552,12 +555,12 @@ def _enlarge_at(order, p):
     cen = _center_rows(S)
     if len(cen) < 2:
         return None
-    comps = local_components(subalgebra(S, cen, S.one))
-    if len(comps) < 2:
+    idems = primitive_idempotents(subalgebra(S, cen, S.one))
+    if len(idems) < 2:
         return None
-    for comp in comps:
+    for idem in idems:
         e = [0] * S.dim
-        for c, row in zip(comp.unit, cen):
+        for c, row in zip(idem, cen):
             if c:
                 for j, v in enumerate(row):
                     e[j] = (e[j] + c * v) % S.p
@@ -609,10 +612,11 @@ def _maximalize(order):
             log.debug("maximalize: settled at p=%d, residual norm %d", ps[0], nd)
         else:
             O = O2
+    O._left = O._right = O
     return O, norms
 
 
-def _structure_candidates(F, budget):
+def _structure_candidates(F):
     minus_one = F.from_int(-1)
     yield (minus_one, minus_one)
     count = 1
@@ -634,21 +638,21 @@ def _structure_candidates(F, budget):
                 seen.add(tuple(v))
         cands.sort(key=lambda v: (F.trace(F.neg(v)), v))
         for v in cands:
-            if count >= budget:
+            if count >= 24:
                 return
             count += 1
             yield (minus_one, v)
 
 
-def hilbert_ramification_free_algebra(F, budget=24):
+def hilbert_ramification_free_algebra(F):
     """The definite quaternion algebra over F with no finite ramification.
 
     It exists because F is quadratic: the two real places are an even
-    number.  Tries (-1, -1) and then (-1, u) over small totally negative
-    u, accepting the first pair whose maximalized standard order
-    certifies norm-1 reduced discriminant.
+    number.  Tries (-1, -1) and then (-1, u) over at most 23 small
+    totally negative u, accepting the first pair whose maximalized
+    standard order certifies norm-1 reduced discriminant.
     """
-    for a, b in _structure_candidates(F, budget):
+    for a, b in _structure_candidates(F):
         alg = QuatAlgebra(F, a, b)
         R = maximalize(alg.standard_order())
         if reduced_discriminant_norm(R) == 1:

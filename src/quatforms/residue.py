@@ -1,11 +1,11 @@
 """Finite algebras over F_p arising as quotients of integer lattices.
 
 This module carries the characteristic-p workhorses: dense linear algebra
-mod p, quotient constructions L/M for p-elementary lattice pairs, primary
-decomposition of commutative quotients (used to factor rational primes in
-a number field), and the explicit splitting of a rank-4 quotient algebra
-as 2x2 matrices over its center (used to build projective-line actions on
-quaternion orders).
+mod p, quotient constructions L/M for p-elementary lattice pairs, radicals,
+the primitive idempotents of commutative algebras (which locate the
+maximal two-sided ideals that maximal-order enlargement lifts), and the
+explicit splitting of a rank-4 quotient algebra as 2x2 matrices over its
+center (used to build projective-line actions on quaternion orders).
 
 Vectors are tuples of ints mod p; matrices are tuples of row tuples.
 Randomized searches take explicit seeds, so every run is reproducible.
@@ -322,20 +322,7 @@ class LatticeQuotient(QuotientSpace):
 
 
 # ---------------------------------------------------------------------------
-# primary decomposition of commutative algebras
-
-
-def _radical_commutative(A):
-    """Basis of the nilradical: kernel of a high power of Frobenius."""
-    fr = A.frobenius_matrix()
-    q, m = A.p, 1
-    while q < A.dim:
-        q *= A.p
-        m += 1
-    mat = fr
-    for _ in range(m - 1):
-        mat = matmul_mod(mat, fr, A.p)
-    return kernel_mod(mat, A.p)
+# radicals and quotients
 
 
 def _int_mat_pow(m, e):
@@ -455,78 +442,47 @@ def quotient_by_ideal(A, ideal_rows):
     return quot, proj_mat
 
 
-class LocalComponent:
-    """One local factor of a commutative F_p-algebra.
-
-    Carries the embedding basis, the identity idempotent, the residue field
-    component/radical, and a matrix reducing parent coordinates to residue
-    field coordinates (a ring map on the component; other components are
-    first projected through the idempotent).
-    """
-
-    def __init__(self, parent, emb_rows, unit):
-        self.parent = parent
-        self.emb_rows = emb_rows
-        self.unit = unit
-        alg = subalgebra(parent, emb_rows, unit)
-        self.algebra = alg
-        rad = _radical_commutative(alg)
-        self.rad_dim = len(rad)
-        self.f = alg.dim - len(rad)
-        res, proj_comp = quotient_by_ideal(alg, rad)
-        self.res_field = res
-        p = parent.p
-        cols = tuple(zip(*emb_rows))
-        comp_of_parent = [
-            solve_right_mod(cols, parent.mul(unit, parent.unit(j)), p)
-            for j in range(parent.dim)
-        ]
-        self.res_proj = tuple(
-            tuple(
-                sum(proj_comp[i][k] * comp_of_parent[j][k] for k in range(alg.dim)) % p
-                for j in range(parent.dim)
-            )
-            for i in range(res.dim)
-        )
-        self.res_kernel = kernel_mod(self.res_proj, p)
+# ---------------------------------------------------------------------------
+# primitive idempotents of commutative algebras
 
 
-def local_components(A):
-    """Local factors of a commutative F_p-algebra, deterministically.
+def primitive_idempotents(A):
+    """The primitive idempotents of a commutative F_p-algebra.
 
-    Splitting idempotents come from the fixed space of Frobenius on the
-    semisimple quotient; such elements have split squarefree minimal
-    polynomials downstairs, so a coprime factor pair always exists.
+    They come sorted by the canonical (rref) basis of the ideal e * A,
+    so the order is deterministic.
     """
     out = []
     _split_local(A, [A.unit(j) for j in range(A.dim)], A.one, out)
-    out.sort(key=lambda c: c.emb_rows)
-    return out
+    return [unit for _, unit in sorted(out)]
 
 
 def _split_local(top, emb_rows, unit, out):
+    """Collect (rref basis of e * top, e) for the primitive idempotents e
+    below unit, whose ideal unit * top has basis emb_rows.
+
+    x -> x^p is linear on a commutative F_p-algebra, and its fixed
+    points are spanned by the primitive idempotents: a fixed point is a
+    root of the split separable x^p - x.  A fixed space of dimension
+    one therefore marks a local algebra.  Any other fixed point has a
+    split squarefree minimal polynomial, so a coprime factor pair
+    always exists.
+    """
     A = subalgebra(top, emb_rows, unit)
     p = A.p
-    rad = _radical_commutative(A)
-    ss, proj_ss = quotient_by_ideal(A, rad)
-    fr = ss.frobenius_matrix()
+    fr = A.frobenius_matrix()
     delta = tuple(
-        tuple((fr[i][j] - (1 if i == j else 0)) % p for j in range(ss.dim))
-        for i in range(ss.dim)
+        tuple((fr[i][j] - (1 if i == j else 0)) % p for j in range(A.dim))
+        for i in range(A.dim)
     )
     fixed = kernel_mod(delta, p)
     if len(fixed) <= 1:
-        out.append(LocalComponent(top, emb_rows, unit))
+        out.append((tuple(emb_rows), unit))
         return
-    splitter_ss = next(v for v in fixed if not in_span_mod([ss.one], v, p))
-    splitter = solve_right_mod(proj_ss, splitter_ss, p)
+    splitter = next(v for v in fixed if not in_span_mod([A.one], v, p))
     mp = A.minpoly(splitter)
-    fac = factor_mod_p(mp, p)
-    q0, e0 = fac[0]
-    g = [1]
-    for _ in range(e0):
-        g = _zmod(_zmul(g, list(q0)), p)
-    e = _coprime_idempotent(A, splitter, mp, g)
+    q0 = factor_mod_p(mp, p)[0][0]
+    e = _coprime_idempotent(A, splitter, mp, list(q0))
     if e is None or e == A.zero() or e == A.one:
         raise ArithmeticError("primary splitting failed")
     for idem in (e, A.sub(A.one, e)):

@@ -255,6 +255,24 @@ def test_inverse_presets_orders_known_by_construction():
             assert fresh._stabilizer(left=False) == left
 
 
+def test_theta_recomputes_no_order(monkeypatch):
+    # a maximal order is its own left and right order, so composing
+    # a * b^-1 inside compute_theta stabilizes no lattice
+    R = maximalize(hilbert_ramification_free_algebra(F5).standard_order())
+    cs = compute_class_set(R, narrow_support(F5))
+    calls = []
+    stabilizer = QuatLattice._stabilizer
+
+    def counted(self, left):
+        calls.append(left)
+        return stabilizer(self, left)
+
+    monkeypatch.setattr(QuatLattice, "_stabilizer", counted)
+    th = compute_theta(cs, 11)
+    assert calls == []
+    assert sum(len(us) for us in th.entries.values()) == 45
+
+
 def test_class_set_representatives_pairwise_distinct():
     cs = class_set("quad:85")
     n = cs.size

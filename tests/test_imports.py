@@ -2,12 +2,16 @@
 
 Every name a module imports is used in that module, every
 `Class.attr` reference to a package class names an attribute that the
-class, or a package class it derives from, defines, and every package
+class, or a package class it derives from, defines, every package
 module is imported by another package module or by the benchmark
-pipeline, which drives the package from outside.
+pipeline, which drives the package from outside, and every module-level
+function or class of the package is named somewhere besides its own
+definition: in the package, a test or a benchmark script.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,8 @@ import pytest
 import quatforms
 
 MODULES = sorted(Path(quatforms.__file__).parent.glob("*.py"))
-PIPELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "pipeline.py"
+ROOT = Path(__file__).resolve().parents[1]
+PIPELINE = ROOT / "benchmarks" / "pipeline.py"
 
 
 def unused_imports(source):
@@ -99,6 +104,49 @@ def orphan_modules(sources, entry):
     return sorted(set(sources) - used - {"__init__"})
 
 
+def names_in(node):
+    """Counts of the identifiers a syntax tree names: variables,
+    attributes, imported names and the words of string constants other
+    than docstrings, which reach names through getattr or setattr."""
+    docstrings = {
+        id(n.body[0].value)
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and n.body and isinstance(n.body[0], ast.Expr)
+        and isinstance(n.body[0].value, ast.Constant)
+    }
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.split(".")[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docstrings:
+            out.update(re.findall(r"[A-Za-z_]\w*", n.value))
+    return out
+
+
+def orphan_definitions(modules, others):
+    """module.name for each module-level function or class of modules
+    (name -> text) that nothing names outside its own definition: not its
+    module, not another module, not one of the other texts."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    total = Counter()
+    for tree in trees.values():
+        total += names_in(tree)
+    for source in others:
+        total += names_in(ast.parse(source))
+    out = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if total[node.name] == names_in(node)[node.name]:
+                    out.append(f"{name}.{node.name}")
+    return sorted(out)
+
+
 def test_scan_flags_an_unused_import():
     assert unused_imports("import os\nfrom math import gcd, lcm\nprint(gcd)\n") == [
         (1, "os"), (2, "lcm"),
@@ -126,6 +174,27 @@ def test_scan_flags_an_orphan_module():
     }
     assert orphan_modules(sources, "from quatforms.e import h\n") == ["d"]
     assert orphan_modules(sources, "") == ["d", "e"]
+
+
+def test_scan_flags_an_orphan_definition():
+    modules = {
+        "a": (
+            "def used():\n    return helper()\n"
+            "def helper():\n    \"\"\"Unlike Dead, called by used.\"\"\"\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "class Dead:\n    pass\n"
+        ),
+        "b": "def tested():\n    pass\ndef patched():\n    pass\n",
+    }
+    others = ["from a import used\nfrom b import tested\n", "setattr(b, 'patched', None)\n"]
+    assert orphan_definitions(modules, others) == ["a.Dead", "a.recursive"]
+
+
+def test_no_orphan_definitions():
+    others = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    others += [p.read_text() for p in sorted((ROOT / "benchmarks").rglob("*.py"))]
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert orphan_definitions(modules, others) == []
 
 
 def test_no_orphan_modules():

@@ -60,7 +60,12 @@ def test_fundamental_units():
 
 
 def test_class_numbers():
-    known = {2: (1, 1), 3: (1, 2), 5: (1, 1), 10: (2, 2), 13: (1, 1), 85: (2, 2)}
+    known = {
+        2: (1, 1), 3: (1, 2), 5: (1, 1), 10: (2, 2), 13: (1, 1), 85: (2, 2),
+        # fundamental unit of norm +1: (sqrt d) is principal but not
+        # narrowly principal, so h+ = 2h
+        6: (1, 2), 7: (1, 2), 15: (2, 4), 30: (2, 4),
+    }
     for d, (h, hp) in known.items():
         F = make_quadratic_field(d)
         assert F.class_number == h, d
@@ -237,6 +242,30 @@ def test_primes_above_10():
     assert above2[0][0].rows == ((2, 0), (0, 1))
     assert len(F.primes_above(3)) == 2  # 10 is a square mod 3
     assert [(f, e) for _, f, e in F.primes_above(7)] == [(2, 1)]
+
+
+def _kronecker(D, p):
+    """(D/p) for a prime p."""
+    if p == 2:
+        return 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
+    s = pow(D, (p - 1) // 2, p)
+    return -1 if s == p - 1 else s
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 15, 41, 85])
+def test_splitting_follows_kronecker_symbol(d):
+    F = make_quadratic_field(d)
+    shapes = {1: [(1, 1), (1, 1)], -1: [(2, 1)], 0: [(1, 2)]}
+    for p in range(2, 400):
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        above = F.primes_above(p)
+        assert [(f, e) for _, f, e in above] == shapes[_kronecker(F.disc, p)], (d, p)
+        prod = F.unit_ideal()
+        for P, f, e in above:
+            assert P.norm() == p**f
+            prod = prod * P**e
+        assert prod == F.ideal(p)
 
 
 def test_prime_ideals_up_to():

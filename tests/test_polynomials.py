@@ -218,3 +218,35 @@ def test_poly_gcd_rational_inputs_under_optimize(run_optimized):
         "print(factor_poly(a * a)[1])\n"
     )
     assert out.splitlines() == ["Poly(x + 1/2)", "[(Poly(x + 1/2), 2)]"]
+
+
+def test_bad_inputs_raise_under_optimize(run_optimized):
+    # input checks are raises, not asserts, so -O keeps them
+    out = run_optimized(
+        "from quatforms.polynomials import Poly, factor_poly, isolate_real_roots,"
+        " squarefree_decomposition\n"
+        "zero, x = Poly([]), Poly([0, 1])\n"
+        "for call in (zero.leading, lambda: x ** -1, lambda: x.divmod(zero),\n"
+        "             lambda: factor_poly(zero), lambda: squarefree_decomposition(zero),\n"
+        "             lambda: isolate_real_roots(zero), lambda: isolate_real_roots(x * x)):\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except (ValueError, ZeroDivisionError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    assert out.split() == ["ValueError", "ValueError", "ZeroDivisionError"] + ["ValueError"] * 4
+
+
+def test_recombination_certificate_checked_under_optimize(run_optimized):
+    # a divisibility test that accepts everything makes recombination take
+    # a modular factor of the irreducible x^4 - x^2 + 1 for a true one;
+    # with asserts stripped the product check must still raise
+    out = run_optimized(
+        "from quatforms import polynomials\n"
+        "polynomials._zdivides = lambda g, f: True\n"
+        "try:\n"
+        "    print('returned', polynomials.factor_poly(polynomials.Poly([1, 0, -1, 0, 1])))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: recombined factors do not multiply back")

@@ -10,13 +10,13 @@ from quatforms.residue import (
     algebra_radical,
     in_span_mod,
     kernel_mod,
-    local_components,
     mat2_act,
     mat2_det,
     mat2_mul,
     matmul_mod,
     p1_normalize,
     p1_points,
+    primitive_idempotents,
     quotient_by_ideal,
     rank_mod,
     rref_mod,
@@ -85,53 +85,81 @@ def test_fp_algebra_field_basics():
         tuple((fr[i][j] - int(i == j)) % 5 for j in range(2)) for i in range(2)
     )
     assert len(kernel_mod(delta, 5)) == 1
-    comps = local_components(k)
-    assert len(comps) == 1
-    assert comps[0].f == 2 and comps[0].rad_dim == 0
+    assert primitive_idempotents(k) == [k.one]
 
 
-def _reduce(comp, coords):
-    """Residue field coordinates of an element of the parent algebra."""
-    p = comp.parent.p
-    return tuple(sum(r * c for r, c in zip(row, coords)) % p for row in comp.res_proj)
+def _check_idempotents(A, idems, count):
+    """count idempotents, each e^2 = e, orthogonal in pairs, summing to 1."""
+    assert len(idems) == count
+    total = A.zero()
+    for i, e in enumerate(idems):
+        assert e != A.zero() and A.mul(e, e) == e
+        for f in idems[i + 1:]:
+            assert A.mul(e, f) == A.zero()
+        total = A.add(total, e)
+    assert total == A.one
 
 
-def test_local_components_split():
+def test_primitive_idempotents_split():
     # F_5[x]/(x^2-1) = F_5 x F_5
     mult = [
         [(1, 0), (0, 1)],
         [(0, 1), (1, 0)],
     ]
     a = FpAlgebra(5, mult, (1, 0))
-    comps = local_components(a)
-    assert len(comps) == 2
-    for c in comps:
-        assert c.f == 1 and c.rad_dim == 0
-        # res_proj is a ring map onto the residue field
-        assert _reduce(c, a.one) == c.res_field.one
-        for u in ((1, 2), (3, 1), (0, 4)):
-            for v in ((2, 2), (1, 4)):
-                lhs = _reduce(c, a.mul(u, v))
-                rhs = c.res_field.mul(_reduce(c, u), _reduce(c, v))
-                assert lhs == rhs
-    # x + 1 and x - 1 vanish on different components
-    kills = [
-        {v for v in ((1, 1), (4, 1)) if _reduce(c, v) == (0,)} for c in comps
-    ]
-    assert kills[0] and kills[1] and kills[0] != kills[1]
+    idems = primitive_idempotents(a)
+    _check_idempotents(a, idems, 2)
+    # (1 + x)/2 and (1 - x)/2, sorted by the rref basis of e * A:
+    # (1, 1) before (1, 4)
+    assert idems == [(3, 3), (3, 2)]
+    # x - 1 and x + 1 vanish on different components
+    assert a.mul(idems[0], (4, 1)) == a.zero()
+    assert a.mul(idems[1], (1, 1)) == a.zero()
 
 
-def test_local_components_nilpotent():
-    # F_5[x]/(x^2): local with one dimensional radical
+def test_primitive_idempotents_nilpotent():
+    # F_5[x]/(x^2): local with one dimensional radical, so the only
+    # idempotent is 1 although the Frobenius kernel is nonzero
     mult = [
         [(1, 0), (0, 1)],
         [(0, 1), (0, 0)],
     ]
     a = FpAlgebra(5, mult, (1, 0))
-    comps = local_components(a)
-    assert len(comps) == 1
-    assert comps[0].f == 1 and comps[0].rad_dim == 1
-    assert _reduce(comps[0], (0, 1)) == (0,)
+    _check_idempotents(a, primitive_idempotents(a), 1)
+
+
+def test_primitive_idempotents_many_factors():
+    # F_3 x F_3 x F_9 x F_3[u]/(u^2) on a mixed basis: four local factors
+    # behind a change of coordinates that hides the product structure
+    p = 3
+    blocks = [1, 1, 2, 2]
+    n = sum(blocks)
+
+    def block_mul(x, y):
+        out, pos = [], 0
+        for size, kind in zip(blocks, ("f", "f", "f9", "nil")):
+            a, b = x[pos:pos + size], y[pos:pos + size]
+            if size == 1:
+                out.append(a[0] * b[0] % p)
+            elif kind == "f9":
+                # F_3[t]/(t^2 + 1)
+                out += [(a[0] * b[0] - a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0]) % p]
+            else:
+                out += [a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p]
+            pos += size
+        return tuple(out)
+
+    change = [[1, 1, 0, 0, 0, 0], [0, 1, 2, 0, 1, 0], [0, 0, 1, 1, 0, 0],
+              [1, 0, 0, 1, 0, 2], [0, 0, 0, 0, 1, 1], [0, 2, 0, 0, 0, 1]]
+    cols = tuple(zip(*change))
+
+    def coords(v):
+        return solve_right_mod(cols, v, p)
+
+    mult = [[coords(block_mul(x, y)) for y in change] for x in change]
+    one = coords((1, 1, 1, 0, 1, 0))
+    a = FpAlgebra(p, mult, one)
+    _check_idempotents(a, primitive_idempotents(a), 4)
 
 
 def test_subalgebra_rejects_bad_span():
@@ -161,20 +189,17 @@ def _gauss_quotient(m_rows, p):
 def test_gauss_split_prime():
     q = _gauss_quotient([[5, 0], [0, 5]], 5)
     assert q.algebra.dim == 2
-    comps = local_components(q.algebra)
-    assert [c.f for c in comps] == [1, 1]
+    _check_idempotents(q.algebra, primitive_idempotents(q.algebra), 2)
 
 
 def test_gauss_inert_prime():
     q = _gauss_quotient([[3, 0], [0, 3]], 3)
-    comps = local_components(q.algebra)
-    assert len(comps) == 1 and comps[0].f == 2 and comps[0].rad_dim == 0
+    _check_idempotents(q.algebra, primitive_idempotents(q.algebra), 1)
 
 
 def test_gauss_ramified_prime():
     q = _gauss_quotient([[2, 0], [0, 2]], 2)
-    comps = local_components(q.algebra)
-    assert len(comps) == 1 and comps[0].f == 1 and comps[0].rad_dim == 1
+    _check_idempotents(q.algebra, primitive_idempotents(q.algebra), 1)
 
 
 def test_gauss_prime_ideal_quotient():
