@@ -26,7 +26,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def inv_mod(a: int, m: int) -> int:
     g, x, _ = xgcd(a % m, m)
-    assert g == 1, "not invertible"
+    if g != 1:
+        raise ZeroDivisionError(f"{a} is not invertible modulo {m}")
     return x % m
 
 
@@ -97,7 +98,8 @@ def _pollard_rho(n: int) -> int:
 
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {p: exponent}."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("only integers n >= 1 are factored")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES + [41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]:
         while n % p == 0:

@@ -46,7 +46,8 @@ class Constituent:
     def eigenvalue(self, i):
         """Rational eigenvalue of the i-th operator; dimension 1 only."""
         g, _ = self.factors[i]
-        assert g.degree == 1
+        if g.degree != 1:
+            raise ValueError("eigenvalue of a factor of degree > 1 is not rational")
         return -g.coeffs[0]
 
 
@@ -91,7 +92,8 @@ def decompose(blocks):
     dimension and each restricted characteristic polynomial is a power
     of a single irreducible.
     """
-    assert blocks
+    if not blocks:
+        raise ValueError("no Hecke blocks to decompose")
     n = blocks[0].matrix.nrows
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     spaces = [(ident, False)]

@@ -59,7 +59,6 @@ class P1Space:
     (1) space is the single empty tuple.
     """
 
-    modulus: object
     factors: list
     points: list
     index: dict
@@ -69,16 +68,11 @@ class P1Space:
         return len(self.points)
 
 
-def build_p1(N):
-    """Enumerate P^1(O/N); exactly prod (Nq + 1) points over the factors."""
-    F = N.field
-    if N.den != 1:
-        raise ValueError("level must be an integral ideal")
-    factors = []
-    for q, e in N.factor():
-        if e != 1:
-            raise ValueError("only squarefree levels are supported")
-        factors.append((q, F.residue_field(q)))
+def build_p1(factors):
+    """Enumerate P^1(O/N) from the (prime, residue field) pairs of N.
+
+    Certificate: exactly prod (Nq + 1) distinct points.
+    """
     per_factor = [p1_points(kq.algebra) for _, kq in factors]
     points = list(itertools.product(*per_factor))
     count = 1
@@ -86,7 +80,7 @@ def build_p1(N):
         count *= kq.algebra.p ** kq.algebra.dim + 1
     if not len(points) == count == len(set(points)):
         raise ArithmeticError("P^1 point count differs from prod (Nq + 1)")
-    return P1Space(N, factors, points, {pt: i for i, pt in enumerate(points)})
+    return P1Space(factors, points, {pt: i for i, pt in enumerate(points)})
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +182,6 @@ class SplittingMap:
     unit_images[a][i] is the image of cs.unit_groups[a].elements[i].
     """
 
-    level: object
     components: list
     unit_images: list
 
@@ -231,7 +224,7 @@ def build_splitting(cs, N, seed=0):
             raise ValueError("level shares a prime with the class set support")
         factors.append((q, F.residue_field(q)))
     sm = SplittingMap(
-        N, [_LevelComponent(R, q, kq, seed=seed) for q, kq in factors], unit_images=[]
+        [_LevelComponent(R, q, kq, seed=seed) for q, kq in factors], unit_images=[]
     )
     if sm.image(alg.one) != sm.identity_image():
         raise ArithmeticError("splitting does not fix the identity")
@@ -294,8 +287,12 @@ def build_space(cs, N, w, seed=0):
     """
     if not w.is_parallel_two:
         raise ValueError("only parallel weight 2 is supported")
-    p1 = build_p1(N)
-    sm = build_splitting(cs, N, seed=seed)
+    return _orbit_space(cs, N, w, build_splitting(cs, N, seed=seed))
+
+
+def _orbit_space(cs, N, w, sm):
+    """build_space at the level N whose primes sm splits."""
+    p1 = build_p1([(c.prime, c.kq) for c in sm.components])
     orbits = []
     stabs = []
     lookups = []
@@ -405,17 +402,29 @@ class DimensionReport:
 def dimension_report(cs, th, N):
     """Dimensions (total, Eisenstein, cusp, new) at the squarefree level N.
 
-    Eisenstein constituents are identified by their eigenvalue pattern
-    across the tabulated primes coprime to the level, so the table bound
-    must leave enough primes to split the space.
+    The order is split once at the primes of N; the space at each
+    sublevel M | N takes the components at the primes of M and the unit
+    images projected onto them.  Eisenstein constituents are identified
+    by their eigenvalue pattern across the tabulated primes coprime to
+    the sublevel, so the table bound must leave enough primes to split
+    the space.
     """
     F = cs.order.alg.base
     w = parallel_weight_two(F)
-    level_primes = [q for q, _ in N.factor()]
+    sm = build_splitting(cs, N)
+    level_primes = [c.prime for c in sm.components]
 
-    def split_dims(level):
-        sp = build_space(cs, level, w)
-        lp = [q for q, _ in level.factor()]
+    def split_dims(keep):
+        """(total, Eisenstein) dimensions at the level of level_primes[keep]."""
+        lp = [level_primes[i] for i in keep]
+        level = F.unit_ideal()
+        for q in lp:
+            level = level * q
+        sub = SplittingMap(
+            [sm.components[i] for i in keep],
+            [[tuple(m[i] for i in keep) for m in images] for images in sm.unit_images],
+        )
+        sp = _orbit_space(cs, level, w, sub)
         blocks = [
             hecke_operator(cs, th, sp, pr.ideal)
             for pr in th.primes
@@ -430,36 +439,21 @@ def dimension_report(cs, th, N):
         return sp.dim, eis
 
     # strict new dimensions by recursion over the divisor lattice
-    cusp_cache = {}
-
-    def cusp_at(subset):
-        if subset not in cusp_cache:
-            level = F.unit_ideal()
-            for i in subset:
-                level = level * level_primes[i]
-            total, eis = split_dims(level)
-            cusp_cache[subset] = (total, eis)
-        return cusp_cache[subset]
-
-    idx = frozenset(range(len(level_primes)))
+    indices = range(len(level_primes))
+    subsets = [
+        s for r in range(len(indices) + 1) for s in itertools.combinations(indices, r)
+    ]
+    dims = {s: split_dims(s) for s in subsets}
     strict = {}
-    for r in range(len(level_primes) + 1):
-        for subset in itertools.combinations(sorted(idx), r):
-            key = frozenset(subset)
-            _, eis_d = cusp_at(key)
-            s_d = cusp_at(key)[0] - eis_d
-            if not key:
-                strict[key] = s_d
-                continue
-            acc = s_d
-            for rr in range(len(subset)):
-                for sub in itertools.combinations(subset, rr):
-                    acc -= 2 ** (len(subset) - rr) * strict[frozenset(sub)]
-            strict[key] = acc
-
-    total, eis = cusp_at(idx)
+    for s in subsets:
+        acc = dims[s][0] - dims[s][1]
+        for r in range(len(s)):
+            for sub in itertools.combinations(s, r):
+                acc -= 2 ** (len(s) - r) * strict[sub]
+        strict[s] = acc
+    full = tuple(indices)
+    total, eis = dims[full]
     cusp = total - eis
-    s_one = cusp_at(frozenset())[0] - cusp_at(frozenset())[1]
-    if not idx:
+    if not full:
         return DimensionReport(N, total, eis, cusp, cusp, cusp)
-    return DimensionReport(N, total, eis, cusp, strict[idx], cusp - s_one)
+    return DimensionReport(N, total, eis, cusp, strict[full], cusp - strict[()])

@@ -290,7 +290,8 @@ def enumerate_norm(lat: TraceFormLattice, t) -> NormSolutions:
 
 def iroot(a: int, k: int) -> int:
     """floor(a ** (1/k)) for integers a >= 0, k >= 1."""
-    assert a >= 0 and k >= 1
+    if a < 0 or k < 1:
+        raise ValueError("iroot needs a >= 0 and k >= 1")
     if a < 2 or k == 1:
         return a
     x = 1 << ((a.bit_length() + k - 1) // k)

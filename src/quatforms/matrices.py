@@ -1,14 +1,14 @@
 """Exact dense linear algebra over Q.
 
-Matrix stores a list of Fraction rows.  Matrix-vector products,
-polynomial evaluation and row reduction do not compute in Fractions: they
-clear the rows to integers over one common denominator, run on Python
-ints (elimination is fraction-free, each row kept primitive by its
-content), and divide once per output entry.  The characteristic
-polynomial runs over Q directly in small dimension and otherwise switches
-to a modular Hessenberg computation recombined by CRT under a
-Hadamard-style coefficient bound, which keeps the cost polynomial instead
-of letting rational intermediates blow up.
+Matrix stores a list of Fraction rows.  No operation computes in
+Fractions: each clears the rows to integers over one common denominator,
+runs on Python ints and divides once per output entry.  Row reduction is
+fraction-free, each row kept primitive by its content.  The
+characteristic polynomial is computed modulo primes near 2^61, by
+Hessenberg reduction and its leading-minor recurrence (Cohen, A Course
+in Computational Algebraic Number Theory, section 2.2), and recombined
+by CRT under a Hadamard-style coefficient bound, so intermediates never
+grow.  The determinant is read off its constant term.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .arith import inv_mod, next_prime, symmetric_mod
 from .intmat import int_product, integral_rows
 from .polynomials import Poly
 
-_RATIONAL_CUTOFF = 8
+# the first CRT prime; next_prime costs more than a small charpoly
+_FIRST_PRIME = next_prime(1 << 61)
 
 
 def _primitive(row):
@@ -58,7 +59,8 @@ class Matrix:
 
     def apply(self, vec: list) -> list[Fraction]:
         """Matrix times column vector."""
-        assert len(vec) == self.ncols
+        if len(vec) != self.ncols:
+            raise ValueError("vector length differs from the column count")
         da, ia = integral_rows(self.rows)
         dv, (iv,) = integral_rows([vec])
         d = da * dv
@@ -110,25 +112,9 @@ class Matrix:
         return len(self.rref()[1])
 
     def det(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        m = [row[:] for row in self.rows]
-        n = len(m)
-        out = Fraction(1)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                out = -out
-            out *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [v - f * w for v, w in zip(m[i], m[c])]
-        return out
+        """(-1)^n times the constant term of det(x*I - A)."""
+        c0 = self.charpoly().coeffs[0]
+        return -c0 if self.nrows % 2 else c0
 
     def right_kernel(self) -> list[list[Fraction]]:
         """Basis of {v : A v = 0}, echelonized, free variables set to 1."""
@@ -162,11 +148,6 @@ class Matrix:
         """det(x*I - A), computed exactly."""
         if not self.is_square():
             raise ValueError("characteristic polynomial of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Poly([1])
-        if n <= _RATIONAL_CUTOFF:
-            return _charpoly_rational(self.rows)
         return _charpoly_crt(self.rows)
 
 
@@ -178,7 +159,8 @@ def poly_at_matrix(p: Poly, a: Matrix) -> Matrix:
     A^k has integer coefficients: Horner runs on A over the integers and
     one division per entry happens at the end.
     """
-    assert a.is_square()
+    if not a.is_square():
+        raise ValueError("polynomial evaluated at a non-square matrix")
     n = a.nrows
     d, ia = integral_rows(a.rows)
     cs = p.coeffs
@@ -196,52 +178,14 @@ def poly_at_matrix(p: Poly, a: Matrix) -> Matrix:
     return Matrix([[Fraction(v, den) for v in row] for row in out])
 
 
-def _hessenberg_charpoly_generic(h, n, mul, sub, one, zero):
-    """Characteristic polynomial of a Hessenberg matrix via the classic
-    leading-minor recurrence; arithmetic supplied by callbacks."""
-    polys = [[one]]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        # (x - h[m-1][m-1]) * prev
-        cur = [zero] + list(prev)
-        t = h[m - 1][m - 1]
-        cur = [sub(c, mul(t, p)) for c, p in zip(cur, list(prev) + [zero])]
-        coef = one
-        for i in range(m - 1, 0, -1):
-            coef = mul(coef, h[i][i - 1])
-            t = mul(h[i - 1][m - 1], coef)
-            pi = polys[i - 1]
-            for k in range(len(pi)):
-                cur[k] = sub(cur[k], mul(t, pi[k]))
-        polys.append(cur)
-    return polys[n]
-
-
-def _charpoly_rational(rows) -> Poly:
-    n = len(rows)
-    h = [row[:] for row in rows]
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[m], h[piv] = h[piv], h[m]
-            for row in h:
-                row[m], row[piv] = row[piv], row[m]
-        inv = 1 / h[m][m - 1]
-        for i in range(m + 1, n):
-            if h[i][m - 1] != 0:
-                u = h[i][m - 1] * inv
-                h[i] = [a - u * b for a, b in zip(h[i], h[m])]
-                for row in h:
-                    row[m] += u * row[i]
-    coeffs = _hessenberg_charpoly_generic(
-        h, n, lambda a, b: a * b, lambda a, b: a - b, Fraction(1), Fraction(0)
-    )
-    return Poly(coeffs)
-
-
 def _charpoly_mod_p(int_rows, p) -> list[int]:
+    """Coefficients of det(x*I - A) mod p, constant term first.
+
+    A is reduced to upper Hessenberg form H by elementary similarities;
+    then the charpoly P_m of the leading m x m block of H satisfies
+    P_m = (x - h[m-1][m-1]) P_(m-1)
+          - sum_(0<i<m) h[i-1][m-1] h[i][i-1] ... h[m-1][m-2] P_(i-1).
+    """
     n = len(int_rows)
     h = [[v % p for v in row] for row in int_rows]
     for m in range(1, n - 1):
@@ -259,40 +203,42 @@ def _charpoly_mod_p(int_rows, p) -> list[int]:
                 h[i] = [(a - u * b) % p for a, b in zip(h[i], h[m])]
                 for row in h:
                     row[m] = (row[m] + u * row[i]) % p
-    return _hessenberg_charpoly_generic(
-        h, n, lambda a, b: a * b % p, lambda a, b: (a - b) % p, 1, 0
-    )
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        t = h[m - 1][m - 1]
+        cur = [0] + prev
+        for k, c in enumerate(prev):
+            cur[k] = (cur[k] - t * c) % p
+        coef = 1
+        for i in range(m - 1, 0, -1):
+            coef = coef * h[i][i - 1] % p
+            t = h[i - 1][m - 1] * coef % p
+            for k, c in enumerate(polys[i - 1]):
+                cur[k] = (cur[k] - t * c) % p
+        polys.append(cur)
+    return polys[n]
 
 
 def _charpoly_crt(rows) -> Poly:
     n = len(rows)
-    den = 1
-    for row in rows:
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-    int_rows = [[int(v * den) for v in row] for row in rows]
+    den, int_rows = integral_rows(rows)
     bmax = max((abs(v) for row in int_rows for v in row), default=0)
     if bmax == 0:
         return Poly([0] * n + [1])
     # |c_k| <= C(n,k) (sqrt(n) B)^n <= 2^n (sqrt(n)+1)^n B^n
     bound = (2 * (isqrt(n) + 1) * bmax) ** n
-    modulus = 1
-    residues: list[int] | None = None
-    p = 1 << 61
+    p = _FIRST_PRIME
+    residues, modulus = _charpoly_mod_p(int_rows, p), p
     while modulus <= 2 * bound:
         p = next_prime(p)
-        if den % p == 0:
-            continue
         cp = _charpoly_mod_p(int_rows, p)
-        if residues is None:
-            residues, modulus = cp, p
-        else:
-            inv = inv_mod(modulus % p, p)
-            new_mod = modulus * p
-            residues = [
-                (a + (b - a) * inv % p * modulus) % new_mod for a, b in zip(residues, cp)
-            ]
-            modulus = new_mod
+        inv = inv_mod(modulus % p, p)
+        new_mod = modulus * p
+        residues = [
+            (a + (b - a) * inv % p * modulus) % new_mod for a, b in zip(residues, cp)
+        ]
+        modulus = new_mod
     coeffs = [symmetric_mod(c, modulus) for c in residues]
     # scale back: charpoly(A) coefficients from charpoly(den*A)
     return Poly([Fraction(c, den ** (n - k)) for k, c in enumerate(coeffs)])

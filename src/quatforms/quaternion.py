@@ -287,15 +287,19 @@ class QuatLattice:
         """Coordinates of vec over the basis rows (exact, possibly fractional)."""
         return hnf_coords(self.rows, vec, self.den)
 
+    def _inverse(self):
+        """(adj, rho) with adj / rho the inverse of the basis rows."""
+        if self._inv is None:
+            self._inv = inverse_rows(self.rows)
+        return self._inv
+
     def int_coords(self, mat, den):
         """Coordinates of the vectors mat[i] / den over the basis rows.
 
         mat is an integer matrix.  Returns an integer matrix, or None when
         some vector lies outside the lattice.
         """
-        if self._inv is None:
-            self._inv = inverse_rows(self.rows)
-        adj, rho = self._inv
+        adj, rho = self._inverse()
         q = den * rho
         out = []
         for row in int_product(mat, adj):
@@ -336,7 +340,8 @@ class QuatLattice:
     def __mul__(self, other):
         alg = self.alg
         if isinstance(other, QuatLattice):
-            assert alg is other.alg
+            if alg is not other.alg:
+                raise ValueError("lattices lie in different algebras")
             # x * y = y M_x for the integer left multiplication matrix M_x
             # of each integer row x
             rows = []
@@ -387,17 +392,23 @@ class QuatLattice:
         return self._right
 
     def _stabilizer(self, left):
+        """The left order {x : x L in L} of L, or its right order.
+
+        Row r of the system holds the coordinates of e_r b_j (b_j e_r
+        for the right order) over the basis rows b_j, for every j, read
+        off the integer structure table.
+        """
         alg = self.alg
-        N = alg.dim
-        bs = self.basis_vectors()
+        T = alg.mul_table()
+        if not left:
+            T = list(zip(*T))
+        adj, rho = self._inverse()
         mat = []
-        for r in range(N):
-            u = tuple(Fraction(int(t == r)) for t in range(N))
-            row = []
-            for b in bs:
-                prod = alg.mul(u, b) if left else alg.mul(b, u)
-                row.extend(self._coords(prod))
-            mat.append(row)
+        for Tr in T:
+            # den * (e_r b_j) is row j of rows * Tr; its coordinates are
+            # that row times adj / rho
+            coords = int_product(int_product(self.rows, Tr), adj)
+            mat.append([Fraction(c, rho) for row in coords for c in row])
         # an order is its own left and right order
         order = QuatLattice(alg, integral_preimage_rows(mat))
         order._left = order._right = order
@@ -523,7 +534,8 @@ def _idealizer_growth(order, quo, ideal_rows, p):
     lat = alg.lattice(vecs)
     for cand in (lat.left_order(), lat.right_order()):
         if cand != order:
-            assert cand.contains_lattice(order)
+            if not cand.contains_lattice(order):
+                raise ArithmeticError("idealizer does not contain the order")
             return cand
     return None
 

@@ -376,23 +376,34 @@ def algebra_radical(A):
             raise ArithmeticError("divided trace undefined on the current ideal")
         return quo % p
 
+    def combine(coeffs, rows):
+        w = [0] * n
+        for c, r in zip(coeffs, rows):
+            if c:
+                for j, rj in enumerate(r):
+                    w[j] = (w[j] + c * rj) % p
+        return tuple(w)
+
+    # stage 0 pairs against all of A, later stages against the ideal
     V = [A.unit(j) for j in range(n)]
     i = 0
     while True:
-        # stage 0 pairs against all of A, later stages against the ideal
-        tests = [A.unit(l) for l in range(n)] if i == 0 else list(V)
-        mat = tuple(
-            tuple(divided_trace(A.mul(v, y), i) for y in tests) for v in V
-        )
+        # the functional is linear on the ideal: evaluate it on the rref
+        # rows, and read each product's coordinates off the pivot columns
+        vals = [divided_trace(v, i) for v in V]
+        piv = [next(j for j, c in enumerate(v) if c) for v in V]
+        mat = []
+        for v in V:
+            row = []
+            for y in V:
+                z = A.mul(v, y)
+                coords = [z[j] for j in piv]
+                if combine(coords, V) != z:
+                    raise ArithmeticError("product leaves the current ideal")
+                row.append(sum(c * t for c, t in zip(coords, vals)) % p)
+            mat.append(row)
         ker = kernel_mod(tuple(zip(*mat)), p)
-        new = []
-        for coeffs in ker:
-            w = [0] * n
-            for c, v in zip(coeffs, V):
-                if c:
-                    for j, vj in enumerate(v):
-                        w[j] = (w[j] + c * vj) % p
-            new.append(tuple(w))
+        new = [combine(coeffs, V) for coeffs in ker]
         V = span_basis_mod(new, p) if new else []
         if not V or p**i >= n:
             break

@@ -17,6 +17,7 @@ from quatforms.classset import (
     neighbors,
     unit_group,
 )
+from quatforms.intmat import integral_preimage_rows
 from quatforms.latticetools import TraceFormLattice, enumerate_norm
 from quatforms.numberfield import field_from_spec
 from quatforms.quaternion import (
@@ -253,6 +254,29 @@ def test_inverse_presets_orders_known_by_construction():
             fresh = QuatLattice(inv.alg, inv.basis_vectors())
             assert fresh._stabilizer(left=True) == right
             assert fresh._stabilizer(left=False) == left
+
+
+def ref_stabilizer(lat, left):
+    """O_l(lat) or O_r(lat) by Fraction products e_r * b and solves."""
+    alg = lat.alg
+    N = alg.dim
+    mat = []
+    for r in range(N):
+        u = tuple(Fraction(int(t == r)) for t in range(N))
+        row = []
+        for b in lat.basis_vectors():
+            row.extend(lat._coords(alg.mul(u, b) if left else alg.mul(b, u)))
+        mat.append(row)
+    return QuatLattice(alg, integral_preimage_rows(mat))
+
+
+def test_stabilizer_matches_fraction_reference():
+    for spec in ("quad:10", "quad:85"):
+        cs = class_set(spec)
+        for b in [cs.order, *cs.representatives]:
+            for lat in (b, b.inverse()):
+                for left in (True, False):
+                    assert lat._stabilizer(left) == ref_stabilizer(lat, left)
 
 
 def test_theta_recomputes_no_order(monkeypatch):

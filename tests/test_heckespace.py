@@ -1,7 +1,9 @@
 import functools
+from collections import Counter
 
 import pytest
 
+from quatforms import heckespace
 from quatforms.classset import compute_class_set, compute_theta, narrow_support
 from quatforms.eigen import build_report
 from quatforms.heckespace import (
@@ -100,6 +102,43 @@ def test_dimension_report_at_31_times_41():
     assert (dr.total, dr.eisenstein, dr.cusp, dr.new_strict, dr.new_above_one) == (
         24, 1, 23, 19, 23,
     )
+
+
+def test_dimension_report_splits_each_level_prime_once(monkeypatch):
+    # one splitting at 31*41; every sublevel space is built from its
+    # components and projected unit images, and equals a fresh build_space
+    F, cs, _ = q5_bound4()
+    th = compute_theta(cs, 5)
+    calls = Counter()
+    spaces = []
+    init, split, orbit_space = (
+        heckespace._LevelComponent.__init__, heckespace.build_splitting, heckespace._orbit_space,
+    )
+
+    def counting_init(self, *args, **kwargs):
+        calls["components"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_split(*args, **kwargs):
+        calls["splittings"] += 1
+        return split(*args, **kwargs)
+
+    def recording(*args):
+        spaces.append(orbit_space(*args))
+        return spaces[-1]
+
+    monkeypatch.setattr(heckespace._LevelComponent, "__init__", counting_init)
+    monkeypatch.setattr(heckespace, "build_splitting", counting_split)
+    monkeypatch.setattr(heckespace, "_orbit_space", recording)
+    dimension_report(cs, th, level(F, 31, 41))
+    monkeypatch.undo()
+    assert calls == {"components": 2, "splittings": 1}
+    assert sorted(sp.p1.size for sp in spaces) == [1, 32, 42, 32 * 42]
+    for sp in spaces:
+        fresh = build_space(cs, sp.level, parallel_weight_two(F))
+        assert (sp.orbits, sp.stabilizer_orders, sp.dim) == (
+            fresh.orbits, fresh.stabilizer_orders, fresh.dim,
+        )
 
 
 def test_level_three_over_quad10_clears_denominators(monkeypatch):

@@ -70,7 +70,7 @@ def test_charpoly_companion_small():
 
 
 def test_charpoly_companion_crt_path():
-    # degree 12 exceeds the rational cutoff, forcing the modular route
+    # the coefficient bound of degree 12 needs more than one CRT prime
     rng = random.Random(3)
     f = Poly([rng.randint(-40, 40) for _ in range(12)] + [1])
     assert companion(f).charpoly() == f
@@ -200,6 +200,25 @@ def ref_apply(a, vec):
     return [sum((x * Fraction(y) for x, y in zip(row, vec)), Fraction(0)) for row in a.rows]
 
 
+def ref_det(rows):
+    m = [[Fraction(v) for v in row] for row in rows]
+    n = len(m)
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            out = -out
+        out *= m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / m[c][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[c])]
+    return out
+
+
 def ref_rref(rows):
     m = [[Fraction(v) for v in row] for row in rows]
     nr, nc = len(m), len(m[0])
@@ -280,3 +299,30 @@ def test_elimination_matches_fraction_reference(a, data):
 def test_poly_at_matrix_matches_fraction_reference(a, coeffs):
     p = Poly(coeffs)
     assert poly_at_matrix(p, a).rows == ref_poly_at(p, a)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: rational_mats(nrows=n, ncols=n)))
+@settings(max_examples=80, deadline=None)
+def test_det_matches_fraction_reference(a):
+    assert a.det() == ref_det(a.rows)
+
+
+def test_bad_inputs_raise_under_optimize(run_optimized):
+    # input checks are raises, not asserts, so -O keeps them
+    out = run_optimized(
+        "from quatforms.arith import factor_int, inv_mod\n"
+        "from quatforms.eigen import Constituent, decompose\n"
+        "from quatforms.latticetools import iroot\n"
+        "from quatforms.matrices import Matrix, poly_at_matrix\n"
+        "from quatforms.polynomials import Poly\n"
+        "c = Constituent([[1, 0], [0, 1]], [(Poly([-2, 0, 1]), 1)], [None], True)\n"
+        "for call in (lambda: inv_mod(2, 4), lambda: factor_int(0), lambda: iroot(-1, 2),\n"
+        "             lambda: iroot(4, 0), lambda: c.eigenvalue(0), lambda: decompose([]),\n"
+        "             lambda: Matrix([[1, 2]]).apply([1]),\n"
+        "             lambda: poly_at_matrix(Poly([1]), Matrix([[1, 2]]))):\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except (ValueError, ZeroDivisionError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    assert out.split() == ["ZeroDivisionError"] + ["ValueError"] * 7

@@ -321,3 +321,25 @@ def test_discriminant_certificate_checked_under_optimize(run_optimized):
         "    print('ArithmeticError:', exc)\n"
     )
     assert out.startswith("ArithmeticError: discriminant norm is not a square")
+
+
+def test_lattice_product_rejects_another_algebra():
+    R, S = _alg(F10).standard_order(), _alg(F10).standard_order()
+    with pytest.raises(ValueError, match="different algebras"):
+        R * S
+
+
+def test_idealizer_containment_checked_under_optimize(run_optimized):
+    # an idealizer that fails to contain the order must be rejected with
+    # asserts stripped
+    out = run_optimized(
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import QuatAlgebra, QuatLattice, maximalize\n"
+        "QuatLattice.contains_lattice = lambda self, other: False\n"
+        "alg = QuatAlgebra(field_from_spec('quad:5'), -1, -1)\n"
+        "try:\n"
+        "    print('returned', maximalize(alg.standard_order()))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: idealizer does not contain the order")

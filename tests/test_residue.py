@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from quatforms import quaternion
+from quatforms.numberfield import field_from_spec
 from quatforms.residue import (
     FpAlgebra,
     LatticeQuotient,
+    _int_mat_pow,
     MatrixSplitting,
     algebra_radical,
     in_span_mod,
@@ -451,6 +454,59 @@ def test_radical_split_quaternion():
     # at odd p the Hamilton table gives a matrix algebra, radical zero
     assert algebra_radical(_hamilton_mod_p(3)) == []
     assert algebra_radical(_hamilton_mod_p(5)) == []
+
+
+def ref_radical_rows(A):
+    """The divided-trace chain with one divided trace per product v * y."""
+    p, n = A.p, A.dim
+
+    def divided_trace(z, i):
+        m = [[0] * n for _ in range(n)]
+        for r, zr in enumerate(z):
+            for s in range(n):
+                for t, c in enumerate(A.mult[r][s]):
+                    m[t][s] += zr * c
+        q = p**i
+        quo, rem = divmod(sum(row[t] for t, row in enumerate(_int_mat_pow(m, q))), q)
+        assert rem == 0
+        return quo % p
+
+    V = [A.unit(j) for j in range(n)]
+    i = 0
+    while True:
+        mat = [[divided_trace(A.mul(v, y), i) for y in V] for v in V]
+        new = []
+        for coeffs in kernel_mod(tuple(zip(*mat)), p):
+            w = [0] * n
+            for c, v in zip(coeffs, V):
+                w = [(a + c * b) % p for a, b in zip(w, v)]
+            new.append(tuple(w))
+        V = span_basis_mod(new, p) if new else []
+        if not V or p**i >= n:
+            return [tuple(r) for r in V]
+        i += 1
+
+
+def test_radical_matches_per_pair_reference(monkeypatch):
+    # the small algebras above, and every radical that the maximal order
+    # search of three fields computes
+    found = []
+
+    def recording(A):
+        found.append((A, algebra_radical(A)))
+        return found[-1][1]
+
+    monkeypatch.setattr(quaternion, "algebra_radical", recording)
+    for spec in ("quad:5", "quad:13", "quad:41"):
+        quaternion.hilbert_ramification_free_algebra(field_from_spec(spec))
+    assert len(found) >= 3
+    small = [_m2_fp(2), _m2_fp(3), _field_f25(), _truncated_poly(2, 2),
+             _truncated_poly(3, 3), _upper_triangular(2), _upper_triangular(3),
+             _hamilton_mod_p(2), _hamilton_mod_p(3), _hamilton_mod_p(5),
+             FpAlgebra(2, [[(1, 0), (0, 1)], [(0, 1), (1, 0)]], (1, 0))]
+    found += [(A, algebra_radical(A)) for A in small]
+    for A, rad in found:
+        assert rad == ref_radical_rows(A)
 
 
 def test_radical_certificate_checked_under_optimize(run_optimized):
