@@ -92,6 +92,11 @@ def neighbors(b, p):
     residue field through a 2x2 matrix splitting of R/pR.  The random
     idempotent search inside the splitting is retried with fresh seeds
     and only then reported as a hard failure.
+
+    Each neighbor is the preimage of the right R-submodule w R of
+    (p^-1 b)/b, R the right order of b, so it is a right R-module.  R is
+    maximal, so it is the neighbor's right order, which is set on the
+    result.
     """
     alg = b.alg
     ideal, ell, f = _prime_parts(p)
@@ -161,6 +166,7 @@ def neighbors(b, p):
         lat = QuatLattice(alg, base + [V.lift(u) for u in u_rows])
         if b.covolume() / lat.covolume() != npn ** 2:
             raise ArithmeticError("neighbor does not have index Np^2 over b")
+        lat._right = R
         out.append(lat)
     if len(set(out)) != npn + 1:
         raise ArithmeticError("neighbors are not Np + 1 distinct lattices")
@@ -250,16 +256,18 @@ class ClassSet:
 def narrow_support(F):
     """A minimal prime list generating the narrow class group.
 
-    Primes of norm up to 200 are scanned in canonical order and kept only
-    when their class enlarges the subgroup generated so far, so the result
-    is deterministic and empty when the narrow class number is 1.
+    Primes are taken in F.primes_by_norm order, up to norm 200, and kept
+    only when their class enlarges the subgroup generated so far, so the
+    result is deterministic and empty when the narrow class number is 1.
     """
     k = len(F.narrow_gens)
+    if not k:
+        return []
     have = []
     out = []
-    for pr in F.prime_ideals_up_to(200):
-        if len(out) == k:
-            break
+    for pr in F.primes_by_norm():
+        if pr.norm > 200:
+            raise ArithmeticError("primes up to the bound do not generate the narrow class group")
         bits = F.narrow_dlog(pr.ideal)
         if not any(bits):
             continue
@@ -267,19 +275,13 @@ def narrow_support(F):
             continue
         have.append(list(bits))
         out.append(pr)
-    if len(out) < k:
-        raise ArithmeticError("primes up to the bound do not generate the narrow class group")
-    return out
+        if len(out) == k:
+            return out
 
 
 def _first_split_prime(F):
     """The smallest degree one unramified prime of F."""
-    bound = 20
-    while True:
-        for pr in F.prime_ideals_up_to(bound):
-            if pr.f == 1 and pr.e == 1:
-                return pr
-        bound *= 4
+    return next(pr for pr in F.primes_by_norm() if pr.f == 1 and pr.e == 1)
 
 
 def compute_class_set(R, support):
@@ -388,17 +390,18 @@ def _norm_coset_targets(alg, G):
     return out
 
 
-def _unit_matrices(L, units):
-    """Integer matrices of left multiplication by the units on L.
+def _unit_matrices(L, lams):
+    """Integer matrices of left multiplication by units on L.
 
-    L must be a left module over the order holding the units: row i of
-    the matrix M_g holds the coordinates of g * rows[i] / den on the
-    basis rows, so g * (x over the rows) is x M_g.  Each matrix comes
-    back as its columns, the form _orbit_representatives uses.
+    lams holds the pairs (lam, d) of QuatAlgebra.left_matrix for the
+    units, computed once per class rather than once per lattice.  L must
+    be a left module over the order holding the units: row i of the
+    matrix M_g holds the coordinates of g * rows[i] / den on the basis
+    rows, so g * (x over the rows) is x M_g.  Each matrix comes back as
+    its columns, the form _orbit_representatives uses.
     """
     out = []
-    for g in units:
-        lam, d = L.alg.left_matrix(g)
+    for lam, d in lams:
         m = L.int_coords(int_product(L.rows, lam), L.den * d)
         if m is None:
             raise ArithmeticError("unit does not preserve the lattice")
@@ -454,14 +457,17 @@ def compute_theta(cs, bound):
     primes = F.prime_ideals_up_to(bound)
     reps = cs.representatives
     nrs = [r.nr_ideal() for r in reps]
-    units = [(_norm_one_units(alg, G), _norm_coset_targets(alg, G)) for G in cs.unit_groups]
+    units = [
+        ([alg.left_matrix(g) for g in _norm_one_units(alg, G)], _norm_coset_targets(alg, G))
+        for G in cs.unit_groups
+    ]
     entries = {}
     for bi, b in enumerate(reps):
         b_inv = b.inverse()
         nr_b_inv = nrs[bi].inverse()
         counts = [0] * len(primes)
         for ai, a in enumerate(reps):
-            units_one, targets = units[ai]
+            lams, targets = units[ai]
             L = None
             for pi, pr in enumerate(primes):
                 beta = F.narrowly_principal_generator(nrs[ai] * pr.ideal * nr_b_inv)
@@ -469,7 +475,7 @@ def compute_theta(cs, bound):
                     continue
                 if L is None:
                     L = a.compose(b_inv)
-                    unit_cols = _unit_matrices(L, units_one)
+                    unit_cols = _unit_matrices(L, lams)
                 us = []
                 for e in targets:
                     sols = norm_equation_coords(L, F.mul(beta, e))

@@ -5,6 +5,11 @@ lattice.  The HNF used here is the row echelon form: pivots move right as
 you go down, pivot entries are positive, and entries above a pivot are
 reduced into [0, pivot).
 
+hnf_rows runs the one elimination, on the rows alone.  A caller that
+needs the unimodular transform U gets it from hnf_with_transform, which
+eliminates the augmented rows [mat | I] and reads U off the last
+columns; no other elimination carries U along.
+
 hnf_coords is the one place where coordinates of a vector over an HNF
 basis are solved.  Lattice membership, quotient projections
 (residue.QuotientSpace), stabilizer orders (QuatLattice._coords) and the
@@ -47,16 +52,11 @@ def identity_int(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def hnf_with_transform(mat):
-    """Row HNF of an integer matrix.
-
-    Returns (H, U) with U unimodular, U * mat = H, H in row Hermite form
-    with zero rows (if any) at the bottom.
-    """
-    h = [row[:] for row in mat]
+def hnf_rows(mat):
+    """Row HNF with zero rows dropped; canonical basis of the row lattice."""
+    h = [list(row) for row in mat]
     n = len(h)
     m = len(h[0]) if n else 0
-    u = identity_int(n)
     row = 0
     for col in range(m):
         # find a pivot at or below `row` in this column
@@ -68,36 +68,41 @@ def hnf_with_transform(mat):
         if piv is None:
             continue
         h[row], h[piv] = h[piv], h[row]
-        u[row], u[piv] = u[piv], u[row]
         # kill entries below via extended gcd steps
         for i in range(row + 1, n):
             while h[i][col]:
                 q = h[row][col] // h[i][col]
                 if q:
                     h[row] = [a - q * b for a, b in zip(h[row], h[i])]
-                    u[row] = [a - q * b for a, b in zip(u[row], u[i])]
                 h[row], h[i] = h[i], h[row]
-                u[row], u[i] = u[i], u[row]
         if h[row][col] < 0:
             h[row] = [-a for a in h[row]]
-            u[row] = [-a for a in u[row]]
         # reduce entries above the pivot
         p = h[row][col]
         for i in range(row):
             q = h[i][col] // p
             if q:
                 h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[row])]
         row += 1
         if row == n:
             break
-    return h, u
+    # the rows from `row` on are zero in every column
+    return h[:row]
 
 
-def hnf_rows(mat):
-    """Row HNF with zero rows dropped; canonical basis of the row lattice."""
-    h, _ = hnf_with_transform(mat)
-    return [row for row in h if any(row)]
+def hnf_with_transform(mat):
+    """Row HNF of an integer matrix with its transform.
+
+    Returns (H, U) with U unimodular, U * mat = H, H in row Hermite form
+    with zero rows (if any) at the bottom.  [mat | I] has full row rank
+    and its HNF is [U * mat | U]: the elimination on the first m columns
+    is the one hnf_rows runs on mat, and the pivots in the identity
+    columns only combine rows that are zero on the first m columns.
+    """
+    n = len(mat)
+    m = len(mat[0]) if n else 0
+    h = hnf_rows([list(row) + e for row, e in zip(mat, identity_int(n))])
+    return [row[:m] for row in h], [row[m:] for row in h]
 
 
 def hnf_coords(hnf, vec, den=1):

@@ -23,8 +23,10 @@ comparing a^2 with D b^2.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -324,16 +326,25 @@ class FieldCtx:
         self._primes_cache[p] = out
         return out
 
-    def prime_ideals_up_to(self, bound: int) -> list["PrimeIdeal"]:
-        out = []
+    def primes_by_norm(self) -> Iterator["PrimeIdeal"]:
+        """Every prime ideal, in (norm, HNF rows) order, without end.
+
+        The rational primes are factored one at a time.  A prime above
+        p has norm p or p^2, and every prime of norm below p lies above
+        a rational prime below p, so the buffered primes of norm below p
+        are final and leave before p is factored.
+        """
+        heap = []
         p = 2
-        while p <= bound:
+        while True:
+            while heap and heap[0][0] < p:
+                yield heapq.heappop(heap)[2]
             for ideal, f, e in self.primes_above(p):
-                if p**f <= bound:
-                    out.append(PrimeIdeal(ideal, p, f, e))
+                heapq.heappush(heap, (p**f, ideal.rows, PrimeIdeal(ideal, p, f, e)))
             p = next_prime(p)
-        out.sort(key=lambda pr: (pr.norm, pr.ideal.rows))
-        return out
+
+    def prime_ideals_up_to(self, bound: int) -> list["PrimeIdeal"]:
+        return list(itertools.takewhile(lambda pr: pr.norm <= bound, self.primes_by_norm()))
 
     def residue_field(self, prime: "FieldIdeal"):
         """Quotient O/P as a LatticeQuotient whose algebra is a field."""
@@ -606,15 +617,7 @@ def _attach_class_data_by_search(F: FieldCtx):
     pool prime and each product of found classes against the certified
     principality test closes the group.
     """
-    mink = isqrt(F.disc) // 2
-    pool = []
-    p = 2
-    while p <= mink:
-        for prime, f, _e in F.primes_above(p):
-            if p**f <= mink:
-                pool.append(prime)
-        p = next_prime(p)
-    pool.sort(key=lambda pr: (pr.norm(), pr.rows))
+    pool = [pr.ideal for pr in F.prime_ideals_up_to(isqrt(F.disc) // 2)]
     reps = [F.unit_ideal()]
 
     def known(c):

@@ -370,10 +370,23 @@ class QuatLattice:
         return QuatLattice(alg, [alg.mul(x, v) for v in self.basis_vectors()])
 
     def compose(self, other):
-        """Ideal product; the factors' inner orders must match."""
-        if self.right_order() != other.left_order():
+        """Ideal product; the factors' inner orders must match.
+
+        The factors are taken to be invertible, as every ideal whose left
+        or right order is maximal is.  Then O_l(IJ) = O_l(I) and O_r(IJ) =
+        O_r(J), and whichever of these is already known is set on the
+        product.  With O = O_r(I) = O_l(J), the product is certified by
+        covol(IJ) covol(O) = covol(I) covol(J): the index of an invertible
+        ideal in its orders is multiplicative.
+        """
+        order = self.right_order()
+        if order != other.left_order():
             raise ValueError("ideals have incompatible orders for composition")
-        return self * other
+        out = self * other
+        if out.covolume() * order.covolume() != self.covolume() * other.covolume():
+            raise ArithmeticError("ideal product does not have the product index")
+        out._left, out._right = self._left, other._right
+        return out
 
     def conjugate(self):
         alg = self.alg

@@ -19,7 +19,7 @@ from quatforms.classset import (
 )
 from quatforms.intmat import integral_preimage_rows
 from quatforms.latticetools import TraceFormLattice, enumerate_norm
-from quatforms.numberfield import field_from_spec
+from quatforms.numberfield import field_from_spec, make_quadratic_field
 from quatforms.quaternion import (
     QuatLattice,
     hilbert_ramification_free_algebra,
@@ -72,6 +72,33 @@ def test_narrow_support_choices():
     assert p10.norm == 2 and p10.e == 2
     for F in (F85, F10):
         assert all(any(F.narrow_dlog(p.ideal)) for p in narrow_support(F))
+
+
+def test_prime_lists_and_narrow_support_pinned():
+    # primes_by_norm factors one rational prime at a time; the lists it
+    # gives are those of factoring every p up to the bound and sorting
+    supports = {
+        2: [], 3: [(2, ((1, 1), (0, 2)))], 5: [], 6: [(2, ((2, 0), (0, 1)))],
+        7: [(3, ((1, 1), (0, 3)))], 10: [(2, ((2, 0), (0, 1)))], 13: [],
+        15: [(2, ((1, 1), (0, 2))), (3, ((3, 0), (0, 1)))], 17: [],
+        21: [(3, ((1, 1), (0, 3)))], 30: [(2, ((2, 0), (0, 1))), (5, ((5, 0), (0, 1)))],
+        41: [], 85: [(3, ((1, 2), (0, 3)))],
+    }
+    primes = []
+    for d, want in supports.items():
+        F = make_quadratic_field(d)
+        assert [(p.norm, p.ideal.rows) for p in narrow_support(F)] == want
+        primes.append([(p.norm, p.ideal.rows, p.f, p.e) for p in F.prime_ideals_up_to(300)])
+    assert [len(x) for x in primes] == [61, 59, 62, 60, 62, 61, 63, 64, 61, 59, 58, 58, 65]
+    digest = hashlib.sha256(repr(primes).encode()).hexdigest()
+    assert digest == "e258f7c3601054781d4e9317f117a23119e6132b8139a1c8c2d19ec47d1d91b7"
+
+
+def test_narrow_support_raises_past_norm_200(monkeypatch):
+    F = make_quadratic_field(85)
+    monkeypatch.setattr(F, "narrow_dlog", lambda ideal: (0,))
+    with pytest.raises(ArithmeticError, match="do not generate"):
+        narrow_support(F)
 
 
 def test_neighbor_counts_and_norms():
@@ -268,6 +295,73 @@ def ref_stabilizer(lat, left):
             row.extend(lat._coords(alg.mul(u, b) if left else alg.mul(b, u)))
         mat.append(row)
     return QuatLattice(alg, integral_preimage_rows(mat))
+
+
+@pytest.mark.parametrize("spec,bound,stabilized", [("quad:10", 12, 3), ("quad:85", 5, 7)])
+def test_orders_known_by_construction(spec, bound, stabilized, monkeypatch):
+    # neighbors carry their right order and compose products the outer
+    # orders of their factors, so the walk stabilizes only the left orders
+    # of the new representatives; every preset order is the one
+    # _stabilizer finds on a fresh copy
+    import quatforms.classset as classset
+
+    walk, compose = classset.neighbors, QuatLattice.compose
+    stabilizer = QuatLattice._stabilizer
+    neighbor_lats, products, calls = [], [], []
+
+    def recorded_neighbors(b, p):
+        out = walk(b, p)
+        neighbor_lats.extend(out)
+        return out
+
+    def recorded_compose(self, other):
+        out = compose(self, other)
+        products.append(out)
+        return out
+
+    def counted(self, left):
+        calls.append(left)
+        return stabilizer(self, left)
+
+    monkeypatch.setattr(classset, "neighbors", recorded_neighbors)
+    monkeypatch.setattr(QuatLattice, "compose", recorded_compose)
+    monkeypatch.setattr(QuatLattice, "_stabilizer", counted)
+    R = maximal_order(spec)
+    cs = compute_class_set(R, narrow_support(R.alg.base))
+    assert calls == [True] * stabilized
+    assert stabilized == cs.size - 1
+    walked = len(products)
+    compute_theta(cs, bound)
+    assert calls == [True] * stabilized
+    assert neighbor_lats and 0 < walked < len(products)
+
+    def known(lat, left):
+        want = stabilizer(QuatLattice(lat.alg, lat.basis_vectors()), left)
+        return (lat._left if left else lat._right) == want
+
+    # a compose in is_isomorphic knows the left order of its representative
+    # factor, and one in compute_theta both orders of its representatives
+    assert all(known(c, False) for c in neighbor_lats)
+    assert all(known(L, True) for L in products)
+    assert all(known(L, False) for L in products[walked:])
+    assert all(known(L, False) for L in products[:walked] if L._right is not None)
+
+
+def test_compose_certificate_checked_under_optimize(run_optimized):
+    # a lattice product off by a factor 2 must be caught by the index
+    # certificate with asserts stripped
+    out = run_optimized(
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import QuatLattice, hilbert_ramification_free_algebra\n"
+        "R = hilbert_ramification_free_algebra(field_from_spec('quad:5')).maximal_order()\n"
+        "mul = QuatLattice.__mul__\n"
+        "QuatLattice.__mul__ = lambda self, other: mul(mul(self, other), 2)\n"
+        "try:\n"
+        "    print('returned', R.compose(R))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: ideal product does not have the product index")
 
 
 def test_stabilizer_matches_fraction_reference():
@@ -521,7 +615,8 @@ def test_unit_matrices_match_quaternion_products(spec):
     rng = random.Random(7)
     for ai, L in class_pair_lattices(spec, limit=4):
         units = _norm_one_units(L.alg, cs.unit_groups[ai])
-        for g, cols in zip(units, _unit_matrices(L, units)):
+        lams = [L.alg.left_matrix(g) for g in units]
+        for g, cols in zip(units, _unit_matrices(L, lams)):
             x = [rng.randint(-5, 5) for _ in range(L.alg.dim)]
             y = [sum(a * b for a, b in zip(x, col)) for col in cols]
             assert L.vector(y) == L.alg.mul(g, L.vector(x))

@@ -43,6 +43,84 @@ def test_hnf_transform_identity(mat):
     assert hnf_rows(u) == identity_int(3)
 
 
+def ref_hnf_with_transform(mat):
+    """Row HNF carrying the transform through every step of the elimination."""
+    h = [row[:] for row in mat]
+    n = len(h)
+    m = len(h[0]) if n else 0
+    u = identity_int(n)
+    row = 0
+    for col in range(m):
+        piv = None
+        for i in range(row, n):
+            if h[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        h[row], h[piv] = h[piv], h[row]
+        u[row], u[piv] = u[piv], u[row]
+        for i in range(row + 1, n):
+            while h[i][col]:
+                q = h[row][col] // h[i][col]
+                if q:
+                    h[row] = [a - q * b for a, b in zip(h[row], h[i])]
+                    u[row] = [a - q * b for a, b in zip(u[row], u[i])]
+                h[row], h[i] = h[i], h[row]
+                u[row], u[i] = u[i], u[row]
+        if h[row][col] < 0:
+            h[row] = [-a for a in h[row]]
+            u[row] = [-a for a in u[row]]
+        p = h[row][col]
+        for i in range(row):
+            q = h[i][col] // p
+            if q:
+                h[i] = [a - q * b for a, b in zip(h[i], h[row])]
+                u[i] = [a - q * b for a, b in zip(u[i], u[row])]
+        row += 1
+        if row == n:
+            break
+    return h, u
+
+
+@st.composite
+def hnf_inputs(draw):
+    """Integer matrices of any shape, with zero and dependent rows.
+
+    One branch stacks two 2x2 upper triangular blocks into the 4x2 shape
+    of the coprimality solve in heckespace._LevelComponent._one_mod_prime.
+    """
+    if draw(st.booleans()):
+        blocks = [
+            [[draw(st.integers(1, 30)), draw(small_int)], [0, draw(st.integers(1, 30))]]
+            for _ in range(2)
+        ]
+        return blocks[0] + blocks[1]
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(small_int, min_size=m, max_size=m), min_size=n, max_size=n))
+    for i in range(n):
+        kind = draw(st.sampled_from(["keep", "zero", "combination"]))
+        if kind == "zero":
+            rows[i] = [0] * m
+        elif kind == "combination" and i:
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            c = draw(small_int)
+            rows[i] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+@given(hnf_inputs())
+@settings(max_examples=300, deadline=None)
+def test_hnf_matches_transform_carrying_reference(mat):
+    want, _ = ref_hnf_with_transform(mat)
+    assert hnf_rows(mat) == [row for row in want if any(row)]
+    h, u = hnf_with_transform(mat)
+    assert h == want
+    assert int_product(u, mat) == h
+    assert hnf_rows(u) == identity_int(len(mat))
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_int_product_matches_fraction_reference(data):
