@@ -19,6 +19,7 @@ from .intmat import abs_det, int_product
 from .numberfield import PrimeIdeal
 from .quaternion import QuatLattice, norm_equation_coords, norm_equation_solutions
 from .residue import (
+    FiniteField,
     LatticeQuotient,
     MatrixSplitting,
     QuotientSpace,
@@ -152,13 +153,13 @@ def neighbors(b, p):
                 acc[t] = (acc[t] + c * rt) % ell
         return Aq.lift(tuple(acc))
 
-    k_sub = subalgebra(A, k_rows, A.one)
+    k = FiniteField(subalgebra(A, k_rows, A.one))
     r_basis = R.basis_vectors()
     base = list(b.basis_vectors())
     out = []
-    for x, y in p1_points(k_sub):
-        wx = act(w1, scalar_lift(x))
-        wy = act(w2, scalar_lift(y))
+    for x, y in p1_points(k):
+        wx = act(w1, scalar_lift(k.coords(x)))
+        wy = act(w2, scalar_lift(k.coords(y)))
         w = tuple((u + v) % ell for u, v in zip(wx, wy))
         u_rows = span_basis_mod([act(w, r) for r in r_basis], ell)
         if len(u_rows) != 2 * f:

@@ -1,31 +1,33 @@
 """Simultaneous decomposition of the Hecke module into eigencomponents.
 
-The operators commute, so the space splits into generalized eigenspaces
-one operator at a time.  A piece is final once a single restricted
-operator is cyclic with irreducible characteristic polynomial: the rest
-of the commuting algebra then lives inside the field it generates and
-cannot split the piece further.  Pieces that never certify are returned
-uncertified; more operators might still split them.
+The operators are certified to commute, as integer matrices, so the
+space splits into generalized eigenspaces one operator at a time.  Every
+piece is a primitive integer basis; restricting an operator to it is one
+integer product and one elimination.  A piece is final once a single
+restricted operator is cyclic with irreducible characteristic
+polynomial: the rest of the commuting algebra then lives inside the
+field it generates and cannot split the piece further.  Pieces that
+never certify are returned uncertified; more operators might still
+split them.
 """
 
 import itertools
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrices import Matrix, poly_at_matrix
+from .intmat import identity_int, int_product, integral_rows
+from .matrices import Matrix, poly_at_matrix, primitive
 from .polynomials import Poly, factor_poly
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
 class Constituent:
     """A Hecke-stable subspace with its restricted operator data.
 
-    basis rows span the subspace in ambient orbit coordinates.  For the
-    i-th operator, factors[i] = (g, e) with restricted characteristic
-    polynomial g^e and g irreducible; primes[i] names the operator.
+    basis holds primitive integer rows spanning the subspace in ambient
+    orbit coordinates.  For the i-th operator, factors[i] = (g, e) with
+    restricted characteristic polynomial g^e and g irreducible; primes[i]
+    names the operator.
     presentations[i], once computed, gives the coefficients of the i-th
     restricted operator as a polynomial in the chosen cyclic generator.
     """
@@ -51,33 +53,37 @@ class Constituent:
         return -g.coeffs[0]
 
 
-def _restrict(mat, basis):
-    """Matrix of mat on the span of basis, in basis coordinates.
+def _int_rows(block):
+    """The integer rows of a Hecke block's matrix."""
+    d, rows = integral_rows(block.matrix.rows)
+    if d != 1:
+        raise ValueError("Hecke matrix is not integral")
+    return rows
+
+
+def _restrict(rows, basis):
+    """Matrix of the integer matrix rows on the span of the integer rows
+    basis, in basis coordinates.
 
     One elimination of [basis columns | images of the basis]: a pivot in
     the image block means some image leaves the span.
     """
     k = len(basis)
-    images = [mat.apply(v) for v in basis]
+    images = int_product(basis, list(zip(*rows)))
     red, pivots = Matrix([list(row) for row in zip(*basis, *images)]).rref()
     if any(pc >= k for pc in pivots):
         raise ArithmeticError("subspace is not stable")
-    out = [[Fraction(0)] * k for _ in range(k)]
+    out = [[0] * k for _ in range(k)]
     for r, pc in enumerate(pivots):
         out[pc] = red.rows[r][k:]
     return Matrix(out)
 
 
 def _lift(coord_vecs, basis):
-    n = len(basis[0])
-    out = []
-    for cv in coord_vecs:
-        amb = [Fraction(0)] * n
-        for c, b in zip(cv, basis):
-            if c:
-                amb = [x + c * y for x, y in zip(amb, b)]
-        out.append(amb)
-    return out
+    """Primitive integer rows spanning the vectors with coordinates
+    coord_vecs over the integer rows basis."""
+    _, ints = integral_rows(coord_vecs)
+    return [primitive(row) for row in int_product(ints, basis)]
 
 
 def _constituent_key(c):
@@ -87,6 +93,14 @@ def _constituent_key(c):
 def decompose(blocks):
     """Split the common domain of the blocks into stable subspaces.
 
+    The blocks are first certified to commute pairwise, as integer
+    matrices.  Each piece is a primitive integer basis with the factor
+    data known so far: a piece cut out by the generalized eigenspace g^e
+    of one block has factor (g, e) there and, for every earlier block,
+    (h, dim / deg h), h the factor of the piece it came from, since the
+    commuting block keeps the subspace.  Only the (piece, block) pairs
+    still unknown at the end are restricted and factored.
+
     Returns Constituents in a deterministic order with complete factor
     data for every block; the sum of their dimensions is the full
     dimension and each restricted characteristic polynomial is a power
@@ -94,41 +108,47 @@ def decompose(blocks):
     """
     if not blocks:
         raise ValueError("no Hecke blocks to decompose")
-    n = blocks[0].matrix.nrows
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    spaces = [(ident, False)]
-    for block in blocks:
+    mats = [_int_rows(b) for b in blocks]
+    for a, b in itertools.combinations(mats, 2):
+        if int_product(a, b) != int_product(b, a):
+            raise ArithmeticError("Hecke blocks do not commute")
+    n = len(mats[0])
+    pieces = [(identity_int(n), [None] * len(mats), False)]
+    for i, rows in enumerate(mats):
         nxt = []
-        for basis, done in spaces:
+        for basis, facs, done in pieces:
             if done:
-                nxt.append((basis, done))
+                nxt.append((basis, facs, done))
                 continue
-            M = _restrict(block.matrix, basis)
-            _, facs = factor_poly(M.charpoly())
-            if len(facs) == 1:
-                g, e = facs[0]
-                nxt.append((basis, e == 1))
+            M = _restrict(rows, basis)
+            _, split = factor_poly(M.charpoly())
+            if len(split) == 1:
+                facs[i] = split[0]
+                nxt.append((basis, facs, split[0][1] == 1))
                 continue
-            for g, e in facs:
+            for g, e in split:
+                dim = g.degree * e
                 ker = poly_at_matrix(g ** e, M).right_kernel()
-                if len(ker) != g.degree * e:
+                if len(ker) != dim:
                     raise ArithmeticError("generalized eigenspace has the wrong dimension")
-                nxt.append((_lift(ker, basis), e == 1))
-        spaces = nxt
+                if any(dim % h.degree for h, _ in facs[:i]):
+                    raise ArithmeticError("eigenspace dimension is not a multiple of a factor degree")
+                sub = [(h, dim // h.degree) for h, _ in facs[:i]] + [(g, e)] + facs[i + 1:]
+                nxt.append((_lift(ker, basis), sub, e == 1))
+        pieces = nxt
     out = []
-    for basis, _ in spaces:
-        factors = []
-        for block in blocks:
-            M = _restrict(block.matrix, basis)
-            _, facs = factor_poly(M.charpoly())
-            if len(facs) != 1:
-                raise ArithmeticError("piece is not isotypic for some operator")
-            factors.append(facs[0])
+    for basis, facs, _ in pieces:
+        for i, rows in enumerate(mats):
+            if facs[i] is None:
+                _, split = factor_poly(_restrict(rows, basis).charpoly())
+                if len(split) != 1:
+                    raise ArithmeticError("piece is not isotypic for some operator")
+                facs[i] = split[0]
         out.append(Constituent(
             basis=basis,
-            factors=factors,
+            factors=facs,
             primes=[b.prime for b in blocks],
-            certified=any(e == 1 for _, e in factors),
+            certified=any(e == 1 for _, e in facs),
         ))
     if sum(c.dimension for c in out) != n:
         raise ArithmeticError("constituent dimensions do not add up to the space")
@@ -155,7 +175,7 @@ def present_eigenvalues(c, blocks):
         return None
     c.generator = gi
     c.minpoly = c.factors[gi][0]
-    M = _restrict(blocks[gi].matrix, c.basis)
+    M = _restrict(_int_rows(blocks[gi]), c.basis)
     d = c.dimension
     w = [Fraction(int(t == 0)) for t in range(d)]
     powers = []
@@ -166,7 +186,7 @@ def present_eigenvalues(c, blocks):
     P = Matrix([list(col) for col in zip(*powers)])
     pres = []
     for i, block in enumerate(blocks):
-        Mi = M if i == gi else _restrict(block.matrix, c.basis)
+        Mi = M if i == gi else _restrict(_int_rows(block), c.basis)
         coeffs = P.solve_right(Mi.apply(w))
         # the cyclic vector identity extends to the whole piece, checked
         if coeffs is None or poly_at_matrix(Poly(coeffs), M) != Mi:

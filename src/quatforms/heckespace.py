@@ -3,22 +3,25 @@
 The space at level N is assembled class by class: each unit group acts on
 P^1(O/N) through a 2x2 splitting of the order at the level primes, and the
 operator at a prime p transports orbits along the stored isomorphism
-witnesses.  All matrices have integer entries and everything is exact.
+witnesses.  At each level prime the splitting is one F_p-matrix, built
+once, from integer coordinates over the order to the entries of the 2x2
+image; reducing an element is one integer product with the inverse of
+the order's basis and one with that matrix.  Residue fields are log
+tables (residue.FiniteField), so matrix entries and projective points
+are small ints.  All Hecke matrices have integer entries and everything
+is exact.
 """
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
 from .classset import split_residue_matrix
 from .eigen import decompose, flag_eisenstein
-from .intmat import hnf_with_transform
+from .intmat import hnf_with_transform, int_product, integral_rows
 from .matrices import Matrix
 from .numberfield import PrimeIdeal
-from .residue import LatticeQuotient, mat2_act, mat2_det, mat2_mul, p1_points
-
-log = logging.getLogger(__name__)
+from .residue import FiniteField, LatticeQuotient, mat2_act, mat2_det, mat2_mul, p1_points
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,11 @@ def build_p1(factors):
 
     Certificate: exactly prod (Nq + 1) distinct points.
     """
-    per_factor = [p1_points(kq.algebra) for _, kq in factors]
+    per_factor = [p1_points(k) for _, k in factors]
     points = list(itertools.product(*per_factor))
     count = 1
-    for _, kq in factors:
-        count *= kq.algebra.p ** kq.algebra.dim + 1
+    for _, k in factors:
+        count *= k.q + 1
     if not len(points) == count == len(set(points)):
         raise ArithmeticError("P^1 point count differs from prod (Nq + 1)")
     return P1Space(factors, points, {pt: i for i, pt in enumerate(points)})
@@ -90,10 +93,13 @@ def build_p1(factors):
 class _LevelComponent:
     """Splitting data of the base order at one level prime.
 
-    Reduction accepts any element that is integral at the prime: a field
-    multiplier congruent to 1 there clears denominators supported away
-    from it.  Unit group elements and transport witnesses are of this
-    kind, their norms being units or neighbor steps at the prime.
+    lam is the reduction map as an F_p-matrix: row i holds the four
+    entries of the 2x2 image of the i-th basis row of the order, each as
+    f coordinates over the residue field.  Reduction accepts any element
+    that is integral at the prime: a field multiplier congruent to 1
+    there clears denominators supported away from it.  Unit group
+    elements and transport witnesses are of this kind, their norms being
+    units or neighbor steps at the prime.
     """
 
     def __init__(self, order, prime, kq, seed=0):
@@ -101,20 +107,22 @@ class _LevelComponent:
         self.order = order
         self.prime = prime
         self.kq = kq
-        self.k = kq.algebra
+        A = kq.algebra
+        self.k = FiniteField(A)
         pR = order.iscale(prime)
         self.quo = LatticeQuotient(
             [list(r) for r in order.rows], order.den,
             [list(r) for r in pR.rows], pR.den,
-            self.k.p, alg.mul, alg.one,
+            A.p, alg.mul, alg.one,
         )
         # embedding rows follow the residue field's own coordinate order,
         # so splitting image entries are residue field coordinates as is
-        embed = [
-            self.quo.proj(alg.el(kq.lift(self.k.unit(t))))
-            for t in range(self.k.dim)
-        ]
+        embed = [self.quo.proj(alg.el(kq.lift(A.unit(t)))) for t in range(A.dim)]
         self.split = split_residue_matrix(self.quo.algebra, embed, seed=seed)
+        self.lam = [
+            [c for row in self.split.image(self.quo.proj(v)) for entry in row for c in entry]
+            for v in order.basis_vectors()
+        ]
         self._mult_cache = {}
 
     def _one_mod_prime(self, d):
@@ -156,18 +164,32 @@ class _LevelComponent:
             return x
         return mul(self._one_mod_prime(d), x)
 
+    def _coords(self, x):
+        """(num, q) with num[i] / q the coordinates of x over the order's basis."""
+        R = self.order
+        adj, rho = R._inverse()
+        dx, (ix,) = integral_rows([x])
+        return [c * R.den for c in int_product([ix], adj)[0]], dx * rho
+
     def reduce(self, x):
-        """2x2 residue matrix of an element integral at the prime."""
-        alg = self.order.alg
-        coords = self.order._coords(x)
-        x = self._clear([c.denominator for c in coords], x, alg.fmul)
-        return self.split.image(self.quo.proj(x))
+        """2x2 matrix of residue field codes of an element integral at the prime."""
+        num, q = self._coords(x)
+        cleared = self._clear([q // math.gcd(q, c) for c in num], x, self.order.alg.fmul)
+        if cleared is not x:
+            num, q = self._coords(cleared)
+        if any(c % q for c in num):
+            raise ValueError("element is not integral at the prime")
+        k = self.k
+        image = [v % k.p for v in int_product([[c // q for c in num]], self.lam)[0]]
+        f = k.f
+        a, b, c, d = (k.code(image[t:t + f]) for t in range(0, 4 * f, f))
+        return ((a, b), (c, d))
 
     def reduce_scalar(self, c):
-        """Residue field image of a field element integral at the prime."""
+        """Residue field code of a field element integral at the prime."""
         F = self.order.alg.base
         c = self._clear([v.denominator for v in c], c, F.mul)
-        return self.kq.proj(c)
+        return self.k.code(self.kq.proj(c))
 
 
 @dataclass
@@ -195,11 +217,7 @@ class SplittingMap:
         )
 
     def identity_image(self):
-        out = []
-        for c in self.components:
-            k = c.k
-            out.append(((k.one, k.zero()), (k.zero(), k.one)))
-        return tuple(out)
+        return tuple(((1, 0), (0, 1)) for _ in self.components)
 
 
 def build_splitting(cs, N, seed=0):
@@ -292,7 +310,7 @@ def build_space(cs, N, w, seed=0):
 
 def _orbit_space(cs, N, w, sm):
     """build_space at the level N whose primes sm splits."""
-    p1 = build_p1([(c.prime, c.kq) for c in sm.components])
+    p1 = build_p1([(c.prime, c.k) for c in sm.components])
     orbits = []
     stabs = []
     lookups = []

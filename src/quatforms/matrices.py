@@ -24,7 +24,7 @@ from .polynomials import Poly
 _FIRST_PRIME = next_prime(1 << 61)
 
 
-def _primitive(row):
+def primitive(row):
     """An integer row divided by the gcd of its entries (zero stays zero)."""
     g = gcd(*row)
     if g > 1:
@@ -84,7 +84,7 @@ class Matrix:
         gives the unique RREF.
         """
         _, m = integral_rows(self.rows)
-        m = [_primitive(row) for row in m]
+        m = [primitive(row) for row in m]
         nr, nc = len(m), len(m[0]) if m else 0
         pivots = []
         r = 0
@@ -98,7 +98,7 @@ class Matrix:
             for i in range(nr):
                 if i != r and m[i][c] != 0:
                     f = m[i][c]
-                    m[i] = _primitive([a * v - f * w for v, w in zip(m[i], prow)])
+                    m[i] = primitive([a * v - f * w for v, w in zip(m[i], prow)])
             pivots.append(c)
             r += 1
             if r == nr:

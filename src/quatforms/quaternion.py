@@ -230,6 +230,7 @@ class QuatLattice:
 
     __slots__ = (
         "alg", "rows", "den", "_left", "_right", "_nr", "_disc", "_forms", "_inv",
+        "_ideal_inv",
     )
 
     def __init__(self, alg, vectors):
@@ -267,7 +268,7 @@ class QuatLattice:
         self.rows = rows
         self.den = den
         self._left = self._right = self._nr = self._disc = None
-        self._forms = self._inv = None
+        self._forms = self._inv = self._ideal_inv = None
 
     def basis_vectors(self):
         d = self.den
@@ -470,16 +471,22 @@ class QuatLattice:
         """conj(I) / nr(I); inverts locally principal ideals, which is every
         lattice whose left (equivalently right) order is maximal.
 
-        The left order of the inverse is O_r(I) and its right order is
-        O_l(I); whichever of these is already known is set on the result.
+        Built once and kept on the lattice.  The left order of the inverse
+        is O_r(I) and its right order is O_l(I); whichever of these is
+        known, now or since the inverse was built, is set on the result.
         """
-        alg = self.alg
-        ninv = self.nr_ideal().inverse()
-        cb = self.conjugate().basis_vectors()
-        out = QuatLattice(
-            alg, [alg.fmul(g, v) for g in ninv.basis_vectors() for v in cb]
-        )
-        out._left, out._right = self._right, self._left
+        out = self._ideal_inv
+        if out is None:
+            alg = self.alg
+            ninv = self.nr_ideal().inverse()
+            cb = self.conjugate().basis_vectors()
+            out = self._ideal_inv = QuatLattice(
+                alg, [alg.fmul(g, v) for g in ninv.basis_vectors() for v in cb]
+            )
+        if out._left is None:
+            out._left = self._right
+        if out._right is None:
+            out._right = self._left
         return out
 
     def disc_z(self):

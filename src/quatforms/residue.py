@@ -3,11 +3,13 @@
 This module carries the characteristic-p workhorses: dense linear algebra
 mod p, quotient constructions L/M for p-elementary lattice pairs, radicals,
 the primitive idempotents of commutative algebras (which locate the
-maximal two-sided ideals that maximal-order enlargement lifts), and the
+maximal two-sided ideals that maximal-order enlargement lifts), the
 explicit splitting of a rank-4 quotient algebra as 2x2 matrices over its
-center (used to build projective-line actions on quaternion orders).
+center, and finite fields as log tables (FiniteField), on which the 2x2
+matrices and projective lines of the level structure run.
 
 Vectors are tuples of ints mod p; matrices are tuples of row tuples.
+Elements of a FiniteField are single ints, coded by discrete logarithm.
 Randomized searches take explicit seeds, so every run is reproducible.
 A quotient L/M takes the basis of L in HNF: ambient vectors reach
 quotient coordinates through intmat.hnf_coords over that basis.
@@ -17,6 +19,7 @@ from fractions import Fraction
 import itertools
 import random
 
+from .arith import factor_int
 from .intmat import hnf_coords, hnf_rows
 from .polynomials import _poly_xgcd_mod, _zdivmod_monic, _zgcd_mod, _zmod, _zmul, factor_mod_p
 
@@ -638,7 +641,86 @@ class MatrixSplitting:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrices over an FpAlgebra field, and its projective line
+# finite fields as log tables, 2x2 matrices over them, the projective line
+
+
+class FiniteField:
+    """The field A of q = p^f elements, its elements coded as ints 0 ... q-1.
+
+    0 is zero and 1 + i stands for g^i, g the first primitive element of A
+    in the lexicographic order of its coordinate tuples.  Products and
+    inverses add and negate exponents mod q - 1; sums go through the Zech
+    logarithm, the code of 1 + g^i.  Built once from A, a commutative
+    algebra that must be a field: g^(q-1) = 1 and the q - 1 powers of g
+    are certified distinct, so every nonzero element is a unit.  A
+    non-field has no element of order q - 1 and raises ArithmeticError.
+    """
+
+    def __init__(self, A):
+        p, f = A.p, A.dim
+        q = p**f
+        n = q - 1
+        self.p, self.f, self.q, self.n = p, f, q, n
+        primes = list(factor_int(n)) if n > 1 else []
+        for g in itertools.islice(A.elements(), 1, None):
+            if A.pow(g, n) == A.one and all(A.pow(g, n // r) != A.one for r in primes):
+                break
+        else:
+            raise ArithmeticError("algebra is not a field")
+        powers = [A.one]
+        for _ in range(n - 1):
+            powers.append(A.mul(powers[-1], g))
+        index = [self._index(x) for x in powers]
+        if len(set(index)) != n:
+            raise ArithmeticError("powers of the generator are not distinct")
+        self._exp = powers
+        self._code = [0] * q
+        for i, t in enumerate(index):
+            self._code[t] = 1 + i
+        self._zech = [self.code(A.add(A.one, x)) for x in powers]
+        # -1 is g^(n/2) in odd characteristic, and 1 in characteristic 2
+        self._half = n // 2 if p != 2 else 0
+
+    def _index(self, x):
+        """Lexicographic index of a coordinate tuple, first entry leading."""
+        t = 0
+        for c in x:
+            t = t * self.p + c
+        return t
+
+    def code(self, x):
+        """Code of the element with coordinate tuple x."""
+        return self._code[self._index(x)]
+
+    def coords(self, a):
+        """Coordinate tuple of the element coded a."""
+        return self._exp[a - 1] if a else (0,) * self.f
+
+    def elements(self):
+        """All codes, in the lexicographic order of their coordinate tuples."""
+        return list(self._code)
+
+    def mul(self, a, b):
+        return a and b and (a + b - 2) % self.n + 1
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("zero has no inverse")
+        return (1 - a) % self.n + 1
+
+    def neg(self, a):
+        return a and (a - 1 + self._half) % self.n + 1
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        z = self._zech[(b - a) % self.n]
+        return z and (a + z - 2) % self.n + 1
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
 
 def mat2_mul(k, M, N):
@@ -656,23 +738,18 @@ def mat2_det(k, M):
 
 
 def p1_normalize(k, x, y):
-    """Canonical representative of (x : y) over a field k: leading nonzero
-    coordinate 1.
-
-    A nonzero coordinate without an inverse means k is not a field; k.inv
-    then raises ZeroDivisionError, an ArithmeticError.
-    """
-    if any(x):
-        return (k.one, k.mul(k.inv(x), y))
-    if any(y):
-        return (k.mul(k.inv(y), x), k.one)
+    """Canonical representative of (x : y): leading nonzero coordinate 1."""
+    if x:
+        return (1, k.mul(k.inv(x), y))
+    if y:
+        return (0, 1)
     raise ValueError("not a projective point over a field")
 
 
 def p1_points(k):
     """All points of P^1(k) in canonical order: (1 : y) by lex y, then (0 : 1)."""
-    pts = [(k.one, tuple(y)) for y in k.elements()]
-    pts.append((k.zero(), k.one))
+    pts = [(1, y) for y in k.elements()]
+    pts.append((0, 1))
     return pts
 
 

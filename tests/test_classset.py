@@ -283,6 +283,36 @@ def test_inverse_presets_orders_known_by_construction():
             assert fresh._stabilizer(left=False) == left
 
 
+def test_inverse_built_once_per_lattice(monkeypatch):
+    # is_isomorphic(a, c) inverts the neighbor c for every representative a
+    # that passes the narrow class filter: 37 inversions of 16 distinct
+    # lattices on the quad:85 walk.  The inverse is kept on the lattice, so
+    # no lattice object is inverted twice, and the walk is unchanged.
+    R = maximal_order("quad:85")
+    built = []
+    conjugate = QuatLattice.conjugate
+
+    def recording(self):
+        built.append(self)
+        return conjugate(self)
+
+    monkeypatch.setattr(QuatLattice, "conjugate", recording)
+    cs = compute_class_set(R, narrow_support(F85))
+    monkeypatch.undo()
+    assert len({id(lat) for lat in built}) == len(built) == 17
+    assert len({(lat.rows, lat.den) for lat in built}) == 16
+    for lat in built:
+        assert lat.inverse() is lat.inverse()
+    reps = repr([(r.rows, r.den) for r in cs.representatives])
+    units = repr([g.elements for g in cs.unit_groups])
+    assert hashlib.sha256(reps.encode()).hexdigest() == (
+        "e60179cc4ca28e5f2e779c9696af9bd3222e9cfaba05edbee75f2bd0b5a20b56"
+    )
+    assert hashlib.sha256(units.encode()).hexdigest() == (
+        "a5c881303af86f580374c200651a11a30ae85b6d29e4b756c348f82b6f2dc2a4"
+    )
+
+
 def ref_stabilizer(lat, left):
     """O_l(lat) or O_r(lat) by Fraction products e_r * b and solves."""
     alg = lat.alg

@@ -1,11 +1,12 @@
 import functools
+import math
 from collections import Counter
 
 import pytest
 
 from quatforms import heckespace
 from quatforms.classset import compute_class_set, compute_theta, narrow_support
-from quatforms.eigen import build_report
+from quatforms.eigen import _int_rows, _restrict, build_report, decompose
 from quatforms.heckespace import (
     WeightSpec,
     _LevelComponent,
@@ -15,17 +16,27 @@ from quatforms.heckespace import (
     hecke_operator,
     parallel_weight_two,
 )
-from quatforms.numberfield import field_from_spec
+from quatforms.numberfield import FieldIdeal, field_from_spec
+from quatforms.polynomials import factor_poly
 from quatforms.quaternion import hilbert_ramification_free_algebra
 
 
 @functools.cache
+def class_set(spec):
+    F = field_from_spec(spec)
+    R = hilbert_ramification_free_algebra(F).maximal_order()
+    return compute_class_set(R, narrow_support(F))
+
+
+@functools.cache
+def theta(spec, bound):
+    return compute_theta(class_set(spec), bound)
+
+
 def q5_bound4():
     """quad:5 (one class, 60 units mod base units) with the bound-4 table."""
-    F = field_from_spec("quad:5")
-    R = hilbert_ramification_free_algebra(F).maximal_order()
-    cs = compute_class_set(R, narrow_support(F))
-    return F, cs, compute_theta(cs, 4)
+    cs = class_set("quad:5")
+    return cs.order.alg.base, cs, theta("quad:5", 4)
 
 
 def level(F, *norms):
@@ -59,14 +70,14 @@ def closure_orbits(sp, units):
     return orbits
 
 
-@pytest.mark.parametrize("norms", [(31,), (31, 41)])
+@pytest.mark.parametrize("norms", [(31,), (31, 41), (9, 31)])
 def test_orbits_equal_the_closure_under_unit_images(norms):
     F, cs, _ = q5_bound4()
     sp = build_space(cs, level(F, *norms), parallel_weight_two(F))
     (units,) = cs.unit_groups
     assert sp.splitting.unit_images == [[sp.splitting.image(u) for u in units.elements]]
     assert sp.orbits == [closure_orbits(sp, units)]
-    assert sum(len(o) for o in sp.orbits[0]) == sp.p1.size == 32 * 42 ** (len(norms) - 1)
+    assert sum(len(o) for o in sp.orbits[0]) == sp.p1.size == math.prod(n + 1 for n in norms)
     assert all(sp.lookups[0][i] == k for k, orb in enumerate(sp.orbits[0]) for i in orb)
 
 
@@ -102,6 +113,80 @@ def test_dimension_report_at_31_times_41():
     assert (dr.total, dr.eisenstein, dr.cusp, dr.new_strict, dr.new_above_one) == (
         24, 1, 23, 19, 23,
     )
+
+
+def test_dimension_report_at_9_times_31():
+    # the prime of norm 9 is inert: a residue field of degree 2
+    F, cs, _ = q5_bound4()
+    dr = dimension_report(cs, theta("quad:5", 11), level(F, 9, 31))
+    assert (dr.total, dr.eisenstein, dr.cusp, dr.new_strict, dr.new_above_one) == (
+        6, 1, 5, 3, 5,
+    )
+
+
+def ref_reduce(comp, x):
+    """The reduction as it was computed before the F_p-matrix lam: Fraction
+    coordinates over the order (to read the denominators), the quotient
+    projection (a second coordinate solve) and the splitting image."""
+    alg = comp.order.alg
+    coords = comp.order._coords(x)
+    x = comp._clear([c.denominator for c in coords], x, alg.fmul)
+    return comp.split.image(comp.quo.proj(x))
+
+
+@pytest.mark.parametrize("spec,bound,norms,rows,cleared", [
+    ("quad:5", 5, (31, 41), None, False),
+    ("quad:5", 11, (9, 31), None, False),
+    ("quad:10", 5, (3,), None, True),
+    # conjugate of the norm-3 support prime: 3 divides the denominator 27
+    ("quad:85", 4, (), [[3, 0], [0, 1]], True),
+], ids=["quad5-31x41", "quad5-9x31", "quad10-3", "quad85-conjugate3"])
+def test_reduce_matches_three_step_reference(spec, bound, norms, rows, cleared, monkeypatch):
+    cs = class_set(spec)
+    F = cs.order.alg.base
+    N = level(F, *norms) if rows is None else FieldIdeal(F, rows, 1)
+    multipliers = []
+    one_mod_prime = _LevelComponent._one_mod_prime
+
+    def recording(self, d):
+        multipliers.append(d)
+        return one_mod_prime(self, d)
+
+    monkeypatch.setattr(_LevelComponent, "_one_mod_prime", recording)
+    sm = build_splitting(cs, N)
+    elements = [u for units in cs.unit_groups for u in units.elements]
+    elements += [u for us in theta(spec, bound).entries.values() for u in us]
+    for comp in sm.components:
+        for x in elements:
+            coded = tuple(tuple(comp.k.coords(e) for e in row) for row in comp.reduce(x))
+            assert coded == ref_reduce(comp, x)
+    assert bool(multipliers) == cleared
+
+
+def test_reduction_map_checked_under_optimize(run_optimized):
+    # one corrupted entry of the reduction map lam must trip a certificate
+    # of build_splitting with asserts stripped
+    out = run_optimized(
+        "from quatforms import heckespace\n"
+        "from quatforms.classset import compute_class_set, narrow_support\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
+        "F = field_from_spec('quad:5')\n"
+        "R = hilbert_ramification_free_algebra(F).maximal_order()\n"
+        "cs = compute_class_set(R, narrow_support(F))\n"
+        "init = heckespace._LevelComponent.__init__\n"
+        "def corrupt(self, *args, **kwargs):\n"
+        "    init(self, *args, **kwargs)\n"
+        "    self.lam[1][1] += 1\n"
+        "heckespace._LevelComponent.__init__ = corrupt\n"
+        "N = next(p for p in F.prime_ideals_up_to(31) if p.norm == 31).ideal\n"
+        "try:\n"
+        "    print('returned', heckespace.build_splitting(cs, N))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith(("ArithmeticError: splitting determinant mismatch",
+                           "ArithmeticError: splitting is not multiplicative"))
 
 
 def test_dimension_report_splits_each_level_prime_once(monkeypatch):
@@ -196,8 +281,8 @@ def test_build_space_rejects_higher_weight():
 
 
 def test_non_commuting_blocks_rejected_under_optimize(run_optimized):
-    # diag(1, 2) splits the plane into two lines that the swap does not
-    # keep; with asserts stripped this must still raise, not fail later
+    # diag(1, 2) and the swap do not commute; with asserts stripped the
+    # commutation certificate must still raise before any splitting
     out = run_optimized(
         "from types import SimpleNamespace\n"
         "from quatforms.eigen import decompose\n"
@@ -209,4 +294,26 @@ def test_non_commuting_blocks_rejected_under_optimize(run_optimized):
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
-    assert out.startswith("ArithmeticError: subspace is not stable")
+    assert out.startswith("ArithmeticError: Hecke blocks do not commute")
+
+
+def test_carried_factor_data_matches_direct_restriction():
+    # decompose factors only the (piece, block) pairs it does not know;
+    # the factor data it carries must be what restricting would give
+    F, cs, _ = q5_bound4()
+    th = theta("quad:5", 5)
+    sp = build_space(cs, level(F, 31, 41), parallel_weight_two(F))
+    blocks = [hecke_operator(cs, th, sp, pr.ideal) for pr in th.primes if pr.norm not in (31, 41)]
+    cons = decompose(blocks)
+    assert sum(c.dimension for c in cons) == sp.dim == 24
+    assert any(e > 1 for c in cons for _, e in c.factors)
+    for c in cons:
+        assert all(math.gcd(*row) == 1 for row in c.basis)
+        for block, fac in zip(blocks, c.factors):
+            assert factor_poly(_restrict(_int_rows(block), c.basis).charpoly())[1] == [fac]
+
+
+def test_restriction_to_an_unstable_subspace_raises():
+    # the swap moves the first coordinate line off itself
+    with pytest.raises(ArithmeticError, match="subspace is not stable"):
+        _restrict([[0, 1], [1, 0]], [[1, 0]])

@@ -6,7 +6,9 @@ class, or a package class it derives from, defines, every package
 module is imported by another package module or by the benchmark
 pipeline, which drives the package from outside, and every module-level
 function or class of the package is named somewhere besides its own
-definition: in the package, a test or a benchmark script.
+definition: in the package, a test or a benchmark script.  Every name
+a module assigns at top level is read: by its own module, or by another
+module, test or benchmark script through an import or an attribute.
 """
 
 import ast
@@ -147,6 +149,38 @@ def orphan_definitions(modules, others):
     return sorted(out)
 
 
+def unread_module_names(modules, others):
+    """module.name for each name that a module of modules (name -> text)
+    assigns at top level and that nothing reads: its own module never
+    loads it, and no module or other text imports it, reads it as an
+    attribute or names it in a string."""
+    elsewhere = Counter()
+    for source in list(modules.values()) + list(others):
+        tree = ast.parse(source)
+        variables = Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+        elsewhere += names_in(tree) - variables
+    out = []
+    for name, source in modules.items():
+        tree = ast.parse(source)
+        loaded = {
+            n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for n in ast.walk(target):
+                    if (isinstance(n, ast.Name) and not n.id.startswith("__")
+                            and n.id not in loaded and not elsewhere[n.id]):
+                        out.append(f"{name}.{n.id}")
+    return sorted(out)
+
+
 def test_scan_flags_an_unused_import():
     assert unused_imports("import os\nfrom math import gcd, lcm\nprint(gcd)\n") == [
         (1, "os"), (2, "lcm"),
@@ -188,6 +222,26 @@ def test_scan_flags_an_orphan_definition():
     }
     others = ["from a import used\nfrom b import tested\n", "setattr(b, 'patched', None)\n"]
     assert orphan_definitions(modules, others) == ["a.Dead", "a.recursive"]
+
+
+def test_scan_flags_an_unread_module_name():
+    modules = {
+        "a": (
+            "import logging\n"
+            "log = logging.getLogger(__name__)\n"
+            "LIMIT = 3\n_USED = 1\nTABLE: dict = {}\nX, Y = 1, 2\n"
+            "def f():\n    return _USED + Y\n"
+        ),
+        "b": "from a import TABLE\n",
+    }
+    assert unread_module_names(modules, ["import a\nprint(a.LIMIT)\n"]) == ["a.X", "a.log"]
+
+
+def test_no_unread_module_names():
+    others = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    others += [p.read_text() for p in sorted((ROOT / "benchmarks").rglob("*.py"))]
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert unread_module_names(modules, others) == []
 
 
 def test_no_orphan_definitions():

@@ -6,6 +6,7 @@ import pytest
 from quatforms import quaternion
 from quatforms.numberfield import field_from_spec
 from quatforms.residue import (
+    FiniteField,
     FpAlgebra,
     LatticeQuotient,
     _int_mat_pow,
@@ -260,23 +261,27 @@ def _m2_fp(p):
     return FpAlgebra(p, mult, (1, 0, 0, 1))
 
 
+def _coded(k, m):
+    """A 2x2 matrix of coordinate tuples as a matrix of field codes."""
+    return tuple(tuple(k.code(e) for e in row) for row in m)
+
+
 def test_matrix_splitting_m2():
     a = _m2_fp(3)
     sp = MatrixSplitting(a, [(1, 0, 0, 1)])
-    k = subalgebra(a, [(1, 0, 0, 1)], a.one)
+    k = FiniteField(subalgebra(a, [(1, 0, 0, 1)], a.one))
     rng = random.Random(4)
     flat = []
     for _ in range(12):
         x = tuple(rng.randrange(3) for _ in range(4))
         y = tuple(rng.randrange(3) for _ in range(4))
-        ix, iy = sp.image(x), sp.image(y)
-        assert sp.image(a.mul(x, y)) == mat2_mul(k, ix, iy)
+        ix, iy = _coded(k, sp.image(x)), _coded(k, sp.image(y))
+        assert _coded(k, sp.image(a.mul(x, y))) == mat2_mul(k, ix, iy)
     for j in range(4):
         m = sp.image(a.unit(j))
         flat.append((m[0][0][0], m[0][1][0], m[1][0][0], m[1][1][0]))
     assert rank_mod(flat, 3) == 4
-    one = sp.image(a.one)
-    assert one == ((k.one, k.zero()), (k.zero(), k.one))
+    assert _coded(k, sp.image(a.one)) == ((1, 0), (0, 1))
 
 
 def _hamilton_mod_p(p):
@@ -297,23 +302,25 @@ def test_matrix_splitting_hamilton():
     for p in (3, 5, 13):
         a = _hamilton_mod_p(p)
         sp = MatrixSplitting(a, [(1, 0, 0, 0)])
-        k = subalgebra(a, [(1, 0, 0, 0)], a.one)
+        k = FiniteField(subalgebra(a, [(1, 0, 0, 0)], a.one))
         rng = random.Random(p)
         for _ in range(20):
             x = tuple(rng.randrange(p) for _ in range(4))
             nrm = sum(c * c for c in x) % p
-            assert mat2_det(k, sp.image(x)) == (nrm,)
+            assert mat2_det(k, _coded(k, sp.image(x))) == k.code((nrm,))
 
 
 def test_matrix_splitting_seed_stability():
     a = _hamilton_mod_p(5)
     sp0 = MatrixSplitting(a, [(1, 0, 0, 0)], seed=0)
     sp1 = MatrixSplitting(a, [(1, 0, 0, 0)], seed=1)
-    k = subalgebra(a, [(1, 0, 0, 0)], a.one)
+    k = FiniteField(subalgebra(a, [(1, 0, 0, 0)], a.one))
     # different seeds may pick different splittings, but both are ring maps
     for sp in (sp0, sp1):
         x, y = (1, 2, 3, 4), (0, 1, 4, 2)
-        assert sp.image(a.mul(x, y)) == mat2_mul(k, sp.image(x), sp.image(y))
+        assert _coded(k, sp.image(a.mul(x, y))) == mat2_mul(
+            k, _coded(k, sp.image(x)), _coded(k, sp.image(y))
+        )
 
 
 def test_matrix_splitting_rejects_wrong_dimension():
@@ -324,27 +331,25 @@ def test_matrix_splitting_rejects_wrong_dimension():
 
 def test_p1_points_and_action():
     a = _m2_fp(5)
-    k = subalgebra(a, [(1, 0, 0, 1)], a.one)
+    k = FiniteField(subalgebra(a, [(1, 0, 0, 1)], a.one))
     pts = p1_points(k)
     assert len(pts) == 6
     assert len(set(pts)) == 6
     # an invertible matrix permutes the line
-    m = ((k.one, k.one), (k.zero(), k.one))
+    m = ((1, 1), (0, 1))
     images = {mat2_act(k, m, pt) for pt in pts}
     assert images == set(pts)
     # a singular pair is rejected
     with pytest.raises(ValueError):
-        p1_normalize(k, k.zero(), k.zero())
+        p1_normalize(k, 0, 0)
 
 
 def test_p1_normalize_rejects_zero_divisors():
-    # over F_5 x F_5, which is not a field, (1, 0) is nonzero but has no inverse
+    # F_5 x F_5 is not a field: (1, 0) is nonzero but has no inverse, no
+    # element has multiplicative order 24, and no projective line is built
     k = FpAlgebra(5, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], (1, 1))
-    assert p1_normalize(k, (2, 3), (1, 1)) == (k.one, (3, 2))
-    with pytest.raises(ArithmeticError):
-        p1_normalize(k, (1, 0), (0, 1))
-    with pytest.raises(ArithmeticError):
-        p1_normalize(k, k.zero(), (0, 4))
+    with pytest.raises(ArithmeticError, match="not a field"):
+        FiniteField(k)
 
 
 def test_p1_points_f4():
@@ -355,10 +360,70 @@ def test_p1_points_f4():
     ]
     f4 = FpAlgebra(2, mult, (1, 0))
     assert f4.minpoly((0, 1)) == [1, 1, 1]
-    pts = p1_points(f4)
+    k = FiniteField(f4)
+    pts = p1_points(k)
     assert len(pts) == 5
     for pt in pts:
-        assert p1_normalize(f4, *pt) == pt
+        assert p1_normalize(k, *pt) == pt
+
+
+def ref_p1_normalize(A, x, y):
+    """The projective line over FpAlgebra coordinates, as it was computed
+    before fields became log tables: leading nonzero coordinate 1."""
+    if any(x):
+        return (A.one, A.mul(A.inv(x), y))
+    return (A.mul(A.inv(y), x), A.one)
+
+
+def ref_mat2_act(A, M, pt):
+    x, y = pt
+    nx = A.add(A.mul(M[0][0], x), A.mul(M[0][1], y))
+    ny = A.add(A.mul(M[1][0], x), A.mul(M[1][1], y))
+    return ref_p1_normalize(A, nx, ny)
+
+
+FIELDS = {
+    "F4": FpAlgebra(2, [[(1, 0), (0, 1)], [(0, 1), (1, 1)]], (1, 0)),
+    # x^2 = -1, irreducible mod 3
+    "F9": FpAlgebra(3, [[(1, 0), (0, 1)], [(0, 1), (2, 0)]], (1, 0)),
+    "F31": FpAlgebra(31, [[(1,)]], (1,)),
+    "F41": FpAlgebra(41, [[(1,)]], (1,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_finite_field_matches_fp_algebra(name):
+    A = FIELDS[name]
+    k = FiniteField(A)
+    codes = k.elements()
+    assert sorted(codes) == list(range(k.q)) and k.q == A.p ** A.dim
+    assert [k.coords(a) for a in codes] == list(A.elements())
+    assert k.coords(0) == A.zero() and k.coords(1) == A.one
+    for a in codes:
+        ca = k.coords(a)
+        assert k.code(ca) == a
+        assert k.coords(k.neg(a)) == A.sub(A.zero(), ca)
+        if a:
+            assert k.coords(k.inv(a)) == A.inv(ca)
+        for b in codes:
+            cb = k.coords(b)
+            assert k.coords(k.mul(a, b)) == A.mul(ca, cb)
+            assert k.coords(k.add(a, b)) == A.add(ca, cb)
+            assert k.coords(k.sub(a, b)) == A.sub(ca, cb)
+    with pytest.raises(ZeroDivisionError):
+        k.inv(0)
+    # the projective line and the column action, against the FpAlgebra path
+    ref_points = [(A.one, y) for y in A.elements()] + [(A.zero(), A.one)]
+    assert [tuple(map(k.coords, pt)) for pt in p1_points(k)] == ref_points
+    rng = random.Random(k.q)
+    for _ in range(20):
+        M = tuple(tuple(rng.choice(codes) for _ in range(2)) for _ in range(2))
+        if not mat2_det(k, M):
+            continue
+        MA = tuple(tuple(map(k.coords, row)) for row in M)
+        for pt in p1_points(k):
+            ref = ref_mat2_act(A, MA, tuple(map(k.coords, pt)))
+            assert tuple(map(k.coords, mat2_act(k, M, pt))) == ref
 
 
 def test_matmul_mod():
