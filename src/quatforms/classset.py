@@ -13,9 +13,10 @@ and an index Np^2 check of every witness certify the table.
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .arith import factor_int
-from .intmat import abs_det, int_product
+from .intmat import abs_det, identity_int, int_product
 from .numberfield import PrimeIdeal
 from .quaternion import QuatLattice, norm_equation_coords, norm_equation_solutions
 from .residue import (
@@ -24,29 +25,54 @@ from .residue import (
     MatrixSplitting,
     QuotientSpace,
     in_span_mod,
+    matmul_mod,
     p1_points,
     span_basis_mod,
     subalgebra,
 )
 
-# fresh seeds tried when the random idempotent search inside a residue
-# splitting fails before its own internal budget is declared hopeless
-_SPLIT_SEEDS = 16
 
+class ResidueSplitting(NamedTuple):
+    """R/pR = M_2(k) for an order R and a prime p of the base field.
 
-def split_residue_matrix(A, embed_rows, seed=0):
-    """A 2x2 matrix splitting of A over the embedded field, with retries.
-
-    The idempotent search inside MatrixSplitting is randomized; fresh
-    seeds are tried before the failure is reported as hard.
+    quo is the quotient R/pR with its algebra, k the residue field as log
+    tables, split the isomorphism onto 2x2 matrices over k and lam the
+    reduction map as an F_p-matrix: row i holds the four entries of the
+    image of the i-th basis row of R, each as f coordinates over k.
     """
-    failure = None
-    for s in range(seed, seed + _SPLIT_SEEDS):
-        try:
-            return MatrixSplitting(A, embed_rows, seed=s)
-        except ArithmeticError as exc:
-            failure = exc
-    raise ArithmeticError(f"residue algebra splitting failed: {failure}")
+
+    quo: LatticeQuotient
+    k: FiniteField
+    split: MatrixSplitting
+    lam: tuple
+
+
+def split_residue_matrix(R, prime):
+    """The splitting of R at prime, kept in R._splits, where callers look
+    first: each (order, prime) pair is built once.
+
+    k is the image of the base ring, on the rref basis of the images of
+    its integral basis; the idempotent search draws from one fixed
+    random stream, so the splitting is the same on every run.
+    """
+    alg = R.alg
+    ideal, ell, f = _prime_parts(prime)
+    pR = R.iscale(ideal)
+    quo = LatticeQuotient(R.rows, R.den, pR.rows, pR.den, ell, alg.mul_table())
+    A = quo.algebra
+    units = identity_int(alg.dim)
+    # the first n ambient basis vectors are the integral basis of the field
+    k_rows = span_basis_mod([quo.proj(e) for e in units[:alg.base.degree]], ell)
+    if len(k_rows) != f:
+        raise ArithmeticError("residue field image has wrong dimension")
+    split = MatrixSplitting(A, k_rows)
+    lam = tuple(
+        tuple(c for row in split.image(quo.reduce(e)) for entry in row for c in entry)
+        for e in units
+    )
+    k = FiniteField(subalgebra(A, k_rows, A.one))
+    R._splits[ideal] = ResidueSplitting(quo, k, split, lam)
+    return R._splits[ideal]
 
 
 def eichler_mass(F):
@@ -75,93 +101,61 @@ def _prime_parts(p):
     return p, ell, f
 
 
-def _field_basis_rows(Aq, alg):
-    """Rows spanning the image of the base ring inside the residue algebra."""
-    F = alg.base
-    rows = []
-    for t in range(F.degree):
-        e = tuple(int(s == t) for s in range(F.degree))
-        rows.append(Aq.proj(alg.el(e)))
-    return span_basis_mod(rows, Aq.algebra.p)
-
-
 def neighbors(b, p):
     """The Np+1 right ideals c containing b with nr(b) = nr(c) * p.
 
     c/b runs over the simple right submodules of the residue module
-    (p^-1 b)/b, located by pulling back the projective line over the
-    residue field through a 2x2 matrix splitting of R/pR.  The random
-    idempotent search inside the splitting is retried with fresh seeds
-    and only then reported as a hard failure.
+    V = (p^-1 b)/b, located by pulling back the projective line over the
+    residue field through the splitting of R/pR (split_residue_matrix).
+    R acts on V by F_p-matrices of right multiplication, read off the
+    integer structure table.
 
-    Each neighbor is the preimage of the right R-submodule w R of
-    (p^-1 b)/b, R the right order of b, so it is a right R-module.  R is
-    maximal, so it is the neighbor's right order, which is set on the
-    result.
+    Each neighbor is the preimage of the right R-submodule w R of V, R
+    the right order of b, so it is a right R-module.  R is maximal, so
+    it is the neighbor's right order, which is set on the result.
     """
     alg = b.alg
     ideal, ell, f = _prime_parts(p)
     npn = ell ** f
     R = b.right_order()
+    res = R._splits.get(ideal) or split_residue_matrix(R, ideal)
 
     big = b.iscale(ideal.inverse())
-    V = QuotientSpace(
-        [list(r) for r in big.rows], big.den,
-        [list(r) for r in b.rows], b.den,
-        ell,
-    )
+    V = QuotientSpace(big.rows, big.den, b.rows, b.den, ell)
     if V.dim != 4 * f:
         raise ArithmeticError("residue module does not have dimension 4 f")
+    # right multiplication by the basis rows of R; this is well defined
+    # on V because b * R = b
+    acts = V.right_action(alg.mul_table(), R.rows, R.den)
+    lifted = [acts[pos] for pos in res.quo.positions]
 
-    pR = R.iscale(ideal)
-    Aq = LatticeQuotient(
-        [list(r) for r in R.rows], R.den,
-        [list(r) for r in pR.rows], pR.den,
-        ell, alg.mul, alg.one,
-    )
-    A = Aq.algebra
-    k_rows = _field_basis_rows(Aq, alg)
-    if len(k_rows) != f:
-        raise ArithmeticError("residue field image has wrong dimension")
+    def right_matrix(a):
+        # right multiplication by the lift to R of a, in R/pR coordinates
+        return [
+            [sum(c * m[i][j] for c, m in zip(a, lifted)) % ell for j in range(V.dim)]
+            for i in range(V.dim)
+        ]
 
-    sp = split_residue_matrix(A, k_rows)
+    def times(v, m):
+        return matmul_mod((v,), m, ell)[0]
 
-    def act(v, x_amb):
-        # right multiplication of V by an ambient element of R; this is
-        # well defined because V.lift is unique mod b and b * R = b
-        return V.proj(alg.mul(V.lift(v), x_amb))
-
-    e11 = Aq.lift(sp.e[0])
-    corner = span_basis_mod(
-        [act(tuple(int(s == t) for s in range(V.dim)), e11) for t in range(V.dim)],
-        ell,
-    )
+    corner = span_basis_mod(right_matrix(res.split.e[0]), ell)
     if len(corner) != 2 * f:
         raise ArithmeticError("corner module has unexpected dimension")
 
-    # split corner into two k-lines: corner = k*w1 + k*w2
-    k_amb = [Aq.lift(r) for r in k_rows]
+    # split corner into two k-lines: corner = k*w1 + k*w2, with g1 and g2
+    # the images of w1 and w2 under the basis of k
+    k_mats = [right_matrix(r) for r in res.split.k_basis]
     w1 = corner[0]
-    line1 = span_basis_mod([act(w1, x) for x in k_amb], ell)
-    w2 = next(w for w in corner if not in_span_mod(line1, w, ell))
+    g1 = [times(w1, m) for m in k_mats]
+    w2 = next(w for w in corner if not in_span_mod(g1, w, ell))
+    g2 = [times(w2, m) for m in k_mats]
 
-    def scalar_lift(coords):
-        # k-subalgebra coordinates -> ambient representative in R
-        acc = [0] * A.dim
-        for c, row in zip(coords, k_rows):
-            for t, rt in enumerate(row):
-                acc[t] = (acc[t] + c * rt) % ell
-        return Aq.lift(tuple(acc))
-
-    k = FiniteField(subalgebra(A, k_rows, A.one))
-    r_basis = R.basis_vectors()
     base = list(b.basis_vectors())
     out = []
-    for x, y in p1_points(k):
-        wx = act(w1, scalar_lift(k.coords(x)))
-        wy = act(w2, scalar_lift(k.coords(y)))
-        w = tuple((u + v) % ell for u, v in zip(wx, wy))
-        u_rows = span_basis_mod([act(w, r) for r in r_basis], ell)
+    for x, y in p1_points(res.k):
+        w = times(res.k.coords(x) + res.k.coords(y), g1 + g2)
+        u_rows = span_basis_mod([times(w, m) for m in acts], ell)
         if len(u_rows) != 2 * f:
             raise ArithmeticError("cyclic submodule has unexpected dimension")
         lat = QuatLattice(alg, base + [V.lift(u) for u in u_rows])

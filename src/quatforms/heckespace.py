@@ -3,10 +3,11 @@
 The space at level N is assembled class by class: each unit group acts on
 P^1(O/N) through a 2x2 splitting of the order at the level primes, and the
 operator at a prime p transports orbits along the stored isomorphism
-witnesses.  At each level prime the splitting is one F_p-matrix, built
-once, from integer coordinates over the order to the entries of the 2x2
-image; reducing an element is one integer product with the inverse of
-the order's basis and one with that matrix.  Residue fields are log
+witnesses.  At each level prime the splitting is the neighbor walk's
+(classset.split_residue_matrix, kept on the order).  Its reduction map
+is one F_p-matrix from integer coordinates over the order to the 2x2
+image, so reducing an element is one integer product with the inverse
+of the order's basis and one with that matrix.  Residue fields are log
 tables (residue.FiniteField), so matrix entries and projective points
 are small ints.  All Hecke matrices have integer entries and everything
 is exact.
@@ -21,7 +22,7 @@ from .eigen import decompose, flag_eisenstein
 from .intmat import hnf_with_transform, int_product, integral_rows
 from .matrices import Matrix
 from .numberfield import PrimeIdeal
-from .residue import FiniteField, LatticeQuotient, mat2_act, mat2_det, mat2_mul, p1_points
+from .residue import mat2_act, mat2_det, mat2_mul, p1_points
 
 
 @dataclass(frozen=True)
@@ -93,36 +94,21 @@ def build_p1(factors):
 class _LevelComponent:
     """Splitting data of the base order at one level prime.
 
-    lam is the reduction map as an F_p-matrix: row i holds the four
-    entries of the 2x2 image of the i-th basis row of the order, each as
-    f coordinates over the residue field.  Reduction accepts any element
+    res is the order's splitting at the prime (split_residue_matrix),
+    shared with the neighbor walk; k and lam are its residue field and
+    its reduction map as an F_p-matrix.  Reduction accepts any element
     that is integral at the prime: a field multiplier congruent to 1
     there clears denominators supported away from it.  Unit group
     elements and transport witnesses are of this kind, their norms being
     units or neighbor steps at the prime.
     """
 
-    def __init__(self, order, prime, kq, seed=0):
-        alg = order.alg
+    def __init__(self, order, prime):
         self.order = order
         self.prime = prime
-        self.kq = kq
-        A = kq.algebra
-        self.k = FiniteField(A)
-        pR = order.iscale(prime)
-        self.quo = LatticeQuotient(
-            [list(r) for r in order.rows], order.den,
-            [list(r) for r in pR.rows], pR.den,
-            A.p, alg.mul, alg.one,
-        )
-        # embedding rows follow the residue field's own coordinate order,
-        # so splitting image entries are residue field coordinates as is
-        embed = [self.quo.proj(alg.el(kq.lift(A.unit(t)))) for t in range(A.dim)]
-        self.split = split_residue_matrix(self.quo.algebra, embed, seed=seed)
-        self.lam = [
-            [c for row in self.split.image(self.quo.proj(v)) for entry in row for c in entry]
-            for v in order.basis_vectors()
-        ]
+        self.res = order._splits.get(prime) or split_residue_matrix(order, prime)
+        self.k = self.res.k
+        self.lam = self.res.lam
         self._mult_cache = {}
 
     def _one_mod_prime(self, d):
@@ -186,10 +172,9 @@ class _LevelComponent:
         return ((a, b), (c, d))
 
     def reduce_scalar(self, c):
-        """Residue field code of a field element integral at the prime."""
-        F = self.order.alg.base
-        c = self._clear([v.denominator for v in c], c, F.mul)
-        return self.k.code(self.kq.proj(c))
+        """Residue field code of a field element integral at the prime: the
+        diagonal entry of its image, a scalar matrix."""
+        return self.reduce(self.order.alg.el(c))[0][0]
 
 
 @dataclass
@@ -220,7 +205,14 @@ class SplittingMap:
         return tuple(((1, 0), (0, 1)) for _ in self.components)
 
 
-def build_splitting(cs, N, seed=0):
+def _check_field(cs, ideals):
+    # ideals of two contexts of one field never compare equal, so a level
+    # prime from another context would pass for a Hecke prime
+    if any(I.field is not cs.order.alg.base for I in ideals):
+        raise ValueError("ideal belongs to another field context than the class set")
+
+
+def build_splitting(cs, N):
     """Split the order at every level prime and check the resulting maps.
 
     Checks: the level avoids the support, the identity maps to the
@@ -230,20 +222,18 @@ def build_splitting(cs, N, seed=0):
     """
     R = cs.order
     alg = R.alg
-    F = alg.base
+    _check_field(cs, [N])
     if N.den != 1:
         raise ValueError("level must be an integral ideal")
     support = {s.ideal if isinstance(s, PrimeIdeal) else s for s in cs.support}
-    factors = []
+    primes = []
     for q, e in N.factor():
         if e != 1:
             raise ValueError("only squarefree levels are supported")
         if q in support:
             raise ValueError("level shares a prime with the class set support")
-        factors.append((q, F.residue_field(q)))
-    sm = SplittingMap(
-        [_LevelComponent(R, q, kq, seed=seed) for q, kq in factors], unit_images=[]
-    )
+        primes.append(q)
+    sm = SplittingMap([_LevelComponent(R, q) for q in primes], unit_images=[])
     if sm.image(alg.one) != sm.identity_image():
         raise ArithmeticError("splitting does not fix the identity")
     sample = []
@@ -294,6 +284,9 @@ class CoinvariantSpace:
 def build_space(cs, N, w, seed=0):
     """Orbit decomposition of P^1(O/N) under every class unit group.
 
+    seed is unused, kept for callers that still pass it: the splitting
+    at the level primes is the same on every run.
+
     units.elements is the whole unit group modulo base field units, and
     base units act on P^1 as scalars, so trivially.  The orbit of a point
     is therefore exactly its set of images under the stored elements: one
@@ -305,7 +298,7 @@ def build_space(cs, N, w, seed=0):
     """
     if not w.is_parallel_two:
         raise ValueError("only parallel weight 2 is supported")
-    return _orbit_space(cs, N, w, build_splitting(cs, N, seed=seed))
+    return _orbit_space(cs, N, w, build_splitting(cs, N))
 
 
 def _orbit_space(cs, N, w, sm):
@@ -365,6 +358,7 @@ def hecke_operator(cs, th, sp, p):
     because the witnesses partition the Np + 1 neighbors.
     """
     ideal = p.ideal if isinstance(p, PrimeIdeal) else p
+    _check_field(cs, [ideal] + [pr.ideal for pr in th.primes])
     pi = None
     for i, pr in enumerate(th.primes):
         if pr.ideal == ideal:

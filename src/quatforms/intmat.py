@@ -10,12 +10,10 @@ needs the unimodular transform U gets it from hnf_with_transform, which
 eliminates the augmented rows [mat | I] and reads U off the last
 columns; no other elimination carries U along.
 
-hnf_coords is the one place where coordinates of a vector over an HNF
-basis are solved.  Lattice membership, quotient projections
-(residue.QuotientSpace), stabilizer orders (QuatLattice._coords) and the
-inverse of inverse_rows all go through it.  inverse_rows gives that
-inverse as an integer matrix over one denominator, so that coordinates
-of whole integer matrices (QuatLattice.int_coords) are one int_product.
+hnf_coords solves coordinates over an HNF basis by substitution, for
+lattice membership and inverse_rows.  inverse_rows gives the inverse as
+an integer matrix over one denominator, so that coordinates of integer
+matrices (lattice_coords) are one int_product.
 """
 
 from __future__ import annotations
@@ -129,6 +127,20 @@ def hnf_coords(hnf, vec, den=1):
                 t[i] -= c * row[i]
     if any(t):
         raise ValueError("vector outside the span of the basis rows")
+    return out
+
+
+def lattice_coords(inv, lat_den, mat, den):
+    """Integer coordinates of the integer vectors mat[i] / den over rows /
+    lat_den, inv = inverse_rows(rows); None when one lies outside."""
+    adj, rho = inv
+    q = den * rho
+    out = []
+    for row in int_product(mat, adj):
+        row = [c * lat_den for c in row]
+        if any(c % q for c in row):
+            return None
+        out.append([c // q for c in row])
     return out
 
 

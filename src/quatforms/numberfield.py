@@ -346,20 +346,6 @@ class FieldCtx:
     def prime_ideals_up_to(self, bound: int) -> list["PrimeIdeal"]:
         return list(itertools.takewhile(lambda pr: pr.norm <= bound, self.primes_by_norm()))
 
-    def residue_field(self, prime: "FieldIdeal"):
-        """Quotient O/P as a LatticeQuotient whose algebra is a field."""
-        from .residue import LatticeQuotient
-
-        nrm = prime.norm()
-        if prime.den != 1 or nrm.denominator != 1:
-            raise ValueError("residue field of a non-integral ideal")
-        fac = factor_int(int(nrm))
-        if len(fac) != 1:
-            raise ValueError("ideal norm is not a prime power")
-        p = next(iter(fac))
-        rows = [list(r) for r in prime.rows]
-        return LatticeQuotient([[1, 0], [0, 1]], 1, rows, 1, p, self.mul, self.one)
-
     # -- principality ----------------------------------------------------
 
     def _generator_bound(self, norm_int: int) -> int:

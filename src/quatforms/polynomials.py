@@ -430,11 +430,12 @@ def _factor2_squarefree(w: list[int]) -> list[list[int]]:
     return out
 
 
-def factor_mod_p(f: list[int], p: int, seed: int = 0) -> list[tuple[tuple[int, ...], int]]:
+def factor_mod_p(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
     """Full factorization of f mod p: sorted [(monic irreducible coeffs, multiplicity)].
 
-    Handles every prime; randomized splitting (seeded) for odd p, exhaustive
-    trial division for p = 2 where the usual Cantor-Zassenhaus step degenerates.
+    Handles every prime; randomized splitting from random.Random(0) for odd
+    p, exhaustive trial division for p = 2 where the usual Cantor-Zassenhaus
+    step degenerates.
     """
     f = _zmod(f, p)
     if not f:
@@ -442,7 +443,7 @@ def factor_mod_p(f: list[int], p: int, seed: int = 0) -> list[tuple[tuple[int, .
     inv = inv_mod(f[-1] % p, p)
     f = [c * inv % p for c in f]
     out: dict[tuple[int, ...], int] = {}
-    _factor_mod_p_rec(f, p, random.Random(seed), out, 1)
+    _factor_mod_p_rec(f, p, random.Random(0), out, 1)
     return sorted(out.items())
 
 

@@ -26,6 +26,7 @@ from .intmat import (
     int_product,
     integral_preimage_rows,
     inverse_rows,
+    lattice_coords,
 )
 from .latticetools import TraceFormLattice, enumerate_norm
 from .matrices import Matrix
@@ -230,7 +231,7 @@ class QuatLattice:
 
     __slots__ = (
         "alg", "rows", "den", "_left", "_right", "_nr", "_disc", "_forms", "_inv",
-        "_ideal_inv",
+        "_ideal_inv", "_splits",
     )
 
     def __init__(self, alg, vectors):
@@ -269,6 +270,8 @@ class QuatLattice:
         self.den = den
         self._left = self._right = self._nr = self._disc = None
         self._forms = self._inv = self._ideal_inv = None
+        # residue splittings at primes, kept by classset.split_residue_matrix
+        self._splits = {}
 
     def basis_vectors(self):
         d = self.den
@@ -300,15 +303,7 @@ class QuatLattice:
         mat is an integer matrix.  Returns an integer matrix, or None when
         some vector lies outside the lattice.
         """
-        adj, rho = self._inverse()
-        q = den * rho
-        out = []
-        for row in int_product(mat, adj):
-            row = [c * self.den for c in row]
-            if any(c % q for c in row):
-                return None
-            out.append([c // q for c in row])
-        return out
+        return lattice_coords(self._inverse(), self.den, mat, den)
 
     def contains(self, vec):
         return all(c.denominator == 1 for c in self._coords(vec))
@@ -569,15 +564,8 @@ def _enlarge_at(order, p):
     idealizers realize the maximal overorders.
     """
     alg = order.alg
-    quo = LatticeQuotient(
-        [list(r) for r in order.rows],
-        order.den,
-        [[p * c for c in row] for row in order.rows],
-        order.den,
-        p,
-        alg.mul,
-        alg.one,
-    )
+    pO = [[p * c for c in row] for row in order.rows]
+    quo = LatticeQuotient(order.rows, order.den, pO, order.den, p, alg.mul_table())
     A = quo.algebra
     rad = algebra_radical(A)
     grown = _idealizer_growth(order, quo, rad, p)

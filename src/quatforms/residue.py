@@ -10,9 +10,10 @@ matrices and projective lines of the level structure run.
 
 Vectors are tuples of ints mod p; matrices are tuples of row tuples.
 Elements of a FiniteField are single ints, coded by discrete logarithm.
-Randomized searches take explicit seeds, so every run is reproducible.
-A quotient L/M takes the basis of L in HNF: ambient vectors reach
-quotient coordinates through intmat.hnf_coords over that basis.
+Randomized searches draw from fixed random streams, so every run picks
+the same splitting.  A quotient L/M inverts the HNF basis of L once: integer
+vectors reach quotient coordinates by one integer product, and products
+come from the ambient algebra's integer structure table.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ import itertools
 import random
 
 from .arith import factor_int
-from .intmat import hnf_coords, hnf_rows
+from .intmat import hnf_rows, int_product, integral_rows, inverse_rows, lattice_coords
 from .polynomials import _poly_xgcd_mod, _zdivmod_monic, _zgcd_mod, _zmod, _zmul, factor_mod_p
 
 
@@ -251,9 +252,9 @@ def subalgebra(A, basis_rows, identity):
 class QuotientSpace:
     """The F_p-vector space L/M for lattices M <= L with pL <= M <= L.
 
-    Lattices are (rows, den) pairs in a common ambient coordinate system;
-    the rows of L are an HNF basis, which the coordinate solve relies on.
-    Elementary divisors of M in L must all be 1 or p.  No multiplicative
+    Lattices are (rows, den) pairs of integer rows in a common ambient
+    coordinate system; the rows of L are an HNF basis.  Elementary
+    divisors of M in L must all be 1 or p.  No multiplicative
     structure is assumed; LatticeQuotient adds one.
     """
 
@@ -262,31 +263,27 @@ class QuotientSpace:
         self.p = p
         self.L_rows = L_rows
         self.L_den = L_den
-        c_rows = [self._lattice_coords([Fraction(x, M_den) for x in r]) for r in M_rows]
-        H = hnf_rows(tuple(tuple(r) for r in c_rows))
+        self._inv = inverse_rows(L_rows)
+        H = hnf_rows(self.coords(M_rows, M_den))
         if len(H) != n:
             raise ValueError("sublattice not full rank")
-        H = [list(r) for r in H]
         for i, row in enumerate(H):
             if row[i] not in (1, p):
                 raise ValueError("quotient is not p-elementary")
         self.H = H
         self.positions = [i for i in range(n) if H[i][i] == p]
         self.dim = len(self.positions)
-        self.basis_ambient = [
-            tuple(Fraction(c, L_den) for c in L_rows[pos]) for pos in self.positions
-        ]
 
-    def _lattice_coords(self, vec_ambient):
-        """Integer coordinates over the basis of L; ValueError outside L."""
-        w = hnf_coords(self.L_rows, vec_ambient, self.L_den)
-        if any(c.denominator != 1 for c in w):
+    def coords(self, rows, den):
+        """Integer coordinates over L of the integer vectors rows[i] / den."""
+        out = lattice_coords(self._inv, self.L_den, rows, den)
+        if out is None:
             raise ValueError("vector not in lattice")
-        return [int(c) for c in w]
+        return out
 
-    def proj(self, vec_ambient):
-        """Reduce an ambient rational vector lying in L to quotient coordinates."""
-        w = self._lattice_coords(vec_ambient)
+    def reduce(self, w):
+        """Quotient coordinates of the element with integer coordinates w over L."""
+        w = list(w)
         H = self.H
         for j in range(len(w)):
             q = w[j] // H[j][j]
@@ -294,6 +291,11 @@ class QuotientSpace:
                 for t in range(j, len(w)):
                     w[t] -= q * H[j][t]
         return tuple(w[pos] % self.p for pos in self.positions)
+
+    def proj(self, vec_ambient):
+        """Reduce an ambient rational vector lying in L to quotient coordinates."""
+        d, rows = integral_rows([vec_ambient])
+        return self.reduce(self.coords(rows, d)[0])
 
     def lift(self, coords):
         """A representative in ambient coordinates (Fractions)."""
@@ -306,22 +308,41 @@ class QuotientSpace:
                     out[t] += Fraction(c * row[t], self.L_den)
         return tuple(out)
 
+    def right_action(self, table, ys, den):
+        """The F_p-matrices of v -> v * y on L/M, for y = ys[i] / den.
+
+        table is the integer structure table of the ambient algebra:
+        e_s * e_t = sum_u table[s][t][u] e_u.  Row t holds the quotient
+        coordinates of b_t * y, b_t the lift of the t-th basis vector;
+        L * y must lie in L and M * y in M.
+        """
+        n = len(self.L_rows)
+        reps = [self.L_rows[pos] for pos in self.positions]
+        out = []
+        for y in ys:
+            # row s of m is e_s * y, so x * y = x m for ambient rows x
+            m = [
+                [sum(c * table[s][t][u] for t, c in enumerate(y) if c) for u in range(n)]
+                for s in range(n)
+            ]
+            prods = self.coords(int_product(reps, m), self.L_den * den)
+            out.append(tuple(self.reduce(w) for w in prods))
+        return out
+
 
 class LatticeQuotient(QuotientSpace):
     """QuotientSpace carrying the induced F_p-algebra structure.
 
-    mul_ambient multiplies ambient vectors (tuples of Fractions) and
-    one_ambient is the multiplicative unit; both L and M must be closed
-    enough for the products of basis representatives to land back in L.
+    table is the integer structure table of the ambient algebra (as
+    QuatAlgebra.mul_table), whose first basis vector is the identity.  L
+    must be a ring and M a two-sided ideal of it.
     """
 
-    def __init__(self, L_rows, L_den, M_rows, M_den, p, mul_ambient, one_ambient):
+    def __init__(self, L_rows, L_den, M_rows, M_den, p, table):
         super().__init__(L_rows, L_den, M_rows, M_den, p)
-        mult = [
-            [self.proj(mul_ambient(x, y)) for y in self.basis_ambient]
-            for x in self.basis_ambient
-        ]
-        self.algebra = FpAlgebra(p, mult, self.proj(one_ambient))
+        mats = self.right_action(table, [L_rows[pos] for pos in self.positions], L_den)
+        mult = [[m[i] for m in mats] for i in range(self.dim)]
+        self.algebra = FpAlgebra(p, mult, self.proj([1] + [0] * (len(L_rows) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +572,7 @@ class MatrixSplitting:
     the center is pinned once and shared by every consumer.
     """
 
-    def __init__(self, A, unit_embedding, seed=0):
+    def __init__(self, A, unit_embedding):
         p = A.p
         self.A = A
         self.p = p
@@ -573,15 +594,17 @@ class MatrixSplitting:
             if not in_span_mod(center, row, p):
                 raise ArithmeticError("unit embedding does not centralize")
         self.k_basis = [vec_mod(r, p) for r in unit_embedding]
-        self._build_units(self._find_idempotent(seed))
+        self._build_units(self._find_idempotent())
 
-    def _find_idempotent(self, seed):
+    def _find_idempotent(self):
         A, p = self.A, self.p
-        rng = random.Random(seed)
+        # one fixed stream: the same splitting, so the same neighbor order
+        # and level codes, on every run
+        rng = random.Random(0)
         for _ in range(500):
             v = tuple(rng.randrange(p) for _ in range(A.dim))
             mp = A.minpoly(v)
-            fac = factor_mod_p(mp, p, seed=seed)
+            fac = factor_mod_p(mp, p)
             if len(fac) < 2:
                 continue
             q0, e0 = fac[0]

@@ -15,12 +15,14 @@ from quatforms.classset import (
     is_isomorphic,
     narrow_support,
     neighbors,
+    split_residue_matrix,
     unit_group,
 )
 from quatforms.intmat import integral_preimage_rows
 from quatforms.latticetools import TraceFormLattice, enumerate_norm
 from quatforms.numberfield import field_from_spec, make_quadratic_field
 from quatforms.quaternion import (
+    QuatAlgebra,
     QuatLattice,
     hilbert_ramification_free_algebra,
     is_order,
@@ -527,6 +529,79 @@ def test_class_set_is_deterministic():
     ta = compute_theta(a, 3)
     tb = compute_theta(b, 3)
     assert ta.entries == tb.entries
+
+
+@pytest.mark.parametrize("spec,extra_norm,digest", [
+    ("quad:10", None, "48c8e29235230e095f7f31a38dc25a72e816654158b12afd68248a612fb621e8"),
+    # the prime of norm 4 is inert: a residue field of degree 2
+    ("quad:85", 4, "3d17ce8f995f456082e3afbca69db2fcd1f5ae471e192d2ef145f5131fdc5859"),
+])
+def test_neighbor_order_pinned(spec, extra_norm, digest):
+    # the order of the neighbor lists decides which lattice the walk keeps
+    # as a representative, so it is pinned, not only the lists as sets
+    cs = class_set(spec)
+    F = cs.order.alg.base
+    primes = list(cs.support)
+    if extra_norm:
+        primes.append(next(p for p in F.prime_ideals_up_to(extra_norm) if p.norm == extra_norm))
+    lists = [
+        [(c.rows, c.den) for c in neighbors(b, p)]
+        for p in primes
+        for b in cs.representatives
+    ]
+    assert hashlib.sha256(repr(lists).encode()).hexdigest() == digest
+
+
+def test_residue_fields():
+    # the residue field of a splitting is the image of O_F in R/pR: F_4 at
+    # the inert prime over 2, F_5 at the ramified prime over 5; the
+    # quotient projection is a ring map
+    R = maximal_order("quad:85")
+    alg = R.alg
+    rng = random.Random(3)
+    inert2 = F85.primes_above(2)[0][0]
+    ramified5 = F85.primes_above(5)[0][0]
+    for prime, q in ((inert2, 4), (ramified5, 5)):
+        res = split_residue_matrix(R, prime)
+        assert (res.k.q, len(res.lam), len(res.lam[0])) == (q, 8, 4 * res.k.f)
+        quo = res.quo
+        for _ in range(10):
+            x, y = (R.vector([rng.randint(-9, 9) for _ in range(8)]) for _ in range(2))
+            assert quo.proj(alg.mul(x, y)) == quo.algebra.mul(quo.proj(x), quo.proj(y))
+    for not_prime in (F85.ideal(6), F85.ideal(Fraction(1, 3))):
+        with pytest.raises(ValueError):
+            split_residue_matrix(R, not_prime)
+
+
+def test_splitting_built_once_per_prime(monkeypatch):
+    # the quad:85 walk expands 5 representatives at its one support prime
+    # and splits R/pR once; neighbors multiplies no quaternions: the
+    # residue module and R/pR act through the integer structure table
+    import quatforms.classset as classset
+
+    split, mul = classset.split_residue_matrix, QuatAlgebra.mul
+    calls = []
+
+    def counted_split(R, prime):
+        calls.append("split")
+        return split(R, prime)
+
+    def counted_mul(self, x, y):
+        calls.append("mul")
+        return mul(self, x, y)
+
+    R = hilbert_ramification_free_algebra(F85).maximal_order()
+    monkeypatch.setattr(classset, "split_residue_matrix", counted_split)
+    cs = compute_class_set(R, narrow_support(F85))
+    assert calls.count("split") == 1
+    monkeypatch.setattr(QuatAlgebra, "mul", counted_mul)
+    calls.clear()
+    (pr,) = cs.support
+    four = next(p for p in F85.prime_ideals_up_to(4) if p.norm == 4)
+    for b in cs.representatives[:2]:
+        for p in (pr, four):
+            assert len(neighbors(b, p)) == p.norm + 1
+    assert calls == ["split"]
 
 
 def sign_normal(alg, x):

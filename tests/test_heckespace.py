@@ -127,11 +127,11 @@ def test_dimension_report_at_9_times_31():
 def ref_reduce(comp, x):
     """The reduction as it was computed before the F_p-matrix lam: Fraction
     coordinates over the order (to read the denominators), the quotient
-    projection (a second coordinate solve) and the splitting image."""
+    projection of the ambient vector and the splitting image."""
     alg = comp.order.alg
     coords = comp.order._coords(x)
     x = comp._clear([c.denominator for c in coords], x, alg.fmul)
-    return comp.split.image(comp.quo.proj(x))
+    return comp.res.split.image(comp.res.quo.proj(x))
 
 
 @pytest.mark.parametrize("spec,bound,norms,rows,cleared", [
@@ -165,7 +165,8 @@ def test_reduce_matches_three_step_reference(spec, bound, norms, rows, cleared, 
 
 def test_reduction_map_checked_under_optimize(run_optimized):
     # one corrupted entry of the reduction map lam must trip a certificate
-    # of build_splitting with asserts stripped
+    # of build_splitting with asserts stripped; the shared splitting is
+    # immutable, so the component gets a corrupted copy
     out = run_optimized(
         "from quatforms import heckespace\n"
         "from quatforms.classset import compute_class_set, narrow_support\n"
@@ -177,6 +178,7 @@ def test_reduction_map_checked_under_optimize(run_optimized):
         "init = heckespace._LevelComponent.__init__\n"
         "def corrupt(self, *args, **kwargs):\n"
         "    init(self, *args, **kwargs)\n"
+        "    self.lam = [list(row) for row in self.lam]\n"
         "    self.lam[1][1] += 1\n"
         "heckespace._LevelComponent.__init__ = corrupt\n"
         "N = next(p for p in F.prime_ideals_up_to(31) if p.norm == 31).ideal\n"
@@ -224,6 +226,51 @@ def test_dimension_report_splits_each_level_prime_once(monkeypatch):
         assert (sp.orbits, sp.stabilizer_orders, sp.dim) == (
             fresh.orbits, fresh.stabilizer_orders, fresh.dim,
         )
+
+
+def test_level_primes_split_once_per_order(monkeypatch):
+    # build_space and then dimension_report on one class set split the
+    # order once at each level prime: the splitting is kept on the order
+    F = field_from_spec("quad:5")
+    R = hilbert_ramification_free_algebra(F).maximal_order()
+    cs = compute_class_set(R, narrow_support(F))
+    th = compute_theta(cs, 4)
+    N = level(F, 31, 41)
+    split = heckespace.split_residue_matrix
+    primes = []
+
+    def counted(order, prime):
+        primes.append(prime.norm())
+        return split(order, prime)
+
+    monkeypatch.setattr(heckespace, "split_residue_matrix", counted)
+    sp = build_space(cs, N, parallel_weight_two(F))
+    dr = dimension_report(cs, th, N)
+    assert sorted(primes) == [31, 41]
+    assert [c.res for c in sp.splitting.components] == [R._splits[q] for q, _ in N.factor()]
+    assert (dr.total, dr.cusp) == (24, 23)
+
+
+def test_ideals_of_another_field_context_rejected():
+    # two contexts of quad:5 are equal fields, but their ideals never
+    # compare equal; mixing them is refused up front
+    cs1, th1 = class_set("quad:5"), theta("quad:5", 11)
+    F1, F2 = cs1.order.alg.base, field_from_spec("quad:5")
+    assert F1 is not F2
+    R2 = hilbert_ramification_free_algebra(F2).maximal_order()
+    cs2 = compute_class_set(R2, narrow_support(F2))
+    th2 = compute_theta(cs2, 11)
+    w = parallel_weight_two(F1)
+    with pytest.raises(ValueError, match="another field context"):
+        build_space(cs1, level(F2, 9), w)
+    with pytest.raises(ValueError, match="another field context"):
+        dimension_report(cs1, th2, level(F1, 9))
+    sp = build_space(cs1, level(F1, 9), w)
+    with pytest.raises(ValueError, match="another field context"):
+        hecke_operator(cs1, th2, sp, th1.primes[0])
+    assert dimension_report(cs1, th1, level(F1, 9)).total == dimension_report(
+        cs2, th2, level(F2, 9)
+    ).total
 
 
 def test_level_three_over_quad10_clears_denominators(monkeypatch):

@@ -9,6 +9,9 @@ function or class of the package is named somewhere besides its own
 definition: in the package, a test or a benchmark script.  Every name
 a module assigns at top level is read: by its own module, or by another
 module, test or benchmark script through an import or an attribute.
+Every defaulted parameter is passed by some call in the package, a test
+or a benchmark script: a default nothing overrides is a knob nobody
+turns.
 """
 
 import ast
@@ -181,6 +184,56 @@ def unread_module_names(modules, others):
     return sorted(out)
 
 
+def unpassed_defaults(modules, others):
+    """module.function(param) for each defaulted parameter of a function
+    or method of modules (name -> text) that no call in modules or the
+    other texts passes, by position or by name.  Calls are matched to
+    functions by name alone, a constructor call to __init__; a call that
+    unpacks *args or **kwargs passes everything, and the arguments of a
+    method call start after self."""
+    calls = {}
+    for source in list(modules.values()) + list(others):
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            star = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, star)
+            )
+    out = []
+    for mod, source in modules.items():
+        tree = ast.parse(source)
+        owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(fn))
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            shift = int(cls is not None and not static)
+            names = [cls.name, "__init__"] if cls and fn.name == "__init__" else [fn.name]
+            seen = [c for n in names for c in calls.get(n, [])]
+            pos = fn.args.posonlyargs + fn.args.args
+            first = len(pos) - len(fn.args.defaults)
+            params = [(a.arg, i) for i, a in enumerate(pos) if i >= first]
+            params += [
+                (a.arg, None)
+                for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None
+            ]
+            for arg, i in params:
+                if not any(
+                    star or arg in kws or (i is not None and npos + shift > i)
+                    for npos, kws, star in seen
+                ):
+                    where = f"{mod}.{cls.name}" if cls else mod
+                    out.append(f"{where}.{fn.name}({arg})")
+    return sorted(out)
+
+
 def test_scan_flags_an_unused_import():
     assert unused_imports("import os\nfrom math import gcd, lcm\nprint(gcd)\n") == [
         (1, "os"), (2, "lcm"),
@@ -235,6 +288,26 @@ def test_scan_flags_an_unread_module_name():
         "b": "from a import TABLE\n",
     }
     assert unread_module_names(modules, ["import a\nprint(a.LIMIT)\n"]) == ["a.X", "a.log"]
+
+
+def test_scan_flags_an_unpassed_default():
+    modules = {
+        "a": (
+            "def f(x, y=1, *, z=2, w=3):\n    return x\n"
+            "def g(x, y=1):\n    return f(x, 2, z=1)\n"
+            "class C:\n    def __init__(self, n=0, m=1):\n        self.n = n\n"
+            "    def h(self, k=0):\n        return k\n"
+        ),
+    }
+    others = ["from a import C, g\nC(5).h(1)\ng(*[1, 2])\n"]
+    assert unpassed_defaults(modules, others) == ["a.C.__init__(m)", "a.f(w)"]
+
+
+def test_no_unpassed_defaults():
+    others = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    others += [p.read_text() for p in sorted((ROOT / "benchmarks").rglob("*.py"))]
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert unpassed_defaults(modules, others) == []
 
 
 def test_no_unread_module_names():

@@ -273,23 +273,6 @@ def test_prime_ideals_up_to():
     assert norms == [3, 3, 4, 5, 7, 7, 17, 19, 19]
 
 
-def test_residue_fields():
-    F = F85()
-    rng = random.Random(3)
-    inert2 = F.primes_above(2)[0][0]
-    q = F.residue_field(inert2)
-    assert q.algebra.dim == 2
-    for _ in range(10):
-        x = F.el((rng.randint(-9, 9), rng.randint(-9, 9)))
-        y = F.el((rng.randint(-9, 9), rng.randint(-9, 9)))
-        assert q.proj(F.mul(x, y)) == q.algebra.mul(q.proj(x), q.proj(y))
-    ram5 = F.primes_above(5)[0][0]
-    assert F.residue_field(ram5).algebra.dim == 1
-    for not_prime in (F.ideal(6), F.ideal(Fraction(1, 3))):
-        with pytest.raises(ValueError):
-            F.residue_field(not_prime)
-
-
 # -- ideal arithmetic ---------------------------------------------------
 
 
