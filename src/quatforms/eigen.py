@@ -3,12 +3,16 @@
 The operators are certified to commute, as integer matrices, so the
 space splits into generalized eigenspaces one operator at a time.  Every
 piece is a primitive integer basis; restricting an operator to it is one
-integer product and one elimination.  A piece is final once a single
-restricted operator is cyclic with irreducible characteristic
-polynomial: the rest of the commuting algebra then lives inside the
-field it generates and cannot split the piece further.  Pieces that
-never certify are returned uncertified; more operators might still
-split them.
+integer product and one elimination.  The generalized eigenspaces of a
+restricted operator M are found in integers: M is cleared to d M once,
+its powers are taken once, each g^e(M) is an integer combination of
+them, and its kernel comes from a fraction-free elimination as integer
+rows, lifted to the ambient space by one product.  A piece is final
+once a single restricted operator is cyclic with irreducible
+characteristic polynomial: the rest of the commuting algebra then lives
+inside the field it generates and cannot split the piece further.
+Pieces that never certify are returned uncertified; more operators
+might still split them.
 """
 
 import itertools
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intmat import identity_int, int_product, integral_rows
-from .matrices import Matrix, poly_at_matrix, primitive
+from .matrices import Matrix, int_poly_at, int_powers, integer_kernel, poly_at_matrix, primitive
 from .polynomials import Poly, factor_poly
 
 
@@ -79,13 +83,6 @@ def _restrict(rows, basis):
     return Matrix(out)
 
 
-def _lift(coord_vecs, basis):
-    """Primitive integer rows spanning the vectors with coordinates
-    coord_vecs over the integer rows basis."""
-    _, ints = integral_rows(coord_vecs)
-    return [primitive(row) for row in int_product(ints, basis)]
-
-
 def _constituent_key(c):
     return (c.dimension, tuple(tuple(g.coeffs) for g, _ in c.factors))
 
@@ -126,15 +123,17 @@ def decompose(blocks):
                 facs[i] = split[0]
                 nxt.append((basis, facs, split[0][1] == 1))
                 continue
+            d, A = integral_rows(M.rows)
+            powers = int_powers(A, max(g.degree * e for g, e in split))
             for g, e in split:
                 dim = g.degree * e
-                ker = poly_at_matrix(g ** e, M).right_kernel()
+                ker = integer_kernel(int_poly_at(g ** e, d, powers)[1])
                 if len(ker) != dim:
                     raise ArithmeticError("generalized eigenspace has the wrong dimension")
                 if any(dim % h.degree for h, _ in facs[:i]):
                     raise ArithmeticError("eigenspace dimension is not a multiple of a factor degree")
                 sub = [(h, dim // h.degree) for h, _ in facs[:i]] + [(g, e)] + facs[i + 1:]
-                nxt.append((_lift(ker, basis), sub, e == 1))
+                nxt.append(([primitive(row) for row in int_product(ker, basis)], sub, e == 1))
         pieces = nxt
     out = []
     for basis, facs, _ in pieces:
@@ -196,33 +195,26 @@ def present_eigenvalues(c, blocks):
     return pres
 
 
-def flag_eisenstein(c, F, level):
+def flag_eisenstein(c, F):
     """Dimension 1 with a_p = chi(p) (Np + 1) for a narrow class character.
 
     Characters are the quadratic ones of the narrow class group, searched
     by sign mask over its generators; the pattern must hold at every
-    computed prime coprime to the level.
+    computed prime.  Hecke operators exist only at primes coprime to the
+    level (hecke_operator refuses the others), so every prime counts.
     """
     if c.dimension != 1:
         return False
-    lp = [q for q, _ in level.factor()]
-    vals = []
-    for i, pr in enumerate(c.primes):
-        if any(q == pr.ideal for q in lp):
-            continue
-        vals.append((pr, c.eigenvalue(i)))
-    if not vals:
+    vals = [(c.eigenvalue(i), pr) for i, pr in enumerate(c.primes)]
+    # every character gives |a_p| = Np + 1: a wrong size refutes them all
+    if any(abs(a) != pr.norm + 1 for a, pr in vals):
         return False
-    k = len(F.narrow_gens)
-    for mask in itertools.product((0, 1), repeat=k):
-        ok = True
-        for pr, a in vals:
-            bits = F.narrow_dlog(pr.ideal)
-            sign = -1 if sum(m * b for m, b in zip(mask, bits)) % 2 else 1
-            if a != sign * (pr.norm + 1):
-                ok = False
-                break
-        if ok:
+    signs = [(F.narrow_dlog(pr.ideal), a > 0) for a, pr in vals]
+    for mask in itertools.product((0, 1), repeat=len(F.narrow_gens)):
+        if all(
+            (sum(m * b for m, b in zip(mask, bits)) % 2 == 0) == positive
+            for bits, positive in signs
+        ):
             return True
     return False
 
@@ -251,7 +243,7 @@ def build_report(F, level, weight, blocks):
     cons = decompose(blocks)
     for c in cons:
         present_eigenvalues(c, blocks)
-        c.eisenstein = flag_eisenstein(c, F, level)
+        c.eisenstein = flag_eisenstein(c, F)
     cons.sort(key=lambda c: (not c.eisenstein,) + _constituent_key(c))
     return EigenReport(
         field=F,

@@ -446,7 +446,7 @@ def dimension_report(cs, th, N):
             raise ArithmeticError("no tabulated primes are coprime to the level")
         eis = 0
         for c in decompose(blocks):
-            if flag_eisenstein(c, F, level):
+            if flag_eisenstein(c, F):
                 eis += c.dimension
         return sp.dim, eis
 

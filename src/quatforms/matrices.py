@@ -3,7 +3,11 @@
 Matrix stores a list of Fraction rows.  No operation computes in
 Fractions: each clears the rows to integers over one common denominator,
 runs on Python ints and divides once per output entry.  Row reduction is
-fraction-free, each row kept primitive by its content.  The
+fraction-free, each row kept primitive by its content; integer_kernel
+reads a kernel basis off it as primitive integer rows, without dividing
+at all.  A polynomial at a matrix is an integer combination of the
+integer powers of the cleared matrix, so one list of powers serves
+every polynomial evaluated at that matrix.  The
 characteristic polynomial is computed modulo primes near 2^61, by
 Hessenberg reduction and its leading-minor recurrence (Cohen, A Course
 in Computational Algebraic Number Theory, section 2.2), and recombined
@@ -17,7 +21,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .arith import inv_mod, next_prime, symmetric_mod
-from .intmat import int_product, integral_rows
+from .intmat import identity_int, int_product, integral_rows
 from .polynomials import Poly
 
 # the first CRT prime; next_prime costs more than a small charpoly
@@ -75,34 +79,8 @@ class Matrix:
     # -- elimination ------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and its pivot column list.
-
-        Fraction-free Gauss-Jordan on the integer rows: row_i becomes
-        a*row_i - f*row_r for pivot a, divided by its content.  Every row
-        stays a nonzero multiple of the rational elimination's row, so the
-        pivots agree and dividing each pivot row by its pivot at the end
-        gives the unique RREF.
-        """
-        _, m = integral_rows(self.rows)
-        m = [primitive(row) for row in m]
-        nr, nc = len(m), len(m[0]) if m else 0
-        pivots = []
-        r = 0
-        for c in range(nc):
-            piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            prow = m[r]
-            a = prow[c]
-            for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = primitive([a * v - f * w for v, w in zip(m[i], prow)])
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
+        """Reduced row echelon form and its pivot column list."""
+        m, pivots = _echelon(integral_rows(self.rows)[1])
         for i, c in enumerate(pivots):
             a = m[i][c]
             m[i] = [Fraction(v, a) for v in m[i]]
@@ -115,20 +93,6 @@ class Matrix:
         """(-1)^n times the constant term of det(x*I - A)."""
         c0 = self.charpoly().coeffs[0]
         return -c0 if self.nrows % 2 else c0
-
-    def right_kernel(self) -> list[list[Fraction]]:
-        """Basis of {v : A v = 0}, echelonized, free variables set to 1."""
-        red, pivots = self.rref()
-        nc = self.ncols
-        free = [c for c in range(nc) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * nc
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][fc]
-            basis.append(v)
-        return basis
 
     def solve_right(self, b: list) -> list[Fraction] | None:
         """One solution x of A x = b, or None."""
@@ -151,31 +115,98 @@ class Matrix:
         return _charpoly_crt(self.rows)
 
 
-def poly_at_matrix(p: Poly, a: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix, exactly.
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan on integer rows: (m, pivot columns).
 
-    With a = A/d for the integer matrix A and L the least common
-    denominator of the coefficients, L d^deg p(a) = sum_k (L c_k d^(deg-k))
-    A^k has integer coefficients: Horner runs on A over the integers and
-    one division per entry happens at the end.
+    Row_i becomes a*row_i - f*row_r for pivot a, divided by its content.
+    Every row stays a nonzero multiple of the rational elimination's row,
+    so the pivots agree, and dividing each pivot row of m by its pivot
+    gives the unique RREF.  The rows passed in are not modified.
     """
-    if not a.is_square():
-        raise ValueError("polynomial evaluated at a non-square matrix")
-    n = a.nrows
-    d, ia = integral_rows(a.rows)
+    m = [primitive(row) for row in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        a = prow[c]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = primitive([a * v - f * w for v, w in zip(m[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, pivots
+
+
+def integer_kernel(rows) -> list[list[int]]:
+    """Basis of {v : A v = 0} for the integer matrix rows of A, as
+    primitive integer rows.
+
+    Row k is a positive multiple of the k-th vector of the echelon basis:
+    the k-th free variable set to 1, the others to 0, and the pivot
+    variables read off the RREF.
+    """
+    m, pivots = _echelon(rows)
+    scale = lcm(*(m[r][pc] for r, pc in enumerate(pivots)))
+    basis = []
+    for fc in range(len(rows[0])):
+        if fc in pivots:
+            continue
+        v = [0] * len(rows[0])
+        v[fc] = scale
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc] * scale // m[r][pc]
+        basis.append(primitive(v))
+    return basis
+
+
+def int_powers(a, top):
+    """[A^0, A^1, ..., A^top] for the square integer matrix rows a."""
+    out = [identity_int(len(a))]
+    for _ in range(top):
+        out.append(int_product(out[-1], a))
+    return out
+
+
+def int_poly_at(p: Poly, d, powers):
+    """(den, rows) with p(A/d) = rows / den, for powers = int_powers(A, k),
+    k >= deg p.
+
+    With L the least common denominator of the coefficients c_k,
+    L d^deg p(A/d) = sum_k (L c_k d^(deg-k)) A^k has integer entries.
+    """
     cs = p.coeffs
     deg = len(cs) - 1
     L = lcm(*(c.denominator for c in cs))
-    out = [[0] * n for _ in range(n)]
-    for k in range(deg, -1, -1):
-        ck = cs[k].numerator * (L // cs[k].denominator) * d ** (deg - k)
-        if k < deg:
-            out = int_product(out, ia)
-        if ck:
-            for i in range(n):
-                out[i][i] += ck
-    den = L * d ** max(deg, 0)
-    return Matrix([[Fraction(v, den) for v in row] for row in out])
+    terms = [
+        (c.numerator * (L // c.denominator) * d ** (deg - k), powers[k])
+        for k, c in enumerate(cs)
+        if c
+    ]
+    n = len(powers[0])
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        for ck, pk in terms:
+            row = [v + ck * w for v, w in zip(row, pk[i])]
+        rows.append(row)
+    return L * d ** max(deg, 0), rows
+
+
+def poly_at_matrix(p: Poly, a: Matrix) -> Matrix:
+    """Evaluate a polynomial at a square matrix, exactly."""
+    if not a.is_square():
+        raise ValueError("polynomial evaluated at a non-square matrix")
+    d, ia = integral_rows(a.rows)
+    den, rows = int_poly_at(p, d, int_powers(ia, max(p.degree, 0)))
+    return Matrix([[Fraction(v, den) for v in row] for row in rows])
 
 
 def _charpoly_mod_p(int_rows, p) -> list[int]:

@@ -1,18 +1,18 @@
 """Dense univariate polynomials over Q, and factorization over Z.
 
 The public Poly class keeps Fraction coefficients, lowest degree first.
-The factorization pipeline (squarefree split, distinct/equal degree
-factorization mod p, Hensel lifting, subset recombination) works on plain
-integer coefficient lists and only accepts monic integer input; the
-rational wrapper reduces the general case to that one by the substitution
-x -> x/d with d a common denominator.
+factor_poly clears denominators once (y = d x makes f monic integral);
+the rest runs on integer coefficient lists: Yun's squarefree split with
+gcd_int_poly, distinct-degree patterns mod five primes to bound factor
+degrees, and equal-degree splitting, Hensel lifting and recombination
+at the one of those primes with the fewest factors.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .arith import inv_mod, next_prime, symmetric_mod
 
@@ -357,25 +357,50 @@ def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]
     """f = lc * prod g_i^i with g_i monic squarefree pairwise coprime."""
     if f.is_zero():
         raise ValueError("zero polynomial has no squarefree decomposition")
+    lc, d, h = _monic_integer(f)
+    return lc, [(_unscale(g, d), i) for g, i in _yun(h)]
+
+
+def _monic_integer(f: Poly) -> tuple[Fraction, int, list[int]]:
+    """(lc, d, h) with f(x) = lc * h(d x) / d^n, h monic in Z[x], n = deg f.
+
+    d is the least common denominator of the coefficients of f / lc.
+    """
     lc = f.leading()
-    f = f.monic()
-    if f.degree == 0:
-        return lc, []
-    out: list[tuple[Poly, int]] = []
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    b = f // a
-    c = df // a
+    g = f.monic()
+    d = lcm(*(c.denominator for c in g.coeffs))
+    n = g.degree
+    return lc, d, [c.numerator * d ** (n - i) // c.denominator for i, c in enumerate(g.coeffs)]
+
+
+def _unscale(h: list[int], d: int) -> Poly:
+    """The monic h(d x) / d^deg h of a monic integer h."""
+    m = len(h) - 1
+    return Poly([Fraction(c, d ** (m - i)) for i, c in enumerate(h)])
+
+
+def _yun(f: list[int]) -> list[tuple[list[int], int]]:
+    """[(g_i, i)] with the monic integer f = prod g_i^i, g_i squarefree,
+    pairwise coprime and of positive degree.
+
+    Yun's algorithm over Z: every gcd divides a monic polynomial, so it
+    is monic, and every quotient is an exact division by it.
+    """
+    out = []
+    df = _zderiv(f)
+    a = gcd_int_poly(f, df)
+    b = _zdivexact(f, a)
+    c = _zdivexact(df, a)
     i = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        g = poly_gcd(b, d)
-        if g.degree > 0:
+    while len(b) > 1:
+        d = _zsubtract(c, _zderiv(b))
+        g = gcd_int_poly(b, d)
+        if len(g) > 1:
             out.append((g, i))
-        b = b // g
-        c = d // g
+        b = _zdivexact(b, g)
+        c = _zdivexact(d, g)
         i += 1
-    return lc, out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +483,7 @@ def _factor_mod_p_rec(f, p, rng, out, scale):
         return
     gcd_fd = _zgcd_mod(f, deriv, p)
     w = _zdivmod_monic(f, gcd_fd, p)[0]
-    irr = _factor2_squarefree(w) if p == 2 else factor_squarefree_mod_p(w, p, rng)
+    irr = _factor2_squarefree(w) if p == 2 else factor_squarefree_mod_p(_distinct_degree(w, p), p, rng)
     rem = f
     for q in irr:
         e = 0
@@ -471,33 +496,36 @@ def _factor_mod_p_rec(f, p, rng, out, scale):
     _factor_mod_p_rec(rem, p, rng, out, scale)
 
 
-def factor_squarefree_mod_p(f: list[int], p: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors of a monic squarefree f mod odd prime p."""
-    assert p > 2 and f and f[-1] % p == 1
+def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """[(d, g_d)]: g_d the product of the degree-d irreducible factors of a
+    monic squarefree f mod p, for each degree d that occurs."""
     rem = _zmod(f, p)
-    found: list[list[int]] = []
-    xq = _zpowmod([0, 1], p, rem, p)
-    d = 1
-    while len(rem) - 1 >= 2 * d:
-        sub = list(xq)
-        # xq holds x^(p^d) mod rem; gcd with x^(p^d) - x catches degree-d parts
-        sub0 = sub[:]
-        if len(sub0) < 2:
-            sub0 += [0] * (2 - len(sub0))
-        sub0[1] = (sub0[1] - 1) % p
-        g = _zgcd_mod(sub0, rem, p)
-        if len(g) > 1:
-            found += _equal_degree_split(g, d, p, rng)
-            rem = _zdivmod_monic(rem, g, p)[0]
-            if len(rem) - 1 < 2 * (d + 1) and len(rem) > 1:
-                break
-            xq = _zdivmod_monic(xq, rem, p)[1] if len(rem) > 1 else []
+    parts = []
+    xq = [0, 1]
+    d = 0
+    while len(rem) - 1 >= 2 * (d + 1):
         d += 1
-        if len(rem) > 1 and len(rem) - 1 >= 2 * d:
-            xq = _zpowmod(xq, p, rem, p)
+        # xq holds x^(p^d) mod rem; gcd with x^(p^d) - x catches degree-d parts
+        xq = _zpowmod(xq, p, rem, p)
+        sub = xq + [0] * (2 - len(xq))
+        sub[1] = (sub[1] - 1) % p
+        g = _zgcd_mod(sub, rem, p)
+        if len(g) > 1:
+            parts.append((d, g))
+            rem = _zdivmod_monic(rem, g, p)[0]
+            xq = _zdivmod_monic(xq, rem, p)[1]
+    # what is left has no factor of degree below half its own: irreducible
     if len(rem) > 1:
-        found.append(rem)
-    if sum(len(g) - 1 for g in found) != len(_zmod(f, p)) - 1:
+        parts.append((len(rem) - 1, rem))
+    return parts
+
+
+def factor_squarefree_mod_p(parts: list[tuple[int, list[int]]], p: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors mod an odd prime p of a monic squarefree
+    polynomial, given its distinct-degree parts (_distinct_degree)."""
+    assert p > 2
+    found = [h for d, g in parts for h in _equal_degree_split(g, d, p, rng)]
+    if sum(len(h) - 1 for h in found) != sum(len(g) - 1 for _, g in parts):
         raise ArithmeticError("modular factor degrees do not sum to the degree")
     return sorted(found)
 
@@ -613,61 +641,42 @@ def _coeff_bound(f: list[int]) -> int:
     return (1 << (len(f))) * norm2
 
 
-def _factor_degree_sets(f: list[int]) -> set[int] | None:
-    """Possible degrees of factors of squarefree monic f, from five primes.
-
-    Returns None when not enough good primes were found quickly.
-    """
-    n = len(f) - 1
-    possible = set(range(n + 1))
-    p = 101
-    good = 0
-    attempts = 0
-    rng = random.Random(1)
-    while good < 5 and attempts < 60:
-        p = next_prime(p)
-        attempts += 1
-        if f[-1] % p == 0:
-            continue
-        if len(_zgcd_mod(f, _zderiv(f), p)) != 1:
-            continue
-        degs = [len(g) - 1 for g in factor_squarefree_mod_p(f, p, rng)]
-        sums = {0}
-        for d in degs:
-            sums |= {s + d for s in sums}
-        possible &= sums
-        good += 1
-        if possible == {0, n}:
-            return possible
-    return possible if good else None
-
-
 def factor_squarefree_monic_int(f: list[int]) -> list[list[int]]:
-    """Irreducible monic integer factors of a squarefree monic f in Z[x]."""
+    """Irreducible monic integer factors of a squarefree monic f in Z[x].
+
+    Five primes above 101 at which f stays squarefree give distinct-degree
+    patterns.  A factor over Z has a degree that is a sum of modular factor
+    degrees at each of them, so f is irreducible once only 0 and n remain.
+    Otherwise the first of the five primes with the fewest modular factors
+    is split completely, and its factors are lifted and recombined.
+    """
     n = len(f) - 1
     if n <= 1:
         return [list(f)]
-    degset = _factor_degree_sets(f)
-    if degset == {0, n}:
-        return [list(f)]
-    # pick the odd prime giving the fewest modular factors
-    rng = random.Random(2)
+    df = _zderiv(f)
+    degset = set(range(n + 1))
     best = None
-    p = 1000
+    p = 101
     good = 0
-    while good < 4:
+    # a squarefree f has a nonzero discriminant, so good primes never run out
+    while good < 5:
         p = next_prime(p)
-        if f[-1] % p == 0 or len(_zgcd_mod(f, _zderiv(f), p)) != 1:
+        if len(_zgcd_mod(f, df, p)) != 1:
             continue
-        facs = factor_squarefree_mod_p(f, p, rng)
         good += 1
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
-        if len(facs) == 1:
-            break
-    p, modular = best
-    if len(modular) == 1:
-        return [list(f)]
+        parts = _distinct_degree(f, p)
+        sums = {0}
+        for d, g in parts:
+            for _ in range((len(g) - 1) // d):
+                sums |= {s + d for s in sums}
+        degset &= sums
+        if degset == {0, n}:
+            return [list(f)]
+        count = sum((len(g) - 1) // d for d, g in parts)
+        if best is None or count < best[0]:
+            best = (count, p, parts)
+    _, p, parts = best
+    modular = factor_squarefree_mod_p(parts, p, random.Random(0))
     lifted, modulus = hensel_lift_factors(f, modular, p, 2 * _coeff_bound(f) + 1)
     return _recombine(f, lifted, modulus, degset)
 
@@ -682,7 +691,7 @@ def _recombine(f, lifted, modulus, degset):
         hit = False
         for subset in _subsets(remaining, card):
             deg = sum(len(lifted[i]) - 1 for i in subset)
-            if degset is not None and deg not in degset:
+            if deg not in degset:
                 continue
             cand = [1]
             for i in subset:
@@ -748,35 +757,14 @@ def factor_poly(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    unit, sqfree = squarefree_decomposition(f)
-    out: list[tuple[Poly, int]] = []
-    for g, mult in sqfree:
-        for h in _factor_monic_rational(g):
-            out.append((h, mult))
+    unit, d, h = _monic_integer(f)
+    out = [
+        (_unscale(q, d), mult)
+        for g, mult in _yun(h)
+        for q in factor_squarefree_monic_int(g)
+    ]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return unit, out
-
-
-def _factor_monic_rational(g: Poly) -> list[Poly]:
-    """Irreducible monic factors of monic squarefree g over Q."""
-    if g.degree <= 1:
-        return [g]
-    d = 1
-    for c in g.coeffs:
-        d = d * c.denominator // gcd(d, c.denominator)
-    # y = d*x turns g into a monic integer polynomial in y
-    n = g.degree
-    h = [0] * (n + 1)
-    for i, c in enumerate(g.coeffs):
-        v = c * d ** (n - i)
-        assert v.denominator == 1
-        h[i] = v.numerator
-    facs = factor_squarefree_monic_int(h)
-    out = []
-    for fc in facs:
-        m = len(fc) - 1
-        out.append(Poly([Fraction(c, d ** (m - i)) for i, c in enumerate(fc)]))
-    return out
 
 
 # ---------------------------------------------------------------------------

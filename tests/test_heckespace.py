@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 from collections import Counter
 
@@ -344,15 +345,21 @@ def test_non_commuting_blocks_rejected_under_optimize(run_optimized):
     assert out.startswith("ArithmeticError: Hecke blocks do not commute")
 
 
-def test_carried_factor_data_matches_direct_restriction():
-    # decompose factors only the (piece, block) pairs it does not know;
-    # the factor data it carries must be what restricting would give
+@functools.cache
+def blocks_31x41():
+    """The Hecke blocks of quad:5 at level 31*41 from the bound-5 table."""
     F, cs, _ = q5_bound4()
     th = theta("quad:5", 5)
     sp = build_space(cs, level(F, 31, 41), parallel_weight_two(F))
-    blocks = [hecke_operator(cs, th, sp, pr.ideal) for pr in th.primes if pr.norm not in (31, 41)]
+    return [hecke_operator(cs, th, sp, pr.ideal) for pr in th.primes if pr.norm not in (31, 41)]
+
+
+def test_carried_factor_data_matches_direct_restriction():
+    # decompose factors only the (piece, block) pairs it does not know;
+    # the factor data it carries must be what restricting would give
+    blocks = blocks_31x41()
     cons = decompose(blocks)
-    assert sum(c.dimension for c in cons) == sp.dim == 24
+    assert sum(c.dimension for c in cons) == len(blocks[0].matrix.rows) == 24
     assert any(e > 1 for c in cons for _, e in c.factors)
     for c in cons:
         assert all(math.gcd(*row) == 1 for row in c.basis)
@@ -364,3 +371,55 @@ def test_restriction_to_an_unstable_subspace_raises():
     # the swap moves the first coordinate line off itself
     with pytest.raises(ArithmeticError, match="subspace is not stable"):
         _restrict([[0, 1], [1, 0]], [[1, 0]])
+
+
+def test_decompose_piece_bases_pinned():
+    # the integer generalized eigenspaces give the pieces of the earlier
+    # Fraction right_kernel: SHA-256 of the bases, factor data and flags
+    # in decompose's order, pinned on that earlier implementation
+    cons = decompose(blocks_31x41())
+    assert [c.dimension for c in cons] == [1, 1, 1, 2, 2, 2, 2, 4, 4, 5]
+    text = repr([(c.basis, [(tuple(g.coeffs), e) for g, e in c.factors], c.certified) for c in cons])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ddf71349b287a480105310f2dd1712bc0e39ce09b263c561306297b9600fcd87"
+    )
+
+
+# decompose's certificates under -O: a factor_poly that misreports the
+# first characteristic polynomial stands in for a faulty factorization
+LYING_DECOMPOSE = (
+    "from types import SimpleNamespace\n"
+    "from quatforms import eigen\n"
+    "from quatforms.matrices import Matrix\n"
+    "from quatforms.polynomials import Poly\n"
+    "real, calls = eigen.factor_poly, []\n"
+    "def lying(f):\n"
+    "    calls.append(f)\n"
+    "    return (1, {lie}) if len(calls) == 1 else real(f)\n"
+    "eigen.factor_poly = lying\n"
+    "blocks = [SimpleNamespace(matrix=Matrix(m), prime=None) for m in {mats}]\n"
+    "try:\n"
+    "    print('returned', eigen.decompose(blocks))\n"
+    "except ArithmeticError as exc:\n"
+    "    print('ArithmeticError:', exc)\n"
+)
+
+
+def diag(*entries):
+    return [[v if i == j else 0 for j in range(len(entries))] for i, v in enumerate(entries)]
+
+
+@pytest.mark.parametrize("lie, mats, message", [
+    # diag(1, 1, 2) claimed to have (x - 1)(x - 2)^2: ker(M - 1) has dimension 2, not 1
+    ("[(Poly([-1, 1]), 1), (Poly([-2, 1]), 2)]", [diag(1, 1, 2)],
+     "generalized eigenspace has the wrong dimension"),
+    # I_4 claimed to have (x^2 + 1)^2; diag(1, 1, 1, 2) then cuts out a 3-dim piece
+    ("[(Poly([1, 0, 1]), 2)]", [diag(1, 1, 1, 1), diag(1, 1, 1, 2)],
+     "eigenspace dimension is not a multiple of a factor degree"),
+    # I_2 claimed irreducible x^2 + 1, so the piece is final; diag(1, 2) is not isotypic on it
+    ("[(Poly([1, 0, 1]), 1)]", [diag(1, 1), diag(1, 2)],
+     "piece is not isotypic for some operator"),
+], ids=["wrong-dimension", "not-a-degree-multiple", "not-isotypic"])
+def test_decompose_certificates_checked_under_optimize(run_optimized, lie, mats, message):
+    out = run_optimized(LYING_DECOMPOSE.format(lie=lie, mats=mats))
+    assert out.startswith(f"ArithmeticError: {message}")

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatforms.matrices import Matrix, poly_at_matrix
+from quatforms.intmat import integral_rows
+from quatforms.matrices import Matrix, integer_kernel, poly_at_matrix, primitive
 from quatforms.polynomials import Poly
 
 small = st.integers(min_value=-9, max_value=9)
@@ -125,7 +126,7 @@ def test_det_multiplicative(a, b):
 @given(mats(4))
 @settings(max_examples=40, deadline=None)
 def test_rank_nullity_and_kernel(m):
-    ker = m.right_kernel()
+    ker = integer_kernel(integral_rows(m.rows)[1])
     assert m.rank() + len(ker) == 4
     for v in ker:
         assert all(x == 0 for x in m.apply(v))
@@ -253,6 +254,11 @@ def ref_kernel(a):
     return basis
 
 
+def ref_integer_kernel(a):
+    """ref_kernel with each vector scaled to a primitive integer row."""
+    return [primitive(integral_rows([v])[1][0]) for v in ref_kernel(a)]
+
+
 def ref_solve(a, b):
     red, pivots = ref_rref([row + [Fraction(bv)] for row, bv in zip(a.rows, b)])
     if a.ncols in pivots:
@@ -286,7 +292,7 @@ def test_elimination_matches_fraction_reference(a, data):
     red, pivots = a.rref()
     assert (red.rows, pivots) == ref_rref(a.rows)
     assert a.rank() == len(pivots)
-    assert a.right_kernel() == ref_kernel(a)
+    assert integer_kernel(integral_rows(a.rows)[1]) == ref_integer_kernel(a)
     # consistent right-hand sides (in the column span) and arbitrary ones
     x = data.draw(st.lists(rationals, min_size=a.ncols, max_size=a.ncols))
     for b in (ref_apply(a, x), data.draw(st.lists(rationals, min_size=a.nrows, max_size=a.nrows))):

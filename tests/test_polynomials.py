@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from quatforms.arith import next_prime
 from quatforms.polynomials import (
     Poly,
+    _coeff_bound,
+    _distinct_degree,
+    _recombine,
+    _zderiv,
+    _zgcd_mod,
     factor_poly,
+    factor_squarefree_mod_p,
     gcd_int_poly,
+    hensel_lift_factors,
     isolate_real_roots,
     poly_gcd,
     squarefree_decomposition,
@@ -239,14 +248,125 @@ def test_bad_inputs_raise_under_optimize(run_optimized):
 
 def test_recombination_certificate_checked_under_optimize(run_optimized):
     # a divisibility test that accepts everything makes recombination take
-    # a modular factor of the irreducible x^4 - x^2 + 1 for a true one;
-    # with asserts stripped the product check must still raise
+    # a modular factor of the irreducible x^4 - 10x^2 + 1 for a true one.
+    # Modulo 103 it splits into two quadratics with constant term -1, so
+    # the constant-term pre-test lets the bogus factor through; with
+    # asserts stripped the product check must still raise
     out = run_optimized(
         "from quatforms import polynomials\n"
         "polynomials._zdivides = lambda g, f: True\n"
         "try:\n"
-        "    print('returned', polynomials.factor_poly(polynomials.Poly([1, 0, -1, 0, 1])))\n"
+        "    print('returned', polynomials.factor_poly(polynomials.Poly([1, 0, -10, 0, 1])))\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
     assert out.startswith("ArithmeticError: recombined factors do not multiply back")
+
+
+# --- the factorization against the earlier Fraction Yun and nine-prime search ---
+
+
+def ref_squarefree_decomposition(f):
+    """Yun's algorithm on Fraction polynomials."""
+    lc = f.leading()
+    f = f.monic()
+    if f.degree == 0:
+        return lc, []
+    out = []
+    df = f.derivative()
+    a = poly_gcd(f, df)
+    b, c = f // a, df // a
+    i = 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        g = poly_gcd(b, d)
+        if g.degree > 0:
+            out.append((g, i))
+        b, c = b // g, d // g
+        i += 1
+    return lc, out
+
+
+def ref_factor_squarefree_monic_int(f):
+    """Degree sets from full factorizations modulo five primes above 101,
+    then the Hensel prime picked among four more above 1000."""
+    n = len(f) - 1
+    if n <= 1:
+        return [list(f)]
+    degset = set(range(n + 1))
+    p, good, attempts = 101, 0, 0
+    rng = random.Random(1)
+    while good < 5 and attempts < 60:
+        p = next_prime(p)
+        attempts += 1
+        if len(_zgcd_mod(f, _zderiv(f), p)) != 1:
+            continue
+        sums = {0}
+        for g in factor_squarefree_mod_p(_distinct_degree(f, p), p, rng):
+            sums |= {s + len(g) - 1 for s in sums}
+        degset &= sums
+        good += 1
+        if degset == {0, n}:
+            return [list(f)]
+    rng = random.Random(2)
+    best = None
+    p, good = 1000, 0
+    while good < 4:
+        p = next_prime(p)
+        if len(_zgcd_mod(f, _zderiv(f), p)) != 1:
+            continue
+        facs = factor_squarefree_mod_p(_distinct_degree(f, p), p, rng)
+        good += 1
+        if best is None or len(facs) < len(best[1]):
+            best = (p, facs)
+        if len(facs) == 1:
+            break
+    p, modular = best
+    if len(modular) == 1:
+        return [list(f)]
+    lifted, modulus = hensel_lift_factors(f, modular, p, 2 * _coeff_bound(f) + 1)
+    return _recombine(f, lifted, modulus, degset)
+
+
+def ref_factor_poly(f):
+    unit, sqfree = ref_squarefree_decomposition(f)
+    out = []
+    for g, mult in sqfree:
+        d = 1
+        for c in g.coeffs:
+            d = d * c.denominator // gcd(d, c.denominator)
+        n = g.degree
+        h = [(c * d ** (n - i)).numerator for i, c in enumerate(g.coeffs)]
+        for fc in ref_factor_squarefree_monic_int(h):
+            m = len(fc) - 1
+            out.append((Poly([Fraction(c, d ** (m - i)) for i, c in enumerate(fc)]), mult))
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return unit, out
+
+
+small_factors = st.lists(st.integers(-4, 4), min_size=2, max_size=4).map(Poly).filter(
+    lambda p: p.degree >= 1
+)
+
+
+@given(st.lists(st.tuples(small_factors, st.integers(1, 3)), min_size=1, max_size=3),
+       st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_factor_poly_matches_reference(parts, unit):
+    f = Poly([unit])
+    for g, m in parts:
+        f = f * g ** m
+    assert squarefree_decomposition(f) == ref_squarefree_decomposition(f)
+    assert factor_poly(f) == ref_factor_poly(f)
+
+
+def test_factor_poly_on_polynomials_split_modulo_every_prime():
+    # x^4 - x^2 + 1 (the 12th cyclotomic polynomial) and x^4 - 10x^2 + 1
+    # (the minimal polynomial of sqrt2 + sqrt3) are irreducible over Q, yet
+    # split into linear or quadratic factors modulo every prime, so only
+    # recombination proves them irreducible
+    c12, s23 = Poly([1, 0, -1, 0, 1]), Poly([1, 0, -10, 0, 1])
+    for f in (c12, s23, c12 * s23 ** 2, c12 * Poly([-3, 0, 1]) * Poly([-2, 0, 1]) ** 3):
+        assert factor_poly(f) == ref_factor_poly(f)
+    assert factor_poly(c12) == (1, [(c12, 1)])
+    assert factor_poly(s23) == (1, [(s23, 1)])
