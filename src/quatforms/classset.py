@@ -10,8 +10,9 @@ the units of the left order of a.  Column sums Np + 1, whole unit orbits
 and an index Np^2 check of every witness certify the table.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -151,14 +152,17 @@ def neighbors(b, p):
     w2 = next(w for w in corner if not in_span_mod(g1, w, ell))
     g2 = [times(w2, m) for m in k_mats]
 
-    base = list(b.basis_vectors())
+    # b and the lifts of V lie over the denominators b.den and big.den
+    den = lcm(b.den, big.den)
+    base = [[c * (den // b.den) for c in row] for row in b.rows]
     out = []
     for x, y in p1_points(res.k):
         w = times(res.k.coords(x) + res.k.coords(y), g1 + g2)
         u_rows = span_basis_mod([times(w, m) for m in acts], ell)
         if len(u_rows) != 2 * f:
             raise ArithmeticError("cyclic submodule has unexpected dimension")
-        lat = QuatLattice(alg, base + [V.lift(u) for u in u_rows])
+        lifts = [[c * (den // big.den) for c in V.lift(u)] for u in u_rows]
+        lat = QuatLattice(alg, base + lifts, den)
         if b.covolume() / lat.covolume() != npn ** 2:
             raise ArithmeticError("neighbor does not have index Np^2 over b")
         lat._right = R
@@ -234,6 +238,8 @@ class ClassSet:
     representatives[0] is the order itself.  left_orders[i] and
     unit_groups[i] belong to representatives[i]; mass is the verified
     sum of 1/|unit group| and support the primes used for the walk.
+    splittings keeps the checked splitting at each level, by level
+    ideal (heckespace.build_splitting).
     """
 
     order: QuatLattice
@@ -242,6 +248,7 @@ class ClassSet:
     unit_groups: list
     support: list
     mass: Fraction
+    splittings: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def size(self):

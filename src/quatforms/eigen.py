@@ -17,10 +17,13 @@ might still split them.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .intmat import identity_int, int_product, integral_rows
-from .matrices import Matrix, int_poly_at, int_powers, integer_kernel, poly_at_matrix, primitive
+from .intmat import identity_int, int_product
+from .matrices import (
+    Matrix, _echelon, int_poly_at, int_powers, integer_kernel, poly_at_matrix, primitive,
+)
 from .polynomials import Poly, factor_poly
 
 
@@ -57,30 +60,25 @@ class Constituent:
         return -g.coeffs[0]
 
 
-def _int_rows(block):
-    """The integer rows of a Hecke block's matrix."""
-    d, rows = integral_rows(block.matrix.rows)
-    if d != 1:
-        raise ValueError("Hecke matrix is not integral")
-    return rows
-
-
 def _restrict(rows, basis):
     """Matrix of the integer matrix rows on the span of the integer rows
     basis, in basis coordinates.
 
-    One elimination of [basis columns | images of the basis]: a pivot in
-    the image block means some image leaves the span.
+    One fraction-free elimination of [basis columns | images of the
+    basis]: a pivot in the image block means some image leaves the span.
+    Dividing each pivot row by its pivot gives the coordinates, so the
+    result is integer rows over the lcm of the pivots.
     """
     k = len(basis)
     images = int_product(basis, list(zip(*rows)))
-    red, pivots = Matrix([list(row) for row in zip(*basis, *images)]).rref()
+    m, pivots = _echelon([list(row) for row in zip(*basis, *images)])
     if any(pc >= k for pc in pivots):
         raise ArithmeticError("subspace is not stable")
+    d = lcm(*(m[r][pc] for r, pc in enumerate(pivots)))
     out = [[0] * k for _ in range(k)]
     for r, pc in enumerate(pivots):
-        out[pc] = red.rows[r][k:]
-    return Matrix(out)
+        out[pc] = [v * d // m[r][pc] for v in m[r][k:]]
+    return Matrix(out, d)
 
 
 def _constituent_key(c):
@@ -105,7 +103,9 @@ def decompose(blocks):
     """
     if not blocks:
         raise ValueError("no Hecke blocks to decompose")
-    mats = [_int_rows(b) for b in blocks]
+    if any(b.matrix.den != 1 for b in blocks):
+        raise ValueError("Hecke matrix is not integral")
+    mats = [b.matrix.rows for b in blocks]
     for a, b in itertools.combinations(mats, 2):
         if int_product(a, b) != int_product(b, a):
             raise ArithmeticError("Hecke blocks do not commute")
@@ -123,11 +123,10 @@ def decompose(blocks):
                 facs[i] = split[0]
                 nxt.append((basis, facs, split[0][1] == 1))
                 continue
-            d, A = integral_rows(M.rows)
-            powers = int_powers(A, max(g.degree * e for g, e in split))
+            powers = int_powers(M.rows, max(g.degree * e for g, e in split))
             for g, e in split:
                 dim = g.degree * e
-                ker = integer_kernel(int_poly_at(g ** e, d, powers)[1])
+                ker = integer_kernel(int_poly_at(g ** e, M.den, powers)[1])
                 if len(ker) != dim:
                     raise ArithmeticError("generalized eigenspace has the wrong dimension")
                 if any(dim % h.degree for h, _ in facs[:i]):
@@ -174,19 +173,21 @@ def present_eigenvalues(c, blocks):
         return None
     c.generator = gi
     c.minpoly = c.factors[gi][0]
-    M = _restrict(_int_rows(blocks[gi]), c.basis)
-    d = c.dimension
-    w = [Fraction(int(t == 0)) for t in range(d)]
-    powers = []
+    M = _restrict(blocks[gi].matrix.rows, c.basis)
+    n = c.dimension
+    # M^k e_0 = A^k e_0 / d^k for M = A / d: the Krylov vectors are the
+    # columns of K / d^(n-1), with integer K
+    w = [int(t == 0) for t in range(n)]
+    cols = []
     cur = w
-    for _ in range(d):
-        powers.append(cur)
-        cur = M.apply(cur)
-    P = Matrix([list(col) for col in zip(*powers)])
+    for k in range(n):
+        cols.append([v * M.den ** (n - 1 - k) for v in cur])
+        cur = [sum(map(mul, row, cur)) for row in M.rows]
+    K = Matrix(list(zip(*cols)), M.den ** (n - 1))
     pres = []
     for i, block in enumerate(blocks):
-        Mi = M if i == gi else _restrict(_int_rows(block), c.basis)
-        coeffs = P.solve_right(Mi.apply(w))
+        Mi = M if i == gi else _restrict(block.matrix.rows, c.basis)
+        coeffs = K.solve_right(Mi.apply(w))
         # the cyclic vector identity extends to the whole piece, checked
         if coeffs is None or poly_at_matrix(Poly(coeffs), M) != Mi:
             raise ArithmeticError("operator is not a polynomial in the generator")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .classset import split_residue_matrix
 from .eigen import decompose, flag_eisenstein
-from .intmat import hnf_with_transform, int_product, integral_rows
+from .intmat import hnf_with_transform, identity_int, int_product, integral_rows
 from .matrices import Matrix
 from .numberfield import PrimeIdeal
 from .residue import mat2_act, mat2_det, mat2_mul, p1_points
@@ -124,8 +124,8 @@ class _LevelComponent:
         n = F.degree
         stacked = [list(r) for r in J.rows] + [list(r) for r in self.prime.rows]
         H, U = hnf_with_transform(stacked)
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        assert H[:n] == ident, "multiplier ideal is not coprime to the prime"
+        if H[:n] != identity_int(n):
+            raise ArithmeticError("multiplier ideal is not coprime to the prime")
         one_vec = [int(c) for c in F.one]
         coeffs = [0] * n
         for j, cj in enumerate(one_vec):
@@ -218,11 +218,16 @@ def build_splitting(cs, N):
     Checks: the level avoids the support, the identity maps to the
     identity, determinants match reduced norms on every stored unit, and
     multiplicativity holds on a sample of unit products.  The unit images
-    computed for the determinant check are kept in sm.unit_images.
+    computed for the determinant check are kept in sm.unit_images.  The
+    checked map is kept in cs.splittings, so each level is split once
+    per class set.
     """
     R = cs.order
     alg = R.alg
     _check_field(cs, [N])
+    sm = cs.splittings.get(N)
+    if sm is not None:
+        return sm
     if N.den != 1:
         raise ValueError("level must be an integral ideal")
     support = {s.ideal if isinstance(s, PrimeIdeal) else s for s in cs.support}
@@ -253,6 +258,7 @@ def build_splitting(cs, N):
         for comp, m1, m2, m3 in zip(sm.components, mu, mv, mats):
             if mat2_mul(comp.k, m1, m2) != m3:
                 raise ArithmeticError("splitting is not multiplicative")
+    cs.splittings[N] = sm
     return sm
 
 

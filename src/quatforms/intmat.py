@@ -10,6 +10,12 @@ needs the unimodular transform U gets it from hnf_with_transform, which
 eliminates the augmented rows [mat | I] and reads U off the last
 columns; no other elimination carries U along.
 
+A rational lattice or matrix is integer rows over one positive
+denominator.  check_int_rows guards that format, and canonical_lattice
+gives the canonical form of a lattice in it: HNF rows, full rank, and
+no common factor of the denominator and every entry, so equal lattices
+have equal (rows, den).  integral_rows clears Fraction input into it.
+
 hnf_coords solves coordinates over an HNF basis by substitution, for
 lattice membership and inverse_rows.  inverse_rows gives the inverse as
 an integer matrix over one denominator, so that coordinates of integer
@@ -19,7 +25,7 @@ matrices (lattice_coords) are one int_product.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 
@@ -30,6 +36,36 @@ def integral_rows(rows):
     """
     d = lcm(*(v.denominator for row in rows for v in row))
     return d, [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+
+
+def check_int_rows(rows, den):
+    """Raise ValueError unless rows holds ints only and den is an int > 0."""
+    if not isinstance(den, int) or den <= 0:
+        raise ValueError("denominator must be a positive integer")
+    if not all(isinstance(c, int) for row in rows for c in row):
+        raise ValueError("rows must hold integers")
+
+
+def lowest_terms(rows, den):
+    """(rows, den) with the common factor of den and every entry divided out."""
+    g = gcd(den, *(c for row in rows for c in row))
+    if g > 1:
+        rows = [[c // g for c in row] for row in rows]
+        den //= g
+    return rows, den
+
+
+def canonical_lattice(rows, den, rank):
+    """(H, d) with H / d the canonical basis of the lattice rows / den:
+    H is the row HNF, in lowest terms with d.
+
+    Raises ValueError unless the lattice has the given rank.
+    """
+    check_int_rows(rows, den)
+    h = hnf_rows(rows)
+    if len(h) != rank:
+        raise ValueError("lattice does not have full rank")
+    return lowest_terms(h, den)
 
 
 def int_product(a, b):
@@ -144,23 +180,23 @@ def lattice_coords(inv, lat_den, mat, den):
     return out
 
 
-def integral_preimage_rows(mat):
-    """Basis rows of the lattice {x in Q^n : x * mat is integral}.
+def integral_preimage_rows(mat, den):
+    """(rows, d): basis rows / d of the lattice {x in Q^n : x * mat / den
+    is integral}.
 
-    `mat` is an n x m rational matrix of full row rank n (so the preimage
-    is itself a rank-n lattice in Q^n).  The condition says x pairs
-    integrally with every column, so the preimage is the dual of the
-    lattice the columns generate; that dual is the inverse transpose of a
-    column lattice basis.
+    `mat` is an n x m integer matrix of full row rank n (so the preimage
+    is itself a rank-n lattice in Q^n) and den > 0.  The condition says
+    x pairs integrally with every column, so the preimage is the dual of
+    the lattice the columns generate; that dual is the inverse transpose
+    of a column lattice basis.
     """
     n = len(mat)
-    e, cols = integral_rows(list(zip(*mat)))
-    basis = hnf_rows(cols)
+    basis = hnf_rows(list(zip(*mat)))
     if len(basis) != n:
         raise ValueError("matrix does not have full row rank")
     adj, d = inverse_rows(basis)
-    # dual of rowspan(basis/e) has basis rows e * (basis^-1)^T
-    return [[Fraction(e * adj[k][i], d) for k in range(n)] for i in range(n)]
+    # dual of rowspan(basis / den) has basis rows den * (basis^-1)^T
+    return [[den * adj[k][i] for k in range(n)] for i in range(n)], d
 
 
 def inverse_rows(rows):

@@ -1,27 +1,27 @@
 """Exact dense linear algebra over Q.
 
-Matrix stores a list of Fraction rows.  No operation computes in
-Fractions: each clears the rows to integers over one common denominator,
-runs on Python ints and divides once per output entry.  Row reduction is
-fraction-free, each row kept primitive by its content; integer_kernel
-reads a kernel basis off it as primitive integer rows, without dividing
-at all.  A polynomial at a matrix is an integer combination of the
-integer powers of the cleared matrix, so one list of powers serves
-every polynomial evaluated at that matrix.  The
-characteristic polynomial is computed modulo primes near 2^61, by
-Hessenberg reduction and its leading-minor recurrence (Cohen, A Course
-in Computational Algebraic Number Theory, section 2.2), and recombined
-by CRT under a Hadamard-style coefficient bound, so intermediates never
-grow.  The determinant is read off its constant term.
+A Matrix is integer rows over one positive denominator, with no common
+factor of the denominator and every entry, so equal matrices have equal
+fields.  Every operation runs on Python ints and divides once per output
+entry.  Row reduction is fraction-free, each row kept primitive by its
+content; integer_kernel reads a kernel basis off it as primitive integer
+rows, without dividing at all.  A polynomial at a matrix is an integer
+combination of the powers of its integer rows, so one list of powers
+serves every polynomial evaluated at that matrix.  The characteristic
+polynomial is computed modulo primes near 2^61, by Hessenberg reduction
+and its leading-minor recurrence (Cohen, A Course in Computational
+Algebraic Number Theory, section 2.2), and recombined by CRT under a
+Hadamard-style coefficient bound, so intermediates never grow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .arith import inv_mod, next_prime, symmetric_mod
-from .intmat import identity_int, int_product, integral_rows
+from .intmat import check_int_rows, identity_int, int_product, lowest_terms
 from .polynomials import Poly
 
 # the first CRT prime; next_prime costs more than a small charpoly
@@ -37,15 +37,16 @@ def primitive(row):
 
 
 class Matrix:
-    __slots__ = ("rows",)
+    """The rational matrix rows / den, for integer rows and an int den > 0."""
 
-    def __init__(self, rows):
-        # copies the rows; entries already Fractions are not rebuilt
-        self.rows = [
-            [v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows
-        ]
-        if any(len(r) != len(self.rows[0]) for r in self.rows):
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows, den=1):
+        rows = [list(row) for row in rows]
+        check_int_rows(rows, den)
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("matrix rows have different lengths")
+        self.rows, self.den = lowest_terms(rows, den)
 
     @property
     def nrows(self) -> int:
@@ -59,60 +60,43 @@ class Matrix:
         return self.nrows == self.ncols
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and (self.rows, self.den) == (other.rows, other.den)
 
     def apply(self, vec: list) -> list[Fraction]:
-        """Matrix times column vector."""
+        """Matrix times a column vector of ints or Fractions."""
         if len(vec) != self.ncols:
             raise ValueError("vector length differs from the column count")
-        da, ia = integral_rows(self.rows)
-        dv, (iv,) = integral_rows([vec])
-        d = da * dv
-        return [Fraction(sum(a * b for a, b in zip(row, iv)), d) for row in ia]
-
-    def transpose(self) -> "Matrix":
-        return Matrix([list(c) for c in zip(*self.rows)])
+        return [Fraction(sum(map(mul, row, vec)), self.den) for row in self.rows]
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
 
-    # -- elimination ------------------------------------------------------
-
-    def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form and its pivot column list."""
-        m, pivots = _echelon(integral_rows(self.rows)[1])
-        for i, c in enumerate(pivots):
-            a = m[i][c]
-            m[i] = [Fraction(v, a) for v in m[i]]
-        return Matrix(m), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def det(self) -> Fraction:
-        """(-1)^n times the constant term of det(x*I - A)."""
-        c0 = self.charpoly().coeffs[0]
-        return -c0 if self.nrows % 2 else c0
-
     def solve_right(self, b: list) -> list[Fraction] | None:
-        """One solution x of A x = b, or None."""
-        nr, nc = self.nrows, self.ncols
-        aug = Matrix([row + [Fraction(bv)] for row, bv in zip(self.rows, b)])
-        red, pivots = aug.rref()
+        """One solution x of A x = b, or None; b holds ints or Fractions.
+
+        With b = c / e for integers c, A x = b is rows x = den c / e, so
+        e rows x = den c: one elimination of the augmented integer rows.
+        """
+        if len(b) != self.nrows:
+            raise ValueError("right-hand side length differs from the row count")
+        nc = self.ncols
+        e = lcm(*(Fraction(v).denominator for v in b))
+        m, pivots = _echelon([
+            [e * v for v in row] + [self.den * int(Fraction(bv) * e)]
+            for row, bv in zip(self.rows, b)
+        ])
         if nc in pivots:
             return None
         x = [Fraction(0)] * nc
         for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][nc]
+            x[pc] = Fraction(m[r][nc], m[r][pc])
         return x
-
-    # -- characteristic polynomial ----------------------------------------
 
     def charpoly(self) -> Poly:
         """det(x*I - A), computed exactly."""
         if not self.is_square():
             raise ValueError("characteristic polynomial of a non-square matrix")
-        return _charpoly_crt(self.rows)
+        return _charpoly_crt(self.rows, self.den)
 
 
 def _echelon(rows):
@@ -204,9 +188,8 @@ def poly_at_matrix(p: Poly, a: Matrix) -> Matrix:
     """Evaluate a polynomial at a square matrix, exactly."""
     if not a.is_square():
         raise ValueError("polynomial evaluated at a non-square matrix")
-    d, ia = integral_rows(a.rows)
-    den, rows = int_poly_at(p, d, int_powers(ia, max(p.degree, 0)))
-    return Matrix([[Fraction(v, den) for v in row] for row in rows])
+    den, rows = int_poly_at(p, a.den, int_powers(a.rows, max(p.degree, 0)))
+    return Matrix(rows, den)
 
 
 def _charpoly_mod_p(int_rows, p) -> list[int]:
@@ -251,9 +234,9 @@ def _charpoly_mod_p(int_rows, p) -> list[int]:
     return polys[n]
 
 
-def _charpoly_crt(rows) -> Poly:
-    n = len(rows)
-    den, int_rows = integral_rows(rows)
+def _charpoly_crt(int_rows, den) -> Poly:
+    """det(x*I - A) for A = int_rows / den."""
+    n = len(int_rows)
     bmax = max((abs(v) for row in int_rows for v in row), default=0)
     if bmax == 0:
         return Poly([0] * n + [1])

@@ -29,10 +29,10 @@ import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import factor_int, next_prime
-from .intmat import hnf_coords, hnf_rows, integral_preimage_rows
+from .intmat import canonical_lattice, hnf_coords, integral_preimage_rows, integral_rows
 from .latticetools import fincke_pohst, iroot
 from .polynomials import factor_mod_p
 
@@ -486,10 +486,9 @@ class FieldIdeal:
         """The fractional inverse {x : x * a within O}, via an integral
         preimage of the stacked multiplication matrices."""
         F = self.field
-        reps = [F.rep_rows(b) for b in self.basis_vectors()]
+        reps = [F.rep_rows(r) for r in self.rows]
         mat = [[c for rows in reps for c in rows[k]] for k in range(F.degree)]
-        pre = integral_preimage_rows(mat)
-        return _canonical_ideal(F, pre)
+        return FieldIdeal(F, *canonical_lattice(*integral_preimage_rows(mat, self.den), F.degree))
 
     def valuation(self, prime: "FieldIdeal") -> int:
         pinv = prime.inverse()
@@ -545,23 +544,8 @@ class FieldIdeal:
 
 def _canonical_ideal(F: FieldCtx, rows) -> FieldIdeal:
     """Canonical (HNF rows, minimal denominator) form of a Q-spanning set."""
-    den = 1
-    for r in rows:
-        for c in r:
-            c = Fraction(c)
-            den = den * c.denominator // gcd(den, c.denominator)
-    int_rows = []
-    for r in rows:
-        int_rows.append([int(Fraction(c) * den) for c in r])
-    h = hnf_rows(int_rows)
-    if len(h) != F.degree:
-        raise ValueError("ideal basis does not have full rank")
-    g = den
-    for r in h:
-        for c in r:
-            if c:
-                g = gcd(g, abs(c))
-    return FieldIdeal(F, [[c // g for c in r] for r in h], den // g)
+    den, int_rows = integral_rows(rows)
+    return FieldIdeal(F, *canonical_lattice(int_rows, den, F.degree))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ degree, blocks ordered (1, i, j, k) and each block holding coordinates
 over the field's integral basis.  Lattices of full rank 4n carry the
 order and ideal arithmetic; maximal orders come out of `maximalize`,
 whose certificate is the reduced discriminant dropping to the unit
-ideal (norm 1).  The structure constants on the ambient basis are
-integers (QuatAlgebra.mul_table); lattice products and left
-multiplication run on them, and norm equations are solved in integer
-coordinates on a lattice's basis, where the reduced norm is a set of
-integer quadratic forms (QuatLattice.norm_forms).
+ideal (norm 1).  A lattice is built from integer rows over one
+denominator and kept in the canonical form of intmat.canonical_lattice.
+The structure constants on the ambient basis are integers
+(QuatAlgebra.mul_table); every lattice builder (products, scaling by
+field ideals, conjugates, inverses, orders) runs on them and on sign
+flips, and norm equations are solved in integer coordinates on a
+lattice's basis, where the reduced norm is a set of integer quadratic
+forms (QuatLattice.norm_forms).
 """
 
 from fractions import Fraction
@@ -21,15 +24,15 @@ import logging
 
 from .arith import factor_int
 from .intmat import (
+    abs_det,
+    canonical_lattice,
     hnf_coords,
-    hnf_rows,
     int_product,
     integral_preimage_rows,
     inverse_rows,
     lattice_coords,
 )
 from .latticetools import TraceFormLattice, enumerate_norm
-from .matrices import Matrix
 from .residue import (
     LatticeQuotient,
     algebra_radical,
@@ -101,10 +104,6 @@ class QuatAlgebra:
 
     def neg(self, x):
         return tuple(-Fraction(u) for u in x)
-
-    def smul(self, c, x):
-        c = Fraction(c)
-        return tuple(c * Fraction(u) for u in x)
 
     def fmul(self, c, x):
         """Multiply by a central field element (coordinate seq)."""
@@ -212,14 +211,11 @@ class QuatAlgebra:
 
     # -- lattices ----------------------------------------------------------
 
-    def lattice(self, vectors):
-        return QuatLattice(self, vectors)
-
     def standard_order(self):
         """O_F-span of 1, i, j, k: the identity lattice in these coordinates."""
         N = self.dim
         return QuatLattice(
-            self, [[int(r == c) for c in range(N)] for r in range(N)]
+            self, [[int(r == c) for c in range(N)] for r in range(N)], 1
         )
 
     def maximal_order(self):
@@ -227,46 +223,18 @@ class QuatAlgebra:
 
 
 class QuatLattice:
-    """Full-rank Z-lattice in B: integer HNF rows over a common denominator."""
+    """Full-rank Z-lattice in B: the span of integer rows over den > 0,
+    kept as canonical HNF rows over the least denominator."""
 
     __slots__ = (
         "alg", "rows", "den", "_left", "_right", "_nr", "_disc", "_forms", "_inv",
         "_ideal_inv", "_splits",
     )
 
-    def __init__(self, alg, vectors):
-        den = 1
-        vecs = []
-        for v in vectors:
-            row = [Fraction(c) for c in v]
-            vecs.append(row)
-            for c in row:
-                den = den * c.denominator // gcd(den, c.denominator)
-        ints = tuple(
-            tuple(int(c * den) for c in row) for row in vecs
-        )
-        self._set_rows(alg, ints, den)
-
-    @classmethod
-    def _from_int_rows(cls, alg, ints, den):
-        """The lattice spanned by the integer rows ints, divided by den."""
-        lat = cls.__new__(cls)
-        lat._set_rows(alg, ints, den)
-        return lat
-
-    def _set_rows(self, alg, ints, den):
-        rows = tuple(tuple(int(c) for c in row) for row in hnf_rows(ints))
-        if len(rows) != alg.dim:
-            raise ValueError("lattice does not have full rank")
-        g = den
-        for row in rows:
-            for c in row:
-                g = gcd(g, c)
-        if g > 1:
-            rows = tuple(tuple(c // g for c in row) for row in rows)
-            den //= g
+    def __init__(self, alg, rows, den):
+        rows, den = canonical_lattice(rows, den, alg.dim)
         self.alg = alg
-        self.rows = rows
+        self.rows = tuple(map(tuple, rows))
         self.den = den
         self._left = self._right = self._nr = self._disc = None
         self._forms = self._inv = self._ideal_inv = None
@@ -343,27 +311,30 @@ class QuatLattice:
             rows = []
             for x in self.rows:
                 rows += int_product(other.rows, alg.left_matrix(x)[0])
-            return QuatLattice._from_int_rows(alg, rows, self.den * other.den)
+            return QuatLattice(alg, rows, self.den * other.den)
         c = Fraction(other)
-        return QuatLattice(alg, [alg.smul(c, v) for v in self.basis_vectors()])
+        rows = [[c.numerator * v for v in row] for row in self.rows]
+        return QuatLattice(alg, rows, self.den * c.denominator)
 
     __rmul__ = __mul__
 
     def iscale(self, ideal):
-        """Scale by a fractional ideal of the base field."""
+        """Scale by a fractional ideal of the base field.
+
+        Each integer row x of the ideal is central in B, so the products
+        x * v are the rows times its left multiplication matrix.
+        """
         alg = self.alg
-        return QuatLattice(
-            alg,
-            [
-                alg.fmul(x, v)
-                for x in ideal.basis_vectors()
-                for v in self.basis_vectors()
-            ],
-        )
+        pad = (0,) * (alg.dim - len(ideal.rows))
+        rows = []
+        for x in ideal.rows:
+            rows += int_product(self.rows, alg.left_matrix(tuple(x) + pad)[0])
+        return QuatLattice(alg, rows, self.den * ideal.den)
 
     def lmul_element(self, x):
-        alg = self.alg
-        return QuatLattice(alg, [alg.mul(x, v) for v in self.basis_vectors()])
+        """The lattice x * L, for an element x of B."""
+        lam, d = self.alg.left_matrix(x)
+        return QuatLattice(self.alg, int_product(self.rows, lam), self.den * d)
 
     def compose(self, other):
         """Ideal product; the factors' inner orders must match.
@@ -385,8 +356,10 @@ class QuatLattice:
         return out
 
     def conjugate(self):
-        alg = self.alg
-        return QuatLattice(alg, [alg.conj(v) for v in self.basis_vectors()])
+        """The conjugate lattice: conj negates all but the field block."""
+        n = self.alg.base.degree
+        rows = [row[:n] + tuple(-c for c in row[n:]) for row in self.rows]
+        return QuatLattice(self.alg, rows, self.den)
 
     # -- invariants --------------------------------------------------------
 
@@ -417,9 +390,9 @@ class QuatLattice:
             # den * (e_r b_j) is row j of rows * Tr; its coordinates are
             # that row times adj / rho
             coords = int_product(int_product(self.rows, Tr), adj)
-            mat.append([Fraction(c, rho) for row in coords for c in row])
+            mat.append([c for row in coords for c in row])
         # an order is its own left and right order
-        order = QuatLattice(alg, integral_preimage_rows(mat))
+        order = QuatLattice(alg, *integral_preimage_rows(mat, rho))
         order._left = order._right = order
         return order
 
@@ -472,12 +445,7 @@ class QuatLattice:
         """
         out = self._ideal_inv
         if out is None:
-            alg = self.alg
-            ninv = self.nr_ideal().inverse()
-            cb = self.conjugate().basis_vectors()
-            out = self._ideal_inv = QuatLattice(
-                alg, [alg.fmul(g, v) for g in ninv.basis_vectors() for v in cb]
-            )
+            out = self._ideal_inv = self.conjugate().iscale(self.nr_ideal().inverse())
         if out._left is None:
             out._left = self._right
         if out._right is None:
@@ -485,14 +453,25 @@ class QuatLattice:
         return out
 
     def disc_z(self):
-        """Determinant of the Z-Gram of Tr_{F/Q}(trd(x * conj(y)))."""
+        """Determinant of the Z-Gram of Tr_{F/Q}(trd(x * conj(y))).
+
+        On the basis rows / den the Gram is sum_k Tr(w_k) forms[k] / den^2
+        (norm_forms), and it is positive definite, so its determinant is
+        the absolute determinant of the integer sum over den^(2 dim).
+        """
         if self._disc is None:
-            alg = self.alg
-            bs = self.basis_vectors()
-            gram = [
-                [alg.base.trace(alg.pair(x, y)) for y in bs] for x in bs
+            F = self.alg.base
+            forms, _ = self.norm_forms()
+            traces = [
+                F.trace(tuple(int(s == k) for s in range(F.degree)))
+                for k in range(F.degree)
             ]
-            self._disc = Matrix(gram).det()
+            m = len(self.rows)
+            gram = [
+                [sum(t * N[i][j] for t, N in zip(traces, forms)) for j in range(m)]
+                for i in range(m)
+            ]
+            self._disc = Fraction(abs_det(gram), self.den ** (2 * m))
         return self._disc
 
 
@@ -541,12 +520,9 @@ def _center_rows(S):
 
 def _idealizer_growth(order, quo, ideal_rows, p):
     """Left/right order of the lifted ideal, when strictly larger."""
-    alg = order.alg
-    vecs = [
-        tuple(Fraction(p * c, order.den) for c in row) for row in order.rows
-    ]
-    vecs += [quo.lift(r) for r in ideal_rows]
-    lat = alg.lattice(vecs)
+    rows = [[p * c for c in row] for row in order.rows]
+    rows += [quo.lift(r) for r in ideal_rows]
+    lat = QuatLattice(order.alg, rows, order.den)
     for cand in (lat.left_order(), lat.right_order()):
         if cand != order:
             if not cand.contains_lattice(order):

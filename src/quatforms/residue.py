@@ -16,12 +16,11 @@ vectors reach quotient coordinates by one integer product, and products
 come from the ambient algebra's integer structure table.
 """
 
-from fractions import Fraction
 import itertools
 import random
 
 from .arith import factor_int
-from .intmat import hnf_rows, int_product, integral_rows, inverse_rows, lattice_coords
+from .intmat import hnf_rows, identity_int, int_product, integral_rows, inverse_rows, lattice_coords
 from .polynomials import _poly_xgcd_mod, _zdivmod_monic, _zgcd_mod, _zmod, _zmul, factor_mod_p
 
 
@@ -298,15 +297,16 @@ class QuotientSpace:
         return self.reduce(self.coords(rows, d)[0])
 
     def lift(self, coords):
-        """A representative in ambient coordinates (Fractions)."""
+        """A representative in ambient coordinates: an integer row over
+        L_den."""
         n = len(self.L_rows)
-        out = [Fraction(0)] * n
+        out = [0] * n
         for c, pos in zip(coords, self.positions):
             if c % self.p:
                 row = self.L_rows[pos]
                 for t in range(n):
-                    out[t] += Fraction(c * row[t], self.L_den)
-        return tuple(out)
+                    out[t] += c * row[t]
+        return out
 
     def right_action(self, table, ys, den):
         """The F_p-matrices of v -> v * y on L/M, for y = ys[i] / den.
@@ -350,18 +350,12 @@ class LatticeQuotient(QuotientSpace):
 
 
 def _int_mat_pow(m, e):
-    n = len(m)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = [list(r) for r in m]
-
-    def mul(a, b):
-        bt = list(zip(*b))
-        return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
+    result = identity_int(len(m))
+    base = m
     while e:
         if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
+            result = int_product(result, base)
+        base = int_product(base, base)
         e >>= 1
     return result
 

@@ -18,7 +18,15 @@ from quatforms.classset import (
     split_residue_matrix,
     unit_group,
 )
-from quatforms.intmat import integral_preimage_rows
+from fraction_refs import (
+    ref_conjugate,
+    ref_disc_z,
+    ref_inverse,
+    ref_iscale,
+    ref_lattice,
+    ref_lmul,
+)
+from quatforms.intmat import integral_preimage_rows, integral_rows
 from quatforms.latticetools import TraceFormLattice, enumerate_norm
 from quatforms.numberfield import field_from_spec, make_quadratic_field
 from quatforms.quaternion import (
@@ -160,13 +168,11 @@ def test_is_isomorphic_narrow_class_obstruction():
 
 
 def test_is_isomorphic_rejects_mismatched_orders():
-    from quatforms.quaternion import QuatLattice
-
     R = maximal_order("quad:85")
     alg = R.alg
     x = alg.el(1, 1, 1, 0)
     xR = R.lmul_element(x)  # right order R
-    Rx = QuatLattice(alg, [alg.mul(v, x) for v in R.basis_vectors()])
+    Rx = ref_lattice(alg, [alg.mul(v, x) for v in R.basis_vectors()])
     # right order of R * x is x^-1 R x, which differs from R for this x
     assert Rx.right_order() != xR.right_order()
     with pytest.raises(ValueError, match="share a right order"):
@@ -280,7 +286,7 @@ def test_inverse_presets_orders_known_by_construction():
             left, right = b.left_order(), b.right_order()
             inv = b.inverse()
             assert inv._left is right and inv._right is left
-            fresh = QuatLattice(inv.alg, inv.basis_vectors())
+            fresh = QuatLattice(inv.alg, inv.rows, inv.den)
             assert fresh._stabilizer(left=True) == right
             assert fresh._stabilizer(left=False) == left
 
@@ -326,7 +332,8 @@ def ref_stabilizer(lat, left):
         for b in lat.basis_vectors():
             row.extend(lat._coords(alg.mul(u, b) if left else alg.mul(b, u)))
         mat.append(row)
-    return QuatLattice(alg, integral_preimage_rows(mat))
+    den, ints = integral_rows(mat)
+    return QuatLattice(alg, *integral_preimage_rows(ints, den))
 
 
 @pytest.mark.parametrize("spec,bound,stabilized", [("quad:10", 12, 3), ("quad:85", 5, 7)])
@@ -368,7 +375,7 @@ def test_orders_known_by_construction(spec, bound, stabilized, monkeypatch):
     assert neighbor_lats and 0 < walked < len(products)
 
     def known(lat, left):
-        want = stabilizer(QuatLattice(lat.alg, lat.basis_vectors()), left)
+        want = stabilizer(QuatLattice(lat.alg, lat.rows, lat.den), left)
         return (lat._left if left else lat._right) == want
 
     # a compose in is_isomorphic knows the left order of its representative
@@ -403,6 +410,25 @@ def test_stabilizer_matches_fraction_reference():
             for lat in (b, b.inverse()):
                 for left in (True, False):
                     assert lat._stabilizer(left) == ref_stabilizer(lat, left)
+
+
+@pytest.mark.parametrize("spec", ["quad:5", "quad:10", "quad:85"])
+def test_integer_builders_match_fraction_references(spec):
+    # every lattice builder runs on integer rows; for every class and its
+    # neighbors at every prime of norm <= 12, each builder gives the span
+    # of the Fraction products it replaced
+    cs = class_set(spec)
+    alg = cs.order.alg
+    x = alg.el(1, 1, 1, 0)
+    for b in cs.representatives:
+        assert b.disc_z() == ref_disc_z(b)
+        assert b.lmul_element(x) == ref_lmul(b, x)
+        for pr in alg.base.prime_ideals_up_to(12):
+            for ideal in (pr.ideal, pr.ideal.inverse()):
+                assert b.iscale(ideal) == ref_iscale(b, ideal)
+            for c in [b, *neighbors(b, pr)]:
+                assert c.conjugate() == ref_conjugate(c)
+                assert c.inverse() == ref_inverse(c)
 
 
 def test_theta_recomputes_no_order(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from quatforms import heckespace
 from quatforms.classset import compute_class_set, compute_theta, narrow_support
-from quatforms.eigen import _int_rows, _restrict, build_report, decompose
+from quatforms.eigen import _restrict, build_report, decompose
 from quatforms.heckespace import (
     WeightSpec,
     _LevelComponent,
@@ -218,6 +218,8 @@ def test_dimension_report_splits_each_level_prime_once(monkeypatch):
     monkeypatch.setattr(heckespace._LevelComponent, "__init__", counting_init)
     monkeypatch.setattr(heckespace, "build_splitting", counting_split)
     monkeypatch.setattr(heckespace, "_orbit_space", recording)
+    # the shared class set may keep this level's splitting already
+    monkeypatch.setattr(cs, "splittings", {})
     dimension_report(cs, th, level(F, 31, 41))
     monkeypatch.undo()
     assert calls == {"components": 2, "splittings": 1}
@@ -272,6 +274,29 @@ def test_ideals_of_another_field_context_rejected():
     assert dimension_report(cs1, th1, level(F1, 9)).total == dimension_report(
         cs2, th2, level(F2, 9)
     ).total
+
+
+def test_splitting_kept_per_level_on_the_class_set(monkeypatch):
+    # build_space and dimension_report at one level share one checked
+    # splitting: a second build_splitting returns it and reduces nothing
+    F, cs, _ = q5_bound4()
+    monkeypatch.setattr(cs, "splittings", {})
+    N = level(F, 31)
+    sm = build_splitting(cs, N)
+    reduced = []
+    reduce = _LevelComponent.reduce
+
+    def counting(self, x):
+        reduced.append(x)
+        return reduce(self, x)
+
+    monkeypatch.setattr(_LevelComponent, "reduce", counting)
+    assert build_splitting(cs, N) is sm
+    assert build_space(cs, N, parallel_weight_two(F)).splitting is sm
+    assert reduced == []
+    assert cs.splittings == {N: sm}
+    assert build_splitting(cs, level(F, 41)) is not sm
+    assert reduced
 
 
 def test_level_three_over_quad10_clears_denominators(monkeypatch):
@@ -364,7 +389,7 @@ def test_carried_factor_data_matches_direct_restriction():
     for c in cons:
         assert all(math.gcd(*row) == 1 for row in c.basis)
         for block, fac in zip(blocks, c.factors):
-            assert factor_poly(_restrict(_int_rows(block), c.basis).charpoly())[1] == [fac]
+            assert factor_poly(_restrict(block.matrix.rows, c.basis).charpoly())[1] == [fac]
 
 
 def test_restriction_to_an_unstable_subspace_raises():

@@ -5,8 +5,9 @@ Every name a module imports is used in that module, every
 class, or a package class it derives from, defines, every package
 module is imported by another package module or by the benchmark
 pipeline, which drives the package from outside, and every module-level
-function or class of the package is named somewhere besides its own
-definition: in the package, a test or a benchmark script.  Every name
+function or class of the package, and every method of a package class
+other than a dunder, is named somewhere besides its own definition: in
+the package, a test or a benchmark script.  Every name
 a module assigns at top level is read: by its own module, or by another
 module, test or benchmark script through an import or an attribute.
 Every defaulted parameter is passed by some call in the package, a test
@@ -135,20 +136,29 @@ def names_in(node):
 
 def orphan_definitions(modules, others):
     """module.name for each module-level function or class of modules
-    (name -> text) that nothing names outside its own definition: not its
-    module, not another module, not one of the other texts."""
+    (name -> text), and module.Class.name for each method of such a
+    class other than a dunder, that nothing names outside its own
+    definition: not its module, not another module, not one of the other
+    texts."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     total = Counter()
     for tree in trees.values():
         total += names_in(tree)
     for source in others:
         total += names_in(ast.parse(source))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for name, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if total[node.name] == names_in(node)[node.name]:
-                    out.append(f"{name}.{node.name}")
+            if not isinstance(node, defs):
+                continue
+            if total[node.name] == names_in(node)[node.name]:
+                out.append(f"{name}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for meth in node.body:
+                    if (isinstance(meth, defs[:2]) and not meth.name.startswith("__")
+                            and total[meth.name] == names_in(meth)[meth.name]):
+                        out.append(f"{name}.{node.name}.{meth.name}")
     return sorted(out)
 
 
@@ -270,11 +280,22 @@ def test_scan_flags_an_orphan_definition():
             "def helper():\n    \"\"\"Unlike Dead, called by used.\"\"\"\n    return 1\n"
             "def recursive(n):\n    return recursive(n - 1)\n"
             "class Dead:\n    pass\n"
+            "class Live:\n"
+            "    def __eq__(self, other):\n        return True\n"
+            "    def called(self):\n        return self.walk(0)\n"
+            "    def walk(self, n):\n        return self.walk(n + 1)\n"
+            "    def unread(self):\n        return self.unread\n"
+            "    @property\n    def size(self):\n        return 1\n"
         ),
         "b": "def tested():\n    pass\ndef patched():\n    pass\n",
     }
-    others = ["from a import used\nfrom b import tested\n", "setattr(b, 'patched', None)\n"]
-    assert orphan_definitions(modules, others) == ["a.Dead", "a.recursive"]
+    others = [
+        "from a import Live, used\nfrom b import tested\n",
+        "setattr(b, 'patched', None)\nprint(Live().called(), Live().size)\n",
+    ]
+    assert orphan_definitions(modules, others) == [
+        "a.Dead", "a.Live.unread", "a.recursive",
+    ]
 
 
 def test_scan_flags_an_unread_module_name():

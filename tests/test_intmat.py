@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fraction_refs import ref_det
 from quatforms.intmat import (
     abs_det,
+    canonical_lattice,
     hnf_coords,
     hnf_rows,
     hnf_with_transform,
@@ -137,7 +139,7 @@ def test_int_product_matches_fraction_reference(data):
 @given(square_mats(4))
 @settings(max_examples=60, deadline=None)
 def test_abs_det_and_inverse_rows(mat):
-    det = Matrix(mat).det()
+    det = ref_det(mat)
     assert abs_det(mat) == abs(det)
     assume(det != 0)
     h = hnf_rows(mat)
@@ -182,15 +184,22 @@ def test_solve_against_random_unimodular():
 # --- rational preimage lattices ---
 
 
+def preimage(mat, den):
+    """integral_preimage_rows as Fraction rows."""
+    rows, d = integral_preimage_rows(mat, den)
+    return [[Fraction(v, d) for v in row] for row in rows]
+
+
 def test_preimage_scalar_and_diagonal():
-    assert integral_preimage_rows([[2]]) == [[Fraction(1, 2)]]
-    got = integral_preimage_rows([[1, 0], [0, 3]])
-    assert got == [[1, 0], [0, Fraction(1, 3)]]
+    assert preimage([[2]], 1) == [[Fraction(1, 2)]]
+    assert preimage([[4]], 2) == [[Fraction(1, 2)]]
+    assert preimage([[3]], 2) == [[Fraction(2, 3)]]
+    assert preimage([[1, 0], [0, 3]], 1) == [[1, 0], [0, Fraction(1, 3)]]
 
 
 def test_preimage_wide_matrix():
     # x must be integral against both columns blocks
-    rows = integral_preimage_rows([[2, 0, 1], [0, 2, 1]])
+    rows = preimage([[2, 0, 1], [0, 2, 1]], 1)
     for r in rows:
         for c in range(3):
             v = r[0] * Fraction([[2, 0, 1], [0, 2, 1]][0][c]) + r[1] * Fraction(
@@ -207,7 +216,7 @@ def test_preimage_random_square():
             h = hnf_rows(m)
             if len(h) == 3:
                 break
-        pre = integral_preimage_rows(m)
+        pre = preimage(m, 1)
         den, _ = integral_rows(pre)
         # every basis row of the preimage really maps into Z^3
         for r in pre:
@@ -262,7 +271,7 @@ def test_hnf_coords_matches_dense_solve(basis, data):
     h, den = basis
     vec = data.draw(st.lists(fracs, min_size=len(h), max_size=len(h)))
     # w * h / den = vec is the column system (h / den)^T w = vec
-    system = Matrix([[Fraction(h[i][j], den) for i in range(len(h))] for j in range(len(h))])
+    system = Matrix([[h[i][j] for i in range(len(h))] for j in range(len(h))], den)
     assert hnf_coords(h, vec, den) == system.solve_right(vec)
 
 
@@ -280,3 +289,27 @@ def test_quotient_projection_rejects_vectors_outside_the_lattice():
         V.proj((Fraction(1, 2), Fraction(0)))
     with pytest.raises(ValueError, match="not in lattice"):
         V.proj((Fraction(1), Fraction(0)))
+
+
+def test_canonical_lattice_divides_out_the_common_factor():
+    # the span of (4, 2), (0, 6) over 6 is the span of (2, 1), (0, 3) over 3
+    assert canonical_lattice([[0, 6], [4, 2]], 6, 2) == ([[2, 1], [0, 3]], 3)
+    assert canonical_lattice([[2, 0], [0, 2]], 1, 2) == ([[2, 0], [0, 2]], 1)
+    with pytest.raises(ValueError, match="full rank"):
+        canonical_lattice([[1, 2], [2, 4]], 1, 2)
+
+
+def test_integer_rows_checked_under_optimize(run_optimized):
+    # a Fraction entry would be truncated by int(); it is refused instead,
+    # with asserts stripped, as is a denominator that is not positive
+    out = run_optimized(
+        "from fractions import Fraction\n"
+        "from quatforms.intmat import check_int_rows\n"
+        "for rows, den in (([[1, Fraction(1, 2)]], 1), ([[1]], 0), ([[1]], -1),\n"
+        "                  ([[1]], Fraction(2)), ([[1.0]], 1), ([[1]], 1)):\n"
+        "    try:\n"
+        "        print('returned', check_int_rows(rows, den))\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    assert out.splitlines() == ["ValueError"] * 5 + ["returned None"]

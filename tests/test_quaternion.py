@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_refs import ref_det, ref_lattice
 from quatforms.numberfield import field_from_spec
 from quatforms.quaternion import (
     QuatAlgebra,
-    QuatLattice,
     hilbert_ramification_free_algebra,
     is_order,
     maximalize,
@@ -143,7 +143,7 @@ def test_maximalize_rejects_non_orders():
     # halve the i block; nr(i/2) = 1/4 is not integral
     for t in range(2, 4):
         rows[t] = [c / 2 for c in rows[t]]
-    lat = alg.lattice(rows)
+    lat = ref_lattice(alg, rows)
     assert not is_order(lat)
     with pytest.raises(ValueError):
         maximalize(lat)
@@ -153,7 +153,7 @@ def test_lattice_requires_full_rank():
     alg = _alg(F85)
     i, j, k = alg.gens()
     with pytest.raises(ValueError):
-        alg.lattice([alg.one, i, j, alg.add(alg.one, i)])
+        ref_lattice(alg, [alg.one, i, j, alg.add(alg.one, i)])
 
 
 def test_ramification_free_search_quadratic():
@@ -176,7 +176,7 @@ def test_principal_ideal_identities():
     assert I.nr_ideal() == F85.ideal(F85.from_int(3))
     assert I.right_order() == R
     xinv = alg.inv(x)
-    conj_order = alg.lattice([alg.mul(alg.mul(x, v), xinv) for v in R.basis_vectors()])
+    conj_order = ref_lattice(alg, [alg.mul(alg.mul(x, v), xinv) for v in R.basis_vectors()])
     assert I.left_order() == conj_order
     assert conj_order != R
     Iinv = I.inverse()
@@ -218,7 +218,7 @@ def test_int_coords_and_lattice_products():
     ]
     assert R.int_coords([list(r) for r in R.rows], 2 * R.den) is None
     for x, y in ((I, R), (R, I), (I, I.conjugate())):
-        span = QuatLattice(
+        span = ref_lattice(
             alg, [alg.mul(u, v) for u in x.basis_vectors() for v in y.basis_vectors()]
         )
         assert x * y == span
@@ -231,7 +231,7 @@ def test_lattice_sum_and_intersection():
     y = alg.el(1, 0, 1, 1)
     I = R.lmul_element(x)
     J = R.lmul_element(y)
-    S = QuatLattice(alg, I.basis_vectors() + J.basis_vectors())
+    S = ref_lattice(alg, I.basis_vectors() + J.basis_vectors())
     assert S.right_order() == R
     for b in I.basis_vectors():
         assert S.contains(b)
@@ -244,6 +244,8 @@ def test_ideal_scaling_and_conjugate():
     alg = hilbert_ramification_free_algebra(F10)
     R = alg.maximal_order()
     two = R * Fraction(2)
+    for c in (2, Fraction(-2, 3)):
+        assert R * c == ref_lattice(alg, [[c * u for u in v] for v in R.basis_vectors()])
     assert two.covolume() / R.covolume() == 2 ** alg.dim
     assert two.nr_ideal() == F10.ideal(F10.from_int(4))
     w = F10.el((0, 1))  # sqrt(10)
@@ -289,8 +291,6 @@ def test_unit_counts_of_maximal_orders():
 def test_trace_form_is_positive_definite():
     alg = hilbert_ramification_free_algebra(F10)
     R = alg.maximal_order()
-    from quatforms.matrices import Matrix
-
     # the plain form, and the weight N(eps^2) / eps^2 of a skewed target
     eps_sq = F10.el_pow(F10.el((3, 1)), 2)
     skewed = F10.smul(F10.norm(eps_sq), F10.inv(eps_sq))
@@ -303,8 +303,7 @@ def test_trace_form_is_positive_definite():
         ]
         # leading principal minors all positive
         for t in range(1, len(gram) + 1):
-            sub = Matrix([row[:t] for row in gram[:t]])
-            assert sub.det() > 0
+            assert ref_det([row[:t] for row in gram[:t]]) > 0
 
 
 def test_discriminant_certificate_checked_under_optimize(run_optimized):
@@ -343,3 +342,23 @@ def test_idealizer_containment_checked_under_optimize(run_optimized):
         "    print('ArithmeticError:', exc)\n"
     )
     assert out.startswith("ArithmeticError: idealizer does not contain the order")
+
+
+def test_lattice_rejects_fractions_under_optimize(run_optimized):
+    # the one constructor takes integer rows over a positive denominator;
+    # a Fraction entry or a bad denominator is refused, asserts stripped
+    out = run_optimized(
+        "from fractions import Fraction\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import QuatAlgebra, QuatLattice\n"
+        "alg = QuatAlgebra(field_from_spec('quad:10'), -1, -1)\n"
+        "unit = [[int(i == j) for j in range(8)] for i in range(8)]\n"
+        "half = [row[:] for row in unit]\n"
+        "half[3][3] = Fraction(1, 2)\n"
+        "for rows, den in ((half, 1), (unit, 0), (unit, -1), (unit, Fraction(1, 2))):\n"
+        "    try:\n"
+        "        print('returned', QuatLattice(alg, rows, den))\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    assert out.split() == ["ValueError"] * 4
