@@ -207,10 +207,13 @@ class UnitGroup:
     """Unit group of an order modulo the units of the base ring.
 
     elements holds one representative per coset; order is its size.
+    norms[i] is the reduced norm of elements[i], one of the totally
+    positive unit representatives of the base field.
     """
 
     elements: list
     order: int
+    norms: list
 
 
 def unit_group(O):
@@ -222,13 +225,15 @@ def unit_group(O):
     solutions of those norm equations list each coset exactly once.
     """
     alg = O.alg
-    F = alg.base
-    found = [
-        x for e in F.totally_positive_units() for x in norm_equation_solutions(O, e)
-    ]
+    found = []
+    norms = []
+    for e in alg.base.totally_positive_units():
+        sols = norm_equation_solutions(O, e)
+        found += sols
+        norms += [e] * len(sols)
     if alg.one not in found:
         raise ArithmeticError("unit group misses the identity")
-    return UnitGroup(elements=found, order=len(found))
+    return UnitGroup(elements=found, order=len(found), norms=norms)
 
 
 @dataclass
@@ -363,7 +368,7 @@ class ThetaTable:
 def _norm_one_units(alg, G):
     """The stored units of reduced norm exactly 1: the norm-one group mod +-1."""
     one = alg.base.one
-    return [g for g in G.elements if alg.nr(g) == one]
+    return [g for g, e in zip(G.elements, G.norms) if e == one]
 
 
 def _norm_coset_targets(alg, G):
@@ -377,12 +382,7 @@ def _norm_coset_targets(alg, G):
     """
     reps = alg.base.totally_positive_units()
     index = {e: i for i, e in enumerate(reps)}
-    norms = set()
-    for g in G.elements:
-        i = index.get(alg.nr(g))
-        if i is None:
-            raise ArithmeticError("unit norm is not a totally positive unit representative")
-        norms.add(i)
+    norms = {index[e] for e in G.norms}
     out = []
     covered = set()
     for i, e in enumerate(reps):
@@ -435,6 +435,18 @@ def _orbit_representatives(sols, unit_cols):
     return out
 
 
+def _product_columns(L, b):
+    """Columns that give u * b for u = x over the basis rows of L.
+
+    With M_i the integer left matrix of row i of L, u * b has the integer
+    rows b.rows * sum_i x_i M_i over b.den * L.den.  out[r][c] holds the
+    entries (b.rows M_i)[r][c] over i, so entry (r, c) of those rows is
+    sum(map(mul, x, out[r][c])).
+    """
+    maps = [int_product(b.rows, L.alg.left_matrix(row)[0]) for row in L.rows]
+    return [list(zip(*(m[r] for m in maps))) for r in range(len(b.rows))]
+
+
 def compute_theta(cs, bound):
     """Neighbor witnesses between all classes at all primes up to bound.
 
@@ -442,23 +454,31 @@ def compute_theta(cs, bound):
     of a are the c = u^-1 a for u in L = a * b^-1 whose reduced norm
     generates J = nr(a) p nr(b)^-1, counted modulo left multiplication by
     the units of the left order of a.  When J has no totally positive
-    generator the cell is empty.  Otherwise, with beta one such
-    generator, one norm equation nr(u) = beta * e over L is solved per
-    coset target e (see _norm_coset_targets) and its solutions are
-    grouped into unit orbits, one witness each.  Solutions stay integer
-    coordinate vectors on the basis of L throughout: the units act on
-    them by integer matrices, and only the orbit representatives become
-    quaternions.
+    generator the cell is empty: every narrow class has order 2, so that
+    is read off the narrow dlogs of nr(a), p and nr(b), taken once each,
+    and a generator is searched only for the narrowly trivial J.  With
+    beta that generator, one norm equation nr(u) = beta * e over L is
+    solved per coset target e (see _norm_coset_targets) and its
+    solutions are grouped into unit orbits, one witness each.  Solutions
+    stay integer coordinate vectors on the basis of L throughout: the
+    units act on them by integer matrices, the witness check runs on the
+    integer left matrices of L's rows (_product_columns), and only the
+    orbit representatives become quaternions.
 
-    Certificates, each raising ArithmeticError: every target's solutions
-    are whole orbits, every witness u has u * b inside a at index Np^2,
-    and the neighbors of each b at each p number Np + 1.
+    Certificates, each raising ArithmeticError: a narrowly trivial J has
+    a totally positive generator, every target's solutions are whole
+    orbits, every witness u has u * b inside a at index Np^2, and the
+    neighbors of each b at each p number Np + 1.
     """
     alg = cs.order.alg
     F = alg.base
     primes = F.prime_ideals_up_to(bound)
     reps = cs.representatives
     nrs = [r.nr_ideal() for r in reps]
+    # with no narrow generators every narrow class is trivial
+    dlog = F.narrow_dlog if F.narrow_gens else (lambda ideal: ())
+    nr_bits = [dlog(J) for J in nrs]
+    p_bits = [dlog(pr.ideal) for pr in primes]
     units = [
         ([alg.left_matrix(g) for g in _norm_one_units(alg, G)], _norm_coset_targets(alg, G))
         for G in cs.unit_groups
@@ -472,26 +492,29 @@ def compute_theta(cs, bound):
             lams, targets = units[ai]
             L = None
             for pi, pr in enumerate(primes):
+                if any(x ^ y ^ z for x, y, z in zip(nr_bits[ai], p_bits[pi], nr_bits[bi])):
+                    continue
                 beta = F.narrowly_principal_generator(nrs[ai] * pr.ideal * nr_b_inv)
                 if beta is None:
-                    continue
+                    raise ArithmeticError("narrowly trivial ideal has no totally positive generator")
                 if L is None:
                     L = a.compose(b_inv)
                     unit_cols = _unit_matrices(L, lams)
-                us = []
+                    prod_cols = _product_columns(L, b)
+                xs = []
                 for e in targets:
                     sols = norm_equation_coords(L, F.mul(beta, e))
-                    us += [L.vector(x) for x in _orbit_representatives(sols, unit_cols)]
-                for u in us:
+                    xs += _orbit_representatives(sols, unit_cols)
+                for x in xs:
                     # the coordinates of u * b over a: integral exactly when
                     # u * b lies in a, with |det| the index
-                    lam, d = alg.left_matrix(u)
-                    c = a.int_coords(int_product(b.rows, lam), b.den * d)
+                    ub = [[sum(map(mul, x, col)) for col in cols] for cols in prod_cols]
+                    c = a.int_coords(ub, b.den * L.den)
                     if c is None or abs_det(c) != pr.norm ** 2:
                         raise ArithmeticError("theta witness does not map b into a at index Np^2")
-                if us:
-                    entries[(pi, ai, bi)] = us
-                    counts[pi] += len(us)
+                if xs:
+                    entries[(pi, ai, bi)] = [L.vector(x) for x in xs]
+                    counts[pi] += len(xs)
         if any(c != pr.norm + 1 for c, pr in zip(counts, primes)):
             raise ArithmeticError("orbit table column does not sum to Np + 1")
     return ThetaTable(bound=bound, primes=primes, entries=entries)

@@ -17,9 +17,10 @@ no common factor of the denominator and every entry, so equal lattices
 have equal (rows, den).  integral_rows clears Fraction input into it.
 
 hnf_coords solves coordinates over an HNF basis by substitution, for
-lattice membership and inverse_rows.  inverse_rows gives the inverse as
-an integer matrix over one denominator, so that coordinates of integer
-matrices (lattice_coords) are one int_product.
+lattice membership.  inverse_rows gives the inverse of a square HNF as
+an integer matrix over one denominator, by integer back-substitution, so
+that coordinates of integer matrices (lattice_coords) are one
+int_product.
 """
 
 from __future__ import annotations
@@ -203,9 +204,20 @@ def inverse_rows(rows):
     """(adj, d) with adj / d the inverse of a square integer HNF matrix.
 
     adj is an integer matrix and d > 0 the least common denominator.
+    The rows are upper triangular, so with D the product of the pivots,
+    row k of D * rows^-1 solves w * rows = D e_k by back-substitution,
+    column by column, in exact integer division.
     """
     n = len(rows)
-    # row k of the inverse holds the coordinates of the k-th unit vector
-    inv = [hnf_coords(rows, [int(i == k) for i in range(n)]) for k in range(n)]
-    d, adj = integral_rows(inv)
-    return adj, d
+    if any(len(row) != n or row[i] <= 0 or any(row[:i]) for i, row in enumerate(rows)):
+        raise ValueError("rows are not a square HNF matrix of full rank")
+    D = prod(row[i] for i, row in enumerate(rows))
+    adj = []
+    for k in range(n):
+        w = [0] * n
+        w[k] = D // rows[k][k]
+        for j in range(k + 1, n):
+            w[j] = -sum(w[i] * rows[i][j] for i in range(k, j)) // rows[j][j]
+        adj.append(w)
+    g = gcd(D, *(c for row in adj for c in row))
+    return [[c // g for c in row] for row in adj], D // g

@@ -3,12 +3,15 @@
 Gram matrices may hold ints or Fractions.  LLL reduction and
 Fincke-Pohst enumeration of short vectors each scale their Gram to
 integers once and then run on Python ints: integral LLL keeps the
-Gram-Schmidt data as integer minors, and the enumeration clears its
-Cholesky coefficients to per-row common denominators.  enumerate_norm
-is the exact shell enumeration that norm-equation searches are built
-on; on a lattice without an ambient basis it returns integer
-coefficient vectors.  Integer roots serve the unit search of the field
-code.  No floating point is used anywhere.
+Gram-Schmidt data as integer minors d_i and lambda_ij = d_{j+1} mu_ij
+(_gram_schmidt_row), and the enumeration reads its integer Cholesky form
+off the same data.  enumerate_norm is the exact shell enumeration that
+norm-equation searches are built on: it walks only vectors of the given
+value, solving the last coordinate by one integer square root, and can
+test further integer forms on each shell vector before mapping it back;
+on a lattice without an ambient basis it returns integer coefficient
+vectors.  Integer roots serve the unit search of the field code.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -17,14 +20,35 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .intmat import integral_rows
+from .intmat import int_product, integral_rows
 
 log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
 # LLL on a Gram matrix
+
+
+def _gram_schmidt_row(g, lam, d, k):
+    """Row k of the integral Gram-Schmidt data of the integer Gram g.
+
+    Fills lam[k][j] = d_{j+1} mu_kj for j < k and sets d[k + 1], the
+    leading principal minor of size k + 1, from rows 0..k - 1 (Cohen,
+    Alg. 2.6.7, step 3); every division is exact.  Raises
+    ArithmeticError when that minor is not positive.
+    """
+    for j in range(k + 1):
+        t = g[k][j]
+        for i in range(j):
+            t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = t
+        elif t <= 0:
+            raise ArithmeticError("form is not positive definite")
+        else:
+            d[k + 1] = t
 
 
 def lll_gram(gram):
@@ -47,9 +71,7 @@ def lll_gram(gram):
     # d[i + 1] is the leading principal minor of size i + 1; d[0] = 1
     d = [1] * (n + 1)
     if n:
-        d[1] = g[0][0]
-        if d[1] <= 0:
-            raise ArithmeticError("form is not positive definite")
+        _gram_schmidt_row(g, lam, d, 0)
 
     def size_reduce(k, l):
         dl = d[l + 1]
@@ -71,16 +93,7 @@ def lll_gram(gram):
     while k < n:
         if k > kmax:
             kmax = k
-            for j in range(k + 1):
-                t = g[k][j]
-                for i in range(j):
-                    t = (d[i + 1] * t - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = t
-                elif t <= 0:
-                    raise ArithmeticError("form is not positive definite")
-                else:
-                    d[k + 1] = t
+            _gram_schmidt_row(g, lam, d, k)
         size_reduce(k, k - 1)
         m = lam[k][k - 1]
         if q * d[k + 1] * d[k - 1] < p * d[k] ** 2 - q * m * m:
@@ -139,33 +152,34 @@ def _cholesky(gram):
     """(s, k, e, c): the Cholesky form of s * Q in integers.
 
     Q is an integer form.  With C_i(x) = sum_{j>i} c[i][j] x_j,
-    s * Q(x) = sum_i k[i] * (e[i] x_i + C_i(x))^2: the rational
-    coefficients q of Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2
-    are computed once, e[i] clears the denominators of row i and s
-    those of the k[i].
+    s * Q(x) = sum_i k[i] * (e[i] x_i + C_i(x))^2.  It is read off the
+    integral Gram-Schmidt data of lll_gram, the minors d_i (d_0 = 1) and
+    lambda_ji = d_{i+1} mu_ji: Q(x) = sum_i B_i (x_i + sum_{j>i} mu_ji
+    x_j)^2 with B_i = d_{i+1} / d_i, so e[i] = d_{i+1} / g_i and
+    c[i][j] = lambda_ji / g_i, g_i the gcd of row i, and k[i] / s =
+    g_i^2 / (d_i d_{i+1}) over the least common s.  Each e[i] is then the
+    least common denominator of the mu_ji.
     """
     n = len(gram)
-    q = [[Fraction(v) for v in row] for row in gram]
+    lam = [[0] * n for _ in range(n)]
+    d = [1] * (n + 1)
     for i in range(n):
-        if q[i][i] <= 0:
-            raise ArithmeticError("form is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                q[r][c] -= q[r][i] * q[i][c]
-    e = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n)))
-         for i in range(n)]
-    kq = [q[i][i] / (e[i] * e[i]) for i in range(n)]
-    s = math.lcm(*(v.denominator for v in kq))
-    k = [int(v * s) for v in kq]
-    c = [[0] * (i + 1) + [int(q[i][j] * e[i]) for j in range(i + 1, n)]
-         for i in range(n)]
+        _gram_schmidt_row(gram, lam, d, i)
+    e, c, kq = [], [], []
+    for i in range(n):
+        col = [lam[j][i] for j in range(i + 1, n)]
+        g = math.gcd(d[i + 1], *col)
+        e.append(d[i + 1] // g)
+        c.append([0] * (i + 1) + [v // g for v in col])
+        num, den = g * g, d[i] * d[i + 1]
+        h = math.gcd(num, den)
+        kq.append((num // h, den // h))
+    s = math.lcm(*(den for _, den in kq))
+    k = [num * (s // den) for num, den in kq]
     return s, k, e, c
 
 
-def fincke_pohst(gram, bound):
+def fincke_pohst(gram, bound, shell=False):
     """Yield (coords, value) for all x != 0 with Q(x) = x G x^T <= bound.
 
     One representative per +-pair: the last nonzero coordinate is
@@ -175,6 +189,11 @@ def fincke_pohst(gram, bound):
     integer Cholesky form of the Gram scaled to integers, so centers,
     remainders and every comparison are Python ints; values come back
     exact (ints for an integer Gram).
+
+    With shell=True only the x with Q(x) = bound are yielded, in the same
+    order: at the last level the remainder must be k_0 (e_0 x_0 + C_0)^2
+    exactly, so x_0 comes from one integer square root and a divisibility
+    test instead of a walk over the interval.
     """
     n = len(gram)
     bound = Fraction(bound)
@@ -182,14 +201,47 @@ def fincke_pohst(gram, bound):
         return
     d, ints = integral_rows(gram)
     s, k, e, c = _cholesky(ints)
+    if shell and (bound * d).denominator != 1:
+        return  # d Q(x) is an integer, so no x has Q(x) = bound
     top = s * math.floor(bound * d)
     x = [0] * n
+
+    # the value of every shell vector, of the kind the leaves yield
+    on_shell = bound.numerator if d == 1 else bound
+
+    def last(rem, tie):
+        # the x_0 with k_0 (e_0 x_0 + C_0)^2 = rem, in walk order
+        k0, e0 = k[0], e[0]
+        r2, m = divmod(rem, k0)
+        r = math.isqrt(r2)
+        if m or r * r != r2:
+            return
+        if tie:
+            # center zero and x_0 > 0, as in the walk
+            nums = (r,) if r else ()
+        else:
+            cen = sum(c[0][j] * x[j] for j in range(1, n) if x[j])
+            # the walk goes up from v0, the nearest integer to -cen / e0,
+            # and then down from v0 - 1; (r - cen) / e0 >= v0 always, and
+            # (-r - cen) / e0 <= v0
+            v0 = (e0 - 2 * cen) // (2 * e0)
+            up, down = r - cen, -r - cen
+            nums = (down, up) if down >= v0 * e0 else (up, down)
+            if not r:
+                nums = nums[:1]
+        for num in nums:
+            if num % e0 == 0:
+                x[0] = num // e0
+                yield tuple(x), on_shell
 
     def walk(i, rem, tie):
         if i < 0:
             if not tie:
                 val = (top - rem) // s
                 yield tuple(x), val if d == 1 else Fraction(val, d)
+            return
+        if shell and i == 0:
+            yield from last(rem, tie)
             return
         ki, ei = k[i], e[i]
         if tie:
@@ -231,6 +283,11 @@ def fincke_pohst(gram, bound):
     yield from walk(n - 1, top, True)
 
 
+def _quad(form, x):
+    """x form x^T for an integer symmetric form and integer vector x."""
+    return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, form) if xi)
+
+
 @dataclass
 class NormSolutions:
     """Solution vectors, one per +-pair: ambient coordinates, or integer
@@ -239,14 +296,18 @@ class NormSolutions:
     vectors: list
 
 
-def enumerate_norm(lat: TraceFormLattice, t) -> NormSolutions:
+def enumerate_norm(lat: TraceFormLattice, t, forms=()) -> NormSolutions:
     """All lattice vectors with Q(x) = t, up to sign.
 
-    Reduces the basis first, then enumerates.  Vectors come back in
-    ambient coordinates, sign-normalized (first nonzero entry positive)
-    and sorted, so the result does not depend on the input basis.
-    Without an ambient basis they are coefficient vectors, integer
-    tuples.
+    Reduces the basis first, then walks the shell Q(x) = t alone
+    (fincke_pohst with shell=True).  forms holds pairs (N, v) of integer
+    forms on the coefficient vectors and the values they must take: each
+    is carried to the reduced basis once, as u N u^T for the LLL
+    transform u, and every shell vector is tested there, so only the
+    vectors that pass are mapped back.  Vectors come back in ambient
+    coordinates, sign-normalized (first nonzero entry positive) and
+    sorted, so the result does not depend on the input basis.  Without
+    an ambient basis they are coefficient vectors, integer tuples.
     """
     t = Fraction(t)
     if t <= 0:
@@ -263,23 +324,22 @@ def enumerate_norm(lat: TraceFormLattice, t) -> NormSolutions:
         ]
     else:
         rows = u
+    cols = list(zip(*rows))
+    ut = list(zip(*u))
+    reduced = [(int_product(int_product(u, N), ut), v) for N, v in forms]
     found = []
     seen = 0
-    for coords, val in fincke_pohst(g2, t):
+    for coords, val in fincke_pohst(g2, t, shell=True):
         seen += 1
-        if val != t:
+        if val != t or any(_quad(N, coords) != v for N, v in reduced):
             continue
-        vec = [0] * len(rows[0])
-        for i, ci in enumerate(coords):
-            if ci:
-                for j, r in enumerate(rows[i]):
-                    vec[j] += ci * r
+        vec = [sum(map(mul, coords, col)) for col in cols]
         lead = next(v for v in vec if v)
         if lead < 0:
             vec = [-v for v in vec]
         found.append(tuple(vec))
     found.sort()
-    log.debug("enumerate_norm rank=%d t=%s candidates=%d hits=%d",
+    log.debug("enumerate_norm rank=%d t=%s shell=%d hits=%d",
               n, t, seen, len(found))
     return NormSolutions(vectors=found)
 

@@ -19,7 +19,6 @@ forms (QuatLattice.norm_forms).
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
 import logging
 
 from .arith import factor_int
@@ -71,7 +70,7 @@ class QuatAlgebra:
         )
         self.zero = (_ZERO,) * self.dim
         self._maximalized = {}
-        self._table = None
+        self._table = self._sparse = None
 
     def __repr__(self):
         return "QuatAlgebra(%r, a=%s, b=%s)" % (self.base, self.a, self.b)
@@ -156,20 +155,38 @@ class QuatAlgebra:
             self._table = table
         return self._table
 
+    def _sparse_table(self):
+        """Row t: the nonzero structure constants (s, u, T[s][t][u])."""
+        if self._sparse is None:
+            T = self.mul_table()
+            N = self.dim
+            self._sparse = [
+                [(s, u, T[s][t][u]) for s in range(N) for u in range(N) if T[s][t][u]]
+                for t in range(N)
+            ]
+        return self._sparse
+
     def left_matrix(self, x):
         """(M, d): y -> x * y is y -> y M / d on ambient row vectors.
 
-        M is an integer matrix and d the least common denominator of x.
+        M is an integer matrix and d the least common denominator of x;
+        an integer x is taken as it is, with d = 1.  Row t of M is
+        x * e_t, summed over the nonzero structure constants only.
         """
-        d = lcm(*(Fraction(c).denominator for c in x))
-        xs = [int(Fraction(c) * d) for c in x]
-        table = self.mul_table()
+        if all(type(c) is int for c in x):
+            d, xs = 1, x
+        else:
+            d = lcm(*(Fraction(c).denominator for c in x))
+            xs = [int(Fraction(c) * d) for c in x]
         N = self.dim
-        # row t of M is x * e_t
-        return [
-            [sum(c * table[s][t][u] for s, c in enumerate(xs) if c) for u in range(N)]
-            for t in range(N)
-        ], d
+        out = []
+        for entries in self._sparse_table():
+            row = [0] * N
+            for s, u, c in entries:
+                if xs[s]:
+                    row[u] += c * xs[s]
+            out.append(row)
+        return out, d
 
     def conj(self, x):
         n = self.base.degree
@@ -661,11 +678,6 @@ def hilbert_ramification_free_algebra(F):
 # norm equations
 
 
-def _quad(form, x):
-    """x form x^T for an integer symmetric form and integer vector x."""
-    return sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, form) if xi)
-
-
 def trace_form_gram(lat, w):
     """(gram, scale): scale times the Gram of Tr(w trd(x conj(y))) on lat.
 
@@ -705,9 +717,11 @@ def norm_equation_coords(lat, alpha):
     rational number, so it lies on the shell Tr(w trd(x conj x)) =
     2 n N(alpha) of the form weighted by w (n the field degree).  The
     weight is totally positive exactly when alpha is, which makes the
-    form definite and the shell finite.  The shell is enumerated on the
-    integer Gram of trace_form_gram, and its vectors are kept when each
-    norm form takes the value D * alpha_k; no ambient vector is built.
+    form definite and the shell finite.  enumerate_norm walks that shell
+    alone on the integer Gram of trace_form_gram and keeps a vector when
+    each norm form takes the value D * alpha_k on it; the forms are
+    tested on the LLL-reduced coordinates, and only solutions are mapped
+    back.  No ambient vector and no Fraction is built per shell vector.
     """
     F = lat.alg.base
     alpha = F.el(alpha) if not isinstance(alpha, int) else F.from_int(alpha)
@@ -717,14 +731,13 @@ def norm_equation_coords(lat, alpha):
     want = [D * a for a in alpha]
     if any(v.denominator != 1 for v in want):
         return []  # D nr(x) is integral on the lattice
-    want = [int(v) for v in want]
     nm = F.norm(alpha)
     gram, scale = trace_form_gram(lat, F.smul(nm, F.inv(alpha)))
-    shell = enumerate_norm(TraceFormLattice(gram=gram), scale * 2 * F.degree * nm)
-    return [
-        x for x in shell.vectors
-        if all(_quad(N, x) == v for N, v in zip(forms, want))
-    ]
+    shell = enumerate_norm(
+        TraceFormLattice(gram=gram), scale * 2 * F.degree * nm,
+        [(N, int(v)) for N, v in zip(forms, want)],
+    )
+    return shell.vectors
 
 
 def norm_equation_solutions(lat, alpha):

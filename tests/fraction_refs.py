@@ -3,14 +3,17 @@
 The package builds matrices and quaternion lattices from integer rows
 over one denominator only.  These helpers keep the Fraction
 constructions the integer builders replaced: spans of rational vectors,
-products of basis vectors by field and quaternion multiplication, and
-determinants by rational elimination.  Tests state rational data through
-them and check the integer builders against them.
+products of basis vectors by field and quaternion multiplication,
+determinants by rational elimination, the Cholesky form of the short
+vector walk, dense left multiplication matrices and HNF inverses by
+rational substitution.  Tests state rational data through them and check
+the integer builders against them.
 """
 
+import math
 from fractions import Fraction
 
-from quatforms.intmat import integral_rows
+from quatforms.intmat import hnf_coords, integral_rows
 from quatforms.matrices import Matrix
 from quatforms.quaternion import QuatLattice
 
@@ -80,3 +83,52 @@ def ref_disc_z(lat):
     alg = lat.alg
     bs = lat.basis_vectors()
     return ref_det([[alg.base.trace(alg.pair(x, y)) for y in bs] for x in bs])
+
+
+def ref_cholesky(gram):
+    """(s, k, e, c) with s * Q(x) = sum_i k[i] (e[i] x_i + C_i(x))^2,
+    C_i(x) = sum_{j>i} c[i][j] x_j, from the rational Cholesky
+    coefficients of Q: e[i] clears the denominators of row i and s those
+    of the k[i]."""
+    n = len(gram)
+    q = [[Fraction(v) for v in row] for row in gram]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ArithmeticError("form is not positive definite")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for r in range(i + 1, n):
+            for c in range(r, n):
+                q[r][c] -= q[r][i] * q[i][c]
+    e = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n)))
+         for i in range(n)]
+    kq = [q[i][i] / (e[i] * e[i]) for i in range(n)]
+    s = math.lcm(*(v.denominator for v in kq))
+    k = [int(v * s) for v in kq]
+    c = [[0] * (i + 1) + [int(q[i][j] * e[i]) for j in range(i + 1, n)]
+         for i in range(n)]
+    return s, k, e, c
+
+
+def ref_left_matrix(alg, x):
+    """(M, d) of QuatAlgebra.left_matrix, from the dense structure table
+    with every coordinate of x taken through Fraction."""
+    d = math.lcm(*(Fraction(c).denominator for c in x))
+    xs = [int(Fraction(c) * d) for c in x]
+    table = alg.mul_table()
+    N = alg.dim
+    return [
+        [sum(c * table[s][t][u] for s, c in enumerate(xs) if c) for u in range(N)]
+        for t in range(N)
+    ], d
+
+
+def ref_inverse_rows(rows):
+    """(adj, d) of intmat.inverse_rows, one Fraction hnf_coords per unit
+    vector."""
+    n = len(rows)
+    d, adj = integral_rows(
+        [hnf_coords(rows, [int(i == k) for i in range(n)]) for k in range(n)]
+    )
+    return adj, d

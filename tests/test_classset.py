@@ -223,6 +223,63 @@ def test_unit_scaling_equivalence(seed):
     assert R.lmul_element(alg.fmul(F.from_int(3), x)) != xR
 
 
+def test_unit_group_keeps_the_norms_it_solved_for():
+    for spec in ("quad:5", "quad:10", "quad:85"):
+        for G in class_set(spec).unit_groups:
+            alg = class_set(spec).order.alg
+            assert len(G.norms) == G.order
+            assert [alg.base.el(alg.nr(g)) for g in G.elements] == G.norms
+
+
+def test_theta_searches_generators_only_for_trivial_classes(monkeypatch):
+    # narrow dlogs decide which cells can be nonempty; every generator
+    # search compute_theta runs outside narrow_dlog finds one
+    cs = class_set("quad:10")
+    F = cs.order.alg.base
+    search, dlog = F.narrowly_principal_generator, F.narrow_dlog
+    depth = []
+    found = []
+
+    def counted_dlog(ideal):
+        depth.append(ideal)
+        try:
+            return dlog(ideal)
+        finally:
+            depth.pop()
+
+    def counted_search(ideal):
+        g = search(ideal)
+        if not depth:
+            found.append(g)
+        return g
+
+    monkeypatch.setattr(F, "narrow_dlog", counted_dlog)
+    monkeypatch.setattr(F, "narrowly_principal_generator", counted_search)
+    th = compute_theta(cs, 12)
+    cells = cs.size ** 2 * len(th.primes)
+    assert len(found) == cells // 2 == 32
+    assert None not in found
+
+
+def test_theta_trivial_class_search_checked_under_optimize(run_optimized):
+    # dlogs that call every class trivial send compute_theta to search
+    # generators that do not exist; with asserts stripped it must raise
+    out = run_optimized(
+        "from quatforms import classset\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
+        "F = field_from_spec('quad:10')\n"
+        "R = hilbert_ramification_free_algebra(F).maximal_order()\n"
+        "cs = classset.compute_class_set(R, classset.narrow_support(F))\n"
+        "F.narrow_dlog = lambda ideal: (0,)\n"
+        "try:\n"
+        "    print('returned', classset.compute_theta(cs, 5))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: narrowly trivial ideal has no totally positive generator")
+
+
 def test_class_set_quad5():
     cs = class_set("quad:5")
     assert cs.size == 1

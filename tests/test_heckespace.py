@@ -94,9 +94,10 @@ def test_orbit_partition_checked_under_optimize(run_optimized):
         "F = field_from_spec('quad:5')\n"
         "R = hilbert_ramification_free_algebra(F).maximal_order()\n"
         "cs = compute_class_set(R, narrow_support(F))\n"
-        "els = cs.unit_groups[0].elements\n"
-        "els = els[:7] + els[8:]\n"
-        "cs = dataclasses.replace(cs, unit_groups=[UnitGroup(els, len(els))])\n"
+        "G = cs.unit_groups[0]\n"
+        "els = G.elements[:7] + G.elements[8:]\n"
+        "nrs = G.norms[:7] + G.norms[8:]\n"
+        "cs = dataclasses.replace(cs, unit_groups=[UnitGroup(els, len(els), nrs)])\n"
         "N = F.unit_ideal()\n"
         "for n in (31, 41):\n"
         "    N = N * next(p for p in F.prime_ideals_up_to(n) if p.norm == n).ideal\n"

@@ -26,6 +26,7 @@ import quatforms
 
 MODULES = sorted(Path(quatforms.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 PIPELINE = ROOT / "benchmarks" / "pipeline.py"
 
 
@@ -325,21 +326,21 @@ def test_scan_flags_an_unpassed_default():
 
 
 def test_no_unpassed_defaults():
-    others = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    others = [p.read_text() for p in TESTS]
     others += [p.read_text() for p in sorted((ROOT / "benchmarks").rglob("*.py"))]
     modules = {p.stem: p.read_text() for p in MODULES}
     assert unpassed_defaults(modules, others) == []
 
 
 def test_no_unread_module_names():
-    others = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    others = [p.read_text() for p in TESTS]
     others += [p.read_text() for p in sorted((ROOT / "benchmarks").rglob("*.py"))]
     modules = {p.stem: p.read_text() for p in MODULES}
     assert unread_module_names(modules, others) == []
 
 
 def test_no_orphan_definitions():
-    others = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    others = [p.read_text() for p in TESTS]
     others += [p.read_text() for p in sorted((ROOT / "benchmarks").rglob("*.py"))]
     modules = {p.stem: p.read_text() for p in MODULES}
     assert orphan_definitions(modules, others) == []
@@ -350,7 +351,10 @@ def test_no_orphan_modules():
     assert orphan_modules(sources, PIPELINE.read_text()) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=lambda p: p.name if p in MODULES else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fraction_refs import ref_det
+from fraction_refs import ref_det, ref_inverse_rows
 from quatforms.intmat import (
     abs_det,
     canonical_lattice,
@@ -146,6 +146,14 @@ def test_abs_det_and_inverse_rows(mat):
     adj, d = inverse_rows(h)
     assert d > 0
     assert int_product(h, adj) == [[d * int(i == j) for j in range(4)] for i in range(4)]
+    # the least denominator, as the Fraction substitution finds it
+    assert (adj, d) == ref_inverse_rows(h)
+
+
+def test_inverse_rows_rejects_non_hnf():
+    for rows in ([[1, 0], [1, 1]], [[1, 0], [0, 0]], [[-1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError):
+            inverse_rows(rows)
 
 
 @given(square_mats(3), st.lists(small_int, min_size=3, max_size=3))

@@ -6,8 +6,11 @@ from math import isqrt
 
 import pytest
 
+from fraction_refs import ref_cholesky
+from quatforms.intmat import integral_rows
 from quatforms.latticetools import (
     TraceFormLattice,
+    _cholesky,
     enumerate_norm,
     fincke_pohst,
     iroot,
@@ -197,6 +200,68 @@ def test_fincke_pohst_order_matches_rational_walk():
         assert got == list(_rational_walk(g, t))
         integral = all(Fraction(v).denominator == 1 for row in g for v in row)
         assert all(isinstance(v, int) == integral for _, v in got)
+
+
+def _random_gram(rng, n):
+    g = _gram_of(_random_basis(rng, n, spread=4))
+    if rng.random() < 0.4:
+        d = rng.randint(2, 6)
+        g = [[Fraction(v, d) for v in row] for row in g]
+    return g
+
+
+def _rational_form(s, k, e, c):
+    # (q_ii, q_ij) of Q(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2
+    n = len(k)
+    return ([Fraction(k[i] * e[i] ** 2, s) for i in range(n)],
+            [[Fraction(c[i][j], e[i]) for j in range(i + 1, n)] for i in range(n)])
+
+
+def test_cholesky_matches_fraction_reference():
+    # the integer form from integral Gram-Schmidt is the rational Cholesky
+    # form of the Gram; on an integer Gram it is the reference's tuple
+    rng = random.Random(41)
+    for _ in range(60):
+        g = _random_gram(rng, rng.choice([1, 2, 3, 4, 5, 6]))
+        den, ints = integral_rows(g)
+        got = _cholesky(ints)
+        diag, off = _rational_form(*ref_cholesky(g))
+        assert _rational_form(*got) == ([den * v for v in diag], off)
+        assert got == ref_cholesky(ints)
+
+
+def test_shell_walk_matches_filtered_fincke_pohst():
+    # shell=True yields exactly the vectors of value t, in walk order
+    rng = random.Random(43)
+    for trial in range(40):
+        n = rng.choice([1, 2, 3, 4, 5])
+        g = _random_gram(rng, n)
+        if trial % 2:
+            x = [rng.randint(-2, 2) for _ in range(n)]
+            t = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
+        else:
+            t = Fraction(rng.randint(1, 60), rng.choice([1, 1, 2, 3]))
+        want = [(x, v) for x, v in fincke_pohst(g, t) if v == t]
+        assert list(fincke_pohst(g, t, shell=True)) == want
+
+
+def test_enumerate_norm_filters_on_forms():
+    # the forms are tested on reduced coordinates; the survivors are the
+    # shell vectors of the right values, in the coordinates of the input
+    rng = random.Random(47)
+    for _ in range(20):
+        n = rng.choice([2, 3, 4])
+        lat = TraceFormLattice(gram=_gram_of(_random_basis(rng, n, spread=3)))
+        form = _gram_of([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        x = [rng.randint(-2, 2) for _ in range(n)]
+        t = sum(lat.gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
+        shell = enumerate_norm(lat, t).vectors
+        for v in {sum(y[i] * form[i][j] * y[j] for i in range(n) for j in range(n))
+                  for y in shell}:
+            got = enumerate_norm(lat, t, [(form, v)]).vectors
+            assert got == [y for y in shell
+                           if sum(y[i] * form[i][j] * y[j]
+                                  for i in range(n) for j in range(n)) == v]
 
 
 def test_indefinite_forms_rejected():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from quatforms.numberfield import (
     FieldCtx,
-    FieldIdeal,
     field_from_spec,
     make_quadratic_field,
     siegel_zeta_quadratic,

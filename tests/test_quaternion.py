@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraction_refs import ref_det, ref_lattice
+from fraction_refs import ref_det, ref_lattice, ref_left_matrix
 from quatforms.numberfield import field_from_spec
 from quatforms.quaternion import (
     QuatAlgebra,
@@ -362,3 +362,55 @@ def test_lattice_rejects_fractions_under_optimize(run_optimized):
         "        print('ValueError')\n"
     )
     assert out.split() == ["ValueError"] * 4
+
+
+@pytest.mark.parametrize("F", [F5, F10, F85], ids=["quad:5", "quad:10", "quad:85"])
+def test_left_matrix_matches_dense_reference(F):
+    # the sparse structure table against the dense one, on integer rows
+    # and on rational coordinates
+    alg = hilbert_ramification_free_algebra(F)
+    rng = random.Random(19)
+    for _ in range(20):
+        xs = [rng.randint(-9, 9) for _ in range(alg.dim)]
+        q = tuple(Fraction(c, rng.randint(1, 6)) for c in xs)
+        assert alg.left_matrix(tuple(xs)) == ref_left_matrix(alg, xs)
+        assert alg.left_matrix(q) == ref_left_matrix(alg, q)
+    for row in alg.maximal_order().rows:
+        assert alg.left_matrix(row) == ref_left_matrix(alg, row)
+
+
+def test_left_matrix_builds_no_fraction_on_integers(monkeypatch):
+    import quatforms.quaternion as quaternion
+
+    alg = hilbert_ramification_free_algebra(F10)
+    alg.left_matrix(alg.one)  # builds the tables, in Fractions
+    want = ref_left_matrix(alg, list(range(alg.dim)))
+
+    def refuse(*args):
+        raise AssertionError("Fraction built on integer input")
+
+    monkeypatch.setattr(quaternion, "Fraction", refuse)
+    assert alg.left_matrix(tuple(range(alg.dim))) == want
+
+
+def test_shell_vectors_off_the_norm_checked_under_optimize(run_optimized):
+    # a shell walk that reports every vector inside the shell as lying on
+    # it hands the norm form test vectors of the wrong values; with
+    # asserts stripped they must all be rejected
+    out = run_optimized(
+        "from quatforms import latticetools\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra, norm_equation_coords\n"
+        "R = hilbert_ramification_free_algebra(field_from_spec('quad:5')).maximal_order()\n"
+        "want = norm_equation_coords(R, 4)\n"
+        "walk = latticetools.fincke_pohst\n"
+        "injected = []\n"
+        "def faulty(gram, bound, shell=False):\n"
+        "    for x, _ in walk(gram, bound):\n"
+        "        injected.append(x)\n"
+        "        yield x, bound\n"
+        "latticetools.fincke_pohst = faulty\n"
+        "got = norm_equation_coords(R, 4)\n"
+        "print(got == want, len(injected) > 2 * len(want))\n"
+    )
+    assert out.split() == ["True", "True"]
