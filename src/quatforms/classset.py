@@ -10,6 +10,7 @@ the units of the left order of a.  Column sums Np + 1, whole unit orbits
 and an index Np^2 check of every witness certify the table.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -259,6 +260,11 @@ class ClassSet:
     def size(self):
         return len(self.representatives)
 
+    def norm_classes(self):
+        """FieldCtx.narrow_dlog of each representative's reduced norm."""
+        F = self.order.alg.base
+        return [F.narrow_dlog(r.nr_ideal()) for r in self.representatives]
+
 
 def narrow_support(F):
     """A minimal prime list generating the narrow class group.
@@ -447,6 +453,21 @@ def _product_columns(L, b):
     return [list(zip(*(m[r] for m in maps))) for r in range(len(b.rows))]
 
 
+def check_norm_classes(th, nr_bits, p_bits):
+    """e_chi M_p = chi(p) (Np + 1) e_chi for every narrow class character
+    chi, in integers: each column b at p holds Np + 1 witnesses, all into
+    classes a with [nr a] = [p] [nr b] (narrow class bits nr_bits of the
+    representatives' norms, p_bits of th.primes), or ArithmeticError."""
+    counts = Counter()
+    for (pi, ai, bi), us in th.entries.items():
+        if any(x ^ y ^ z for x, y, z in zip(nr_bits[ai], p_bits[pi], nr_bits[bi])):
+            raise ArithmeticError("theta witness leaves the norm class [p] [nr b]")
+        counts[pi, bi] += len(us)
+    for pi, pr in enumerate(th.primes):
+        if any(counts[pi, bi] != pr.norm + 1 for bi in range(len(nr_bits))):
+            raise ArithmeticError("orbit table column does not sum to Np + 1")
+
+
 def compute_theta(cs, bound):
     """Neighbor witnesses between all classes at all primes up to bound.
 
@@ -468,17 +489,15 @@ def compute_theta(cs, bound):
     Certificates, each raising ArithmeticError: a narrowly trivial J has
     a totally positive generator, every target's solutions are whole
     orbits, every witness u has u * b inside a at index Np^2, and the
-    neighbors of each b at each p number Np + 1.
+    neighbors of each b at each p number Np + 1 (check_norm_classes).
     """
     alg = cs.order.alg
     F = alg.base
     primes = F.prime_ideals_up_to(bound)
     reps = cs.representatives
     nrs = [r.nr_ideal() for r in reps]
-    # with no narrow generators every narrow class is trivial
-    dlog = F.narrow_dlog if F.narrow_gens else (lambda ideal: ())
-    nr_bits = [dlog(J) for J in nrs]
-    p_bits = [dlog(pr.ideal) for pr in primes]
+    nr_bits = cs.norm_classes()
+    p_bits = [F.narrow_dlog(pr.ideal) for pr in primes]
     units = [
         ([alg.left_matrix(g) for g in _norm_one_units(alg, G)], _norm_coset_targets(alg, G))
         for G in cs.unit_groups
@@ -487,7 +506,6 @@ def compute_theta(cs, bound):
     for bi, b in enumerate(reps):
         b_inv = b.inverse()
         nr_b_inv = nrs[bi].inverse()
-        counts = [0] * len(primes)
         for ai, a in enumerate(reps):
             lams, targets = units[ai]
             L = None
@@ -514,7 +532,6 @@ def compute_theta(cs, bound):
                         raise ArithmeticError("theta witness does not map b into a at index Np^2")
                 if xs:
                     entries[(pi, ai, bi)] = [L.vector(x) for x in xs]
-                    counts[pi] += len(xs)
-        if any(c != pr.norm + 1 for c, pr in zip(counts, primes)):
-            raise ArithmeticError("orbit table column does not sum to Np + 1")
-    return ThetaTable(bound=bound, primes=primes, entries=entries)
+    th = ThetaTable(bound=bound, primes=primes, entries=entries)
+    check_norm_classes(th, nr_bits, p_bits)
+    return th

@@ -10,15 +10,15 @@ image, so reducing an element is one integer product with the inverse
 of the order's basis and one with that matrix.  Residue fields are log
 tables (residue.FiniteField), so matrix entries and projective points
 are small ints.  All Hecke matrices have integer entries and everything
-is exact.
+is exact.  The dimension report counts orbits and takes the narrow
+class number as its Eisenstein dimension, with no Hecke operator.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 
-from .classset import split_residue_matrix
-from .eigen import decompose, flag_eisenstein
+from .classset import check_norm_classes, split_residue_matrix
 from .intmat import hnf_with_transform, identity_int, int_product, integral_rows
 from .matrices import Matrix
 from .numberfield import PrimeIdeal
@@ -126,18 +126,9 @@ class _LevelComponent:
         H, U = hnf_with_transform(stacked)
         if H[:n] != identity_int(n):
             raise ArithmeticError("multiplier ideal is not coprime to the prime")
-        one_vec = [int(c) for c in F.one]
-        coeffs = [0] * n
-        for j, cj in enumerate(one_vec):
-            if cj:
-                for t in range(n):
-                    coeffs[t] += cj * U[j][t]
-        alpha = [0] * n
-        for t, ct in enumerate(coeffs):
-            if ct:
-                for s in range(n):
-                    alpha[s] += ct * J.rows[t][s]
-        t_el = F.el(alpha)
+        # rows :n of U write each unit vector as a J part plus a prime part
+        coeffs = int_product([[int(c) for c in F.one]], [row[:n] for row in U[:n]])[0]
+        t_el = F.el(int_product([coeffs], J.rows)[0])
         gap = F.sub(F.one, t_el)
         if not self.prime.contains(gap):
             raise ArithmeticError("multiplier is not congruent to 1 modulo the prime")
@@ -277,7 +268,6 @@ class CoinvariantSpace:
     """
 
     level: object
-    weight: WeightSpec
     p1: P1Space
     splitting: SplittingMap
     orbits: list
@@ -304,10 +294,10 @@ def build_space(cs, N, w, seed=0):
     """
     if not w.is_parallel_two:
         raise ValueError("only parallel weight 2 is supported")
-    return _orbit_space(cs, N, w, build_splitting(cs, N))
+    return _orbit_space(cs, N, build_splitting(cs, N))
 
 
-def _orbit_space(cs, N, w, sm):
+def _orbit_space(cs, N, sm):
     """build_space at the level N whose primes sm splits."""
     p1 = build_p1([(c.prime, c.k) for c in sm.components])
     orbits = []
@@ -339,7 +329,7 @@ def _orbit_space(cs, N, w, sm):
         lookups.append(seen)
         offsets.append(total)
         total += len(orbs)
-    return CoinvariantSpace(N, w, p1, sm, orbits, stabs, offsets, lookups, total)
+    return CoinvariantSpace(N, p1, sm, orbits, stabs, offsets, lookups, total)
 
 
 @dataclass
@@ -365,23 +355,17 @@ def hecke_operator(cs, th, sp, p):
     """
     ideal = p.ideal if isinstance(p, PrimeIdeal) else p
     _check_field(cs, [ideal] + [pr.ideal for pr in th.primes])
-    pi = None
-    for i, pr in enumerate(th.primes):
-        if pr.ideal == ideal:
-            pi = i
-            break
+    pi = next((i for i, pr in enumerate(th.primes) if pr.ideal == ideal), None)
     if pi is None:
         raise ValueError("prime is outside the tabulated walk; extend the bound")
-    for q, _ in sp.p1.factors:
-        if q == ideal:
-            raise ValueError("Hecke prime divides the level")
+    if any(q == ideal for q, _ in sp.p1.factors):
+        raise ValueError("Hecke prime divides the level")
     pr = th.primes[pi]
     size = sp.dim
     rows = [[0] * size for _ in range(size)]
-    ncls = len(cs.representatives)
-    for bi in range(ncls):
+    for bi in range(cs.size):
         reps = [orb[0] for orb in sp.orbits[bi]]
-        for ai in range(ncls):
+        for ai in range(cs.size):
             for u in th.entries.get((pi, ai, bi), ()):
                 mats = sp.splitting.image(u)
                 for j, ri in enumerate(reps):
@@ -403,10 +387,10 @@ def hecke_operator(cs, th, sp, p):
 class DimensionReport:
     """Weight 2 dimension split at one level.
 
-    The new cuspidal dimension is reported two ways: new_strict discounts
-    lower levels once per divisor pair (the degeneracy map count), while
-    new_above_one is the plain difference against level (1).  At level
-    (1) both equal the full cuspidal dimension.
+    eisenstein is h+ at every level.  The new cuspidal dimension is
+    reported two ways: new_strict discounts lower levels once per divisor
+    pair (the degeneracy map count), while new_above_one is the plain
+    difference against level (1), and at level (1) both are the cusp.
     """
 
     level: object
@@ -422,56 +406,52 @@ def dimension_report(cs, th, N):
 
     The order is split once at the primes of N; the space at each
     sublevel M | N takes the components at the primes of M and the unit
-    images projected onto them.  Eisenstein constituents are identified
-    by their eigenvalue pattern across the tabulated primes coprime to
-    the sublevel, so the table bound must leave enough primes to split
-    the space.
+    images projected onto them, and its dimension is the orbit count.
+    Its Eisenstein part, the functions that factor through the reduced
+    norm onto Cl+(F) (Dembele-Voight 2013), has dimension h+.  The report
+    depends on (cs, N) alone, not on the primes th tabulates.
+
+    th serves only the certificates, each raising ArithmeticError: the
+    representatives' norms meet all h+ narrow classes, so the vectors
+    e_chi, chi(nr I_i) on the orbits of class i, are independent; and
+    check_norm_classes holds, which is e_chi M_p = chi(p) (Np + 1) e_chi
+    at every level, since a witness sends an orbit of b to one of a.
     """
     F = cs.order.alg.base
-    w = parallel_weight_two(F)
+    eis = F.narrow_class_number
+    _check_field(cs, [pr.ideal for pr in th.primes])
+    nr_bits = cs.norm_classes()
+    if len(set(nr_bits)) != eis:
+        raise ArithmeticError("representative norms miss a narrow class")
+    check_norm_classes(th, nr_bits, [F.narrow_dlog(pr.ideal) for pr in th.primes])
     sm = build_splitting(cs, N)
-    level_primes = [c.prime for c in sm.components]
 
-    def split_dims(keep):
-        """(total, Eisenstein) dimensions at the level of level_primes[keep]."""
-        lp = [level_primes[i] for i in keep]
+    def total(keep):
+        """The orbit count at the level of the components indexed by keep."""
         level = F.unit_ideal()
-        for q in lp:
-            level = level * q
+        for i in keep:
+            level = level * sm.components[i].prime
         sub = SplittingMap(
             [sm.components[i] for i in keep],
             [[tuple(m[i] for i in keep) for m in images] for images in sm.unit_images],
         )
-        sp = _orbit_space(cs, level, w, sub)
-        blocks = [
-            hecke_operator(cs, th, sp, pr.ideal)
-            for pr in th.primes
-            if all(q != pr.ideal for q in lp)
-        ]
-        if not blocks:
-            raise ArithmeticError("no tabulated primes are coprime to the level")
-        eis = 0
-        for c in decompose(blocks):
-            if flag_eisenstein(c, F):
-                eis += c.dimension
-        return sp.dim, eis
+        return _orbit_space(cs, level, sub).dim
 
     # strict new dimensions by recursion over the divisor lattice
-    indices = range(len(level_primes))
+    indices = range(len(sm.components))
     subsets = [
         s for r in range(len(indices) + 1) for s in itertools.combinations(indices, r)
     ]
-    dims = {s: split_dims(s) for s in subsets}
+    totals = {s: total(s) for s in subsets}
     strict = {}
     for s in subsets:
-        acc = dims[s][0] - dims[s][1]
+        acc = totals[s] - eis
         for r in range(len(s)):
             for sub in itertools.combinations(s, r):
                 acc -= 2 ** (len(s) - r) * strict[sub]
         strict[s] = acc
     full = tuple(indices)
-    total, eis = dims[full]
-    cusp = total - eis
+    cusp = totals[full] - eis
     if not full:
-        return DimensionReport(N, total, eis, cusp, cusp, cusp)
-    return DimensionReport(N, total, eis, cusp, strict[full], cusp - strict[()])
+        return DimensionReport(N, totals[full], eis, cusp, cusp, cusp)
+    return DimensionReport(N, totals[full], eis, cusp, strict[full], cusp - strict[()])

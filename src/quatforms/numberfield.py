@@ -403,6 +403,8 @@ class FieldCtx:
 
     def narrow_dlog(self, a: "FieldIdeal") -> tuple[int, ...]:
         """Exponents of a's narrow class over narrow_gens (all order 2)."""
+        if not self.narrow_gens:
+            return ()  # narrow class number 1: every ideal is narrowly principal
         if a.den != 1:
             a = FieldIdeal(self, a.rows, 1)  # positive integer scaling is totally positive
         k = len(self.narrow_gens)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from quatforms import heckespace
+from quatforms import eigen, heckespace
 from quatforms.classset import compute_class_set, compute_theta, narrow_support
 from quatforms.eigen import _restrict, build_report, decompose
 from quatforms.heckespace import (
@@ -109,21 +109,104 @@ def test_orbit_partition_checked_under_optimize(run_optimized):
     assert out.startswith("ArithmeticError: unit orbits do not partition")
 
 
-def test_dimension_report_at_31_times_41():
-    F, cs, _ = q5_bound4()
-    dr = dimension_report(cs, compute_theta(cs, 5), level(F, 31, 41))
-    assert (dr.total, dr.eisenstein, dr.cusp, dr.new_strict, dr.new_above_one) == (
-        24, 1, 23, 19, 23,
-    )
-
-
-def test_dimension_report_at_9_times_31():
+# (field, level norms, bound, (total, eis, cusp, new_strict, new_above_one));
+# eisenstein is the narrow class number h+ whatever the bound.  quad:15
+# at level 1, bound 2 and quad:5 at its norm-4 prime, bound 4, tabulate
+# too few primes coprime to the level to split the space into eigenlines.
+DIMENSION_TABLE = {
+    "quad5-31x41": ("quad:5", (31, 41), 5, (24, 1, 23, 19, 23)),
     # the prime of norm 9 is inert: a residue field of degree 2
+    "quad5-9x31": ("quad:5", (9, 31), 11, (6, 1, 5, 3, 5)),
+    "quad5-1": ("quad:5", (), 4, (1, 1, 0, 0, 0)),
+    "quad5-31": ("quad:5", (31,), 11, (2, 1, 1, 1, 1)),
+    "quad5-11x19": ("quad:5", (11, 19), 7, (4, 1, 3, 3, 3)),
+    "quad10-1": ("quad:10", (), 12, (4, 2, 2, 2, 2)),
+    "quad10-3": ("quad:10", (3,), 7, (6, 2, 4, 0, 2)),
+    "quad10-3x13": ("quad:10", (3, 13), 7, (68, 2, 66, 26, 64)),
+    "quad85-1": ("quad:85", (), 6, (8, 2, 6, 6, 6)),
+    "quad13-3": ("quad:13", (3,), 5, (1, 1, 0, 0, 0)),
+    "quad3-11": ("quad:3", (11,), 5, (2, 2, 0, 0, 0)),
+    "quad6-5": ("quad:6", (5,), 7, (4, 2, 2, 0, 1)),
+    "quad15-7": ("quad:15", (7,), 5, (24, 4, 20, 12, 16)),
+    "quad15-1-bound2": ("quad:15", (), 2, (8, 4, 4, 4, 4)),
+    "quad5-4-bound4": ("quad:5", (4,), 4, (1, 1, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, norms, bound, dims", DIMENSION_TABLE.values(), ids=DIMENSION_TABLE.keys(),
+)
+def test_dimension_report_table(spec, norms, bound, dims):
+    cs = class_set(spec)
+    F = cs.order.alg.base
+    dr = dimension_report(cs, theta(spec, bound), level(F, *norms))
+    assert dr.eisenstein == F.narrow_class_number
+    assert (dr.total, dr.eisenstein, dr.cusp, dr.new_strict, dr.new_above_one) == dims
+
+
+def test_dimension_report_builds_no_hecke_block(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dimension_report must not build Hecke blocks")
+
     F, cs, _ = q5_bound4()
-    dr = dimension_report(cs, theta("quad:5", 11), level(F, 9, 31))
-    assert (dr.total, dr.eisenstein, dr.cusp, dr.new_strict, dr.new_above_one) == (
-        6, 1, 5, 3, 5,
+    monkeypatch.setattr(heckespace, "hecke_operator", refuse)
+    monkeypatch.setattr(eigen, "decompose", refuse)
+    monkeypatch.setattr(eigen, "flag_eisenstein", refuse)
+    dr = dimension_report(cs, theta("quad:5", 5), level(F, 31, 41))
+    assert (dr.total, dr.eisenstein) == (24, 1)
+    # nothing of eigen is bound in heckespace
+    assert not any(
+        getattr(v, "__module__", None) == eigen.__name__ for v in vars(heckespace).values()
     )
+
+
+QUAD10_OPTIMIZED = (
+    "import dataclasses\n"
+    "from quatforms.classset import compute_class_set, compute_theta, narrow_support\n"
+    "from quatforms.heckespace import dimension_report\n"
+    "from quatforms.numberfield import field_from_spec\n"
+    "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
+    "F = field_from_spec('quad:10')\n"
+    "R = hilbert_ramification_free_algebra(F).maximal_order()\n"
+    "cs = compute_class_set(R, narrow_support(F))\n"
+    "th = compute_theta(cs, 5)\n"
+    "bits = cs.norm_classes()\n"
+)
+
+
+def test_norm_surjectivity_checked_under_optimize(run_optimized):
+    # a class set cut down to the classes of narrowly trivial norm misses
+    # the other narrow class; with asserts stripped it must still raise
+    out = run_optimized(
+        QUAD10_OPTIMIZED
+        + "keep = [i for i, b in enumerate(bits) if not any(b)]\n"
+        "cs = dataclasses.replace(\n"
+        "    cs, **{f: [getattr(cs, f)[i] for i in keep]\n"
+        "           for f in ('representatives', 'left_orders', 'unit_groups')})\n"
+        "try:\n"
+        "    print('returned', dimension_report(cs, th, F.unit_ideal()))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: representative norms miss a narrow class")
+
+
+def test_norm_class_identity_checked_under_optimize(run_optimized):
+    # one witness moved, in one column, to a class of the other narrow
+    # class: the column still sums to Np + 1, so only the e_chi identity
+    # catches it
+    out = run_optimized(
+        QUAD10_OPTIMIZED
+        + "pi, ai, bi = next(iter(th.entries))\n"
+        "aj = next(i for i, b in enumerate(bits) if b != bits[ai])\n"
+        "u = th.entries[pi, ai, bi].pop()\n"
+        "th.entries.setdefault((pi, aj, bi), []).append(u)\n"
+        "try:\n"
+        "    print('returned', dimension_report(cs, th, F.unit_ideal()))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: theta witness leaves the norm class")
 
 
 def ref_reduce(comp, x):
@@ -338,14 +421,6 @@ def test_level_one_report_is_the_eisenstein_line():
     assert [c.eigenvalue(i) for i in range(len(blocks))] == [
         pr.norm + 1 for pr in th.primes
     ]
-
-
-def test_level_one_dimension_report():
-    F, cs, th = q5_bound4()
-    dr = dimension_report(cs, th, F.unit_ideal())
-    assert (dr.total, dr.eisenstein, dr.cusp, dr.new_strict, dr.new_above_one) == (
-        1, 1, 0, 0, 0,
-    )
 
 
 def test_build_space_rejects_higher_weight():

@@ -12,10 +12,12 @@ a module assigns at top level is read: by its own module, or by another
 module, test or benchmark script through an import or an attribute.
 Every defaulted parameter is passed by some call in the package, a test
 or a benchmark script: a default nothing overrides is a knob nobody
-turns.
+turns.  Every console script that pyproject.toml declares imports and is
+callable, so an installed command cannot point at a missing module.
 """
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -243,6 +245,42 @@ def unpassed_defaults(modules, others):
                     where = f"{mod}.{cls.name}" if cls else mod
                     out.append(f"{where}.{fn.name}({arg})")
     return sorted(out)
+
+
+def unresolved_scripts(scripts):
+    """The names of the [project.scripts] entries (name -> "module:attr")
+    whose target does not import or is not callable."""
+    out = []
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        try:
+            obj = importlib.import_module(module)
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError):
+            out.append(name)
+            continue
+        if not callable(obj):
+            out.append(name)
+    return sorted(out)
+
+
+def test_scan_flags_an_unresolved_script():
+    scripts = {
+        "report": "quatforms.heckespace:dimension_report",
+        "method": "quatforms.classset:ClassSet.norm_classes",
+        "missing-module": "quatforms.no_such_module:main",
+        "missing-attr": "quatforms.heckespace:no_such_function",
+        "not-callable": "quatforms:__name__",
+    }
+    assert unresolved_scripts(scripts) == ["missing-attr", "missing-module", "not-callable"]
+
+
+def test_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"].get("scripts", {})
+    assert unresolved_scripts(scripts) == []
 
 
 def test_scan_flags_an_unused_import():
