@@ -60,7 +60,7 @@ def split_residue_matrix(R, prime):
     alg = R.alg
     ideal, ell, f = _prime_parts(prime)
     pR = R.iscale(ideal)
-    quo = LatticeQuotient(R.rows, R.den, pR.rows, pR.den, ell, alg.mul_table())
+    quo = LatticeQuotient(R.rows, R.den, pR.rows, pR.den, ell, alg.sparse_table())
     A = quo.algebra
     units = identity_int(alg.dim)
     # the first n ambient basis vectors are the integral basis of the field
@@ -128,7 +128,7 @@ def neighbors(b, p):
         raise ArithmeticError("residue module does not have dimension 4 f")
     # right multiplication by the basis rows of R; this is well defined
     # on V because b * R = b
-    acts = V.right_action(alg.mul_table(), R.rows, R.den)
+    acts = V.right_action(alg.sparse_table(), R.rows, R.den)
     lifted = [acts[pos] for pos in res.quo.positions]
 
     def right_matrix(a):

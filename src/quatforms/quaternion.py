@@ -5,16 +5,22 @@ negative integers of the base field): i^2 = a, j^2 = b, k = ij = -ji.
 Elements are flat coordinate tuples of length 4n over Q, n the field
 degree, blocks ordered (1, i, j, k) and each block holding coordinates
 over the field's integral basis.  Lattices of full rank 4n carry the
-order and ideal arithmetic; maximal orders come out of `maximalize`,
-whose certificate is the reduced discriminant dropping to the unit
-ideal (norm 1).  A lattice is built from integer rows over one
-denominator and kept in the canonical form of intmat.canonical_lattice.
-The structure constants on the ambient basis are integers
-(QuatAlgebra.mul_table); every lattice builder (products, scaling by
-field ideals, conjugates, inverses, orders) runs on them and on sign
-flips, and norm equations are solved in integer coordinates on a
-lattice's basis, where the reduced norm is a set of integer quadratic
-forms (QuatLattice.norm_forms).
+order and ideal arithmetic.  A lattice is built from integer rows over
+one denominator and kept in the canonical form of
+intmat.canonical_lattice.
+
+The structure constants on the ambient basis are integers, read off the
+relations in integer field arithmetic (QuatAlgebra.mul_table).  Every
+lattice computation runs on them and on integer rows: products, scaling
+by field ideals, conjugates, inverses, left and right orders,
+membership, the order test is_order, and the maximal order search of
+maximalize, whose residue algebras O/pO take their products from the
+sparse table and whose certificate is the reduced discriminant dropping
+to the unit ideal (norm 1).  Norm equations are solved in integer
+coordinates on a lattice's basis, where the reduced norm is a set of
+integer quadratic forms (QuatLattice.norm_forms).  The Fraction element
+arithmetic (mul, nr, inv, ...) serves callers that hold single rational
+elements; no lattice or order routine calls it.
 """
 
 from fractions import Fraction
@@ -25,9 +31,9 @@ from .arith import factor_int
 from .intmat import (
     abs_det,
     canonical_lattice,
-    hnf_coords,
     int_product,
     integral_preimage_rows,
+    integral_rows,
     inverse_rows,
     lattice_coords,
 )
@@ -40,6 +46,7 @@ from .residue import (
     primitive_idempotents,
     quotient_by_ideal,
     span_basis_mod,
+    sparse_table,
     subalgebra,
 )
 
@@ -137,33 +144,42 @@ class QuatAlgebra:
         """T with e_s * e_t = sum_u T[s][t][u] e_u on the standard basis.
 
         The standard basis is the ambient coordinate basis: the integral
-        basis of the field times 1, i, j, k.  a and b are integral, so
-        every structure constant is an integer.
+        basis w_0, ..., w_(n-1) of the field times 1, i, j, k.  It is read
+        off the relations, in integers: the unit q times the unit r is
+        c e_(q xor r) with c in {+-1, +-a, +-b, +-ab} (i^2 = a, j^2 = b,
+        k^2 = -ab, ij = -ji = k, ik = -ki = a j, kj = -jk = b i), and the
+        field is central, so w_s e_q * w_t e_r = (w_s w_t c) e_(q xor r).
+        a and b are integral, so every structure constant is an integer.
         """
         if self._table is None:
-            N = self.dim
-            basis = [tuple(Fraction(int(s == t)) for t in range(N)) for s in range(N)]
-            table = []
-            for x in basis:
-                row = []
-                for y in basis:
-                    z = self.mul(x, y)
-                    if any(c.denominator != 1 for c in z):
-                        raise ArithmeticError("structure constants are not integral")
-                    row.append([int(c) for c in z])
-                table.append(row)
+            F = self.base
+            n, N = F.degree, self.dim
+            a, b, ab = ([int(c) for c in x] for x in (self.a, self.b, self._ab))
+            one = [1] + [0] * (n - 1)
+            neg_one, neg_a, neg_b, neg_ab = ([-c for c in x] for x in (one, a, b, ab))
+            # rel[q][r] = c with e_q e_r = c e_(q xor r), units 1, i, j, k
+            rel = [
+                [one, one, one, one],
+                [one, a, one, a],
+                [one, neg_one, b, neg_b],
+                [one, neg_a, b, neg_ab],
+            ]
+            table = [[[0] * N for _ in range(N)] for _ in range(N)]
+            for q in range(4):
+                for r in range(4):
+                    u = (q ^ r) * n
+                    # rep_rows(x)[s] is w_s x: integer rows for integer x
+                    for s, wc in enumerate(F.rep_rows(rel[q][r])):
+                        for t, coeffs in enumerate(F.rep_rows(wc)):
+                            table[q * n + s][r * n + t][u:u + n] = coeffs
             self._table = table
         return self._table
 
-    def _sparse_table(self):
-        """Row t: the nonzero structure constants (s, u, T[s][t][u])."""
+    def sparse_table(self):
+        """mul_table in the sparse form of residue.sparse_table: row t
+        lists the nonzero (s, u, T[s][t][u])."""
         if self._sparse is None:
-            T = self.mul_table()
-            N = self.dim
-            self._sparse = [
-                [(s, u, T[s][t][u]) for s in range(N) for u in range(N) if T[s][t][u]]
-                for t in range(N)
-            ]
+            self._sparse = sparse_table(self.mul_table())
         return self._sparse
 
     def left_matrix(self, x):
@@ -180,7 +196,7 @@ class QuatAlgebra:
             xs = [int(Fraction(c) * d) for c in x]
         N = self.dim
         out = []
-        for entries in self._sparse_table():
+        for entries in self.sparse_table():
             row = [0] * N
             for s, u, c in entries:
                 if xs[s]:
@@ -221,10 +237,6 @@ class QuatAlgebra:
         if not any(nrm):
             raise ZeroDivisionError("zero has no inverse")
         return self.fmul(self.base.inv(nrm), self.conj(x))
-
-    def is_integral_elem(self, x):
-        return self.base.is_integral(self.trd(x)) and \
-            self.base.is_integral(self.nr(x))
 
     # -- lattices ----------------------------------------------------------
 
@@ -272,10 +284,6 @@ class QuatLattice:
         d = self.den
         return tuple(Fraction(c, d) for c in acc)
 
-    def _coords(self, vec):
-        """Coordinates of vec over the basis rows (exact, possibly fractional)."""
-        return hnf_coords(self.rows, vec, self.den)
-
     def _inverse(self):
         """(adj, rho) with adj / rho the inverse of the basis rows."""
         if self._inv is None:
@@ -291,10 +299,11 @@ class QuatLattice:
         return lattice_coords(self._inverse(), self.den, mat, den)
 
     def contains(self, vec):
-        return all(c.denominator == 1 for c in self._coords(vec))
+        d, rows = integral_rows([vec])
+        return self.int_coords(rows, d) is not None
 
     def contains_lattice(self, other):
-        return all(self.contains(v) for v in other.basis_vectors())
+        return self.int_coords(other.rows, other.den) is not None
 
     def covolume(self):
         num = 1
@@ -493,14 +502,27 @@ class QuatLattice:
 
 
 def is_order(lat):
-    """1 in the lattice, closed under products, basis integral over O_F."""
+    """1 in the lattice, basis integral over O_F, closed under products.
+
+    Decided on the integer rows r_i over den: 1 has integer coordinates;
+    trd(r_i / den), the field block of 2 r_i / den, and nr(r_i / den),
+    the diagonal of norm_forms over its denominator, are integral; and
+    for each row x the products x * r_j, the block rows * left_matrix(x),
+    have integer coordinates over den^2.
+    """
     alg = lat.alg
-    if not lat.contains(alg.one):
+    n, den = alg.base.degree, lat.den
+    if lat.int_coords([[1] + [0] * (alg.dim - 1)], 1) is None:
         return False
-    bs = lat.basis_vectors()
-    if not all(alg.is_integral_elem(x) for x in bs):
+    if any(2 * c % den for row in lat.rows for c in row[:n]):
         return False
-    return all(lat.contains(alg.mul(x, y)) for x in bs for y in bs)
+    forms, D = lat.norm_forms()
+    if any(N[i][i] % D for N in forms for i in range(len(lat.rows))):
+        return False
+    prods = []
+    for x in lat.rows:
+        prods += int_product(lat.rows, alg.left_matrix(x)[0])
+    return lat.int_coords(prods, den * den) is not None
 
 
 def reduced_discriminant_norm(order):
@@ -558,7 +580,7 @@ def _enlarge_at(order, p):
     """
     alg = order.alg
     pO = [[p * c for c in row] for row in order.rows]
-    quo = LatticeQuotient(order.rows, order.den, pO, order.den, p, alg.mul_table())
+    quo = LatticeQuotient(order.rows, order.den, pO, order.den, p, alg.sparse_table())
     A = quo.algebra
     rad = algebra_radical(A)
     grown = _idealizer_growth(order, quo, rad, p)

@@ -18,6 +18,7 @@ come from the ambient algebra's integer structure table.
 
 import itertools
 import random
+from operator import mul
 
 from .arith import factor_int
 from .intmat import hnf_rows, identity_int, int_product, integral_rows, inverse_rows, lattice_coords
@@ -248,6 +249,16 @@ def subalgebra(A, basis_rows, identity):
 # quotients of integer lattices
 
 
+def sparse_table(table):
+    """Row t: the nonzero structure constants (s, u, table[s][t][u]) of
+    the dense table with e_s * e_t = sum_u table[s][t][u] e_u."""
+    n = len(table)
+    return [
+        [(s, u, table[s][t][u]) for s in range(n) for u in range(n) if table[s][t][u]]
+        for t in range(n)
+    ]
+
+
 class QuotientSpace:
     """The F_p-vector space L/M for lattices M <= L with pL <= M <= L.
 
@@ -308,23 +319,25 @@ class QuotientSpace:
                     out[t] += c * row[t]
         return out
 
-    def right_action(self, table, ys, den):
+    def right_action(self, sparse, ys, den):
         """The F_p-matrices of v -> v * y on L/M, for y = ys[i] / den.
 
-        table is the integer structure table of the ambient algebra:
-        e_s * e_t = sum_u table[s][t][u] e_u.  Row t holds the quotient
-        coordinates of b_t * y, b_t the lift of the t-th basis vector;
-        L * y must lie in L and M * y in M.
+        sparse is the integer structure table of the ambient algebra in
+        the form of sparse_table: row t lists the nonzero (s, u, c) with
+        c the coefficient of e_u in e_s * e_t.  Row t of a matrix holds
+        the quotient coordinates of b_t * y, b_t the lift of the t-th
+        basis vector; L * y must lie in L and M * y in M.
         """
         n = len(self.L_rows)
         reps = [self.L_rows[pos] for pos in self.positions]
         out = []
         for y in ys:
             # row s of m is e_s * y, so x * y = x m for ambient rows x
-            m = [
-                [sum(c * table[s][t][u] for t, c in enumerate(y) if c) for u in range(n)]
-                for s in range(n)
-            ]
+            m = [[0] * n for _ in range(n)]
+            for t, yt in enumerate(y):
+                if yt:
+                    for s, u, c in sparse[t]:
+                        m[s][u] += c * yt
             prods = self.coords(int_product(reps, m), self.L_den * den)
             out.append(tuple(self.reduce(w) for w in prods))
         return out
@@ -333,14 +346,15 @@ class QuotientSpace:
 class LatticeQuotient(QuotientSpace):
     """QuotientSpace carrying the induced F_p-algebra structure.
 
-    table is the integer structure table of the ambient algebra (as
-    QuatAlgebra.mul_table), whose first basis vector is the identity.  L
-    must be a ring and M a two-sided ideal of it.
+    sparse is the integer structure table of the ambient algebra in the
+    form of sparse_table (as QuatAlgebra.sparse_table), whose first basis
+    vector is the identity.  L must be a ring and M a two-sided ideal of
+    it.
     """
 
-    def __init__(self, L_rows, L_den, M_rows, M_den, p, table):
+    def __init__(self, L_rows, L_den, M_rows, M_den, p, sparse):
         super().__init__(L_rows, L_den, M_rows, M_den, p)
-        mats = self.right_action(table, [L_rows[pos] for pos in self.positions], L_den)
+        mats = self.right_action(sparse, [L_rows[pos] for pos in self.positions], L_den)
         mult = [[m[i] for m in mats] for i in range(self.dim)]
         self.algebra = FpAlgebra(p, mult, self.proj([1] + [0] * (len(L_rows) - 1)))
 
@@ -350,14 +364,15 @@ class LatticeQuotient(QuotientSpace):
 
 
 def _int_mat_pow(m, e):
-    result = identity_int(len(m))
+    result = None
     base = m
     while e:
         if e & 1:
-            result = int_product(result, base)
-        base = int_product(base, base)
+            result = base if result is None else int_product(result, base)
         e >>= 1
-    return result
+        if e:
+            base = int_product(base, base)
+    return identity_int(len(m)) if result is None else result
 
 
 def algebra_radical(A):
@@ -369,7 +384,14 @@ def algebra_radical(A):
     to Tr(M^(p^i)) / p^i mod p, with M an integer lift of the left
     multiplication matrix of z; on the previous stage's ideal this value
     is well defined and linear in z (Friedl-Ronyai), and the chain
-    reaches the radical once p^i >= dim A.
+    reaches the radical once p^i >= dim A.  Each stage lifts the left
+    matrix of every rref row v of the current ideal once, and reads off
+    it the divided trace of v, the pairing values f(v * y) and the check
+    that every product v * y stays in the ideal.
+
+    The result is certified a nilpotent two-sided ideal: one rank of the
+    rows stacked with all their products by the unit vectors, on either
+    side, and the powers of the span dying out.
     """
     p, n = A.p, A.dim
 
@@ -385,10 +407,13 @@ def algebra_radical(A):
                         m[t][s] += zr * c
         return m
 
-    def divided_trace(z, i):
+    def divided_trace(m, i):
+        # Tr(M^q) = sum_(s,t) P[s][t] Q[t][s] for P Q = M^q, which saves
+        # the last matrix product of the power
         q = p**i
-        mp = _int_mat_pow(lifted_left_matrix(z), q)
-        tr = sum(mp[t][t] for t in range(n))
+        half = _int_mat_pow(m, q // 2)
+        rest = half if q % 2 == 0 else _int_mat_pow(m, q - q // 2)
+        tr = sum(sum(map(mul, row, col)) for row, col in zip(half, zip(*rest)))
         quo, rem = divmod(tr, q)
         if rem:
             raise ArithmeticError("divided trace undefined on the current ideal")
@@ -406,20 +431,34 @@ def algebra_radical(A):
     V = [A.unit(j) for j in range(n)]
     i = 0
     while True:
-        # the functional is linear on the ideal: evaluate it on the rref
-        # rows, and read each product's coordinates off the pivot columns
-        vals = [divided_trace(v, i) for v in V]
+        # the rref rows V span the ideal, and z in it is the combination
+        # of V with the coefficients z[piv[k]]: the functional is linear
+        # there, f(z) = phi . z with phi[piv[k]] = f(V[k]), and z lies in
+        # the ideal exactly when each residual z[j] - sum_k z[piv[k]] V[k][j]
+        # at a non-pivot column j vanishes
         piv = [next(j for j, c in enumerate(v) if c) for v in V]
+        lefts = [lifted_left_matrix(v) for v in V]
+        phi = [0] * n
+        for j, m in zip(piv, lefts):
+            phi[j] = divided_trace(m, i)
+        forms = []
+        for j in range(n):
+            if j not in piv:
+                row = [0] * n
+                row[j] = 1
+                for v, k in zip(V, piv):
+                    row[k] -= v[j]
+                forms.append(row)
+        forms.append(phi)
+        cols = list(zip(*V))
         mat = []
-        for v in V:
-            row = []
-            for y in V:
-                z = A.mul(v, y)
-                coords = [z[j] for j in piv]
-                if combine(coords, V) != z:
-                    raise ArithmeticError("product leaves the current ideal")
-                row.append(sum(c * t for c, t in zip(coords, vals)) % p)
-            mat.append(row)
+        for m in lefts:
+            # column y of m V^T is v * y: the residuals of the products,
+            # then the row of f(v * y)
+            *residuals, vals = int_product(int_product(forms, m), cols)
+            if any(c % p for row in residuals for c in row):
+                raise ArithmeticError("product leaves the current ideal")
+            mat.append([c % p for c in vals])
         ker = kernel_mod(tuple(zip(*mat)), p)
         new = [combine(coeffs, V) for coeffs in ker]
         V = span_basis_mod(new, p) if new else []
@@ -427,12 +466,11 @@ def algebra_radical(A):
             break
         i += 1
     rad = [tuple(r) for r in V]
-    # the chain's output must be a nilpotent two-sided ideal; cheap to verify
-    for r in rad:
-        for l in range(n):
-            if not (in_span_mod(rad, A.mul(r, A.unit(l)), p)
-                    and in_span_mod(rad, A.mul(A.unit(l), r), p)):
-                raise ArithmeticError("radical candidate is not a two-sided ideal")
+    # the span must not grow when every product by a unit vector joins it
+    units = [A.unit(l) for l in range(n)]
+    sides = [A.mul(r, e) for r in rad for e in units] + [A.mul(e, r) for r in rad for e in units]
+    if rank_mod(rad + sides, p) != len(rad):
+        raise ArithmeticError("radical candidate is not a two-sided ideal")
     power = rad
     for _ in range(n):
         if not power:

@@ -5,8 +5,9 @@ over one denominator only.  These helpers keep the Fraction
 constructions the integer builders replaced: spans of rational vectors,
 products of basis vectors by field and quaternion multiplication,
 determinants by rational elimination, the Cholesky form of the short
-vector walk, dense left multiplication matrices and HNF inverses by
-rational substitution.  Tests state rational data through them and check
+vector walk, dense left multiplication matrices, HNF inverses by
+rational substitution, lattice coordinates, the structure table from
+quaternion products of basis vectors and the order test on them.  Tests state rational data through them and check
 the integer builders against them.
 """
 
@@ -132,3 +133,41 @@ def ref_inverse_rows(rows):
         [hnf_coords(rows, [int(i == k) for i in range(n)]) for k in range(n)]
     )
     return adj, d
+
+
+def ref_coords(lat, vec):
+    """Fraction coordinates of vec over the basis rows of a lattice."""
+    return hnf_coords(lat.rows, vec, lat.den)
+
+
+def ref_mul_table(alg):
+    """QuatAlgebra.mul_table from the Fraction products of basis vectors."""
+    N = alg.dim
+    basis = [tuple(Fraction(int(s == t)) for t in range(N)) for s in range(N)]
+    table = []
+    for x in basis:
+        row = []
+        for y in basis:
+            z = alg.mul(x, y)
+            if any(c.denominator != 1 for c in z):
+                raise ArithmeticError("structure constants are not integral")
+            row.append([int(c) for c in z])
+        table.append(row)
+    return table
+
+
+def ref_is_order(lat):
+    """is_order from Fraction basis vectors: 1 in the lattice, integral
+    trd and nr on the basis, all products of basis vectors in it."""
+    alg = lat.alg
+    F = alg.base
+
+    def contains(v):
+        return all(c.denominator == 1 for c in ref_coords(lat, v))
+
+    if not contains(alg.one):
+        return False
+    bs = lat.basis_vectors()
+    if not all(F.is_integral(alg.trd(x)) and F.is_integral(alg.nr(x)) for x in bs):
+        return False
+    return all(contains(alg.mul(x, y)) for x in bs for y in bs)

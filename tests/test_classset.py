@@ -20,6 +20,7 @@ from quatforms.classset import (
 )
 from fraction_refs import (
     ref_conjugate,
+    ref_coords,
     ref_disc_z,
     ref_inverse,
     ref_iscale,
@@ -387,7 +388,7 @@ def ref_stabilizer(lat, left):
         u = tuple(Fraction(int(t == r)) for t in range(N))
         row = []
         for b in lat.basis_vectors():
-            row.extend(lat._coords(alg.mul(u, b) if left else alg.mul(b, u)))
+            row.extend(ref_coords(lat, alg.mul(u, b) if left else alg.mul(b, u)))
         mat.append(row)
     den, ints = integral_rows(mat)
     return QuatLattice(alg, *integral_preimage_rows(ints, den))

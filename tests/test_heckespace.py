@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from fraction_refs import ref_coords
 from quatforms import eigen, heckespace
 from quatforms.classset import compute_class_set, compute_theta, narrow_support
 from quatforms.eigen import _restrict, build_report, decompose
@@ -214,7 +215,7 @@ def ref_reduce(comp, x):
     coordinates over the order (to read the denominators), the quotient
     projection of the ambient vector and the splitting image."""
     alg = comp.order.alg
-    coords = comp.order._coords(x)
+    coords = ref_coords(comp.order, x)
     x = comp._clear([c.denominator for c in coords], x, alg.fmul)
     return comp.res.split.image(comp.res.quo.proj(x))
 

@@ -1,13 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraction_refs import ref_det, ref_lattice, ref_left_matrix
+from fraction_refs import ref_coords, ref_det, ref_is_order, ref_lattice, ref_left_matrix, ref_mul_table
+from quatforms import quaternion
+from quatforms.classset import compute_class_set, narrow_support
 from quatforms.numberfield import field_from_spec
 from quatforms.quaternion import (
     QuatAlgebra,
+    QuatLattice,
     hilbert_ramification_free_algebra,
     is_order,
     maximalize,
@@ -149,6 +153,82 @@ def test_maximalize_rejects_non_orders():
         maximalize(lat)
 
 
+@pytest.mark.parametrize("spec", ["quad:3", "quad:5", "quad:10", "quad:13", "quad:15", "quad:85"])
+def test_mul_table_matches_fraction_products(spec):
+    # the table read off the relations against the Fraction products of
+    # basis vectors, for a = -1 and each b of the list that is totally
+    # negative (-1 - omega is not over quad:3 or quad:15)
+    F = field_from_spec(spec)
+    bs = [b for b in (F.from_int(-1), F.el((-1, -1)), F.from_int(-3))
+          if F.sign_vector(b) == (-1, -1)]
+    assert len(bs) >= 2
+    for b in bs:
+        alg = QuatAlgebra(F, -1, b)
+        assert alg.mul_table() == ref_mul_table(alg)
+
+
+def _non_orders(alg):
+    """Three lattices that fail is_order: the halved i block (nr(i/2) is
+    not integral), 2 O for the standard order O (integral and closed
+    under products, but without 1), and an integral lattice with 1 that
+    is not closed under products (it has i and j but only 2k)."""
+    N, n = alg.dim, alg.base.degree
+    unit = [[int(r == c) for c in range(N)] for r in range(N)]
+    halved = [[2 * c for c in row] for row in unit]
+    for t in range(n, 2 * n):
+        halved[t] = unit[t]
+    no_one = [[2 * c for c in row] for row in unit]
+    no_k = [row[:] for row in unit]
+    for t in range(3 * n, N):
+        no_k[t][t] = 2
+    return [QuatLattice(alg, halved, 2), QuatLattice(alg, no_one, 1), QuatLattice(alg, no_k, 1)]
+
+
+def test_is_order_matches_fraction_reference():
+    # standard, intermediate and maximal orders of three fields, the
+    # left orders of the quad:85 class representatives, and non-orders
+    cases = []
+    for F in (F5, F10, F85):
+        alg = hilbert_ramification_free_algebra(F)
+        start = alg.standard_order()
+        cases += [(start, True), (quaternion._enlarge_at(start, 2), True),
+                  (maximalize(start), True)]
+        cases += [(lat, False) for lat in _non_orders(alg)]
+    R = maximalize(hilbert_ramification_free_algebra(F85).standard_order())
+    cs = compute_class_set(R, narrow_support(F85))
+    assert len(cs.left_orders) == 8
+    cases += [(O, True) for O in cs.left_orders]
+    for lat, want in cases:
+        assert ref_is_order(lat) is want
+        assert is_order(lat) is want
+
+
+def test_maximal_orders_pinned():
+    # (rows, den, trail) of the maximalized standard order of each field
+    pins = {
+        F5: "151b49ce91bc2bba50132f7e35f88b394f765983d24504bea5f47df6103d8fcb",
+        F10: "67bd0f937c06743f2016ba9125cab02f79128a53a36ff3e0a3cbaaab6127783e",
+        F85: "151b49ce91bc2bba50132f7e35f88b394f765983d24504bea5f47df6103d8fcb",
+    }
+    for F, digest in pins.items():
+        trail = []
+        top = maximalize(hilbert_ramification_free_algebra(F).standard_order(), trail=trail)
+        assert hashlib.sha256(repr((top.rows, top.den, trail)).encode()).hexdigest() == digest
+
+
+def test_setup_builds_no_fraction_quaternion_product(monkeypatch):
+    # the algebra search and the maximal order run on the integer table
+    def refuse(*args):
+        raise AssertionError("Fraction quaternion product in the setup")
+
+    monkeypatch.setattr(QuatAlgebra, "mul", refuse)
+    for F in (F5, F10, F85):
+        alg = hilbert_ramification_free_algebra(F)
+        top = maximalize(alg.standard_order())
+        assert reduced_discriminant_norm(top) == 1
+        assert is_order(top)
+
+
 def test_lattice_requires_full_rank():
     alg = _alg(F85)
     i, j, k = alg.gens()
@@ -207,7 +287,7 @@ def test_int_coords_and_lattice_products():
     rng = random.Random(4)
     mat = [[rng.randint(-6, 6) for _ in range(alg.dim)] for _ in range(5)]
     for den in (1, 2, 3):
-        want = [R._coords([Fraction(c, den) for c in row]) for row in mat]
+        want = [ref_coords(R, [Fraction(c, den) for c in row]) for row in mat]
         got = R.int_coords(mat, den)
         if all(c.denominator == 1 for row in want for c in row):
             assert got == want
@@ -380,11 +460,10 @@ def test_left_matrix_matches_dense_reference(F):
 
 
 def test_left_matrix_builds_no_fraction_on_integers(monkeypatch):
-    import quatforms.quaternion as quaternion
-
-    alg = hilbert_ramification_free_algebra(F10)
-    alg.left_matrix(alg.one)  # builds the tables, in Fractions
-    want = ref_left_matrix(alg, list(range(alg.dim)))
+    # neither the structure tables of a fresh algebra nor the left matrix
+    # of an integer vector build a Fraction
+    alg = QuatAlgebra(F10, -1, -1)
+    want = ref_left_matrix(QuatAlgebra(F10, -1, -1), list(range(alg.dim)))
 
     def refuse(*args):
         raise AssertionError("Fraction built on integer input")
