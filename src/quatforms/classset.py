@@ -3,11 +3,17 @@
 The class set is grown by prime neighbor steps, each new neighbor tested
 for isomorphism against the classes found so far, and certified complete
 against the exact Eichler mass.  The neighbor tables that feed Brandt
-matrices (compute_theta) need no neighbor lattices: for every ordered
-pair of classes (a, b) and every prime p, one norm equation search over
-a * b^-1 finds the p-neighbors of b in the class of a, counted modulo
-the units of the left order of a.  Column sums Np + 1, whole unit orbits
-and an index Np^2 check of every witness certify the table.
+matrices (compute_theta) need no neighbor lattices: the p-neighbors of
+b in the class of a are the solutions of one norm equation over
+a * b^-1, counted modulo left multiplication by the units of the left
+order of a.  That solution set is also stable under right
+multiplication by the units of the left order of b, so one solution
+gives every neighbor of its double coset.  The table is filled one
+Brandt column (b, p) at a time, drawing solutions lazily from the norm
+equation walks of its cells in class order, and each column stops at
+Np + 1 neighbors.  Free and disjoint unit orbits, a bound of Np + 1 on
+every column, a norm and an index Np^2 check of every witness, and
+column sums of exactly Np + 1 certify the table.
 """
 
 from collections import Counter
@@ -20,7 +26,7 @@ from typing import NamedTuple
 from .arith import factor_int
 from .intmat import abs_det, identity_int, int_product
 from .numberfield import PrimeIdeal
-from .quaternion import QuatLattice, norm_equation_coords, norm_equation_solutions
+from .quaternion import QuatLattice, iter_norm_equation_coords, norm_equation_solutions
 from .residue import (
     FiniteField,
     LatticeQuotient,
@@ -399,45 +405,79 @@ def _norm_coset_targets(alg, G):
 
 
 def _unit_matrices(L, lams):
-    """Integer matrices of left multiplication by units on L.
+    """Integer matrices of multiplication by units on L, stacked.
 
-    lams holds the pairs (lam, d) of QuatAlgebra.left_matrix for the
-    units, computed once per class rather than once per lattice.  L must
-    be a left module over the order holding the units: row i of the
-    matrix M_g holds the coordinates of g * rows[i] / den on the basis
-    rows, so g * (x over the rows) is x M_g.  Each matrix comes back as
-    its columns, the form _orbit_representatives uses.
+    lams holds the pairs (lam, d) of QuatAlgebra.left_matrix or
+    right_matrix for the units, computed once per class rather than once
+    per lattice.  L must be a module over the order holding the units,
+    on that side: row i of the matrix M_g holds the coordinates of
+    rows[i] / den times g (g times it, for left matrices) on the basis
+    rows, so the image of x over the rows is x M_g.  Row i of the result
+    is row i of every M_g in turn, the form _images uses.
     """
-    out = []
+    out = [[] for _ in L.rows]
     for lam, d in lams:
         m = L.int_coords(int_product(L.rows, lam), L.den * d)
         if m is None:
             raise ArithmeticError("unit does not preserve the lattice")
-        out.append(list(zip(*m)))
+        for acc, row in zip(out, m):
+            acc += row
     return out
 
 
-def _orbit_representatives(sols, unit_cols):
-    """One coordinate vector per orbit of left multiplication by +-units.
-
-    sols are sign-normalized integer coordinate vectors of one norm
-    equation and unit_cols the column lists of _unit_matrices.  Two
-    solutions give the same neighbor exactly when they differ by such a
-    unit.  The orbits are free, so the count of solutions must be the
-    orbit count times the number of units.
-    """
-    seen = set()
+def _images(x, stacked):
+    """The images x M_g of x under the units of stacked (_unit_matrices),
+    in unit order, each sign-normalized: the first nonzero entry
+    positive, as the norm equation walk gives its vectors."""
+    acc = None
+    for xi, row in zip(x, stacked):
+        if xi:
+            acc = [xi * r for r in row] if acc is None else [a + xi * r for a, r in zip(acc, row)]
+    n = len(x)
     out = []
-    for x in sols:
-        if x in seen:
+    for k in range(0, len(acc), n):
+        y = acc[k:k + n]
+        out.append(tuple(y) if next(v for v in y if v) > 0 else tuple([-v for v in y]))
+    return out
+
+
+def _double_coset_orbits(seeds, left, right, covered, room):
+    """Witnesses of the left unit orbits met by the double cosets of seeds.
+
+    seeds are sign-normalized coordinate vectors of one norm equation,
+    drawn lazily; left and right are the stacked matrices of
+    _unit_matrices for G_a (left) and G_b (right), each group taken
+    modulo +-1.  A seed x in no orbit found so far gives the left orbits
+    of its right translates x h, h in G_b: G_a x G_b is a union of left
+    orbits, and every vector of the orbits found goes into covered.  The
+    lexicographic minimum of each new orbit is its witness.  The draw
+    stops once room orbits are found: room is what the Brandt column has
+    left of its Np + 1 neighbors.
+
+    Certificates, each raising ArithmeticError: every left orbit has
+    |G_a| distinct elements and holds its seed translate, no orbit meets
+    one found before, and the double cosets drawn hold no more than room
+    orbits.
+    """
+    out = []
+    for x in seeds:
+        if x in covered:
             continue
-        out.append(x)
-        for cols in unit_cols:
-            y = tuple([sum(map(mul, x, col)) for col in cols])
-            lead = next(v for v in y if v)
-            seen.add(y if lead > 0 else tuple([-v for v in y]))
-    if len(sols) != len(out) * len(unit_cols):
-        raise ArithmeticError("norm equation solutions are not whole unit orbits")
+        for y in _images(x, right):
+            if y in covered:
+                continue
+            images = _images(y, left)
+            orbit = set(images)
+            if len(orbit) != len(images) or y not in orbit:
+                raise ArithmeticError("left unit orbit is not free through its seed")
+            if not covered.isdisjoint(orbit):
+                raise ArithmeticError("left unit orbits of a cell overlap")
+            covered |= orbit
+            out.append(min(orbit))
+        if len(out) >= room:
+            if len(out) > room:
+                raise ArithmeticError("Brandt column exceeds Np + 1 orbits")
+            break
     return out
 
 
@@ -474,21 +514,33 @@ def compute_theta(cs, bound):
     For classes a, b and a prime p, the p-neighbors c of b in the class
     of a are the c = u^-1 a for u in L = a * b^-1 whose reduced norm
     generates J = nr(a) p nr(b)^-1, counted modulo left multiplication by
-    the units of the left order of a.  When J has no totally positive
-    generator the cell is empty: every narrow class has order 2, so that
-    is read off the narrow dlogs of nr(a), p and nr(b), taken once each,
-    and a generator is searched only for the narrowly trivial J.  With
-    beta that generator, one norm equation nr(u) = beta * e over L is
-    solved per coset target e (see _norm_coset_targets) and its
-    solutions are grouped into unit orbits, one witness each.  Solutions
-    stay integer coordinate vectors on the basis of L throughout: the
-    units act on them by integer matrices, the witness check runs on the
-    integer left matrices of L's rows (_product_columns), and only the
-    orbit representatives become quaternions.
+    G_a, the norm-one units of the left order of a.  When J has no
+    totally positive generator the cell is empty: every narrow class has
+    order 2, so that is read off the narrow dlogs of nr(a), p and
+    nr(b), taken once each, and a generator is searched only for the
+    narrowly trivial J.  With beta that generator, the solutions of
+    nr(u) = beta * e over L for the coset targets e
+    (_norm_coset_targets) are the neighbors of the cell.
+
+    The solutions are also stable under right multiplication by G_b,
+    the norm-one units of the left order of b, since u h b = u b.  So
+    the table is filled column by column: for each b and p, the
+    narrowly trivial cells are taken in class order, and each draws
+    seeds lazily from its norm equation walk; one seed gives every left
+    orbit of its double coset G_a u G_b (_double_coset_orbits).  Once
+    the column holds Np + 1 orbits, the walk and the later cells of the
+    column are skipped: a neighbor lies in one class only.  Each cell
+    lists the lexicographic minima of its orbits, sorted per target.
+    Solutions stay integer coordinate vectors on the basis of L
+    throughout: the units act on them by integer matrices, the witness
+    checks run on the norm forms of L and the integer left matrices of
+    L's rows (_product_columns), and only the witnesses become
+    quaternions.
 
     Certificates, each raising ArithmeticError: a narrowly trivial J has
-    a totally positive generator, every target's solutions are whole
-    orbits, every witness u has u * b inside a at index Np^2, and the
+    a totally positive generator, the orbit checks of
+    _double_coset_orbits, every witness u takes the target values on the
+    norm forms of L and has u * b inside a at index Np^2, and the
     neighbors of each b at each p number Np + 1 (check_norm_classes).
     """
     alg = cs.order.alg
@@ -498,31 +550,48 @@ def compute_theta(cs, bound):
     nrs = [r.nr_ideal() for r in reps]
     nr_bits = cs.norm_classes()
     p_bits = [F.narrow_dlog(pr.ideal) for pr in primes]
-    units = [
-        ([alg.left_matrix(g) for g in _norm_one_units(alg, G)], _norm_coset_targets(alg, G))
-        for G in cs.unit_groups
-    ]
+    norm_one = [_norm_one_units(alg, G) for G in cs.unit_groups]
+    lefts = [[alg.left_matrix(g) for g in units] for units in norm_one]
+    targets = [_norm_coset_targets(alg, G) for G in cs.unit_groups]
     entries = {}
     for bi, b in enumerate(reps):
         b_inv = b.inverse()
         nr_b_inv = nrs[bi].inverse()
-        for ai, a in enumerate(reps):
-            lams, targets = units[ai]
-            L = None
-            for pi, pr in enumerate(primes):
+        rights = [alg.right_matrix(h) for h in norm_one[bi]]
+        quotients = {}
+        for pi, pr in enumerate(primes):
+            room = pr.norm + 1
+            for ai, a in enumerate(reps):
+                if not room:
+                    break
                 if any(x ^ y ^ z for x, y, z in zip(nr_bits[ai], p_bits[pi], nr_bits[bi])):
                     continue
                 beta = F.narrowly_principal_generator(nrs[ai] * pr.ideal * nr_b_inv)
                 if beta is None:
                     raise ArithmeticError("narrowly trivial ideal has no totally positive generator")
-                if L is None:
+                if ai not in quotients:
                     L = a.compose(b_inv)
-                    unit_cols = _unit_matrices(L, lams)
-                    prod_cols = _product_columns(L, b)
+                    quotients[ai] = (
+                        L, _unit_matrices(L, lefts[ai]), _unit_matrices(L, rights),
+                        _product_columns(L, b),
+                    )
+                L, left, right, prod_cols = quotients[ai]
+                forms, D = L.norm_forms()
+                covered = set()
                 xs = []
-                for e in targets:
-                    sols = norm_equation_coords(L, F.mul(beta, e))
-                    xs += _orbit_representatives(sols, unit_cols)
+                for e in targets[ai]:
+                    alpha = F.mul(beta, e)
+                    seeds = iter_norm_equation_coords(L, alpha)
+                    found = _double_coset_orbits(seeds, left, right, covered, room)
+                    room -= len(found)
+                    want = [D * c for c in alpha]
+                    for x in found:
+                        if [sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, N))
+                                for N in forms] != want:
+                            raise ArithmeticError("theta witness does not have the target norm")
+                    xs += sorted(found)
+                    if not room:
+                        break
                 for x in xs:
                     # the coordinates of u * b over a: integral exactly when
                     # u * b lies in a, with |det| the index
@@ -532,6 +601,8 @@ def compute_theta(cs, bound):
                         raise ArithmeticError("theta witness does not map b into a at index Np^2")
                 if xs:
                     entries[(pi, ai, bi)] = [L.vector(x) for x in xs]
+    # keys in (b, a, p) order, whatever order the columns were walked in
+    entries = {k: entries[k] for k in sorted(entries, key=lambda k: (k[2], k[1], k[0]))}
     th = ThetaTable(bound=bound, primes=primes, entries=entries)
     check_norm_classes(th, nr_bits, p_bits)
     return th

@@ -207,7 +207,9 @@ def build_splitting(cs, N):
     """Split the order at every level prime and check the resulting maps.
 
     Checks: the level avoids the support, the identity maps to the
-    identity, determinants match reduced norms on every stored unit, and
+    identity, determinants match reduced norms on every stored unit (the
+    norm each unit was solved for, UnitGroup.norms, reduced once per
+    distinct norm and level prime), and
     multiplicativity holds on a sample of unit products.  The unit images
     computed for the determinant check are kept in sm.unit_images.  The
     checked map is kept in cs.splittings, so each level is split once
@@ -233,13 +235,15 @@ def build_splitting(cs, N):
     if sm.image(alg.one) != sm.identity_image():
         raise ArithmeticError("splitting does not fix the identity")
     sample = []
+    dets = {}  # residue codes of each unit norm, one per level prime
     for units in cs.unit_groups:
         images = []
-        for u in units.elements:
+        for u, nr in zip(units.elements, units.norms):
             mats = sm.image(u)
-            nr = alg.nr(u)
-            for comp, m in zip(sm.components, mats):
-                if mat2_det(comp.k, m) != comp.reduce_scalar(nr):
+            if nr not in dets:
+                dets[nr] = [comp.reduce_scalar(nr) for comp in sm.components]
+            for comp, m, det in zip(sm.components, mats, dets[nr]):
+                if mat2_det(comp.k, m) != det:
                     raise ArithmeticError("splitting determinant mismatch")
             images.append(mats)
             sample.append((u, mats))

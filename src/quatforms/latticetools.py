@@ -5,13 +5,14 @@ Fincke-Pohst enumeration of short vectors each scale their Gram to
 integers once and then run on Python ints: integral LLL keeps the
 Gram-Schmidt data as integer minors d_i and lambda_ij = d_{j+1} mu_ij
 (_gram_schmidt_row), and the enumeration reads its integer Cholesky form
-off the same data.  enumerate_norm is the exact shell enumeration that
-norm-equation searches are built on: it walks only vectors of the given
-value, solving the last coordinate by one integer square root, and can
-test further integer forms on each shell vector before mapping it back;
-on a lattice without an ambient basis it returns integer coefficient
-vectors.  Integer roots serve the unit search of the field code.  No
-floating point is used anywhere.
+off the same data.  iter_norm is the exact shell walk that norm-equation
+searches are built on: it walks only vectors of the given value, solving
+the last coordinate by one integer square root, can test further
+integer forms on each shell vector before mapping it back, and yields
+the survivors lazily; on a lattice without an ambient basis they are
+integer coefficient vectors.  enumerate_norm is its whole walk, sorted.
+Integer roots serve the unit search of the field code.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -296,18 +297,20 @@ class NormSolutions:
     vectors: list
 
 
-def enumerate_norm(lat: TraceFormLattice, t, forms=()) -> NormSolutions:
-    """All lattice vectors with Q(x) = t, up to sign.
+def iter_norm(lat: TraceFormLattice, t, forms=()):
+    """The lattice vectors with Q(x) = t, one per +-pair, as the walk
+    finds them.
 
     Reduces the basis first, then walks the shell Q(x) = t alone
-    (fincke_pohst with shell=True).  forms holds pairs (N, v) of integer
-    forms on the coefficient vectors and the values they must take: each
-    is carried to the reduced basis once, as u N u^T for the LLL
-    transform u, and every shell vector is tested there, so only the
-    vectors that pass are mapped back.  Vectors come back in ambient
-    coordinates, sign-normalized (first nonzero entry positive) and
-    sorted, so the result does not depend on the input basis.  Without
-    an ambient basis they are coefficient vectors, integer tuples.
+    (fincke_pohst with shell=True), lazily: a caller that has what it
+    needs stops the walk by dropping the iterator.  forms holds pairs
+    (N, v) of integer forms on the coefficient vectors and the values
+    they must take: each is carried to the reduced basis once, as
+    u N u^T for the LLL transform u, and every shell vector is tested
+    there, so only the vectors that pass are mapped back.  Vectors come
+    in ambient coordinates, sign-normalized (first nonzero entry
+    positive); without an ambient basis they are coefficient vectors,
+    integer tuples.
     """
     t = Fraction(t)
     if t <= 0:
@@ -327,20 +330,22 @@ def enumerate_norm(lat: TraceFormLattice, t, forms=()) -> NormSolutions:
     cols = list(zip(*rows))
     ut = list(zip(*u))
     reduced = [(int_product(int_product(u, N), ut), v) for N, v in forms]
-    found = []
-    seen = 0
     for coords, val in fincke_pohst(g2, t, shell=True):
-        seen += 1
         if val != t or any(_quad(N, coords) != v for N, v in reduced):
             continue
         vec = [sum(map(mul, coords, col)) for col in cols]
         lead = next(v for v in vec if v)
         if lead < 0:
             vec = [-v for v in vec]
-        found.append(tuple(vec))
-    found.sort()
-    log.debug("enumerate_norm rank=%d t=%s shell=%d hits=%d",
-              n, t, seen, len(found))
+        yield tuple(vec)
+
+
+def enumerate_norm(lat: TraceFormLattice, t, forms=()) -> NormSolutions:
+    """All lattice vectors with Q(x) = t, up to sign: the whole walk of
+    iter_norm, sorted, so the result does not depend on the input
+    basis."""
+    found = sorted(iter_norm(lat, t, forms))
+    log.debug("enumerate_norm rank=%d t=%s hits=%d", len(lat.gram), t, len(found))
     return NormSolutions(vectors=found)
 
 

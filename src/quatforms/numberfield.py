@@ -175,6 +175,7 @@ class FieldCtx:
         self.narrow_gens: list[FieldIdeal] = []
         self.narrow_class_number: int | None = None
         self._primes_cache = {}
+        self._generators = {}  # (rows, den) -> principal_generator
 
     # -- basic element arithmetic ------------------------------------
 
@@ -362,7 +363,18 @@ class FieldCtx:
         return norm_int * abs(a) + r + (r * r != s) + 1
 
     def principal_generator(self, a: "FieldIdeal"):
-        """A generator of a, or None (certified) if a is not principal."""
+        """A generator of a, or None (certified) if a is not principal.
+
+        Each ideal is searched once: the answer is kept by its canonical
+        (rows, den).
+        """
+        key = (a.rows, a.den)
+        if key not in self._generators:
+            self._generators[key] = self._search_generator(a)
+        return self._generators[key]
+
+    def _search_generator(self, a: "FieldIdeal"):
+        """The short vector search of principal_generator."""
         rows = [self.el(r) for r in a.rows]
         target = abs(a.rows[0][0] * a.rows[1][1])
         bound = self._generator_bound(target)

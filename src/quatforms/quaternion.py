@@ -37,7 +37,7 @@ from .intmat import (
     inverse_rows,
     lattice_coords,
 )
-from .latticetools import TraceFormLattice, enumerate_norm
+from .latticetools import TraceFormLattice, enumerate_norm, iter_norm
 from .residue import (
     LatticeQuotient,
     algebra_radical,
@@ -53,6 +53,15 @@ from .residue import (
 log = logging.getLogger(__name__)
 
 _ZERO = Fraction(0)
+
+
+def _integral_element(x):
+    """(d, d * x): x, of int or Fraction entries, over its least common
+    denominator, as integers; an integer x is taken as it is, with d = 1."""
+    if all(type(c) is int for c in x):
+        return 1, x
+    d = lcm(*(c.denominator for c in x))
+    return d, [c.numerator * (d // c.denominator) for c in x]
 
 
 class QuatAlgebra:
@@ -189,11 +198,7 @@ class QuatAlgebra:
         an integer x is taken as it is, with d = 1.  Row t of M is
         x * e_t, summed over the nonzero structure constants only.
         """
-        if all(type(c) is int for c in x):
-            d, xs = 1, x
-        else:
-            d = lcm(*(Fraction(c).denominator for c in x))
-            xs = [int(Fraction(c) * d) for c in x]
+        d, xs = _integral_element(x)
         N = self.dim
         out = []
         for entries in self.sparse_table():
@@ -202,6 +207,21 @@ class QuatAlgebra:
                 if xs[s]:
                     row[u] += c * xs[s]
             out.append(row)
+        return out, d
+
+    def right_matrix(self, x):
+        """(M, d): y -> y * x is y -> y M / d on ambient row vectors.
+
+        As left_matrix, from the same sparse table: row s of M is
+        e_s * x = sum_t x_t e_s * e_t.
+        """
+        d, xs = _integral_element(x)
+        N = self.dim
+        out = [[0] * N for _ in range(N)]
+        for t, entries in enumerate(self.sparse_table()):
+            if xs[t]:
+                for s, u, c in entries:
+                    out[s][u] += c * xs[t]
         return out, d
 
     def conj(self, x):
@@ -562,7 +582,9 @@ def _idealizer_growth(order, quo, ideal_rows, p):
     rows = [[p * c for c in row] for row in order.rows]
     rows += [quo.lift(r) for r in ideal_rows]
     lat = QuatLattice(order.alg, rows, order.den)
-    for cand in (lat.left_order(), lat.right_order()):
+    # the right order is stabilized only when the left order did not grow
+    for order_of in (lat.left_order, lat.right_order):
+        cand = order_of()
         if cand != order:
             if not cand.contains_lattice(order):
                 raise ArithmeticError("idealizer does not contain the order")
@@ -726,24 +748,20 @@ def trace_form_gram(lat, w):
     return gram, Fraction(den * D, 2 * g)
 
 
-def norm_equation_coords(lat, alpha):
-    """All x with nr(sum_i x_i rows[i] / den) = alpha, one per +-pair.
-
-    x runs over integer coordinate vectors on the basis rows of the
-    lattice; the result is sorted with the first nonzero entry of each
-    vector positive.  The basis rows are upper triangular with a
-    positive diagonal, so this order and sign are those of the ambient
-    vectors (QuatLattice.vector) as well.
+def _norm_shell(lat, alpha):
+    """The shell search for nr(x) = alpha on lat: (TraceFormLattice,
+    value, forms) for latticetools.iter_norm, or None when no lattice
+    vector can have that norm.
 
     With w = N(alpha) / alpha, a solution x has w nr(x) = N(alpha), a
     rational number, so it lies on the shell Tr(w trd(x conj x)) =
     2 n N(alpha) of the form weighted by w (n the field degree).  The
     weight is totally positive exactly when alpha is, which makes the
-    form definite and the shell finite.  enumerate_norm walks that shell
-    alone on the integer Gram of trace_form_gram and keeps a vector when
-    each norm form takes the value D * alpha_k on it; the forms are
-    tested on the LLL-reduced coordinates, and only solutions are mapped
-    back.  No ambient vector and no Fraction is built per shell vector.
+    form definite and the shell finite.  The walk runs on the integer
+    Gram of trace_form_gram and keeps a vector when each norm form takes
+    the value D * alpha_k on it; the forms are tested on the LLL-reduced
+    coordinates, and only solutions are mapped back.  No ambient vector
+    and no Fraction is built per shell vector.
     """
     F = lat.alg.base
     alpha = F.el(alpha) if not isinstance(alpha, int) else F.from_int(alpha)
@@ -752,14 +770,37 @@ def norm_equation_coords(lat, alpha):
     forms, D = lat.norm_forms()
     want = [D * a for a in alpha]
     if any(v.denominator != 1 for v in want):
-        return []  # D nr(x) is integral on the lattice
+        return None  # D nr(x) is integral on the lattice
     nm = F.norm(alpha)
     gram, scale = trace_form_gram(lat, F.smul(nm, F.inv(alpha)))
-    shell = enumerate_norm(
+    return (
         TraceFormLattice(gram=gram), scale * 2 * F.degree * nm,
         [(N, int(v)) for N, v in zip(forms, want)],
     )
-    return shell.vectors
+
+
+def iter_norm_equation_coords(lat, alpha):
+    """The x with nr(sum_i x_i rows[i] / den) = alpha, one per +-pair,
+    in the order the shell walk finds them (_norm_shell).
+
+    x runs over integer coordinate vectors on the basis rows of the
+    lattice, with the first nonzero entry positive.  The walk is lazy:
+    a caller stops it by dropping the iterator.  A target that is not
+    totally positive raises ValueError at the call.
+    """
+    shell = _norm_shell(lat, alpha)
+    return iter(()) if shell is None else iter_norm(*shell)
+
+
+def norm_equation_coords(lat, alpha):
+    """All x of iter_norm_equation_coords, sorted.
+
+    The basis rows are upper triangular with a positive diagonal, so this
+    order and sign are those of the ambient vectors (QuatLattice.vector)
+    as well.  The sorted walk is latticetools.enumerate_norm.
+    """
+    shell = _norm_shell(lat, alpha)
+    return [] if shell is None else enumerate_norm(*shell).vectors
 
 
 def norm_equation_solutions(lat, alpha):

@@ -7,16 +7,18 @@ products of basis vectors by field and quaternion multiplication,
 determinants by rational elimination, the Cholesky form of the short
 vector walk, dense left multiplication matrices, HNF inverses by
 rational substitution, lattice coordinates, the structure table from
-quaternion products of basis vectors and the order test on them.  Tests state rational data through them and check
-the integer builders against them.
+quaternion products of basis vectors and the order test on them, and
+the theta table by full enumeration of every cell.  Tests state
+rational data through them and check the integer builders against them.
 """
 
 import math
 from fractions import Fraction
 
+from quatforms.classset import _norm_coset_targets
 from quatforms.intmat import hnf_coords, integral_rows
 from quatforms.matrices import Matrix
-from quatforms.quaternion import QuatLattice
+from quatforms.quaternion import QuatLattice, norm_equation_solutions
 
 
 def ref_matrix(rows):
@@ -171,3 +173,44 @@ def ref_is_order(lat):
     if not all(F.is_integral(alg.trd(x)) and F.is_integral(alg.nr(x)) for x in bs):
         return False
     return all(contains(alg.mul(x, y)) for x in bs for y in bs)
+
+
+def ref_theta_entries(cs, bound):
+    """compute_theta's entries by full enumeration.
+
+    For every ordered pair of classes (a, b) and every prime, all
+    solutions of the cell's norm equations over a * b^-1 are listed,
+    sorted, per coset target, and grouped into orbits of left
+    multiplication by the norm-one units of the left order of a, in
+    Fraction products; the first solution of each orbit, its least, is
+    the witness.  A cell is searched whenever its ideal has a totally
+    positive generator.
+    """
+    alg = cs.order.alg
+    F = alg.base
+    reps = cs.representatives
+    primes = F.prime_ideals_up_to(bound)
+    entries = {}
+    for bi, b in enumerate(reps):
+        for ai, a in enumerate(reps):
+            G = cs.unit_groups[ai]
+            units = [g for g, e in zip(G.elements, G.norms) if e == F.one]
+            L = a.compose(b.inverse())
+            for pi, pr in enumerate(primes):
+                J = a.nr_ideal() * pr.ideal * b.nr_ideal().inverse()
+                beta = F.narrowly_principal_generator(J)
+                if beta is None:
+                    continue
+                xs = []
+                for e in _norm_coset_targets(alg, G):
+                    seen = set()
+                    for x in norm_equation_solutions(L, F.mul(beta, e)):
+                        if x in seen:
+                            continue
+                        xs.append(x)
+                        for g in units:
+                            y = alg.mul(g, x)
+                            seen.add(alg.neg(y) if next(v for v in y if v) < 0 else y)
+                if xs:
+                    entries[(pi, ai, bi)] = xs
+    return entries

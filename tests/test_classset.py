@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatforms.classset import (
+    _double_coset_orbits,
+    _images,
     _norm_one_units,
     _unit_matrices,
     compute_class_set,
@@ -26,6 +28,7 @@ from fraction_refs import (
     ref_iscale,
     ref_lattice,
     ref_lmul,
+    ref_theta_entries,
 )
 from quatforms.intmat import integral_preimage_rows, integral_rows
 from quatforms.latticetools import TraceFormLattice, enumerate_norm
@@ -234,7 +237,9 @@ def test_unit_group_keeps_the_norms_it_solved_for():
 
 def test_theta_searches_generators_only_for_trivial_classes(monkeypatch):
     # narrow dlogs decide which cells can be nonempty; every generator
-    # search compute_theta runs outside narrow_dlog finds one
+    # search compute_theta runs outside narrow_dlog finds one.  Half the
+    # cells are narrowly trivial, and the two that come after their
+    # column already holds Np + 1 neighbors are not searched
     cs = class_set("quad:10")
     F = cs.order.alg.base
     search, dlog = F.narrowly_principal_generator, F.narrow_dlog
@@ -258,7 +263,8 @@ def test_theta_searches_generators_only_for_trivial_classes(monkeypatch):
     monkeypatch.setattr(F, "narrowly_principal_generator", counted_search)
     th = compute_theta(cs, 12)
     cells = cs.size ** 2 * len(th.primes)
-    assert len(found) == cells // 2 == 32
+    assert cells // 2 == 32
+    assert len(found) == 30
     assert None not in found
 
 
@@ -733,33 +739,129 @@ def test_isomorphism_witness_checked_under_optimize(run_optimized):
 
 
 def test_theta_orbit_count_checked_under_optimize(run_optimized):
-    # a norm equation search that reports every solution twice must be
-    # caught by the orbit count with asserts stripped
+    # a right translate by 2 h, which is not a unit of O_l(b), and a norm
+    # equation walk that yields 2 x for each solution x both give orbits
+    # of four times the norm; with asserts stripped the witness norm
+    # check must catch each
+    prelude = (
+        "from quatforms import classset\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import QuatAlgebra, hilbert_ramification_free_algebra\n"
+        "alg = hilbert_ramification_free_algebra(field_from_spec('quad:5'))\n"
+        "cs = classset.compute_class_set(alg.maximal_order(), [])\n"
+    )
+    faults = (
+        "right = QuatAlgebra.right_matrix\n"
+        "def doubled(self, x):\n"
+        "    m, d = right(self, x)\n"
+        "    return [[2 * c for c in row] for row in m], d\n"
+        "QuatAlgebra.right_matrix = doubled\n",
+        "walk = classset.iter_norm_equation_coords\n"
+        "classset.iter_norm_equation_coords = lambda lat, alpha: (\n"
+        "    tuple(2 * c for c in x) for x in walk(lat, alpha))\n",
+    )
+    for fault in faults:
+        out = run_optimized(
+            prelude + fault
+            + "try:\n"
+            "    print('returned', classset.compute_theta(cs, 4))\n"
+            "except ArithmeticError as exc:\n"
+            "    print('ArithmeticError:', exc)\n"
+        )
+        assert out.startswith("ArithmeticError: theta witness does not have the target norm")
+
+
+def test_theta_index_checked_under_optimize(run_optimized):
+    # product columns for 2 b instead of b put every u * b inside a at
+    # index 2^8 Np^2; with asserts stripped the index check must catch it
     out = run_optimized(
         "from quatforms import classset\n"
         "from quatforms.numberfield import field_from_spec\n"
         "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
         "alg = hilbert_ramification_free_algebra(field_from_spec('quad:5'))\n"
         "cs = classset.compute_class_set(alg.maximal_order(), [])\n"
-        "solve = classset.norm_equation_coords\n"
-        "classset.norm_equation_coords = lambda lat, alpha: 2 * solve(lat, alpha)\n"
+        "product = classset._product_columns\n"
+        "classset._product_columns = lambda L, b: [\n"
+        "    [tuple(2 * v for v in col) for col in cols] for cols in product(L, b)]\n"
         "try:\n"
         "    print('returned', classset.compute_theta(cs, 4))\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
-    assert out.startswith("ArithmeticError: norm equation solutions are not whole unit orbits")
+    assert out.startswith("ArithmeticError: theta witness does not map b into a at index Np^2")
+
+
+def test_double_coset_certificates_under_optimize(run_optimized):
+    # unit matrices that are no group, on three coordinates: a repeated
+    # unit leaves an orbit short of |G_a| elements, a shift e1 -> e2 ->
+    # e3 makes the orbits of e2 and e1 meet, and a right translate that
+    # moves e1 to e2 under trivial left units gives two orbits where the
+    # column has room for one.  Each must raise with asserts stripped
+    out = run_optimized(
+        "from quatforms.classset import _double_coset_orbits\n"
+        "one = [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]]\n"
+        "shift = [[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0]]\n"
+        "ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+        "e1, e2 = (1, 0, 0), (0, 1, 0)\n"
+        "cases = ((one, ident, [e1], 3), (shift, ident, [e2, e1], 3), (ident, shift, [e1], 1))\n"
+        "for left, right, seeds, room in cases:\n"
+        "    try:\n"
+        "        print('returned', _double_coset_orbits(seeds, left, right, set(), room))\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('ArithmeticError:', exc)\n"
+    )
+    assert out.splitlines() == [
+        "ArithmeticError: left unit orbit is not free through its seed",
+        "ArithmeticError: left unit orbits of a cell overlap",
+        "ArithmeticError: Brandt column exceeds Np + 1 orbits",
+    ]
+
+
+def test_double_coset_orbits_stop_at_room():
+    # on Z^2 with no left unit but the identity and the swap as a right
+    # translate, the seed (1, 2) gives the orbits of (1, 2) and (2, 1);
+    # once the room is used up no further seed is drawn
+    ident = [[1, 0], [0, 1]]
+    swap = [[1, 0, 0, 1], [0, 1, 1, 0]]
+    drawn = []
+
+    def seeds():
+        for x in [(1, 2), (3, 4)]:
+            drawn.append(x)
+            yield x
+
+    covered = set()
+    assert _double_coset_orbits(seeds(), ident, swap, covered, 2) == [(1, 2), (2, 1)]
+    assert drawn == [(1, 2)]
+    assert covered == {(1, 2), (2, 1)}
+    assert _double_coset_orbits(iter([(2, 1), (3, 4)]), ident, swap, covered, 5) == [
+        (3, 4), (4, 3)
+    ]
+
+
+@pytest.mark.parametrize("spec,bound", [("quad:3", 4), ("quad:5", 11), ("quad:10", 12),
+                                        ("quad:85", 4)])
+def test_theta_matches_full_enumeration(spec, bound):
+    # the double coset walk with its early stop against the full
+    # enumeration of every cell, entry by entry and in key order
+    cs = class_set(spec)
+    got = compute_theta(cs, bound).entries
+    want = ref_theta_entries(cs, bound)
+    assert list(got) == list(want)
+    for key, us in want.items():
+        assert got[key] == us, key
 
 
 @functools.cache
 def class_pair_lattices(spec, limit=None):
-    """(a, L) with L = a * b^-1 for ordered pairs of class representatives."""
+    """(ai, bi, L) with L = a * b^-1 for ordered pairs of class
+    representatives a, b."""
     cs = class_set(spec)
     reps = cs.representatives
     pairs = [(ai, bi) for ai in range(len(reps)) for bi in range(len(reps))]
     if limit is not None:
         pairs = random.Random(spec).sample(pairs, min(limit, len(pairs)))
-    return [(ai, reps[ai].compose(reps[bi].inverse())) for ai, bi in pairs]
+    return [(ai, bi, reps[ai].compose(reps[bi].inverse())) for ai, bi in pairs]
 
 
 def reference_norm_equation_solutions(lat, alpha):
@@ -785,7 +887,7 @@ def reference_norm_equation_solutions(lat, alpha):
 def test_norm_forms_match_reduced_norm(spec, data):
     # nr(x) = sum_k (x N_k x^T / D) w_k on random integer coordinates, over
     # the maximal order and over the ideal quotients theta searches
-    lats = [maximal_order(spec)] + [L for _, L in class_pair_lattices(spec, limit=6)]
+    lats = [maximal_order(spec)] + [L for _, _, L in class_pair_lattices(spec, limit=6)]
     lat = data.draw(st.sampled_from(lats))
     alg = lat.alg
     x = data.draw(st.lists(st.integers(-30, 30), min_size=alg.dim, max_size=alg.dim))
@@ -799,16 +901,21 @@ def test_norm_forms_match_reduced_norm(spec, data):
 
 @pytest.mark.parametrize("spec", ["quad:5", "quad:10", "quad:85"])
 def test_unit_matrices_match_quaternion_products(spec):
-    # x M_g holds the coordinates of g * x on the lattice basis
+    # the images of x under the stacked unit matrices are the coordinates
+    # of g * x (norm-one units of O_l(a)) and of x * h (those of O_l(b)) on
+    # the basis of L = a * b^-1, sign-normalized, in unit order
     cs = class_set(spec)
     rng = random.Random(7)
-    for ai, L in class_pair_lattices(spec, limit=4):
-        units = _norm_one_units(L.alg, cs.unit_groups[ai])
-        lams = [L.alg.left_matrix(g) for g in units]
-        for g, cols in zip(units, _unit_matrices(L, lams)):
-            x = [rng.randint(-5, 5) for _ in range(L.alg.dim)]
-            y = [sum(a * b for a, b in zip(x, col)) for col in cols]
-            assert L.vector(y) == L.alg.mul(g, L.vector(x))
+    for ai, bi, L in class_pair_lattices(spec, limit=4):
+        alg = L.alg
+        x = [rng.randint(-5, 5) for _ in range(alg.dim)]
+        u = L.vector(x)
+        left = _norm_one_units(alg, cs.unit_groups[ai])
+        right = _norm_one_units(alg, cs.unit_groups[bi])
+        ys = _images(x, _unit_matrices(L, [alg.left_matrix(g) for g in left]))
+        assert [L.vector(y) for y in ys] == [sign_normal(alg, alg.mul(g, u)) for g in left]
+        ys = _images(x, _unit_matrices(L, [alg.right_matrix(h) for h in right]))
+        assert [L.vector(y) for y in ys] == [sign_normal(alg, alg.mul(u, h)) for h in right]
 
 
 @pytest.mark.parametrize("spec,limit", [("quad:3", None), ("quad:5", None),
@@ -820,7 +927,7 @@ def test_norm_equation_solutions_match_fraction_reference(spec, limit):
     F = cs.order.alg.base
     primes = F.prime_ideals_up_to(5)
     nonempty = 0
-    for ai, L in class_pair_lattices(spec, limit):
+    for ai, _, L in class_pair_lattices(spec, limit):
         for pr in primes:
             beta = F.narrowly_principal_generator(L.nr_ideal() * pr.ideal)
             if beta is None:

@@ -20,7 +20,7 @@ from quatforms.heckespace import (
 )
 from quatforms.numberfield import FieldIdeal, field_from_spec
 from quatforms.polynomials import factor_poly
-from quatforms.quaternion import hilbert_ramification_free_algebra
+from quatforms.quaternion import QuatAlgebra, hilbert_ramification_free_algebra
 
 
 @functools.cache
@@ -382,6 +382,32 @@ def test_splitting_kept_per_level_on_the_class_set(monkeypatch):
     assert cs.splittings == {N: sm}
     assert build_splitting(cs, level(F, 41)) is not sm
     assert reduced
+
+
+def test_splitting_reduces_each_unit_norm_once(monkeypatch):
+    # the determinant check reads each unit's norm off the unit group and
+    # reduces every distinct norm once per level prime, in integers; quad:3
+    # has units of norm 1 and 2 + sqrt 3
+    cs = class_set("quad:3")
+    F = cs.order.alg.base
+    N = level(F, 11, 13)
+    monkeypatch.setattr(cs, "splittings", {})
+    reduced = []
+    reduce_scalar = _LevelComponent.reduce_scalar
+
+    def counting(self, c):
+        reduced.append((self.prime, c))
+        return reduce_scalar(self, c)
+
+    def refuse(self, x):
+        raise AssertionError("reduced norm recomputed")
+
+    monkeypatch.setattr(_LevelComponent, "reduce_scalar", counting)
+    monkeypatch.setattr(QuatAlgebra, "nr", refuse)
+    sm = build_splitting(cs, N)
+    norms = {e for G in cs.unit_groups for e in G.norms}
+    assert len(norms) == 2
+    assert len(reduced) == len(set(reduced)) == len(norms) * len(sm.components) == 4
 
 
 def test_level_three_over_quad10_clears_denominators(monkeypatch):

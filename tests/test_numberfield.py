@@ -355,6 +355,30 @@ def test_principal_generator_random():
             assert g is not None and F.principal_ideal(g) == a
 
 
+def test_principal_generator_searches_each_ideal_once(monkeypatch):
+    # the answer is kept by the canonical basis, so an equal ideal built
+    # another way, or a repeated narrow test, searches nothing again
+    F = F10()
+    searched = []
+    search = FieldCtx._search_generator
+
+    def counted(self, a):
+        searched.append(a)
+        return search(self, a)
+
+    monkeypatch.setattr(FieldCtx, "_search_generator", counted)
+    P2 = F.primes_above(2)[0][0]
+    a = P2 * F.ideal(7)
+    b = F.ideal(7) * P2
+    assert F.principal_generator(a) is None
+    assert F.principal_generator(b) is None
+    assert F.narrowly_principal_generator(a) is None
+    g = F.principal_generator(F.ideal(31, (14, 1)))
+    assert F.narrowly_principal_generator(F.principal_ideal((11, 3))) is not None
+    assert F.principal_generator(F.ideal(31, (14, 1))) == g
+    assert searched == [a, F.ideal(31, (14, 1))]
+
+
 def test_narrow_principality():
     F = F10()
     P2 = F.primes_above(2)[0][0]

@@ -216,6 +216,34 @@ def test_maximal_orders_pinned():
         assert hashlib.sha256(repr((top.rows, top.den, trail)).encode()).hexdigest() == digest
 
 
+def test_idealizer_stabilizes_right_order_only_when_left_did_not_grow(monkeypatch):
+    # each idealizer step stabilizes the left order of the lifted ideal,
+    # and its right order only when the left order is the order itself
+    stabilizer, growth = QuatLattice._stabilizer, quaternion._idealizer_growth
+    sides = []
+    steps = []
+
+    def recorded(self, left):
+        out = stabilizer(self, left)
+        sides.append((left, out))
+        return out
+
+    def recorded_growth(order, *args):
+        start = len(sides)
+        out = growth(order, *args)
+        steps.append((sides[start][1] != order, [left for left, _ in sides[start:]]))
+        return out
+
+    monkeypatch.setattr(QuatLattice, "_stabilizer", recorded)
+    monkeypatch.setattr(quaternion, "_idealizer_growth", recorded_growth)
+    for F in (F5, F10, F85):
+        # a fresh algebra, so maximalize finds nothing kept
+        maximalize(_alg(F).standard_order())
+    assert steps
+    assert all(got == ([True] if grew else [True, False]) for grew, got in steps)
+    assert any(grew for grew, _ in steps) and not all(grew for grew, _ in steps)
+
+
 def test_setup_builds_no_fraction_quaternion_product(monkeypatch):
     # the algebra search and the maximal order run on the integer table
     def refuse(*args):
@@ -457,6 +485,19 @@ def test_left_matrix_matches_dense_reference(F):
         assert alg.left_matrix(q) == ref_left_matrix(alg, q)
     for row in alg.maximal_order().rows:
         assert alg.left_matrix(row) == ref_left_matrix(alg, row)
+
+
+@pytest.mark.parametrize("F", [F5, F85], ids=["quad:5", "quad:85"])
+def test_right_matrix_matches_quaternion_products(F):
+    # y M / d is the Fraction product y * x, for rational x
+    alg = hilbert_ramification_free_algebra(F)
+    rng = random.Random(23)
+    for _ in range(20):
+        x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(alg.dim))
+        y = [rng.randint(-9, 9) for _ in range(alg.dim)]
+        m, d = alg.right_matrix(x)
+        got = tuple(Fraction(sum(a * row[u] for a, row in zip(y, m)), d) for u in range(alg.dim))
+        assert got == alg.mul(tuple(map(Fraction, y)), x)
 
 
 def test_left_matrix_builds_no_fraction_on_integers(monkeypatch):
