@@ -56,15 +56,17 @@ class ResidueSplitting(NamedTuple):
 
 
 def split_residue_matrix(R, prime):
-    """The splitting of R at prime, kept in R._splits, where callers look
-    first: each (order, prime) pair is built once.
+    """The splitting of R at prime, built once per (order, prime) pair
+    and kept in R._splits, which only this function reads.
 
     k is the image of the base ring, on the rref basis of the images of
     its integral basis; the idempotent search draws from one fixed
     random stream, so the splitting is the same on every run.
     """
-    alg = R.alg
     ideal, ell, f = _prime_parts(prime)
+    if ideal in R._splits:
+        return R._splits[ideal]
+    alg = R.alg
     pR = R.iscale(ideal)
     quo = LatticeQuotient(R.rows, R.den, pR.rows, pR.den, ell, alg.sparse_table())
     A = quo.algebra
@@ -126,7 +128,7 @@ def neighbors(b, p):
     ideal, ell, f = _prime_parts(p)
     npn = ell ** f
     R = b.right_order()
-    res = R._splits.get(ideal) or split_residue_matrix(R, ideal)
+    res = split_residue_matrix(R, ideal)
 
     big = b.iscale(ideal.inverse())
     V = QuotientSpace(big.rows, big.den, b.rows, b.den, ell)

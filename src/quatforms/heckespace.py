@@ -106,7 +106,7 @@ class _LevelComponent:
     def __init__(self, order, prime):
         self.order = order
         self.prime = prime
-        self.res = order._splits.get(prime) or split_residue_matrix(order, prime)
+        self.res = split_residue_matrix(order, prime)
         self.k = self.res.k
         self.lam = self.res.lam
         self._mult_cache = {}
@@ -120,7 +120,8 @@ class _LevelComponent:
         v = J.valuation(self.prime)
         if v:
             J = J * self.prime.inverse() ** v
-        assert J.den == 1
+        if J.den != 1:
+            raise ArithmeticError("multiplier ideal is not integral")
         n = F.degree
         stacked = [list(r) for r in J.rows] + [list(r) for r in self.prime.rows]
         H, U = hnf_with_transform(stacked)

@@ -16,16 +16,15 @@ gives the canonical form of a lattice in it: HNF rows, full rank, and
 no common factor of the denominator and every entry, so equal lattices
 have equal (rows, den).  integral_rows clears Fraction input into it.
 
-hnf_coords solves coordinates over an HNF basis by substitution, for
-lattice membership.  inverse_rows gives the inverse of a square HNF as
-an integer matrix over one denominator, by integer back-substitution, so
-that coordinates of integer matrices (lattice_coords) are one
-int_product.
+Coordinates and membership run in integers: inverse_rows gives the
+inverse of a square HNF as an integer matrix over one denominator, by
+integer back-substitution, so that the coordinates of integer vectors
+over a lattice (lattice_coords) are one int_product, and a vector lies in
+the lattice exactly when they are integral.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -138,33 +137,6 @@ def hnf_with_transform(mat):
     m = len(mat[0]) if n else 0
     h = hnf_rows([list(row) + e for row, e in zip(mat, identity_int(n))])
     return [row[:m] for row in h], [row[m:] for row in h]
-
-
-def hnf_coords(hnf, vec, den=1):
-    """Coordinates w with vec = w * hnf / den, by forward substitution.
-
-    `hnf` holds integer echelon rows (hnf_rows output, or any rows whose
-    first nonzero entries move strictly right).  `vec` holds ints or
-    Fractions.  The coordinates are Fractions; all are integral exactly
-    when vec lies in the lattice spanned by hnf / den.  Raises ValueError
-    when vec is outside the rational span of the rows.
-    """
-    t = [Fraction(v) * den for v in vec]
-    out = []
-    last = -1
-    for row in hnf:
-        j = next((i for i, c in enumerate(row) if c), -1)
-        if j <= last:
-            raise ValueError("basis rows are not in echelon form")
-        last = j
-        c = t[j] / row[j]
-        out.append(c)
-        if c:
-            for i in range(j, len(t)):
-                t[i] -= c * row[i]
-    if any(t):
-        raise ValueError("vector outside the span of the basis rows")
-    return out
 
 
 def lattice_coords(inv, lat_den, mat, den):

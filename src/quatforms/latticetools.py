@@ -11,8 +11,7 @@ the last coordinate by one integer square root, can test further
 integer forms on each shell vector before mapping it back, and yields
 the survivors lazily; on a lattice without an ambient basis they are
 integer coefficient vectors.  enumerate_norm is its whole walk, sorted.
-Integer roots serve the unit search of the field code.  No floating
-point is used anywhere.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -347,27 +346,3 @@ def enumerate_norm(lat: TraceFormLattice, t, forms=()) -> NormSolutions:
     found = sorted(iter_norm(lat, t, forms))
     log.debug("enumerate_norm rank=%d t=%s hits=%d", len(lat.gram), t, len(found))
     return NormSolutions(vectors=found)
-
-
-# ---------------------------------------------------------------------------
-# Integer roots
-
-
-def iroot(a: int, k: int) -> int:
-    """floor(a ** (1/k)) for integers a >= 0, k >= 1."""
-    if a < 0 or k < 1:
-        raise ValueError("iroot needs a >= 0 and k >= 1")
-    if a < 2 or k == 1:
-        return a
-    x = 1 << ((a.bit_length() + k - 1) // k)
-    while True:
-        y = ((k - 1) * x + a // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x ** k > a:
-        x -= 1
-    while (x + 1) ** k <= a:
-        x += 1
-    return x
-

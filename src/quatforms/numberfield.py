@@ -6,19 +6,21 @@ two real embeddings, the trace form, the fundamental unit, the primes,
 class and narrow class data, and the value of the Dedekind zeta
 function at -1.
 
-make_quadratic_field computes every invariant from scratch: the unit by
-continued fractions, the class group by enumerating primes below the
-Minkowski bound with a certified short-vector principality test, zeta(-1)
-by the finite divisor sum.  The rest is in closed form for a quadratic
-field: the primes above p come from x^2 - t1 x - t0 mod p by
-Dedekind-Kummer, and the norm of the fundamental unit decides the
-totally positive units and the kernel of the map from the narrow class
-group onto the class group.
+make_quadratic_field computes every invariant from scratch: the unit from
+one period of the continued fraction of the reduced omega + m over
+Z[omega] itself, certified by its norm +-1, the class group by
+enumerating primes below the Minkowski bound with a certified
+short-vector principality test, zeta(-1) by the finite divisor sum.  The
+rest is in closed form for a quadratic field: the primes above p come
+from x^2 - t1 x - t0 mod p by Dedekind-Kummer, and the norm of the
+fundamental unit decides the totally positive units and the kernel of
+the map from the narrow class group onto the class group.
 
 Elements are coordinate tuples of Fractions over (1, omega), and their
 arithmetic is in closed form.  An element is (a + b sqrt D)/2 with a, b
 rational, so its sign at either embedding is decided exactly by
-comparing a^2 with D b^2.
+comparing a^2 with D b^2.  Ideals, their products and membership run
+on integer HNF rows over one denominator.
 """
 
 from __future__ import annotations
@@ -32,8 +34,15 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import factor_int, next_prime
-from .intmat import canonical_lattice, hnf_coords, integral_preimage_rows, integral_rows
-from .latticetools import fincke_pohst, iroot
+from .intmat import (
+    canonical_lattice,
+    int_product,
+    integral_preimage_rows,
+    integral_rows,
+    inverse_rows,
+    lattice_coords,
+)
+from .latticetools import fincke_pohst
 from .polynomials import factor_mod_p
 
 log = logging.getLogger(__name__)
@@ -64,63 +73,42 @@ def siegel_zeta_quadratic(disc: int) -> Fraction:
     return Fraction(total, 60)
 
 
-def _pell(d: int) -> tuple[int, int]:
-    """Smallest (x, y), y > 0, with x^2 - d y^2 = 1 or -1, via the
-    continued fraction of sqrt(d)."""
-    a0 = isqrt(d)
-    assert a0 * a0 != d
-    m, den, a = 0, 1, a0
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    while p * p - d * q * q not in (1, -1):
-        m = den * a - m
-        den = (d - m * m) // den
-        a = (a0 + m) // den
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-    return p, q
+def _period_quotients(D: int, P: int) -> list[int]:
+    """One period of partial quotients of the purely periodic continued
+    fraction of a reduced (P + sqrt D)/2, with 2 dividing D - P^2.
 
-
-def _half_mul(d: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    # product of (x + y sqrt d)/2 representatives; parity keeps it integral
-    x = u[0] * v[0] + d * u[1] * v[1]
-    y = u[0] * v[1] + u[1] * v[0]
-    assert x % 2 == 0 and y % 2 == 0
-    return x // 2, y // 2
+    Every complete quotient (P' + sqrt D)/Q' is reduced, and the reduced
+    P for Q' = 2 is the one integer of the parity of D in (sqrt D - 2,
+    sqrt D), so the period closes when Q' returns to 2.
+    """
+    r, Q = isqrt(D), 2
+    out = []
+    while True:
+        out.append((P + r) // Q)
+        P = out[-1] * Q - P
+        Q = (D - P * P) // Q
+        if Q == 2:
+            return out
 
 
 def _fundamental_unit_quadratic(d: int) -> tuple[int, int]:
-    """Coordinates of the fundamental unit over the basis (1, omega)."""
-    x0, y0 = _pell(d)
-    if d % 4 != 1:
-        return x0, y0
-    # O may contain a unit of half-integer coordinates; the smallest
-    # solution of X^2 - d Y^2 = +-4 is fundamental.  Its Y is at most a
-    # little over twice the cube root of the Z[sqrt d] unit.
-    cb = iroot(x0 + y0 * (isqrt(d) + 1), 3) + 2
-    ymax = (2 * (cb + 1)) // isqrt(d) + 2
-    found = None
-    for y in range(1, ymax + 1):
-        xs = []
-        for s in (-4, 4):
-            x2 = d * y * y + s
-            if x2 > 0:
-                x = isqrt(x2)
-                if x * x == x2 and (x - y) % 2 == 0:
-                    xs.append(x)
-        if xs:
-            found = (min(xs), y)
-            break
-    whole = (2 * x0, 2 * y0)
-    if found is None or found == whole:
-        u = whole
-    else:
-        u = found
-        cube = _half_mul(d, _half_mul(d, u, u), u)
-        if cube != whole:
-            raise ArithmeticError("unit index check failed")
-    x, y = u
-    return (x - y) // 2, y
+    """Coordinates over (1, omega) of the fundamental unit eps > 1.
+
+    x_0 = omega + m, m = floor((sqrt D - t1)/2), is reduced and Z[x_0] =
+    Z[omega].  With q_k the convergent denominators of its period of
+    length l, eps = q_(l-1) x_0 + q_(l-2) (Buchmann-Vollmer, Binary
+    Quadratic Forms, the cycle of reduced forms).  Certified by N(eps) = +-1.
+    """
+    F = FieldCtx(d)
+    D, t1 = F.disc, F.t1
+    m = (isqrt(D) - t1) // 2
+    q_prev, q = 1, 0
+    for a in _period_quotients(D, t1 + 2 * m):
+        q_prev, q = q, a * q + q_prev
+    eps = (q * m + q_prev, q)
+    if F.norm(eps) not in (1, -1):
+        raise ArithmeticError("continued fraction period gives no unit")
+    return eps
 
 
 def _sign_plus_root(a, b, D: int) -> int:
@@ -295,9 +283,6 @@ class FieldCtx:
             rows.extend(self.rep_rows(v))
         return _canonical_ideal(self, rows)
 
-    def principal_ideal(self, x) -> "FieldIdeal":
-        return self.ideal(x)
-
     def primes_above(self, p: int) -> list[tuple["FieldIdeal", int, int]]:
         """Complete factorization data of pO: list of (P, f, e), sorted by
         (norm, basis).
@@ -419,15 +404,22 @@ class FieldCtx:
             return ()  # narrow class number 1: every ideal is narrowly principal
         if a.den != 1:
             a = FieldIdeal(self, a.rows, 1)  # positive integer scaling is totally positive
-        k = len(self.narrow_gens)
-        for bits in itertools.product((0, 1), repeat=k):
+        bits = self._narrow_bits(a, self.narrow_gens)
+        if bits is None:
+            raise ValueError("ideal class outside the stored narrow class group")
+        return bits
+
+    def _narrow_bits(self, a: "FieldIdeal", gens) -> tuple[int, ...] | None:
+        """The lexicographically first b in {0, 1}^k with a * prod gens[i]^b[i]
+        narrowly principal, or None."""
+        for bits in itertools.product((0, 1), repeat=len(gens)):
             c = a
-            for g, b in zip(self.narrow_gens, bits):
+            for g, b in zip(gens, bits):
                 if b:
                     c = c * g
             if self.narrowly_principal_generator(c) is not None:
                 return bits
-        raise ValueError("ideal class outside the stored narrow class group")
+        return None
 
     def __repr__(self):
         return f"FieldCtx({self.name}, degree {self.degree}, disc {self.disc})"
@@ -461,26 +453,24 @@ class FieldIdeal:
         return self._norm
 
     def contains(self, vec) -> bool:
-        return all(c.denominator == 1 for c in hnf_coords(self.rows, vec, self.den))
+        den, rows = integral_rows([vec])
+        return lattice_coords(inverse_rows(self.rows), self.den, rows, den) is not None
 
     def divides(self, other: "FieldIdeal") -> bool:
-        return all(self.contains(v) for v in other.basis_vectors())
+        return lattice_coords(inverse_rows(self.rows), self.den, other.rows, other.den) is not None
 
     def __mul__(self, other):
+        """Product with an ideal, on integer rows (x * y is x times the rows
+        of multiplication by y), or with the ideal of an element or rational."""
         F = self.field
-        if isinstance(other, FieldIdeal):
-            rows = []
-            for x in self.basis_vectors():
-                for y in other.basis_vectors():
-                    rows.append(F.mul(x, y))
-            return _canonical_ideal(F, rows)
-        if isinstance(other, (tuple, list)):
-            x = F.el(other)
-            return _canonical_ideal(F, [F.mul(b, x) for b in self.basis_vectors()])
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return _canonical_ideal(F, [[c * v for v in b] for b in self.basis_vectors()])
-        return NotImplemented
+        if isinstance(other, (tuple, list, int, Fraction)):
+            other = F.ideal(other)
+        if not isinstance(other, FieldIdeal):
+            return NotImplemented
+        rows = []
+        for y in other.rows:
+            rows += int_product(self.rows, F.rep_rows(y))
+        return FieldIdeal(F, *canonical_lattice(rows, self.den * other.den, F.degree))
 
     __rmul__ = __mul__
 
@@ -639,23 +629,12 @@ def _attach_narrow_data(F: FieldCtx):
     kernel_ideals = []
     if F.norm(eps) == 1:
         # sqrt d is 2 omega - 1 when d = 1 mod 4 and omega otherwise
-        kernel_ideals.append(F.principal_ideal((-1, 2) if F.t1 else (0, 1)))
+        kernel_ideals.append(F.ideal((-1, 2) if F.t1 else (0, 1)))
     expected = F.class_number * 2 ** len(kernel_ideals)
-
-    def in_span(c, gens):
-        for bits in itertools.product((0, 1), repeat=len(gens)):
-            t = c
-            for g, b in zip(gens, bits):
-                if b:
-                    t = t * g
-            if F.narrowly_principal_generator(t) is not None:
-                return True
-        return False
-
     gens = []
     for cand in F.class_reps[1:] + kernel_ideals:
         cand = FieldIdeal(F, cand.rows, 1)
-        if not in_span(cand, gens):
+        if F._narrow_bits(cand, gens) is None:
             gens.append(cand)
     h_plus = 2 ** len(gens)
     if h_plus != expected:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .arith import inv_mod, next_prime, symmetric_mod
@@ -222,7 +223,8 @@ def _zmod(f, m):
 
 def _zdivmod_monic(f, g, m):
     """(q, r) with f = q*g + r mod m; g monic mod m."""
-    assert g and g[-1] % m == 1
+    if not g or g[-1] % m != 1:
+        raise ValueError("divisor is not monic mod m")
     r = [c % m for c in f]
     q = [0] * max(0, len(r) - len(g) + 1)
     dn = len(g)
@@ -404,63 +406,16 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
 
 
 # ---------------------------------------------------------------------------
-# factorization mod p (distinct degree + Cantor-Zassenhaus), p odd prime
-
-
-_F2_IRR: dict[int, list[list[int]]] = {}
-
-
-def _f2_irreducibles(d: int) -> list[list[int]]:
-    """Monic irreducible polynomials of degree d over F_2, cached."""
-    if d in _F2_IRR:
-        return _F2_IRR[d]
-    if d == 1:
-        out = [[0, 1], [1, 1]]
-    else:
-        out = []
-        for bits in range(1 << (d - 1)):
-            # constant term 1, else divisible by x
-            cand = [1] + [(bits >> i) & 1 for i in range(d - 1)] + [1]
-            ok = True
-            for e in range(1, d // 2 + 1):
-                for q in _f2_irreducibles(e):
-                    if len(q) > 2 or q[0] == 1:  # skip x, cand has constant 1
-                        if not _zdivmod_monic(cand, q, 2)[1]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                out.append(cand)
-    _F2_IRR[d] = out
-    return out
-
-
-def _factor2_squarefree(w: list[int]) -> list[list[int]]:
-    """Deterministic irreducible factors of squarefree monic w mod 2."""
-    out = []
-    rem = _zmod(w, 2)
-    d = 1
-    while len(rem) - 1 >= 2 * d:
-        for q in _f2_irreducibles(d):
-            quo, r = _zdivmod_monic(rem, q, 2)
-            if not r:
-                out.append(q)
-                rem = quo
-                if len(rem) - 1 < 2 * d:
-                    break
-        d += 1
-    if len(rem) > 1:
-        out.append(rem)
-    return out
+# factorization mod p (distinct degree + equal degree), every prime p
 
 
 def factor_mod_p(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
     """Full factorization of f mod p: sorted [(monic irreducible coeffs, multiplicity)].
 
-    Handles every prime; randomized splitting from random.Random(0) for odd
-    p, exhaustive trial division for p = 2 where the usual Cantor-Zassenhaus
-    step degenerates.
+    Handles every prime the same way: the squarefree part is split by
+    degree (_distinct_degree) and then into irreducibles (_equal_degree_split),
+    drawing from random.Random(0).  The sorted factorization is unique, so
+    the result does not depend on the draws.
     """
     f = _zmod(f, p)
     if not f:
@@ -483,7 +438,7 @@ def _factor_mod_p_rec(f, p, rng, out, scale):
         return
     gcd_fd = _zgcd_mod(f, deriv, p)
     w = _zdivmod_monic(f, gcd_fd, p)[0]
-    irr = _factor2_squarefree(w) if p == 2 else factor_squarefree_mod_p(_distinct_degree(w, p), p, rng)
+    irr = factor_squarefree_mod_p(_distinct_degree(w, p), p, rng)
     rem = f
     for q in irr:
         e = 0
@@ -521,9 +476,8 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
 
 
 def factor_squarefree_mod_p(parts: list[tuple[int, list[int]]], p: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors mod an odd prime p of a monic squarefree
+    """Monic irreducible factors mod a prime p of a monic squarefree
     polynomial, given its distinct-degree parts (_distinct_degree)."""
-    assert p > 2
     found = [h for d, g in parts for h in _equal_degree_split(g, d, p, rng)]
     if sum(len(h) - 1 for h in found) != sum(len(g) - 1 for _, g in parts):
         raise ArithmeticError("modular factor degrees do not sum to the degree")
@@ -531,19 +485,29 @@ def factor_squarefree_mod_p(parts: list[tuple[int, list[int]]], p: int, rng: ran
 
 
 def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """All irreducible factors of g, which is a product of degree-d primes mod p."""
+    """All irreducible factors of g, which is a product of degree-d primes mod p.
+
+    gcd(b, g) splits g for most random a, with b = a^((p^d - 1)/2) - 1
+    for odd p (Cantor-Zassenhaus) and the trace b = a + a^2 + ... +
+    a^(2^(d-1)) for p = 2.
+    """
     n = len(g) - 1
     if n == d:
         return [g]
     e = (pow(p, d) - 1) // 2
     while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        if not _ztrim(list(a)):
+        a = _ztrim([rng.randrange(p) for _ in range(n)])
+        if not a:
             continue
-        b = _zpowmod(a, e, g, p)
-        b0 = list(b) if b else [0]
-        b0[0] = (b0[0] - 1) % p
-        h = _zgcd_mod(_ztrim(b0), g, p)
+        if p == 2:
+            b, t = a, a
+            for _ in range(d - 1):
+                t = _zmulmod(t, t, g, 2)
+                b = _zmod([u + v for u, v in _zip_pad(b, t)], 2)
+        else:
+            b = _zpowmod(a, e, g, p)
+            b = _zmod([(b[0] if b else 0) - 1] + b[1:], p)
+        h = _zgcd_mod(b, g, p)
         if 0 < len(h) - 1 < n:
             rest = _zdivmod_monic(g, h, p)[0]
             return _equal_degree_split(h, d, p, rng) + _equal_degree_split(rest, d, p, rng)
@@ -588,7 +552,8 @@ def _poly_xgcd_mod(f, g, p):
         r0, r1 = r1, r
         s0, s1 = s1, _zmod([a - b for a, b in _zip_pad(s0, _zmul(q, s1))], p)
         t0, t1 = t1, _zmod([a - b for a, b in _zip_pad(t0, _zmul(q, t1))], p)
-    assert len(r0) == 1, "inputs not coprime"
+    if len(r0) != 1:
+        raise ValueError("inputs are not coprime mod p")
     inv = inv_mod(r0[0], p)
     return _zmod(_zmul(s0, [inv]), p), _zmod(_zmul(t0, [inv]), p)
 
@@ -613,10 +578,10 @@ def hensel_lift_factors(f: list[int], factors: list[list[int]], p: int, target: 
         left, right = facs[:half], facs[half:]
         g = [1]
         for q in left:
-            g = _zmulmodfree(g, q, p)
+            g = _zmod(_zmul(g, q), p)
         h = [1]
         for q in right:
-            h = _zmulmodfree(h, q, p)
+            h = _zmod(_zmul(h, q), p)
         s, t = _poly_xgcd_mod(g, h, p)
         m_cur = p
         while m_cur < modulus:
@@ -625,10 +590,6 @@ def hensel_lift_factors(f: list[int], factors: list[list[int]], p: int, target: 
         return lift(g, left) + lift(h, right)
 
     return lift(_zmod(f, modulus), factors), modulus
-
-
-def _zmulmodfree(f, g, m):
-    return _zmod(_zmul(f, g), m)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +650,7 @@ def _recombine(f, lifted, modulus, degset):
     card = 1
     while 2 * card <= len(remaining):
         hit = False
-        for subset in _subsets(remaining, card):
+        for subset in combinations(remaining, card):
             deg = sum(len(lifted[i]) - 1 for i in subset)
             if deg not in degset:
                 continue
@@ -715,12 +676,6 @@ def _recombine(f, lifted, modulus, degset):
     return sorted(out)
 
 
-def _subsets(items, k):
-    from itertools import combinations
-
-    return combinations(items, k)
-
-
 def _zdivexact(f, g):
     q, r = [], list(f)
     dn = len(g)
@@ -731,9 +686,11 @@ def _zdivexact(f, g):
         qc[k] = c
         for j, b in enumerate(g):
             r[k + j] -= c * b
-        assert r[-1] == 0
+        if r[-1]:
+            raise ArithmeticError("polynomial division is not exact")
         r.pop()
-    assert not _ztrim(r)
+    if _ztrim(r):
+        raise ArithmeticError("polynomial division leaves a remainder")
     return qc
 
 

@@ -18,9 +18,9 @@ maximalize, whose residue algebras O/pO take their products from the
 sparse table and whose certificate is the reduced discriminant dropping
 to the unit ideal (norm 1).  Norm equations are solved in integer
 coordinates on a lattice's basis, where the reduced norm is a set of
-integer quadratic forms (QuatLattice.norm_forms).  The Fraction element
-arithmetic (mul, nr, inv, ...) serves callers that hold single rational
-elements; no lattice or order routine calls it.
+integer quadratic forms (QuatLattice.norm_forms).  Single rational
+elements multiply through the same table (mul, and nr, pair, fmul and
+inv on it), so the table is the one definition of the product.
 """
 
 from fractions import Fraction
@@ -41,11 +41,12 @@ from .latticetools import TraceFormLattice, enumerate_norm, iter_norm
 from .residue import (
     LatticeQuotient,
     algebra_radical,
+    center_rows,
     kernel_mod,
     matmul_mod,
     primitive_idempotents,
     quotient_by_ideal,
-    span_basis_mod,
+    right_multiplication,
     sparse_table,
     subalgebra,
 )
@@ -104,11 +105,6 @@ class QuatAlgebra:
                 out.extend(self.base.el(c))
         return tuple(out)
 
-    def parts(self, x):
-        n = self.base.degree
-        return tuple(tuple(Fraction(c) for c in x[q * n:(q + 1) * n])
-                     for q in range(4))
-
     def gens(self):
         """The standard generators (i, j, k)."""
         one = self.base.from_int(1)
@@ -122,32 +118,13 @@ class QuatAlgebra:
 
     def fmul(self, c, x):
         """Multiply by a central field element (coordinate seq)."""
-        F = self.base
-        return tuple(v for part in self.parts(x) for v in F.mul(c, part))
+        return self.mul(self.el(c), x)
 
     def mul(self, x, y):
-        F = self.base
-        a, b, ab = self.a, self.b, self._ab
-        x0, x1, x2, x3 = self.parts(x)
-        y0, y1, y2, y3 = self.parts(y)
-        m = F.mul
-        z0 = F.sub(
-            F.add(m(x0, y0), m(a, m(x1, y1))),
-            F.sub(m(ab, m(x3, y3)), m(b, m(x2, y2))),
-        )
-        z1 = F.add(
-            F.add(m(x0, y1), m(x1, y0)),
-            m(b, F.sub(m(x3, y2), m(x2, y3))),
-        )
-        z2 = F.add(
-            F.add(m(x0, y2), m(x2, y0)),
-            m(a, F.sub(m(x1, y3), m(x3, y1))),
-        )
-        z3 = F.add(
-            F.add(m(x0, y3), m(x3, y0)),
-            F.sub(m(x1, y2), m(x2, y1)),
-        )
-        return z0 + z1 + z2 + z3
+        """x * y, as y times the left multiplication matrix of x."""
+        m, d = self.left_matrix(x)
+        e, ys = _integral_element(y)
+        return tuple(Fraction(c, d * e) for c in int_product([ys], m)[0])
 
     def mul_table(self):
         """T with e_s * e_t = sum_u T[s][t][u] e_u on the standard basis.
@@ -216,13 +193,7 @@ class QuatAlgebra:
         e_s * x = sum_t x_t e_s * e_t.
         """
         d, xs = _integral_element(x)
-        N = self.dim
-        out = [[0] * N for _ in range(N)]
-        for t, entries in enumerate(self.sparse_table()):
-            if xs[t]:
-                for s, u, c in entries:
-                    out[s][u] += c * xs[t]
-        return out, d
+        return right_multiplication(self.sparse_table(), xs), d
 
     def conj(self, x):
         n = self.base.degree
@@ -230,27 +201,16 @@ class QuatAlgebra:
                      for t, c in enumerate(x))
 
     def trd(self, x):
-        """Reduced trace, as a field element."""
-        x0 = self.parts(x)[0]
-        return tuple(2 * c for c in x0)
+        """Reduced trace x + conj(x), as a field element."""
+        return tuple(2 * Fraction(c) for c in x[:self.base.degree])
 
     def nr(self, x):
         """Reduced norm x * conj(x), as a field element."""
-        F = self.base
-        x0, x1, x2, x3 = self.parts(x)
-        out = F.sub(F.mul(x0, x0), F.mul(self.a, F.mul(x1, x1)))
-        out = F.sub(out, F.mul(self.b, F.mul(x2, x2)))
-        return F.add(out, F.mul(self._ab, F.mul(x3, x3)))
+        return self.mul(x, self.conj(x))[:self.base.degree]
 
     def pair(self, x, y):
         """trd(x * conj(y)); the trace form over F, positive definite here."""
-        F = self.base
-        x0, x1, x2, x3 = self.parts(x)
-        y0, y1, y2, y3 = self.parts(y)
-        out = F.sub(F.mul(x0, y0), F.mul(self.a, F.mul(x1, y1)))
-        out = F.sub(out, F.mul(self.b, F.mul(x2, y2)))
-        out = F.add(out, F.mul(self._ab, F.mul(x3, y3)))
-        return tuple(2 * c for c in out)
+        return self.trd(self.mul(x, self.conj(y)))
 
     def inv(self, x):
         nrm = self.nr(x)
@@ -564,19 +524,6 @@ def reduced_discriminant_norm(order):
 # maximal orders
 
 
-def _center_rows(S):
-    p = S.p
-    stack = []
-    for l in range(S.dim):
-        lm = S.rep_left(S.unit(l))
-        rm = S.rep_right(S.unit(l))
-        for i in range(S.dim):
-            stack.append(
-                tuple((lm[i][j] - rm[i][j]) % p for j in range(S.dim))
-            )
-    return span_basis_mod(kernel_mod(tuple(stack), p), p)
-
-
 def _idealizer_growth(order, quo, ideal_rows, p):
     """Left/right order of the lifted ideal, when strictly larger."""
     rows = [[p * c for c in row] for row in order.rows]
@@ -609,7 +556,7 @@ def _enlarge_at(order, p):
     if grown is not None:
         return grown
     S, proj = quotient_by_ideal(A, rad)
-    cen = _center_rows(S)
+    cen = center_rows(S)
     if len(cen) < 2:
         return None
     idems = primitive_idempotents(subalgebra(S, cen, S.one))

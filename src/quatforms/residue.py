@@ -222,6 +222,18 @@ class FpAlgebra:
         return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
 
 
+def center_rows(A):
+    """Canonical (rref) basis rows of the center of A."""
+    p = A.p
+    stack = []
+    for l in range(A.dim):
+        lm = A.rep_left(A.unit(l))
+        rm = A.rep_right(A.unit(l))
+        for i in range(A.dim):
+            stack.append(tuple((lm[i][j] - rm[i][j]) % p for j in range(A.dim)))
+    return span_basis_mod(kernel_mod(tuple(stack), p), p)
+
+
 def subalgebra(A, basis_rows, identity):
     """Algebra structure on a multiplicatively closed independent span.
 
@@ -257,6 +269,18 @@ def sparse_table(table):
         [(s, u, table[s][t][u]) for s in range(n) for u in range(n) if table[s][t][u]]
         for t in range(n)
     ]
+
+
+def right_multiplication(sparse, y):
+    """The integer m with x * y = x m, for an integer vector y and the
+    table sparse (as sparse_table): row s is e_s * y."""
+    n = len(sparse)
+    m = [[0] * n for _ in range(n)]
+    for t, yt in enumerate(y):
+        if yt:
+            for s, u, c in sparse[t]:
+                m[s][u] += c * yt
+    return m
 
 
 class QuotientSpace:
@@ -328,17 +352,10 @@ class QuotientSpace:
         the quotient coordinates of b_t * y, b_t the lift of the t-th
         basis vector; L * y must lie in L and M * y in M.
         """
-        n = len(self.L_rows)
         reps = [self.L_rows[pos] for pos in self.positions]
         out = []
         for y in ys:
-            # row s of m is e_s * y, so x * y = x m for ambient rows x
-            m = [[0] * n for _ in range(n)]
-            for t, yt in enumerate(y):
-                if yt:
-                    for s, u, c in sparse[t]:
-                        m[s][u] += c * yt
-            prods = self.coords(int_product(reps, m), self.L_den * den)
+            prods = self.coords(int_product(reps, right_multiplication(sparse, y)), self.L_den * den)
             out.append(tuple(self.reduce(w) for w in prods))
         return out
 
@@ -612,14 +629,7 @@ class MatrixSplitting:
         self.f = f
         if A.dim != 4 * f:
             raise ValueError("dimension is not 4 over the supposed center")
-        cond = []
-        for j in range(A.dim):
-            ej = A.unit(j)
-            l = A.rep_left(ej)
-            r = A.rep_right(ej)
-            for i in range(A.dim):
-                cond.append(tuple((l[i][t] - r[i][t]) % p for t in range(A.dim)))
-        center = kernel_mod(cond, p)
+        center = center_rows(A)
         if len(center) != f:
             raise ArithmeticError("center has unexpected dimension")
         for row in unit_embedding:

@@ -5,20 +5,79 @@ over one denominator only.  These helpers keep the Fraction
 constructions the integer builders replaced: spans of rational vectors,
 products of basis vectors by field and quaternion multiplication,
 determinants by rational elimination, the Cholesky form of the short
-vector walk, dense left multiplication matrices, HNF inverses by
-rational substitution, lattice coordinates, the structure table from
-quaternion products of basis vectors and the order test on them, and
-the theta table by full enumeration of every cell.  Tests state
-rational data through them and check the integer builders against them.
+vector walk, dense left multiplication matrices, coordinates over an
+HNF basis by rational substitution (hnf_coords) and the HNF inverses and
+lattice coordinates built on them, the quaternion product in closed form
+(ref_mul), the structure table from it and the order test on basis
+vectors, and the theta table by full enumeration of every cell.  Tests
+state rational data through them and check the integer builders against
+them.
 """
 
 import math
 from fractions import Fraction
 
 from quatforms.classset import _norm_coset_targets
-from quatforms.intmat import hnf_coords, integral_rows
+from quatforms.intmat import integral_rows
 from quatforms.matrices import Matrix
 from quatforms.quaternion import QuatLattice, norm_equation_solutions
+
+
+def hnf_coords(hnf, vec, den=1):
+    """Coordinates w with vec = w * hnf / den, by forward substitution.
+
+    `hnf` holds integer echelon rows (hnf_rows output, or any rows whose
+    first nonzero entries move strictly right).  `vec` holds ints or
+    Fractions.  The coordinates are Fractions; all are integral exactly
+    when vec lies in the lattice spanned by hnf / den.  Raises ValueError
+    when vec is outside the rational span of the rows.
+    """
+    t = [Fraction(v) * den for v in vec]
+    out = []
+    last = -1
+    for row in hnf:
+        j = next((i for i, c in enumerate(row) if c), -1)
+        if j <= last:
+            raise ValueError("basis rows are not in echelon form")
+        last = j
+        c = t[j] / row[j]
+        out.append(c)
+        if c:
+            for i in range(j, len(t)):
+                t[i] -= c * row[i]
+    if any(t):
+        raise ValueError("vector outside the span of the basis rows")
+    return out
+
+
+def ref_mul(alg, x, y):
+    """x * y in closed form from i^2 = a, j^2 = b, k = ij = -ji and the
+    central field, in Fraction field arithmetic; independent of the
+    structure table."""
+    F = alg.base
+    n = F.degree
+    a, b = alg.a, alg.b
+    ab = F.mul(a, b)
+    x0, x1, x2, x3 = (tuple(Fraction(c) for c in x[q * n:(q + 1) * n]) for q in range(4))
+    y0, y1, y2, y3 = (tuple(Fraction(c) for c in y[q * n:(q + 1) * n]) for q in range(4))
+    m = F.mul
+    z0 = F.sub(
+        F.add(m(x0, y0), m(a, m(x1, y1))),
+        F.sub(m(ab, m(x3, y3)), m(b, m(x2, y2))),
+    )
+    z1 = F.add(
+        F.add(m(x0, y1), m(x1, y0)),
+        m(b, F.sub(m(x3, y2), m(x2, y3))),
+    )
+    z2 = F.add(
+        F.add(m(x0, y2), m(x2, y0)),
+        m(a, F.sub(m(x1, y3), m(x3, y1))),
+    )
+    z3 = F.add(
+        F.add(m(x0, y3), m(x3, y0)),
+        F.sub(m(x1, y2), m(x2, y1)),
+    )
+    return z0 + z1 + z2 + z3
 
 
 def ref_matrix(rows):
@@ -143,14 +202,15 @@ def ref_coords(lat, vec):
 
 
 def ref_mul_table(alg):
-    """QuatAlgebra.mul_table from the Fraction products of basis vectors."""
+    """QuatAlgebra.mul_table from the closed-form products (ref_mul) of
+    basis vectors."""
     N = alg.dim
     basis = [tuple(Fraction(int(s == t)) for t in range(N)) for s in range(N)]
     table = []
     for x in basis:
         row = []
         for y in basis:
-            z = alg.mul(x, y)
+            z = ref_mul(alg, x, y)
             if any(c.denominator != 1 for c in z):
                 raise ArithmeticError("structure constants are not integral")
             row.append([int(c) for c in z])

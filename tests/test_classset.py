@@ -582,7 +582,7 @@ def test_theta_witnesses_live_in_ideal_quotients():
         hom = a.compose(b.inverse())
         want = a.nr_ideal() * b.nr_ideal().inverse() * pr.ideal
         for u in us:
-            assert F.principal_ideal(alg.nr(u)) == want
+            assert F.ideal(alg.nr(u)) == want
             assert hom.contains(u)
 
 
@@ -665,23 +665,24 @@ def test_residue_fields():
 
 def test_splitting_built_once_per_prime(monkeypatch):
     # the quad:85 walk expands 5 representatives at its one support prime
-    # and splits R/pR once; neighbors multiplies no quaternions: the
+    # and splits R/pR once (split_residue_matrix returns the kept
+    # splitting on later calls); neighbors multiplies no quaternions: the
     # residue module and R/pR act through the integer structure table
     import quatforms.classset as classset
 
-    split, mul = classset.split_residue_matrix, QuatAlgebra.mul
+    split, mul = classset.MatrixSplitting, QuatAlgebra.mul
     calls = []
 
-    def counted_split(R, prime):
+    def counted_split(*args):
         calls.append("split")
-        return split(R, prime)
+        return split(*args)
 
     def counted_mul(self, x, y):
         calls.append("mul")
         return mul(self, x, y)
 
     R = hilbert_ramification_free_algebra(F85).maximal_order()
-    monkeypatch.setattr(classset, "split_residue_matrix", counted_split)
+    monkeypatch.setattr(classset, "MatrixSplitting", counted_split)
     cs = compute_class_set(R, narrow_support(F85))
     assert calls.count("split") == 1
     monkeypatch.setattr(QuatAlgebra, "mul", counted_mul)

@@ -13,7 +13,9 @@ module, test or benchmark script through an import or an attribute.
 Every defaulted parameter is passed by some call in the package, a test
 or a benchmark script: a default nothing overrides is a knob nobody
 turns.  Every console script that pyproject.toml declares imports and is
-callable, so an installed command cannot point at a missing module.
+callable, so an installed command cannot point at a missing module.  No
+module holds an assert statement: `python -O` strips them, so every
+check of the package must be an explicit raise.
 """
 
 import ast
@@ -247,6 +249,11 @@ def unpassed_defaults(modules, others):
     return sorted(out)
 
 
+def assert_lines(source):
+    """The line numbers of the assert statements in a module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
 def unresolved_scripts(scripts):
     """The names of the [project.scripts] entries (name -> "module:attr")
     whose target does not import or is not callable."""
@@ -281,6 +288,17 @@ def test_console_scripts_resolve():
     with open(ROOT / "pyproject.toml", "rb") as f:
         scripts = tomllib.load(f)["project"].get("scripts", {})
     assert unresolved_scripts(scripts) == []
+
+
+def test_scan_flags_an_assert():
+    source = "def f(x):\n    assert x, 'no'\n    return x\nassert f(1)\n"
+    assert assert_lines(source) == [2, 4]
+    assert assert_lines("def f(x):\n    if not x:\n        raise ValueError\n") == []
+
+
+def test_no_assert_statements():
+    found = [(p.name, line) for p in MODULES for line in assert_lines(p.read_text())]
+    assert found == []
 
 
 def test_scan_flags_an_unused_import():

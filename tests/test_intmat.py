@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fraction_refs import ref_det, ref_inverse_rows
+from fraction_refs import hnf_coords, ref_det, ref_inverse_rows
 from quatforms.intmat import (
     abs_det,
     canonical_lattice,
-    hnf_coords,
     hnf_rows,
     hnf_with_transform,
     identity_int,

@@ -13,7 +13,6 @@ from quatforms.latticetools import (
     _cholesky,
     enumerate_norm,
     fincke_pohst,
-    iroot,
     lll_gram,
 )
 
@@ -331,16 +330,3 @@ def test_lll_reduce_keeps_lattice():
     assert g2 == _gram_of(red_basis)
     red = TraceFormLattice(gram=g2, basis=red_basis)
     assert enumerate_norm(lat, 9).vectors == enumerate_norm(red, 9).vectors
-
-
-def test_iroot():
-    rng = random.Random(3)
-    for _ in range(200):
-        a = rng.randrange(0, 10**12)
-        k = rng.randint(1, 6)
-        r = iroot(a, k)
-        assert r**k <= a < (r + 1) ** k
-    assert iroot(0, 3) == 0
-    assert iroot(1, 5) == 1
-    assert iroot(2**60, 6) == 2**10
-

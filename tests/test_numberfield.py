@@ -6,8 +6,11 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_refs import hnf_coords
+from quatforms import numberfield
 from quatforms.numberfield import (
     FieldCtx,
+    _fundamental_unit_quadratic,
     field_from_spec,
     make_quadratic_field,
     siegel_zeta_quadratic,
@@ -199,17 +202,73 @@ def test_signs_of_unit_powers():
             assert F.sign_vector(F.el(_conj(d, x))) == signs[::-1]
 
 
-def test_unit_index_checked_under_optimize(run_optimized):
-    # a wrong cube of the half-integral unit must raise with asserts stripped
+# the fundamental unit x + y omega of every squarefree d < 200, computed
+# independently: the least solution of x^2 - d y^2 = +-1, and for d = 1
+# mod 4 the least of X^2 - d Y^2 = +-4 when it gives a unit of O
+UNITS_BELOW_200 = {
+    2: (1, 1), 3: (2, 1), 5: (0, 1), 6: (5, 2), 7: (8, 3), 10: (3, 1), 11: (10, 3),
+    13: (1, 1), 14: (15, 4), 15: (4, 1), 17: (3, 2), 19: (170, 39), 21: (2, 1),
+    22: (197, 42), 23: (24, 5), 26: (5, 1), 29: (2, 1), 30: (11, 2), 31: (1520, 273),
+    33: (19, 8), 34: (35, 6), 35: (6, 1), 37: (5, 2), 38: (37, 6), 39: (25, 4),
+    41: (27, 10), 42: (13, 2), 43: (3482, 531), 46: (24335, 3588), 47: (48, 7),
+    51: (50, 7), 53: (3, 1), 55: (89, 12), 57: (131, 40), 58: (99, 13), 59: (530, 69),
+    61: (17, 5), 62: (63, 8), 65: (7, 2), 66: (65, 8), 67: (48842, 5967), 69: (11, 3),
+    70: (251, 30), 71: (3480, 413), 73: (943, 250), 74: (43, 5), 77: (4, 1),
+    78: (53, 6), 79: (80, 9), 82: (9, 1), 83: (82, 9), 85: (4, 1), 86: (10405, 1122),
+    87: (28, 3), 89: (447, 106), 91: (1574, 165), 93: (13, 3), 94: (2143295, 221064),
+    95: (39, 4), 97: (5035, 1138), 101: (9, 2), 102: (101, 10), 103: (227528, 22419),
+    105: (37, 8), 106: (4005, 389), 107: (962, 93), 109: (118, 25), 110: (21, 2),
+    111: (295, 28), 113: (703, 146), 114: (1025, 96), 115: (1126, 105),
+    118: (306917, 28254), 119: (120, 11), 122: (11, 1), 123: (122, 11),
+    127: (4730624, 419775), 129: (15371, 2968), 130: (57, 5), 131: (10610, 927),
+    133: (79, 15), 134: (145925, 12606), 137: (1595, 298), 138: (47, 4),
+    139: (77563250, 6578829), 141: (87, 16), 142: (143, 12), 143: (12, 1), 145: (11, 2),
+    146: (145, 12), 149: (28, 5), 151: (1728148040, 140634693), 154: (21295, 1716),
+    155: (249, 20), 157: (98, 17), 158: (7743, 616), 159: (1324, 105),
+    161: (10847, 1856), 163: (64080026, 5019135), 165: (6, 1),
+    166: (1700902565, 132015642), 167: (168, 13), 170: (13, 1), 173: (6, 1),
+    174: (1451, 110), 177: (57731, 9384), 178: (1601, 120), 179: (4190210, 313191),
+    181: (604, 97), 182: (27, 2), 183: (487, 36), 185: (63, 10), 186: (7501, 550),
+    187: (1682, 123), 190: (52021, 3774), 191: (8994000, 650783),
+    193: (1637147, 253970), 194: (195, 14), 195: (14, 1), 197: (13, 2),
+    199: (16266196520, 1153080099),
+}
+
+
+def test_fundamental_units_below_200():
+    ds = [d for d in range(2, 200) if all(d % (q * q) for q in range(2, 15))]
+    assert sorted(UNITS_BELOW_200) == ds
+    for d, unit in UNITS_BELOW_200.items():
+        assert _fundamental_unit_quadratic(d) == unit, d
+
+
+def test_large_unit_1021(monkeypatch):
+    # the period walk finds eps = 41531201 + 2683493 omega at once; the
+    # class group search of make_quadratic_field enumerates vectors up to
+    # a bound linear in eps, so it is stubbed out: only the unit is tested
+    monkeypatch.setattr(numberfield, "_attach_class_data_by_search", lambda F: None)
+    monkeypatch.setattr(numberfield, "_attach_narrow_data", lambda F: None)
+    F = make_quadratic_field(1021)
+    (eps,) = F.fundamental_units
+    assert F.norm(eps) in (1, -1)
+    # eps > 1 at the real embedding that sends omega to the larger root
+    assert eps[1] > 0 and F.sign_vector(F.sub(eps, F.one))[1] == 1
+
+
+def test_unit_norm_checked_under_optimize(run_optimized):
+    # a wrong last partial quotient gives no unit: quad:7 has the period
+    # 4, 1, 1, 1 and 4, 1, 1, 2 gives 12 + 5 sqrt 7, of norm -31; with
+    # asserts stripped the norm certificate must still raise
     out = run_optimized(
         "from quatforms import numberfield\n"
-        "numberfield._half_mul = lambda d, u, v: (0, 0)\n"
+        "period = numberfield._period_quotients\n"
+        "numberfield._period_quotients = lambda D, P: period(D, P)[:-1] + [period(D, P)[-1] + 1]\n"
         "try:\n"
-        "    print('returned', numberfield.make_quadratic_field(5).fundamental_units)\n"
+        "    print('returned', numberfield.make_quadratic_field(7).fundamental_units)\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
-    assert out.startswith("ArithmeticError: unit index check failed")
+    assert out.startswith("ArithmeticError: continued fraction period gives no unit")
 
 
 # -- primes ------------------------------------------------------------
@@ -294,6 +353,32 @@ def test_ideal_norm_and_inverse_random():
             assert s.divides(a) and s.divides(b)
 
 
+@pytest.mark.parametrize("d", [10, 85])
+def test_ideal_products_and_membership_match_fraction_coords(d):
+    # *, contains and divides run on integer rows; the reference spans the
+    # Fraction products and solves coordinates by rational substitution
+    F = make_quadratic_field(d)
+    rng = random.Random(d)
+
+    def inside(a, v):
+        return all(c.denominator == 1 for c in hnf_coords(a.rows, v, a.den))
+
+    for _ in range(12):
+        a = _random_ideal(F, rng) * Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        b = _random_ideal(F, rng)
+        prod = F.ideal(*[F.mul(x, y) for x in a.basis_vectors() for y in b.basis_vectors()])
+        assert a * b == prod == b * a
+        x = F.el((Fraction(rng.randint(-9, 9), rng.randint(1, 3)), rng.randint(1, 9)))
+        assert a * x == F.ideal(*[F.mul(v, x) for v in a.basis_vectors()])
+        for v in a.basis_vectors() + b.basis_vectors() + prod.basis_vectors() + [x, F.one]:
+            assert a.contains(v) == inside(a, v)
+            assert b.contains(v) == inside(b, v)
+        for u, w in ((a, b), (b, a), (a, prod), (b, prod), (prod, a), (a, a)):
+            assert u.divides(w) == all(inside(u, v) for v in w.basis_vectors())
+        # b is integral, so a divides a * b
+        assert a.divides(prod)
+
+
 small = st.integers(min_value=-6, max_value=6)
 
 
@@ -341,7 +426,7 @@ def test_principality_certified():
     assert F.principal_generator(P3) is None
     g = F.principal_generator(P3 * P3)
     assert g is not None
-    assert F.principal_ideal(g) == P3 * P3
+    assert F.ideal(g) == P3 * P3
     assert abs(F.norm(g)) == 9
 
 
@@ -350,9 +435,9 @@ def test_principal_generator_random():
     for F in (F85(), F10()):
         for _ in range(8):
             x = F.el((rng.randint(-9, 9), rng.choice([-3, -2, -1, 1, 2, 3])))
-            a = F.principal_ideal(x)
+            a = F.ideal(x)
             g = F.principal_generator(a)
-            assert g is not None and F.principal_ideal(g) == a
+            assert g is not None and F.ideal(g) == a
 
 
 def test_principal_generator_searches_each_ideal_once(monkeypatch):
@@ -374,7 +459,7 @@ def test_principal_generator_searches_each_ideal_once(monkeypatch):
     assert F.principal_generator(b) is None
     assert F.narrowly_principal_generator(a) is None
     g = F.principal_generator(F.ideal(31, (14, 1)))
-    assert F.narrowly_principal_generator(F.principal_ideal((11, 3))) is not None
+    assert F.narrowly_principal_generator(F.ideal((11, 3))) is not None
     assert F.principal_generator(F.ideal(31, (14, 1))) == g
     assert searched == [a, F.ideal(31, (14, 1))]
 
@@ -386,13 +471,13 @@ def test_narrow_principality():
     P31 = F.ideal(31, (14, 1))
     g = F.narrowly_principal_generator(P31)
     assert g is not None and F.is_totally_positive(g)
-    assert F.principal_ideal(g) == P31 == F.principal_ideal((11, 3))
+    assert F.ideal(g) == P31 == F.ideal((11, 3))
 
 
 def test_narrow_strictly_finer_than_wide():
     # (sqrt 3) is principal but has no totally positive generator
     F = make_quadratic_field(3)
-    sq3 = F.principal_ideal((0, 1))
+    sq3 = F.ideal((0, 1))
     assert F.principal_generator(sq3) is not None
     assert F.narrowly_principal_generator(sq3) is None
 

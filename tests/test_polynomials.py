@@ -217,6 +217,41 @@ def test_factor_mod_p_multiply_back():
             assert prod == [c % p for c in f]
 
 
+def _ref_factor_mod_2(f):
+    """Sorted factorization of a monic f over F_2 by trial division: the
+    monic divisors of each degree are tried in turn, and the first divisor
+    of least degree is irreducible."""
+    out = {}
+    d = 1
+    while len(f) > 1:
+        if len(f) - 1 < 2 * d:
+            out[tuple(f)] = out.get(tuple(f), 0) + 1
+            break
+        for bits in range(1 << d):
+            q = [(bits >> i) & 1 for i in range(d)] + [1]
+            quo, rem = [0] * (len(f) - d), list(f)
+            for k in range(len(f) - 1 - d, -1, -1):
+                if rem[k + d]:
+                    quo[k] = 1
+                    for i, c in enumerate(q):
+                        rem[k + i] ^= c
+            if not any(rem):
+                out[tuple(q)] = out.get(tuple(q), 0) + 1
+                f = quo
+                break
+        else:
+            d += 1
+    return sorted(out.items())
+
+
+def test_factor_mod_2_matches_trial_division():
+    # every monic f of degree at most 8 over F_2
+    for deg in range(9):
+        for bits in range(1 << deg):
+            f = [(bits >> i) & 1 for i in range(deg)] + [1]
+            assert factor_mod_p(f, 2) == _ref_factor_mod_2(f), f
+
+
 def test_poly_gcd_rational_inputs_under_optimize(run_optimized):
     # the integer/rational branch must not hinge on an assert that -O strips
     out = run_optimized(
@@ -233,34 +268,49 @@ def test_bad_inputs_raise_under_optimize(run_optimized):
     # input checks are raises, not asserts, so -O keeps them
     out = run_optimized(
         "from quatforms.polynomials import Poly, factor_poly, isolate_real_roots,"
-        " squarefree_decomposition\n"
+        " squarefree_decomposition, _poly_xgcd_mod, _zdivmod_monic\n"
         "zero, x = Poly([]), Poly([0, 1])\n"
         "for call in (zero.leading, lambda: x ** -1, lambda: x.divmod(zero),\n"
         "             lambda: factor_poly(zero), lambda: squarefree_decomposition(zero),\n"
-        "             lambda: isolate_real_roots(zero), lambda: isolate_real_roots(x * x)):\n"
+        "             lambda: isolate_real_roots(zero), lambda: isolate_real_roots(x * x),\n"
+        "             lambda: _zdivmod_monic([1, 2, 3], [1, 2], 5),\n"
+        "             lambda: _poly_xgcd_mod([0, 1], [0, 2, 1], 3)):\n"
         "    try:\n"
         "        print('returned', call())\n"
         "    except (ValueError, ZeroDivisionError) as exc:\n"
         "        print(type(exc).__name__)\n"
     )
-    assert out.split() == ["ValueError", "ValueError", "ZeroDivisionError"] + ["ValueError"] * 4
+    assert out.split() == ["ValueError", "ValueError", "ZeroDivisionError"] + ["ValueError"] * 6
 
 
 def test_recombination_certificate_checked_under_optimize(run_optimized):
     # a divisibility test that accepts everything makes recombination take
     # a modular factor of the irreducible x^4 - 10x^2 + 1 for a true one.
     # Modulo 103 it splits into two quadratics with constant term -1, so
-    # the constant-term pre-test lets the bogus factor through; with
-    # asserts stripped the product check must still raise
+    # the constant-term pre-test lets the bogus factor through.  With
+    # asserts stripped the exact division must still raise; and when the
+    # division also drops its remainder, the product check must raise
     out = run_optimized(
         "from quatforms import polynomials\n"
         "polynomials._zdivides = lambda g, f: True\n"
-        "try:\n"
-        "    print('returned', polynomials.factor_poly(polynomials.Poly([1, 0, -10, 0, 1])))\n"
-        "except ArithmeticError as exc:\n"
-        "    print('ArithmeticError:', exc)\n"
+        "def dropping(f, g):\n"
+        "    q, r = [0] * (len(f) - len(g) + 1), list(f)\n"
+        "    for k in range(len(q) - 1, -1, -1):\n"
+        "        q[k] = r[k + len(g) - 1] // g[-1]\n"
+        "        for j, b in enumerate(g):\n"
+        "            r[k + j] -= q[k] * b\n"
+        "    return q\n"
+        "for patch in (polynomials._zdivexact, dropping):\n"
+        "    polynomials._zdivexact = patch\n"
+        "    try:\n"
+        "        print('returned', polynomials.factor_poly(polynomials.Poly([1, 0, -10, 0, 1])))\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('ArithmeticError:', exc)\n"
     )
-    assert out.startswith("ArithmeticError: recombined factors do not multiply back")
+    assert out.splitlines() == [
+        "ArithmeticError: polynomial division leaves a remainder",
+        "ArithmeticError: recombined factors do not multiply back",
+    ]
 
 
 # --- the factorization against the earlier Fraction Yun and nine-prime search ---
