@@ -1,19 +1,23 @@
-"""Right ideal classes of a maximal quaternion order.
+"""Right ideal classes of a maximal quaternion order and their Brandt data.
 
-The class set is grown by prime neighbor steps, each new neighbor tested
-for isomorphism against the classes found so far, and certified complete
-against the exact Eichler mass.  The neighbor tables that feed Brandt
-matrices (compute_theta) need no neighbor lattices: the p-neighbors of
-b in the class of a are the solutions of one norm equation over
-a * b^-1, counted modulo left multiplication by the units of the left
-order of a.  That solution set is also stable under right
+The class set and the neighbor tables that feed Brandt matrices come
+from one walk over Brandt columns.  The p-neighbors of b in the class of
+a are the solutions of one norm equation over a * b^-1, counted modulo
+left multiplication by the units of the left order of a; each solution u
+gives the neighbor u^-1 a.  That solution set is also stable under right
 multiplication by the units of the left order of b, so one solution
-gives every neighbor of its double coset.  The table is filled one
-Brandt column (b, p) at a time, drawing solutions lazily from the norm
-equation walks of its cells in class order, and each column stops at
-Np + 1 neighbors.  Free and disjoint unit orbits, a bound of Np + 1 on
-every column, a norm and an index Np^2 check of every witness, and
-column sums of exactly Np + 1 certify the table.
+gives every neighbor of its double coset.  A column (b, p) is filled one
+cell at a time in class order, drawing solutions lazily from the norm
+equation walks of its cells, and it stops at Np + 1 neighbors.
+
+compute_class_set fills the columns at the support primes over the
+classes found so far; a column short of Np + 1 neighbors has a neighbor
+in a new class, the first neighbor lattice that no witness gives.  The
+walk is certified complete by the exact Eichler mass, and it keeps the
+columns it closed for compute_theta, which fills the columns at the
+other primes.  Free and disjoint unit orbits, a bound of Np + 1 on every
+column, a norm and an index Np^2 check of every witness, and column sums
+of exactly Np + 1 certify the table.
 """
 
 from collections import Counter
@@ -245,6 +249,37 @@ def unit_group(O):
     return UnitGroup(elements=found, order=len(found), norms=norms)
 
 
+class _ClassUnits(NamedTuple):
+    """What the Brandt cells read off one class: the narrow class bits of
+    the representative's reduced norm and the inverse of that norm, the
+    left and right matrices of the norm-one units of its left order
+    (QuatAlgebra.left_matrix, right_matrix), and its coset targets
+    (_norm_coset_targets)."""
+
+    bits: tuple
+    nr_inv: object
+    lefts: list
+    rights: list
+    targets: list
+
+
+@dataclass
+class _BrandtCells:
+    """The Brandt data a class set keeps, for the walk and theta alike.
+
+    classes[i] holds the _ClassUnits of class i; pairs[(ai, bi)] holds
+    L = a * b^-1 with its stacked left and right unit matrices and its
+    product columns (_product_columns); columns[(bi, p)], p a prime
+    ideal, holds the cells of the Brandt column (b, p) in class order:
+    the witness coordinates on L of each cell searched, until the column
+    closed at Np + 1 orbits.
+    """
+
+    classes: list = field(default_factory=list)
+    pairs: dict = field(default_factory=dict)
+    columns: dict = field(default_factory=dict)
+
+
 @dataclass
 class ClassSet:
     """Representatives of the right ideal classes of a maximal order.
@@ -253,7 +288,8 @@ class ClassSet:
     unit_groups[i] belong to representatives[i]; mass is the verified
     sum of 1/|unit group| and support the primes used for the walk.
     splittings keeps the checked splitting at each level, by level
-    ideal (heckespace.build_splitting).
+    ideal (heckespace.build_splitting), and brandt the Brandt columns
+    filled so far with the data of their cells (_BrandtCells).
     """
 
     order: QuatLattice
@@ -263,6 +299,7 @@ class ClassSet:
     support: list
     mass: Fraction
     splittings: dict = field(default_factory=dict, repr=False, compare=False)
+    brandt: _BrandtCells = field(default_factory=_BrandtCells, repr=False, compare=False)
 
     @property
     def size(self):
@@ -306,12 +343,22 @@ def _first_split_prime(F):
 
 
 def compute_class_set(R, support):
-    """Breadth first closure of the neighbor walk, certified by the mass.
+    """The class set as the closure of the Brandt columns at the support
+    primes, certified by the mass.
 
-    Starting from the trivial class, every representative is expanded at
-    every support prime, and each neighbor not isomorphic to a known
-    representative becomes a new one.  The walk stops exactly when the
-    sum of 1/|unit group| equals the Eichler mass.  By strong
+    Starting from the trivial class, the columns (b, p) of every
+    representative b at every support prime p are taken in breadth first
+    order.  Each is filled over the classes known so far
+    (_brandt_column); one that reaches Np + 1 orbits has every neighbor
+    of b at p in a known class and is closed.  Otherwise the neighbors
+    of b at p are listed, and the first one in that order that no
+    witness u of the column gives as u^-1 a (a the class of the cell)
+    is a new class; it joins with its left order and unit group, its
+    cell of the column is filled, and so on until the column closes.
+    The closed columns stay on the class set for compute_theta.
+
+    The walk stops exactly when the sum of 1/|unit group| equals the
+    Eichler mass, and a sum past it raises ArithmeticError.  By strong
     approximation (Kirschmer-Voight 2010), a walk at primes whose classes
     generate the narrow class group reaches every class; a walk that
     closes below the mass raises ArithmeticError, since its support does
@@ -319,48 +366,70 @@ def compute_class_set(R, support):
     nothing to walk at, so the walk then uses the smallest split prime,
     which lies in the trivial narrow class like every ideal.
     """
-    alg = R.alg
-    F = alg.base
+    F = R.alg.base
     target = eichler_mass(F)
-    reps = [R]
-    lefts = [R]
-    units = [unit_group(R)]
-    mass = Fraction(1, units[0].order)
-    support = list(support)
-    if not support and mass != target:
-        support = [_first_split_prime(F)]
-    pending = [(0, p) for p in support]
+    cs = ClassSet(
+        order=R,
+        representatives=[],
+        left_orders=[],
+        unit_groups=[],
+        support=list(support),
+        mass=Fraction(0),
+    )
+    _join(cs, R, R)
+    if not cs.support and cs.mass != target:
+        cs.support = [_first_split_prime(F)]
+    p_bits = [F.narrow_dlog(p.ideal) for p in cs.support]
+    pending = [(0, si) for si in range(len(cs.support))]
     pos = 0
-    while mass != target:
-        if mass > target:
-            raise ArithmeticError(
-                "unit masses exceed the Eichler mass; class identification is broken"
-            )
+    while cs.mass != target:
         if pos == len(pending):
             raise ArithmeticError(
                 "neighbor walk closed below the Eichler mass; "
                 "the support does not generate the narrow class group"
             )
-        ci, p = pending[pos]
+        bi, si = pending[pos]
         pos += 1
-        for c in neighbors(reps[ci], p):
-            if any(is_isomorphic(a, c) is not None for a in reps):
-                continue
-            reps.append(c)
-            lefts.append(c.left_order())
-            units.append(unit_group(lefts[-1]))
-            mass += Fraction(1, units[-1].order)
-            pending.extend((len(reps) - 1, q) for q in support)
-            if mass == target:
+        p = cs.support[si]
+        nbrs = None
+        covered = set()
+        seen = 0
+        while True:
+            cells = _brandt_column(cs, bi, p, p_bits[si])
+            if sum(map(len, cells)) == p.norm + 1:
                 break
-    return ClassSet(
-        order=R,
-        representatives=reps,
-        left_orders=lefts,
-        unit_groups=units,
-        support=support,
-        mass=mass,
-    )
+            if nbrs is None:
+                nbrs = neighbors(cs.representatives[bi], p)
+            for ai in range(seen, len(cells)):
+                for x in cells[ai]:
+                    u = cs.brandt.pairs[ai, bi][0].vector(x)
+                    covered.add(_witness_neighbor(cs.representatives[ai], u))
+            seen = len(cells)
+            c = next((c for c in nbrs if c not in covered), None)
+            if c is None:
+                raise ArithmeticError("Brandt column short of Np + 1 orbits covers every neighbor")
+            _join(cs, c, c.left_order())
+            if cs.mass > target:
+                raise ArithmeticError(
+                    "unit masses exceed the Eichler mass; class identification is broken"
+                )
+            pending.extend((cs.size - 1, sj) for sj in range(len(cs.support)))
+    return cs
+
+
+def _join(cs, rep, left):
+    """Add the class of rep, with its left order, its unit group and its
+    share of the mass."""
+    G = unit_group(left)
+    cs.representatives.append(rep)
+    cs.left_orders.append(left)
+    cs.unit_groups.append(G)
+    cs.mass += Fraction(1, G.order)
+
+
+def _witness_neighbor(a, u):
+    """The neighbor u^-1 a that a Brandt witness u into the class of a gives."""
+    return a.lmul_element(a.alg.inv(u))
 
 
 @dataclass
@@ -495,6 +564,81 @@ def _product_columns(L, b):
     return [list(zip(*(m[r] for m in maps))) for r in range(len(b.rows))]
 
 
+def _brandt_column(cs, bi, pr, p_bits):
+    """The cells of the Brandt column (b, p), filled over the known classes.
+
+    The column is kept on the class set (ClassSet.brandt) and grown from
+    the first class it has not searched, in class order, while it holds
+    fewer than Np + 1 orbits: a neighbor lies in one class only, so a
+    closed column leaves its later cells empty.  p_bits are the narrow
+    class bits of p.  Returns the witness coordinates of each cell
+    searched (_brandt_cell), on the basis of L = a * b^-1.
+    """
+    br = cs.brandt
+    alg = cs.order.alg
+    # the unit data of the classes that joined since the last fill
+    for G, r in zip(cs.unit_groups[len(br.classes):], cs.representatives[len(br.classes):]):
+        units = _norm_one_units(alg, G)
+        br.classes.append(_ClassUnits(
+            bits=alg.base.narrow_dlog(r.nr_ideal()),
+            nr_inv=r.nr_ideal().inverse(),
+            lefts=[alg.left_matrix(g) for g in units],
+            rights=[alg.right_matrix(h) for h in units],
+            targets=_norm_coset_targets(alg, G),
+        ))
+    cells = br.columns.setdefault((bi, pr.ideal), [])
+    room = pr.norm + 1 - sum(map(len, cells))
+    while room and len(cells) < cs.size:
+        xs = _brandt_cell(cs, len(cells), bi, pr, p_bits, room)
+        cells.append(xs)
+        room -= len(xs)
+    return cells
+
+
+def _brandt_cell(cs, ai, bi, pr, p_bits, room):
+    """Witness coordinates of the p-neighbors of b in the class of a, at
+    most room of them (compute_theta)."""
+    br = cs.brandt
+    F = cs.order.alg.base
+    ca, cb = br.classes[ai], br.classes[bi]
+    if any(x ^ y ^ z for x, y, z in zip(ca.bits, p_bits, cb.bits)):
+        return []
+    a, b = cs.representatives[ai], cs.representatives[bi]
+    beta = F.narrowly_principal_generator(a.nr_ideal() * pr.ideal * cb.nr_inv)
+    if beta is None:
+        raise ArithmeticError("narrowly trivial ideal has no totally positive generator")
+    if (ai, bi) not in br.pairs:
+        L = a.compose(b.inverse())
+        br.pairs[ai, bi] = (
+            L, _unit_matrices(L, ca.lefts), _unit_matrices(L, cb.rights), _product_columns(L, b),
+        )
+    L, left, right, prod_cols = br.pairs[ai, bi]
+    forms, D = L.norm_forms()
+    covered = set()
+    xs = []
+    for e in ca.targets:
+        alpha = F.mul(beta, e)
+        seeds = iter_norm_equation_coords(L, alpha)
+        found = _double_coset_orbits(seeds, left, right, covered, room)
+        room -= len(found)
+        want = [D * c for c in alpha]
+        for x in found:
+            if [sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, N))
+                    for N in forms] != want:
+                raise ArithmeticError("theta witness does not have the target norm")
+        xs += sorted(found)
+        if not room:
+            break
+    for x in xs:
+        # the coordinates of u * b over a: integral exactly when u * b lies
+        # in a, with |det| the index
+        ub = [[sum(map(mul, x, col)) for col in cols] for cols in prod_cols]
+        c = a.int_coords(ub, b.den * L.den)
+        if c is None or abs_det(c) != pr.norm ** 2:
+            raise ArithmeticError("theta witness does not map b into a at index Np^2")
+    return xs
+
+
 def check_norm_classes(th, nr_bits, p_bits):
     """e_chi M_p = chi(p) (Np + 1) e_chi for every narrow class character
     chi, in integers: each column b at p holds Np + 1 witnesses, all into
@@ -526,18 +670,19 @@ def compute_theta(cs, bound):
 
     The solutions are also stable under right multiplication by G_b,
     the norm-one units of the left order of b, since u h b = u b.  So
-    the table is filled column by column: for each b and p, the
-    narrowly trivial cells are taken in class order, and each draws
-    seeds lazily from its norm equation walk; one seed gives every left
-    orbit of its double coset G_a u G_b (_double_coset_orbits).  Once
-    the column holds Np + 1 orbits, the walk and the later cells of the
-    column are skipped: a neighbor lies in one class only.  Each cell
-    lists the lexicographic minima of its orbits, sorted per target.
-    Solutions stay integer coordinate vectors on the basis of L
-    throughout: the units act on them by integer matrices, the witness
-    checks run on the norm forms of L and the integer left matrices of
-    L's rows (_product_columns), and only the witnesses become
-    quaternions.
+    the table is filled column by column (_brandt_column): for each b
+    and p, the narrowly trivial cells are taken in class order, and each
+    draws seeds lazily from its norm equation walk; one seed gives every
+    left orbit of its double coset G_a u G_b (_double_coset_orbits).
+    Once the column holds Np + 1 orbits, the walk and the later cells of
+    the column are skipped: a neighbor lies in one class only.  Each
+    cell lists the lexicographic minima of its orbits, sorted per
+    target.  The columns compute_class_set closed at the support primes
+    are taken as they are, and only the others are filled.  Solutions
+    stay integer coordinate vectors on the basis of L throughout: the
+    units act on them by integer matrices, the witness checks run on the
+    norm forms of L and the integer left matrices of L's rows
+    (_product_columns), and only the witnesses become quaternions.
 
     Certificates, each raising ArithmeticError: a narrowly trivial J has
     a totally positive generator, the orbit checks of
@@ -545,66 +690,18 @@ def compute_theta(cs, bound):
     norm forms of L and has u * b inside a at index Np^2, and the
     neighbors of each b at each p number Np + 1 (check_norm_classes).
     """
-    alg = cs.order.alg
-    F = alg.base
+    F = cs.order.alg.base
     primes = F.prime_ideals_up_to(bound)
-    reps = cs.representatives
-    nrs = [r.nr_ideal() for r in reps]
-    nr_bits = cs.norm_classes()
     p_bits = [F.narrow_dlog(pr.ideal) for pr in primes]
-    norm_one = [_norm_one_units(alg, G) for G in cs.unit_groups]
-    lefts = [[alg.left_matrix(g) for g in units] for units in norm_one]
-    targets = [_norm_coset_targets(alg, G) for G in cs.unit_groups]
     entries = {}
-    for bi, b in enumerate(reps):
-        b_inv = b.inverse()
-        nr_b_inv = nrs[bi].inverse()
-        rights = [alg.right_matrix(h) for h in norm_one[bi]]
-        quotients = {}
+    for bi in range(cs.size):
         for pi, pr in enumerate(primes):
-            room = pr.norm + 1
-            for ai, a in enumerate(reps):
-                if not room:
-                    break
-                if any(x ^ y ^ z for x, y, z in zip(nr_bits[ai], p_bits[pi], nr_bits[bi])):
-                    continue
-                beta = F.narrowly_principal_generator(nrs[ai] * pr.ideal * nr_b_inv)
-                if beta is None:
-                    raise ArithmeticError("narrowly trivial ideal has no totally positive generator")
-                if ai not in quotients:
-                    L = a.compose(b_inv)
-                    quotients[ai] = (
-                        L, _unit_matrices(L, lefts[ai]), _unit_matrices(L, rights),
-                        _product_columns(L, b),
-                    )
-                L, left, right, prod_cols = quotients[ai]
-                forms, D = L.norm_forms()
-                covered = set()
-                xs = []
-                for e in targets[ai]:
-                    alpha = F.mul(beta, e)
-                    seeds = iter_norm_equation_coords(L, alpha)
-                    found = _double_coset_orbits(seeds, left, right, covered, room)
-                    room -= len(found)
-                    want = [D * c for c in alpha]
-                    for x in found:
-                        if [sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, N))
-                                for N in forms] != want:
-                            raise ArithmeticError("theta witness does not have the target norm")
-                    xs += sorted(found)
-                    if not room:
-                        break
-                for x in xs:
-                    # the coordinates of u * b over a: integral exactly when
-                    # u * b lies in a, with |det| the index
-                    ub = [[sum(map(mul, x, col)) for col in cols] for cols in prod_cols]
-                    c = a.int_coords(ub, b.den * L.den)
-                    if c is None or abs_det(c) != pr.norm ** 2:
-                        raise ArithmeticError("theta witness does not map b into a at index Np^2")
+            for ai, xs in enumerate(_brandt_column(cs, bi, pr, p_bits[pi])):
                 if xs:
+                    L = cs.brandt.pairs[ai, bi][0]
                     entries[(pi, ai, bi)] = [L.vector(x) for x in xs]
     # keys in (b, a, p) order, whatever order the columns were walked in
     entries = {k: entries[k] for k in sorted(entries, key=lambda k: (k[2], k[1], k[0]))}
     th = ThetaTable(bound=bound, primes=primes, entries=entries)
-    check_norm_classes(th, nr_bits, p_bits)
+    check_norm_classes(th, cs.norm_classes(), p_bits)
     return th

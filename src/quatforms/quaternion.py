@@ -308,19 +308,10 @@ class QuatLattice:
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other):
-        alg = self.alg
-        if isinstance(other, QuatLattice):
-            if alg is not other.alg:
-                raise ValueError("lattices lie in different algebras")
-            # x * y = y M_x for the integer left multiplication matrix M_x
-            # of each integer row x
-            rows = []
-            for x in self.rows:
-                rows += int_product(other.rows, alg.left_matrix(x)[0])
-            return QuatLattice(alg, rows, self.den * other.den)
+        """The lattice scaled by a rational number."""
         c = Fraction(other)
         rows = [[c.numerator * v for v in row] for row in self.rows]
-        return QuatLattice(alg, rows, self.den * c.denominator)
+        return QuatLattice(self.alg, rows, self.den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -343,21 +334,49 @@ class QuatLattice:
         return QuatLattice(self.alg, int_product(self.rows, lam), self.den * d)
 
     def compose(self, other):
-        """Ideal product; the factors' inner orders must match.
+        """Ideal product IJ; the factors' inner orders must match.
 
         The factors are taken to be invertible, as every ideal whose left
-        or right order is maximal is.  Then O_l(IJ) = O_l(I) and O_r(IJ) =
+        or right order is maximal is.  Then, with O = O_r(I) = O_l(J), the
+        index of IJ is multiplicative: covol(IJ) covol(O) = covol(I)
+        covol(J).  So the product is grown block by block, I y_j for the
+        basis rows y_j of J in turn (each block the rows y_j M_x, M_x the
+        integer left matrix of a row x of I), and the growth stops once
+        the span has that covolume, which usually takes one or two of the
+        4n blocks.  A span can reach the covolume short of IJ when the
+        index rule fails, so the products of the remaining rows must all
+        lie in it; then the span is IJ.  O_l(IJ) = O_l(I) and O_r(IJ) =
         O_r(J), and whichever of these is already known is set on the
-        product.  With O = O_r(I) = O_l(J), the product is certified by
-        covol(IJ) covol(O) = covol(I) covol(J): the index of an invertible
-        ideal in its orders is multiplicative.
+        product.
+
+        Certificates, each raising ArithmeticError: the product has the
+        product index, and it holds the blocks left out of its span.
         """
+        alg = self.alg
+        if alg is not other.alg:
+            raise ValueError("lattices lie in different algebras")
         order = self.right_order()
         if order != other.left_order():
             raise ValueError("ideals have incompatible orders for composition")
-        out = self * other
-        if out.covolume() * order.covolume() != self.covolume() * other.covolume():
+        target = self.covolume() * other.covolume()
+        lams = [alg.left_matrix(x)[0] for x in self.rows]
+        den = self.den * other.den
+
+        def block(y):
+            # the products x * y = y M_x over the rows x of I, over den
+            return [int_product([y], lam)[0] for lam in lams]
+
+        rows = []
+        for j, y in enumerate(other.rows):
+            out = QuatLattice(alg, rows + block(y), den)
+            if out.covolume() * order.covolume() == target:
+                break
+            rows = [[c * (den // out.den) for c in row] for row in out.rows]
+        else:
             raise ArithmeticError("ideal product does not have the product index")
+        rest = [v for y in other.rows[j + 1:] for v in block(y)]
+        if rest and out.int_coords(rest, den) is None:
+            raise ArithmeticError("ideal product misses a product of the factors' rows")
         out._left, out._right = self._left, other._right
         return out
 

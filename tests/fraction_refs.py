@@ -9,16 +9,25 @@ vector walk, dense left multiplication matrices, coordinates over an
 HNF basis by rational substitution (hnf_coords) and the HNF inverses and
 lattice coordinates built on them, the quaternion product in closed form
 (ref_mul), the structure table from it and the order test on basis
-vectors, and the theta table by full enumeration of every cell.  Tests
-state rational data through them and check the integer builders against
-them.
+vectors, the lattice product over all products of basis rows
+(ref_compose), the class set by isomorphism tests of every neighbor
+(ref_class_set), and the theta table by full enumeration of every cell.
+Tests state rational data through them and check the integer builders
+against them.
 """
 
 import math
 from fractions import Fraction
 
-from quatforms.classset import _norm_coset_targets
-from quatforms.intmat import integral_rows
+from quatforms.classset import (
+    _norm_coset_targets,
+    eichler_mass,
+    is_isomorphic,
+    narrow_support,
+    neighbors,
+    unit_group,
+)
+from quatforms.intmat import int_product, integral_rows
 from quatforms.matrices import Matrix
 from quatforms.quaternion import QuatLattice, norm_equation_solutions
 
@@ -123,6 +132,17 @@ def ref_iscale(lat, ideal):
     return ref_lattice(
         alg, [alg.fmul(x, v) for x in ideal.basis_vectors() for v in lat.basis_vectors()]
     )
+
+
+def ref_compose(lat, other):
+    """The lattice product as the span of all (4n)^2 products of basis
+    rows, in one HNF: x * y = y M_x for the integer left multiplication
+    matrix M_x of each integer row x."""
+    alg = lat.alg
+    rows = []
+    for x in lat.rows:
+        rows += int_product(other.rows, alg.left_matrix(x)[0])
+    return QuatLattice(alg, rows, lat.den * other.den)
 
 
 def ref_conjugate(lat):
@@ -274,3 +294,33 @@ def ref_theta_entries(cs, bound):
                 if xs:
                     entries[(pi, ai, bi)] = xs
     return entries
+
+
+def ref_class_set(R):
+    """(representatives, left orders, unit groups) of the neighbor walk
+    that classifies each neighbor by isomorphism tests: breadth first
+    over the representatives and the narrow support primes (the smallest
+    split prime when that is empty and one class is not the mass), each
+    neighbor not isomorphic to a known representative is a new one, until
+    the unit masses sum to the Eichler mass."""
+    F = R.alg.base
+    target = eichler_mass(F)
+    reps, lefts, units = [R], [R], [unit_group(R)]
+    mass = Fraction(1, units[0].order)
+    support = narrow_support(F)
+    if not support and mass != target:
+        support = [next(p for p in F.primes_by_norm() if p.f == 1 and p.e == 1)]
+    pending = [(0, p) for p in support]
+    while mass != target:
+        ci, p = pending.pop(0)
+        for c in neighbors(reps[ci], p):
+            if any(is_isomorphic(a, c) is not None for a in reps):
+                continue
+            reps.append(c)
+            lefts.append(c.left_order())
+            units.append(unit_group(lefts[-1]))
+            mass += Fraction(1, units[-1].order)
+            pending += [(len(reps) - 1, q) for q in support]
+            if mass == target:
+                break
+    return reps, lefts, units

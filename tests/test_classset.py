@@ -21,6 +21,8 @@ from quatforms.classset import (
     unit_group,
 )
 from fraction_refs import (
+    ref_class_set,
+    ref_compose,
     ref_conjugate,
     ref_coords,
     ref_disc_z,
@@ -51,7 +53,8 @@ F3 = field_from_spec("quad:3")
 
 @functools.cache
 def maximal_order(spec):
-    F = {"quad:85": F85, "quad:10": F10, "quad:5": F5, "quad:3": F3}[spec]
+    F = {"quad:85": F85, "quad:10": F10, "quad:5": F5, "quad:3": F3}.get(spec)
+    F = F or field_from_spec(spec)
     alg = hilbert_ramification_free_algebra(F)
     return maximalize(alg.standard_order())
 
@@ -237,11 +240,13 @@ def test_unit_group_keeps_the_norms_it_solved_for():
 
 def test_theta_searches_generators_only_for_trivial_classes(monkeypatch):
     # narrow dlogs decide which cells can be nonempty; every generator
-    # search compute_theta runs outside narrow_dlog finds one.  Half the
-    # cells are narrowly trivial, and the two that come after their
-    # column already holds Np + 1 neighbors are not searched
-    cs = class_set("quad:10")
-    F = cs.order.alg.base
+    # search outside narrow_dlog finds one.  Half the cells are narrowly
+    # trivial, and the two that come after their column already holds
+    # Np + 1 neighbors are not searched.  The walk searches the cells of
+    # the support columns it closes, and theta takes those columns as they
+    # are and searches the others
+    R = maximal_order("quad:10")
+    F = R.alg.base
     search, dlog = F.narrowly_principal_generator, F.narrow_dlog
     depth = []
     found = []
@@ -261,10 +266,12 @@ def test_theta_searches_generators_only_for_trivial_classes(monkeypatch):
 
     monkeypatch.setattr(F, "narrow_dlog", counted_dlog)
     monkeypatch.setattr(F, "narrowly_principal_generator", counted_search)
+    cs = compute_class_set(R, narrow_support(F))
+    walked = len(found)
     th = compute_theta(cs, 12)
     cells = cs.size ** 2 * len(th.primes)
     assert cells // 2 == 32
-    assert len(found) == 30
+    assert (walked, len(found)) == (5, 30)
     assert None not in found
 
 
@@ -356,11 +363,12 @@ def test_inverse_presets_orders_known_by_construction():
 
 
 def test_inverse_built_once_per_lattice(monkeypatch):
-    # is_isomorphic(a, c) inverts the neighbor c for every representative a
-    # that passes the narrow class filter: 37 inversions of 16 distinct
-    # lattices on the quad:85 walk.  The inverse is kept on the lattice, so
-    # no lattice object is inverted twice, and the walk is unchanged.
-    R = maximal_order("quad:85")
+    # the walk inverts a representative b once it fills a Brandt column
+    # (b, p), for the quotients a * b^-1 of its cells: 5 inversions of 5
+    # distinct lattices on a fresh quad:85 walk.  The inverse is kept on
+    # the lattice, so no lattice object is inverted twice, and the walk
+    # gives the pinned representatives and unit groups.
+    R = hilbert_ramification_free_algebra(F85).maximal_order()
     built = []
     conjugate = QuatLattice.conjugate
 
@@ -371,8 +379,8 @@ def test_inverse_built_once_per_lattice(monkeypatch):
     monkeypatch.setattr(QuatLattice, "conjugate", recording)
     cs = compute_class_set(R, narrow_support(F85))
     monkeypatch.undo()
-    assert len({id(lat) for lat in built}) == len(built) == 17
-    assert len({(lat.rows, lat.den) for lat in built}) == 16
+    assert len({id(lat) for lat in built}) == len(built) == 5
+    assert len({(lat.rows, lat.den) for lat in built}) == 5
     for lat in built:
         assert lat.inverse() is lat.inverse()
     reps = repr([(r.rows, r.den) for r in cs.representatives])
@@ -442,29 +450,59 @@ def test_orders_known_by_construction(spec, bound, stabilized, monkeypatch):
         want = stabilizer(QuatLattice(lat.alg, lat.rows, lat.den), left)
         return (lat._left if left else lat._right) == want
 
-    # a compose in is_isomorphic knows the left order of its representative
-    # factor, and one in compute_theta both orders of its representatives
+    # every compose, in the walk or in compute_theta, knows both orders
+    # of its representative factors
     assert all(known(c, False) for c in neighbor_lats)
-    assert all(known(L, True) for L in products)
-    assert all(known(L, False) for L in products[walked:])
-    assert all(known(L, False) for L in products[:walked] if L._right is not None)
+    assert all(known(L, True) and known(L, False) for L in products)
 
 
 def test_compose_certificate_checked_under_optimize(run_optimized):
-    # a lattice product off by a factor 2 must be caught by the index
-    # certificate with asserts stripped
+    # left matrices doubled make every block of the product twice too
+    # large, so no span of them reaches the product index; with asserts
+    # stripped the index certificate must catch it
     out = run_optimized(
         "from quatforms.numberfield import field_from_spec\n"
-        "from quatforms.quaternion import QuatLattice, hilbert_ramification_free_algebra\n"
+        "from quatforms.quaternion import QuatAlgebra, hilbert_ramification_free_algebra\n"
         "R = hilbert_ramification_free_algebra(field_from_spec('quad:5')).maximal_order()\n"
-        "mul = QuatLattice.__mul__\n"
-        "QuatLattice.__mul__ = lambda self, other: mul(mul(self, other), 2)\n"
+        "left = QuatAlgebra.left_matrix\n"
+        "def doubled(self, x):\n"
+        "    m, d = left(self, x)\n"
+        "    return [[2 * c for c in row] for row in m], d\n"
+        "QuatAlgebra.left_matrix = doubled\n"
         "try:\n"
         "    print('returned', R.compose(R))\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
     assert out.startswith("ArithmeticError: ideal product does not have the product index")
+
+
+def test_compose_containment_checked_under_optimize(run_optimized):
+    # R * R on quad:85 takes two blocks; a covolume that reads the target
+    # after the first one stops the product a block short, and with
+    # asserts stripped the containment of the remaining products must
+    # catch it
+    out = run_optimized(
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import QuatLattice, hilbert_ramification_free_algebra\n"
+        "R = hilbert_ramification_free_algebra(field_from_spec('quad:85')).maximal_order()\n"
+        "QuatLattice.covolume = lambda self: 1\n"
+        "try:\n"
+        "    print('returned', R.compose(R))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: ideal product misses a product of the factors' rows")
+
+
+@pytest.mark.parametrize("spec", ["quad:10", "quad:15", "quad:85"])
+def test_compose_matches_full_product(spec):
+    # the product that stops at its index against the span of all 64
+    # products of basis rows, on every ordered pair of classes
+    cs = class_set(spec)
+    for a in cs.representatives:
+        for b in cs.representatives:
+            assert a.compose(b.inverse()) == ref_compose(a, b.inverse())
 
 
 def test_stabilizer_matches_fraction_reference():
@@ -519,6 +557,92 @@ def test_class_set_representatives_pairwise_distinct():
     for i in range(n):
         for j in range(i + 1, n):
             assert is_isomorphic(cs.representatives[i], cs.representatives[j]) is None
+
+
+@pytest.mark.parametrize("spec", ["quad:10", "quad:15", "quad:41", "quad:85"])
+def test_class_set_matches_isomorphism_walk(spec):
+    # the closure of the Brandt columns against the walk that classifies
+    # every neighbor by isomorphism tests: the same representatives, left
+    # orders and unit groups.  On every support column the witnesses u
+    # into the classes a give the neighbors u^-1 a of b at p, each once,
+    # and no other lattice (Fraction products)
+    cs = class_set(spec)
+    reps, lefts, units = ref_class_set(cs.order)
+    assert [(r.rows, r.den) for r in cs.representatives] == [(r.rows, r.den) for r in reps]
+    assert cs.left_orders == lefts
+    assert [g.elements for g in cs.unit_groups] == [g.elements for g in units]
+    alg = cs.order.alg
+    bound = max(p.norm for p in cs.support)
+    th = compute_theta(cs, bound)
+    for pi, pr in enumerate(th.primes):
+        if pr.ideal not in {p.ideal for p in cs.support}:
+            continue
+        for bi, b in enumerate(cs.representatives):
+            got = [
+                ref_lmul(cs.representatives[ai], alg.inv(u))
+                for (pj, ai, bj), us in th.entries.items() if (pj, bj) == (pi, bi)
+                for u in us
+            ]
+            assert len(got) == len(set(got)) == pr.norm + 1
+            assert set(got) == set(neighbors(b, pr))
+
+
+def test_walk_and_theta_make_no_isomorphism_test(monkeypatch):
+    # across compute_class_set and compute_theta on quad:85: no isomorphism
+    # test, no lattice spanned by 64 rows (the full product), and neighbor
+    # lists only for the walk's columns that did not close on the classes
+    # known, each of which holds a new representative: 4 of the 5 columns
+    # the walk fills
+    import quatforms.classset as classset
+    import quatforms.quaternion as quaternion
+
+    tests = []
+    spans = []
+    lists = []
+    walk, canonical = classset.neighbors, quaternion.canonical_lattice
+
+    def counted_isomorphic(a, b):
+        tests.append((a, b))
+        return is_isomorphic(a, b)
+
+    def recorded_neighbors(b, p):
+        lists.append(walk(b, p))
+        return lists[-1]
+
+    def recorded_canonical(rows, den, rank):
+        spans.append(len(rows))
+        return canonical(rows, den, rank)
+
+    monkeypatch.setattr(classset, "is_isomorphic", counted_isomorphic)
+    monkeypatch.setattr(classset, "neighbors", recorded_neighbors)
+    monkeypatch.setattr(quaternion, "canonical_lattice", recorded_canonical)
+    R = maximal_order("quad:85")
+    cs = compute_class_set(R, narrow_support(F85))
+    assert (len(lists), len(cs.brandt.columns)) == (4, 5)
+    compute_theta(cs, 12)
+    assert tests == []
+    assert spans and max(spans) < 64
+    assert len(lists) == 4
+    new = [sum(r in out for r in cs.representatives[1:]) for out in lists]
+    assert all(new) and sum(new) == cs.size - 1
+
+
+def test_walk_identification_checked_under_optimize(run_optimized):
+    # a walk blind to the neighbors its witnesses give takes covered
+    # neighbors as new classes; with asserts stripped the mass must catch it
+    out = run_optimized(
+        "from quatforms import classset\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
+        "F = field_from_spec('quad:35')\n"
+        "R = hilbert_ramification_free_algebra(F).maximal_order()\n"
+        "classset._witness_neighbor = lambda a, u: None\n"
+        "try:\n"
+        "    print('returned', classset.compute_class_set(R, classset.narrow_support(F)))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: unit masses exceed the Eichler mass")
 
 
 def test_class_set_needs_generating_support():

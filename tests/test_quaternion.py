@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_refs import (
+    ref_compose,
     ref_coords,
     ref_det,
     ref_is_order,
@@ -315,8 +316,9 @@ def test_compose_requires_matching_orders():
 
 def test_int_coords_and_lattice_products():
     # integer coordinates of whole matrices against the Fraction solve,
-    # None for vectors outside the lattice, and the integer lattice
-    # product against the span of all quaternion products
+    # None for vectors outside the lattice, and the lattice product, the
+    # full one and compose where the orders match, against the span of
+    # all quaternion products
     alg = _alg(F10)
     R = alg.maximal_order()
     I = R.lmul_element(alg.el(1, 1, 1, 0))
@@ -337,7 +339,9 @@ def test_int_coords_and_lattice_products():
         span = ref_lattice(
             alg, [alg.mul(u, v) for u in x.basis_vectors() for v in y.basis_vectors()]
         )
-        assert x * y == span
+        assert ref_compose(x, y) == span
+        if x.right_order() == y.left_order():
+            assert x.compose(y) == span
 
 
 def test_lattice_sum_and_intersection():
@@ -441,7 +445,7 @@ def test_discriminant_certificate_checked_under_optimize(run_optimized):
 def test_lattice_product_rejects_another_algebra():
     R, S = _alg(F10).standard_order(), _alg(F10).standard_order()
     with pytest.raises(ValueError, match="different algebras"):
-        R * S
+        R.compose(S)
 
 
 def test_idealizer_containment_checked_under_optimize(run_optimized):
