@@ -194,6 +194,10 @@ def is_isomorphic(a, b):
     beta one fixed totally positive generator of nr(a)/nr(b) and e one of
     the finitely many totally positive units mod squares, so searching
     those norm equations over a * b^-1 is exhaustive.
+
+    The pipeline makes no call to it, since the walk identifies classes
+    by their Brandt witnesses: it is the tests' class test, independent of
+    the walk, and a tracing target of benchmarks/tracing.py.
     """
     alg = a.alg
     F = alg.base

@@ -2,12 +2,13 @@
 
 The space at level N is assembled class by class: each unit group acts on
 P^1(O/N) through a 2x2 splitting of the order at the level primes, and the
-operator at a prime p transports orbits along the stored isomorphism
-witnesses.  At each level prime the splitting is the neighbor walk's
-(classset.split_residue_matrix, kept on the order).  Its reduction map
-is one F_p-matrix from integer coordinates over the order to the 2x2
-image, so reducing an element is one integer product with the inverse
-of the order's basis and one with that matrix.  Residue fields are log
+operator at a prime p transports orbits along the Brandt witnesses of
+the theta table (classset.compute_theta).  At each level prime the
+splitting is the neighbor walk's (classset.split_residue_matrix, kept on
+the order).  Its reduction map is one F_p-matrix from integer
+coordinates over the order to the 2x2 image, so reducing an element is
+one integer product with the inverse of the order's basis and one with
+that matrix.  Residue fields are log
 tables (residue.FiniteField), so matrix entries and projective points
 are small ints.  All Hecke matrices have integer entries and everything
 is exact.  The dimension report counts orbits and takes the narrow
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .classset import check_norm_classes, split_residue_matrix
-from .intmat import hnf_with_transform, identity_int, int_product, integral_rows
+from .intmat import int_product, integral_rows
 from .matrices import Matrix
 from .numberfield import PrimeIdeal
 from .residue import mat2_act, mat2_det, mat2_mul, p1_points
@@ -112,35 +113,53 @@ class _LevelComponent:
         self._mult_cache = {}
 
     def _one_mod_prime(self, d):
-        """A field element of (d) / gcd((d), prime-part) congruent to 1."""
+        """A field element t of J = (d) / gcd((d), prime-part) with t = 1
+        modulo the prime q.
+
+        J is integral and coprime to q, so some element m of J is a unit
+        mod q, and t = m s with s a rational integer inverse to m mod q.
+        The HNF rows of q, of norm l^f, are ((l, 0), (0, l)) when f = 2,
+        and ((l, 0), (0, 1)) or ((1, a), (0, l)) when f = 1.  When f = 1,
+        O/q = Z/l and omega = r mod q, with r = 0 or 1 + a r = 0 mod l, so
+        m is a basis row j of J outside q.  When f = 2, q = l O and m is
+        the rational integer N(j) = j conj(j) of such a row, prime to l.
+        """
         if d in self._mult_cache:
             return self._mult_cache[d]
         F = self.order.alg.base
+        q = self.prime
         J = F.ideal(d)
-        v = J.valuation(self.prime)
+        v = J.valuation(q)
         if v:
-            J = J * self.prime.inverse() ** v
+            J = J * q.inverse() ** v
         if J.den != 1:
             raise ArithmeticError("multiplier ideal is not integral")
-        n = F.degree
-        stacked = [list(r) for r in J.rows] + [list(r) for r in self.prime.rows]
-        H, U = hnf_with_transform(stacked)
-        if H[:n] != identity_int(n):
+        (a0, a1), (_, a2) = q.rows
+        ell = max(a0, a2)
+        r = -pow(a1, -1, ell) if a0 == 1 else 0
+        cands = J.rows if a0 != a2 else [(int(F.norm(F.el(j))), 0) for j in J.rows]
+        m = next((m for m in cands if (m[0] + m[1] * r) % ell), None)
+        if m is None:
             raise ArithmeticError("multiplier ideal is not coprime to the prime")
-        # rows :n of U write each unit vector as a J part plus a prime part
-        coeffs = int_product([[int(c) for c in F.one]], [row[:n] for row in U[:n]])[0]
-        t_el = F.el(int_product([coeffs], J.rows)[0])
-        gap = F.sub(F.one, t_el)
-        if not self.prime.contains(gap):
-            raise ArithmeticError("multiplier is not congruent to 1 modulo the prime")
+        s = pow(m[0] + m[1] * r, -1, ell)
+        t_el = F.el((s * m[0], s * m[1]))
         self._mult_cache[d] = t_el
         return t_el
 
-    def _clear(self, denoms, x, mul):
+    def _clear(self, denoms, x):
+        """x times a multiplier t = 1 mod the prime that clears the
+        denominators denoms (x itself when there are none).
+
+        Certificate: 1 - t lies in the prime, else ArithmeticError.
+        """
         d = math.lcm(*denoms)
         if d == 1:
             return x
-        return mul(self._one_mod_prime(d), x)
+        alg = self.order.alg
+        t_el = self._one_mod_prime(d)
+        if not self.prime.contains(alg.base.sub(alg.base.one, t_el)):
+            raise ArithmeticError("multiplier is not congruent to 1 modulo the prime")
+        return alg.fmul(t_el, x)
 
     def _coords(self, x):
         """(num, q) with num[i] / q the coordinates of x over the order's basis."""
@@ -152,7 +171,7 @@ class _LevelComponent:
     def reduce(self, x):
         """2x2 matrix of residue field codes of an element integral at the prime."""
         num, q = self._coords(x)
-        cleared = self._clear([q // math.gcd(q, c) for c in num], x, self.order.alg.fmul)
+        cleared = self._clear([q // math.gcd(q, c) for c in num], x)
         if cleared is not x:
             num, q = self._coords(cleared)
         if any(c % q for c in num):
@@ -224,7 +243,7 @@ def build_splitting(cs, N):
         return sm
     if N.den != 1:
         raise ValueError("level must be an integral ideal")
-    support = {s.ideal if isinstance(s, PrimeIdeal) else s for s in cs.support}
+    support = {s.ideal for s in cs.support}
     primes = []
     for q, e in N.factor():
         if e != 1:
@@ -285,8 +304,9 @@ class CoinvariantSpace:
 def build_space(cs, N, w, seed=0):
     """Orbit decomposition of P^1(O/N) under every class unit group.
 
-    seed is unused, kept for callers that still pass it: the splitting
-    at the level primes is the same on every run.
+    w and seed are kept only for benchmarks/pipeline.py, which passes
+    them: w must be parallel weight 2, and seed is unused, since the
+    splitting at the level primes is the same on every run.
 
     units.elements is the whole unit group modulo base field units, and
     base units act on P^1 as scalars, so trivially.  The orbit of a point
@@ -355,17 +375,16 @@ def hecke_operator(cs, th, sp, p):
 
     Each stored witness u into class a moves a source orbit of class b to
     the orbit of the splitting image of u applied to its representative
-    point.  p must be coprime to the level; every column sums to Np + 1
-    because the witnesses partition the Np + 1 neighbors.
+    point.  p is one of the PrimeIdeals of th.primes, coprime to the
+    level; every column sums to Np + 1 because the witnesses partition
+    the Np + 1 neighbors.
     """
-    ideal = p.ideal if isinstance(p, PrimeIdeal) else p
-    _check_field(cs, [ideal] + [pr.ideal for pr in th.primes])
-    pi = next((i for i, pr in enumerate(th.primes) if pr.ideal == ideal), None)
-    if pi is None:
+    _check_field(cs, [p.ideal] + [pr.ideal for pr in th.primes])
+    if p not in th.primes:
         raise ValueError("prime is outside the tabulated walk; extend the bound")
-    if any(q == ideal for q, _ in sp.p1.factors):
+    if any(q == p.ideal for q, _ in sp.p1.factors):
         raise ValueError("Hecke prime divides the level")
-    pr = th.primes[pi]
+    pi = th.primes.index(p)
     size = sp.dim
     rows = [[0] * size for _ in range(size)]
     for bi in range(cs.size):
@@ -377,11 +396,11 @@ def hecke_operator(cs, th, sp, p):
                     qt = sp.splitting.act(mats, sp.p1.points[ri])
                     oi = sp.lookups[ai][sp.p1.index[qt]]
                     rows[sp.offsets[ai] + oi][sp.offsets[bi] + j] += 1
-    degree = pr.norm + 1
+    degree = p.norm + 1
     for j in range(size):
         if sum(rows[i][j] for i in range(size)) != degree:
             raise ArithmeticError("column sum differs from the neighbor count")
-    return HeckeBlock(pr, sp, Matrix(rows))
+    return HeckeBlock(p, sp, Matrix(rows))
 
 
 # ---------------------------------------------------------------------------

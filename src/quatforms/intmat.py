@@ -5,10 +5,8 @@ lattice.  The HNF used here is the row echelon form: pivots move right as
 you go down, pivot entries are positive, and entries above a pivot are
 reduced into [0, pivot).
 
-hnf_rows runs the one elimination, on the rows alone.  A caller that
-needs the unimodular transform U gets it from hnf_with_transform, which
-eliminates the augmented rows [mat | I] and reads U off the last
-columns; no other elimination carries U along.
+hnf_rows runs the one elimination, on the rows alone; no elimination
+carries a unimodular transform along.
 
 A rational lattice or matrix is integer rows over one positive
 denominator.  check_int_rows guards that format, and canonical_lattice
@@ -122,21 +120,6 @@ def hnf_rows(mat):
             break
     # the rows from `row` on are zero in every column
     return h[:row]
-
-
-def hnf_with_transform(mat):
-    """Row HNF of an integer matrix with its transform.
-
-    Returns (H, U) with U unimodular, U * mat = H, H in row Hermite form
-    with zero rows (if any) at the bottom.  [mat | I] has full row rank
-    and its HNF is [U * mat | U]: the elimination on the first m columns
-    is the one hnf_rows runs on mat, and the pivots in the identity
-    columns only combine rows that are zero on the first m columns.
-    """
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    h = hnf_rows([list(row) + e for row, e in zip(mat, identity_int(n))])
-    return [row[:m] for row in h], [row[m:] for row in h]
 
 
 def lattice_coords(inv, lat_den, mat, den):

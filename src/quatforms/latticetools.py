@@ -9,8 +9,8 @@ off the same data.  iter_norm is the exact shell walk that norm-equation
 searches are built on: it walks only vectors of the given value, solving
 the last coordinate by one integer square root, can test further
 integer forms on each shell vector before mapping it back, and yields
-the survivors lazily; on a lattice without an ambient basis they are
-integer coefficient vectors.  enumerate_norm is its whole walk, sorted.
+the survivors lazily, as integer coefficient vectors on the basis of
+the given Gram.  enumerate_norm is its whole walk, sorted.
 No floating point is used anywhere.
 """
 
@@ -117,31 +117,6 @@ def lll_gram(gram):
     if den != 1:
         g = [[Fraction(v, den) for v in row] for row in g]
     return g, u
-
-
-# ---------------------------------------------------------------------------
-# Lattices with an ambient coordinate system
-
-
-@dataclass
-class TraceFormLattice:
-    """A positive definite lattice.
-
-    basis rows give ambient coordinates of the lattice generators; gram
-    is the matrix of the bilinear form on those generators.  basis may
-    be None, in which case ambient coordinates are the coefficient
-    vectors themselves.
-    """
-
-    gram: list
-    basis: list | None = None
-
-    def __post_init__(self):
-        n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
-            raise ValueError("Gram matrix is not square")
-        if self.basis is not None and len(self.basis) != n:
-            raise ValueError("basis and Gram matrix differ in rank")
 
 
 # ---------------------------------------------------------------------------
@@ -290,45 +265,36 @@ def _quad(form, x):
 
 @dataclass
 class NormSolutions:
-    """Solution vectors, one per +-pair: ambient coordinates, or integer
-    coefficient vectors for a lattice without an ambient basis."""
+    """Solution vectors, one per +-pair: integer coefficient vectors."""
 
     vectors: list
 
 
-def iter_norm(lat: TraceFormLattice, t, forms=()):
-    """The lattice vectors with Q(x) = t, one per +-pair, as the walk
-    finds them.
+def iter_norm(gram, t, forms=()):
+    """The vectors x with Q(x) = x gram x^T = t, one per +-pair, as the
+    walk finds them.
 
-    Reduces the basis first, then walks the shell Q(x) = t alone
-    (fincke_pohst with shell=True), lazily: a caller that has what it
-    needs stops the walk by dropping the iterator.  forms holds pairs
-    (N, v) of integer forms on the coefficient vectors and the values
-    they must take: each is carried to the reduced basis once, as
-    u N u^T for the LLL transform u, and every shell vector is tested
-    there, so only the vectors that pass are mapped back.  Vectors come
-    in ambient coordinates, sign-normalized (first nonzero entry
-    positive); without an ambient basis they are coefficient vectors,
-    integer tuples.
+    gram is a square positive definite Gram matrix.  Reduces the basis
+    first, then walks the shell Q(x) = t alone (fincke_pohst with
+    shell=True), lazily: a caller that has what it needs stops the walk
+    by dropping the iterator.  forms holds pairs (N, v) of integer forms
+    on the coefficient vectors and the values they must take: each is
+    carried to the reduced basis once, as u N u^T for the LLL transform
+    u, and every shell vector is tested there, so only the vectors that
+    pass are mapped back.  Vectors come as integer coefficient tuples,
+    sign-normalized (first nonzero entry positive).
     """
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise ValueError("Gram matrix is not square")
     t = Fraction(t)
     if t <= 0:
         raise ValueError("norm target must be positive")
     if t.denominator == 1:
         t = t.numerator
-    g2, u = lll_gram(lat.gram)
-    n = len(g2)
-    if lat.basis is not None:
-        rows = [
-            [sum(u[i][k] * Fraction(lat.basis[k][j]) for k in range(n))
-             for j in range(len(lat.basis[0]))]
-            for i in range(n)
-        ]
-    else:
-        rows = u
-    cols = list(zip(*rows))
-    ut = list(zip(*u))
-    reduced = [(int_product(int_product(u, N), ut), v) for N, v in forms]
+    g2, u = lll_gram(gram)
+    cols = list(zip(*u))
+    reduced = [(int_product(int_product(u, N), cols), v) for N, v in forms]
     for coords, val in fincke_pohst(g2, t, shell=True):
         if val != t or any(_quad(N, coords) != v for N, v in reduced):
             continue
@@ -339,10 +305,10 @@ def iter_norm(lat: TraceFormLattice, t, forms=()):
         yield tuple(vec)
 
 
-def enumerate_norm(lat: TraceFormLattice, t, forms=()) -> NormSolutions:
-    """All lattice vectors with Q(x) = t, up to sign: the whole walk of
-    iter_norm, sorted, so the result does not depend on the input
-    basis."""
-    found = sorted(iter_norm(lat, t, forms))
-    log.debug("enumerate_norm rank=%d t=%s hits=%d", len(lat.gram), t, len(found))
+def enumerate_norm(gram, t, forms=()) -> NormSolutions:
+    """All vectors with Q(x) = t, up to sign: the whole walk of
+    iter_norm, sorted, so the result does not depend on the order the
+    walk finds them in."""
+    found = sorted(iter_norm(gram, t, forms))
+    log.debug("enumerate_norm rank=%d t=%s hits=%d", len(gram), t, len(found))
     return NormSolutions(vectors=found)

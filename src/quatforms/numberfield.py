@@ -205,14 +205,6 @@ class FieldCtx:
                 z1 = z1 + c if z1 else c
         return (z0, z1)
 
-    def el_pow(self, x, k: int) -> tuple:
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = self.one
-        for _ in range(k):
-            out = self.mul(out, x)
-        return out
-
     def rep_rows(self, x) -> list[list]:
         """Rows of multiplication by x: row i is e_i * x."""
         x0, x1 = x
@@ -441,10 +433,6 @@ class FieldIdeal:
         self.rows = tuple(tuple(int(c) for c in r) for r in rows)
         self.den = int(den)
         self._norm = None
-
-    def basis_vectors(self) -> list[tuple]:
-        d = self.den
-        return [tuple(Fraction(c, d) for c in r) for r in self.rows]
 
     def norm(self) -> Fraction:
         if self._norm is None:

@@ -16,6 +16,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .arith import inv_mod, next_prime, symmetric_mod
+from .intmat import integral_rows
 
 
 class Poly:
@@ -40,9 +41,6 @@ class Poly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __add__(self, other):
         other = _coerce(other)
@@ -105,9 +103,6 @@ class Poly:
             r.pop()
         return Poly(q), Poly(r)
 
-    def __floordiv__(self, other):
-        return self.divmod(_coerce(other))[0]
-
     def __mod__(self, other):
         return self.divmod(_coerce(other))[1]
 
@@ -125,11 +120,6 @@ class Poly:
             return self
         lc = self.coeffs[-1]
         return Poly([c / lc for c in self.coeffs])
-
-    def int_coeffs(self) -> list[int]:
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise ValueError("coefficients are not integral")
-        return [c.numerator for c in self.coeffs]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,20 +159,14 @@ def _coerce(v) -> Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q.
 
-    Integer inputs go through the modular gcd to dodge coefficient blowup;
-    anything else falls back to the Euclidean algorithm on Fractions.
+    Clearing denominators scales each input by a nonzero constant, which
+    leaves the monic gcd alone, and by Gauss's lemma the gcd in Q[x] of
+    integer polynomials is their gcd in Z[x] made monic; the modular
+    gcd_int_poly computes that without coefficient blowup.
     """
-    if a.is_zero():
-        return b.monic() if not b.is_zero() else b
-    if b.is_zero():
-        return a.monic()
-    if any(c.denominator != 1 for c in a.coeffs + b.coeffs):
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-    g = gcd_int_poly(a.int_coeffs(), b.int_coeffs())
-    lc = g[-1]
-    return Poly([Fraction(c, lc) for c in g])
+    _, (f, h) = integral_rows([a.coeffs, b.coeffs])
+    g = gcd_int_poly(f, h)
+    return Poly([Fraction(c, g[-1]) for c in g])
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +337,6 @@ def _zdivides(g, f) -> bool:
 
 # ---------------------------------------------------------------------------
 # squarefree decomposition (Yun)
-
-
-def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
-    """f = lc * prod g_i^i with g_i monic squarefree pairwise coprime."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has no squarefree decomposition")
-    lc, d, h = _monic_integer(f)
-    return lc, [(_unscale(g, d), i) for g, i in _yun(h)]
 
 
 def _monic_integer(f: Poly) -> tuple[Fraction, int, list[int]]:

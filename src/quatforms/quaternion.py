@@ -19,8 +19,8 @@ sparse table and whose certificate is the reduced discriminant dropping
 to the unit ideal (norm 1).  Norm equations are solved in integer
 coordinates on a lattice's basis, where the reduced norm is a set of
 integer quadratic forms (QuatLattice.norm_forms).  Single rational
-elements multiply through the same table (mul, and nr, pair, fmul and
-inv on it), so the table is the one definition of the product.
+elements multiply through the same table (mul, and nr, fmul and inv on
+it), so the table is the one definition of the product.
 """
 
 from fractions import Fraction
@@ -33,11 +33,10 @@ from .intmat import (
     canonical_lattice,
     int_product,
     integral_preimage_rows,
-    integral_rows,
     inverse_rows,
     lattice_coords,
 )
-from .latticetools import TraceFormLattice, enumerate_norm, iter_norm
+from .latticetools import enumerate_norm, iter_norm
 from .residue import (
     LatticeQuotient,
     algebra_radical,
@@ -85,7 +84,6 @@ class QuatAlgebra:
         self.one = tuple(
             Fraction(1) if t == 0 else _ZERO for t in range(self.dim)
         )
-        self.zero = (_ZERO,) * self.dim
         self._maximalized = {}
         self._table = self._sparse = None
 
@@ -104,17 +102,6 @@ class QuatAlgebra:
             else:
                 out.extend(self.base.el(c))
         return tuple(out)
-
-    def gens(self):
-        """The standard generators (i, j, k)."""
-        one = self.base.from_int(1)
-        return (self.el(0, one), self.el(0, 0, one), self.el(0, 0, 0, one))
-
-    def add(self, x, y):
-        return tuple(Fraction(u) + Fraction(v) for u, v in zip(x, y))
-
-    def neg(self, x):
-        return tuple(-Fraction(u) for u in x)
 
     def fmul(self, c, x):
         """Multiply by a central field element (coordinate seq)."""
@@ -200,17 +187,9 @@ class QuatAlgebra:
         return tuple(Fraction(c) if t < n else -Fraction(c)
                      for t, c in enumerate(x))
 
-    def trd(self, x):
-        """Reduced trace x + conj(x), as a field element."""
-        return tuple(2 * Fraction(c) for c in x[:self.base.degree])
-
     def nr(self, x):
         """Reduced norm x * conj(x), as a field element."""
         return self.mul(x, self.conj(x))[:self.base.degree]
-
-    def pair(self, x, y):
-        """trd(x * conj(y)); the trace form over F, positive definite here."""
-        return self.trd(self.mul(x, self.conj(y)))
 
     def inv(self, x):
         nrm = self.nr(x)
@@ -226,9 +205,6 @@ class QuatAlgebra:
         return QuatLattice(
             self, [[int(r == c) for c in range(N)] for r in range(N)], 1
         )
-
-    def maximal_order(self):
-        return maximalize(self.standard_order())
 
 
 class QuatLattice:
@@ -249,10 +225,6 @@ class QuatLattice:
         self._forms = self._inv = self._ideal_inv = None
         # residue splittings at primes, kept by classset.split_residue_matrix
         self._splits = {}
-
-    def basis_vectors(self):
-        d = self.den
-        return [tuple(Fraction(c, d) for c in row) for row in self.rows]
 
     def vector(self, x):
         """The element sum_i x[i] * rows[i] / den for integer coordinates x."""
@@ -277,10 +249,6 @@ class QuatLattice:
         some vector lies outside the lattice.
         """
         return lattice_coords(self._inverse(), self.den, mat, den)
-
-    def contains(self, vec):
-        d, rows = integral_rows([vec])
-        return self.int_coords(rows, d) is not None
 
     def contains_lattice(self, other):
         return self.int_coords(other.rows, other.den) is not None
@@ -715,9 +683,9 @@ def trace_form_gram(lat, w):
 
 
 def _norm_shell(lat, alpha):
-    """The shell search for nr(x) = alpha on lat: (TraceFormLattice,
-    value, forms) for latticetools.iter_norm, or None when no lattice
-    vector can have that norm.
+    """The shell search for nr(x) = alpha on lat: (gram, value, forms) for
+    latticetools.iter_norm, or None when no lattice vector can have that
+    norm.
 
     With w = N(alpha) / alpha, a solution x has w nr(x) = N(alpha), a
     rational number, so it lies on the shell Tr(w trd(x conj x)) =
@@ -739,10 +707,7 @@ def _norm_shell(lat, alpha):
         return None  # D nr(x) is integral on the lattice
     nm = F.norm(alpha)
     gram, scale = trace_form_gram(lat, F.smul(nm, F.inv(alpha)))
-    return (
-        TraceFormLattice(gram=gram), scale * 2 * F.degree * nm,
-        [(N, int(v)) for N, v in zip(forms, want)],
-    )
+    return gram, scale * 2 * F.degree * nm, [(N, int(v)) for N, v in zip(forms, want)]
 
 
 def iter_norm_equation_coords(lat, alpha):
@@ -758,21 +723,15 @@ def iter_norm_equation_coords(lat, alpha):
     return iter(()) if shell is None else iter_norm(*shell)
 
 
-def norm_equation_coords(lat, alpha):
-    """All x of iter_norm_equation_coords, sorted.
-
-    The basis rows are upper triangular with a positive diagonal, so this
-    order and sign are those of the ambient vectors (QuatLattice.vector)
-    as well.  The sorted walk is latticetools.enumerate_norm.
-    """
-    shell = _norm_shell(lat, alpha)
-    return [] if shell is None else enumerate_norm(*shell).vectors
-
-
 def norm_equation_solutions(lat, alpha):
     """All x in the lattice with nr(x) = alpha, one per +-pair, sorted.
 
-    The ambient vectors of norm_equation_coords: sign-normalized (first
-    nonzero coordinate positive) and in lexicographic order.
+    The whole walk of iter_norm_equation_coords, sorted by
+    latticetools.enumerate_norm and mapped to ambient vectors.  The basis
+    rows are upper triangular with a positive diagonal, so the order and
+    sign of the coordinate vectors are those of the ambient vectors:
+    sign-normalized (first nonzero coordinate positive) and in
+    lexicographic order.
     """
-    return [lat.vector(x) for x in norm_equation_coords(lat, alpha)]
+    shell = _norm_shell(lat, alpha)
+    return [] if shell is None else [lat.vector(x) for x in enumerate_norm(*shell).vectors]

@@ -207,12 +207,6 @@ class FpAlgebra:
             power = self.mul(power, x)
         return out
 
-    def inv(self, x):
-        sol = solve_right_mod(self.rep_left(x), self.one, self.p)
-        if sol is None:
-            raise ZeroDivisionError("element is a zero divisor")
-        return sol
-
     def elements(self):
         """All p^dim coordinate vectors, lexicographic. Only for tiny algebras."""
         return itertools.product(range(self.p), repeat=self.dim)

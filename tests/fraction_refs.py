@@ -13,7 +13,10 @@ vectors, the lattice product over all products of basis rows
 (ref_compose), the class set by isomorphism tests of every neighbor
 (ref_class_set), and the theta table by full enumeration of every cell.
 Tests state rational data through them and check the integer builders
-against them.
+against them.  The basis vectors of lattices and ideals (lattice_basis,
+ideal_basis), the reduced trace form (ref_pair) and powers of field
+elements (el_pow) are spelled out here from the package's own
+primitives.
 """
 
 import math
@@ -120,6 +123,33 @@ def ref_det(rows):
     return out
 
 
+def lattice_basis(lat):
+    """The basis rows / den of a quaternion lattice as ambient vectors:
+    the lattice vectors of unit coordinates."""
+    m = len(lat.rows)
+    return [lat.vector([int(i == j) for j in range(m)]) for i in range(m)]
+
+
+def ideal_basis(ideal):
+    """The basis rows / den of a field ideal as Fraction elements."""
+    return [tuple(Fraction(c, ideal.den) for c in r) for r in ideal.rows]
+
+
+def ref_pair(alg, x, y):
+    """trd(x * conj(y)), the trace form over the base field: twice the
+    field block of the product."""
+    F = alg.base
+    return F.smul(2, alg.mul(x, alg.conj(y))[:F.degree])
+
+
+def el_pow(F, x, k):
+    """x^k for a field element x and k >= 0, by repeated products."""
+    out = F.one
+    for _ in range(k):
+        out = F.mul(out, x)
+    return out
+
+
 def ref_lattice(alg, vectors):
     """The lattice spanned by rational vectors of the algebra."""
     den, ints = integral_rows([[Fraction(c) for c in v] for v in vectors])
@@ -130,7 +160,7 @@ def ref_iscale(lat, ideal):
     """lat scaled by a field ideal: the span of the products x * v."""
     alg = lat.alg
     return ref_lattice(
-        alg, [alg.fmul(x, v) for x in ideal.basis_vectors() for v in lat.basis_vectors()]
+        alg, [alg.fmul(x, v) for x in ideal_basis(ideal) for v in lattice_basis(lat)]
     )
 
 
@@ -147,12 +177,12 @@ def ref_compose(lat, other):
 
 def ref_conjugate(lat):
     alg = lat.alg
-    return ref_lattice(alg, [alg.conj(v) for v in lat.basis_vectors()])
+    return ref_lattice(alg, [alg.conj(v) for v in lattice_basis(lat)])
 
 
 def ref_lmul(lat, x):
     alg = lat.alg
-    return ref_lattice(alg, [alg.mul(x, v) for v in lat.basis_vectors()])
+    return ref_lattice(alg, [alg.mul(x, v) for v in lattice_basis(lat)])
 
 
 def ref_inverse(lat):
@@ -163,8 +193,8 @@ def ref_inverse(lat):
 def ref_disc_z(lat):
     """Determinant of the Gram of Tr_{F/Q}(trd(x * conj(y))) on the basis."""
     alg = lat.alg
-    bs = lat.basis_vectors()
-    return ref_det([[alg.base.trace(alg.pair(x, y)) for y in bs] for x in bs])
+    bs = lattice_basis(lat)
+    return ref_det([[alg.base.trace(ref_pair(alg, x, y)) for y in bs] for x in bs])
 
 
 def ref_cholesky(gram):
@@ -249,8 +279,9 @@ def ref_is_order(lat):
 
     if not contains(alg.one):
         return False
-    bs = lat.basis_vectors()
-    if not all(F.is_integral(alg.trd(x)) and F.is_integral(alg.nr(x)) for x in bs):
+    bs = lattice_basis(lat)
+    # trd(x) = x + conj(x) is twice the field block of x
+    if not all(F.is_integral(F.smul(2, x[:F.degree])) and F.is_integral(alg.nr(x)) for x in bs):
         return False
     return all(contains(alg.mul(x, y)) for x in bs for y in bs)
 
@@ -290,7 +321,9 @@ def ref_theta_entries(cs, bound):
                         xs.append(x)
                         for g in units:
                             y = alg.mul(g, x)
-                            seen.add(alg.neg(y) if next(v for v in y if v) < 0 else y)
+                            if next(v for v in y if v) < 0:
+                                y = tuple(-v for v in y)
+                            seen.add(y)
                 if xs:
                     entries[(pi, ai, bi)] = xs
     return entries

@@ -20,13 +20,13 @@ from quatforms.heckespace import (
 )
 from quatforms.numberfield import FieldIdeal, field_from_spec
 from quatforms.polynomials import factor_poly
-from quatforms.quaternion import QuatAlgebra, hilbert_ramification_free_algebra
+from quatforms.quaternion import QuatAlgebra, hilbert_ramification_free_algebra, maximalize
 
 
 @functools.cache
 def class_set(spec):
     F = field_from_spec(spec)
-    R = hilbert_ramification_free_algebra(F).maximal_order()
+    R = maximalize(hilbert_ramification_free_algebra(F).standard_order())
     return compute_class_set(R, narrow_support(F))
 
 
@@ -91,9 +91,9 @@ def test_orbit_partition_checked_under_optimize(run_optimized):
         "from quatforms.classset import UnitGroup, compute_class_set, narrow_support\n"
         "from quatforms.heckespace import build_space, parallel_weight_two\n"
         "from quatforms.numberfield import field_from_spec\n"
-        "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
         "F = field_from_spec('quad:5')\n"
-        "R = hilbert_ramification_free_algebra(F).maximal_order()\n"
+        "R = maximalize(hilbert_ramification_free_algebra(F).standard_order())\n"
         "cs = compute_class_set(R, narrow_support(F))\n"
         "G = cs.unit_groups[0]\n"
         "els = G.elements[:7] + G.elements[8:]\n"
@@ -166,9 +166,9 @@ QUAD10_OPTIMIZED = (
     "from quatforms.classset import compute_class_set, compute_theta, narrow_support\n"
     "from quatforms.heckespace import dimension_report\n"
     "from quatforms.numberfield import field_from_spec\n"
-    "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
+    "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
     "F = field_from_spec('quad:10')\n"
-    "R = hilbert_ramification_free_algebra(F).maximal_order()\n"
+    "R = maximalize(hilbert_ramification_free_algebra(F).standard_order())\n"
     "cs = compute_class_set(R, narrow_support(F))\n"
     "th = compute_theta(cs, 5)\n"
     "bits = cs.norm_classes()\n"
@@ -210,13 +210,31 @@ def test_norm_class_identity_checked_under_optimize(run_optimized):
     assert out.startswith("ArithmeticError: theta witness leaves the norm class")
 
 
+def test_multiplier_certificate_checked_under_optimize(run_optimized):
+    # units of quad:10 with denominator 4 need a multiplier at the first
+    # prime of norm 3; one off by one is 2, not 1, modulo the prime, and
+    # with asserts stripped the certificate must still raise
+    out = run_optimized(
+        QUAD10_OPTIMIZED
+        + "from quatforms import heckespace\n"
+        "one_mod_prime = heckespace._LevelComponent._one_mod_prime\n"
+        "heckespace._LevelComponent._one_mod_prime = (\n"
+        "    lambda self, d: F.add(one_mod_prime(self, d), F.one))\n"
+        "N = next(p for p in F.prime_ideals_up_to(3) if p.norm == 3).ideal\n"
+        "try:\n"
+        "    print('returned', heckespace.build_splitting(cs, N))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: multiplier is not congruent to 1 modulo the prime")
+
+
 def ref_reduce(comp, x):
     """The reduction as it was computed before the F_p-matrix lam: Fraction
     coordinates over the order (to read the denominators), the quotient
     projection of the ambient vector and the splitting image."""
-    alg = comp.order.alg
     coords = ref_coords(comp.order, x)
-    x = comp._clear([c.denominator for c in coords], x, alg.fmul)
+    x = comp._clear([c.denominator for c in coords], x)
     return comp.res.split.image(comp.res.quo.proj(x))
 
 
@@ -257,9 +275,9 @@ def test_reduction_map_checked_under_optimize(run_optimized):
         "from quatforms import heckespace\n"
         "from quatforms.classset import compute_class_set, narrow_support\n"
         "from quatforms.numberfield import field_from_spec\n"
-        "from quatforms.quaternion import hilbert_ramification_free_algebra\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
         "F = field_from_spec('quad:5')\n"
-        "R = hilbert_ramification_free_algebra(F).maximal_order()\n"
+        "R = maximalize(hilbert_ramification_free_algebra(F).standard_order())\n"
         "cs = compute_class_set(R, narrow_support(F))\n"
         "init = heckespace._LevelComponent.__init__\n"
         "def corrupt(self, *args, **kwargs):\n"
@@ -320,7 +338,7 @@ def test_level_primes_split_once_per_order(monkeypatch):
     # build_space and then dimension_report on one class set split the
     # order once at each level prime: the splitting is kept on the order
     F = field_from_spec("quad:5")
-    R = hilbert_ramification_free_algebra(F).maximal_order()
+    R = maximalize(hilbert_ramification_free_algebra(F).standard_order())
     cs = compute_class_set(R, narrow_support(F))
     th = compute_theta(cs, 4)
     N = level(F, 31, 41)
@@ -345,7 +363,7 @@ def test_ideals_of_another_field_context_rejected():
     cs1, th1 = class_set("quad:5"), theta("quad:5", 11)
     F1, F2 = cs1.order.alg.base, field_from_spec("quad:5")
     assert F1 is not F2
-    R2 = hilbert_ramification_free_algebra(F2).maximal_order()
+    R2 = maximalize(hilbert_ramification_free_algebra(F2).standard_order())
     cs2 = compute_class_set(R2, narrow_support(F2))
     th2 = compute_theta(cs2, 11)
     w = parallel_weight_two(F1)
@@ -415,7 +433,7 @@ def test_level_three_over_quad10_clears_denominators(monkeypatch):
     # denominator 4 at the support prime of norm 2; reducing them at the
     # level needs a field multiplier congruent to 1 mod the level prime
     F = field_from_spec("quad:10")
-    R = hilbert_ramification_free_algebra(F).maximal_order()
+    R = maximalize(hilbert_ramification_free_algebra(F).standard_order())
     cs = compute_class_set(R, narrow_support(F))
     N = level(F, 3)
     calls = []
@@ -479,7 +497,7 @@ def blocks_31x41():
     F, cs, _ = q5_bound4()
     th = theta("quad:5", 5)
     sp = build_space(cs, level(F, 31, 41), parallel_weight_two(F))
-    return [hecke_operator(cs, th, sp, pr.ideal) for pr in th.primes if pr.norm not in (31, 41)]
+    return [hecke_operator(cs, th, sp, pr) for pr in th.primes if pr.norm not in (31, 41)]
 
 
 def test_carried_factor_data_matches_direct_restriction():

@@ -9,7 +9,6 @@ from quatforms.intmat import (
     abs_det,
     canonical_lattice,
     hnf_rows,
-    hnf_with_transform,
     identity_int,
     int_product,
     integral_preimage_rows,
@@ -33,15 +32,6 @@ def test_hnf_known():
 
 def test_hnf_zero_matrix():
     assert hnf_rows([[0, 0], [0, 0]]) == []
-
-
-@given(square_mats(3))
-@settings(max_examples=60, deadline=None)
-def test_hnf_transform_identity(mat):
-    h, u = hnf_with_transform(mat)
-    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in u] == h
-    # u unimodular: integer square matrix whose rows span Z^n
-    assert hnf_rows(u) == identity_int(3)
 
 
 def ref_hnf_with_transform(mat):
@@ -88,8 +78,8 @@ def ref_hnf_with_transform(mat):
 def hnf_inputs(draw):
     """Integer matrices of any shape, with zero and dependent rows.
 
-    One branch stacks two 2x2 upper triangular blocks into the 4x2 shape
-    of the coprimality solve in heckespace._LevelComponent._one_mod_prime.
+    One branch stacks two 2x2 upper triangular blocks, the HNF rows of
+    two field ideals, into the 4x2 shape of the rows of their sum.
     """
     if draw(st.booleans()):
         blocks = [
@@ -116,10 +106,6 @@ def hnf_inputs(draw):
 def test_hnf_matches_transform_carrying_reference(mat):
     want, _ = ref_hnf_with_transform(mat)
     assert hnf_rows(mat) == [row for row in want if any(row)]
-    h, u = hnf_with_transform(mat)
-    assert h == want
-    assert int_product(u, mat) == h
-    assert hnf_rows(u) == identity_int(len(mat))
 
 
 @given(st.data())

@@ -9,7 +9,6 @@ import pytest
 from fraction_refs import ref_cholesky
 from quatforms.intmat import integral_rows
 from quatforms.latticetools import (
-    TraceFormLattice,
     _cholesky,
     enumerate_norm,
     fincke_pohst,
@@ -250,14 +249,14 @@ def test_enumerate_norm_filters_on_forms():
     rng = random.Random(47)
     for _ in range(20):
         n = rng.choice([2, 3, 4])
-        lat = TraceFormLattice(gram=_gram_of(_random_basis(rng, n, spread=3)))
+        gram = _gram_of(_random_basis(rng, n, spread=3))
         form = _gram_of([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         x = [rng.randint(-2, 2) for _ in range(n)]
-        t = sum(lat.gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
-        shell = enumerate_norm(lat, t).vectors
+        t = sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
+        shell = enumerate_norm(gram, t).vectors
         for v in {sum(y[i] * form[i][j] * y[j] for i in range(n) for j in range(n))
                   for y in shell}:
-            got = enumerate_norm(lat, t, [(form, v)]).vectors
+            got = enumerate_norm(gram, t, [(form, v)]).vectors
             assert got == [y for y in shell
                            if sum(y[i] * form[i][j] * y[j]
                                   for i in range(n) for j in range(n)) == v]
@@ -269,12 +268,10 @@ def test_indefinite_forms_rejected():
             list(fincke_pohst(bad, 5))
         with pytest.raises(ArithmeticError, match="not positive definite"):
             lll_gram(bad)
-    with pytest.raises(ValueError):
-        enumerate_norm(TraceFormLattice(gram=[[1]]), 0)
-    with pytest.raises(ValueError):
-        TraceFormLattice(gram=[[1, 0]])
-    with pytest.raises(ValueError):
-        TraceFormLattice(gram=[[1]], basis=[[1], [0]])
+    with pytest.raises(ValueError, match="positive"):
+        enumerate_norm([[1]], 0)
+    with pytest.raises(ValueError, match="not square"):
+        enumerate_norm([[1, 0]], 1)
 
 
 def test_indefinite_forms_rejected_under_optimize(run_optimized):
@@ -299,13 +296,23 @@ def test_fincke_pohst_empty_below_minimum():
 
 
 def test_enumerate_norm_axes():
-    lat = TraceFormLattice(gram=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert enumerate_norm(lat, 1).vectors == [
+    gram = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert enumerate_norm(gram, 1).vectors == [
         (0, 0, 1),
         (0, 1, 0),
         (1, 0, 0),
     ]
-    assert enumerate_norm(lat, 7).vectors == []
+    assert enumerate_norm(gram, 7).vectors == []
+
+
+def _ambient(vectors, basis):
+    """Coefficient vectors over basis rows as ambient vectors, sign-normalized
+    (first nonzero entry positive) and sorted."""
+    out = []
+    for y in vectors:
+        v = [sum(c * b[j] for c, b in zip(y, basis)) for j in range(len(basis[0]))]
+        out.append(tuple(-c for c in v) if next(c for c in v if c) < 0 else tuple(v))
+    return sorted(out)
 
 
 def test_enumerate_norm_basis_independent():
@@ -314,19 +321,20 @@ def test_enumerate_norm_basis_independent():
     # same lattice, second basis mixed by a unimodular transform
     mixed = [basis[0][:], [a + 2 * b for a, b in zip(basis[1], basis[0])], basis[2][:]]
     mixed[2] = [a - b for a, b in zip(mixed[2], mixed[1])]
-    l1 = TraceFormLattice(gram=_gram_of(basis), basis=basis)
-    l2 = TraceFormLattice(gram=_gram_of(mixed), basis=mixed)
     for t in (1, 2, 5, 9):
-        assert enumerate_norm(l1, t).vectors == enumerate_norm(l2, t).vectors
+        assert _ambient(enumerate_norm(_gram_of(basis), t).vectors, basis) == _ambient(
+            enumerate_norm(_gram_of(mixed), t).vectors, mixed
+        )
 
 
 def test_lll_reduce_keeps_lattice():
     basis = [[3, 1, 0], [1, 4, 1], [0, 1, 5]]
-    lat = TraceFormLattice(gram=_gram_of(basis), basis=basis)
-    g2, u = lll_gram(lat.gram)
+    gram = _gram_of(basis)
+    g2, u = lll_gram(gram)
     # the reduced basis is u * basis, and its Gram is g2
     red_basis = [[sum(u[i][k] * basis[k][j] for k in range(3)) for j in range(3)]
                  for i in range(3)]
     assert g2 == _gram_of(red_basis)
-    red = TraceFormLattice(gram=g2, basis=red_basis)
-    assert enumerate_norm(lat, 9).vectors == enumerate_norm(red, 9).vectors
+    assert _ambient(enumerate_norm(gram, 9).vectors, basis) == _ambient(
+        enumerate_norm(g2, 9).vectors, red_basis
+    )

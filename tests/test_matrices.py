@@ -38,7 +38,7 @@ def charpoly_oracle(m: Matrix) -> Poly:
 
 
 def companion(f: Poly) -> Matrix:
-    assert f.is_monic()
+    assert f.leading() == 1
     n = f.degree
     rows = [[0] * n for _ in range(n)]
     for i in range(1, n):

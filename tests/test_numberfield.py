@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraction_refs import hnf_coords
+from fraction_refs import el_pow, hnf_coords, ideal_basis
 from quatforms import numberfield
 from quatforms.numberfield import (
     FieldCtx,
@@ -90,8 +90,6 @@ def test_element_arithmetic():
     assert not F.is_totally_positive(w)
     with pytest.raises(ZeroDivisionError):
         F.inv(F.zero)
-    with pytest.raises(ValueError):
-        F.el_pow(w, -1)
 
 
 # -- closed forms against the table-driven references --------------------
@@ -164,7 +162,7 @@ def field_elements(d):
     eps = F.fundamental_units[0]
     near = st.builds(
         lambda k, conj, sign, shift: F.add(
-            F.smul(sign, F.el(_conj(d, F.el_pow(eps, k))) if conj else F.el_pow(eps, k)),
+            F.smul(sign, F.el(_conj(d, el_pow(F, eps, k))) if conj else el_pow(F, eps, k)),
             F.from_int(shift),
         ),
         st.integers(min_value=1, max_value=12),
@@ -349,7 +347,7 @@ def test_ideal_norm_and_inverse_random():
             b = _random_ideal(F, rng)
             assert (a * b).norm() == a.norm() * b.norm()
             assert a * a.inverse() == F.unit_ideal()
-            s = F.ideal(*a.basis_vectors(), *b.basis_vectors())
+            s = F.ideal(*ideal_basis(a), *ideal_basis(b))
             assert s.divides(a) and s.divides(b)
 
 
@@ -366,15 +364,15 @@ def test_ideal_products_and_membership_match_fraction_coords(d):
     for _ in range(12):
         a = _random_ideal(F, rng) * Fraction(rng.randint(1, 5), rng.randint(1, 5))
         b = _random_ideal(F, rng)
-        prod = F.ideal(*[F.mul(x, y) for x in a.basis_vectors() for y in b.basis_vectors()])
+        prod = F.ideal(*[F.mul(x, y) for x in ideal_basis(a) for y in ideal_basis(b)])
         assert a * b == prod == b * a
         x = F.el((Fraction(rng.randint(-9, 9), rng.randint(1, 3)), rng.randint(1, 9)))
-        assert a * x == F.ideal(*[F.mul(v, x) for v in a.basis_vectors()])
-        for v in a.basis_vectors() + b.basis_vectors() + prod.basis_vectors() + [x, F.one]:
+        assert a * x == F.ideal(*[F.mul(v, x) for v in ideal_basis(a)])
+        for v in ideal_basis(a) + ideal_basis(b) + ideal_basis(prod) + [x, F.one]:
             assert a.contains(v) == inside(a, v)
             assert b.contains(v) == inside(b, v)
         for u, w in ((a, b), (b, a), (a, prod), (b, prod), (prod, a), (a, a)):
-            assert u.divides(w) == all(inside(u, v) for v in w.basis_vectors())
+            assert u.divides(w) == all(inside(u, v) for v in ideal_basis(w))
         # b is integral, so a divides a * b
         assert a.divides(prod)
 
@@ -393,7 +391,7 @@ def test_ideal_inverse_matches_conjugate(a, b, m):
     def conj(v):
         return (v[0] + t * v[1], -v[1])
 
-    conj_ideal = F.ideal(*[conj(v) for v in ideal.basis_vectors()])
+    conj_ideal = F.ideal(*[conj(v) for v in ideal_basis(ideal)])
     assert ideal.inverse() == conj_ideal * (1 / ideal.norm())
 
 
@@ -509,7 +507,7 @@ def test_minkowski_pool_covered():
 def _is_unit_square(F, x):
     # x = eps^(2k) for some |k| <= 5, which covers the exponents tested below
     eps = F.fundamental_units[0]
-    return any(F.el_pow(eps, 2 * k) == x or F.el_pow(F.inv(eps), 2 * k) == x
+    return any(el_pow(F, eps, 2 * k) == x or el_pow(F, F.inv(eps), 2 * k) == x
                for k in range(6))
 
 
@@ -530,6 +528,6 @@ def test_totally_positive_units():
         eps = F.fundamental_units[0]
         for k in range(-4, 5):
             for sign in (1, -1):
-                x = F.smul(sign, F.el_pow(eps, k) if k >= 0 else F.el_pow(F.inv(eps), -k))
+                x = F.smul(sign, el_pow(F, eps, k) if k >= 0 else el_pow(F, F.inv(eps), -k))
                 if F.is_totally_positive(x):
                     assert any(_is_unit_square(F, F.mul(x, F.inv(u))) for u in reps)

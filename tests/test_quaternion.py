@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_refs import (
+    lattice_basis,
     ref_compose,
     ref_coords,
     ref_det,
@@ -14,9 +15,11 @@ from fraction_refs import (
     ref_left_matrix,
     ref_mul,
     ref_mul_table,
+    ref_pair,
 )
 from quatforms import quaternion
 from quatforms.classset import compute_class_set, narrow_support
+from quatforms.intmat import integral_rows
 from quatforms.numberfield import field_from_spec
 from quatforms.quaternion import (
     QuatAlgebra,
@@ -54,24 +57,25 @@ def test_rejects_indefinite_structure_constants():
 
 def test_element_arithmetic():
     alg = _alg(F85)
-    i, j, k = alg.gens()
+    i, j, k = alg.el(0, 1), alg.el(0, 0, 1), alg.el(0, 0, 0, 1)
     assert alg.mul(i, j) == k
-    assert alg.mul(j, i) == alg.neg(k)
-    assert alg.mul(i, i) == alg.neg(alg.one)
-    assert alg.mul(k, k) == alg.neg(alg.one)
+    assert alg.mul(j, i) == alg.el(0, 0, 0, -1)
+    assert alg.mul(i, i) == alg.el(-1)
+    assert alg.mul(k, k) == alg.el(-1)
     x = alg.el(2, 1, 0, 3)
-    assert F85.el(alg.trd(x)) == F85.from_int(4)
     # nr(2 + i + 3k) = 4 + 1 + 9
     assert alg.base.el(alg.nr(x)) == F85.from_int(14)
     xbar = alg.conj(x)
-    assert alg.add(x, xbar) == alg.el(alg.trd(x))
+    assert xbar == alg.el(2, -1, 0, -3)
+    # trd(x) = x + conj(x) = 4
+    assert tuple(a + b for a, b in zip(x, xbar)) == alg.el(4)
     prod = alg.mul(x, xbar)
     assert prod == alg.el(14)
     xi = alg.inv(x)
     assert alg.mul(x, xi) == alg.one
     assert alg.mul(xi, x) == alg.one
     with pytest.raises(ZeroDivisionError):
-        alg.inv(alg.zero)
+        alg.inv(alg.el(0))
 
 
 def _random_elems(alg, rng, count, span=5):
@@ -152,7 +156,7 @@ def test_maximalize_reaches_unit_discriminant():
 
 def test_maximalize_rejects_non_orders():
     alg = _alg(F85)
-    rows = [list(r) for r in alg.standard_order().basis_vectors()]
+    rows = [list(r) for r in lattice_basis(alg.standard_order())]
     # halve the i block; nr(i/2) = 1/4 is not integral
     for t in range(2, 4):
         rows[t] = [c / 2 for c in rows[t]]
@@ -268,32 +272,31 @@ def test_setup_builds_no_fraction_quaternion_product(monkeypatch):
 
 def test_lattice_requires_full_rank():
     alg = _alg(F85)
-    i, j, k = alg.gens()
+    i, j = alg.el(0, 1), alg.el(0, 0, 1)
     with pytest.raises(ValueError):
-        ref_lattice(alg, [alg.one, i, j, alg.add(alg.one, i)])
+        ref_lattice(alg, [alg.one, i, j, alg.el(1, 1)])
 
 
 def test_ramification_free_search_quadratic():
     alg = hilbert_ramification_free_algebra(F85)
     assert alg.base is F85
     assert alg.a == F85.from_int(-1) and alg.b == F85.from_int(-1)
-    top = alg.maximal_order()
+    top = maximalize(alg.standard_order())
     assert reduced_discriminant_norm(top) == 1
     # the cached order is reused
-    assert alg.maximal_order() is top
+    assert maximalize(alg.standard_order()) is top
 
 
 def test_principal_ideal_identities():
     alg = hilbert_ramification_free_algebra(F85)
-    R = alg.maximal_order()
-    i, j, k = alg.gens()
+    R = maximalize(alg.standard_order())
     x = alg.el(1, 1, 1, 0)  # nr = 3
     assert alg.base.el(alg.nr(x)) == F85.from_int(3)
     I = R.lmul_element(x)
     assert I.nr_ideal() == F85.ideal(F85.from_int(3))
     assert I.right_order() == R
     xinv = alg.inv(x)
-    conj_order = ref_lattice(alg, [alg.mul(alg.mul(x, v), xinv) for v in R.basis_vectors()])
+    conj_order = ref_lattice(alg, [alg.mul(alg.mul(x, v), xinv) for v in lattice_basis(R)])
     assert I.left_order() == conj_order
     assert conj_order != R
     Iinv = I.inverse()
@@ -306,7 +309,7 @@ def test_principal_ideal_identities():
 
 def test_compose_requires_matching_orders():
     alg = hilbert_ramification_free_algebra(F85)
-    R = alg.maximal_order()
+    R = maximalize(alg.standard_order())
     x = alg.el(1, 1, 1, 0)
     I = R.lmul_element(x)
     assert I.left_order() != I.right_order()
@@ -320,7 +323,7 @@ def test_int_coords_and_lattice_products():
     # full one and compose where the orders match, against the span of
     # all quaternion products
     alg = _alg(F10)
-    R = alg.maximal_order()
+    R = maximalize(alg.standard_order())
     I = R.lmul_element(alg.el(1, 1, 1, 0))
     rng = random.Random(4)
     mat = [[rng.randint(-6, 6) for _ in range(alg.dim)] for _ in range(5)]
@@ -337,7 +340,7 @@ def test_int_coords_and_lattice_products():
     assert R.int_coords([list(r) for r in R.rows], 2 * R.den) is None
     for x, y in ((I, R), (R, I), (I, I.conjugate())):
         span = ref_lattice(
-            alg, [alg.mul(u, v) for u in x.basis_vectors() for v in y.basis_vectors()]
+            alg, [alg.mul(u, v) for u in lattice_basis(x) for v in lattice_basis(y)]
         )
         assert ref_compose(x, y) == span
         if x.right_order() == y.left_order():
@@ -346,15 +349,15 @@ def test_int_coords_and_lattice_products():
 
 def test_lattice_sum_and_intersection():
     alg = hilbert_ramification_free_algebra(F85)
-    R = alg.maximal_order()
+    R = maximalize(alg.standard_order())
     x = alg.el(1, 1, 1, 0)
     y = alg.el(1, 0, 1, 1)
     I = R.lmul_element(x)
     J = R.lmul_element(y)
-    S = ref_lattice(alg, I.basis_vectors() + J.basis_vectors())
+    S = ref_lattice(alg, lattice_basis(I) + lattice_basis(J))
     assert S.right_order() == R
-    for b in I.basis_vectors():
-        assert S.contains(b)
+    # the basis rows of I have integer coordinates over S
+    assert S.int_coords([list(r) for r in I.rows], I.den) is not None
     assert S.contains_lattice(I) and S.contains_lattice(J)
     # the norm of the sum divides the norm of each summand
     assert S.nr_ideal().divides(I.nr_ideal())
@@ -362,10 +365,10 @@ def test_lattice_sum_and_intersection():
 
 def test_ideal_scaling_and_conjugate():
     alg = hilbert_ramification_free_algebra(F10)
-    R = alg.maximal_order()
+    R = maximalize(alg.standard_order())
     two = R * Fraction(2)
     for c in (2, Fraction(-2, 3)):
-        assert R * c == ref_lattice(alg, [[c * u for u in v] for v in R.basis_vectors()])
+        assert R * c == ref_lattice(alg, [[c * u for u in v] for v in lattice_basis(R)])
     assert two.covolume() / R.covolume() == 2 ** alg.dim
     assert two.nr_ideal() == F10.ideal(F10.from_int(4))
     w = F10.el((0, 1))  # sqrt(10)
@@ -376,7 +379,7 @@ def test_ideal_scaling_and_conjugate():
 
 def test_norm_equation_recovers_witness():
     alg = hilbert_ramification_free_algebra(F85)
-    R = alg.maximal_order()
+    R = maximalize(alg.standard_order())
     x = alg.el(1, 1, 1, 0)
     sols = norm_equation_solutions(R, 3)
     assert len(sols) == 48
@@ -385,12 +388,14 @@ def test_norm_equation_recovers_witness():
     assert any(s == tx or s == neg for s in sols)
     for s in sols:
         assert alg.base.el(alg.nr(s)) == F85.from_int(3)
-        assert R.contains(s)
+    # every solution lies in R
+    d, rows = integral_rows(sols)
+    assert R.int_coords(rows, d) is not None
 
 
 def test_norm_equation_rejects_not_totally_positive():
     alg = hilbert_ramification_free_algebra(F85)
-    R = alg.maximal_order()
+    R = maximalize(alg.standard_order())
     with pytest.raises(ValueError):
         norm_equation_solutions(R, -1)
     w = F85.el((0, 1))  # mixed signs
@@ -403,23 +408,24 @@ def test_unit_counts_of_maximal_orders():
     # Q(sqrt 5), and the order the search lands on over Q(sqrt 10) has a
     # Hurwitz unit group (12 pairs, consistent with Eichler mass 7/6)
     alg5 = hilbert_ramification_free_algebra(F5)
-    assert len(norm_equation_solutions(alg5.maximal_order(), 1)) == 60
+    assert len(norm_equation_solutions(maximalize(alg5.standard_order()), 1)) == 60
     alg10 = hilbert_ramification_free_algebra(F10)
-    assert len(norm_equation_solutions(alg10.maximal_order(), 1)) == 12
+    assert len(norm_equation_solutions(maximalize(alg10.standard_order()), 1)) == 12
 
 
 def test_trace_form_is_positive_definite():
     alg = hilbert_ramification_free_algebra(F10)
-    R = alg.maximal_order()
+    R = maximalize(alg.standard_order())
     # the plain form, and the weight N(eps^2) / eps^2 of a skewed target
-    eps_sq = F10.el_pow(F10.el((3, 1)), 2)
+    eps = F10.el((3, 1))
+    eps_sq = F10.mul(eps, eps)
     skewed = F10.smul(F10.norm(eps_sq), F10.inv(eps_sq))
-    bs = R.basis_vectors()
+    bs = lattice_basis(R)
     for w in (F10.from_int(1), skewed):
         gram, scale = trace_form_gram(R, w)
-        # the integer Gram is scale times the Fraction one from alg.pair
+        # the integer Gram is scale times the Fraction one from ref_pair
         assert [[Fraction(v) / scale for v in row] for row in gram] == [
-            [F10.trace(F10.mul(w, alg.pair(x, y))) for y in bs] for x in bs
+            [F10.trace(F10.mul(w, ref_pair(alg, x, y))) for y in bs] for x in bs
         ]
         # leading principal minors all positive
         for t in range(1, len(gram) + 1):
@@ -495,7 +501,7 @@ def test_left_matrix_matches_dense_reference(F):
         q = tuple(Fraction(c, rng.randint(1, 6)) for c in xs)
         assert alg.left_matrix(tuple(xs)) == ref_left_matrix(alg, xs)
         assert alg.left_matrix(q) == ref_left_matrix(alg, q)
-    for row in alg.maximal_order().rows:
+    for row in maximalize(alg.standard_order()).rows:
         assert alg.left_matrix(row) == ref_left_matrix(alg, row)
 
 
@@ -533,9 +539,10 @@ def test_shell_vectors_off_the_norm_checked_under_optimize(run_optimized):
     out = run_optimized(
         "from quatforms import latticetools\n"
         "from quatforms.numberfield import field_from_spec\n"
-        "from quatforms.quaternion import hilbert_ramification_free_algebra, norm_equation_coords\n"
-        "R = hilbert_ramification_free_algebra(field_from_spec('quad:5')).maximal_order()\n"
-        "want = norm_equation_coords(R, 4)\n"
+        "from quatforms.quaternion import (\n"
+        "    hilbert_ramification_free_algebra, maximalize, norm_equation_solutions)\n"
+        "R = maximalize(hilbert_ramification_free_algebra(field_from_spec('quad:5')).standard_order())\n"
+        "want = norm_equation_solutions(R, 4)\n"
         "walk = latticetools.fincke_pohst\n"
         "injected = []\n"
         "def faulty(gram, bound, shell=False):\n"
@@ -543,7 +550,7 @@ def test_shell_vectors_off_the_norm_checked_under_optimize(run_optimized):
         "        injected.append(x)\n"
         "        yield x, bound\n"
         "latticetools.fincke_pohst = faulty\n"
-        "got = norm_equation_coords(R, 4)\n"
+        "got = norm_equation_solutions(R, 4)\n"
         "print(got == want, len(injected) > 2 * len(want))\n"
     )
     assert out.split() == ["True", "True"]

@@ -74,16 +74,18 @@ def _field_f25():
     return FpAlgebra(5, mult, (1, 0))
 
 
+def ref_inv(A, x):
+    """The inverse of x != 0 in a field A of order q, as x^(q - 2)."""
+    return A.pow(x, A.p ** A.dim - 2)
+
+
 def test_fp_algebra_field_basics():
     k = _field_f25()
     x = (0, 1)
     assert k.minpoly(x) == [2, 0, 1]
     assert k.mul(x, x) == (3, 0)
-    xi = k.inv(x)
-    assert k.mul(x, xi) == k.one
-    assert k.mul((2, 3), k.inv((2, 3))) == k.one
-    with pytest.raises(ZeroDivisionError):
-        k.inv((0, 0))
+    assert k.mul(x, ref_inv(k, x)) == k.one
+    assert k.mul((2, 3), ref_inv(k, (2, 3))) == k.one
     # Frobenius fixes exactly the prime field
     fr = k.frobenius_matrix()
     delta = tuple(
@@ -372,8 +374,8 @@ def ref_p1_normalize(A, x, y):
     """The projective line over FpAlgebra coordinates, as it was computed
     before fields became log tables: leading nonzero coordinate 1."""
     if any(x):
-        return (A.one, A.mul(A.inv(x), y))
-    return (A.mul(A.inv(y), x), A.one)
+        return (A.one, A.mul(ref_inv(A, x), y))
+    return (A.mul(ref_inv(A, y), x), A.one)
 
 
 def ref_mat2_act(A, M, pt):
@@ -405,7 +407,7 @@ def test_finite_field_matches_fp_algebra(name):
         assert k.code(ca) == a
         assert k.coords(k.neg(a)) == A.sub(A.zero(), ca)
         if a:
-            assert k.coords(k.inv(a)) == A.inv(ca)
+            assert k.coords(k.inv(a)) == ref_inv(A, ca)
         for b in codes:
             cb = k.coords(b)
             assert k.coords(k.mul(a, b)) == A.mul(ca, cb)
