@@ -28,7 +28,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .arith import factor_int
-from .intmat import abs_det, identity_int, int_product
+from .intmat import abs_det, echelon_coords, hnf_rows, identity_int, int_product, integral_rows
 from .numberfield import PrimeIdeal
 from .quaternion import QuatLattice, iter_norm_equation_coords, norm_equation_solutions
 from .residue import (
@@ -256,15 +256,50 @@ def unit_group(O):
 class _ClassUnits(NamedTuple):
     """What the Brandt cells read off one class: the narrow class bits of
     the representative's reduced norm and the inverse of that norm, the
-    left and right matrices of the norm-one units of its left order
-    (QuatAlgebra.left_matrix, right_matrix), and its coset targets
-    (_norm_coset_targets)."""
+    norm-one units of its left order through their Z-span, and its coset
+    targets (_norm_coset_targets).
+
+    The span has the HNF basis s_1, ..., s_k of the units' integer
+    coordinates on the left order, k at most 8; coeffs[g] holds the
+    integer coefficients of unit g over it, and lefts and rights the
+    left and right matrices of the s_j (QuatAlgebra.left_matrix,
+    right_matrix).  Multiplication is linear, so each unit's matrix on a
+    lattice is sum_j coeffs[g][j] times that of s_j (_unit_matrices).
+    """
 
     bits: tuple
     nr_inv: object
+    coeffs: list
     lefts: list
     rights: list
     targets: list
+
+
+def _class_units(cs, i):
+    """The _ClassUnits of class i of the class set cs.
+
+    Certificate: the norm-one units lie in the left order and in the
+    span of its HNF basis, else ArithmeticError.
+    """
+    alg = cs.order.alg
+    G, r, O = cs.unit_groups[i], cs.representatives[i], cs.left_orders[i]
+    d, rows = integral_rows(_norm_one_units(alg, G))
+    coords = O.int_coords(rows, d)
+    if coords is None:
+        raise ArithmeticError("unit lies outside its left order")
+    basis = hnf_rows(coords)
+    coeffs = echelon_coords(basis, coords)
+    if coeffs is None:
+        raise ArithmeticError("unit lies outside the span of its HNF basis")
+    span = [O.vector(s) for s in basis]
+    return _ClassUnits(
+        bits=alg.base.narrow_dlog(r.nr_ideal()),
+        nr_inv=r.nr_ideal().inverse(),
+        coeffs=coeffs,
+        lefts=[alg.left_matrix(s) for s in span],
+        rights=[alg.right_matrix(s) for s in span],
+        targets=_norm_coset_targets(alg, G),
+    )
 
 
 @dataclass
@@ -479,24 +514,36 @@ def _norm_coset_targets(alg, G):
     return out
 
 
-def _unit_matrices(L, lams):
+def _unit_matrices(L, coeffs, lams):
     """Integer matrices of multiplication by units on L, stacked.
 
     lams holds the pairs (lam, d) of QuatAlgebra.left_matrix or
-    right_matrix for the units, computed once per class rather than once
-    per lattice.  L must be a module over the order holding the units,
-    on that side: row i of the matrix M_g holds the coordinates of
-    rows[i] / den times g (g times it, for left matrices) on the basis
-    rows, so the image of x over the rows is x M_g.  Row i of the result
-    is row i of every M_g in turn, the form _images uses.
+    right_matrix for the span elements s_j of a class's units, and
+    coeffs[g] the coefficients of unit g over them (_ClassUnits),
+    computed once per class rather than once per lattice.  L must be a
+    module over the order holding the units, on that side: row i of the
+    matrix M_j holds the coordinates of rows[i] / den times s_j (s_j
+    times it, for left matrices) on the basis rows, so the image of x
+    over the rows is x M_j, and M_g = sum_j coeffs[g][j] M_j.  So only
+    the k span matrices are solved on L.  Row i of the result is row i
+    of every M_g in turn, the form _images uses.
     """
-    out = [[] for _ in L.rows]
+    flats = []
     for lam, d in lams:
         m = L.int_coords(int_product(L.rows, lam), L.den * d)
         if m is None:
             raise ArithmeticError("unit does not preserve the lattice")
-        for acc, row in zip(out, m):
-            acc += row
+        flats.append([v for row in m for v in row])
+    n = len(L.rows)
+    out = [[] for _ in range(n)]
+    for cg in coeffs:
+        # the entries of M_g, row by row, over the nonzero coefficients only
+        acc = None
+        for c, w in zip(cg, flats):
+            if c:
+                acc = [c * v for v in w] if acc is None else [a + c * v for a, v in zip(acc, w)]
+        for i, row in enumerate(out):
+            row += acc[i * n:(i + 1) * n]
     return out
 
 
@@ -575,21 +622,16 @@ def _brandt_column(cs, bi, pr, p_bits):
     the first class it has not searched, in class order, while it holds
     fewer than Np + 1 orbits: a neighbor lies in one class only, so a
     closed column leaves its later cells empty.  p_bits are the narrow
-    class bits of p.  Returns the witness coordinates of each cell
-    searched (_brandt_cell), on the basis of L = a * b^-1.
+    class bits of p.  The unit data of each class (_class_units: the
+    span of its norm-one units, and the unit coefficients over it) is
+    taken once, when the first column after the class joined is filled;
+    each pair of classes then solves only the span's matrices on
+    L = a * b^-1 (_unit_matrices).  Returns the witness coordinates of
+    each cell searched (_brandt_cell), on the basis of L.
     """
     br = cs.brandt
-    alg = cs.order.alg
     # the unit data of the classes that joined since the last fill
-    for G, r in zip(cs.unit_groups[len(br.classes):], cs.representatives[len(br.classes):]):
-        units = _norm_one_units(alg, G)
-        br.classes.append(_ClassUnits(
-            bits=alg.base.narrow_dlog(r.nr_ideal()),
-            nr_inv=r.nr_ideal().inverse(),
-            lefts=[alg.left_matrix(g) for g in units],
-            rights=[alg.right_matrix(h) for h in units],
-            targets=_norm_coset_targets(alg, G),
-        ))
+    br.classes += [_class_units(cs, i) for i in range(len(br.classes), cs.size)]
     cells = br.columns.setdefault((bi, pr.ideal), [])
     room = pr.norm + 1 - sum(map(len, cells))
     while room and len(cells) < cs.size:
@@ -614,7 +656,10 @@ def _brandt_cell(cs, ai, bi, pr, p_bits, room):
     if (ai, bi) not in br.pairs:
         L = a.compose(b.inverse())
         br.pairs[ai, bi] = (
-            L, _unit_matrices(L, ca.lefts), _unit_matrices(L, cb.rights), _product_columns(L, b),
+            L,
+            _unit_matrices(L, ca.coeffs, ca.lefts),
+            _unit_matrices(L, cb.coeffs, cb.rights),
+            _product_columns(L, b),
         )
     L, left, right, prod_cols = br.pairs[ai, bi]
     forms, D = L.norm_forms()
@@ -684,8 +729,9 @@ def compute_theta(cs, bound):
     target.  The columns compute_class_set closed at the support primes
     are taken as they are, and only the others are filled.  Solutions
     stay integer coordinate vectors on the basis of L throughout: the
-    units act on them by integer matrices, the witness checks run on the
-    norm forms of L and the integer left matrices of L's rows
+    units act on them by integer matrices, each a combination of the
+    matrices of a few span elements (_unit_matrices), the witness checks
+    run on the norm forms of L and the integer left matrices of L's rows
     (_product_columns), and only the witnesses become quaternions.
 
     Certificates, each raising ArithmeticError: a narrowly trivial J has

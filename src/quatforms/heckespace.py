@@ -11,8 +11,10 @@ one integer product with the inverse of the order's basis and one with
 that matrix.  Residue fields are log
 tables (residue.FiniteField), so matrix entries and projective points
 are small ints.  All Hecke matrices have integer entries and everything
-is exact.  The dimension report counts orbits and takes the narrow
-class number as its Eisenstein dimension, with no Hecke operator.
+is exact.  The dimension report counts orbits by Burnside's lemma, from
+the fixed points of each unit image, without listing them, and takes
+the narrow class number as its Eisenstein dimension, with no Hecke
+operator.
 """
 
 import itertools
@@ -111,6 +113,7 @@ class _LevelComponent:
         self.k = self.res.k
         self.lam = self.res.lam
         self._mult_cache = {}
+        self._root_counts = {}
 
     def _one_mod_prime(self, d):
         """A field element t of J = (d) / gcd((d), prime-part) with t = 1
@@ -181,6 +184,26 @@ class _LevelComponent:
         f = k.f
         a, b, c, d = (k.code(image[t:t + f]) for t in range(0, 4 * f, f))
         return ((a, b), (c, d))
+
+    def fixed_points(self, m):
+        """Number of points of P^1(k) that the 2x2 matrix m fixes.
+
+        A scalar fixes all Nq + 1 points.  Any other matrix fixes its
+        eigenlines, one per distinct root in k of x^2 - tr x + det, since
+        each eigenvalue of a non-scalar matrix has a 1-dimensional
+        eigenspace.  The root count is kept per (tr, det).
+        """
+        k = self.k
+        (a, b), (c, d) = m
+        if not b and not c and a == d:
+            return k.q + 1
+        key = (k.add(a, d), k.sub(k.mul(a, d), k.mul(b, c)))
+        if key not in self._root_counts:
+            tr, det = key
+            self._root_counts[key] = sum(
+                not k.add(k.sub(k.mul(x, x), k.mul(tr, x)), det) for x in range(k.q)
+            )
+        return self._root_counts[key]
 
     def reduce_scalar(self, c):
         """Residue field code of a field element integral at the prime: the
@@ -428,18 +451,23 @@ class DimensionReport:
 def dimension_report(cs, th, N):
     """Dimensions (total, Eisenstein, cusp, new) at the squarefree level N.
 
-    The order is split once at the primes of N; the space at each
-    sublevel M | N takes the components at the primes of M and the unit
-    images projected onto them, and its dimension is the orbit count.
-    Its Eisenstein part, the functions that factor through the reduced
-    norm onto Cl+(F) (Dembele-Voight 2013), has dimension h+.  The report
-    depends on (cs, N) alone, not on the primes th tabulates.
+    The order is split once at the primes of N.  Base field units act as
+    scalars, so the unit group G_a of class a, taken modulo them, acts on
+    P^1(O/M) = prod_(q | M) P^1(O/q) at each sublevel M | N, and by
+    Burnside's lemma its orbit count is sum_g prod_(q | M) fix_q(g) / |G_a|,
+    fix_q(g) the fixed points of the image of g at q
+    (_LevelComponent.fixed_points).  The total at M sums these counts over
+    the classes; no point of P^1 is listed.  Its Eisenstein part, the
+    functions that factor through the reduced norm onto Cl+(F)
+    (Dembele-Voight 2013), has dimension h+.  The report depends on
+    (cs, N) alone, not on the primes th tabulates.
 
-    th serves only the certificates, each raising ArithmeticError: the
-    representatives' norms meet all h+ narrow classes, so the vectors
-    e_chi, chi(nr I_i) on the orbits of class i, are independent; and
-    check_norm_classes holds, which is e_chi M_p = chi(p) (Np + 1) e_chi
-    at every level, since a witness sends an orbit of b to one of a.
+    Certificates, each raising ArithmeticError: every Burnside sum is
+    divisible by |G_a|; the representatives' norms meet all h+ narrow
+    classes, so the vectors e_chi, chi(nr I_i) on the orbits of class i,
+    are independent; and check_norm_classes holds, which is
+    e_chi M_p = chi(p) (Np + 1) e_chi at every level, since a witness
+    sends an orbit of b to one of a.
     """
     F = cs.order.alg.base
     eis = F.narrow_class_number
@@ -449,17 +477,21 @@ def dimension_report(cs, th, N):
         raise ArithmeticError("representative norms miss a narrow class")
     check_norm_classes(th, nr_bits, [F.narrow_dlog(pr.ideal) for pr in th.primes])
     sm = build_splitting(cs, N)
+    # fixes[a][g][i]: fixed points of unit g of class a at level prime i
+    fixes = [
+        [[c.fixed_points(m) for c, m in zip(sm.components, mats)] for mats in images]
+        for images in sm.unit_images
+    ]
 
     def total(keep):
         """The orbit count at the level of the components indexed by keep."""
-        level = F.unit_ideal()
-        for i in keep:
-            level = level * sm.components[i].prime
-        sub = SplittingMap(
-            [sm.components[i] for i in keep],
-            [[tuple(m[i] for i in keep) for m in images] for images in sm.unit_images],
-        )
-        return _orbit_space(cs, level, sub).dim
+        out = 0
+        for units, fx in zip(cs.unit_groups, fixes):
+            orbits, r = divmod(sum(math.prod(f[i] for i in keep) for f in fx), units.order)
+            if r:
+                raise ArithmeticError("fixed point sum is not divisible by the unit group order")
+            out += orbits
+        return out
 
     # strict new dimensions by recursion over the divisor lattice
     indices = range(len(sm.components))

@@ -18,7 +18,8 @@ Coordinates and membership run in integers: inverse_rows gives the
 inverse of a square HNF as an integer matrix over one denominator, by
 integer back-substitution, so that the coordinates of integer vectors
 over a lattice (lattice_coords) are one int_product, and a vector lies in
-the lattice exactly when they are integral.
+the lattice exactly when they are integral.  Over an HNF of lower rank,
+echelon_coords reads the coordinates off the pivots.
 """
 
 from __future__ import annotations
@@ -133,6 +134,30 @@ def lattice_coords(inv, lat_den, mat, den):
         if any(c % q for c in row):
             return None
         out.append([c // q for c in row])
+    return out
+
+
+def echelon_coords(h, mat):
+    """Integer coordinates of the integer rows of mat over the rows of h,
+    an HNF of any rank (hnf_rows); None when one lies outside their span.
+
+    Each row of h is the first with a nonzero entry at its pivot, so the
+    coordinates come off the pivots in order, by exact division.
+    """
+    pivots = [next(j for j, c in enumerate(row) if c) for row in h]
+    out = []
+    for v in mat:
+        coords = []
+        for row, p in zip(h, pivots):
+            c, r = divmod(v[p], row[p])
+            if r:
+                return None
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+            coords.append(c)
+        if any(v):
+            return None
+        out.append(coords)
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatforms.classset import (
+    _class_units,
     _double_coset_orbits,
     _images,
     _norm_one_units,
@@ -1035,22 +1036,30 @@ def test_norm_forms_match_reduced_norm(spec, data):
     assert value == alg.nr(lat.vector(x))
 
 
+SPAN_RANKS = {"quad:5": [8], "quad:10": [4, 4, 2, 2], "quad:85": [4, 2, 1, 4, 2, 2, 2, 2]}
+
+
 @pytest.mark.parametrize("spec", ["quad:5", "quad:10", "quad:85"])
 def test_unit_matrices_match_quaternion_products(spec):
-    # the images of x under the stacked unit matrices are the coordinates
-    # of g * x (norm-one units of O_l(a)) and of x * h (those of O_l(b)) on
-    # the basis of L = a * b^-1, sign-normalized, in unit order
+    # the images of x under the stacked unit matrices, built from the span
+    # of each class's units, are the coordinates of g * x (norm-one units of
+    # O_l(a)) and of x * h (those of O_l(b)) on the basis of L = a * b^-1,
+    # sign-normalized, in unit order
     cs = class_set(spec)
+    units = [_class_units(cs, i) for i in range(cs.size)]
+    assert [len(cu.lefts) for cu in units] == [len(cu.rights) for cu in units] == SPAN_RANKS[spec]
+    alg = cs.order.alg
+    for cu, G in zip(units, cs.unit_groups):
+        assert len(cu.coeffs) == len(_norm_one_units(alg, G))
     rng = random.Random(7)
     for ai, bi, L in class_pair_lattices(spec, limit=4):
-        alg = L.alg
         x = [rng.randint(-5, 5) for _ in range(alg.dim)]
         u = L.vector(x)
         left = _norm_one_units(alg, cs.unit_groups[ai])
         right = _norm_one_units(alg, cs.unit_groups[bi])
-        ys = _images(x, _unit_matrices(L, [alg.left_matrix(g) for g in left]))
+        ys = _images(x, _unit_matrices(L, units[ai].coeffs, units[ai].lefts))
         assert [L.vector(y) for y in ys] == [sign_normal(alg.mul(g, u)) for g in left]
-        ys = _images(x, _unit_matrices(L, [alg.right_matrix(h) for h in right]))
+        ys = _images(x, _unit_matrices(L, units[bi].coeffs, units[bi].rights))
         assert [L.vector(y) for y in ys] == [sign_normal(alg.mul(u, h)) for h in right]
 
 

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import math
 from collections import Counter
 
@@ -296,15 +297,12 @@ def test_reduction_map_checked_under_optimize(run_optimized):
 
 
 def test_dimension_report_splits_each_level_prime_once(monkeypatch):
-    # one splitting at 31*41; every sublevel space is built from its
-    # components and projected unit images, and equals a fresh build_space
+    # one splitting at 31*41, and the orbits are counted, not listed: no
+    # P^1 and no orbit space is built at any sublevel
     F, cs, _ = q5_bound4()
     th = compute_theta(cs, 5)
     calls = Counter()
-    spaces = []
-    init, split, orbit_space = (
-        heckespace._LevelComponent.__init__, heckespace.build_splitting, heckespace._orbit_space,
-    )
+    init, split = heckespace._LevelComponent.__init__, heckespace.build_splitting
 
     def counting_init(self, *args, **kwargs):
         calls["components"] += 1
@@ -314,24 +312,70 @@ def test_dimension_report_splits_each_level_prime_once(monkeypatch):
         calls["splittings"] += 1
         return split(*args, **kwargs)
 
-    def recording(*args):
-        spaces.append(orbit_space(*args))
-        return spaces[-1]
+    def refuse(*args, **kwargs):
+        raise AssertionError("dimension_report must not list orbits")
 
     monkeypatch.setattr(heckespace._LevelComponent, "__init__", counting_init)
     monkeypatch.setattr(heckespace, "build_splitting", counting_split)
-    monkeypatch.setattr(heckespace, "_orbit_space", recording)
+    monkeypatch.setattr(heckespace, "_orbit_space", refuse)
+    monkeypatch.setattr(heckespace, "build_p1", refuse)
     # the shared class set may keep this level's splitting already
     monkeypatch.setattr(cs, "splittings", {})
-    dimension_report(cs, th, level(F, 31, 41))
+    dr = dimension_report(cs, th, level(F, 31, 41))
     monkeypatch.undo()
     assert calls == {"components": 2, "splittings": 1}
-    assert sorted(sp.p1.size for sp in spaces) == [1, 32, 42, 32 * 42]
-    for sp in spaces:
-        fresh = build_space(cs, sp.level, parallel_weight_two(F))
-        assert (sp.orbits, sp.stabilizer_orders, sp.dim) == (
-            fresh.orbits, fresh.stabilizer_orders, fresh.dim,
-        )
+    assert (dr.total, dr.cusp, dr.new_strict) == (24, 23, 19)
+
+
+LEVELED = [(k, v) for k, v in DIMENSION_TABLE.items() if v[1]]
+
+
+@pytest.mark.parametrize(
+    "spec, norms, bound", [v[:3] for _, v in LEVELED], ids=[k for k, _ in LEVELED],
+)
+def test_burnside_totals_match_listed_orbits(spec, norms, bound):
+    # the orbit count at every sublevel M | N, by fixed points, equals the
+    # number of orbits build_space lists at M
+    cs = class_set(spec)
+    F = cs.order.alg.base
+    th = theta(spec, bound)
+    w = parallel_weight_two(F)
+    for r in range(len(norms) + 1):
+        for sub in itertools.combinations(norms, r):
+            M = level(F, *sub)
+            assert dimension_report(cs, th, M).total == build_space(cs, M, w).dim
+
+
+def test_burnside_divisibility_checked_under_optimize(run_optimized):
+    # a unit group missing one element is no group: its fixed point sums
+    # at 31*41 are not all multiples of its size; asserts are stripped
+    out = run_optimized(
+        "import dataclasses\n"
+        "from quatforms.classset import (\n"
+        "    UnitGroup, compute_class_set, compute_theta, narrow_support,\n"
+        ")\n"
+        "from quatforms.heckespace import dimension_report\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
+        "F = field_from_spec('quad:5')\n"
+        "R = maximalize(hilbert_ramification_free_algebra(F).standard_order())\n"
+        "cs = compute_class_set(R, narrow_support(F))\n"
+        "th = compute_theta(cs, 5)\n"
+        "G = cs.unit_groups[0]\n"
+        "els = G.elements[:7] + G.elements[8:]\n"
+        "nrs = G.norms[:7] + G.norms[8:]\n"
+        "cs = dataclasses.replace(\n"
+        "    cs, unit_groups=[UnitGroup(els, len(els), nrs)], splittings={},\n"
+        ")\n"
+        "N = F.unit_ideal()\n"
+        "for n in (31, 41):\n"
+        "    N = N * next(p for p in F.prime_ideals_up_to(n) if p.norm == n).ideal\n"
+        "try:\n"
+        "    print('returned', dimension_report(cs, th, N))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: fixed point sum is not divisible")
 
 
 def test_level_primes_split_once_per_order(monkeypatch):
