@@ -23,7 +23,7 @@ of exactly Np + 1 certify the table.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -38,34 +38,139 @@ from .residue import (
     QuotientSpace,
     in_span_mod,
     matmul_mod,
-    p1_points,
     span_basis_mod,
     subalgebra,
 )
 
 
-class ResidueSplitting(NamedTuple):
-    """R/pR = M_2(k) for an order R and a prime p of the base field.
+class ResidueSplitting:
+    """R/qR = M_2(k) for an order R and a prime q of the base field, and
+    the reduction of elements integral at q into 2x2 matrices over k.
 
-    quo is the quotient R/pR with its algebra, k the residue field as log
+    quo is the quotient R/qR with its algebra, k the residue field as log
     tables, split the isomorphism onto 2x2 matrices over k and lam the
     reduction map as an F_p-matrix: row i holds the four entries of the
-    image of the i-th basis row of R, each as f coordinates over k.
+    image of the i-th basis row of R, each as f coordinates over k.  So
+    reducing an element is one integer product with the inverse of R's
+    basis and one with lam.  Reduction accepts any element that is
+    integral at q: a field multiplier congruent to 1 there clears
+    denominators supported away from it.  Unit group elements and theta
+    witnesses are of this kind, their norms being units or neighbor
+    steps at q.  Multipliers are kept per denominator, and root counts
+    of fixed_points per (trace, determinant).
     """
 
-    quo: LatticeQuotient
-    k: FiniteField
-    split: MatrixSplitting
-    lam: tuple
+    def __init__(self, order, prime, quo, k, split, lam):
+        self.order, self.prime = order, prime
+        self.quo, self.k, self.split, self.lam = quo, k, split, lam
+        self._mult_cache = {}
+        self._root_counts = {}
+
+    def _one_mod_prime(self, d):
+        """A field element t of J = (d) / gcd((d), prime-part) with t = 1
+        modulo the prime q.
+
+        J is integral and coprime to q, so some element m of J is a unit
+        mod q, and t = m s with s a rational integer inverse to m mod q.
+        The HNF rows of q, of norm l^f, are ((l, 0), (0, l)) when f = 2,
+        and ((l, 0), (0, 1)) or ((1, a), (0, l)) when f = 1.  When f = 1,
+        O/q = Z/l and omega = r mod q, with r = 0 or 1 + a r = 0 mod l, so
+        m is a basis row j of J outside q.  When f = 2, q = l O and m is
+        the rational integer N(j) = j conj(j) of such a row, prime to l.
+        """
+        if d in self._mult_cache:
+            return self._mult_cache[d]
+        F = self.order.alg.base
+        q = self.prime
+        J = F.ideal(d)
+        v = J.valuation(q)
+        if v:
+            J = J * q.inverse() ** v
+        if J.den != 1:
+            raise ArithmeticError("multiplier ideal is not integral")
+        (a0, a1), (_, a2) = q.rows
+        ell = max(a0, a2)
+        r = -pow(a1, -1, ell) if a0 == 1 else 0
+        cands = J.rows if a0 != a2 else [(int(F.norm(F.el(j))), 0) for j in J.rows]
+        m = next((m for m in cands if (m[0] + m[1] * r) % ell), None)
+        if m is None:
+            raise ArithmeticError("multiplier ideal is not coprime to the prime")
+        s = pow(m[0] + m[1] * r, -1, ell)
+        t_el = F.el((s * m[0], s * m[1]))
+        self._mult_cache[d] = t_el
+        return t_el
+
+    def _clear(self, denoms, x):
+        """x times a multiplier t = 1 mod the prime that clears the
+        denominators denoms (x itself when there are none).
+
+        Certificate: 1 - t lies in the prime, else ArithmeticError.
+        """
+        d = lcm(*denoms)
+        if d == 1:
+            return x
+        alg = self.order.alg
+        t_el = self._one_mod_prime(d)
+        if not self.prime.contains(alg.base.sub(alg.base.one, t_el)):
+            raise ArithmeticError("multiplier is not congruent to 1 modulo the prime")
+        return alg.fmul(t_el, x)
+
+    def _coords(self, x):
+        """(num, q) with num[i] / q the coordinates of x over the order's basis."""
+        R = self.order
+        adj, rho = R._inverse()
+        dx, (ix,) = integral_rows([x])
+        return [c * R.den for c in int_product([ix], adj)[0]], dx * rho
+
+    def reduce(self, x):
+        """2x2 matrix of residue field codes of an element integral at the prime."""
+        num, q = self._coords(x)
+        cleared = self._clear([q // gcd(q, c) for c in num], x)
+        if cleared is not x:
+            num, q = self._coords(cleared)
+        if any(c % q for c in num):
+            raise ValueError("element is not integral at the prime")
+        k = self.k
+        image = [v % k.p for v in int_product([[c // q for c in num]], self.lam)[0]]
+        f = k.f
+        a, b, c, d = (k.code(image[t:t + f]) for t in range(0, 4 * f, f))
+        return ((a, b), (c, d))
+
+    def reduce_scalar(self, c):
+        """Residue field code of a field element integral at the prime: the
+        diagonal entry of its image, a scalar matrix."""
+        return self.reduce(self.order.alg.el(c))[0][0]
+
+    def fixed_points(self, m):
+        """Number of points of P^1(k) that the 2x2 matrix m fixes.
+
+        A scalar fixes all Nq + 1 points.  Any other matrix fixes its
+        eigenlines, one per distinct root in k of x^2 - tr x + det, since
+        each eigenvalue of a non-scalar matrix has a 1-dimensional
+        eigenspace.
+        """
+        k = self.k
+        (a, b), (c, d) = m
+        if not b and not c and a == d:
+            return k.q + 1
+        key = (k.add(a, d), k.sub(k.mul(a, d), k.mul(b, c)))
+        if key not in self._root_counts:
+            tr, det = key
+            self._root_counts[key] = sum(
+                not k.add(k.sub(k.mul(x, x), k.mul(tr, x)), det) for x in range(k.q)
+            )
+        return self._root_counts[key]
 
 
 def split_residue_matrix(R, prime):
     """The splitting of R at prime, built once per (order, prime) pair
     and kept in R._splits, which only this function reads.
 
-    k is the image of the base ring, on the rref basis of the images of
-    its integral basis; the idempotent search draws from one fixed
-    random stream, so the splitting is the same on every run.
+    The neighbor walk reads its quotient and matrix splitting, and the
+    level layer (heckespace) reduces elements through it.  k is the
+    image of the base ring, on the rref basis of the images of its
+    integral basis; the idempotent search draws from one fixed random
+    stream, so the splitting is the same on every run.
     """
     ideal, ell, f = _prime_parts(prime)
     if ideal in R._splits:
@@ -85,7 +190,7 @@ def split_residue_matrix(R, prime):
         for e in units
     )
     k = FiniteField(subalgebra(A, k_rows, A.one))
-    R._splits[ideal] = ResidueSplitting(quo, k, split, lam)
+    R._splits[ideal] = ResidueSplitting(R, ideal, quo, k, split, lam)
     return R._splits[ideal]
 
 
@@ -168,9 +273,13 @@ def neighbors(b, p):
     # b and the lifts of V lie over the denominators b.den and big.den
     den = lcm(b.den, big.den)
     base = [[c * (den // b.den) for c in row] for row in b.rows]
+    # the point of P^1(k) with index i is (1 : y), y the i-th element of
+    # k, for i < Nq, and (0 : 1) for i = Nq (residue.p1_act)
+    k = res.k
+    lines = [k.coords(1) + k.coords(y) for y in k.elements()] + [k.coords(0) + k.coords(1)]
     out = []
-    for x, y in p1_points(res.k):
-        w = times(res.k.coords(x) + res.k.coords(y), g1 + g2)
+    for xy in lines:
+        w = times(xy, g1 + g2)
         u_rows = span_basis_mod([times(w, m) for m in acts], ell)
         if len(u_rows) != 2 * f:
             raise ArithmeticError("cyclic submodule has unexpected dimension")

@@ -43,7 +43,6 @@ class Constituent:
     factors: list
     primes: list
     certified: bool
-    generator: int | None = None
     minpoly: Poly | None = None
     presentations: list | None = None
     eisenstein: bool = False
@@ -171,7 +170,6 @@ def present_eigenvalues(c, blocks):
             break
     if gi is None:
         return None
-    c.generator = gi
     c.minpoly = c.factors[gi][0]
     M = _restrict(blocks[gi].matrix.rows, c.basis)
     n = c.dimension
@@ -230,7 +228,6 @@ class EigenReport:
 
     field: object
     level: object
-    weight: object
     primes: list
     constituents: list
 
@@ -239,7 +236,9 @@ def build_report(F, level, weight, blocks):
     """Decompose, present, flag, and order the constituents of a level.
 
     When uncertified pieces remain the report still carries their factor
-    data; extending the operator table is the caller's move.
+    data; extending the operator table is the caller's move.  weight is
+    kept only for benchmarks/pipeline.py, which passes it: the blocks are
+    in parallel weight 2, the only weight build_space accepts.
     """
     cons = decompose(blocks)
     for c in cons:
@@ -249,7 +248,6 @@ def build_report(F, level, weight, blocks):
     return EigenReport(
         field=F,
         level=level,
-        weight=weight,
         primes=[b.prime for b in blocks],
         constituents=cons,
     )

@@ -24,6 +24,7 @@ it), so the table is the one definition of the product.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 import logging
 
@@ -608,11 +609,22 @@ def _maximalize(order):
 
 
 def _structure_candidates(F):
+    """(-1, -1), then (-1, v) for the totally negative integral v by box
+    radius 1, 2, 3, ...: at each radius the v with coordinates in
+    [-radius, radius] that no smaller radius gave, by the trace of -v
+    and then by coordinates.
+
+    The walk has no end of its own; hilbert_ramification_free_algebra
+    ends it.  The algebra B it looks for is (-1, b) for some totally
+    negative integral b: F(sqrt -1) is a field at both real places, the
+    only places where B ramifies, so F(sqrt -1) embeds in B and B =
+    (-1, b).  Scaling b by a norm from F(sqrt -1) makes it integral, and
+    B is definite, so b is totally negative and some radius reaches it.
+    """
     minus_one = F.from_int(-1)
     yield (minus_one, minus_one)
-    count = 1
     seen = {tuple(minus_one)}
-    for radius in (1, 2, 3):
+    for radius in count(1):
         box = [range(-radius, radius + 1)] * F.degree
         cands = []
         stack = [[]]
@@ -629,9 +641,6 @@ def _structure_candidates(F):
                 seen.add(tuple(v))
         cands.sort(key=lambda v: (F.trace(F.neg(v)), v))
         for v in cands:
-            if count >= 24:
-                return
-            count += 1
             yield (minus_one, v)
 
 
@@ -639,9 +648,9 @@ def hilbert_ramification_free_algebra(F):
     """The definite quaternion algebra over F with no finite ramification.
 
     It exists because F is quadratic: the two real places are an even
-    number.  Tries (-1, -1) and then (-1, u) over at most 23 small
-    totally negative u, accepting the first pair whose maximalized
-    standard order certifies norm-1 reduced discriminant.
+    number.  Walks the pairs of _structure_candidates, which reaches it,
+    and accepts the first pair whose maximalized standard order
+    certifies norm-1 reduced discriminant.
     """
     for a, b in _structure_candidates(F):
         alg = QuatAlgebra(F, a, b)
@@ -649,7 +658,6 @@ def hilbert_ramification_free_algebra(F):
         if reduced_discriminant_norm(R) == 1:
             return alg
         log.debug("structure constants %s, %s leave ramification", a, b)
-    raise ValueError("structure constant search budget exhausted")
 
 
 # ---------------------------------------------------------------------------

@@ -733,9 +733,12 @@ class FiniteField:
         if len(set(index)) != n:
             raise ArithmeticError("powers of the generator are not distinct")
         self._exp = powers
+        # the code of the element with lexicographic index t, and back
         self._code = [0] * q
+        self._lex = [0] * q
         for i, t in enumerate(index):
             self._code[t] = 1 + i
+            self._lex[1 + i] = t
         self._zech = [self.code(A.add(A.one, x)) for x in powers]
         # -1 is g^(n/2) in odd characteristic, and 1 in characteristic 2
         self._half = n // 2 if p != 2 else 0
@@ -796,25 +799,23 @@ def mat2_det(k, M):
     return k.sub(k.mul(M[0][0], M[1][1]), k.mul(M[0][1], M[1][0]))
 
 
-def p1_normalize(k, x, y):
-    """Canonical representative of (x : y): leading nonzero coordinate 1."""
+def p1_act(k, M, i):
+    """Index of the image of the point with index i of P^1(k) under the
+    column action (x, y) -> (a x + b y, c x + d y) of M.
+
+    Index i < q is the point (1 : y), y the i-th element of k in the
+    lexicographic order of its coordinate tuples (k.elements()); index q
+    is (0 : 1).  A matrix that sends the point to (0 : 0) raises
+    ValueError.
+    """
+    (a, b), (c, d) = M
+    if i < k.q:
+        y = k._code[i]
+        x, y = k.add(a, k.mul(b, y)), k.add(c, k.mul(d, y))
+    else:
+        x, y = b, d
     if x:
-        return (1, k.mul(k.inv(x), y))
+        return k._lex[k.mul(k.inv(x), y)]
     if y:
-        return (0, 1)
+        return k.q
     raise ValueError("not a projective point over a field")
-
-
-def p1_points(k):
-    """All points of P^1(k) in canonical order: (1 : y) by lex y, then (0 : 1)."""
-    pts = [(1, y) for y in k.elements()]
-    pts.append((0, 1))
-    return pts
-
-
-def mat2_act(k, M, pt):
-    """Column action: (x, y) -> (a x + b y, c x + d y), normalized."""
-    x, y = pt
-    nx = k.add(k.mul(M[0][0], x), k.mul(M[0][1], y))
-    ny = k.add(k.mul(M[1][0], x), k.mul(M[1][1], y))
-    return p1_normalize(k, nx, ny)

@@ -8,11 +8,9 @@ import pytest
 
 from fraction_refs import ref_coords
 from quatforms import eigen, heckespace
-from quatforms.classset import compute_class_set, compute_theta, narrow_support
+from quatforms.classset import ResidueSplitting, compute_class_set, compute_theta, narrow_support
 from quatforms.eigen import _restrict, build_report, decompose
 from quatforms.heckespace import (
-    WeightSpec,
-    _LevelComponent,
     build_space,
     build_splitting,
     dimension_report,
@@ -22,6 +20,7 @@ from quatforms.heckespace import (
 from quatforms.numberfield import FieldIdeal, field_from_spec
 from quatforms.polynomials import factor_poly
 from quatforms.quaternion import QuatAlgebra, hilbert_ramification_free_algebra, maximalize
+from quatforms.residue import p1_act
 
 
 @functools.cache
@@ -52,19 +51,19 @@ def level(F, *norms):
 
 def closure_orbits(sp, units):
     """Orbits of the unit images on P^1 by breadth-first closure."""
-    sm, p1 = sp.splitting, sp.p1
+    sm = sp.splitting
     gens = [sm.image(u) for u in units.elements]
     seen = set()
     orbits = []
-    for start in range(p1.size):
+    for start in range(sm.size):
         if start in seen:
             continue
         orbit = {start}
         frontier = [start]
         while frontier:
-            pt = p1.points[frontier.pop()]
+            pt = frontier.pop()
             for mats in gens:
-                qi = p1.index[sm.act(mats, pt)]
+                qi = sm.act(mats, pt)
                 if qi not in orbit:
                     orbit.add(qi)
                     frontier.append(qi)
@@ -80,7 +79,7 @@ def test_orbits_equal_the_closure_under_unit_images(norms):
     (units,) = cs.unit_groups
     assert sp.splitting.unit_images == [[sp.splitting.image(u) for u in units.elements]]
     assert sp.orbits == [closure_orbits(sp, units)]
-    assert sum(len(o) for o in sp.orbits[0]) == sp.p1.size == math.prod(n + 1 for n in norms)
+    assert sum(len(o) for o in sp.orbits[0]) == sp.splitting.size == math.prod(n + 1 for n in norms)
     assert all(sp.lookups[0][i] == k for k, orb in enumerate(sp.orbits[0]) for i in orb)
 
 
@@ -109,6 +108,25 @@ def test_orbit_partition_checked_under_optimize(run_optimized):
         "    print('ArithmeticError:', exc)\n"
     )
     assert out.startswith("ArithmeticError: unit orbits do not partition")
+
+
+def test_point_index_order_pinned():
+    # a point of P^1(O/N) is the mixed-radix number of its indices at the
+    # level primes, the first most significant; the orbits at 31*41 are
+    # pinned on the earlier point tuples in itertools.product order, by
+    # their positions in that list
+    F, cs, _ = q5_bound4()
+    sp = build_space(cs, level(F, 31, 41), parallel_weight_two(F))
+    sm = sp.splitting
+    k31, k41 = (c.k for c in sm.components)
+    assert (k31.q, k41.q, sm.size) == (31, 41, 32 * 42)
+    for mats in sm.unit_images[0][:6]:
+        for i in range(sm.size):
+            hi, lo = divmod(i, 42)
+            assert sm.act(mats, i) == 42 * p1_act(k31, mats[0], hi) + p1_act(k41, mats[1], lo)
+    assert hashlib.sha256(repr(sp.orbits).encode()).hexdigest() == (
+        "c45a7d0b70d3907039014b9301549e210b8ec83a0dc24d9f0b30af5e4e8df7c9"
+    )
 
 
 # (field, level norms, bound, (total, eis, cusp, new_strict, new_above_one));
@@ -217,9 +235,9 @@ def test_multiplier_certificate_checked_under_optimize(run_optimized):
     # with asserts stripped the certificate must still raise
     out = run_optimized(
         QUAD10_OPTIMIZED
-        + "from quatforms import heckespace\n"
-        "one_mod_prime = heckespace._LevelComponent._one_mod_prime\n"
-        "heckespace._LevelComponent._one_mod_prime = (\n"
+        + "from quatforms import classset, heckespace\n"
+        "one_mod_prime = classset.ResidueSplitting._one_mod_prime\n"
+        "classset.ResidueSplitting._one_mod_prime = (\n"
         "    lambda self, d: F.add(one_mod_prime(self, d), F.one))\n"
         "N = next(p for p in F.prime_ideals_up_to(3) if p.norm == 3).ideal\n"
         "try:\n"
@@ -236,7 +254,7 @@ def ref_reduce(comp, x):
     projection of the ambient vector and the splitting image."""
     coords = ref_coords(comp.order, x)
     x = comp._clear([c.denominator for c in coords], x)
-    return comp.res.split.image(comp.res.quo.proj(x))
+    return comp.split.image(comp.quo.proj(x))
 
 
 @pytest.mark.parametrize("spec,bound,norms,rows,cleared", [
@@ -251,13 +269,13 @@ def test_reduce_matches_three_step_reference(spec, bound, norms, rows, cleared, 
     F = cs.order.alg.base
     N = level(F, *norms) if rows is None else FieldIdeal(F, rows, 1)
     multipliers = []
-    one_mod_prime = _LevelComponent._one_mod_prime
+    one_mod_prime = ResidueSplitting._one_mod_prime
 
     def recording(self, d):
         multipliers.append(d)
         return one_mod_prime(self, d)
 
-    monkeypatch.setattr(_LevelComponent, "_one_mod_prime", recording)
+    monkeypatch.setattr(ResidueSplitting, "_one_mod_prime", recording)
     sm = build_splitting(cs, N)
     elements = [u for units in cs.unit_groups for u in units.elements]
     elements += [u for us in theta(spec, bound).entries.values() for u in us]
@@ -270,22 +288,22 @@ def test_reduce_matches_three_step_reference(spec, bound, norms, rows, cleared, 
 
 def test_reduction_map_checked_under_optimize(run_optimized):
     # one corrupted entry of the reduction map lam must trip a certificate
-    # of build_splitting with asserts stripped; the shared splitting is
-    # immutable, so the component gets a corrupted copy
+    # of build_splitting with asserts stripped; the order is split at the
+    # level prime only after the patch, so the kept splitting is corrupted
     out = run_optimized(
-        "from quatforms import heckespace\n"
+        "from quatforms import classset, heckespace\n"
         "from quatforms.classset import compute_class_set, narrow_support\n"
         "from quatforms.numberfield import field_from_spec\n"
         "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
         "F = field_from_spec('quad:5')\n"
         "R = maximalize(hilbert_ramification_free_algebra(F).standard_order())\n"
         "cs = compute_class_set(R, narrow_support(F))\n"
-        "init = heckespace._LevelComponent.__init__\n"
+        "init = classset.ResidueSplitting.__init__\n"
         "def corrupt(self, *args, **kwargs):\n"
         "    init(self, *args, **kwargs)\n"
         "    self.lam = [list(row) for row in self.lam]\n"
         "    self.lam[1][1] += 1\n"
-        "heckespace._LevelComponent.__init__ = corrupt\n"
+        "classset.ResidueSplitting.__init__ = corrupt\n"
         "N = next(p for p in F.prime_ideals_up_to(31) if p.norm == 31).ideal\n"
         "try:\n"
         "    print('returned', heckespace.build_splitting(cs, N))\n"
@@ -298,15 +316,15 @@ def test_reduction_map_checked_under_optimize(run_optimized):
 
 def test_dimension_report_splits_each_level_prime_once(monkeypatch):
     # one splitting at 31*41, and the orbits are counted, not listed: no
-    # P^1 and no orbit space is built at any sublevel
+    # point of P^1 is moved and no orbit space is built at any sublevel
     F, cs, _ = q5_bound4()
     th = compute_theta(cs, 5)
     calls = Counter()
-    init, split = heckespace._LevelComponent.__init__, heckespace.build_splitting
+    component, split = heckespace.split_residue_matrix, heckespace.build_splitting
 
-    def counting_init(self, *args, **kwargs):
+    def counting_component(*args, **kwargs):
         calls["components"] += 1
-        init(self, *args, **kwargs)
+        return component(*args, **kwargs)
 
     def counting_split(*args, **kwargs):
         calls["splittings"] += 1
@@ -315,10 +333,10 @@ def test_dimension_report_splits_each_level_prime_once(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dimension_report must not list orbits")
 
-    monkeypatch.setattr(heckespace._LevelComponent, "__init__", counting_init)
+    monkeypatch.setattr(heckespace, "split_residue_matrix", counting_component)
     monkeypatch.setattr(heckespace, "build_splitting", counting_split)
-    monkeypatch.setattr(heckespace, "_orbit_space", refuse)
-    monkeypatch.setattr(heckespace, "build_p1", refuse)
+    monkeypatch.setattr(heckespace, "build_space", refuse)
+    monkeypatch.setattr(heckespace, "p1_act", refuse)
     # the shared class set may keep this level's splitting already
     monkeypatch.setattr(cs, "splittings", {})
     dr = dimension_report(cs, th, level(F, 31, 41))
@@ -397,7 +415,7 @@ def test_level_primes_split_once_per_order(monkeypatch):
     sp = build_space(cs, N, parallel_weight_two(F))
     dr = dimension_report(cs, th, N)
     assert sorted(primes) == [31, 41]
-    assert [c.res for c in sp.splitting.components] == [R._splits[q] for q, _ in N.factor()]
+    assert sp.splitting.components == [R._splits[q] for q, _ in N.factor()]
     assert (dr.total, dr.cusp) == (24, 23)
 
 
@@ -431,13 +449,13 @@ def test_splitting_kept_per_level_on_the_class_set(monkeypatch):
     N = level(F, 31)
     sm = build_splitting(cs, N)
     reduced = []
-    reduce = _LevelComponent.reduce
+    reduce = ResidueSplitting.reduce
 
     def counting(self, x):
         reduced.append(x)
         return reduce(self, x)
 
-    monkeypatch.setattr(_LevelComponent, "reduce", counting)
+    monkeypatch.setattr(ResidueSplitting, "reduce", counting)
     assert build_splitting(cs, N) is sm
     assert build_space(cs, N, parallel_weight_two(F)).splitting is sm
     assert reduced == []
@@ -455,7 +473,7 @@ def test_splitting_reduces_each_unit_norm_once(monkeypatch):
     N = level(F, 11, 13)
     monkeypatch.setattr(cs, "splittings", {})
     reduced = []
-    reduce_scalar = _LevelComponent.reduce_scalar
+    reduce_scalar = ResidueSplitting.reduce_scalar
 
     def counting(self, c):
         reduced.append((self.prime, c))
@@ -464,7 +482,7 @@ def test_splitting_reduces_each_unit_norm_once(monkeypatch):
     def refuse(self, x):
         raise AssertionError("reduced norm recomputed")
 
-    monkeypatch.setattr(_LevelComponent, "reduce_scalar", counting)
+    monkeypatch.setattr(ResidueSplitting, "reduce_scalar", counting)
     monkeypatch.setattr(QuatAlgebra, "nr", refuse)
     sm = build_splitting(cs, N)
     norms = {e for G in cs.unit_groups for e in G.norms}
@@ -481,13 +499,13 @@ def test_level_three_over_quad10_clears_denominators(monkeypatch):
     cs = compute_class_set(R, narrow_support(F))
     N = level(F, 3)
     calls = []
-    one_mod_prime = _LevelComponent._one_mod_prime
+    one_mod_prime = ResidueSplitting._one_mod_prime
 
     def counting(self, d):
         calls.append(d)
         return one_mod_prime(self, d)
 
-    monkeypatch.setattr(_LevelComponent, "_one_mod_prime", counting)
+    monkeypatch.setattr(ResidueSplitting, "_one_mod_prime", counting)
     build_splitting(cs, N)
     assert calls == [4, 4]
     dr = dimension_report(cs, compute_theta(cs, 5), N)
@@ -515,7 +533,7 @@ def test_level_one_report_is_the_eisenstein_line():
 def test_build_space_rejects_higher_weight():
     F, cs, _ = q5_bound4()
     with pytest.raises(ValueError, match="parallel weight 2"):
-        build_space(cs, F.unit_ideal(), WeightSpec((4, 4)))
+        build_space(cs, F.unit_ideal(), (4, 4))
 
 
 def test_non_commuting_blocks_rejected_under_optimize(run_optimized):

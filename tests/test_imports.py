@@ -17,7 +17,9 @@ or a benchmark script: a default nothing overrides is a knob nobody
 turns.  Every console script that pyproject.toml declares imports and is
 callable, so an installed command cannot point at a missing module.  No
 module holds an assert statement: `python -O` strips them, so every
-check of the package must be an explicit raise.
+check of the package must be an explicit raise.  Every annotated field
+of a package class is read as an attribute by the package or a
+benchmark script, but for a short allow-list.
 """
 
 import ast
@@ -40,6 +42,13 @@ BENCHMARKS = sorted((ROOT / "benchmarks").rglob("*.py"))
 PIPELINE_ORPHANS = [
     "numberfield.FieldCtx.class_of",  # ROADMAP item 1
     "polynomials.isolate_real_roots",  # ROADMAP item 1
+]
+
+# annotated fields that nothing in the package or the benchmark reads
+UNREAD_FIELDS = [
+    "eigen.Constituent.certified",  # ROADMAP item 8
+    "eigen.EigenReport.level",  # the level the report describes
+    "heckespace.DimensionReport.level",  # the level the report describes
 ]
 
 
@@ -258,6 +267,26 @@ def unpassed_defaults(modules, others):
     return sorted(out)
 
 
+def unread_fields(modules, readers):
+    """module.Class.name for each annotated field of a class of modules
+    (name -> text) that no text of readers reads as an attribute .name."""
+    read = {
+        n.attr
+        for source in readers
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(
+        f"{name}.{node.name}.{stmt.target.id}"
+        for name, source in modules.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    )
+
+
 def assert_lines(source):
     """The line numbers of the assert statements in a module."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
@@ -396,6 +425,27 @@ def test_scan_flags_an_unpassed_default():
     }
     others = ["from a import C, g\nC(5).h(1)\ng(*[1, 2])\n"]
     assert unpassed_defaults(modules, others) == ["a.C.__init__(m)", "a.f(w)"]
+
+
+def test_scan_flags_an_unread_field():
+    modules = {
+        "a": (
+            "class P:\n    x: int\n    y: int = 0\n    z: int\n"
+            "    def f(self):\n        self.z = 1\n        return self.x\n"
+        ),
+        "b": "class Q:\n    w: int\n",
+    }
+    readers = list(modules.values()) + ["from a import P\nprint(P().f(), q.w)\n"]
+    assert unread_fields(modules, readers) == ["a.P.y", "a.P.z"]
+    assert unread_fields(modules, modules.values()) == ["a.P.y", "a.P.z", "b.Q.w"]
+
+
+def test_every_field_has_a_reader():
+    # a field no reader needs is a field to delete; a stale allow-list
+    # entry is flagged too
+    modules = {p.stem: p.read_text() for p in MODULES}
+    readers = [p.read_text() for p in MODULES + BENCHMARKS]
+    assert unread_fields(modules, readers) == UNREAD_FIELDS
 
 
 def test_no_unpassed_defaults():

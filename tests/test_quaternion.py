@@ -229,6 +229,19 @@ def test_maximal_orders_pinned():
         assert hashlib.sha256(repr((top.rows, top.den, trail)).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("spec, b", [
+    # -4 - omega and -6 - omega, at box radii 4 and 6: no candidate of
+    # radius 3 or less leaves these algebras unramified
+    ("quad:73", (-4, -1)),
+    ("quad:97", (-6, -1)),
+])
+def test_structure_search_walks_past_radius_three(spec, b):
+    F = field_from_spec(spec)
+    alg = hilbert_ramification_free_algebra(F)
+    assert (tuple(alg.a), tuple(alg.b)) == ((-1, 0), b)
+    assert reduced_discriminant_norm(maximalize(alg.standard_order())) == 1
+
+
 def test_idealizer_stabilizes_right_order_only_when_left_did_not_grow(monkeypatch):
     # each idealizer step stabilizes the left order of the lifted ideal,
     # and its right order only when the left order is the order itself

@@ -14,12 +14,10 @@ from quatforms.residue import (
     algebra_radical,
     in_span_mod,
     kernel_mod,
-    mat2_act,
     mat2_det,
     mat2_mul,
     matmul_mod,
-    p1_normalize,
-    p1_points,
+    p1_act,
     primitive_idempotents,
     quotient_by_ideal,
     rank_mod,
@@ -333,18 +331,19 @@ def test_matrix_splitting_rejects_wrong_dimension():
 
 
 def test_p1_points_and_action():
+    # P^1(F_5) has the six indices 0 ... 5, and an invertible matrix
+    # permutes them
     a = _m2_fp(5)
     k = FiniteField(subalgebra(a, [(1, 0, 0, 1)], a.one))
-    pts = p1_points(k)
-    assert len(pts) == 6
-    assert len(set(pts)) == 6
-    # an invertible matrix permutes the line
+    assert k.q == 5
     m = ((1, 1), (0, 1))
-    images = {mat2_act(k, m, pt) for pt in pts}
-    assert images == set(pts)
-    # a singular pair is rejected
-    with pytest.raises(ValueError):
-        p1_normalize(k, 0, 0)
+    assert sorted(p1_act(k, m, i) for i in range(6)) == list(range(6))
+    # (0 : 1), index 5, goes to (1 : 1) and then to (1 : 1/2)
+    assert p1_act(k, m, 5) == k.elements().index(1)
+    assert p1_act(k, m, p1_act(k, m, 5)) == k.elements().index(k.inv(k.add(1, 1)))
+    # a matrix that sends (0 : 1) to (0 : 0) is rejected
+    with pytest.raises(ValueError, match="not a projective point"):
+        p1_act(k, ((1, 0), (0, 0)), 5)
 
 
 def test_p1_normalize_rejects_zero_divisors():
@@ -356,7 +355,9 @@ def test_p1_normalize_rejects_zero_divisors():
 
 
 def test_p1_points_f4():
-    # the residue field at an inert 2 has four elements, so five points
+    # the residue field at an inert 2 has four elements, so five points:
+    # the identity fixes each index, and the swap exchanges (0 : 1), index
+    # 4, with (1 : 0), index 0
     mult = [
         [(1, 0), (0, 1)],
         [(0, 1), (1, 1)],
@@ -364,10 +365,8 @@ def test_p1_points_f4():
     f4 = FpAlgebra(2, mult, (1, 0))
     assert f4.minpoly((0, 1)) == [1, 1, 1]
     k = FiniteField(f4)
-    pts = p1_points(k)
-    assert len(pts) == 5
-    for pt in pts:
-        assert p1_normalize(k, *pt) == pt
+    assert [p1_act(k, ((1, 0), (0, 1)), i) for i in range(5)] == list(range(5))
+    assert (p1_act(k, ((0, 1), (1, 0)), 4), p1_act(k, ((0, 1), (1, 0)), 0)) == (0, 4)
 
 
 def ref_p1_normalize(A, x, y):
@@ -383,6 +382,24 @@ def ref_mat2_act(A, M, pt):
     nx = A.add(A.mul(M[0][0], x), A.mul(M[0][1], y))
     ny = A.add(A.mul(M[1][0], x), A.mul(M[1][1], y))
     return ref_p1_normalize(A, nx, ny)
+
+
+def check_p1_act(A, k, matrices):
+    """Decode every index of P^1(k) to FpAlgebra coordinates, (1 : y) with
+    y the i-th element of A in lexicographic order and (0 : 1) last, and
+    compare p1_act with ref_mat2_act at every point, for each invertible
+    matrix of codes in matrices."""
+    points = [(A.one, y) for y in A.elements()] + [(A.zero(), A.one)]
+    assert len(set(points)) == k.q + 1
+    checked = 0
+    for M in matrices:
+        if not mat2_det(k, M):
+            continue
+        MA = tuple(tuple(map(k.coords, row)) for row in M)
+        for i, pt in enumerate(points):
+            assert points[p1_act(k, M, i)] == ref_mat2_act(A, MA, pt)
+        checked += 1
+    return checked
 
 
 FIELDS = {
@@ -415,18 +432,30 @@ def test_finite_field_matches_fp_algebra(name):
             assert k.coords(k.sub(a, b)) == A.sub(ca, cb)
     with pytest.raises(ZeroDivisionError):
         k.inv(0)
-    # the projective line and the column action, against the FpAlgebra path
-    ref_points = [(A.one, y) for y in A.elements()] + [(A.zero(), A.one)]
-    assert [tuple(map(k.coords, pt)) for pt in p1_points(k)] == ref_points
+    # the column action on the projective line, against the FpAlgebra path
     rng = random.Random(k.q)
-    for _ in range(20):
-        M = tuple(tuple(rng.choice(codes) for _ in range(2)) for _ in range(2))
-        if not mat2_det(k, M):
-            continue
-        MA = tuple(tuple(map(k.coords, row)) for row in M)
-        for pt in p1_points(k):
-            ref = ref_mat2_act(A, MA, tuple(map(k.coords, pt)))
-            assert tuple(map(k.coords, mat2_act(k, M, pt))) == ref
+    matrices = [
+        tuple(tuple(rng.choice(codes) for _ in range(2)) for _ in range(2)) for _ in range(20)
+    ]
+    assert check_p1_act(A, k, matrices)
+
+
+SMALL_FIELDS = {
+    "F2": FpAlgebra(2, [[(1,)]], (1,)),
+    "F4": FIELDS["F4"],
+    "F5": FpAlgebra(5, [[(1,)]], (1,)),
+    "F9": FIELDS["F9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_FIELDS))
+def test_p1_act_matches_reference_for_every_matrix(name):
+    # every invertible matrix at every point: |GL_2(F_q)| matrices
+    A = SMALL_FIELDS[name]
+    k = FiniteField(A)
+    codes = range(k.q)
+    matrices = [((a, b), (c, d)) for a in codes for b in codes for c in codes for d in codes]
+    assert check_p1_act(A, k, matrices) == (k.q**2 - 1) * (k.q**2 - k.q)
 
 
 def test_matmul_mod():
