@@ -16,8 +16,9 @@ in a new class, the first neighbor lattice that no witness gives.  The
 walk is certified complete by the exact Eichler mass, and it keeps the
 columns it closed for compute_theta, which fills the columns at the
 other primes.  Free and disjoint unit orbits, a bound of Np + 1 on every
-column, a norm and an index Np^2 check of every witness, and column sums
-of exactly Np + 1 certify the table.
+column, one containment check L * b in a per pair of classes, a norm
+check of every witness, and column sums of exactly Np + 1 certify the
+table.
 """
 
 from collections import Counter
@@ -28,7 +29,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .arith import factor_int
-from .intmat import abs_det, echelon_coords, hnf_rows, identity_int, int_product, integral_rows
+from .intmat import echelon_coords, hnf_rows, identity_int, int_product, integral_rows
 from .numberfield import PrimeIdeal
 from .quaternion import QuatLattice, iter_norm_equation_coords, norm_equation_solutions
 from .residue import (
@@ -416,8 +417,8 @@ class _BrandtCells:
     """The Brandt data a class set keeps, for the walk and theta alike.
 
     classes[i] holds the _ClassUnits of class i; pairs[(ai, bi)] holds
-    L = a * b^-1 with its stacked left and right unit matrices and its
-    product columns (_product_columns); columns[(bi, p)], p a prime
+    L = a * b^-1, checked once to satisfy L * b in a (_brandt_cell), with
+    its stacked left and right unit matrices; columns[(bi, p)], p a prime
     ideal, holds the cells of the Brandt column (b, p) in class order:
     the witness coordinates on L of each cell searched, until the column
     closed at Np + 1 orbits.
@@ -712,18 +713,6 @@ def _double_coset_orbits(seeds, left, right, covered, room):
     return out
 
 
-def _product_columns(L, b):
-    """Columns that give u * b for u = x over the basis rows of L.
-
-    With M_i the integer left matrix of row i of L, u * b has the integer
-    rows b.rows * sum_i x_i M_i over b.den * L.den.  out[r][c] holds the
-    entries (b.rows M_i)[r][c] over i, so entry (r, c) of those rows is
-    sum(map(mul, x, out[r][c])).
-    """
-    maps = [int_product(b.rows, L.alg.left_matrix(row)[0]) for row in L.rows]
-    return [list(zip(*(m[r] for m in maps))) for r in range(len(b.rows))]
-
-
 def _brandt_column(cs, bi, pr, p_bits):
     """The cells of the Brandt column (b, p), filled over the known classes.
 
@@ -752,7 +741,14 @@ def _brandt_column(cs, bi, pr, p_bits):
 
 def _brandt_cell(cs, ai, bi, pr, p_bits, room):
     """Witness coordinates of the p-neighbors of b in the class of a, at
-    most room of them (compute_theta)."""
+    most room of them (compute_theta).
+
+    The first cell of a pair of classes builds L = a * b^-1 and checks
+    once that L * b lies in a: the products u * b of the basis rows u of
+    L, over b.den * L.den, have integer coordinates on a.  Every witness
+    has integer coordinates on L, so u * b lies in a for each of them,
+    and its index there is Np^2 by its norm (compute_theta).
+    """
     br = cs.brandt
     F = cs.order.alg.base
     ca, cb = br.classes[ai], br.classes[bi]
@@ -764,13 +760,15 @@ def _brandt_cell(cs, ai, bi, pr, p_bits, room):
         raise ArithmeticError("narrowly trivial ideal has no totally positive generator")
     if (ai, bi) not in br.pairs:
         L = a.compose(b.inverse())
+        lb = [r for u in L.rows for r in int_product(b.rows, L.alg.left_matrix(u)[0])]
+        if a.int_coords(lb, b.den * L.den) is None:
+            raise ArithmeticError("L * b does not lie in a for L = a * b^-1")
         br.pairs[ai, bi] = (
             L,
             _unit_matrices(L, ca.coeffs, ca.lefts),
             _unit_matrices(L, cb.coeffs, cb.rights),
-            _product_columns(L, b),
         )
-    L, left, right, prod_cols = br.pairs[ai, bi]
+    L, left, right = br.pairs[ai, bi]
     forms, D = L.norm_forms()
     covered = set()
     xs = []
@@ -787,13 +785,6 @@ def _brandt_cell(cs, ai, bi, pr, p_bits, room):
         xs += sorted(found)
         if not room:
             break
-    for x in xs:
-        # the coordinates of u * b over a: integral exactly when u * b lies
-        # in a, with |det| the index
-        ub = [[sum(map(mul, x, col)) for col in cols] for cols in prod_cols]
-        c = a.int_coords(ub, b.den * L.den)
-        if c is None or abs_det(c) != pr.norm ** 2:
-            raise ArithmeticError("theta witness does not map b into a at index Np^2")
     return xs
 
 
@@ -840,14 +831,20 @@ def compute_theta(cs, bound):
     stay integer coordinate vectors on the basis of L throughout: the
     units act on them by integer matrices, each a combination of the
     matrices of a few span elements (_unit_matrices), the witness checks
-    run on the norm forms of L and the integer left matrices of L's rows
-    (_product_columns), and only the witnesses become quaternions.
+    run on the norm forms of L, and only the witnesses become
+    quaternions.
 
     Certificates, each raising ArithmeticError: a narrowly trivial J has
     a totally positive generator, the orbit checks of
-    _double_coset_orbits, every witness u takes the target values on the
-    norm forms of L and has u * b inside a at index Np^2, and the
-    neighbors of each b at each p number Np + 1 (check_norm_classes).
+    _double_coset_orbits, L * b lies in a for each pair of classes (one
+    check per pair, _brandt_cell), every witness u takes the target
+    values on the norm forms of L, and the neighbors of each b at each p
+    number Np + 1 (check_norm_classes).  Each witness u lies in L, so
+    u * b lies in a, and its index there needs no check of its own:
+    left multiplication by u scales covolumes by N(nr u)^2, and the norm
+    check pins nr(u) = beta * e with N(e) = 1, so covol(u * b) =
+    N(J)^2 covol(b) and [a : u * b] = Np^2, since covol(a) / covol(b) =
+    (N(nr a) / N(nr b))^2.
     """
     F = cs.order.alg.base
     primes = F.prime_ideals_up_to(bound)

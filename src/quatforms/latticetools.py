@@ -1,16 +1,16 @@
 """Positive definite lattice algorithms in exact integer arithmetic.
 
-Gram matrices may hold ints or Fractions.  LLL reduction and
-Fincke-Pohst enumeration of short vectors each scale their Gram to
-integers once and then run on Python ints: integral LLL keeps the
+Gram matrices, bounds and norm targets are Python ints; every entry
+point raises ValueError on anything else.  Integral LLL keeps the
 Gram-Schmidt data as integer minors d_i and lambda_ij = d_{j+1} mu_ij
-(_gram_schmidt_row), and the enumeration reads its integer Cholesky form
-off the same data.  iter_norm is the exact shell walk that norm-equation
-searches are built on: it walks only vectors of the given value, solving
-the last coordinate by one integer square root, can test further
-integer forms on each shell vector before mapping it back, and yields
-the survivors lazily, as integer coefficient vectors on the basis of
-the given Gram.  enumerate_norm is its whole walk, sorted.
+(_gram_schmidt_row), and Fincke-Pohst enumeration of short vectors
+reads its integer Cholesky form off the same data.  iter_norm is the
+exact shell walk that norm-equation searches are built on: it walks
+only vectors of the given value, solving the last coordinate by one
+integer square root, can test further integer forms on each shell
+vector before mapping it back, and yields the survivors lazily, as
+integer coefficient vectors on the basis of the given Gram.
+enumerate_norm is its whole walk, sorted.
 No floating point is used anywhere.
 """
 
@@ -19,10 +19,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
-from .intmat import int_product, integral_rows
+from .intmat import check_int_rows, int_product
 
 log = logging.getLogger(__name__)
 
@@ -52,19 +51,19 @@ def _gram_schmidt_row(g, lam, d, k):
 
 
 def lll_gram(gram):
-    """LLL-reduce a positive definite Gram matrix.
+    """LLL-reduce a positive definite integer Gram matrix.
 
     Returns (reduced_gram, U) with U integral, |det U| = 1 and
-    reduced_gram = U * gram * U^T.  Integral LLL (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.6.7) on the Gram
-    scaled to integers: the Gram-Schmidt data are kept as the integers
-    d_i (leading principal minors) and lambda_ij = d_j mu_ij, and every
-    rounding and Lovasz test is the rational one cleared of
-    denominators.  The reduced Gram comes back in ints when the input is
-    integral.
+    reduced_gram = U * gram * U^T, both in ints.  Integral LLL (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 2.6.7): the
+    Gram-Schmidt data are kept as the integers d_i (leading principal
+    minors) and lambda_ij = d_j mu_ij, and every rounding and Lovasz test
+    is the rational one cleared of denominators.  Raises ValueError
+    unless the Gram holds ints only.
     """
+    check_int_rows(gram, 1)
     n = len(gram)
-    den, g = integral_rows(gram)
+    g = [list(row) for row in gram]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     p, q = 99, 100  # the Lovasz constant p/q
     lam = [[0] * n for _ in range(n)]
@@ -114,8 +113,6 @@ def lll_gram(gram):
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    if den != 1:
-        g = [[Fraction(v, den) for v in row] for row in g]
     return g, u
 
 
@@ -160,29 +157,25 @@ def fincke_pohst(gram, bound, shell=False):
     One representative per +-pair: the last nonzero coordinate is
     positive.  Each level walks outward from the real center of its
     interval, so short vectors tend to appear early; callers doing
-    existence tests can stop at the first hit.  The walk runs on the
-    integer Cholesky form of the Gram scaled to integers, so centers,
-    remainders and every comparison are Python ints; values come back
-    exact (ints for an integer Gram).
+    existence tests can stop at the first hit.  gram is an integer Gram
+    and bound an int, else ValueError; the walk runs on the integer
+    Cholesky form of the Gram, so centers, remainders, every comparison
+    and the values yielded are Python ints.
 
     With shell=True only the x with Q(x) = bound are yielded, in the same
     order: at the last level the remainder must be k_0 (e_0 x_0 + C_0)^2
     exactly, so x_0 comes from one integer square root and a divisibility
     test instead of a walk over the interval.
     """
+    check_int_rows(gram, 1)
+    if not isinstance(bound, int):
+        raise ValueError("bound must be an integer")
     n = len(gram)
-    bound = Fraction(bound)
     if n == 0 or bound < 0:
         return
-    d, ints = integral_rows(gram)
-    s, k, e, c = _cholesky(ints)
-    if shell and (bound * d).denominator != 1:
-        return  # d Q(x) is an integer, so no x has Q(x) = bound
-    top = s * math.floor(bound * d)
+    s, k, e, c = _cholesky(gram)
+    top = s * bound
     x = [0] * n
-
-    # the value of every shell vector, of the kind the leaves yield
-    on_shell = bound.numerator if d == 1 else bound
 
     def last(rem, tie):
         # the x_0 with k_0 (e_0 x_0 + C_0)^2 = rem, in walk order
@@ -207,13 +200,12 @@ def fincke_pohst(gram, bound, shell=False):
         for num in nums:
             if num % e0 == 0:
                 x[0] = num // e0
-                yield tuple(x), on_shell
+                yield tuple(x), bound
 
     def walk(i, rem, tie):
         if i < 0:
             if not tie:
-                val = (top - rem) // s
-                yield tuple(x), val if d == 1 else Fraction(val, d)
+                yield tuple(x), (top - rem) // s
             return
         if shell and i == 0:
             yield from last(rem, tie)
@@ -270,33 +262,31 @@ class NormSolutions:
     vectors: list
 
 
-def iter_norm(gram, t, forms=()):
+def iter_norm(gram, t, forms):
     """The vectors x with Q(x) = x gram x^T = t, one per +-pair, as the
     walk finds them.
 
-    gram is a square positive definite Gram matrix.  Reduces the basis
-    first, then walks the shell Q(x) = t alone (fincke_pohst with
-    shell=True), lazily: a caller that has what it needs stops the walk
-    by dropping the iterator.  forms holds pairs (N, v) of integer forms
-    on the coefficient vectors and the values they must take: each is
-    carried to the reduced basis once, as u N u^T for the LLL transform
-    u, and every shell vector is tested there, so only the vectors that
-    pass are mapped back.  Vectors come as integer coefficient tuples,
+    gram is a square positive definite integer Gram matrix and t a
+    positive int, else ValueError.  Reduces the basis first, then walks
+    the shell Q(x) = t alone (fincke_pohst with shell=True), lazily: a
+    caller that has what it needs stops the walk by dropping the
+    iterator.  forms holds pairs (N, v) of integer forms on the
+    coefficient vectors and the values they must take: each is carried
+    to the reduced basis once, as u N u^T for the LLL transform u, and
+    every shell vector is tested there, so only the vectors that pass
+    are mapped back.  Vectors come as integer coefficient tuples,
     sign-normalized (first nonzero entry positive).
     """
     n = len(gram)
     if any(len(row) != n for row in gram):
         raise ValueError("Gram matrix is not square")
-    t = Fraction(t)
     if t <= 0:
         raise ValueError("norm target must be positive")
-    if t.denominator == 1:
-        t = t.numerator
     g2, u = lll_gram(gram)
     cols = list(zip(*u))
     reduced = [(int_product(int_product(u, N), cols), v) for N, v in forms]
-    for coords, val in fincke_pohst(g2, t, shell=True):
-        if val != t or any(_quad(N, coords) != v for N, v in reduced):
+    for coords, _ in fincke_pohst(g2, t, shell=True):
+        if any(_quad(N, coords) != v for N, v in reduced):
             continue
         vec = [sum(map(mul, coords, col)) for col in cols]
         lead = next(v for v in vec if v)
@@ -305,7 +295,7 @@ def iter_norm(gram, t, forms=()):
         yield tuple(vec)
 
 
-def enumerate_norm(gram, t, forms=()) -> NormSolutions:
+def enumerate_norm(gram, t, forms) -> NormSolutions:
     """All vectors with Q(x) = t, up to sign: the whole walk of
     iter_norm, sorted, so the result does not depend on the order the
     walk finds them in."""

@@ -355,7 +355,8 @@ class FieldCtx:
         rows = [self.el(r) for r in a.rows]
         target = abs(a.rows[0][0] * a.rows[1][1])
         bound = self._generator_bound(target)
-        gram = [[self.trace(self.mul(bi, bj)) for bj in rows] for bi in rows]
+        # traces of integral elements: integers, as fincke_pohst takes them
+        gram = [[int(self.trace(self.mul(bi, bj))) for bj in rows] for bi in rows]
         for coords, _val in fincke_pohst(gram, bound):
             x = self.zero
             for c, b in zip(coords, rows):

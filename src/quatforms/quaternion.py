@@ -276,14 +276,6 @@ class QuatLattice:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __mul__(self, other):
-        """The lattice scaled by a rational number."""
-        c = Fraction(other)
-        rows = [[c.numerator * v for v in row] for row in self.rows]
-        return QuatLattice(self.alg, rows, self.den * c.denominator)
-
-    __rmul__ = __mul__
-
     def iscale(self, ideal):
         """Scale by a fractional ideal of the base field.
 
@@ -692,18 +684,20 @@ def trace_form_gram(lat, w):
 
 def _norm_shell(lat, alpha):
     """The shell search for nr(x) = alpha on lat: (gram, value, forms) for
-    latticetools.iter_norm, or None when no lattice vector can have that
-    norm.
+    latticetools.iter_norm, all in ints, or None when no lattice vector
+    can have that norm.
 
     With w = N(alpha) / alpha, a solution x has w nr(x) = N(alpha), a
     rational number, so it lies on the shell Tr(w trd(x conj x)) =
     2 n N(alpha) of the form weighted by w (n the field degree).  The
     weight is totally positive exactly when alpha is, which makes the
     form definite and the shell finite.  The walk runs on the integer
-    Gram of trace_form_gram and keeps a vector when each norm form takes
-    the value D * alpha_k on it; the forms are tested on the LLL-reduced
-    coordinates, and only solutions are mapped back.  No ambient vector
-    and no Fraction is built per shell vector.
+    Gram of trace_form_gram, where the shell value is scale * 2 n
+    N(alpha); that Gram is integral, so a value that is not an integer
+    has no vector on it.  A shell vector is kept when each norm form
+    takes the value D * alpha_k on it; the forms are tested on the
+    LLL-reduced coordinates, and only solutions are mapped back.  No
+    ambient vector and no Fraction is built per shell vector.
     """
     F = lat.alg.base
     alpha = F.el(alpha) if not isinstance(alpha, int) else F.from_int(alpha)
@@ -715,7 +709,10 @@ def _norm_shell(lat, alpha):
         return None  # D nr(x) is integral on the lattice
     nm = F.norm(alpha)
     gram, scale = trace_form_gram(lat, F.smul(nm, F.inv(alpha)))
-    return gram, scale * 2 * F.degree * nm, [(N, int(v)) for N, v in zip(forms, want)]
+    value = scale * 2 * F.degree * nm
+    if value.denominator != 1:
+        return None  # the Gram is integral
+    return gram, int(value), [(N, int(v)) for N, v in zip(forms, want)]
 
 
 def iter_norm_equation_coords(lat, alpha):

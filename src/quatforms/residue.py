@@ -561,8 +561,6 @@ def _split_local(top, emb_rows, unit, out):
     mp = A.minpoly(splitter)
     q0 = factor_mod_p(mp, p)[0][0]
     e = _coprime_idempotent(A, splitter, mp, list(q0))
-    if e is None or e == A.zero() or e == A.one:
-        raise ArithmeticError("primary splitting failed")
     for idem in (e, A.sub(A.one, e)):
         rows = [A.mul(idem, A.unit(j)) for j in range(A.dim)]
         basis = span_basis_mod(rows, p)
@@ -583,24 +581,24 @@ def _split_local(top, emb_rows, unit, out):
 
 
 def _coprime_idempotent(A, a, mp, g):
-    """Idempotent acting as 1 on the g-primary part: needs mp = g*h, (g,h)=1."""
+    """The idempotent e = (s h)(a) acting as 1 on the g-primary part of
+    the minimal polynomial mp of a, for mp = g h with g, h coprime and
+    neither constant, and s h = 1 mod g.
+
+    s h is 1 mod g and 0 mod h, so (s h)^2 - s h vanishes mod g h = mp
+    and e is idempotent; it is neither 0 nor 1, as both factors are
+    proper.  Certificates, each raising ArithmeticError: g splits mp
+    into two coprime proper factors, and e^2 = e.
+    """
     p = A.p
     h, rem = _zdivmod_monic(list(mp), list(g), p)
-    if rem or len(h) < 2:
-        return None
-    if len(_zgcd_mod(g, h, p)) != 1:
-        return None
+    if rem or len(g) < 2 or len(h) < 2 or len(_zgcd_mod(g, h, p)) != 1:
+        raise ArithmeticError("factor does not split the minimal polynomial into coprime factors")
     s, _ = _poly_xgcd_mod(h, g, p)
     e = A.evaluate(_zmod(_zmul(s, h), p), a)
-    for _ in range(2 * A.dim + 4):
-        e2 = A.mul(e, e)
-        if e2 == e:
-            return e
-        if p == 2:
-            e = e2
-        else:
-            e = A.sub(A.smul(3, e2), A.smul(2, A.mul(e2, e)))
-    return None
+    if A.mul(e, e) != e:
+        raise ArithmeticError("CRT element is not idempotent")
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +645,7 @@ class MatrixSplitting:
             g = [1]
             for _ in range(e0):
                 g = _zmod(_zmul(g, list(q0)), p)
-            e = _coprime_idempotent(A, v, mp, g)
-            if e is None or e == A.zero() or e == A.one:
-                continue
-            return e
+            return _coprime_idempotent(A, v, mp, g)
         raise ArithmeticError("no splitting idempotent found")
 
     def _build_units(self, e):

@@ -906,24 +906,29 @@ def test_theta_orbit_count_checked_under_optimize(run_optimized):
         assert out.startswith("ArithmeticError: theta witness does not have the target norm")
 
 
-def test_theta_index_checked_under_optimize(run_optimized):
-    # product columns for 2 b instead of b put every u * b inside a at
-    # index 2^8 Np^2; with asserts stripped the index check must catch it
+def test_theta_containment_checked_under_optimize(run_optimized):
+    # an inverse scaled by 1/2 makes L = a * b^-1 / 2, so L * b = a / 2
+    # does not lie in a; with asserts stripped the pair check must catch it
+    # before any witness is drawn from L
     out = run_optimized(
+        "from fractions import Fraction\n"
         "from quatforms import classset\n"
         "from quatforms.numberfield import field_from_spec\n"
-        "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
-        "alg = hilbert_ramification_free_algebra(field_from_spec('quad:5'))\n"
+        "from quatforms.quaternion import (\n"
+        "    QuatLattice, hilbert_ramification_free_algebra, maximalize)\n"
+        "F = field_from_spec('quad:5')\n"
+        "alg = hilbert_ramification_free_algebra(F)\n"
         "cs = classset.compute_class_set(maximalize(alg.standard_order()), [])\n"
-        "product = classset._product_columns\n"
-        "classset._product_columns = lambda L, b: [\n"
-        "    [tuple(2 * v for v in col) for col in cols] for cols in product(L, b)]\n"
+        "inverse = QuatLattice.inverse\n"
+        "QuatLattice.inverse = lambda b: inverse(b).iscale(F.ideal(Fraction(1, 2)))\n"
         "try:\n"
         "    print('returned', classset.compute_theta(cs, 4))\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
+        "print(len(cs.brandt.pairs))\n"
     )
-    assert out.startswith("ArithmeticError: theta witness does not map b into a at index Np^2")
+    assert out.splitlines() == [
+        "ArithmeticError: L * b does not lie in a for L = a * b^-1", "0"]
 
 
 def test_double_coset_certificates_under_optimize(run_optimized):
@@ -1011,9 +1016,15 @@ def reference_norm_equation_solutions(lat, alpha):
     w = F.smul(nm, F.inv(alpha))
     bs = lattice_basis(lat)
     gram = [[F.trace(F.mul(w, ref_pair(alg, x, y))) for y in bs] for x in bs]
+    # enumerate_norm takes integers: the Gram cleared of its denominators,
+    # on which a target that is not an integer has no vector
+    den, ints = integral_rows(gram)
+    t = den * 2 * F.degree * nm
+    if t.denominator != 1:
+        return []
     shell = sorted(
         sign_normal(tuple(sum(c * b[j] for c, b in zip(y, bs)) for j in range(alg.dim)))
-        for y in enumerate_norm(gram, 2 * F.degree * nm).vectors
+        for y in enumerate_norm(ints, int(t), []).vectors
     )
     return [y for y in shell if F.el(alg.nr(y)) == alpha]
 

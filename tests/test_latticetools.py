@@ -7,11 +7,11 @@ from math import isqrt
 import pytest
 
 from fraction_refs import ref_cholesky
-from quatforms.intmat import integral_rows
 from quatforms.latticetools import (
     _cholesky,
     enumerate_norm,
     fincke_pohst,
+    iter_norm,
     lll_gram,
 )
 
@@ -185,47 +185,32 @@ def _rational_walk(gram, bound):
 
 def test_fincke_pohst_order_matches_rational_walk():
     # callers that stop at the first hit (principal generators) see the
-    # same vectors in the same order, with values of the same kind
+    # same vectors in the same order, with int values
     rng = random.Random(23)
     for _ in range(40):
-        n = rng.choice([2, 3, 4, 5])
-        g = _gram_of(_random_basis(rng, n, spread=4))
-        if rng.random() < 0.4:
-            d = rng.randint(2, 6)
-            g = [[Fraction(v, d) for v in row] for row in g]
-        t = Fraction(rng.randint(1, 60), rng.choice([1, 1, 2, 3]))
+        g = _random_gram(rng, rng.choice([2, 3, 4, 5]))
+        t = rng.randint(1, 60)
         got = list(fincke_pohst(g, t))
         assert got == list(_rational_walk(g, t))
-        integral = all(Fraction(v).denominator == 1 for row in g for v in row)
-        assert all(isinstance(v, int) == integral for _, v in got)
+        assert all(isinstance(v, int) for _, v in got)
 
 
 def _random_gram(rng, n):
+    # an integer Gram, imprimitive two times in five
     g = _gram_of(_random_basis(rng, n, spread=4))
     if rng.random() < 0.4:
         d = rng.randint(2, 6)
-        g = [[Fraction(v, d) for v in row] for row in g]
+        g = [[d * v for v in row] for row in g]
     return g
-
-
-def _rational_form(s, k, e, c):
-    # (q_ii, q_ij) of Q(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2
-    n = len(k)
-    return ([Fraction(k[i] * e[i] ** 2, s) for i in range(n)],
-            [[Fraction(c[i][j], e[i]) for j in range(i + 1, n)] for i in range(n)])
 
 
 def test_cholesky_matches_fraction_reference():
     # the integer form from integral Gram-Schmidt is the rational Cholesky
-    # form of the Gram; on an integer Gram it is the reference's tuple
+    # form of the Gram, cleared of denominators as the reference clears it
     rng = random.Random(41)
     for _ in range(60):
         g = _random_gram(rng, rng.choice([1, 2, 3, 4, 5, 6]))
-        den, ints = integral_rows(g)
-        got = _cholesky(ints)
-        diag, off = _rational_form(*ref_cholesky(g))
-        assert _rational_form(*got) == ([den * v for v in diag], off)
-        assert got == ref_cholesky(ints)
+        assert _cholesky(g) == ref_cholesky(g)
 
 
 def test_shell_walk_matches_filtered_fincke_pohst():
@@ -238,7 +223,7 @@ def test_shell_walk_matches_filtered_fincke_pohst():
             x = [rng.randint(-2, 2) for _ in range(n)]
             t = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
         else:
-            t = Fraction(rng.randint(1, 60), rng.choice([1, 1, 2, 3]))
+            t = rng.randint(1, 60)
         want = [(x, v) for x, v in fincke_pohst(g, t) if v == t]
         assert list(fincke_pohst(g, t, shell=True)) == want
 
@@ -253,7 +238,7 @@ def test_enumerate_norm_filters_on_forms():
         form = _gram_of([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         x = [rng.randint(-2, 2) for _ in range(n)]
         t = sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
-        shell = enumerate_norm(gram, t).vectors
+        shell = enumerate_norm(gram, t, []).vectors
         for v in {sum(y[i] * form[i][j] * y[j] for i in range(n) for j in range(n))
                   for y in shell}:
             got = enumerate_norm(gram, t, [(form, v)]).vectors
@@ -269,9 +254,23 @@ def test_indefinite_forms_rejected():
         with pytest.raises(ArithmeticError, match="not positive definite"):
             lll_gram(bad)
     with pytest.raises(ValueError, match="positive"):
-        enumerate_norm([[1]], 0)
+        enumerate_norm([[1]], 0, [])
     with pytest.raises(ValueError, match="not square"):
-        enumerate_norm([[1, 0]], 1)
+        enumerate_norm([[1, 0]], 1, [])
+    # a Fraction Gram, even an integral one, and a Fraction target
+    gram = [[2, 1], [1, 2]]
+    for bad in ([[Fraction(2), 1], [1, 2]], [[Fraction(1, 2), 0], [0, 1]]):
+        with pytest.raises(ValueError, match="integers"):
+            lll_gram(bad)
+        with pytest.raises(ValueError, match="integers"):
+            list(fincke_pohst(bad, 5))
+        with pytest.raises(ValueError, match="integers"):
+            list(iter_norm(bad, 2, []))
+    for t in (Fraction(2), Fraction(5, 2)):
+        with pytest.raises(ValueError, match="integer"):
+            list(fincke_pohst(gram, t))
+        with pytest.raises(ValueError, match="integer"):
+            list(iter_norm(gram, t, []))
 
 
 def test_indefinite_forms_rejected_under_optimize(run_optimized):
@@ -297,12 +296,12 @@ def test_fincke_pohst_empty_below_minimum():
 
 def test_enumerate_norm_axes():
     gram = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert enumerate_norm(gram, 1).vectors == [
+    assert enumerate_norm(gram, 1, []).vectors == [
         (0, 0, 1),
         (0, 1, 0),
         (1, 0, 0),
     ]
-    assert enumerate_norm(gram, 7).vectors == []
+    assert enumerate_norm(gram, 7, []).vectors == []
 
 
 def _ambient(vectors, basis):
@@ -322,8 +321,8 @@ def test_enumerate_norm_basis_independent():
     mixed = [basis[0][:], [a + 2 * b for a, b in zip(basis[1], basis[0])], basis[2][:]]
     mixed[2] = [a - b for a, b in zip(mixed[2], mixed[1])]
     for t in (1, 2, 5, 9):
-        assert _ambient(enumerate_norm(_gram_of(basis), t).vectors, basis) == _ambient(
-            enumerate_norm(_gram_of(mixed), t).vectors, mixed
+        assert _ambient(enumerate_norm(_gram_of(basis), t, []).vectors, basis) == _ambient(
+            enumerate_norm(_gram_of(mixed), t, []).vectors, mixed
         )
 
 
@@ -335,6 +334,6 @@ def test_lll_reduce_keeps_lattice():
     red_basis = [[sum(u[i][k] * basis[k][j] for k in range(3)) for j in range(3)]
                  for i in range(3)]
     assert g2 == _gram_of(red_basis)
-    assert _ambient(enumerate_norm(gram, 9).vectors, basis) == _ambient(
-        enumerate_norm(g2, 9).vectors, red_basis
+    assert _ambient(enumerate_norm(gram, 9, []).vectors, basis) == _ambient(
+        enumerate_norm(g2, 9, []).vectors, red_basis
     )

@@ -24,6 +24,7 @@ from quatforms.numberfield import field_from_spec
 from quatforms.quaternion import (
     QuatAlgebra,
     QuatLattice,
+    _norm_shell,
     hilbert_ramification_free_algebra,
     is_order,
     maximalize,
@@ -379,15 +380,31 @@ def test_lattice_sum_and_intersection():
 def test_ideal_scaling_and_conjugate():
     alg = hilbert_ramification_free_algebra(F10)
     R = maximalize(alg.standard_order())
-    two = R * Fraction(2)
+    two = R.iscale(F10.ideal(2))
     for c in (2, Fraction(-2, 3)):
-        assert R * c == ref_lattice(alg, [[c * u for u in v] for v in lattice_basis(R)])
+        assert R.iscale(F10.ideal(c)) == ref_lattice(
+            alg, [[c * u for u in v] for v in lattice_basis(R)])
     assert two.covolume() / R.covolume() == 2 ** alg.dim
     assert two.nr_ideal() == F10.ideal(F10.from_int(4))
     w = F10.el((0, 1))  # sqrt(10)
     scaled = R.iscale(F10.ideal(w))
     assert scaled.nr_ideal() == F10.ideal(F10.from_int(10))
     assert R.conjugate() == R
+
+
+def test_norm_shell_is_integral():
+    # the shell search hands iter_norm ints only, and no shell when the
+    # shell value on the integral Gram is not an integer: the maximal
+    # order over Q(sqrt 10) has basis denominator 2, and the target 1/4
+    # passes the norm form test (D * alpha integral) but has shell value
+    # 1/2
+    R = maximalize(hilbert_ramification_free_algebra(F10).standard_order())
+    assert R.den == 2
+    assert _norm_shell(R, (Fraction(1, 4), 0)) is None
+    assert norm_equation_solutions(R, (Fraction(1, 4), 0)) == []
+    gram, value, forms = _norm_shell(R, 3)
+    ints = [value] + [c for row in gram for c in row] + [v for _, v in forms]
+    assert all(type(c) is int for c in ints)
 
 
 def test_norm_equation_recovers_witness():

@@ -122,6 +122,36 @@ def test_primitive_idempotents_split():
     assert a.mul(idems[1], (1, 1)) == a.zero()
 
 
+def test_coprime_idempotent_certificates_under_optimize(run_optimized):
+    # over F_5[x]/(x^2 - 1), x - 1 splits the minimal polynomial of x and
+    # gives (1 + x) / 2; a constant factor, a factor that does not divide,
+    # the whole polynomial, the repeated factor x of x^2 over F_5[x]/(x^2),
+    # and a CRT multiplier off by a factor 2 must each raise with asserts
+    # stripped
+    out = run_optimized(
+        "from quatforms import residue\n"
+        "split = residue.FpAlgebra(5, [[(1, 0), (0, 1)], [(0, 1), (1, 0)]], (1, 0))\n"
+        "dual = residue.FpAlgebra(5, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))\n"
+        "x = (0, 1)\n"
+        "cases = [(split, [4, 0, 1], g) for g in ([4, 1], [1], [2, 1], [4, 0, 1])]\n"
+        "cases.append((dual, [0, 0, 1], [0, 1]))\n"
+        "for A, mp, g in cases:\n"
+        "    try:\n"
+        "        print('returned', residue._coprime_idempotent(A, x, mp, g))\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('ArithmeticError:', exc)\n"
+        "xgcd = residue._poly_xgcd_mod\n"
+        "residue._poly_xgcd_mod = lambda f, g, p: tuple([2 * c for c in s] for s in xgcd(f, g, p))\n"
+        "try:\n"
+        "    print('returned', residue._coprime_idempotent(split, x, [4, 0, 1], [4, 1]))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    bad = "ArithmeticError: factor does not split the minimal polynomial into coprime factors"
+    assert out.splitlines() == ["returned (3, 3)"] + [bad] * 4 + [
+        "ArithmeticError: CRT element is not idempotent"]
+
+
 def test_primitive_idempotents_nilpotent():
     # F_5[x]/(x^2): local with one dimensional radical, so the only
     # idempotent is 1 although the Frobenius kernel is nonzero
