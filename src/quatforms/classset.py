@@ -364,8 +364,8 @@ def unit_group(O):
 
 
 class _ClassUnits(NamedTuple):
-    """What the Brandt cells read off one class: the narrow class bits of
-    the representative's reduced norm and the inverse of that norm, the
+    """What the Brandt cells read off one class: the narrow class of the
+    representative's reduced norm and the inverse of that norm, the
     norm-one units of its left order through their Z-span, and its coset
     targets (_norm_coset_targets).
 
@@ -377,7 +377,7 @@ class _ClassUnits(NamedTuple):
     lattice is sum_j coeffs[g][j] times that of s_j (_unit_matrices).
     """
 
-    bits: tuple
+    cls: int
     nr_inv: object
     coeffs: list
     lefts: list
@@ -403,7 +403,7 @@ def _class_units(cs, i):
         raise ArithmeticError("unit lies outside the span of its HNF basis")
     span = [O.vector(s) for s in basis]
     return _ClassUnits(
-        bits=alg.base.narrow_dlog(r.nr_ideal()),
+        cls=alg.base.narrow_class(r.nr_ideal()),
         nr_inv=r.nr_ideal().inverse(),
         coeffs=coeffs,
         lefts=[alg.left_matrix(s) for s in span],
@@ -455,35 +455,33 @@ class ClassSet:
         return len(self.representatives)
 
     def norm_classes(self):
-        """FieldCtx.narrow_dlog of each representative's reduced norm."""
+        """FieldCtx.narrow_class of each representative's reduced norm."""
         F = self.order.alg.base
-        return [F.narrow_dlog(r.nr_ideal()) for r in self.representatives]
+        return [F.narrow_class(r.nr_ideal()) for r in self.representatives]
 
 
 def narrow_support(F):
     """A minimal prime list generating the narrow class group.
 
     Primes are taken in F.primes_by_norm order, up to norm 200, and kept
-    only when their class enlarges the subgroup generated so far, so the
+    only when their class lies outside the subgroup generated so far
+    (closed by F.narrow_mul), until it holds all h+ classes, so the
     result is deterministic and empty when the narrow class number is 1.
     """
-    k = len(F.narrow_gens)
-    if not k:
-        return []
-    have = []
+    primes = F.primes_by_norm()
+    have = {0}
     out = []
-    for pr in F.primes_by_norm():
+    while len(have) < F.narrow_class_number:
+        pr = next(primes)
         if pr.norm > 200:
             raise ArithmeticError("primes up to the bound do not generate the narrow class group")
-        bits = F.narrow_dlog(pr.ideal)
-        if not any(bits):
-            continue
-        if in_span_mod(span_basis_mod(have, 2), bits, 2):
-            continue
-        have.append(list(bits))
-        out.append(pr)
-        if len(out) == k:
-            return out
+        new = {F.narrow_class(pr.ideal)} - have
+        if new:
+            out.append(pr)
+        while new:
+            have |= new
+            new = {F.narrow_mul[i][j] for i in have for j in have} - have
+    return out
 
 
 def _first_split_prime(F):
@@ -528,7 +526,7 @@ def compute_class_set(R, support):
     _join(cs, R, R)
     if not cs.support and cs.mass != target:
         cs.support = [_first_split_prime(F)]
-    p_bits = [F.narrow_dlog(p.ideal) for p in cs.support]
+    p_classes = [F.narrow_class(p.ideal) for p in cs.support]
     pending = [(0, si) for si in range(len(cs.support))]
     pos = 0
     while cs.mass != target:
@@ -544,7 +542,7 @@ def compute_class_set(R, support):
         covered = set()
         seen = 0
         while True:
-            cells = _brandt_column(cs, bi, p, p_bits[si])
+            cells = _brandt_column(cs, bi, p, p_classes[si])
             if sum(map(len, cells)) == p.norm + 1:
                 break
             if nbrs is None:
@@ -713,17 +711,17 @@ def _double_coset_orbits(seeds, left, right, covered, room):
     return out
 
 
-def _brandt_column(cs, bi, pr, p_bits):
+def _brandt_column(cs, bi, pr, p_class):
     """The cells of the Brandt column (b, p), filled over the known classes.
 
     The column is kept on the class set (ClassSet.brandt) and grown from
     the first class it has not searched, in class order, while it holds
     fewer than Np + 1 orbits: a neighbor lies in one class only, so a
-    closed column leaves its later cells empty.  p_bits are the narrow
-    class bits of p.  The unit data of each class (_class_units: the
-    span of its norm-one units, and the unit coefficients over it) is
-    taken once, when the first column after the class joined is filled;
-    each pair of classes then solves only the span's matrices on
+    closed column leaves its later cells empty.  p_class is the narrow
+    class of p.  The unit data of each class (_class_units: the span of
+    its norm-one units, and the unit coefficients over it) is taken
+    once, when the first column after the class joined is filled; each
+    pair of classes then solves only the span's matrices on
     L = a * b^-1 (_unit_matrices).  Returns the witness coordinates of
     each cell searched (_brandt_cell), on the basis of L.
     """
@@ -733,15 +731,15 @@ def _brandt_column(cs, bi, pr, p_bits):
     cells = br.columns.setdefault((bi, pr.ideal), [])
     room = pr.norm + 1 - sum(map(len, cells))
     while room and len(cells) < cs.size:
-        xs = _brandt_cell(cs, len(cells), bi, pr, p_bits, room)
+        xs = _brandt_cell(cs, len(cells), bi, pr, p_class, room)
         cells.append(xs)
         room -= len(xs)
     return cells
 
 
-def _brandt_cell(cs, ai, bi, pr, p_bits, room):
+def _brandt_cell(cs, ai, bi, pr, p_class, room):
     """Witness coordinates of the p-neighbors of b in the class of a, at
-    most room of them (compute_theta).
+    most room of them (compute_theta), none unless [nr a] [p] = [nr b].
 
     The first cell of a pair of classes builds L = a * b^-1 and checks
     once that L * b lies in a: the products u * b of the basis rows u of
@@ -752,7 +750,7 @@ def _brandt_cell(cs, ai, bi, pr, p_bits, room):
     br = cs.brandt
     F = cs.order.alg.base
     ca, cb = br.classes[ai], br.classes[bi]
-    if any(x ^ y ^ z for x, y, z in zip(ca.bits, p_bits, cb.bits)):
+    if F.narrow_mul[ca.cls][p_class] != cb.cls:
         return []
     a, b = cs.representatives[ai], cs.representatives[bi]
     beta = F.narrowly_principal_generator(a.nr_ideal() * pr.ideal * cb.nr_inv)
@@ -788,18 +786,19 @@ def _brandt_cell(cs, ai, bi, pr, p_bits, room):
     return xs
 
 
-def check_norm_classes(th, nr_bits, p_bits):
+def check_norm_classes(th, mul, nr_classes, p_classes):
     """e_chi M_p = chi(p) (Np + 1) e_chi for every narrow class character
     chi, in integers: each column b at p holds Np + 1 witnesses, all into
-    classes a with [nr a] = [p] [nr b] (narrow class bits nr_bits of the
-    representatives' norms, p_bits of th.primes), or ArithmeticError."""
+    classes a with [nr a] [p] = [nr b] in the table mul (nr_classes of
+    the representatives' norms, p_classes of th.primes), or
+    ArithmeticError."""
     counts = Counter()
     for (pi, ai, bi), us in th.entries.items():
-        if any(x ^ y ^ z for x, y, z in zip(nr_bits[ai], p_bits[pi], nr_bits[bi])):
-            raise ArithmeticError("theta witness leaves the norm class [p] [nr b]")
+        if mul[nr_classes[ai]][p_classes[pi]] != nr_classes[bi]:
+            raise ArithmeticError("theta witness leaves the norm class [p]^-1 [nr b]")
         counts[pi, bi] += len(us)
     for pi, pr in enumerate(th.primes):
-        if any(counts[pi, bi] != pr.norm + 1 for bi in range(len(nr_bits))):
+        if any(counts[pi, bi] != pr.norm + 1 for bi in range(len(nr_classes))):
             raise ArithmeticError("orbit table column does not sum to Np + 1")
 
 
@@ -810,12 +809,12 @@ def compute_theta(cs, bound):
     of a are the c = u^-1 a for u in L = a * b^-1 whose reduced norm
     generates J = nr(a) p nr(b)^-1, counted modulo left multiplication by
     G_a, the norm-one units of the left order of a.  When J has no
-    totally positive generator the cell is empty: every narrow class has
-    order 2, so that is read off the narrow dlogs of nr(a), p and
-    nr(b), taken once each, and a generator is searched only for the
-    narrowly trivial J.  With beta that generator, the solutions of
-    nr(u) = beta * e over L for the coset targets e
-    (_norm_coset_targets) are the neighbors of the cell.
+    totally positive generator the cell is empty: that is one lookup in
+    F.narrow_mul on the narrow classes of nr(a), p and nr(b), taken once
+    each, and a generator is searched only for the narrowly trivial J.
+    With beta that generator, the solutions of nr(u) = beta * e over L
+    for the coset targets e (_norm_coset_targets) are the neighbors of
+    the cell.
 
     The solutions are also stable under right multiplication by G_b,
     the norm-one units of the left order of b, since u h b = u b.  So
@@ -848,16 +847,16 @@ def compute_theta(cs, bound):
     """
     F = cs.order.alg.base
     primes = F.prime_ideals_up_to(bound)
-    p_bits = [F.narrow_dlog(pr.ideal) for pr in primes]
+    p_classes = [F.narrow_class(pr.ideal) for pr in primes]
     entries = {}
     for bi in range(cs.size):
         for pi, pr in enumerate(primes):
-            for ai, xs in enumerate(_brandt_column(cs, bi, pr, p_bits[pi])):
+            for ai, xs in enumerate(_brandt_column(cs, bi, pr, p_classes[pi])):
                 if xs:
                     L = cs.brandt.pairs[ai, bi][0]
                     entries[(pi, ai, bi)] = [L.vector(x) for x in xs]
     # keys in (b, a, p) order, whatever order the columns were walked in
     entries = {k: entries[k] for k in sorted(entries, key=lambda k: (k[2], k[1], k[0]))}
     th = ThetaTable(bound=bound, primes=primes, entries=entries)
-    check_norm_classes(th, cs.norm_classes(), p_bits)
+    check_norm_classes(th, F.narrow_mul, cs.norm_classes(), p_classes)
     return th

@@ -197,10 +197,11 @@ def present_eigenvalues(c, blocks):
 def flag_eisenstein(c, F):
     """Dimension 1 with a_p = chi(p) (Np + 1) for a narrow class character.
 
-    Characters are the quadratic ones of the narrow class group, searched
-    by sign mask over its generators; the pattern must hold at every
-    computed prime.  Hecke operators exist only at primes coprime to the
-    level (hecke_operator refuses the others), so every prime counts.
+    Characters are the quadratic ones of the narrow class group
+    (FieldCtx.narrow_characters), read at the narrow class of each
+    prime; the pattern must hold at every computed prime.  Hecke
+    operators exist only at primes coprime to the level (hecke_operator
+    refuses the others), so every prime counts.
     """
     if c.dimension != 1:
         return False
@@ -208,14 +209,9 @@ def flag_eisenstein(c, F):
     # every character gives |a_p| = Np + 1: a wrong size refutes them all
     if any(abs(a) != pr.norm + 1 for a, pr in vals):
         return False
-    signs = [(F.narrow_dlog(pr.ideal), a > 0) for a, pr in vals]
-    for mask in itertools.product((0, 1), repeat=len(F.narrow_gens)):
-        if all(
-            (sum(m * b for m, b in zip(mask, bits)) % 2 == 0) == positive
-            for bits, positive in signs
-        ):
-            return True
-    return False
+    # so a_p = chi(p) (Np + 1) when chi(p) is the sign of a_p
+    signs = [(F.narrow_class(pr.ideal), 1 if a > 0 else -1) for a, pr in vals]
+    return any(all(chi[k] == s for k, s in signs) for chi in F.narrow_characters)
 
 
 @dataclass

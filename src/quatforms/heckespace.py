@@ -282,12 +282,12 @@ def dimension_report(cs, th, N):
     (ResidueSplitting.fixed_points).  The total at M sums these counts over
     the classes; no point of P^1 is listed.  Its Eisenstein part, the
     functions that factor through the reduced norm onto Cl+(F)
-    (Dembele-Voight 2013), has dimension h+.  The report depends on
-    (cs, N) alone, not on the primes th tabulates.
+    (Dembele-Voight 2013), has dimension h+, one line per character of
+    Cl+(F).  The report depends on (cs, N) alone, not on th's primes.
 
     Certificates, each raising ArithmeticError: every Burnside sum is
-    divisible by |G_a|; the representatives' norms meet all h+ narrow
-    classes, so the vectors e_chi, chi(nr I_i) on the orbits of class i,
+    divisible by |G_a|; the norms meet all h+ narrow classes, h+ distinct
+    indices, so the vectors e_chi, chi(nr I_i) on the orbits of class i,
     are independent; and check_norm_classes holds, which is
     e_chi M_p = chi(p) (Np + 1) e_chi at every level, since a witness
     sends an orbit of b to one of a.
@@ -295,10 +295,11 @@ def dimension_report(cs, th, N):
     F = cs.order.alg.base
     eis = F.narrow_class_number
     _check_field(cs, [pr.ideal for pr in th.primes])
-    nr_bits = cs.norm_classes()
-    if len(set(nr_bits)) != eis:
+    nr_classes = cs.norm_classes()
+    if len(set(nr_classes)) != eis:
         raise ArithmeticError("representative norms miss a narrow class")
-    check_norm_classes(th, nr_bits, [F.narrow_dlog(pr.ideal) for pr in th.primes])
+    p_classes = [F.narrow_class(pr.ideal) for pr in th.primes]
+    check_norm_classes(th, F.narrow_mul, nr_classes, p_classes)
     sm = build_splitting(cs, N)
     # fixes[a][g][i]: fixed points of unit g of class a at level prime i
     fixes = [

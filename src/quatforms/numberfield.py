@@ -8,11 +8,12 @@ function at -1.
 
 make_quadratic_field computes every invariant from scratch: the unit from
 one period of the continued fraction of the reduced omega + m over
-Z[omega] itself, certified by its norm +-1, the class group by
-enumerating primes below the Minkowski bound with a certified
-short-vector principality test, zeta(-1) by the finite divisor sum.  The
-rest is in closed form for a quadratic field: the primes above p come
-from x^2 - t1 x - t0 mod p by Dedekind-Kummer, and the norm of the
+Z[omega] itself, certified by its norm +-1, Cl(F) and Cl+(F) by one
+closure over the primes below the Minkowski bound with a certified
+short-vector principality test, a class being the index of its
+representative, zeta(-1) by the finite divisor sum.  The rest is in
+closed form for a quadratic field: the primes above p come from
+x^2 - t1 x - t0 mod p by Dedekind-Kummer, and the norm of the
 fundamental unit decides the totally positive units and the kernel of
 the map from the narrow class group onto the class group.
 
@@ -138,7 +139,10 @@ class FieldCtx:
     the first sends sqrt D to -sqrt D.
 
     The fundamental unit, class data and zeta(-1) are attached by
-    make_quadratic_field, which computes and certifies each of them.
+    make_quadratic_field, which computes and certifies each of them.  A
+    class of Cl(F) or Cl+(F) is an index into class_reps or narrow_reps
+    (class_of, narrow_class); narrow_mul is the multiplication table of
+    Cl+(F), and narrow_characters its quadratic characters as tuples.
     """
 
     degree = 2
@@ -160,10 +164,15 @@ class FieldCtx:
         self.zeta_minus_one: Fraction | None = None
         self.class_reps: list[FieldIdeal] = []
         self.class_number: int | None = None
-        self.narrow_gens: list[FieldIdeal] = []
+        self.narrow_reps: list[FieldIdeal] = []
         self.narrow_class_number: int | None = None
+        self.narrow_mul: list[list[int]] = []
+        self.narrow_characters: list[tuple[int, ...]] = []
+        self._class_inverses: list[FieldIdeal] = []
+        self._narrow_inverses: list[FieldIdeal] = []
         self._primes_cache = {}
         self._generators = {}  # (rows, den) -> principal_generator
+        self._positive_generators = {}  # (rows, den) -> narrowly_principal_generator
 
     # -- basic element arithmetic ------------------------------------
 
@@ -371,48 +380,29 @@ class FieldCtx:
 
         None with a principal ideal is a certificate that the class of a
         in the narrow class group is the nontrivial coset cut out by unit
-        signs; None otherwise certifies non-principality outright.
+        signs; None otherwise certifies non-principality outright.  Kept
+        per ideal, as in principal_generator.
         """
-        g = self.principal_generator(a)
-        if g is None:
-            return None
-        (eps,) = self.fundamental_units
-        ge = self.mul(g, eps)
-        for x in (g, ge, self.neg(g), self.neg(ge)):
-            if self.is_totally_positive(x):
-                return x
-        return None
+        key = (a.rows, a.den)
+        if key not in self._positive_generators:
+            g = self.principal_generator(a)
+            if g is not None:
+                ge = self.mul(g, self.fundamental_units[0])
+                signed = (g, ge, self.neg(g), self.neg(ge))
+                g = next((x for x in signed if self.is_totally_positive(x)), None)
+            self._positive_generators[key] = g
+        return self._positive_generators[key]
 
     # -- class data --------------------------------------------------------
 
     def class_of(self, a: "FieldIdeal") -> int:
-        for i, r in enumerate(self.class_reps):
-            if self.principal_generator(a * r.inverse()) is not None:
-                return i
-        raise ValueError("ideal class not matched by stored representatives")
+        """Index of the class of a in class_reps (_class_index).  The last
+        class is the one left when no other matches: it needs no test."""
+        return _class_index(a, self._class_inverses[:-1], self.principal_generator)
 
-    def narrow_dlog(self, a: "FieldIdeal") -> tuple[int, ...]:
-        """Exponents of a's narrow class over narrow_gens (all order 2)."""
-        if not self.narrow_gens:
-            return ()  # narrow class number 1: every ideal is narrowly principal
-        if a.den != 1:
-            a = FieldIdeal(self, a.rows, 1)  # positive integer scaling is totally positive
-        bits = self._narrow_bits(a, self.narrow_gens)
-        if bits is None:
-            raise ValueError("ideal class outside the stored narrow class group")
-        return bits
-
-    def _narrow_bits(self, a: "FieldIdeal", gens) -> tuple[int, ...] | None:
-        """The lexicographically first b in {0, 1}^k with a * prod gens[i]^b[i]
-        narrowly principal, or None."""
-        for bits in itertools.product((0, 1), repeat=len(gens)):
-            c = a
-            for g, b in zip(gens, bits):
-                if b:
-                    c = c * g
-            if self.narrowly_principal_generator(c) is not None:
-                return bits
-        return None
+    def narrow_class(self, a: "FieldIdeal") -> int:
+        """Index of the narrow class of a in narrow_reps, as in class_of."""
+        return _class_index(a, self._narrow_inverses[:-1], self.narrowly_principal_generator)
 
     def __repr__(self):
         return f"FieldCtx({self.name}, degree {self.degree}, disc {self.disc})"
@@ -563,76 +553,88 @@ def make_quadratic_field(d: int) -> FieldCtx:
 
     Basis (1, omega) with omega = (1+sqrt d)/2 when d = 1 mod 4 and
     omega = sqrt d otherwise.  All invariants are computed.
+
+    The primes of norm at most sqrt(disc)/2 generate Cl(F) (Minkowski);
+    those the closure kept and the kernel of Cl+ -> Cl generate Cl+(F).
+    The kernel is trivial if the fundamental unit has norm -1, and else
+    generated by (sqrt d), whose generators all have mixed signs.
+    Certificate: h+ = h |kernel|, else ArithmeticError.
     """
     F = FieldCtx(d)
     F.fundamental_units = [F.el(_fundamental_unit_quadratic(d))]
     F.zeta_minus_one = siegel_zeta_quadratic(F.disc)
-    _attach_class_data_by_search(F)
-    _attach_narrow_data(F)
+    pool = [pr.ideal for pr in F.prime_ideals_up_to(isqrt(F.disc) // 2)]
+    F.class_reps, F._class_inverses, _, joined = _class_group(F, pool, F.principal_generator)
+    # sqrt d is 2 omega - 1 when d = 1 mod 4 and omega otherwise
+    kernel = [F.ideal((-1, 2) if F.t1 else (0, 1))] if F.norm(F.fundamental_units[0]) == 1 else []
+    F.narrow_reps, F._narrow_inverses, F.narrow_mul, joined = _class_group(
+        F, F.class_reps[1:joined] + kernel, F.narrowly_principal_generator
+    )
+    F.class_number, F.narrow_class_number = len(F.class_reps), len(F.narrow_reps)
+    if F.narrow_class_number != F.class_number * 2 ** len(kernel):
+        raise ArithmeticError("narrow class number is not h times the sign kernel")
+    F.narrow_characters = _quadratic_characters(F.narrow_mul, joined)
+    log.debug("class numbers %d, %d for %s", F.class_number, F.narrow_class_number, F.name)
     return F
 
 
-def _attach_class_data_by_search(F: FieldCtx):
-    """Class group by Minkowski-bound prime enumeration and closure.
-
-    Every class contains an integral ideal of norm at most sqrt(disc)/2,
-    hence a product of primes of norm below that bound; matching each
-    pool prime and each product of found classes against the certified
-    principality test closes the group.
-    """
-    pool = [pr.ideal for pr in F.prime_ideals_up_to(isqrt(F.disc) // 2)]
-    reps = [F.unit_ideal()]
-
-    def known(c):
-        return any(F.principal_generator(c * r.inverse()) is not None for r in reps)
-
-    for prime in pool:
-        if not known(prime):
-            reps.append(prime)
-    while True:
-        new = None
-        for a, b in itertools.product(reps[1:], repeat=2):
-            c = a * b
-            if not known(c):
-                new = FieldIdeal(F, c.rows, 1)
-                break
-        if new is None:
-            break
-        reps.append(new)
-    F.class_reps = reps
-    F.class_number = len(reps)
-    log.debug("class number %d for %s", len(reps), F.name)
+def _class_index(a: FieldIdeal, inverses, generator) -> int:
+    """The first i with a generator of a * inverses[i], else len(inverses),
+    the index a new class would take.  A fractional a is replaced by its
+    numerator, a totally positive integer multiple in the same class."""
+    a = FieldIdeal(a.field, a.rows, 1)
+    hits = (i for i, r in enumerate(inverses) if generator(a * r) is not None)
+    return next(hits, len(inverses))
 
 
-def _attach_narrow_data(F: FieldCtx):
-    """Narrow class generators; the group must be 2-elementary.
+def _class_group(F: FieldCtx, pool, generator):
+    """(reps, inverses, mul, joined) of the class group that pool generates,
+    under principal_generator or narrowly_principal_generator.
 
-    Cl+ -> Cl is onto, and its kernel holds the narrow classes of the
-    principal ideals.  When the fundamental unit has norm -1 some
-    generator of every principal ideal is totally positive, so the kernel
-    is trivial.  Otherwise it has order 2 and is generated by (sqrt d),
-    all of whose generators have mixed signs.  The greedy generator
-    search is cross-checked against h * |kernel|.
-    """
-    (eps,) = F.fundamental_units
-    kernel_ideals = []
-    if F.norm(eps) == 1:
-        # sqrt d is 2 omega - 1 when d = 1 mod 4 and omega otherwise
-        kernel_ideals.append(F.ideal((-1, 2) if F.t1 else (0, 1)))
-    expected = F.class_number * 2 ** len(kernel_ideals)
-    gens = []
-    for cand in F.class_reps[1:] + kernel_ideals:
-        cand = FieldIdeal(F, cand.rows, 1)
-        if F._narrow_bits(cand, gens) is None:
-            gens.append(cand)
-    h_plus = 2 ** len(gens)
-    if h_plus != expected:
-        raise ValueError("narrow class group is not 2-elementary or data inconsistent")
-    for g in gens:
-        if F.narrowly_principal_generator(g * g) is None:
-            raise ValueError("narrow class generator does not have order 2")
-    F.narrow_gens = gens
-    F.narrow_class_number = h_plus
+    reps[0] is the unit ideal, reps[1:joined] the pool ideals met in a new
+    class.  Each pair of representatives, in the order (1, 1), (2, 1),
+    (2, 2), (3, 1), ..., is multiplied once and looked up (_class_index),
+    and a product in no known class joins, so mul[i][j] is the class of
+    reps[i] * reps[j] and the classes close."""
+    reps, inverses, table = [], [], {}
+
+    def join(a):
+        table[0, len(reps)] = table[len(reps), 0] = len(reps)
+        reps.append(a)
+        inverses.append(a.inverse())
+
+    join(F.unit_ideal())
+    for a in pool:
+        if _class_index(a, inverses, generator) == len(reps):
+            join(a)
+    joined = len(reps)
+    for i, a in enumerate(reps):  # reps grows while it is walked
+        for j in range(1, i + 1):
+            c = a * reps[j]
+            table[i, j] = table[j, i] = k = _class_index(c, inverses, generator)
+            if k == len(reps):
+                join(c)
+    n = len(reps)
+    return reps, inverses, [[table[i, j] for j in range(n)] for i in range(n)], joined
+
+
+def _quadratic_characters(mul, joined):
+    """The homomorphisms to +-1 of the group with table mul, as tuples of
+    values, the trivial one first.
+
+    Classes 1, ..., joined - 1 generate, and each later class is the
+    product of a pair before it in the pair order of _class_group, so a
+    sign choice on the generators extends along that order; it is kept
+    when multiplicative on every pair.  Cost: 2^(joined - 1) h^2 / 2
+    lookups for h classes; h+ <= 6 for every d <= 105 that builds."""
+    n = len(mul)
+    pairs = [(i, j) for i in range(1, n) for j in range(1, i + 1)]
+    out = []
+    for signs in itertools.product((1, -1), repeat=joined - 1):
+        chi = dict(enumerate((1, *signs)))
+        if all(chi.setdefault(mul[i][j], chi[i] * chi[j]) == chi[i] * chi[j] for i, j in pairs):
+            out.append(tuple(chi[k] for k in range(n)))
+    return out
 
 
 def field_from_spec(spec: str) -> FieldCtx:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -98,7 +99,7 @@ def test_narrow_support_choices():
     (p10,) = narrow_support(F10)
     assert p10.norm == 2 and p10.e == 2
     for F in (F85, F10):
-        assert all(any(F.narrow_dlog(p.ideal)) for p in narrow_support(F))
+        assert all(F.narrow_class(p.ideal) != 0 for p in narrow_support(F))
 
 
 def test_prime_lists_and_narrow_support_pinned():
@@ -123,7 +124,7 @@ def test_prime_lists_and_narrow_support_pinned():
 
 def test_narrow_support_raises_past_norm_200(monkeypatch):
     F = make_quadratic_field(85)
-    monkeypatch.setattr(F, "narrow_dlog", lambda ideal: (0,))
+    monkeypatch.setattr(F, "narrow_class", lambda ideal: 0)
     with pytest.raises(ArithmeticError, match="do not generate"):
         narrow_support(F)
 
@@ -179,7 +180,7 @@ def test_is_isomorphic_narrow_class_obstruction():
     # isomorphic to the order itself
     R = maximal_order("quad:85")
     (pr,) = narrow_support(F85)
-    assert any(F85.narrow_dlog(pr.ideal))
+    assert F85.narrow_class(pr.ideal) != 0
     for c in neighbors(R, pr):
         assert is_isomorphic(R, c) is None
 
@@ -249,22 +250,22 @@ def test_unit_group_keeps_the_norms_it_solved_for():
 
 
 def test_theta_searches_generators_only_for_trivial_classes(monkeypatch):
-    # narrow dlogs decide which cells can be nonempty; every generator
-    # search outside narrow_dlog finds one.  Half the cells are narrowly
+    # narrow classes decide which cells can be nonempty; every generator
+    # search outside narrow_class finds one.  Half the cells are narrowly
     # trivial, and the two that come after their column already holds
     # Np + 1 neighbors are not searched.  The walk searches the cells of
     # the support columns it closes, and theta takes those columns as they
     # are and searches the others
     R = maximal_order("quad:10")
     F = R.alg.base
-    search, dlog = F.narrowly_principal_generator, F.narrow_dlog
+    search, lookup = F.narrowly_principal_generator, F.narrow_class
     depth = []
     found = []
 
-    def counted_dlog(ideal):
+    def counted_lookup(ideal):
         depth.append(ideal)
         try:
-            return dlog(ideal)
+            return lookup(ideal)
         finally:
             depth.pop()
 
@@ -274,7 +275,7 @@ def test_theta_searches_generators_only_for_trivial_classes(monkeypatch):
             found.append(g)
         return g
 
-    monkeypatch.setattr(F, "narrow_dlog", counted_dlog)
+    monkeypatch.setattr(F, "narrow_class", counted_lookup)
     monkeypatch.setattr(F, "narrowly_principal_generator", counted_search)
     cs = compute_class_set(R, narrow_support(F))
     walked = len(found)
@@ -286,7 +287,7 @@ def test_theta_searches_generators_only_for_trivial_classes(monkeypatch):
 
 
 def test_theta_trivial_class_search_checked_under_optimize(run_optimized):
-    # dlogs that call every class trivial send compute_theta to search
+    # lookups that call every class trivial send compute_theta to search
     # generators that do not exist; with asserts stripped it must raise
     out = run_optimized(
         "from quatforms import classset\n"
@@ -295,7 +296,7 @@ def test_theta_trivial_class_search_checked_under_optimize(run_optimized):
         "F = field_from_spec('quad:10')\n"
         "R = maximalize(hilbert_ramification_free_algebra(F).standard_order())\n"
         "cs = classset.compute_class_set(R, classset.narrow_support(F))\n"
-        "F.narrow_dlog = lambda ideal: (0,)\n"
+        "F.narrow_class = lambda ideal: 0\n"
         "try:\n"
         "    print('returned', classset.compute_theta(cs, 5))\n"
         "except ArithmeticError as exc:\n"
@@ -311,6 +312,21 @@ def test_class_set_quad5():
     assert cs.mass == Fraction(1, 60)
     assert cs.unit_groups[0].order == 60
     assert cs.representatives[0] == cs.order
+
+
+def test_class_set_quad34_cyclic_narrow_class_group():
+    # Cl+ of Q(sqrt 34) is cyclic of order 4; its one support prime
+    # generates it, and the walk reaches all 20 classes, certified by the
+    # mass zeta(-1) h / 2 = 23/3, with five representatives' norms in
+    # each narrow class
+    F = field_from_spec("quad:34")
+    (p,) = narrow_support(F)
+    c = F.narrow_class(p.ideal)
+    assert p.norm == 3 and F.narrow_mul[c][c] != 0  # c has order 4
+    cs = class_set("quad:34")
+    assert cs.size == 20
+    assert cs.mass == eichler_mass(F) == Fraction(23, 3)
+    assert sorted(Counter(cs.norm_classes()).values()) == [5, 5, 5, 5]
 
 
 def test_class_set_walks_a_split_prime_at_narrow_class_number_one():
@@ -661,7 +677,7 @@ def test_class_set_needs_generating_support():
     # the other norm class and closes below the Eichler mass
     R = maximal_order("quad:85")
     (inert2,) = [p for p in F85.prime_ideals_up_to(4) if p.norm == 4]
-    assert not any(F85.narrow_dlog(inert2.ideal))
+    assert F85.narrow_class(inert2.ideal) == 0
     with pytest.raises(ArithmeticError):
         compute_class_set(R, [inert2])
 

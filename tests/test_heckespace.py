@@ -190,7 +190,7 @@ QUAD10_OPTIMIZED = (
     "R = maximalize(hilbert_ramification_free_algebra(F).standard_order())\n"
     "cs = compute_class_set(R, narrow_support(F))\n"
     "th = compute_theta(cs, 5)\n"
-    "bits = cs.norm_classes()\n"
+    "classes = cs.norm_classes()\n"
 )
 
 
@@ -199,7 +199,7 @@ def test_norm_surjectivity_checked_under_optimize(run_optimized):
     # the other narrow class; with asserts stripped it must still raise
     out = run_optimized(
         QUAD10_OPTIMIZED
-        + "keep = [i for i, b in enumerate(bits) if not any(b)]\n"
+        + "keep = [i for i, c in enumerate(classes) if c == 0]\n"
         "cs = dataclasses.replace(\n"
         "    cs, **{f: [getattr(cs, f)[i] for i in keep]\n"
         "           for f in ('representatives', 'left_orders', 'unit_groups')})\n"
@@ -218,7 +218,7 @@ def test_norm_class_identity_checked_under_optimize(run_optimized):
     out = run_optimized(
         QUAD10_OPTIMIZED
         + "pi, ai, bi = next(iter(th.entries))\n"
-        "aj = next(i for i, b in enumerate(bits) if b != bits[ai])\n"
+        "aj = next(i for i, c in enumerate(classes) if c != classes[ai])\n"
         "u = th.entries[pi, ai, bi].pop()\n"
         "th.entries.setdefault((pi, aj, bi), []).append(u)\n"
         "try:\n"

@@ -42,7 +42,10 @@ def _random_basis(rng, n, spread=4):
 
 
 def _brute_force(gram, t):
-    """All nonzero x with Q(x) <= t, from a provably sufficient box."""
+    """All nonzero x with Q(x) <= t, from a provably sufficient box.
+
+    gram is integral, as fincke_pohst takes it, so Q(x) is summed in ints.
+    """
     n = len(gram)
     inv_diag = []
     for i in range(n):
@@ -58,7 +61,7 @@ def _brute_force(gram, t):
     for x in itertools.product(*ranges):
         if not any(x):
             continue
-        q = sum(Fraction(gram[i][j]) * x[i] * x[j] for i in range(n) for j in range(n))
+        q = sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
         if q <= t:
             out[x] = q
     return out

@@ -61,17 +61,45 @@ def test_fundamental_units():
         assert abs(F.norm(F.fundamental_units[0])) == 1
 
 
+def _element_orders(mul):
+    """The orders of the elements of the group with table mul, sorted."""
+    out = []
+    for i in range(len(mul)):
+        k, x = 1, i
+        while x:
+            k, x = k + 1, mul[x][i]
+        out.append(k)
+    return sorted(out)
+
+
 def test_class_numbers():
     known = {
         2: (1, 1), 3: (1, 2), 5: (1, 1), 10: (2, 2), 13: (1, 1), 85: (2, 2),
         # fundamental unit of norm +1: (sqrt d) is principal but not
         # narrowly principal, so h+ = 2h
         6: (1, 2), 7: (1, 2), 15: (2, 4), 30: (2, 4),
+        # narrow class groups that are not 2-elementary
+        34: (2, 4), 79: (3, 6), 82: (4, 4),
+    }
+    # Cl+ is Z/2 x Z/2 for 15 and 30, and cyclic for 34, 79 and 82
+    orders = {
+        15: [1, 2, 2, 2], 30: [1, 2, 2, 2],
+        34: [1, 2, 4, 4], 79: [1, 2, 3, 3, 6, 6], 82: [1, 2, 4, 4],
     }
     for d, (h, hp) in known.items():
         F = make_quadratic_field(d)
         assert F.class_number == h, d
         assert F.narrow_class_number == hp, d
+        mul = F.narrow_mul
+        # a group table: the unit ideal's class is the identity, every
+        # row is a permutation, and the product is associative
+        assert mul[0] == list(range(hp))
+        assert all(sorted(row) == list(range(hp)) for row in mul)
+        assert all(
+            mul[mul[i][j]][k] == mul[i][mul[j][k]]
+            for i in range(hp) for j in range(hp) for k in range(hp)
+        )
+        assert _element_orders(mul) == orders.get(d, [1, 2][:hp]), d
 
 
 def test_element_arithmetic():
@@ -242,10 +270,13 @@ def test_fundamental_units_below_200():
 
 def test_large_unit_1021(monkeypatch):
     # the period walk finds eps = 41531201 + 2683493 omega at once; the
-    # class group search of make_quadratic_field enumerates vectors up to
-    # a bound linear in eps, so it is stubbed out: only the unit is tested
-    monkeypatch.setattr(numberfield, "_attach_class_data_by_search", lambda F: None)
-    monkeypatch.setattr(numberfield, "_attach_narrow_data", lambda F: None)
+    # class group closure of make_quadratic_field enumerates vectors up
+    # to a bound linear in eps, so it is stubbed out to the trivial
+    # group: only the unit is tested
+    def trivial_group(F, pool, generator):
+        return [F.unit_ideal()], [F.unit_ideal()], [[0]], 1
+
+    monkeypatch.setattr(numberfield, "_class_group", trivial_group)
     F = make_quadratic_field(1021)
     (eps,) = F.fundamental_units
     assert F.norm(eps) in (1, -1)
@@ -486,12 +517,45 @@ def test_class_and_narrow_dlog():
     P31 = F.ideal(31, (14, 1))
     assert F.class_of(F.unit_ideal()) == 0
     assert F.class_of(P2) == 1
-    assert F.narrow_dlog(P2) == (1,)
-    assert F.narrow_dlog(P31) == (0,)
+    assert F.narrow_class(P2) == 1
+    assert F.narrow_class(P31) == 0
     # genus signs used by the Eisenstein tables: chi = -1 at 2,3,5,13,37
     for p, res in ((3, 1), (5, 0), (13, 6), (37, 11)):
         P = F.ideal(p, (res, 1)) if res else F.primes_above(p)[0][0]
-        assert F.narrow_dlog(P) == (1,), p
+        assert F.narrow_class(P) == 1, p
+    assert F.narrow_characters == [(1, 1), (1, -1)]
+
+
+def test_quadratic_characters_of_a_cyclic_narrow_class_group():
+    # Cl+ of Q(sqrt 34) is cyclic of order 4: of its four characters two
+    # are quadratic, the trivial one and the one that is -1 off the squares
+    F = make_quadratic_field(34)
+    mul = F.narrow_mul
+    squares = {mul[i][i] for i in range(4)}
+    assert len(squares) == 2
+    assert F.narrow_characters == [(1, 1, 1, 1), tuple(1 if i in squares else -1 for i in range(4))]
+    # each character is multiplicative on ideals, read through narrow_class
+    primes = [pr.ideal for pr in F.prime_ideals_up_to(13)]
+    for chi in F.narrow_characters:
+        for p in primes:
+            for q in primes:
+                assert chi[F.narrow_class(p * q)] == chi[F.narrow_class(p)] * chi[F.narrow_class(q)]
+
+
+def test_narrow_class_number_checked_under_optimize(run_optimized):
+    # principality in place of narrow principality folds Cl+ of quad:3
+    # onto its trivial Cl, one class where h * |kernel| = 2; with asserts
+    # stripped the count must still raise
+    out = run_optimized(
+        "from quatforms import numberfield\n"
+        "numberfield.FieldCtx.narrowly_principal_generator = "
+        "numberfield.FieldCtx.principal_generator\n"
+        "try:\n"
+        "    print('returned', numberfield.make_quadratic_field(3).narrow_class_number)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: narrow class number is not h times the sign kernel")
 
 
 def test_minkowski_pool_covered():
