@@ -1,4 +1,6 @@
-"""Elementary integer arithmetic: xgcd, CRT, primality, factoring.
+"""Elementary integer arithmetic: symmetric residues, primality, factoring.
+
+Modular inverses are the built-in pow(a, -1, m).
 
 Everything is deterministic; the Pollard rho uses a fixed cycle of
 increments so repeated runs factor the same way.
@@ -7,28 +9,6 @@ increments so repeated runs factor the same way.
 from __future__ import annotations
 
 from math import gcd, isqrt
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def inv_mod(a: int, m: int) -> int:
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ZeroDivisionError(f"{a} is not invertible modulo {m}")
-    return x % m
 
 
 def symmetric_mod(a: int, m: int) -> int:

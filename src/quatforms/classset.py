@@ -57,49 +57,43 @@ class ResidueSplitting:
     integral at q: a field multiplier congruent to 1 there clears
     denominators supported away from it.  Unit group elements and theta
     witnesses are of this kind, their norms being units or neighbor
-    steps at q.  Multipliers are kept per denominator, and root counts
-    of fixed_points per (trace, determinant).
+    steps at q.  Root counts of fixed_points are kept per (trace,
+    determinant).
     """
 
     def __init__(self, order, prime, quo, k, split, lam):
         self.order, self.prime = order, prime
         self.quo, self.k, self.split, self.lam = quo, k, split, lam
-        self._mult_cache = {}
         self._root_counts = {}
 
     def _one_mod_prime(self, d):
-        """A field element t of J = (d) / gcd((d), prime-part) with t = 1
-        modulo the prime q.
+        """A field element t = 1 modulo the prime q with (t) in
+        (d) q^-v, v = v_q(d), in closed form.
 
-        J is integral and coprime to q, so some element m of J is a unit
-        mod q, and t = m s with s a rational integer inverse to m mod q.
-        The HNF rows of q, of norm l^f, are ((l, 0), (0, l)) when f = 2,
-        and ((l, 0), (0, 1)) or ((1, a), (0, l)) when f = 1.  When f = 1,
-        O/q = Z/l and omega = r mod q, with r = 0 or 1 + a r = 0 mod l, so
-        m is a basis row j of J outside q.  When f = 2, q = l O and m is
-        the rational integer N(j) = j conj(j) of such a row, prime to l.
+        Write d = l^w m, l the residue characteristic and m prime to it.
+        The integer t = m (m^-1 mod l) is 1 modulo l.  When l is inert or
+        ramified, (l)^w is a power of q and t is the answer.  When l splits
+        as q q', with q = (l, omega - r) and r' = t1 - r, t is multiplied
+        by u^w for u = (omega - r') / (r - r') mod l, which lies in
+        q' = (l, omega - r') and is 1 modulo q.  The HNF rows of q are
+        ((l, 0), (0, l)) when l is inert, and ((l, 0), (0, 1)) (r = 0) or
+        ((1, a), (0, l)) (1 + a r = 0 mod l) otherwise.
         """
-        if d in self._mult_cache:
-            return self._mult_cache[d]
         F = self.order.alg.base
-        q = self.prime
-        J = F.ideal(d)
-        v = J.valuation(q)
-        if v:
-            J = J * q.inverse() ** v
-        if J.den != 1:
-            raise ArithmeticError("multiplier ideal is not integral")
-        (a0, a1), (_, a2) = q.rows
+        (a0, a1), (_, a2) = self.prime.rows
         ell = max(a0, a2)
+        m, w = d, 0
+        while m % ell == 0:
+            m, w = m // ell, w + 1
+        t = F.from_int(m * pow(m, -1, ell))
         r = -pow(a1, -1, ell) if a0 == 1 else 0
-        cands = J.rows if a0 != a2 else [(int(F.norm(F.el(j))), 0) for j in J.rows]
-        m = next((m for m in cands if (m[0] + m[1] * r) % ell), None)
-        if m is None:
-            raise ArithmeticError("multiplier ideal is not coprime to the prime")
-        s = pow(m[0] + m[1] * r, -1, ell)
-        t_el = F.el((s * m[0], s * m[1]))
-        self._mult_cache[d] = t_el
-        return t_el
+        gap = 2 * r - F.t1  # r - r'
+        if a0 != a2 and gap % ell:
+            s = pow(gap, -1, ell)
+            u = F.el(((r - F.t1) * s, s))
+            for _ in range(w):
+                t = F.mul(t, u)
+        return t
 
     def _clear(self, denoms, x):
         """x times a multiplier t = 1 mod the prime that clears the
@@ -364,10 +358,9 @@ def unit_group(O):
 
 
 class _ClassUnits(NamedTuple):
-    """What the Brandt cells read off one class: the narrow class of the
-    representative's reduced norm and the inverse of that norm, the
-    norm-one units of its left order through their Z-span, and its coset
-    targets (_norm_coset_targets).
+    """What the Brandt cells read off one class: the inverse of the
+    representative's reduced norm, the norm-one units of its left order
+    through their Z-span, and its coset targets (_norm_coset_targets).
 
     The span has the HNF basis s_1, ..., s_k of the units' integer
     coordinates on the left order, k at most 8; coeffs[g] holds the
@@ -377,7 +370,6 @@ class _ClassUnits(NamedTuple):
     lattice is sum_j coeffs[g][j] times that of s_j (_unit_matrices).
     """
 
-    cls: int
     nr_inv: object
     coeffs: list
     lefts: list
@@ -392,7 +384,7 @@ def _class_units(cs, i):
     span of its HNF basis, else ArithmeticError.
     """
     alg = cs.order.alg
-    G, r, O = cs.unit_groups[i], cs.representatives[i], cs.left_orders[i]
+    G, O = cs.unit_groups[i], cs.left_orders[i]
     d, rows = integral_rows(_norm_one_units(alg, G))
     coords = O.int_coords(rows, d)
     if coords is None:
@@ -403,8 +395,7 @@ def _class_units(cs, i):
         raise ArithmeticError("unit lies outside the span of its HNF basis")
     span = [O.vector(s) for s in basis]
     return _ClassUnits(
-        cls=alg.base.narrow_class(r.nr_ideal()),
-        nr_inv=r.nr_ideal().inverse(),
+        nr_inv=cs.representatives[i].nr_ideal().inverse(),
         coeffs=coeffs,
         lefts=[alg.left_matrix(s) for s in span],
         rights=[alg.right_matrix(s) for s in span],
@@ -526,7 +517,6 @@ def compute_class_set(R, support):
     _join(cs, R, R)
     if not cs.support and cs.mass != target:
         cs.support = [_first_split_prime(F)]
-    p_classes = [F.narrow_class(p.ideal) for p in cs.support]
     pending = [(0, si) for si in range(len(cs.support))]
     pos = 0
     while cs.mass != target:
@@ -542,7 +532,7 @@ def compute_class_set(R, support):
         covered = set()
         seen = 0
         while True:
-            cells = _brandt_column(cs, bi, p, p_classes[si])
+            cells = _brandt_column(cs, bi, p)
             if sum(map(len, cells)) == p.norm + 1:
                 break
             if nbrs is None:
@@ -711,19 +701,19 @@ def _double_coset_orbits(seeds, left, right, covered, room):
     return out
 
 
-def _brandt_column(cs, bi, pr, p_class):
+def _brandt_column(cs, bi, pr):
     """The cells of the Brandt column (b, p), filled over the known classes.
 
     The column is kept on the class set (ClassSet.brandt) and grown from
     the first class it has not searched, in class order, while it holds
     fewer than Np + 1 orbits: a neighbor lies in one class only, so a
-    closed column leaves its later cells empty.  p_class is the narrow
-    class of p.  The unit data of each class (_class_units: the span of
-    its norm-one units, and the unit coefficients over it) is taken
-    once, when the first column after the class joined is filled; each
-    pair of classes then solves only the span's matrices on
-    L = a * b^-1 (_unit_matrices).  Returns the witness coordinates of
-    each cell searched (_brandt_cell), on the basis of L.
+    closed column leaves its later cells empty.  The unit data of each
+    class (_class_units: the span of its norm-one units, and the unit
+    coefficients over it) is taken once, when the first column after the
+    class joined is filled; each pair of classes then solves only the
+    span's matrices on L = a * b^-1 (_unit_matrices).  Returns the
+    witness coordinates of each cell searched (_brandt_cell), on the
+    basis of L.
     """
     br = cs.brandt
     # the unit data of the classes that joined since the last fill
@@ -731,15 +721,16 @@ def _brandt_column(cs, bi, pr, p_class):
     cells = br.columns.setdefault((bi, pr.ideal), [])
     room = pr.norm + 1 - sum(map(len, cells))
     while room and len(cells) < cs.size:
-        xs = _brandt_cell(cs, len(cells), bi, pr, p_class, room)
+        xs = _brandt_cell(cs, len(cells), bi, pr, room)
         cells.append(xs)
         room -= len(xs)
     return cells
 
 
-def _brandt_cell(cs, ai, bi, pr, p_class, room):
+def _brandt_cell(cs, ai, bi, pr, room):
     """Witness coordinates of the p-neighbors of b in the class of a, at
-    most room of them (compute_theta), none unless [nr a] [p] = [nr b].
+    most room of them (compute_theta), none unless [nr a] [p] = [nr b]:
+    one lookup in F.narrow_mul on the classes F.narrow_class keeps.
 
     The first cell of a pair of classes builds L = a * b^-1 and checks
     once that L * b lies in a: the products u * b of the basis rows u of
@@ -749,11 +740,12 @@ def _brandt_cell(cs, ai, bi, pr, p_class, room):
     """
     br = cs.brandt
     F = cs.order.alg.base
-    ca, cb = br.classes[ai], br.classes[bi]
-    if F.narrow_mul[ca.cls][p_class] != cb.cls:
-        return []
     a, b = cs.representatives[ai], cs.representatives[bi]
-    beta = F.narrowly_principal_generator(a.nr_ideal() * pr.ideal * cb.nr_inv)
+    na, nb = a.nr_ideal(), b.nr_ideal()
+    if F.narrow_mul[F.narrow_class(na)][F.narrow_class(pr.ideal)] != F.narrow_class(nb):
+        return []
+    ca, cb = br.classes[ai], br.classes[bi]
+    beta = F.narrowly_principal_generator(na * pr.ideal * cb.nr_inv)
     if beta is None:
         raise ArithmeticError("narrowly trivial ideal has no totally positive generator")
     if (ai, bi) not in br.pairs:
@@ -786,15 +778,17 @@ def _brandt_cell(cs, ai, bi, pr, p_class, room):
     return xs
 
 
-def check_norm_classes(th, mul, nr_classes, p_classes):
+def check_norm_classes(cs, th):
     """e_chi M_p = chi(p) (Np + 1) e_chi for every narrow class character
     chi, in integers: each column b at p holds Np + 1 witnesses, all into
-    classes a with [nr a] [p] = [nr b] in the table mul (nr_classes of
-    the representatives' norms, p_classes of th.primes), or
-    ArithmeticError."""
+    classes a with [nr a] [p] = [nr b] in F.narrow_mul, on the classes of
+    the representatives' norms (ClassSet.norm_classes) and of the primes
+    of th, or ArithmeticError."""
+    F = cs.order.alg.base
+    nr_classes = cs.norm_classes()
     counts = Counter()
     for (pi, ai, bi), us in th.entries.items():
-        if mul[nr_classes[ai]][p_classes[pi]] != nr_classes[bi]:
+        if F.narrow_mul[nr_classes[ai]][F.narrow_class(th.primes[pi].ideal)] != nr_classes[bi]:
             raise ArithmeticError("theta witness leaves the norm class [p]^-1 [nr b]")
         counts[pi, bi] += len(us)
     for pi, pr in enumerate(th.primes):
@@ -810,8 +804,9 @@ def compute_theta(cs, bound):
     generates J = nr(a) p nr(b)^-1, counted modulo left multiplication by
     G_a, the norm-one units of the left order of a.  When J has no
     totally positive generator the cell is empty: that is one lookup in
-    F.narrow_mul on the narrow classes of nr(a), p and nr(b), taken once
-    each, and a generator is searched only for the narrowly trivial J.
+    F.narrow_mul on the narrow classes of nr(a), p and nr(b), each tested
+    once per ideal and kept by F.narrow_class, and a generator is searched
+    only for the narrowly trivial J.
     With beta that generator, the solutions of nr(u) = beta * e over L
     for the coset targets e (_norm_coset_targets) are the neighbors of
     the cell.
@@ -847,16 +842,15 @@ def compute_theta(cs, bound):
     """
     F = cs.order.alg.base
     primes = F.prime_ideals_up_to(bound)
-    p_classes = [F.narrow_class(pr.ideal) for pr in primes]
     entries = {}
     for bi in range(cs.size):
         for pi, pr in enumerate(primes):
-            for ai, xs in enumerate(_brandt_column(cs, bi, pr, p_classes[pi])):
+            for ai, xs in enumerate(_brandt_column(cs, bi, pr)):
                 if xs:
                     L = cs.brandt.pairs[ai, bi][0]
                     entries[(pi, ai, bi)] = [L.vector(x) for x in xs]
     # keys in (b, a, p) order, whatever order the columns were walked in
     entries = {k: entries[k] for k in sorted(entries, key=lambda k: (k[2], k[1], k[0]))}
     th = ThetaTable(bound=bound, primes=primes, entries=entries)
-    check_norm_classes(th, F.narrow_mul, cs.norm_classes(), p_classes)
+    check_norm_classes(cs, th)
     return th

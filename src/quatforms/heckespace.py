@@ -290,16 +290,14 @@ def dimension_report(cs, th, N):
     indices, so the vectors e_chi, chi(nr I_i) on the orbits of class i,
     are independent; and check_norm_classes holds, which is
     e_chi M_p = chi(p) (Np + 1) e_chi at every level, since a witness
-    sends an orbit of b to one of a.
+    sends an orbit of b to one of a.  Both read the narrow classes that
+    FieldCtx.narrow_class keeps per ideal.
     """
-    F = cs.order.alg.base
-    eis = F.narrow_class_number
+    eis = cs.order.alg.base.narrow_class_number
     _check_field(cs, [pr.ideal for pr in th.primes])
-    nr_classes = cs.norm_classes()
-    if len(set(nr_classes)) != eis:
+    if len(set(cs.norm_classes())) != eis:
         raise ArithmeticError("representative norms miss a narrow class")
-    p_classes = [F.narrow_class(pr.ideal) for pr in th.primes]
-    check_norm_classes(th, F.narrow_mul, nr_classes, p_classes)
+    check_norm_classes(cs, th)
     sm = build_splitting(cs, N)
     # fixes[a][g][i]: fixed points of unit g of class a at level prime i
     fixes = [

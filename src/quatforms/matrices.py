@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .arith import inv_mod, next_prime, symmetric_mod
+from .arith import next_prime, symmetric_mod
 from .intmat import check_int_rows, identity_int, int_product, lowest_terms
 from .polynomials import Poly
 
@@ -210,7 +210,7 @@ def _charpoly_mod_p(int_rows, p) -> list[int]:
             h[m], h[piv] = h[piv], h[m]
             for row in h:
                 row[m], row[piv] = row[piv], row[m]
-        inv = inv_mod(h[m][m - 1], p)
+        inv = pow(h[m][m - 1], -1, p)
         for i in range(m + 1, n):
             if h[i][m - 1]:
                 u = h[i][m - 1] * inv % p
@@ -247,7 +247,7 @@ def _charpoly_crt(int_rows, den) -> Poly:
     while modulus <= 2 * bound:
         p = next_prime(p)
         cp = _charpoly_mod_p(int_rows, p)
-        inv = inv_mod(modulus % p, p)
+        inv = pow(modulus, -1, p)
         new_mod = modulus * p
         residues = [
             (a + (b - a) * inv % p * modulus) % new_mod for a, b in zip(residues, cp)

@@ -11,9 +11,10 @@ one period of the continued fraction of the reduced omega + m over
 Z[omega] itself, certified by its norm +-1, Cl(F) and Cl+(F) by one
 closure over the primes below the Minkowski bound with a certified
 short-vector principality test, a class being the index of its
-representative, zeta(-1) by the finite divisor sum.  The rest is in
-closed form for a quadratic field: the primes above p come from
-x^2 - t1 x - t0 mod p by Dedekind-Kummer, and the norm of the
+representative, zeta(-1) by the finite divisor sum.  Generators and
+narrow classes are looked up once per ideal and kept on the context.
+The rest is in closed form for a quadratic field: the primes above p
+come from x^2 - t1 x - t0 mod p by Dedekind-Kummer, and the norm of the
 fundamental unit decides the totally positive units and the kernel of
 the map from the narrow class group onto the class group.
 
@@ -143,6 +144,8 @@ class FieldCtx:
     class of Cl(F) or Cl+(F) is an index into class_reps or narrow_reps
     (class_of, narrow_class); narrow_mul is the multiplication table of
     Cl+(F), and narrow_characters its quadratic characters as tuples.
+    Generators and narrow classes are kept per ideal, by canonical
+    (rows, den), so callers ask for them where they need them.
     """
 
     degree = 2
@@ -173,6 +176,7 @@ class FieldCtx:
         self._primes_cache = {}
         self._generators = {}  # (rows, den) -> principal_generator
         self._positive_generators = {}  # (rows, den) -> narrowly_principal_generator
+        self._narrow_classes = {}  # (rows, den) -> narrow_class
 
     # -- basic element arithmetic ------------------------------------
 
@@ -401,8 +405,17 @@ class FieldCtx:
         return _class_index(a, self._class_inverses[:-1], self.principal_generator)
 
     def narrow_class(self, a: "FieldIdeal") -> int:
-        """Index of the narrow class of a in narrow_reps, as in class_of."""
-        return _class_index(a, self._narrow_inverses[:-1], self.narrowly_principal_generator)
+        """Index of the narrow class of a in narrow_reps, as in class_of.
+
+        Kept per ideal, as in principal_generator: every consumer asks
+        here, so each ideal is tested once.
+        """
+        key = (a.rows, a.den)
+        if key not in self._narrow_classes:
+            self._narrow_classes[key] = _class_index(
+                a, self._narrow_inverses[:-1], self.narrowly_principal_generator
+            )
+        return self._narrow_classes[key]
 
     def __repr__(self):
         return f"FieldCtx({self.name}, degree {self.degree}, disc {self.disc})"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .arith import inv_mod, next_prime, symmetric_mod
+from .arith import next_prime, symmetric_mod
 from .intmat import integral_rows
 
 
@@ -240,12 +240,12 @@ def _zgcd_mod(f, g, p):
     """Monic gcd of f, g mod prime p."""
     f, g = _zmod(f, p), _zmod(g, p)
     while g:
-        inv = inv_mod(g[-1], p)
+        inv = pow(g[-1], -1, p)
         gm = [c * inv % p for c in g]
         _, r = _zdivmod_monic(f, gm, p)
         f, g = gm, r
     if f:
-        inv = inv_mod(f[-1], p)
+        inv = pow(f[-1], -1, p)
         f = [c * inv % p for c in f]
     return f
 
@@ -285,7 +285,7 @@ def gcd_int_poly(f: list[int], g: list[int]) -> list[int]:
             m = res_mod * p
             for a, b in zip(res_coeffs, scaled):
                 # CRT then store reduced; symmetric lift only when testing
-                x = (a + (b - a) * inv_mod(res_mod % p, p) % p * res_mod) % m
+                x = (a + (b - a) * pow(res_mod, -1, p) % p * res_mod) % m
                 new.append(x)
             if [symmetric_mod(c, m) for c in new] == [
                 symmetric_mod(c, res_mod) for c in res_coeffs
@@ -396,7 +396,7 @@ def factor_mod_p(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
     f = _zmod(f, p)
     if not f:
         raise ValueError("zero polynomial mod p")
-    inv = inv_mod(f[-1] % p, p)
+    inv = pow(f[-1], -1, p)
     f = [c * inv % p for c in f]
     out: dict[tuple[int, ...], int] = {}
     _factor_mod_p_rec(f, p, random.Random(0), out, 1)
@@ -521,7 +521,7 @@ def _poly_xgcd_mod(f, g, p):
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        inv = inv_mod(r1[-1], p)
+        inv = pow(r1[-1], -1, p)
         r1m = [c * inv % p for c in r1]
         q, r = _zdivmod_monic(r0, r1m, p)
         q = _zmod(_zmul(q, [inv]), p)
@@ -530,7 +530,7 @@ def _poly_xgcd_mod(f, g, p):
         t0, t1 = t1, _zmod([a - b for a, b in _zip_pad(t0, _zmul(q, t1))], p)
     if len(r0) != 1:
         raise ValueError("inputs are not coprime mod p")
-    inv = inv_mod(r0[0], p)
+    inv = pow(r0[0], -1, p)
     return _zmod(_zmul(s0, [inv]), p), _zmod(_zmul(t0, [inv]), p)
 
 

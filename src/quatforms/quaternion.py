@@ -441,23 +441,13 @@ class QuatLattice:
     def disc_z(self):
         """Determinant of the Z-Gram of Tr_{F/Q}(trd(x * conj(y))).
 
-        On the basis rows / den the Gram is sum_k Tr(w_k) forms[k] / den^2
-        (norm_forms), and it is positive definite, so its determinant is
-        the absolute determinant of the integer sum over den^(2 dim).
+        The Gram is positive definite, and trace_form_gram at w = 1 gives
+        it as gram / scale on the m basis rows, so its determinant is
+        abs_det(gram) / scale^m.
         """
         if self._disc is None:
-            F = self.alg.base
-            forms, _ = self.norm_forms()
-            traces = [
-                F.trace(tuple(int(s == k) for s in range(F.degree)))
-                for k in range(F.degree)
-            ]
-            m = len(self.rows)
-            gram = [
-                [sum(t * N[i][j] for t, N in zip(traces, forms)) for j in range(m)]
-                for i in range(m)
-            ]
-            self._disc = Fraction(abs_det(gram), self.den ** (2 * m))
+            gram, scale = trace_form_gram(self, self.alg.base.one)
+            self._disc = abs_det(gram) / scale ** len(self.rows)
         return self._disc
 
 

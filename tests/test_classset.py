@@ -37,6 +37,7 @@ from fraction_refs import (
     ref_pair,
     ref_theta_entries,
 )
+from quatforms import numberfield
 from quatforms.intmat import integral_preimage_rows, integral_rows
 from quatforms.latticetools import enumerate_norm
 from quatforms.numberfield import field_from_spec, make_quadratic_field
@@ -284,6 +285,26 @@ def test_theta_searches_generators_only_for_trivial_classes(monkeypatch):
     assert cells // 2 == 32
     assert (walked, len(found)) == (5, 30)
     assert None not in found
+
+
+def test_narrow_class_tests_each_ideal_once(monkeypatch):
+    # the walk, theta and its norm class check ask FieldCtx.narrow_class
+    # for the classes of nr(a), p and nr(b) cell by cell; each distinct
+    # ideal is tested against the class representatives once
+    F = make_quadratic_field(10)
+    R = maximalize(hilbert_ramification_free_algebra(F).standard_order())
+    tested = Counter()
+    class_index = numberfield._class_index
+
+    def counting(a, inverses, generator):
+        tested[a.rows, a.den] += 1
+        return class_index(a, inverses, generator)
+
+    monkeypatch.setattr(numberfield, "_class_index", counting)
+    cs = compute_class_set(R, narrow_support(F))
+    th = compute_theta(cs, 12)
+    assert len(th.primes) == cs.size == 4
+    assert tested and max(tested.values()) == 1
 
 
 def test_theta_trivial_class_search_checked_under_optimize(run_optimized):

@@ -631,3 +631,22 @@ def diag(*entries):
 def test_decompose_certificates_checked_under_optimize(run_optimized, lie, mats, message):
     out = run_optimized(LYING_DECOMPOSE.format(lie=lie, mats=mats))
     assert out.startswith(f"ArithmeticError: {message}")
+
+
+@pytest.mark.parametrize("spec", ["quad:10", "quad:85"])
+def test_multiplier_closed_form_at_split_inert_and_ramified_primes(spec):
+    # t = 1 modulo q, and t is a multiple of d away from q:
+    # (t) lies in (d) q^-v_q(d), whether l splits, stays inert or ramifies
+    F = field_from_spec(spec)
+    order = hilbert_ramification_free_algebra(F).standard_order()
+    kinds = set()
+    for pr in F.prime_ideals_up_to(50):
+        q = pr.ideal
+        comp = ResidueSplitting(order, q, None, None, None, None)
+        kinds.add((pr.f, pr.e))
+        for d in (1, pr.p, pr.p ** 3, 6 * pr.p ** 2, 35):
+            t = comp._one_mod_prime(d)
+            assert q.contains(F.sub(F.one, t)), (pr, d)
+            J = F.ideal(d) * q.inverse() ** F.ideal(d).valuation(q)
+            assert J.divides(F.ideal(t)), (pr, d)
+    assert kinds == {(1, 1), (2, 1), (1, 2)}

@@ -305,13 +305,13 @@ def test_det_matches_fraction_reference(a):
 def test_bad_inputs_raise_under_optimize(run_optimized):
     # input checks are raises, not asserts, so -O keeps them
     out = run_optimized(
-        "from quatforms.arith import factor_int, inv_mod\n"
+        "from quatforms.arith import factor_int\n"
         "from quatforms.eigen import Constituent, decompose\n"
         "from fractions import Fraction\n"
         "from quatforms.matrices import Matrix, poly_at_matrix\n"
         "from quatforms.polynomials import Poly\n"
         "c = Constituent([[1, 0], [0, 1]], [(Poly([-2, 0, 1]), 1)], [None], True)\n"
-        "for call in (lambda: inv_mod(2, 4), lambda: factor_int(0),\n"
+        "for call in (lambda: factor_int(0),\n"
         "             lambda: c.eigenvalue(0), lambda: decompose([]),\n"
         "             lambda: Matrix([[1, 2]]).apply([1]),\n"
         "             lambda: poly_at_matrix(Poly([1]), Matrix([[1, 2]])),\n"
@@ -323,4 +323,4 @@ def test_bad_inputs_raise_under_optimize(run_optimized):
         "    except (ValueError, ZeroDivisionError) as exc:\n"
         "        print(type(exc).__name__)\n"
     )
-    assert out.split() == ["ZeroDivisionError"] + ["ValueError"] * 10
+    assert out.split() == ["ValueError"] * 10
