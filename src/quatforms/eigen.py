@@ -51,13 +51,6 @@ class Constituent:
     def dimension(self):
         return len(self.basis)
 
-    def eigenvalue(self, i):
-        """Rational eigenvalue of the i-th operator; dimension 1 only."""
-        g, _ = self.factors[i]
-        if g.degree != 1:
-            raise ValueError("eigenvalue of a factor of degree > 1 is not rational")
-        return -g.coeffs[0]
-
 
 def _restrict(rows, basis):
     """Matrix of the integer matrix rows on the span of the integer rows
@@ -195,23 +188,22 @@ def present_eigenvalues(c, blocks):
 
 
 def flag_eisenstein(c, F):
-    """Dimension 1 with a_p = chi(p) (Np + 1) for a narrow class character.
+    """Whether every a_p of the piece is chi(p) (Np + 1) for characters
+    chi of the narrow class group Cl+(F), in any dimension.
 
-    Characters are the quadratic ones of the narrow class group
-    (FieldCtx.narrow_characters), read at the narrow class of each
-    prime; the pattern must hold at every computed prime.  Hecke
-    operators exist only at primes coprime to the level (hecke_operator
-    refuses the others), so every prime counts.
+    Such an a_p is a root of x^h - (Np + 1)^h, h = h+(F), as chi(p)^h = 1.
+    The eigenvalues of a cusp form and all their conjugates lie within
+    2 sqrt(Np) < Np + 1 of 0 (Ramanujan, Blasius), so no cuspidal
+    eigenvalue is such a root.  The piece is flagged when, at every
+    computed prime, its irreducible factor g divides x^h - (Np + 1)^h.
+    Hecke operators exist only at primes coprime to the level
+    (hecke_operator refuses the others), so every prime counts.
     """
-    if c.dimension != 1:
-        return False
-    vals = [(c.eigenvalue(i), pr) for i, pr in enumerate(c.primes)]
-    # every character gives |a_p| = Np + 1: a wrong size refutes them all
-    if any(abs(a) != pr.norm + 1 for a, pr in vals):
-        return False
-    # so a_p = chi(p) (Np + 1) when chi(p) is the sign of a_p
-    signs = [(F.narrow_class(pr.ideal), 1 if a > 0 else -1) for a, pr in vals]
-    return any(all(chi[k] == s for k, s in signs) for chi in F.narrow_characters)
+    h = F.narrow_class_number
+    return all(
+        (Poly([-(pr.norm + 1) ** h] + [0] * (h - 1) + [1]) % g).is_zero()
+        for (g, _), pr in zip(c.factors, c.primes)
+    )
 
 
 @dataclass

@@ -143,7 +143,7 @@ class FieldCtx:
     make_quadratic_field, which computes and certifies each of them.  A
     class of Cl(F) or Cl+(F) is an index into class_reps or narrow_reps
     (class_of, narrow_class); narrow_mul is the multiplication table of
-    Cl+(F), and narrow_characters its quadratic characters as tuples.
+    Cl+(F).
     Generators and narrow classes are kept per ideal, by canonical
     (rows, den), so callers ask for them where they need them.
     """
@@ -170,7 +170,6 @@ class FieldCtx:
         self.narrow_reps: list[FieldIdeal] = []
         self.narrow_class_number: int | None = None
         self.narrow_mul: list[list[int]] = []
-        self.narrow_characters: list[tuple[int, ...]] = []
         self._class_inverses: list[FieldIdeal] = []
         self._narrow_inverses: list[FieldIdeal] = []
         self._primes_cache = {}
@@ -580,13 +579,12 @@ def make_quadratic_field(d: int) -> FieldCtx:
     F.class_reps, F._class_inverses, _, joined = _class_group(F, pool, F.principal_generator)
     # sqrt d is 2 omega - 1 when d = 1 mod 4 and omega otherwise
     kernel = [F.ideal((-1, 2) if F.t1 else (0, 1))] if F.norm(F.fundamental_units[0]) == 1 else []
-    F.narrow_reps, F._narrow_inverses, F.narrow_mul, joined = _class_group(
+    F.narrow_reps, F._narrow_inverses, F.narrow_mul, _ = _class_group(
         F, F.class_reps[1:joined] + kernel, F.narrowly_principal_generator
     )
     F.class_number, F.narrow_class_number = len(F.class_reps), len(F.narrow_reps)
     if F.narrow_class_number != F.class_number * 2 ** len(kernel):
         raise ArithmeticError("narrow class number is not h times the sign kernel")
-    F.narrow_characters = _quadratic_characters(F.narrow_mul, joined)
     log.debug("class numbers %d, %d for %s", F.class_number, F.narrow_class_number, F.name)
     return F
 
@@ -629,25 +627,6 @@ def _class_group(F: FieldCtx, pool, generator):
                 join(c)
     n = len(reps)
     return reps, inverses, [[table[i, j] for j in range(n)] for i in range(n)], joined
-
-
-def _quadratic_characters(mul, joined):
-    """The homomorphisms to +-1 of the group with table mul, as tuples of
-    values, the trivial one first.
-
-    Classes 1, ..., joined - 1 generate, and each later class is the
-    product of a pair before it in the pair order of _class_group, so a
-    sign choice on the generators extends along that order; it is kept
-    when multiplicative on every pair.  Cost: 2^(joined - 1) h^2 / 2
-    lookups for h classes; h+ <= 6 for every d <= 105 that builds."""
-    n = len(mul)
-    pairs = [(i, j) for i in range(1, n) for j in range(1, i + 1)]
-    out = []
-    for signs in itertools.product((1, -1), repeat=joined - 1):
-        chi = dict(enumerate((1, *signs)))
-        if all(chi.setdefault(mul[i][j], chi[i] * chi[j]) == chi[i] * chi[j] for i, j in pairs):
-            out.append(tuple(chi[k] for k in range(n)))
-    return out
 
 
 def field_from_spec(spec: str) -> FieldCtx:

@@ -15,12 +15,13 @@ lattice computation runs on them and on integer rows: products, scaling
 by field ideals, conjugates, inverses, left and right orders,
 membership, the order test is_order, and the maximal order search of
 maximalize, whose residue algebras O/pO take their products from the
-sparse table and whose certificate is the reduced discriminant dropping
-to the unit ideal (norm 1).  Norm equations are solved in integer
-coordinates on a lattice's basis, where the reduced norm is a set of
-integer quadratic forms (QuatLattice.norm_forms).  Single rational
-elements multiply through the same table (mul, and nr, fmul and inv on
-it), so the table is the one definition of the product.
+sparse table and their radicals from the norm forms, and whose
+certificate is the reduced discriminant dropping to the unit ideal
+(norm 1).  Norm equations are solved in integer coordinates on a
+lattice's basis, where the reduced norm is a set of integer quadratic
+forms (QuatLattice.norm_forms).  Single rational elements multiply
+through the same table (mul, and nr, fmul and inv on it), so the table
+is the one definition of the product.
 """
 
 from fractions import Fraction
@@ -37,16 +38,17 @@ from .intmat import (
     inverse_rows,
     lattice_coords,
 )
-from .latticetools import enumerate_norm, iter_norm
+from .latticetools import _quad, enumerate_norm, iter_norm
 from .residue import (
     LatticeQuotient,
-    algebra_radical,
     center_rows,
     kernel_mod,
     matmul_mod,
     primitive_idempotents,
     quotient_by_ideal,
+    rank_mod,
     right_multiplication,
+    span_basis_mod,
     sparse_table,
     subalgebra,
 )
@@ -509,19 +511,73 @@ def _idealizer_growth(order, quo, ideal_rows, p):
     return None
 
 
+def _residue_radical(order, A, p):
+    """Canonical (rref) basis rows of the Jacobson radical of A = O/pO,
+    in coordinates over the basis rows b_i of O mod p, which are those of
+    LatticeQuotient(O, pO); read off the norm forms of O.
+
+    With r the product of the distinct primes of F over p, x lies in the
+    radical exactly when nr(x) and trd(x conj b_j), for every j, lie in
+    r.  Every z in O has z^2 - trd(z) z + nr(z) = 0, so z is nilpotent
+    mod p exactly when trd z and nr z lie in r; x is in the radical when
+    every x y is nilpotent, and nr(x y) = nr(x) nr(y) with conj O = O
+    gives the rule.  An integer t of F lies in r when it lies in each
+    prime P over p, that is when phi . t = 0 mod p for every phi in the
+    kernel of P's rows mod p.  Each phi, applied to the coordinates of
+    the norm forms, gives one integer form G_phi: G_phi / den^2 holds
+    phi of trd(b_i conj b_j), and x G_phi x^T / D is phi of nr(x).
+
+    The trace conditions are linear: their kernel K mod p.  On K, nr is
+    additive mod r, as nr(x + y) = nr x + nr y + trd(x conj y), so the
+    radical is the kernel of nr mod r on the basis of K.  For odd p that
+    second kernel is all of K, as 2 nr x = trd(x conj x).
+
+    Certificates, each raising ArithmeticError: the span is a two-sided
+    ideal of A, and it is nilpotent.
+    """
+    forms, D = order.norm_forms()
+    m = len(order.rows)
+    gs = [
+        [[sum(f * N[i][j] for f, N in zip(phi, forms)) for j in range(m)] for i in range(m)]
+        for P, _, _ in order.alg.base.primes_above(p)
+        for phi in kernel_mod(P.rows, p)
+    ]
+    # D = 2 den^2, and trd and nr are integral on an order
+    K = kernel_mod([[c // (D // 2) for c in row] for G in gs for row in G], p)
+    vals = [[_quad(G, v) // D for G in gs] for v in K]
+    rows = [
+        tuple(sum(c * v[j] for c, v in zip(coeffs, K)) % p for j in range(m))
+        for coeffs in kernel_mod(tuple(zip(*vals)), p)
+    ]
+    rad = span_basis_mod(rows, p)
+    # the span must not grow when every product by a unit vector joins it
+    units = [A.unit(l) for l in range(m)]
+    sides = [A.mul(r, e) for r in rad for e in units] + [A.mul(e, r) for r in rad for e in units]
+    if rank_mod(rad + sides, p) != len(rad):
+        raise ArithmeticError("radical candidate is not a two-sided ideal")
+    power = rad
+    for _ in range(m):
+        if not power:
+            break
+        power = span_basis_mod([A.mul(x, y) for x in power for y in rad], p)
+    if power:
+        raise ArithmeticError("radical candidate is not nilpotent")
+    return rad
+
+
 def _enlarge_at(order, p):
     """One strictly larger order locally at p, or None if maximal there.
 
-    First pass: idealizer of the radical of O/pO.  When that stalls the
-    order is hereditary at p; the kernels of the projections onto the
-    simple factors of (O/pO)/rad are then maximal two-sided ideals whose
-    idealizers realize the maximal overorders.
+    First pass: idealizer of the radical of O/pO (_residue_radical).
+    When that stalls the order is hereditary at p; the kernels of the
+    projections onto the simple factors of (O/pO)/rad are then maximal
+    two-sided ideals whose idealizers realize the maximal overorders.
     """
     alg = order.alg
     pO = [[p * c for c in row] for row in order.rows]
     quo = LatticeQuotient(order.rows, order.den, pO, order.den, p, alg.sparse_table())
     A = quo.algebra
-    rad = algebra_radical(A)
+    rad = _residue_radical(order, A, p)
     grown = _idealizer_growth(order, quo, rad, p)
     if grown is not None:
         return grown

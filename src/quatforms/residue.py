@@ -1,12 +1,13 @@
 """Finite algebras over F_p arising as quotients of integer lattices.
 
 This module carries the characteristic-p workhorses: dense linear algebra
-mod p, quotient constructions L/M for p-elementary lattice pairs, radicals,
-the primitive idempotents of commutative algebras (which locate the
-maximal two-sided ideals that maximal-order enlargement lifts), the
-explicit splitting of a rank-4 quotient algebra as 2x2 matrices over its
-center, and finite fields as log tables (FiniteField), on which the 2x2
-matrices and projective lines of the level structure run.
+mod p, quotient constructions L/M for p-elementary lattice pairs, the
+quotient of an algebra by a two-sided ideal, the primitive idempotents of
+commutative algebras (which locate the maximal two-sided ideals that
+maximal-order enlargement lifts), the explicit splitting of a rank-4
+quotient algebra as 2x2 matrices over its center, and finite fields as
+log tables (FiniteField), on which the 2x2 matrices and projective lines
+of the level structure run.
 
 Vectors are tuples of ints mod p; matrices are tuples of row tuples.
 Elements of a FiniteField are single ints, coded by discrete logarithm.
@@ -18,10 +19,9 @@ come from the ambient algebra's integer structure table.
 
 import itertools
 import random
-from operator import mul
 
 from .arith import factor_int
-from .intmat import hnf_rows, identity_int, int_product, integral_rows, inverse_rows, lattice_coords
+from .intmat import hnf_rows, int_product, integral_rows, inverse_rows, lattice_coords
 from .polynomials import _poly_xgcd_mod, _zdivmod_monic, _zgcd_mod, _zmod, _zmul, factor_mod_p
 
 
@@ -371,127 +371,7 @@ class LatticeQuotient(QuotientSpace):
 
 
 # ---------------------------------------------------------------------------
-# radicals and quotients
-
-
-def _int_mat_pow(m, e):
-    result = None
-    base = m
-    while e:
-        if e & 1:
-            result = base if result is None else int_product(result, base)
-        e >>= 1
-        if e:
-            base = int_product(base, base)
-    return identity_int(len(m)) if result is None else result
-
-
-def algebra_radical(A):
-    """Canonical basis rows of the Jacobson radical of A.
-
-    Works for noncommutative algebras and in small characteristic, where
-    the plain trace form is degenerate: a descending chain of ideals is
-    cut out by divided power traces.  At stage i the functional sends z
-    to Tr(M^(p^i)) / p^i mod p, with M an integer lift of the left
-    multiplication matrix of z; on the previous stage's ideal this value
-    is well defined and linear in z (Friedl-Ronyai), and the chain
-    reaches the radical once p^i >= dim A.  Each stage lifts the left
-    matrix of every rref row v of the current ideal once, and reads off
-    it the divided trace of v, the pairing values f(v * y) and the check
-    that every product v * y stays in the ideal.
-
-    The result is certified a nilpotent two-sided ideal: one rank of the
-    rows stacked with all their products by the unit vectors, on either
-    side, and the powers of the span dying out.
-    """
-    p, n = A.p, A.dim
-
-    def lifted_left_matrix(z):
-        m = [[0] * n for _ in range(n)]
-        for r, zr in enumerate(z):
-            if not zr:
-                continue
-            for s in range(n):
-                row = A.mult[r][s]
-                for t, c in enumerate(row):
-                    if c:
-                        m[t][s] += zr * c
-        return m
-
-    def divided_trace(m, i):
-        # Tr(M^q) = sum_(s,t) P[s][t] Q[t][s] for P Q = M^q, which saves
-        # the last matrix product of the power
-        q = p**i
-        half = _int_mat_pow(m, q // 2)
-        rest = half if q % 2 == 0 else _int_mat_pow(m, q - q // 2)
-        tr = sum(sum(map(mul, row, col)) for row, col in zip(half, zip(*rest)))
-        quo, rem = divmod(tr, q)
-        if rem:
-            raise ArithmeticError("divided trace undefined on the current ideal")
-        return quo % p
-
-    def combine(coeffs, rows):
-        w = [0] * n
-        for c, r in zip(coeffs, rows):
-            if c:
-                for j, rj in enumerate(r):
-                    w[j] = (w[j] + c * rj) % p
-        return tuple(w)
-
-    # stage 0 pairs against all of A, later stages against the ideal
-    V = [A.unit(j) for j in range(n)]
-    i = 0
-    while True:
-        # the rref rows V span the ideal, and z in it is the combination
-        # of V with the coefficients z[piv[k]]: the functional is linear
-        # there, f(z) = phi . z with phi[piv[k]] = f(V[k]), and z lies in
-        # the ideal exactly when each residual z[j] - sum_k z[piv[k]] V[k][j]
-        # at a non-pivot column j vanishes
-        piv = [next(j for j, c in enumerate(v) if c) for v in V]
-        lefts = [lifted_left_matrix(v) for v in V]
-        phi = [0] * n
-        for j, m in zip(piv, lefts):
-            phi[j] = divided_trace(m, i)
-        forms = []
-        for j in range(n):
-            if j not in piv:
-                row = [0] * n
-                row[j] = 1
-                for v, k in zip(V, piv):
-                    row[k] -= v[j]
-                forms.append(row)
-        forms.append(phi)
-        cols = list(zip(*V))
-        mat = []
-        for m in lefts:
-            # column y of m V^T is v * y: the residuals of the products,
-            # then the row of f(v * y)
-            *residuals, vals = int_product(int_product(forms, m), cols)
-            if any(c % p for row in residuals for c in row):
-                raise ArithmeticError("product leaves the current ideal")
-            mat.append([c % p for c in vals])
-        ker = kernel_mod(tuple(zip(*mat)), p)
-        new = [combine(coeffs, V) for coeffs in ker]
-        V = span_basis_mod(new, p) if new else []
-        if not V or p**i >= n:
-            break
-        i += 1
-    rad = [tuple(r) for r in V]
-    # the span must not grow when every product by a unit vector joins it
-    units = [A.unit(l) for l in range(n)]
-    sides = [A.mul(r, e) for r in rad for e in units] + [A.mul(e, r) for r in rad for e in units]
-    if rank_mod(rad + sides, p) != len(rad):
-        raise ArithmeticError("radical candidate is not a two-sided ideal")
-    power = rad
-    for _ in range(n):
-        if not power:
-            break
-        power = span_basis_mod(
-            [A.mul(x, y) for x in power for y in rad], p
-        )
-    if power:
-        raise ArithmeticError("radical candidate is not nilpotent")
-    return rad
+# quotients by ideals
 
 
 def quotient_by_ideal(A, ideal_rows):

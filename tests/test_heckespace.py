@@ -525,9 +525,25 @@ def test_level_one_report_is_the_eisenstein_line():
     assert len(rep.constituents) == 1
     (c,) = rep.constituents
     assert c.eisenstein and c.dimension == 1
-    assert [c.eigenvalue(i) for i in range(len(blocks))] == [
-        pr.norm + 1 for pr in th.primes
+    assert [tuple(g.coeffs) for g, _ in c.factors] == [
+        (-(pr.norm + 1), 1) for pr in th.primes
     ]
+
+
+def test_eisenstein_flags_cover_the_dimension_report_on_quad34():
+    # Cl+ of Q(sqrt 34) is cyclic of order 4: its two quartic characters
+    # give one 2-dim piece with a_p = +-4i at the norm-3 primes, which is
+    # Eisenstein as much as the two rational lines are
+    cs = class_set("quad:34")
+    F = cs.order.alg.base
+    th = theta("quad:34", 3)
+    N = F.unit_ideal()
+    w = parallel_weight_two(F)
+    sp = build_space(cs, N, w)
+    rep = build_report(F, N, w, [hecke_operator(cs, th, sp, pr) for pr in th.primes])
+    flagged = [c.dimension for c in rep.constituents if c.eisenstein]
+    assert sorted(flagged) == [1, 1, 2]
+    assert sum(flagged) == dimension_report(cs, th, N).eisenstein == 4
 
 
 def test_build_space_rejects_higher_weight():

@@ -306,13 +306,11 @@ def test_bad_inputs_raise_under_optimize(run_optimized):
     # input checks are raises, not asserts, so -O keeps them
     out = run_optimized(
         "from quatforms.arith import factor_int\n"
-        "from quatforms.eigen import Constituent, decompose\n"
+        "from quatforms.eigen import decompose\n"
         "from fractions import Fraction\n"
         "from quatforms.matrices import Matrix, poly_at_matrix\n"
         "from quatforms.polynomials import Poly\n"
-        "c = Constituent([[1, 0], [0, 1]], [(Poly([-2, 0, 1]), 1)], [None], True)\n"
-        "for call in (lambda: factor_int(0),\n"
-        "             lambda: c.eigenvalue(0), lambda: decompose([]),\n"
+        "for call in (lambda: factor_int(0), lambda: decompose([]),\n"
         "             lambda: Matrix([[1, 2]]).apply([1]),\n"
         "             lambda: poly_at_matrix(Poly([1]), Matrix([[1, 2]])),\n"
         "             lambda: Matrix([[1, Fraction(1, 2)]]), lambda: Matrix([[1]], 0),\n"
@@ -323,4 +321,4 @@ def test_bad_inputs_raise_under_optimize(run_optimized):
         "    except (ValueError, ZeroDivisionError) as exc:\n"
         "        print(type(exc).__name__)\n"
     )
-    assert out.split() == ["ValueError"] * 10
+    assert out.split() == ["ValueError"] * 9

@@ -218,11 +218,16 @@ def test_is_order_matches_fraction_reference():
 
 
 def test_maximal_orders_pinned():
-    # (rows, den, trail) of the maximalized standard order of each field
+    # (rows, den, trail) of the maximalized standard order of each field;
+    # 2 is inert in quad:13 and split in quad:41 and quad:65, whose
+    # searches also enlarge at 3
     pins = {
         F5: "151b49ce91bc2bba50132f7e35f88b394f765983d24504bea5f47df6103d8fcb",
         F10: "67bd0f937c06743f2016ba9125cab02f79128a53a36ff3e0a3cbaaab6127783e",
         F85: "151b49ce91bc2bba50132f7e35f88b394f765983d24504bea5f47df6103d8fcb",
+        field_from_spec("quad:13"): "151b49ce91bc2bba50132f7e35f88b394f765983d24504bea5f47df6103d8fcb",
+        field_from_spec("quad:41"): "4d1e845204a6a0c306d5e32182cf0a3b944e9c58a142d8f646679c3c58ca0acb",
+        field_from_spec("quad:65"): "4d1e845204a6a0c306d5e32182cf0a3b944e9c58a142d8f646679c3c58ca0acb",
     }
     for F, digest in pins.items():
         trail = []

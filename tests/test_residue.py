@@ -1,17 +1,17 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from quatforms import quaternion
+from quatforms.intmat import identity_int, int_product
 from quatforms.numberfield import field_from_spec
 from quatforms.residue import (
     FiniteField,
     FpAlgebra,
     LatticeQuotient,
-    _int_mat_pow,
     MatrixSplitting,
-    algebra_radical,
     in_span_mod,
     kernel_mod,
     mat2_det,
@@ -493,94 +493,84 @@ def test_matmul_mod():
     assert matmul_mod(a, a, 5) == ((2, 0), (0, 2))
 
 
-# --- radicals, including the small characteristic cases ---
+# --- radicals of O/pO, including the small characteristic cases ---
 
 
-def _truncated_poly(p, n):
-    # F_p[u]/(u^n), basis 1, u, ..., u^(n-1)
-    def basis_vec(k):
-        return tuple(int(t == k) for t in range(n))
-
-    mult = [
-        [basis_vec(i + j) if i + j < n else (0,) * n for j in range(n)]
-        for i in range(n)
-    ]
-    return FpAlgebra(p, mult, basis_vec(0))
+def _order_radical(O, p):
+    """(A, rad): the algebra O/pO and its radical rows by
+    quaternion._residue_radical."""
+    pO = [[p * c for c in row] for row in O.rows]
+    A = LatticeQuotient(O.rows, O.den, pO, O.den, p, O.alg.sparse_table()).algebra
+    return A, quaternion._residue_radical(O, A, p)
 
 
-def _upper_triangular(p):
-    # span of e11, e12, e22 inside 2x2 matrices over F_p
-    def mm(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)
-        ]
+@functools.cache
+def _algebra(spec):
+    return quaternion.hilbert_ramification_free_algebra(field_from_spec(spec))
 
-    basis = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]]
 
-    def to_vec(m):
-        return (m[0][0] % p, m[0][1] % p, m[1][1] % p)
-
-    mult = [[to_vec(mm(x, y)) for y in basis] for x in basis]
-    return FpAlgebra(p, mult, (1, 0, 1))
+def _maximal(spec):
+    return quaternion.maximalize(_algebra(spec).standard_order())
 
 
 def test_radical_semisimple_cases():
-    # matrix algebras and fields have trivial radical even at p = 2
-    assert algebra_radical(_m2_fp(2)) == []
-    assert algebra_radical(_m2_fp(3)) == []
-    assert algebra_radical(_field_f25()) == []
-    f4 = FpAlgebra(2, [[(1, 0), (0, 1)], [(0, 1), (1, 1)]], (1, 0))
-    assert algebra_radical(f4) == []
-    # F_2 x F_2 on its idempotent basis
-    split = FpAlgebra(2, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], (1, 1))
-    assert algebra_radical(split) == []
+    # a maximal order at an unramified p is M_2 over the residue fields
+    # mod p, so its radical is zero even at p = 2: 2 is inert in quad:5
+    # and quad:13 and split in quad:41
+    for spec in ("quad:5", "quad:13", "quad:41"):
+        assert _order_radical(_maximal(spec), 2)[1] == []
 
 
 def test_radical_disguised_nilpotent():
-    # x^2 = 1 in characteristic 2 makes x - 1 nilpotent, not idempotent
-    a = FpAlgebra(2, [[(1, 0), (0, 1)], [(0, 1), (1, 0)]], (1, 0))
-    assert algebra_radical(a) == [(1, 1)]
+    # the standard order of quad:5 is Z_F<i, j> with i^2 = j^2 = -1:
+    # i^2 = 1 in characteristic 2 makes 1 + i nilpotent, not a unit
+    O = _algebra("quad:5").standard_order()
+    A, rad = _order_radical(O, 2)
+    one_plus_i = (1, 0, 1, 0, 0, 0, 0, 0)
+    assert A.mul(one_plus_i, one_plus_i) == A.zero()
+    assert in_span_mod(rad, one_plus_i, 2)
 
 
 def test_radical_nilpotents_char_two():
-    # F_2[u]/(u^2): the plain trace form vanishes identically here, so this
-    # case separates the divided trace chain from the naive one
-    a = _truncated_poly(2, 2)
-    assert algebra_radical(a) == [(0, 1)]
-
-
-def test_radical_truncated_poly():
-    a = _truncated_poly(3, 3)
-    rad = algebra_radical(a)
-    assert len(rad) == 2
-    for v in rad:
-        assert v[0] == 0
-
-
-def test_radical_upper_triangular():
-    for p in (2, 3):
-        a = _upper_triangular(p)
-        rad = algebra_radical(a)
-        assert rad == [(0, 1, 0)]
+    # every trd(b_i conj b_j) on the standard order of quad:5 is even, so
+    # the trace conditions keep all of O/2O, and the radical is cut out
+    # by the reduced norm alone
+    O = _algebra("quad:5").standard_order()
+    forms, D = O.norm_forms()
+    assert all(c // (D // 2) % 2 == 0 for N in forms for row in N for c in row)
+    assert len(_order_radical(O, 2)[1]) == 6
 
 
 def test_radical_quaternion_ramified_shape():
-    # Hamilton quaternions mod 2: radical is the span of 1+i, 1+j, 1+k
-    a = _hamilton_mod_p(2)
-    rad = algebra_radical(a)
-    assert len(rad) == 3
-    assert in_span_mod(rad, (1, 1, 0, 0), 2)
-    assert not in_span_mod(rad, a.one, 2)
-    # quotient by the radical is the residue field F_2
-    quo, _ = quotient_by_ideal(a, rad)
-    assert quo.dim == 1
+    # the standard order of quad:5 mod 2 is Hamilton's quaternions over
+    # F_4: its radical is spanned by 1 + i, 1 + j, 1 + k over F_4, and the
+    # quotient by it is the residue field F_4
+    O = _algebra("quad:5").standard_order()
+    A, rad = _order_radical(O, 2)
+    assert len(rad) == 6
+    for x in ((1, 0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0, 1, 0),
+              (0, 1, 0, 1, 0, 0, 0, 0)):
+        assert in_span_mod(rad, x, 2)
+    assert not in_span_mod(rad, A.one, 2)
+    quo, _ = quotient_by_ideal(A, rad)
+    assert quo.dim == 2
 
 
 def test_radical_split_quaternion():
-    # at odd p the Hamilton table gives a matrix algebra, radical zero
-    assert algebra_radical(_hamilton_mod_p(3)) == []
-    assert algebra_radical(_hamilton_mod_p(5)) == []
+    # the algebra splits at every finite place: a maximal order of quad:5
+    # has zero radical at the inert 3 and the split 11, and at the
+    # ramified 5 = P^2 its radical is PO / 5O, half of O/5O
+    O = _maximal("quad:5")
+    assert _order_radical(O, 3)[1] == []
+    assert _order_radical(O, 11)[1] == []
+    assert len(_order_radical(O, 5)[1]) == 4
+
+
+def _int_mat_pow(m, e):
+    result = identity_int(len(m))
+    for _ in range(e):
+        result = int_product(result, m)
+    return result
 
 
 def ref_radical_rows(A):
@@ -615,23 +605,20 @@ def ref_radical_rows(A):
 
 
 def test_radical_matches_per_pair_reference(monkeypatch):
-    # the small algebras above, and every radical that the maximal order
-    # search of three fields computes
+    # every radical that the maximal order search of three fields
+    # computes, at p = 2 and, over quad:41, at p = 3
     found = []
+    radical = quaternion._residue_radical
 
-    def recording(A):
-        found.append((A, algebra_radical(A)))
+    def recording(order, A, p):
+        found.append((A, radical(order, A, p)))
         return found[-1][1]
 
-    monkeypatch.setattr(quaternion, "algebra_radical", recording)
+    monkeypatch.setattr(quaternion, "_residue_radical", recording)
     for spec in ("quad:5", "quad:13", "quad:41"):
         quaternion.hilbert_ramification_free_algebra(field_from_spec(spec))
     assert len(found) >= 3
-    small = [_m2_fp(2), _m2_fp(3), _field_f25(), _truncated_poly(2, 2),
-             _truncated_poly(3, 3), _upper_triangular(2), _upper_triangular(3),
-             _hamilton_mod_p(2), _hamilton_mod_p(3), _hamilton_mod_p(5),
-             FpAlgebra(2, [[(1, 0), (0, 1)], [(0, 1), (1, 0)]], (1, 0))]
-    found += [(A, algebra_radical(A)) for A in small]
+    assert {A.p for A, _ in found} == {2, 3}
     for A, rad in found:
         assert rad == ref_radical_rows(A)
 
@@ -672,9 +659,7 @@ def test_radical_matches_brute_force_on_orders_mod_two(spec):
     alg = quaternion.hilbert_ramification_free_algebra(field_from_spec(spec))
     start = alg.standard_order()
     for O in (start, quaternion._enlarge_at(start, 2)):
-        pO = [[2 * c for c in row] for row in O.rows]
-        A = LatticeQuotient(O.rows, O.den, pO, O.den, 2, alg.sparse_table()).algebra
-        rad = algebra_radical(A)
+        A, rad = _order_radical(O, 2)
         span = {0}
         for row in rad:
             bits = sum(c << j for j, c in enumerate(row))
@@ -684,17 +669,25 @@ def test_radical_matches_brute_force_on_orders_mod_two(spec):
         assert span == brute_radical(A)
 
 
+RADICAL_OPTIMIZED = (
+    "from quatforms import quaternion, residue\n"
+    "from quatforms.numberfield import field_from_spec\n"
+    "O = quaternion.QuatAlgebra(field_from_spec('quad:5'), -1, -1).standard_order()\n"
+    "pO = [[2 * c for c in row] for row in O.rows]\n"
+    "A = residue.LatticeQuotient(O.rows, O.den, pO, O.den, 2, O.alg.sparse_table()).algebra\n"
+)
+
+
 def test_radical_ideal_check_under_optimize(run_optimized):
     # a multiplication that sends every product to 1 leaves the radical
-    # of F_2[u]/(u^2) when it is multiplied by unit vectors; with asserts
-    # stripped the two-sided ideal check must raise (the chain reads the
-    # structure constants and is unaffected)
+    # of the standard order mod 2 when it is multiplied by unit vectors;
+    # with asserts stripped the two-sided ideal check must raise (the
+    # radical is read off the norm forms and is unaffected)
     out = run_optimized(
-        "from quatforms import residue\n"
-        "A = residue.FpAlgebra(2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))\n"
-        "residue.FpAlgebra.mul = lambda self, x, y: self.one\n"
+        RADICAL_OPTIMIZED
+        + "residue.FpAlgebra.mul = lambda self, x, y: self.one\n"
         "try:\n"
-        "    print('returned', residue.algebra_radical(A))\n"
+        "    print('returned', quaternion._residue_radical(O, A, 2))\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
@@ -702,13 +695,14 @@ def test_radical_ideal_check_under_optimize(run_optimized):
 
 
 def test_radical_certificate_checked_under_optimize(run_optimized):
-    # a kernel that keeps all of F_5 offers the unit ideal as its radical;
-    # with asserts stripped the nilpotency check must still raise
+    # kernels that keep every unit vector offer all of O/2O as its
+    # radical; with asserts stripped the nilpotency check must still raise
     out = run_optimized(
-        "from quatforms import residue\n"
-        "residue.kernel_mod = lambda mat, p: [(1,)]\n"
+        RADICAL_OPTIMIZED
+        + "quaternion.kernel_mod = lambda rows, p: [\n"
+        "    tuple(int(i == j) for j in range(len(rows[0]))) for i in range(len(rows[0]))]\n"
         "try:\n"
-        "    print('returned', residue.algebra_radical(residue.FpAlgebra(5, [[(1,)]], (1,))))\n"
+        "    print('returned', quaternion._residue_radical(O, A, 2))\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
