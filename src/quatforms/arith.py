@@ -1,14 +1,12 @@
-"""Elementary integer arithmetic: symmetric residues, primality, factoring.
+"""Elementary integer arithmetic: symmetric residues, primality, square
+roots mod p, factoring.
 
-Modular inverses are the built-in pow(a, -1, m).
-
-Everything is deterministic; the Pollard rho uses a fixed cycle of
-increments so repeated runs factor the same way.
+Modular inverses are the built-in pow(a, -1, m).  The integers the
+package factors are small (squarefree d, ideal and discriminant norms,
+orders of residue fields), so factoring is trial division.
 """
 
 from __future__ import annotations
-
-from math import gcd, isqrt
 
 
 def symmetric_mod(a: int, m: int) -> int:
@@ -59,44 +57,40 @@ def next_prime(n: int) -> int:
     return n
 
 
-def _pollard_rho(n: int) -> int:
-    # Brent's variant with a deterministic increment schedule
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a mod the odd prime p, for a square a (Tonelli-Shanks;
+    Cohen, A Course in Computational Algebraic Number Theory, 1.5.1)."""
+    a %= p
+    if not a:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    # invariant: r^2 = a t, c of order 2^s and t of order below 2^s
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            i, u = i + 1, u * u % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {p: exponent}."""
+    """Prime factorization of n >= 1 as {p: exponent}, by trial division."""
     if n < 1:
         raise ValueError("only integers n >= 1 are factored")
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES + [41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]:
+    p = 2
+    while p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        r = isqrt(m)
-        if r * r == m:
-            stack += [r, r]
-            continue
-        d = _pollard_rho(m)
-        stack += [d, m // d]
-    return dict(sorted(out.items()))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out

@@ -6,17 +6,18 @@ two real embeddings, the trace form, the fundamental unit, the primes,
 class and narrow class data, and the value of the Dedekind zeta
 function at -1.
 
-make_quadratic_field computes every invariant from scratch: the unit from
-one period of the continued fraction of the reduced omega + m over
-Z[omega] itself, certified by its norm +-1, Cl(F) and Cl+(F) by one
-closure over the primes below the Minkowski bound with a certified
-short-vector principality test, a class being the index of its
-representative, zeta(-1) by the finite divisor sum.  Generators and
-narrow classes are looked up once per ideal and kept on the context.
-The rest is in closed form for a quadratic field: the primes above p
-come from x^2 - t1 x - t0 mod p by Dedekind-Kummer, and the norm of the
-fundamental unit decides the totally positive units and the kernel of
-the map from the narrow class group onto the class group.
+make_quadratic_field computes every invariant from scratch.  One
+continued fraction walk gives the unit, from one period of the reduced
+omega + m, certified by its norm +-1, and principality, a generator
+certified by norm and membership or None; Cl(F) and Cl+(F) come from
+one closure over the primes below the Minkowski bound, a class being
+the index of its representative, zeta(-1) from the finite divisor sum.
+Generators and narrow classes are looked up once per ideal and kept on
+the context.  The rest is in closed form for a quadratic field: the
+primes above p are the roots of x^2 - t1 x - t0 mod p (Dedekind-Kummer),
+and the norm of the fundamental unit decides the totally positive units
+and the kernel of the map from the narrow class group onto the class
+group.
 
 Elements are coordinate tuples of Fractions over (1, omega), and their
 arithmetic is in closed form.  An element is (a + b sqrt D)/2 with a, b
@@ -33,9 +34,9 @@ import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from .arith import factor_int, next_prime
+from .arith import factor_int, next_prime, sqrt_mod
 from .intmat import (
     canonical_lattice,
     int_product,
@@ -44,8 +45,6 @@ from .intmat import (
     inverse_rows,
     lattice_coords,
 )
-from .latticetools import fincke_pohst
-from .polynomials import factor_mod_p
 
 log = logging.getLogger(__name__)
 
@@ -75,38 +74,34 @@ def siegel_zeta_quadratic(disc: int) -> Fraction:
     return Fraction(total, 60)
 
 
-def _period_quotients(D: int, P: int) -> list[int]:
-    """One period of partial quotients of the purely periodic continued
-    fraction of a reduced (P + sqrt D)/2, with 2 dividing D - P^2.
-
-    Every complete quotient (P' + sqrt D)/Q' is reduced, and the reduced
-    P for Q' = 2 is the one integer of the parity of D in (sqrt D - 2,
-    sqrt D), so the period closes when Q' returns to 2.
-    """
-    r, Q = isqrt(D), 2
-    out = []
+def _continued_fraction(D: int, P: int, Q: int) -> Iterator[tuple[int, int, int, int]]:
+    """(P_k, Q_k, q_(k-1), q_(k-2)) without end: the complete quotients
+    (P_k + sqrt D)/Q_k of the continued fraction of (P + sqrt D)/Q, Q
+    dividing D - P^2, and the convergent denominators before each.  With
+    r = isqrt(D), floor((P + sqrt D)/Q) is (P + r + [Q < 0]) // Q."""
+    r = isqrt(D)
+    q1, q2 = 0, 1
     while True:
-        out.append((P + r) // Q)
-        P = out[-1] * Q - P
+        yield P, Q, q1, q2
+        a = (P + r + (Q < 0)) // Q
+        P = a * Q - P
         Q = (D - P * P) // Q
-        if Q == 2:
-            return out
+        q1, q2 = a * q1 + q2, q1
 
 
 def _fundamental_unit_quadratic(d: int) -> tuple[int, int]:
     """Coordinates over (1, omega) of the fundamental unit eps > 1.
 
-    x_0 = omega + m, m = floor((sqrt D - t1)/2), is reduced and Z[x_0] =
-    Z[omega].  With q_k the convergent denominators of its period of
-    length l, eps = q_(l-1) x_0 + q_(l-2) (Buchmann-Vollmer, Binary
-    Quadratic Forms, the cycle of reduced forms).  Certified by N(eps) = +-1.
+    x_0 = omega + m, m = floor((sqrt D - t1)/2), is reduced, so its
+    period closes when Q_k returns to 2, and eps = q_(l-1) x_0 + q_(l-2)
+    for the period length l (Buchmann-Vollmer, Binary Quadratic Forms,
+    the cycle of reduced forms).  Certified by N(eps) = +-1.
     """
     F = FieldCtx(d)
     D, t1 = F.disc, F.t1
     m = (isqrt(D) - t1) // 2
-    q_prev, q = 1, 0
-    for a in _period_quotients(D, t1 + 2 * m):
-        q_prev, q = q, a * q + q_prev
+    period = itertools.islice(_continued_fraction(D, t1 + 2 * m, 2), 1, None)
+    q, q_prev = next((q1, q2) for _, Q, q1, q2 in period if Q == 2)
     eps = (q * m + q_prev, q)
     if F.norm(eps) not in (1, -1):
         raise ArithmeticError("continued fraction period gives no unit")
@@ -292,19 +287,23 @@ class FieldCtx:
         (norm, basis).
 
         O = Z[omega] is monogenic, so Dedekind-Kummer reads the primes off
-        the factors of x^2 - t1 x - t0 mod p: a linear factor x + c of
-        multiplicity e gives (p, c + omega) with f = 1, and an irreducible
-        quadratic leaves pO prime with f = 2.  The degree sum and the
-        product with multiplicities are checked.
+        the roots of x^2 - t1 x - t0 mod p: two roots x give (p, omega - x)
+        with f = e = 1, a double root e = 2, and no root leaves pO prime
+        with f = 2.  For odd p the roots are (t1 +- sqrt D)/2, D a square
+        mod p by Euler's criterion; at p = 2 both residues are tried.  The
+        degree sum and the product with multiplicities are checked.
         """
         if p in self._primes_cache:
             return self._primes_cache[p]
-        out = []
-        for q, e in factor_mod_p([-self.t0, -self.t1, 1], p):
-            if len(q) == 2:
-                out.append((self.ideal(p, (q[0], 1)), 1, e))
-            else:
-                out.append((self.ideal(p), 2, e))
+        if p == 2:
+            roots = [x for x in (0, 1) if (x * x - self.t1 * x - self.t0) % 2 == 0]
+        elif self.disc % p and pow(self.disc, (p - 1) // 2, p) != 1:
+            roots = []
+        else:
+            r, half = sqrt_mod(self.disc, p), (p + 1) // 2
+            roots = {(self.t1 + r) * half % p, (self.t1 - r) * half % p}
+        out = [(self.ideal(p, (-x, 1)), 1, 3 - len(roots)) for x in roots]
+        out = out or [(self.ideal(p), 2, 1)]
         out.sort(key=lambda t: (p ** t[1], t[0].rows))
         if sum(f * e for _, f, e in out) != self.degree:
             raise ArithmeticError("prime factorization of p has the wrong degree")
@@ -338,24 +337,10 @@ class FieldCtx:
 
     # -- principality ----------------------------------------------------
 
-    def _generator_bound(self, norm_int: int) -> int:
-        # If the lattice is principal, some generator, unit-balanced by
-        # rounding its log embeddings against the fundamental unit
-        # eps = u + v sqrt d, has trace of square at most 2 N M, where
-        # M = |u| + |v| sqrt d bounds |eps| and |1/eps| at both
-        # embeddings.  With eps = (a + b sqrt D)/2, 2 N M is
-        # N |a| + sqrt(N^2 b^2 D), rounded up here exactly.
-        (eps,) = self.fundamental_units
-        a = int(2 * eps[0] + self.t1 * eps[1])
-        s = norm_int * norm_int * int(eps[1]) ** 2 * self.disc
-        r = isqrt(s)
-        return norm_int * abs(a) + r + (r * r != s) + 1
-
     def principal_generator(self, a: "FieldIdeal"):
-        """A generator of a, or None (certified) if a is not principal.
-
-        Each ideal is searched once: the answer is kept by its canonical
-        (rows, den).
+        """A generator of a, or None (certified) if a is not principal,
+        from the continued fraction of a (_search_generator).  Each ideal
+        is walked once: the answer is kept by its canonical (rows, den).
         """
         key = (a.rows, a.den)
         if key not in self._generators:
@@ -363,28 +348,46 @@ class FieldCtx:
         return self._generators[key]
 
     def _search_generator(self, a: "FieldIdeal"):
-        """The short vector search of principal_generator."""
-        rows = [self.el(r) for r in a.rows]
-        target = abs(a.rows[0][0] * a.rows[1][1])
-        bound = self._generator_bound(target)
-        # traces of integral elements: integers, as fincke_pohst takes them
-        gram = [[int(self.trace(self.mul(bi, bj))) for bj in rows] for bi in rows]
-        for coords, _val in fincke_pohst(gram, bound):
-            x = self.zero
-            for c, b in zip(coords, rows):
-                if c:
-                    x = self.add(x, self.smul(c, b))
-            if abs(self.norm(x)) == target:
-                return tuple(c / a.den for c in x)
-        return None
+        """The continued fraction walk of principal_generator.
+
+        The numerator of a is c p, c its content and p = Z A + Z (x + omega)
+        primitive, so p = A (Z + Z theta), theta = (2x + t1 + sqrt D)/(2A).
+        Equivalent quadratic irrationals share the tails of their continued
+        fractions (Lagrange), so p is principal exactly when some complete
+        quotient theta_k = +-(omega + m), |Q_k| = 2; then p = (A/lam) O for
+        lam = q_(k-1) theta_k + q_(k-2).  The walk is eventually periodic,
+        so a repeated (P_k, Q_k) certifies None.  Certificate: the
+        generator lies in p and has norm +-A.
+        """
+        (r0, r1), (_, r2) = a.rows
+        c = gcd(r0, r1, r2)
+        r0, r1, r2 = r0 // c, r1 // c, r2 // c
+        A = r0 * r2
+        # u (r0, r1) + v (0, r2) = (u r0, 1) for u = 1/r1 mod r2
+        x = pow(r1, -1, r2) * r0 % A
+        seen = set()
+        for P, Q, q1, q2 in _continued_fraction(self.disc, 2 * x + self.t1, 2 * A):
+            if Q in (2, -2):
+                s, m = Q // 2, (P - self.t1) // 2
+                g = self.smul(A, self.inv((s * q1 * m + q2, s * q1)))
+                # g0 + g1 omega = g1 (x + omega) + g0 - x g1 is in p when A | g0 - x g1
+                inside = self.is_integral(g) and (g[0] - x * g[1]) % A == 0
+                if not inside or abs(self.norm(g)) != A:
+                    raise ArithmeticError("continued fraction gives no generator of the ideal")
+                return self.smul(Fraction(c, a.den), g)
+            if (P, Q) in seen:
+                return None
+            seen.add((P, Q))
 
     def narrowly_principal_generator(self, a: "FieldIdeal"):
         """A totally positive generator, or None.
 
-        None with a principal ideal is a certificate that the class of a
-        in the narrow class group is the nontrivial coset cut out by unit
-        signs; None otherwise certifies non-principality outright.  Kept
-        per ideal, as in principal_generator.
+        The generator of principal_generator times one of +-1, +-eps, the
+        units modulo squares, if one is totally positive.  None with a
+        principal ideal is a certificate that the class of a in the narrow
+        class group is the nontrivial coset cut out by unit signs; None
+        otherwise certifies non-principality outright.  Kept per ideal, as
+        in principal_generator.
         """
         key = (a.rows, a.den)
         if key not in self._positive_generators:
@@ -564,7 +567,8 @@ def make_quadratic_field(d: int) -> FieldCtx:
     """The real quadratic field Q(sqrt d), d squarefree and > 1.
 
     Basis (1, omega) with omega = (1+sqrt d)/2 when d = 1 mod 4 and
-    omega = sqrt d otherwise.  All invariants are computed.
+    omega = sqrt d otherwise.  All invariants are computed; classes are
+    told apart by the continued fraction walk of principal_generator.
 
     The primes of norm at most sqrt(disc)/2 generate Cl(F) (Minkowski);
     those the closure kept and the kernel of Cl+ -> Cl generate Cl+(F).

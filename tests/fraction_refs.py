@@ -11,7 +11,9 @@ lattice coordinates built on them, the quaternion product in closed form
 (ref_mul), the structure table from it and the order test on basis
 vectors, the lattice product over all products of basis rows
 (ref_compose), the class set by isomorphism tests of every neighbor
-(ref_class_set), and the theta table by full enumeration of every cell.
+(ref_class_set), the theta table by full enumeration of every cell, and
+principal generators of field ideals by a short-vector search up to a
+bound linear in the fundamental unit (ref_principal_generator).
 Tests state rational data through them and check the integer builders
 against them.  The basis vectors of lattices and ideals (lattice_basis,
 ideal_basis), the reduced trace form (ref_pair) and powers of field
@@ -31,6 +33,7 @@ from quatforms.classset import (
     unit_group,
 )
 from quatforms.intmat import int_product, integral_rows
+from quatforms.latticetools import fincke_pohst
 from quatforms.matrices import Matrix
 from quatforms.quaternion import QuatLattice, norm_equation_solutions
 
@@ -148,6 +151,32 @@ def el_pow(F, x, k):
     for _ in range(k):
         out = F.mul(out, x)
     return out
+
+
+def ref_principal_generator(F, a):
+    """A generator of the field ideal a, or None, by a short-vector search.
+
+    If a is principal, some generator, unit-balanced by rounding its log
+    embeddings against the fundamental unit eps = u + v sqrt d, has trace
+    of square at most 2 N M, N the norm of the numerator lattice and
+    M = |u| + |v| sqrt d a bound of |eps| and |1/eps| at both embeddings.
+    With eps = (s + t sqrt D)/2, 2 N M is N |s| + sqrt(N^2 t^2 D), rounded
+    up here exactly; the integral trace form of the rows is walked up to it.
+    """
+    (eps,) = F.fundamental_units
+    rows = [F.el(r) for r in a.rows]
+    target = abs(a.rows[0][0] * a.rows[1][1])
+    s = target * target * int(eps[1]) ** 2 * F.disc
+    r = math.isqrt(s)
+    bound = target * abs(int(F.trace(eps))) + r + (r * r != s) + 1
+    gram = [[int(F.trace(F.mul(bi, bj))) for bj in rows] for bi in rows]
+    for coords, _val in fincke_pohst(gram, bound):
+        x = F.zero
+        for c, b in zip(coords, rows):
+            x = F.add(x, F.smul(c, b))
+        if abs(F.norm(x)) == target:
+            return tuple(c / a.den for c in x)
+    return None
 
 
 def ref_lattice(alg, vectors):

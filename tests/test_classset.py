@@ -350,6 +350,17 @@ def test_class_set_quad34_cyclic_narrow_class_group():
     assert sorted(Counter(cs.norm_classes()).values()) == [5, 5, 5, 5]
 
 
+def test_class_set_quad94_large_unit():
+    # eps = 2143295 + 221064 sqrt 94 is large, but principality takes
+    # steps in log eps, so the field and its 29 classes build at once,
+    # certified by the mass zeta(-1) h / 2 = 53/3
+    cs = class_set("quad:94")
+    F = cs.order.alg.base
+    assert (F.class_number, F.narrow_class_number) == (1, 2)
+    assert cs.size == 29
+    assert cs.mass == eichler_mass(F) == Fraction(53, 3)
+
+
 def test_class_set_walks_a_split_prime_at_narrow_class_number_one():
     # the unit 32 + 5 sqrt 41 has norm -1, so h+ = h = 1 and the narrow
     # support is empty, yet the mass 2/3 needs a second class; the walk

@@ -476,6 +476,13 @@ def test_every_definition_has_a_pipeline_caller():
     assert orphan_definitions(modules, [p.read_text() for p in BENCHMARKS]) == PIPELINE_ORPHANS
 
 
+def test_field_layer_imports_only_integer_layers():
+    # numberfield sits below the lattice, polynomial and quaternion
+    # layers: it reaches only the integer arithmetic under it
+    source = (Path(quatforms.__file__).parent / "numberfield.py").read_text()
+    assert imported_modules(source) == {"arith", "intmat"}
+
+
 def test_no_orphan_modules():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert orphan_modules(sources, PIPELINE.read_text()) == []

@@ -1,12 +1,12 @@
 import functools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraction_refs import el_pow, hnf_coords, ideal_basis
+from fraction_refs import el_pow, hnf_coords, ideal_basis, ref_principal_generator
 from quatforms import numberfield
 from quatforms.numberfield import (
     FieldCtx,
@@ -15,6 +15,7 @@ from quatforms.numberfield import (
     make_quadratic_field,
     siegel_zeta_quadratic,
 )
+from quatforms.polynomials import factor_mod_p
 
 
 def F85():
@@ -268,36 +269,94 @@ def test_fundamental_units_below_200():
         assert _fundamental_unit_quadratic(d) == unit, d
 
 
-def test_large_unit_1021(monkeypatch):
-    # the period walk finds eps = 41531201 + 2683493 omega at once; the
-    # class group closure of make_quadratic_field enumerates vectors up
-    # to a bound linear in eps, so it is stubbed out to the trivial
-    # group: only the unit is tested
-    def trivial_group(F, pool, generator):
-        return [F.unit_ideal()], [F.unit_ideal()], [[0]], 1
+# (h, h+) of every squarefree d <= 105, as the short-vector principality
+# test (ref_principal_generator) computed them
+CLASS_NUMBERS_TO_105 = {
+    2: (1, 1), 3: (1, 2), 5: (1, 1), 6: (1, 2), 7: (1, 2), 10: (2, 2), 11: (1, 2),
+    13: (1, 1), 14: (1, 2), 15: (2, 4), 17: (1, 1), 19: (1, 2), 21: (1, 2), 22: (1, 2),
+    23: (1, 2), 26: (2, 2), 29: (1, 1), 30: (2, 4), 31: (1, 2), 33: (1, 2), 34: (2, 4),
+    35: (2, 4), 37: (1, 1), 38: (1, 2), 39: (2, 4), 41: (1, 1), 42: (2, 4), 43: (1, 2),
+    46: (1, 2), 47: (1, 2), 51: (2, 4), 53: (1, 1), 55: (2, 4), 57: (1, 2), 58: (2, 2),
+    59: (1, 2), 61: (1, 1), 62: (1, 2), 65: (2, 2), 66: (2, 4), 67: (1, 2), 69: (1, 2),
+    70: (2, 4), 71: (1, 2), 73: (1, 1), 74: (2, 2), 77: (1, 2), 78: (2, 4), 79: (3, 6),
+    82: (4, 4), 83: (1, 2), 85: (2, 2), 86: (1, 2), 87: (2, 4), 89: (1, 1), 91: (2, 4),
+    93: (1, 2), 94: (1, 2), 95: (2, 4), 97: (1, 1), 101: (1, 1), 102: (2, 4),
+    103: (1, 2), 105: (2, 4),
+}
 
-    monkeypatch.setattr(numberfield, "_class_group", trivial_group)
+
+def test_field_invariants_to_105():
+    ds = [d for d in range(2, 106) if all(d % (q * q) for q in range(2, 11))]
+    assert sorted(CLASS_NUMBERS_TO_105) == ds
+    for d, (h, hp) in CLASS_NUMBERS_TO_105.items():
+        F = make_quadratic_field(d)
+        assert (F.class_number, F.narrow_class_number) == (h, hp), d
+        assert F.fundamental_units[0] == UNITS_BELOW_200[d], d
+
+
+def test_large_unit_1021(monkeypatch):
+    # eps = 41531201 + 2683493 omega; the unit and every principality
+    # test of the class group closure walk a continued fraction.  The
+    # convergent denominators grow at least as the Fibonacci numbers, so
+    # a period has at most about 2.1 log eps steps; all walks together
+    # stay within 4 log eps
+    walk = numberfield._continued_fraction
+    steps = []
+
+    def counted(D, P, Q):
+        for step in walk(D, P, Q):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(numberfield, "_continued_fraction", counted)
     F = make_quadratic_field(1021)
     (eps,) = F.fundamental_units
+    assert eps == (41531201, 2683493)
     assert F.norm(eps) in (1, -1)
     # eps > 1 at the real embedding that sends omega to the larger root
     assert eps[1] > 0 and F.sign_vector(F.sub(eps, F.one))[1] == 1
+    assert (F.class_number, F.narrow_class_number) == (1, 1)
+    assert len(steps) <= 4 * log(eps[0] + eps[1] * (1 + sqrt(1021)) / 2)
 
 
 def test_unit_norm_checked_under_optimize(run_optimized):
     # a wrong last partial quotient gives no unit: quad:7 has the period
-    # 4, 1, 1, 1 and 4, 1, 1, 2 gives 12 + 5 sqrt 7, of norm -31; with
-    # asserts stripped the norm certificate must still raise
+    # 4, 1, 1, 1, and 4, 1, 1, 2 adds q_(l-2) to the last convergent
+    # denominator q_(l-1), giving 12 + 5 sqrt 7 of norm -31; with asserts
+    # stripped the norm certificate must still raise
     out = run_optimized(
         "from quatforms import numberfield\n"
-        "period = numberfield._period_quotients\n"
-        "numberfield._period_quotients = lambda D, P: period(D, P)[:-1] + [period(D, P)[-1] + 1]\n"
+        "walk = numberfield._continued_fraction\n"
+        "def faulty(D, P, Q):\n"
+        "    for k, (P, Q, q1, q2) in enumerate(walk(D, P, Q)):\n"
+        "        yield (P, Q, q1 + q2, q2) if k and Q == 2 else (P, Q, q1, q2)\n"
+        "numberfield._continued_fraction = faulty\n"
         "try:\n"
         "    print('returned', numberfield.make_quadratic_field(7).fundamental_units)\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
     assert out.startswith("ArithmeticError: continued fraction period gives no unit")
+
+
+def test_generator_certified_under_optimize(run_optimized):
+    # a wrong convergent q_(k-2) at the closing quotient gives an element
+    # that does not generate (31, 14 + omega) over quad:10; with asserts
+    # stripped the generator certificate must still raise
+    out = run_optimized(
+        "from quatforms import numberfield\n"
+        "F = numberfield.make_quadratic_field(10)\n"
+        "walk = numberfield._continued_fraction\n"
+        "def faulty(D, P, Q):\n"
+        "    for P, Q, q1, q2 in walk(D, P, Q):\n"
+        "        yield (P, Q, q1, q2 + 1) if Q in (2, -2) else (P, Q, q1, q2)\n"
+        "numberfield._continued_fraction = faulty\n"
+        "try:\n"
+        "    print('returned', F.principal_generator(F.ideal(31, (14, 1))))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: continued fraction gives no generator of the ideal")
 
 
 # -- primes ------------------------------------------------------------
@@ -353,6 +412,28 @@ def test_splitting_follows_kronecker_symbol(d):
             assert P.norm() == p**f
             prod = prod * P**e
         assert prod == F.ideal(p)
+
+
+def _primes_from_factor_mod_p(F, p):
+    """primes_above by the general factorization of x^2 - t1 x - t0 mod p:
+    (rows, den, f, e) sorted by norm and rows."""
+    out = []
+    for q, e in factor_mod_p([-F.t0, -F.t1, 1], p):
+        P, f = (F.ideal(p, (q[0], 1)), 1) if len(q) == 2 else (F.ideal(p), 2)
+        out.append((P.rows, P.den, f, e))
+    return sorted(out, key=lambda t: (p ** t[2], t[0]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 13, 15, 34, 85, 94, 105])
+def test_primes_above_match_factor_mod_p(d):
+    # the roots from Euler's criterion and one modular square root give
+    # the primes the general factorization mod p gives
+    F = FieldCtx(d)
+    for p in range(2, 2000):
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        got = [(P.rows, P.den, f, e) for P, f, e in F.primes_above(p)]
+        assert got == _primes_from_factor_mod_p(F, p), (d, p)
 
 
 def test_prime_ideals_up_to():
@@ -467,6 +548,36 @@ def test_principal_generator_random():
             a = F.ideal(x)
             g = F.principal_generator(a)
             assert g is not None and F.ideal(g) == a
+
+
+# fields with h > 1, h+ > h, or both; 221 has h = 2 and h+ = 4
+DECISION_DS = (3, 5, 10, 15, 34, 79, 82, 85, 221, 229)
+
+
+@pytest.mark.parametrize("d", DECISION_DS)
+def test_principality_matches_short_vector_search(d):
+    # the continued fraction walk and the short-vector search decide
+    # principality and narrow principality alike on random fractional
+    # ideals, and every generator generates its ideal
+    F = make_quadratic_field(d)
+    rng = random.Random(d)
+    primes = [pr.ideal for pr in F.prime_ideals_up_to(60)]
+    for _ in range(60):
+        a = F.ideal(Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+        for _ in range(rng.randint(1, 3)):
+            a = a * rng.choice(primes) ** rng.choice((1, 2, -1))
+        g, ref = F.principal_generator(a), ref_principal_generator(F, a)
+        assert (g is None) == (ref is None), (d, a)
+        pos = F.narrowly_principal_generator(a)
+        if g is None:
+            assert pos is None
+            continue
+        assert F.ideal(g) == a
+        units = [F.one, F.fundamental_units[0], F.neg(F.one), F.neg(F.fundamental_units[0])]
+        ref_pos = any(F.is_totally_positive(F.mul(ref, u)) for u in units)
+        assert (pos is not None) == ref_pos, (d, a)
+        if pos is not None:
+            assert F.ideal(pos) == a and F.is_totally_positive(pos)
 
 
 def test_principal_generator_searches_each_ideal_once(monkeypatch):
