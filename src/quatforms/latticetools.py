@@ -3,13 +3,13 @@
 Gram matrices, bounds and norm targets are Python ints; every entry
 point raises ValueError on anything else.  Integral LLL keeps the
 Gram-Schmidt data as integer minors d_i and lambda_ij = d_{j+1} mu_ij
-(_gram_schmidt_row), and Fincke-Pohst enumeration of short vectors
-reads its integer Cholesky form off the same data.  iter_norm is the
-exact shell walk that norm-equation searches are built on: it walks
-only vectors of the given value, solving the last coordinate by one
-integer square root, can test further integer forms on each shell
-vector before mapping it back, and yields the survivors lazily, as
-integer coefficient vectors on the basis of the given Gram.
+(_gram_schmidt_row), and the Fincke-Pohst shell walk reads its integer
+Cholesky form off the same data: it walks only vectors of the given
+value, solving the last coordinate by one integer square root.
+iter_norm, which norm-equation searches are built on, walks a reduced
+basis, can test further integer forms on each shell vector before
+mapping it back, and yields the survivors lazily, as integer
+coefficient vectors on the basis of the given Gram.
 enumerate_norm is its whole walk, sorted.
 No floating point is used anywhere.
 """
@@ -151,21 +151,18 @@ def _cholesky(gram):
     return s, k, e, c
 
 
-def fincke_pohst(gram, bound, shell=False):
-    """Yield (coords, value) for all x != 0 with Q(x) = x G x^T <= bound.
+def fincke_pohst(gram, bound):
+    """Yield the coords of all x != 0 with Q(x) = x G x^T = bound.
 
     One representative per +-pair: the last nonzero coordinate is
     positive.  Each level walks outward from the real center of its
-    interval, so short vectors tend to appear early; callers doing
-    existence tests can stop at the first hit.  gram is an integer Gram
-    and bound an int, else ValueError; the walk runs on the integer
-    Cholesky form of the Gram, so centers, remainders, every comparison
-    and the values yielded are Python ints.
-
-    With shell=True only the x with Q(x) = bound are yielded, in the same
-    order: at the last level the remainder must be k_0 (e_0 x_0 + C_0)^2
-    exactly, so x_0 comes from one integer square root and a divisibility
-    test instead of a walk over the interval.
+    interval, so callers doing existence tests can stop at the first
+    hit.  gram is an integer Gram and bound an int, else ValueError; the
+    walk runs on the integer Cholesky form of the Gram, so centers,
+    remainders and every comparison are Python ints.  At the last level
+    the remainder must be k_0 (e_0 x_0 + C_0)^2 exactly, so x_0 comes
+    from one integer square root and a divisibility test instead of a
+    walk over the interval.
     """
     check_int_rows(gram, 1)
     if not isinstance(bound, int):
@@ -174,7 +171,6 @@ def fincke_pohst(gram, bound, shell=False):
     if n == 0 or bound < 0:
         return
     s, k, e, c = _cholesky(gram)
-    top = s * bound
     x = [0] * n
 
     def last(rem, tie):
@@ -200,14 +196,10 @@ def fincke_pohst(gram, bound, shell=False):
         for num in nums:
             if num % e0 == 0:
                 x[0] = num // e0
-                yield tuple(x), bound
+                yield tuple(x)
 
     def walk(i, rem, tie):
-        if i < 0:
-            if not tie:
-                yield tuple(x), (top - rem) // s
-            return
-        if shell and i == 0:
+        if i == 0:
             yield from last(rem, tie)
             return
         ki, ei = k[i], e[i]
@@ -247,7 +239,7 @@ def fincke_pohst(gram, bound, shell=False):
                 yield from walk(i - 1, rem - t, False)
                 v -= 1
 
-    yield from walk(n - 1, top, True)
+    yield from walk(n - 1, s * bound, True)
 
 
 def _quad(form, x):
@@ -268,9 +260,8 @@ def iter_norm(gram, t, forms):
 
     gram is a square positive definite integer Gram matrix and t a
     positive int, else ValueError.  Reduces the basis first, then walks
-    the shell Q(x) = t alone (fincke_pohst with shell=True), lazily: a
-    caller that has what it needs stops the walk by dropping the
-    iterator.  forms holds pairs (N, v) of integer forms on the
+    the shell Q(x) = t alone (fincke_pohst), lazily: a caller that has
+    what it needs stops the walk by dropping the iterator.  forms holds pairs (N, v) of integer forms on the
     coefficient vectors and the values they must take: each is carried
     to the reduced basis once, as u N u^T for the LLL transform u, and
     every shell vector is tested there, so only the vectors that pass
@@ -285,7 +276,7 @@ def iter_norm(gram, t, forms):
     g2, u = lll_gram(gram)
     cols = list(zip(*u))
     reduced = [(int_product(int_product(u, N), cols), v) for N, v in forms]
-    for coords, _ in fincke_pohst(g2, t, shell=True):
+    for coords in fincke_pohst(g2, t):
         if any(_quad(N, coords) != v for N, v in reduced):
             continue
         vec = [sum(map(mul, coords, col)) for col in cols]

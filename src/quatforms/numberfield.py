@@ -574,17 +574,28 @@ def make_quadratic_field(d: int) -> FieldCtx:
     those the closure kept and the kernel of Cl+ -> Cl generate Cl+(F).
     The kernel is trivial if the fundamental unit has norm -1, and else
     generated by (sqrt d), whose generators all have mixed signs.
-    Certificate: h+ = h |kernel|, else ArithmeticError.
+    Certificates, each raising ArithmeticError: every class holds an
+    integral ideal of norm at most sqrt(disc)/2, so h is at most the
+    number of these ideals and h+ at most 2 h (_class_group); and
+    h+ = h |kernel|.
     """
     F = FieldCtx(d)
     F.fundamental_units = [F.el(_fundamental_unit_quadratic(d))]
     F.zeta_minus_one = siegel_zeta_quadratic(F.disc)
-    pool = [pr.ideal for pr in F.prime_ideals_up_to(isqrt(F.disc) // 2)]
-    F.class_reps, F._class_inverses, _, joined = _class_group(F, pool, F.principal_generator)
+    bound = isqrt(F.disc) // 2
+    primes = F.prime_ideals_up_to(bound)
+    # the norms of the integral ideals of norm <= bound, prime by prime
+    norms = [1]
+    for pr in primes:
+        powers = [pr.norm**k for k in range(1, bound.bit_length()) if pr.norm**k <= bound]
+        norms += [n * q for n in norms for q in powers if n * q <= bound]
+    F.class_reps, F._class_inverses, _, joined = _class_group(
+        F, [pr.ideal for pr in primes], F.principal_generator, len(norms)
+    )
     # sqrt d is 2 omega - 1 when d = 1 mod 4 and omega otherwise
     kernel = [F.ideal((-1, 2) if F.t1 else (0, 1))] if F.norm(F.fundamental_units[0]) == 1 else []
     F.narrow_reps, F._narrow_inverses, F.narrow_mul, _ = _class_group(
-        F, F.class_reps[1:joined] + kernel, F.narrowly_principal_generator
+        F, F.class_reps[1:joined] + kernel, F.narrowly_principal_generator, 2 * len(F.class_reps)
     )
     F.class_number, F.narrow_class_number = len(F.class_reps), len(F.narrow_reps)
     if F.narrow_class_number != F.class_number * 2 ** len(kernel):
@@ -602,7 +613,7 @@ def _class_index(a: FieldIdeal, inverses, generator) -> int:
     return next(hits, len(inverses))
 
 
-def _class_group(F: FieldCtx, pool, generator):
+def _class_group(F: FieldCtx, pool, generator, limit):
     """(reps, inverses, mul, joined) of the class group that pool generates,
     under principal_generator or narrowly_principal_generator.
 
@@ -610,10 +621,13 @@ def _class_group(F: FieldCtx, pool, generator):
     class.  Each pair of representatives, in the order (1, 1), (2, 1),
     (2, 2), (3, 1), ..., is multiplied once and looked up (_class_index),
     and a product in no known class joins, so mul[i][j] is the class of
-    reps[i] * reps[j] and the classes close."""
+    reps[i] * reps[j] and the classes close.  Certificate: at most limit
+    classes join, else ArithmeticError."""
     reps, inverses, table = [], [], {}
 
     def join(a):
+        if len(reps) == limit:
+            raise ArithmeticError("more classes than the class number bound")
         table[0, len(reps)] = table[len(reps), 0] = len(reps)
         reps.append(a)
         inverses.append(a.inverse())

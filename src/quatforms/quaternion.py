@@ -601,23 +601,17 @@ def _enlarge_at(order, p):
     return None
 
 
-def maximalize(order, trail=None):
+def maximalize(order):
     """A maximal order containing the input.
 
     Enlarges prime by prime until the reduced discriminant norm stops
-    dropping; `trail` (a list, when given) collects the strictly
-    decreasing norms along the way.  The result and its norms are kept
-    per algebra, so maximalizing the same order again costs nothing.
+    dropping (_maximalize).  The result is kept per algebra, so
+    maximalizing the same order again costs nothing.
     """
     memo = order.alg._maximalized
     if order not in memo:
-        memo[order] = _maximalize(order)
-    top, norms = memo[order]
-    if trail is not None:
-        for nd in norms:
-            if not trail or trail[-1] != nd:
-                trail.append(nd)
-    return top
+        memo[order] = _maximalize(order)[0]
+    return memo[order]
 
 
 def _maximalize(order):

@@ -7,7 +7,10 @@ commutative algebras (which locate the maximal two-sided ideals that
 maximal-order enlargement lifts), the explicit splitting of a rank-4
 quotient algebra as 2x2 matrices over its center, and finite fields as
 log tables (FiniteField), on which the 2x2 matrices and projective lines
-of the level structure run.
+of the level structure run.  Every idempotent is found by one rule
+(_nil_idempotent): 1 - y^N, for N a multiple of every unit order of
+F_p[y] and at least every nilpotency index, is the idempotent of the
+part where y is nilpotent.
 
 Vectors are tuples of ints mod p; matrices are tuples of row tuples.
 Elements of a FiniteField are single ints, coded by discrete logarithm.
@@ -18,11 +21,12 @@ come from the ambient algebra's integer structure table.
 """
 
 import itertools
+import math
 import random
 
 from .arith import factor_int
 from .intmat import hnf_rows, int_product, integral_rows, inverse_rows, lattice_coords
-from .polynomials import _poly_xgcd_mod, _zdivmod_monic, _zgcd_mod, _zmod, _zmul, factor_mod_p
+from .polynomials import factor_mod_p
 
 
 # ---------------------------------------------------------------------------
@@ -401,84 +405,48 @@ def quotient_by_ideal(A, ideal_rows):
 
 
 # ---------------------------------------------------------------------------
-# primitive idempotents of commutative algebras
+# idempotents of commutative algebras
+
+
+def _nil_idempotent(A, y, N):
+    """The idempotent 1 - y^N of the part of F_p[y] on which y is nilpotent.
+
+    F_p[y] is commutative, a product of local algebras; on each, y is
+    nilpotent or a unit.  When N is at least every nilpotency index and
+    a multiple of every unit order there, y^N is 0 on the first kind and
+    1 on the second.  Certificate: e^2 = e, else ArithmeticError.
+    """
+    e = A.sub(A.one, A.pow(y, N))
+    if A.mul(e, e) != e:
+        raise ArithmeticError("power is not idempotent")
+    return e
 
 
 def primitive_idempotents(A):
     """The primitive idempotents of a commutative F_p-algebra.
 
-    They come sorted by the canonical (rref) basis of the ideal e * A,
-    so the order is deterministic.
+    x -> x^p is linear, and its fixed space is spanned by the primitive
+    idempotents (Berlekamp): a fixed point takes a value c in F_p on each
+    local factor.  For fixed z, 1 - (z - c)^(p-1) is the sum of the
+    primitive idempotents on which z takes the value c, so refining {1}
+    by every basis vector of the fixed space, value by value, ends at
+    the primitive idempotents: a basis tells any two of them apart.
+    Certificate: their count is the dimension of the fixed space, else
+    ArithmeticError.  They come sorted by the canonical (rref) basis of
+    the ideal e * A, so the order is deterministic.
     """
-    out = []
-    _split_local(A, [A.unit(j) for j in range(A.dim)], A.one, out)
-    return [unit for _, unit in sorted(out)]
-
-
-def _split_local(top, emb_rows, unit, out):
-    """Collect (rref basis of e * top, e) for the primitive idempotents e
-    below unit, whose ideal unit * top has basis emb_rows.
-
-    x -> x^p is linear on a commutative F_p-algebra, and its fixed
-    points are spanned by the primitive idempotents: a fixed point is a
-    root of the split separable x^p - x.  A fixed space of dimension
-    one therefore marks a local algebra.  Any other fixed point has a
-    split squarefree minimal polynomial, so a coprime factor pair
-    always exists.
-    """
-    A = subalgebra(top, emb_rows, unit)
     p = A.p
     fr = A.frobenius_matrix()
-    delta = tuple(
-        tuple((fr[i][j] - (1 if i == j else 0)) % p for j in range(A.dim))
-        for i in range(A.dim)
+    fixed = kernel_mod(
+        tuple(tuple((fr[i][j] - (i == j)) % p for j in range(A.dim)) for i in range(A.dim)), p
     )
-    fixed = kernel_mod(delta, p)
-    if len(fixed) <= 1:
-        out.append((tuple(emb_rows), unit))
-        return
-    splitter = next(v for v in fixed if not in_span_mod([A.one], v, p))
-    mp = A.minpoly(splitter)
-    q0 = factor_mod_p(mp, p)[0][0]
-    e = _coprime_idempotent(A, splitter, mp, list(q0))
-    for idem in (e, A.sub(A.one, e)):
-        rows = [A.mul(idem, A.unit(j)) for j in range(A.dim)]
-        basis = span_basis_mod(rows, p)
-        emb_top = []
-        for b in basis:
-            vec = [0] * top.dim
-            for c, row in zip(b, emb_rows):
-                if c:
-                    for t in range(top.dim):
-                        vec[t] = (vec[t] + c * row[t]) % p
-            emb_top.append(tuple(vec))
-        unit_top = [0] * top.dim
-        for c, row in zip(idem, emb_rows):
-            if c:
-                for t in range(top.dim):
-                    unit_top[t] = (unit_top[t] + c * row[t]) % p
-        _split_local(top, emb_top, tuple(unit_top), out)
-
-
-def _coprime_idempotent(A, a, mp, g):
-    """The idempotent e = (s h)(a) acting as 1 on the g-primary part of
-    the minimal polynomial mp of a, for mp = g h with g, h coprime and
-    neither constant, and s h = 1 mod g.
-
-    s h is 1 mod g and 0 mod h, so (s h)^2 - s h vanishes mod g h = mp
-    and e is idempotent; it is neither 0 nor 1, as both factors are
-    proper.  Certificates, each raising ArithmeticError: g splits mp
-    into two coprime proper factors, and e^2 = e.
-    """
-    p = A.p
-    h, rem = _zdivmod_monic(list(mp), list(g), p)
-    if rem or len(g) < 2 or len(h) < 2 or len(_zgcd_mod(g, h, p)) != 1:
-        raise ArithmeticError("factor does not split the minimal polynomial into coprime factors")
-    s, _ = _poly_xgcd_mod(h, g, p)
-    e = A.evaluate(_zmod(_zmul(s, h), p), a)
-    if A.mul(e, e) != e:
-        raise ArithmeticError("CRT element is not idempotent")
-    return e
+    idems = [A.one]
+    for z in fixed:
+        parts = [_nil_idempotent(A, A.sub(z, A.smul(c, A.one)), p - 1) for c in range(p)]
+        idems = [f for f in (A.mul(e, g) for e in idems for g in parts) if any(f)]
+    if len(idems) != len(fixed):
+        raise ArithmeticError("idempotent count differs from the Frobenius-fixed dimension")
+    return sorted(idems, key=lambda e: span_basis_mod([A.mul(e, A.unit(j)) for j in range(A.dim)], p))
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +479,11 @@ class MatrixSplitting:
         self._build_units(self._find_idempotent())
 
     def _find_idempotent(self):
+        """The idempotent of the q0-primary part of A for v, the first
+        draw of a fixed random stream whose minimal polynomial has two
+        coprime factors, and q0 its first irreducible factor.  q0(v) is
+        nilpotent on that part and a unit elsewhere, of order dividing
+        p^d (p^L - 1) for d = deg minpoly and L = lcm(1, ..., d)."""
         A, p = self.A, self.p
         # one fixed stream: the same splitting, so the same neighbor order
         # and level codes, on every run
@@ -521,11 +494,9 @@ class MatrixSplitting:
             fac = factor_mod_p(mp, p)
             if len(fac) < 2:
                 continue
-            q0, e0 = fac[0]
-            g = [1]
-            for _ in range(e0):
-                g = _zmod(_zmul(g, list(q0)), p)
-            return _coprime_idempotent(A, v, mp, g)
+            d = len(mp) - 1
+            order = p**d * (p ** math.lcm(*range(1, d + 1)) - 1)
+            return _nil_idempotent(A, A.evaluate(fac[0][0], v), order)
         raise ArithmeticError("no splitting idempotent found")
 
     def _build_units(self, e):

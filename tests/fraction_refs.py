@@ -12,8 +12,9 @@ lattice coordinates built on them, the quaternion product in closed form
 vectors, the lattice product over all products of basis rows
 (ref_compose), the class set by isomorphism tests of every neighbor
 (ref_class_set), the theta table by full enumeration of every cell, and
-principal generators of field ideals by a short-vector search up to a
-bound linear in the fundamental unit (ref_principal_generator).
+principal generators of field ideals by a brute-force search of a box
+around the ellipse of trace forms up to a bound linear in the
+fundamental unit (ref_principal_generator).
 Tests state rational data through them and check the integer builders
 against them.  The basis vectors of lattices and ideals (lattice_basis,
 ideal_basis), the reduced trace form (ref_pair) and powers of field
@@ -21,6 +22,7 @@ elements (el_pow) are spelled out here from the package's own
 primitives.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -33,7 +35,7 @@ from quatforms.classset import (
     unit_group,
 )
 from quatforms.intmat import int_product, integral_rows
-from quatforms.latticetools import fincke_pohst
+from quatforms.latticetools import lll_gram
 from quatforms.matrices import Matrix
 from quatforms.quaternion import QuatLattice, norm_equation_solutions
 
@@ -161,7 +163,9 @@ def ref_principal_generator(F, a):
     of square at most 2 N M, N the norm of the numerator lattice and
     M = |u| + |v| sqrt d a bound of |eps| and |1/eps| at both embeddings.
     With eps = (s + t sqrt D)/2, 2 N M is N |s| + sqrt(N^2 t^2 D), rounded
-    up here exactly; the integral trace form of the rows is walked up to it.
+    up here exactly.  The ellipse of the integral trace form up to it lies
+    in a box on an LLL-reduced basis, |y_i|^2 <= bound g_jj / det g, and
+    the box is searched whole.
     """
     (eps,) = F.fundamental_units
     rows = [F.el(r) for r in a.rows]
@@ -169,8 +173,11 @@ def ref_principal_generator(F, a):
     s = target * target * int(eps[1]) ** 2 * F.disc
     r = math.isqrt(s)
     bound = target * abs(int(F.trace(eps))) + r + (r * r != s) + 1
-    gram = [[int(F.trace(F.mul(bi, bj))) for bj in rows] for bi in rows]
-    for coords, _val in fincke_pohst(gram, bound):
+    g, u = lll_gram([[int(F.trace(F.mul(bi, bj))) for bj in rows] for bi in rows])
+    det = g[0][0] * g[1][1] - g[0][1] ** 2
+    r0, r1 = (math.isqrt(bound * g[j][j] // det) for j in (1, 0))
+    for y in itertools.product(range(-r0, r0 + 1), range(-r1, r1 + 1)):
+        coords = [y[0] * u[0][k] + y[1] * u[1][k] for k in range(2)]
         x = F.zero
         for c, b in zip(coords, rows):
             x = F.add(x, F.smul(c, b))

@@ -361,6 +361,46 @@ def test_class_set_quad94_large_unit():
     assert cs.mass == eichler_mass(F) == Fraction(53, 3)
 
 
+# (h, h+, classes, mass) of the maximal order of every squarefree d <= 105;
+# the class sets of more than 16 classes are marked slow
+CLASS_SETS_TO_105 = {
+    2: (1, 1, 1, Fraction(1, 24)), 3: (1, 2, 2, Fraction(1, 12)), 5: (1, 1, 1, Fraction(1, 60)),
+    6: (1, 2, 3, Fraction(1, 4)), 7: (1, 2, 3, Fraction(1, 3)), 10: (2, 2, 4, Fraction(7, 6)),
+    11: (1, 2, 4, Fraction(7, 12)), 13: (1, 1, 1, Fraction(1, 12)), 14: (1, 2, 5, Fraction(5, 6)),
+    15: (2, 4, 8, Fraction(2)), 17: (1, 1, 1, Fraction(1, 6)), 19: (1, 2, 6, Fraction(19, 12)),
+    21: (1, 2, 2, Fraction(1, 6)), 22: (1, 2, 7, Fraction(23, 12)), 23: (1, 2, 7, Fraction(5, 3)),
+    26: (2, 2, 10, Fraction(25, 6)), 29: (1, 1, 2, Fraction(1, 4)), 30: (2, 4, 18, Fraction(17, 3)),
+    31: (1, 2, 9, Fraction(10, 3)), 33: (1, 2, 3, Fraction(1, 2)), 34: (2, 4, 20, Fraction(23, 3)),
+    35: (2, 4, 18, Fraction(19, 3)), 37: (1, 1, 2, Fraction(5, 12)), 38: (1, 2, 11, Fraction(41, 12)),
+    39: (2, 4, 20, Fraction(26, 3)), 41: (1, 1, 2, Fraction(2, 3)), 42: (2, 4, 20, Fraction(9)),
+    43: (1, 2, 12, Fraction(21, 4)), 46: (1, 2, 13, Fraction(37, 6)), 47: (1, 2, 13, Fraction(14, 3)),
+    51: (2, 4, 28, Fraction(13)), 53: (1, 1, 3, Fraction(7, 12)), 55: (2, 4, 32, Fraction(46, 3)),
+    57: (1, 2, 4, Fraction(7, 6)), 58: (2, 2, 22, Fraction(33, 2)), 59: (1, 2, 16, Fraction(85, 12)),
+    61: (1, 1, 3, Fraction(11, 12)), 62: (1, 2, 17, Fraction(7)), 65: (2, 2, 6, Fraction(8, 3)),
+    66: (2, 4, 38, Fraction(56, 3)), 67: (1, 2, 18, Fraction(41, 4)), 69: (1, 2, 5, Fraction(1)),
+    70: (2, 4, 40, Fraction(67, 3)), 71: (1, 2, 19, Fraction(29, 3)), 73: (1, 1, 3, Fraction(11, 6)),
+    74: (2, 2, 32, Fraction(41, 2)), 77: (1, 2, 5, Fraction(1)), 78: (2, 4, 44, Fraction(23)),
+    79: (3, 6, 69, Fraction(42)), 82: (4, 4, 68, Fraction(54)), 83: (1, 2, 22, Fraction(43, 4)),
+    85: (2, 2, 8, Fraction(3)), 86: (1, 2, 23, Fraction(155, 12)), 87: (2, 4, 40, Fraction(26)),
+    89: (1, 1, 4, Fraction(13, 6)), 91: (2, 4, 54, Fraction(103, 3)), 93: (1, 2, 6, Fraction(3, 2)),
+    94: (1, 2, 29, Fraction(53, 3)), 95: (2, 4, 52, Fraction(86, 3)), 97: (1, 1, 4, Fraction(17, 6)),
+    101: (1, 1, 5, Fraction(19, 12)), 102: (2, 4, 56, Fraction(103, 3)), 103: (1, 2, 31, Fraction(19)),
+    105: (2, 4, 14, Fraction(6)),
+}
+
+
+@pytest.mark.parametrize("d", [
+    pytest.param(d, marks=pytest.mark.slow) if row[2] > 16 else d
+    for d, row in CLASS_SETS_TO_105.items()
+])
+def test_class_set_table_to_105(d):
+    F = field_from_spec(f"quad:{d}")
+    R = maximalize(hilbert_ramification_free_algebra(F).standard_order())
+    cs = compute_class_set(R, narrow_support(F))
+    assert (F.class_number, F.narrow_class_number, cs.size, cs.mass) == CLASS_SETS_TO_105[d]
+    assert cs.mass == eichler_mass(F)
+
+
 def test_class_set_walks_a_split_prime_at_narrow_class_number_one():
     # the unit 32 + 5 sqrt 41 has norm -1, so h+ = h = 1 and the narrow
     # support is empty, yet the mass 2/3 needs a second class; the walk

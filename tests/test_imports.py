@@ -483,6 +483,20 @@ def test_field_layer_imports_only_integer_layers():
     assert imported_modules(source) == {"arith", "intmat"}
 
 
+def test_residue_imports_only_factor_mod_p_from_polynomials():
+    # every idempotent of the residue layer is a power of one element, so
+    # it needs no polynomial arithmetic beyond factoring a minimal
+    # polynomial
+    tree = ast.parse((Path(quatforms.__file__).parent / "residue.py").read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "polynomials"
+        for alias in node.names
+    ]
+    assert names == ["factor_mod_p"]
+
+
 def test_no_orphan_modules():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert orphan_modules(sources, PIPELINE.read_text()) == []

@@ -131,7 +131,8 @@ def test_lll_first_vector_bound():
         n = rng.choice([2, 3])
         g = _gram_of(_random_basis(rng, n))
         g2, _ = lll_gram(g)
-        shortest = min(v for _, v in fincke_pohst(g2, g2[0][0]))
+        # the first nonempty shell
+        shortest = next(t for t in range(1, g2[0][0] + 1) if next(fincke_pohst(g2, t), None))
         assert g2[0][0] <= 2 ** (n - 1) * shortest
 
 
@@ -142,7 +143,8 @@ def test_fincke_pohst_against_brute_force():
         g = _gram_of(_random_basis(rng, n, spread=3))
         t = rng.randint(1, 25)
         brute = _brute_force(g, t)
-        got = dict(fincke_pohst(g, t))
+        # the ball Q(x) <= t as the union of the shells 1, ..., t
+        got = {x: v for v in range(1, t + 1) for x in fincke_pohst(g, v)}
         # one representative per +- pair, nothing else, values exact
         assert len(brute) == 2 * len(got)
         for x, v in got.items():
@@ -187,15 +189,20 @@ def _rational_walk(gram, bound):
 
 
 def test_fincke_pohst_order_matches_rational_walk():
-    # callers that stop at the first hit (principal generators) see the
-    # same vectors in the same order, with int values
+    # callers that stop at the first hit (norm equations) see the vectors
+    # of value t in the order of the Fraction ball walk; t is random or,
+    # every other time, the value of a random vector, so the shell is
+    # not empty
     rng = random.Random(23)
-    for _ in range(40):
-        g = _random_gram(rng, rng.choice([2, 3, 4, 5]))
-        t = rng.randint(1, 60)
-        got = list(fincke_pohst(g, t))
-        assert got == list(_rational_walk(g, t))
-        assert all(isinstance(v, int) for _, v in got)
+    for trial in range(40):
+        n = rng.choice([1, 2, 3, 4, 5])
+        g = _random_gram(rng, n)
+        if trial % 2:
+            x = [rng.randint(-2, 2) for _ in range(n)]
+            t = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
+        else:
+            t = rng.randint(1, 60)
+        assert list(fincke_pohst(g, t)) == [x for x, v in _rational_walk(g, t) if v == t]
 
 
 def _random_gram(rng, n):
@@ -214,21 +221,6 @@ def test_cholesky_matches_fraction_reference():
     for _ in range(60):
         g = _random_gram(rng, rng.choice([1, 2, 3, 4, 5, 6]))
         assert _cholesky(g) == ref_cholesky(g)
-
-
-def test_shell_walk_matches_filtered_fincke_pohst():
-    # shell=True yields exactly the vectors of value t, in walk order
-    rng = random.Random(43)
-    for trial in range(40):
-        n = rng.choice([1, 2, 3, 4, 5])
-        g = _random_gram(rng, n)
-        if trial % 2:
-            x = [rng.randint(-2, 2) for _ in range(n)]
-            t = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
-        else:
-            t = rng.randint(1, 60)
-        want = [(x, v) for x, v in fincke_pohst(g, t) if v == t]
-        assert list(fincke_pohst(g, t, shell=True)) == want
 
 
 def test_enumerate_norm_filters_on_forms():

@@ -667,6 +667,33 @@ def test_narrow_class_number_checked_under_optimize(run_optimized):
     assert out.startswith("ArithmeticError: narrow class number is not h times the sign kernel")
 
 
+def test_class_closure_bounded_under_optimize(run_optimized):
+    # a walk cut after four steps answers None for principal ideals, so
+    # the products of the quad:79 pool keep joining as new classes and the
+    # closure would not end; with asserts stripped it must raise at the
+    # class number bound, within seconds
+    out = run_optimized(
+        "import itertools, time\n"
+        "from quatforms import numberfield\n"
+        "walk = numberfield._continued_fraction\n"
+        "search = numberfield.FieldCtx._search_generator\n"
+        "def cut(self, a):\n"
+        "    numberfield._continued_fraction = lambda D, P, Q: itertools.islice(walk(D, P, Q), 4)\n"
+        "    try:\n"
+        "        return search(self, a)\n"
+        "    finally:\n"
+        "        numberfield._continued_fraction = walk\n"
+        "numberfield.FieldCtx._search_generator = cut\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    print('returned', numberfield.make_quadratic_field(79).class_number)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+        "print(time.perf_counter() - start < 10)\n"
+    )
+    assert out.splitlines() == ["ArithmeticError: more classes than the class number bound", "True"]
+
+
 def test_minkowski_pool_covered():
     for d in (10, 85):
         F = make_quadratic_field(d)

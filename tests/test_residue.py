@@ -1,17 +1,21 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from quatforms import quaternion
+from quatforms.classset import split_residue_matrix
 from quatforms.intmat import identity_int, int_product
 from quatforms.numberfield import field_from_spec
+from quatforms.polynomials import _poly_xgcd_mod, _zdivmod_monic, _zmod, _zmul, factor_mod_p
 from quatforms.residue import (
     FiniteField,
     FpAlgebra,
     LatticeQuotient,
     MatrixSplitting,
+    _nil_idempotent,
     in_span_mod,
     kernel_mod,
     mat2_det,
@@ -122,34 +126,32 @@ def test_primitive_idempotents_split():
     assert a.mul(idems[1], (1, 1)) == a.zero()
 
 
-def test_coprime_idempotent_certificates_under_optimize(run_optimized):
-    # over F_5[x]/(x^2 - 1), x - 1 splits the minimal polynomial of x and
-    # gives (1 + x) / 2; a constant factor, a factor that does not divide,
-    # the whole polynomial, the repeated factor x of x^2 over F_5[x]/(x^2),
-    # and a CRT multiplier off by a factor 2 must each raise with asserts
-    # stripped
+def test_idempotent_certificates_under_optimize(run_optimized):
+    # over F_5[x]/(x^2 - 1), 1 - (x - 1)^4 is (1 + x) / 2; the exponent 2
+    # there, the exponent 1 for x over F_5[x]/(x^2) (below its nilpotency
+    # index), and an extra fixed vector that makes the Frobenius-fixed
+    # space look larger than the idempotent count must each raise with
+    # asserts stripped
     out = run_optimized(
         "from quatforms import residue\n"
         "split = residue.FpAlgebra(5, [[(1, 0), (0, 1)], [(0, 1), (1, 0)]], (1, 0))\n"
         "dual = residue.FpAlgebra(5, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))\n"
-        "x = (0, 1)\n"
-        "cases = [(split, [4, 0, 1], g) for g in ([4, 1], [1], [2, 1], [4, 0, 1])]\n"
-        "cases.append((dual, [0, 0, 1], [0, 1]))\n"
-        "for A, mp, g in cases:\n"
+        "kernel = residue.kernel_mod\n"
+        "def extra(rows, p):\n"
+        "    basis = kernel(rows, p)\n"
+        "    return basis + [tuple(2 * c % p for c in basis[-1])]\n"
+        "calls = (lambda: residue._nil_idempotent(split, (4, 1), 4),\n"
+        "         lambda: residue._nil_idempotent(split, (4, 1), 2),\n"
+        "         lambda: residue._nil_idempotent(dual, (0, 1), 1),\n"
+        "         lambda: setattr(residue, 'kernel_mod', extra) or residue.primitive_idempotents(split))\n"
+        "for call in calls:\n"
         "    try:\n"
-        "        print('returned', residue._coprime_idempotent(A, x, mp, g))\n"
+        "        print('returned', call())\n"
         "    except ArithmeticError as exc:\n"
         "        print('ArithmeticError:', exc)\n"
-        "xgcd = residue._poly_xgcd_mod\n"
-        "residue._poly_xgcd_mod = lambda f, g, p: tuple([2 * c for c in s] for s in xgcd(f, g, p))\n"
-        "try:\n"
-        "    print('returned', residue._coprime_idempotent(split, x, [4, 0, 1], [4, 1]))\n"
-        "except ArithmeticError as exc:\n"
-        "    print('ArithmeticError:', exc)\n"
     )
-    bad = "ArithmeticError: factor does not split the minimal polynomial into coprime factors"
-    assert out.splitlines() == ["returned (3, 3)"] + [bad] * 4 + [
-        "ArithmeticError: CRT element is not idempotent"]
+    assert out.splitlines() == ["returned (3, 3)"] + ["ArithmeticError: power is not idempotent"] * 2 + [
+        "ArithmeticError: idempotent count differs from the Frobenius-fixed dimension"]
 
 
 def test_primitive_idempotents_nilpotent():
@@ -352,6 +354,42 @@ def test_matrix_splitting_seed_stability():
     assert _coded(k, sp0.image(a.mul(x, y))) == mat2_mul(
         k, _coded(k, sp0.image(x)), _coded(k, sp0.image(y))
     )
+
+
+def _crt_idempotent(A, v, mp, g):
+    """(s h)(v) for mp = g h and s h = 1 mod g, by an extended gcd: the
+    idempotent of the g-primary part of F_p[v]."""
+    p = A.p
+    h, _ = _zdivmod_monic(list(mp), g, p)
+    s, _ = _poly_xgcd_mod(h, g, p)
+    return A.evaluate(_zmod(_zmul(s, h), p), v)
+
+
+@pytest.mark.parametrize("spec", ["quad:5", "quad:10", "quad:85"])
+def test_power_idempotent_is_the_crt_idempotent(spec):
+    # on R/qR for the maximal order R and every q of norm up to 30, the
+    # power 1 - q0(v)^N of the splitting is the CRT idempotent of the
+    # q0-primary factor of the minimal polynomial of v, for random v
+    F = field_from_spec(spec)
+    R = quaternion.maximalize(quaternion.hilbert_ramification_free_algebra(F).standard_order())
+    rng = random.Random(spec)
+    checked = 0
+    for pr in F.prime_ideals_up_to(30):
+        A, p = split_residue_matrix(R, pr).quo.algebra, pr.p
+        for _ in range(8):
+            v = tuple(rng.randrange(p) for _ in range(A.dim))
+            mp = A.minpoly(v)
+            fac = factor_mod_p(mp, p)
+            if len(fac) < 2:
+                continue
+            (q0, e0), d = fac[0], len(mp) - 1
+            g = functools.reduce(lambda f, _: _zmod(_zmul(f, list(q0)), p), range(e0), [1])
+            order = p**d * (p ** math.lcm(*range(1, d + 1)) - 1)
+            e = _nil_idempotent(A, A.evaluate(q0, v), order)
+            assert e == _crt_idempotent(A, v, mp, g)
+            assert e not in (A.zero(), A.one)
+            checked += 1
+    assert checked >= 20
 
 
 def test_matrix_splitting_rejects_wrong_dimension():
