@@ -190,10 +190,22 @@ def _rational_walk(gram, bound):
 
 def test_fincke_pohst_order_matches_rational_walk():
     # callers that stop at the first hit (norm equations) see the vectors
-    # of value t in the order of the Fraction ball walk; t is random or,
-    # every other time, the value of a random vector, so the shell is
-    # not empty
+    # in the order of the Fraction ball walk: every shell 1, ..., t is the
+    # ball walk of radius t cut down to that value, in the same order
     rng = random.Random(23)
+    for _ in range(40):
+        g = _random_gram(rng, rng.choice([2, 3, 4, 5]))
+        t = rng.randint(1, 60)
+        ball = list(_rational_walk(g, t))
+        for v in range(1, t + 1):
+            assert list(fincke_pohst(g, v)) == [x for x, w in ball if w == v]
+
+
+def test_shell_walk_matches_filtered_fincke_pohst():
+    # the shell walk yields exactly the vectors of value t, in walk order;
+    # t is random or, every other time, the value of a random vector, so
+    # the shell is not empty
+    rng = random.Random(43)
     for trial in range(40):
         n = rng.choice([1, 2, 3, 4, 5])
         g = _random_gram(rng, n)
@@ -202,7 +214,8 @@ def test_fincke_pohst_order_matches_rational_walk():
             t = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
         else:
             t = rng.randint(1, 60)
-        assert list(fincke_pohst(g, t)) == [x for x, v in _rational_walk(g, t) if v == t]
+        want = [x for x, v in _rational_walk(g, t) if v == t]
+        assert list(fincke_pohst(g, t)) == want
 
 
 def _random_gram(rng, n):
