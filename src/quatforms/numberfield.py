@@ -8,16 +8,14 @@ function at -1.
 
 make_quadratic_field computes every invariant from scratch.  One
 continued fraction walk gives the unit, from one period of the reduced
-omega + m, certified by its norm +-1, and principality, a generator
-certified by norm and membership or None; Cl(F) and Cl+(F) come from
-one closure over the primes below the Minkowski bound, a class being
-the index of its representative, zeta(-1) from the finite divisor sum.
-Generators and narrow classes are looked up once per ideal and kept on
-the context.  The rest is in closed form for a quadratic field: the
-primes above p are the roots of x^2 - t1 x - t0 mod p (Dedekind-Kummer),
-and the norm of the fundamental unit decides the totally positive units
-and the kernel of the map from the narrow class group onto the class
-group.
+omega + m, certified by its norm +-1.  Cl(F) and Cl+(F) are the cycles
+of the reduced (P, Q) of D (Buchmann-Vollmer, Binary Quadratic Forms),
+and one walk per ideal, kept on the context, runs into the cycle of its
+class: it gives a generator, certified by norm and membership, or None,
+and the class, a class being the index of its representative.  zeta(-1)
+is the finite divisor sum.  The primes above p are the roots of x^2 -
+t1 x - t0 mod p (Dedekind-Kummer), and the norm of the fundamental unit
+decides the totally positive units and the kernel of Cl+(F) -> Cl(F).
 
 Elements are coordinate tuples of Fractions over (1, omega), and their
 arithmetic is in closed form.  An element is (a + b sqrt D)/2 with a, b
@@ -138,9 +136,9 @@ class FieldCtx:
     make_quadratic_field, which computes and certifies each of them.  A
     class of Cl(F) or Cl+(F) is an index into class_reps or narrow_reps
     (class_of, narrow_class); narrow_mul is the multiplication table of
-    Cl+(F).
-    Generators and narrow classes are kept per ideal, by canonical
-    (rows, den), so callers ask for them where they need them.
+    Cl+(F).  Generators and classes are read off one continued fraction
+    walk per ideal (_cycle_walk), kept by canonical (rows, den), so
+    callers ask for them where they need them.
     """
 
     degree = 2
@@ -165,12 +163,11 @@ class FieldCtx:
         self.narrow_reps: list[FieldIdeal] = []
         self.narrow_class_number: int | None = None
         self.narrow_mul: list[list[int]] = []
-        self._class_inverses: list[FieldIdeal] = []
-        self._narrow_inverses: list[FieldIdeal] = []
+        self._class_keys = {}  # wide key -> index into class_reps
+        self._narrow_keys = {}  # narrow key -> index into narrow_reps
         self._primes_cache = {}
-        self._generators = {}  # (rows, den) -> principal_generator
+        self._walks = {}  # (rows, den) -> _cycle_walk
         self._positive_generators = {}  # (rows, den) -> narrowly_principal_generator
-        self._narrow_classes = {}  # (rows, den) -> narrow_class
 
     # -- basic element arithmetic ------------------------------------
 
@@ -338,26 +335,32 @@ class FieldCtx:
     # -- principality ----------------------------------------------------
 
     def principal_generator(self, a: "FieldIdeal"):
-        """A generator of a, or None (certified) if a is not principal,
-        from the continued fraction of a (_search_generator).  Each ideal
-        is walked once: the answer is kept by its canonical (rows, den).
-        """
-        key = (a.rows, a.den)
-        if key not in self._generators:
-            self._generators[key] = self._search_generator(a)
-        return self._generators[key]
+        """A generator of a, or None (certified) if a is not principal."""
+        return self._walk(a)[0]
 
-    def _search_generator(self, a: "FieldIdeal"):
-        """The continued fraction walk of principal_generator.
+    def _walk(self, a: "FieldIdeal"):
+        """_cycle_walk of a, kept by canonical (rows, den): one per ideal."""
+        key = (a.rows, a.den)
+        if key not in self._walks:
+            self._walks[key] = self._cycle_walk(a)
+        return self._walks[key]
+
+    def _cycle_walk(self, a: "FieldIdeal"):
+        """(generator or None, narrow key, wide key) of a.
 
         The numerator of a is c p, c its content and p = Z A + Z (x + omega)
         primitive, so p = A (Z + Z theta), theta = (2x + t1 + sqrt D)/(2A).
-        Equivalent quadratic irrationals share the tails of their continued
-        fractions (Lagrange), so p is principal exactly when some complete
-        quotient theta_k = +-(omega + m), |Q_k| = 2; then p = (A/lam) O for
-        lam = q_(k-1) theta_k + q_(k-2).  The walk is eventually periodic,
-        so a repeated (P_k, Q_k) certifies None.  Certificate: the
-        generator lies in p and has norm +-A.
+        Z + Z theta_k = theta_k (Z + Z theta_(k-1)) for the complete
+        quotients theta_k = (P_k + sqrt D)/Q_k, and N(theta_k) < 0 exactly
+        when P_k^2 < D.  Equivalent quadratic irrationals share the tails of
+        their continued fractions (Lagrange), so the walk runs into the
+        cycle of reduced (P, Q) of the class of a; the wide key is its least
+        (P, Q), the narrow key the least reached by a multiplier of positive
+        norm, or by either sign when one period flips it.  p is principal
+        exactly when some |Q_k| = 2; at the first, p = (A/lam) O for
+        lam = q_(k-1) theta_k + q_(k-2).  Certificates, each raising
+        ArithmeticError: the generator lies in p and has norm +-A, and the
+        walk closes.
         """
         (r0, r1), (_, r2) = a.rows
         c = gcd(r0, r1, r2)
@@ -365,19 +368,24 @@ class FieldCtx:
         A = r0 * r2
         # u (r0, r1) + v (0, r2) = (u r0, 1) for u = 1/r1 mod r2
         x = pow(r1, -1, r2) * r0 % A
-        seen = set()
+        g, sign, seen = None, 1, {}  # (P, Q) -> sign
         for P, Q, q1, q2 in _continued_fraction(self.disc, 2 * x + self.t1, 2 * A):
-            if Q in (2, -2):
+            if seen and P * P < self.disc:  # theta_0 carries nothing
+                sign = -sign
+            if g is None and Q in (2, -2):
                 s, m = Q // 2, (P - self.t1) // 2
                 g = self.smul(A, self.inv((s * q1 * m + q2, s * q1)))
                 # g0 + g1 omega = g1 (x + omega) + g0 - x g1 is in p when A | g0 - x g1
                 inside = self.is_integral(g) and (g[0] - x * g[1]) % A == 0
                 if not inside or abs(self.norm(g)) != A:
                     raise ArithmeticError("continued fraction gives no generator of the ideal")
-                return self.smul(Fraction(c, a.den), g)
+                g = self.smul(Fraction(c, a.den), g)
             if (P, Q) in seen:
-                return None
-            seen.add((P, Q))
+                cycle = list(seen.items())[list(seen).index((P, Q)):]
+                plus = [t for t, sg in cycle if sg > 0 or seen[P, Q] != sign]
+                return g, min(plus), min(t for t, _ in cycle)
+            seen[P, Q] = sign
+        raise ArithmeticError("continued fraction walk ends before its cycle closes")
 
     def narrowly_principal_generator(self, a: "FieldIdeal"):
         """A totally positive generator, or None.
@@ -402,22 +410,18 @@ class FieldCtx:
     # -- class data --------------------------------------------------------
 
     def class_of(self, a: "FieldIdeal") -> int:
-        """Index of the class of a in class_reps (_class_index).  The last
-        class is the one left when no other matches: it needs no test."""
-        return _class_index(a, self._class_inverses[:-1], self.principal_generator)
+        """Index in class_reps of the class of a, by its walk's key."""
+        return self._classes(a)[0]
 
     def narrow_class(self, a: "FieldIdeal") -> int:
-        """Index of the narrow class of a in narrow_reps, as in class_of.
+        """Index in narrow_reps of the narrow class of a, by its walk's key."""
+        return self._classes(a)[1]
 
-        Kept per ideal, as in principal_generator: every consumer asks
-        here, so each ideal is tested once.
-        """
-        key = (a.rows, a.den)
-        if key not in self._narrow_classes:
-            self._narrow_classes[key] = _class_index(
-                a, self._narrow_inverses[:-1], self.narrowly_principal_generator
-            )
-        return self._narrow_classes[key]
+    def _classes(self, a: "FieldIdeal") -> tuple[int, int]:
+        _, narrow, wide = self._walk(a)
+        if wide not in self._class_keys or narrow not in self._narrow_keys:
+            raise ArithmeticError("ideal walks to a cycle of no known class")
+        return self._class_keys[wide], self._narrow_keys[narrow]
 
     def __repr__(self):
         return f"FieldCtx({self.name}, degree {self.degree}, disc {self.disc})"
@@ -566,85 +570,79 @@ class PrimeIdeal:
 def make_quadratic_field(d: int) -> FieldCtx:
     """The real quadratic field Q(sqrt d), d squarefree and > 1.
 
-    Basis (1, omega) with omega = (1+sqrt d)/2 when d = 1 mod 4 and
-    omega = sqrt d otherwise.  All invariants are computed; classes are
-    told apart by the continued fraction walk of principal_generator.
-
-    The primes of norm at most sqrt(disc)/2 generate Cl(F) (Minkowski);
-    those the closure kept and the kernel of Cl+ -> Cl generate Cl+(F).
-    The kernel is trivial if the fundamental unit has norm -1, and else
-    generated by (sqrt d), whose generators all have mixed signs.
-    Certificates, each raising ArithmeticError: every class holds an
-    integral ideal of norm at most sqrt(disc)/2, so h is at most the
-    number of these ideals and h+ at most 2 h (_class_group); and
-    h+ = h |kernel|.
+    The reduced (P, Q) of D fall into h cycles (_reduced_cycles), and a
+    walk's sign alternates on them, so an odd cycle holds one narrow class
+    and an even one two.  narrow_reps is the unit ideal, then the ideal
+    Z Q/2 + Z ((P - t1)/2 + omega) of the first state at each parity of
+    each cycle, duplicate narrow keys dropped; class_reps the first of
+    each wide key (_cycle_walk).  Certificates, each raising
+    ArithmeticError: the representatives walk to h wide and sum(2 - len
+    mod 2) narrow keys; h+ = h |ker(Cl+ -> Cl)|, the kernel trivial
+    exactly when N(eps) = -1; h+ over the number of squares in narrow_mul
+    is 2^(t-1), t the number of primes dividing D (genus theory); and
+    narrow_mul is a group table with identity row 0.
     """
     F = FieldCtx(d)
     F.fundamental_units = [F.el(_fundamental_unit_quadratic(d))]
     F.zeta_minus_one = siegel_zeta_quadratic(F.disc)
-    bound = isqrt(F.disc) // 2
-    primes = F.prime_ideals_up_to(bound)
-    # the norms of the integral ideals of norm <= bound, prime by prime
-    norms = [1]
-    for pr in primes:
-        powers = [pr.norm**k for k in range(1, bound.bit_length()) if pr.norm**k <= bound]
-        norms += [n * q for n in norms for q in powers if n * q <= bound]
-    F.class_reps, F._class_inverses, _, joined = _class_group(
-        F, [pr.ideal for pr in primes], F.principal_generator, len(norms)
-    )
-    # sqrt d is 2 omega - 1 when d = 1 mod 4 and omega otherwise
-    kernel = [F.ideal((-1, 2) if F.t1 else (0, 1))] if F.norm(F.fundamental_units[0]) == 1 else []
-    F.narrow_reps, F._narrow_inverses, F.narrow_mul, _ = _class_group(
-        F, F.class_reps[1:joined] + kernel, F.narrowly_principal_generator, 2 * len(F.class_reps)
-    )
-    F.class_number, F.narrow_class_number = len(F.class_reps), len(F.narrow_reps)
-    if F.narrow_class_number != F.class_number * 2 ** len(kernel):
+    cycles = _reduced_cycles(F.disc)
+    reps = [F.unit_ideal()]
+    # the second parity of an odd cycle holds no other narrow class
+    reps += [F.ideal(Q // 2, ((P - F.t1) // 2, 1)) for c in cycles for P, Q in c[: 2 - len(c) % 2]]
+    narrow, wide = {}, {}
+    for a in reps:
+        _, n, w = F._walk(a)
+        narrow.setdefault(n, a)
+        wide.setdefault(w, a)
+    h, hp = len(cycles), sum(2 - len(cycle) % 2 for cycle in cycles)
+    if (len(wide), len(narrow)) != (h, hp):
+        raise ArithmeticError("class representatives do not walk to one key per class")
+    if hp != h * (1 if F.norm(F.fundamental_units[0]) == -1 else 2):
         raise ArithmeticError("narrow class number is not h times the sign kernel")
-    log.debug("class numbers %d, %d for %s", F.class_number, F.narrow_class_number, F.name)
+    F.class_reps, F.narrow_reps = list(wide.values()), list(narrow.values())
+    F.class_number, F.narrow_class_number = h, hp
+    F._class_keys = {w: i for i, w in enumerate(wide)}
+    F._narrow_keys = {n: i for i, n in enumerate(narrow)}
+    mul = F.narrow_mul = [[F.narrow_class(a * b) for b in F.narrow_reps] for a in F.narrow_reps]
+    ids = list(range(hp))
+    if hp != len({mul[i][i] for i in ids}) << (len(factor_int(F.disc)) - 1):
+        raise ArithmeticError("narrow class group fails the genus count 2^(t-1)")
+    if mul[0] != ids or any(sorted(row) != ids or row[0] != i for i, row in enumerate(mul)) or any(
+        mul[mul[i][j]][k] != mul[i][mul[j][k]] for i in ids for j in ids for k in ids
+    ):
+        raise ArithmeticError("narrow class table is not a group with identity 0")
+    log.debug("class numbers %d, %d for %s", h, hp, F.name)
     return F
 
 
-def _class_index(a: FieldIdeal, inverses, generator) -> int:
-    """The first i with a generator of a * inverses[i], else len(inverses),
-    the index a new class would take.  A fractional a is replaced by its
-    numerator, a totally positive integer multiple in the same class."""
-    a = FieldIdeal(a.field, a.rows, 1)
-    hits = (i for i, r in enumerate(inverses) if generator(a * r) is not None)
-    return next(hits, len(inverses))
-
-
-def _class_group(F: FieldCtx, pool, generator, limit):
-    """(reps, inverses, mul, joined) of the class group that pool generates,
-    under principal_generator or narrowly_principal_generator.
-
-    reps[0] is the unit ideal, reps[1:joined] the pool ideals met in a new
-    class.  Each pair of representatives, in the order (1, 1), (2, 1),
-    (2, 2), (3, 1), ..., is multiplied once and looked up (_class_index),
-    and a product in no known class joins, so mul[i][j] is the class of
-    reps[i] * reps[j] and the classes close.  Certificate: at most limit
-    classes join, else ArithmeticError."""
-    reps, inverses, table = [], [], {}
-
-    def join(a):
-        if len(reps) == limit:
-            raise ArithmeticError("more classes than the class number bound")
-        table[0, len(reps)] = table[len(reps), 0] = len(reps)
-        reps.append(a)
-        inverses.append(a.inverse())
-
-    join(F.unit_ideal())
-    for a in pool:
-        if _class_index(a, inverses, generator) == len(reps):
-            join(a)
-    joined = len(reps)
-    for i, a in enumerate(reps):  # reps grows while it is walked
-        for j in range(1, i + 1):
-            c = a * reps[j]
-            table[i, j] = table[j, i] = k = _class_index(c, inverses, generator)
-            if k == len(reps):
-                join(c)
-    n = len(reps)
-    return reps, inverses, [[table[i, j] for j in range(n)] for i in range(n)], joined
+def _reduced_cycles(D: int) -> list[list[tuple[int, int]]]:
+    """The reduced (P, Q) of D in cycles under the continued fraction
+    step, each from its least state: 0 < P < sqrt D, sqrt D - P < Q <
+    sqrt D + P, Q = 2a and a | (D - P^2)/4, compared on r = isqrt(D).
+    Reduced quadratic irrationals have purely periodic continued
+    fractions and are equivalent exactly when they share a cycle, and
+    for a fundamental D every form is primitive, so the cycles are the
+    classes of Cl(F).  Certificate: each cycle closes, else
+    ArithmeticError."""
+    r = isqrt(D)
+    left = {
+        (P, 2 * a)
+        for P in range(2 - D % 2, r + 1, 2)
+        for a in range((r - P) // 2 + 1, (r + P) // 2 + 1)
+        if (D - P * P) // 4 % a == 0
+    }
+    cycles = []
+    while left:
+        start, cycle = min(left), []
+        for P, Q, _, _ in _continued_fraction(D, *start):
+            if (P, Q) not in left:
+                break
+            left.remove((P, Q))
+            cycle.append((P, Q))
+        if (P, Q) != start:
+            raise ArithmeticError("reduced forms do not close into a cycle")
+        cycles.append(cycle)
+    return cycles
 
 
 def field_from_spec(spec: str) -> FieldCtx:

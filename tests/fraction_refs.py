@@ -14,7 +14,8 @@ vectors, the lattice product over all products of basis rows
 (ref_class_set), the theta table by full enumeration of every cell, and
 principal generators of field ideals by a brute-force search of a box
 around the ellipse of trace forms up to a bound linear in the
-fundamental unit (ref_principal_generator).
+fundamental unit (ref_principal_generator), and the class of a field
+ideal by one principality test per representative (ref_narrow_class).
 Tests state rational data through them and check the integer builders
 against them.  The basis vectors of lattices and ideals (lattice_basis,
 ideal_basis), the reduced trace form (ref_pair) and powers of field
@@ -184,6 +185,17 @@ def ref_principal_generator(F, a):
         if abs(F.norm(x)) == target:
             return tuple(c / a.den for c in x)
     return None
+
+
+def ref_narrow_class(a, inverses, generator):
+    """The first i with generator(a * inverses[i]) not None, else None.
+
+    With the inverses of class representatives and narrowly_principal_
+    generator (principal_generator), the index of the narrow (wide) class
+    of a: a r^-1 is narrowly principal exactly when a lies in the class of
+    r.
+    """
+    return next((i for i, r in enumerate(inverses) if generator(a * r) is not None), None)
 
 
 def ref_lattice(alg, vectors):

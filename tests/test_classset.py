@@ -289,22 +289,23 @@ def test_theta_searches_generators_only_for_trivial_classes(monkeypatch):
 
 def test_narrow_class_tests_each_ideal_once(monkeypatch):
     # the walk, theta and its norm class check ask FieldCtx.narrow_class
-    # for the classes of nr(a), p and nr(b) cell by cell; each distinct
-    # ideal is tested against the class representatives once
+    # for the classes of nr(a), p and nr(b) cell by cell, and search
+    # generators and totally positive generators; each distinct ideal is
+    # walked once for all of them
     F = make_quadratic_field(10)
     R = maximalize(hilbert_ramification_free_algebra(F).standard_order())
-    tested = Counter()
-    class_index = numberfield._class_index
+    walked = Counter()
+    walk = numberfield.FieldCtx._cycle_walk
 
-    def counting(a, inverses, generator):
-        tested[a.rows, a.den] += 1
-        return class_index(a, inverses, generator)
+    def counting(self, a):
+        walked[a.rows, a.den] += 1
+        return walk(self, a)
 
-    monkeypatch.setattr(numberfield, "_class_index", counting)
+    monkeypatch.setattr(numberfield.FieldCtx, "_cycle_walk", counting)
     cs = compute_class_set(R, narrow_support(F))
     th = compute_theta(cs, 12)
     assert len(th.primes) == cs.size == 4
-    assert tested and max(tested.values()) == 1
+    assert walked and max(walked.values()) == 1
 
 
 def test_theta_trivial_class_search_checked_under_optimize(run_optimized):

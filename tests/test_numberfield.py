@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 from fractions import Fraction
 from math import isqrt, log, sqrt
@@ -6,7 +7,13 @@ from math import isqrt, log, sqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraction_refs import el_pow, hnf_coords, ideal_basis, ref_principal_generator
+from fraction_refs import (
+    el_pow,
+    hnf_coords,
+    ideal_basis,
+    ref_narrow_class,
+    ref_principal_generator,
+)
 from quatforms import numberfield
 from quatforms.numberfield import (
     FieldCtx,
@@ -292,6 +299,77 @@ def test_field_invariants_to_105():
         F = make_quadratic_field(d)
         assert (F.class_number, F.narrow_class_number) == (h, hp), d
         assert F.fundamental_units[0] == UNITS_BELOW_200[d], d
+
+
+# sorted element orders of Cl+ of every squarefree d <= 105, as the
+# closure of principality tests over the Minkowski primes computed them
+NARROW_ORDERS_TO_105 = {
+    2: [1], 3: [1, 2], 5: [1], 6: [1, 2], 7: [1, 2], 10: [1, 2], 11: [1, 2], 13: [1],
+    14: [1, 2], 15: [1, 2, 2, 2], 17: [1], 19: [1, 2], 21: [1, 2], 22: [1, 2], 23: [1, 2],
+    26: [1, 2], 29: [1], 30: [1, 2, 2, 2], 31: [1, 2], 33: [1, 2], 34: [1, 2, 4, 4],
+    35: [1, 2, 2, 2], 37: [1], 38: [1, 2], 39: [1, 2, 2, 2], 41: [1], 42: [1, 2, 2, 2],
+    43: [1, 2], 46: [1, 2], 47: [1, 2], 51: [1, 2, 2, 2], 53: [1], 55: [1, 2, 2, 2], 57: [1, 2],
+    58: [1, 2], 59: [1, 2], 61: [1], 62: [1, 2], 65: [1, 2], 66: [1, 2, 2, 2], 67: [1, 2],
+    69: [1, 2], 70: [1, 2, 2, 2], 71: [1, 2], 73: [1], 74: [1, 2], 77: [1, 2], 78: [1, 2, 2, 2],
+    79: [1, 2, 3, 3, 6, 6], 82: [1, 2, 4, 4], 83: [1, 2], 85: [1, 2], 86: [1, 2],
+    87: [1, 2, 2, 2], 89: [1], 91: [1, 2, 2, 2], 93: [1, 2], 94: [1, 2], 95: [1, 2, 2, 2],
+    97: [1], 101: [1], 102: [1, 2, 2, 2], 103: [1, 2], 105: [1, 2, 2, 2],
+}
+
+
+def test_narrow_class_group_structure_to_105():
+    assert list(NARROW_ORDERS_TO_105) == list(CLASS_NUMBERS_TO_105)
+    for d, orders in NARROW_ORDERS_TO_105.items():
+        assert _element_orders(make_quadratic_field(d).narrow_mul) == orders, d
+
+
+def _class_sample(F, d):
+    """The primes of norm <= 60, then 40 random products of three of them
+    or their inverses."""
+    primes = [pr.ideal for pr in F.prime_ideals_up_to(60)]
+    rng = random.Random(d)
+    out = list(primes)
+    for _ in range(40):
+        a = F.unit_ideal()
+        for _ in range(3):
+            a = a * rng.choice(primes) ** rng.choice((1, -1))
+        out.append(a)
+    return out
+
+
+def test_generators_pinned_to_105():
+    # every generator and totally positive generator of the sample ideals
+    # of every squarefree d <= 105, hashed; the digest is the one the walk
+    # gave when it stopped at its first |Q| = 2, before it named classes
+    digest = hashlib.sha256()
+    for d in CLASS_NUMBERS_TO_105:
+        F = make_quadratic_field(d)
+        for a in _class_sample(F, d):
+            gens = (F.principal_generator(a), F.narrowly_principal_generator(a))
+            digest.update(repr((d, a.rows, a.den, *gens)).encode())
+    assert digest.hexdigest() == "fcee34ba34412cec171e0419ef56b01d2e0698b50a088bd1b496fa3d8b49d3ff"
+
+
+def test_classes_match_principality_reference():
+    # narrow_class and class_of against the lookup by principality tests
+    # (ref_narrow_class), whose representatives are the unit ideal and
+    # then each sample ideal in none of their classes: the two labelings
+    # meet every class and agree through one bijection fixing the unit
+    # class, on every squarefree d <= 105
+    for d in CLASS_NUMBERS_TO_105:
+        F = make_quadratic_field(d)
+        for classify, generator, count in (
+            (F.narrow_class, F.narrowly_principal_generator, F.narrow_class_number),
+            (F.class_of, F.principal_generator, F.class_number),
+        ):
+            inverses, label = [F.unit_ideal()], {0: 0}
+            for a in _class_sample(F, d):
+                i = ref_narrow_class(a, inverses, generator)
+                if i is None:
+                    i = len(inverses)
+                    inverses.append(a.inverse())
+                assert label.setdefault(i, classify(a)) == classify(a), (d, a)
+            assert sorted(label.values()) == list(range(count)), d
 
 
 def test_large_unit_1021(monkeypatch):
@@ -581,27 +659,28 @@ def test_principality_matches_short_vector_search(d):
 
 
 def test_principal_generator_searches_each_ideal_once(monkeypatch):
-    # the answer is kept by the canonical basis, so an equal ideal built
-    # another way, or a repeated narrow test, searches nothing again
+    # the walk is kept by the canonical basis, so an equal ideal built
+    # another way, a narrow test or a class lookup walks nothing again
     F = F10()
-    searched = []
-    search = FieldCtx._search_generator
+    walked = []
+    walk = FieldCtx._cycle_walk
 
     def counted(self, a):
-        searched.append(a)
-        return search(self, a)
+        walked.append(a)
+        return walk(self, a)
 
-    monkeypatch.setattr(FieldCtx, "_search_generator", counted)
+    monkeypatch.setattr(FieldCtx, "_cycle_walk", counted)
     P2 = F.primes_above(2)[0][0]
     a = P2 * F.ideal(7)
     b = F.ideal(7) * P2
     assert F.principal_generator(a) is None
-    assert F.principal_generator(b) is None
+    assert F.narrow_class(b) == F.class_of(a) == 1
     assert F.narrowly_principal_generator(a) is None
     g = F.principal_generator(F.ideal(31, (14, 1)))
     assert F.narrowly_principal_generator(F.ideal((11, 3))) is not None
     assert F.principal_generator(F.ideal(31, (14, 1))) == g
-    assert searched == [a, F.ideal(31, (14, 1))]
+    assert F.narrow_class(F.ideal((11, 3))) == 0
+    assert walked == [a, F.ideal(31, (14, 1))]
 
 
 def test_narrow_principality():
@@ -652,49 +731,106 @@ def test_quadratic_characters_of_a_cyclic_narrow_class_group():
 
 
 def test_narrow_class_number_checked_under_optimize(run_optimized):
-    # principality in place of narrow principality folds Cl+ of quad:3
-    # onto its trivial Cl, one class where h * |kernel| = 2; with asserts
-    # stripped the count must still raise
+    # a sign-blind narrow key, the wide key, folds Cl+ of quad:3 onto its
+    # trivial Cl: both parities of its one even cycle walk to one key
+    # where h * |kernel| = 2; with asserts stripped the count must raise
     out = run_optimized(
         "from quatforms import numberfield\n"
-        "numberfield.FieldCtx.narrowly_principal_generator = "
-        "numberfield.FieldCtx.principal_generator\n"
+        "walk = numberfield.FieldCtx._cycle_walk\n"
+        "def blind(self, a):\n"
+        "    g, _, wide = walk(self, a)\n"
+        "    return g, wide, wide\n"
+        "numberfield.FieldCtx._cycle_walk = blind\n"
         "try:\n"
         "    print('returned', numberfield.make_quadratic_field(3).narrow_class_number)\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
-    assert out.startswith("ArithmeticError: narrow class number is not h times the sign kernel")
+    assert out.startswith("ArithmeticError: class representatives do not walk to one key per class")
 
 
-def test_class_closure_bounded_under_optimize(run_optimized):
-    # a walk cut after four steps answers None for principal ideals, so
-    # the products of the quad:79 pool keep joining as new classes and the
-    # closure would not end; with asserts stripped it must raise at the
-    # class number bound, within seconds
+def test_cut_walk_checked_under_optimize(run_optimized):
+    # a walk cut after four steps stops short of its cycle; a closure of
+    # principality tests read that as non-principal and found (h, h+) =
+    # (2, 4) on quad:103.  With asserts stripped, make_quadratic_field
+    # must raise on quad:103 and quad:79 within seconds
     out = run_optimized(
         "import itertools, time\n"
         "from quatforms import numberfield\n"
         "walk = numberfield._continued_fraction\n"
-        "search = numberfield.FieldCtx._search_generator\n"
+        "cycle_walk = numberfield.FieldCtx._cycle_walk\n"
         "def cut(self, a):\n"
         "    numberfield._continued_fraction = lambda D, P, Q: itertools.islice(walk(D, P, Q), 4)\n"
         "    try:\n"
-        "        return search(self, a)\n"
+        "        return cycle_walk(self, a)\n"
         "    finally:\n"
         "        numberfield._continued_fraction = walk\n"
-        "numberfield.FieldCtx._search_generator = cut\n"
+        "numberfield.FieldCtx._cycle_walk = cut\n"
         "start = time.perf_counter()\n"
-        "try:\n"
-        "    print('returned', numberfield.make_quadratic_field(79).class_number)\n"
-        "except ArithmeticError as exc:\n"
-        "    print('ArithmeticError:', exc)\n"
+        "for d in (103, 79):\n"
+        "    try:\n"
+        "        print('returned', numberfield.make_quadratic_field(d).class_number)\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('ArithmeticError:', exc)\n"
         "print(time.perf_counter() - start < 10)\n"
     )
-    assert out.splitlines() == ["ArithmeticError: more classes than the class number bound", "True"]
+    message = "ArithmeticError: continued fraction walk ends before its cycle closes"
+    assert out.splitlines() == [message, message, "True"]
 
 
-def test_minkowski_pool_covered():
+def test_dropped_cycle_checked_under_optimize(run_optimized):
+    # Cl of quad:79 is cyclic of order 3, so no two of its three cycles
+    # are closed under products.  Without its last cycle, the principal
+    # one, the unit ideal walks to a key beyond h; without its first, a
+    # product of representatives walks to no known class.  With asserts
+    # stripped both must raise
+    out = run_optimized(
+        "from quatforms import numberfield\n"
+        "cycles = numberfield._reduced_cycles\n"
+        "for part in (slice(-1), slice(1, None)):\n"
+        "    numberfield._reduced_cycles = lambda D: cycles(D)[part]\n"
+        "    try:\n"
+        "        print('returned', numberfield.make_quadratic_field(79).class_number)\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('ArithmeticError:', exc)\n"
+    )
+    assert out.splitlines() == [
+        "ArithmeticError: class representatives do not walk to one key per class",
+        "ArithmeticError: ideal walks to a cycle of no known class",
+    ]
+
+
+@pytest.mark.parametrize("entries, message", [
+    # 2g and 3g in the row of an element g of order 4: a square changes
+    ("g, two", "narrow class group fails the genus count 2^(t-1)"),
+    # 3g and 0 in that row: the squares stay, associativity fails
+    ("two, three", "narrow class table is not a group with identity 0"),
+])
+def test_swapped_class_table_entry_checked_under_optimize(run_optimized, entries, message):
+    # Cl+ of quad:34 is cyclic of order 4 and D = 136 has two prime
+    # factors, so its squares are 2 of 4 classes; narrow_class answers
+    # the products of representatives in table order, two entries of a
+    # row swapped.  With asserts stripped the field layer must raise
+    out = run_optimized(
+        "from quatforms import numberfield\n"
+        "mul = numberfield.make_quadratic_field(34).narrow_mul\n"
+        "g = next(i for i in range(4) if mul[i][i])\n"
+        "two = mul[g][g]\n"
+        "three = mul[g][two]\n"
+        "table = [row[:] for row in mul]\n"
+        f"j, k = {entries}\n"
+        "table[g][j], table[g][k] = table[g][k], table[g][j]\n"
+        "answers = iter([x for row in table for x in row])\n"
+        "numberfield.FieldCtx.narrow_class = lambda self, a: next(answers)\n"
+        "try:\n"
+        "    print('returned', numberfield.make_quadratic_field(34).narrow_mul)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith(f"ArithmeticError: {message}")
+
+
+def test_small_primes_classified():
     for d in (10, 85):
         F = make_quadratic_field(d)
         for pr in F.prime_ideals_up_to(10):
