@@ -15,10 +15,10 @@ classes found so far; a column short of Np + 1 neighbors has a neighbor
 in a new class, the first neighbor lattice that no witness gives.  The
 walk is certified complete by the exact Eichler mass, and it keeps the
 columns it closed for compute_theta, which fills the columns at the
-other primes.  Free and disjoint unit orbits, a bound of Np + 1 on every
-column, one containment check L * b in a per pair of classes, a norm
-check of every witness, and column sums of exactly Np + 1 certify the
-table.
+other primes.  Unit images that fit their packed slots, free and
+disjoint unit orbits, a bound of Np + 1 on every column, one containment
+check L * b in a per pair of classes, a norm check of every witness, and
+column sums of exactly Np + 1 certify the table.
 """
 
 from collections import Counter
@@ -367,7 +367,8 @@ class _ClassUnits(NamedTuple):
     integer coefficients of unit g over it, and lefts and rights the
     left and right matrices of the s_j (QuatAlgebra.left_matrix,
     right_matrix).  Multiplication is linear, so each unit's matrix on a
-    lattice is sum_j coeffs[g][j] times that of s_j (_unit_matrices).
+    lattice is sum_j coeffs[g][j] times that of s_j, which is how the
+    units are packed on each lattice (_unit_matrices).
     """
 
     nr_inv: object
@@ -409,10 +410,10 @@ class _BrandtCells:
 
     classes[i] holds the _ClassUnits of class i; pairs[(ai, bi)] holds
     L = a * b^-1, checked once to satisfy L * b in a (_brandt_cell), with
-    its stacked left and right unit matrices; columns[(bi, p)], p a prime
-    ideal, holds the cells of the Brandt column (b, p) in class order:
-    the witness coordinates on L of each cell searched, until the column
-    closed at Np + 1 orbits.
+    its packed left and right units (_unit_matrices); columns[(bi, p)],
+    p a prime ideal, holds the cells of the Brandt column (b, p) in class
+    order: the witness coordinates on L of each cell searched, until the
+    column closed at Np + 1 orbits.
     """
 
     classes: list = field(default_factory=list)
@@ -612,83 +613,172 @@ def _norm_coset_targets(alg, G):
     return out
 
 
-def _unit_matrices(L, coeffs, lams):
-    """Integer matrices of multiplication by units on L, stacked.
+class _UnitKeys(NamedTuple):
+    """The units of one class acting on a lattice L by packed integers.
+
+    The key of a coordinate vector y of length n holds each entry y_t
+    plus 2^(W-1) in a W-bit slot, entry 0 most significant, as n W / 8
+    big-endian bytes.  While every |y_t| < 2^(W-1) no slot carries, so
+    keys order like the tuples they encode, and as integers a key k and
+    2 B - k encode y and -y, B the key of the zero vector.  The images of
+    x under the m units take m chunks of n W bits, unit 0 most
+    significant: polys[i] holds row i of every unit matrix in those
+    slots, and bias holds B in every chunk, so bias + sum_i x_i polys[i]
+    holds every image of x at once (_unit_keys).  width is W, a multiple
+    of 8, bound an E >= |entry| of every unit matrix (_unit_bound), and
+    count is m.
+    """
+
+    polys: list
+    bias: int
+    width: int
+    bound: int
+    count: int
+
+
+def _span_matrices(L, lams):
+    """The integer matrices M_j of multiplication by the span elements
+    s_j of a class's units on L.
 
     lams holds the pairs (lam, d) of QuatAlgebra.left_matrix or
-    right_matrix for the span elements s_j of a class's units, and
-    coeffs[g] the coefficients of unit g over them (_ClassUnits),
-    computed once per class rather than once per lattice.  L must be a
-    module over the order holding the units, on that side: row i of the
-    matrix M_j holds the coordinates of rows[i] / den times s_j (s_j
-    times it, for left matrices) on the basis rows, so the image of x
-    over the rows is x M_j, and M_g = sum_j coeffs[g][j] M_j.  So only
-    the k span matrices are solved on L.  Row i of the result is row i
-    of every M_g in turn, the form _images uses.
+    right_matrix for the s_j (_ClassUnits).  L must be a module over the
+    order holding the units, on that side: row i of M_j holds the
+    coordinates of rows[i] / den times s_j (s_j times it, for left
+    matrices) on the basis rows, so the image of x over the rows is x M_j.
+
+    Certificate: the coordinates are integers, else ArithmeticError.
     """
-    flats = []
+    mats = []
     for lam, d in lams:
         m = L.int_coords(int_product(L.rows, lam), L.den * d)
         if m is None:
             raise ArithmeticError("unit does not preserve the lattice")
-        flats.append([v for row in m for v in row])
-    n = len(L.rows)
-    out = [[] for _ in range(n)]
+        mats.append(m)
+    return mats
+
+
+def _unit_bound(mats, coeffs):
+    """E = max_g sum_j |coeffs[g][j]| max |entry of mats[j]|, which bounds
+    every entry of every unit matrix M_g = sum_j coeffs[g][j] mats[j]."""
+    peaks = [max(abs(v) for row in m for v in row) for m in mats]
+    return max(sum(abs(c) * e for c, e in zip(cg, peaks)) for cg in coeffs)
+
+
+def _pack_units(mats, coeffs, bound, width):
+    """The _UnitKeys of the units M_g = sum_j coeffs[g][j] mats[j] at
+    slots of width bits, a multiple of 8 with bound < 2^(width - 1).
+
+    Row i of mats[j] is packed once into one integer R_ji; row i of M_g
+    is then sum_j coeffs[g][j] R_ji, written biased as the bytes of one
+    chunk, and polys[i] is the integer of the m chunks less the bias.
+    """
+    n = len(mats[0])
+    shifts = [(n - 1 - t) * width for t in range(n)]
+    zero = sum(1 << (width - 1) << s for s in shifts)
+    step = n * width >> 3
+    rows = [[sum(v << s for v, s in zip(row, shifts)) for row in m] for m in mats]
+    chunks = [[] for _ in range(n)]
     for cg in coeffs:
-        # the entries of M_g, row by row, over the nonzero coefficients only
-        acc = None
-        for c, w in zip(cg, flats):
-            if c:
-                acc = [c * v for v in w] if acc is None else [a + c * v for a, v in zip(acc, w)]
-        for i, row in enumerate(out):
-            row += acc[i * n:(i + 1) * n]
-    return out
+        terms = [(c, r) for c, r in zip(cg, rows) if c]
+        for i, out in enumerate(chunks):
+            out.append((zero + sum(c * r[i] for c, r in terms)).to_bytes(step, "big"))
+    bias = int.from_bytes(zero.to_bytes(step, "big") * len(coeffs), "big")
+    polys = [int.from_bytes(b"".join(out), "big") - bias for out in chunks]
+    return _UnitKeys(polys=polys, bias=bias, width=width, bound=bound, count=len(coeffs))
 
 
-def _images(x, stacked):
-    """The images x M_g of x under the units of stacked (_unit_matrices),
-    in unit order, each sign-normalized: the first nonzero entry
-    positive, as the norm equation walk gives its vectors."""
-    acc = None
-    for xi, row in zip(x, stacked):
+def _unit_matrices(L, ca, cb):
+    """The left units of class a and the right units of class b acting on
+    L = a * b^-1 by packed integers (_UnitKeys), with one slot width.
+
+    Only the span matrices of each class are solved on L
+    (_span_matrices); the m unit matrices are packed from them by the
+    coefficients of each unit (_ClassUnits), once per pair of classes.
+    Left and right keys share the width W = bit_length(E) + 64, rounded
+    up to a multiple of 8, E the larger bound of the two sides
+    (_unit_bound), so a vector's images are exact while its l1 norm stays
+    below 2^63 (_unit_keys checks the bound on every vector).
+    """
+    sides = [(_span_matrices(L, ca.lefts), ca.coeffs), (_span_matrices(L, cb.rights), cb.coeffs)]
+    bounds = [_unit_bound(mats, coeffs) for mats, coeffs in sides]
+    width = (max(bounds).bit_length() + 71) >> 3 << 3
+    return tuple(
+        _pack_units(mats, coeffs, e, width) for (mats, coeffs), e in zip(sides, bounds)
+    )
+
+
+def _check_width(x, units):
+    """Certificate: ||x||_1 E < 2^(W-1), so no image of x, nor x itself
+    (the identity is a unit, so E >= 1), leaves its slots; else
+    ArithmeticError."""
+    if sum(map(abs, x)) * units.bound >> (units.width - 1):
+        raise ArithmeticError("unit image exceeds the slot width")
+
+
+def _vector_key(x, units):
+    """The key of the coordinate vector x at the slots of units."""
+    _check_width(x, units)
+    half, size = 1 << (units.width - 1), units.width >> 3
+    return b"".join((v + half).to_bytes(size, "big") for v in x)
+
+
+def _key_vector(key, units):
+    """The coordinate vector a key at the slots of units encodes."""
+    half, size = 1 << (units.width - 1), units.width >> 3
+    return tuple(int.from_bytes(key[i:i + size], "big") - half for i in range(0, len(key), size))
+
+
+def _unit_keys(x, units):
+    """The keys of the images x M_g of x under units, in unit order, each
+    sign-normalized: the larger of the keys of y and -y, whose first
+    nonzero entry is positive, as the norm equation walk gives its
+    vectors.  One sum bias + sum_i x_i polys[i] holds every image, and
+    2 bias minus it every negated one; each key is one slice of their
+    bytes."""
+    _check_width(x, units)
+    acc = units.bias
+    for xi, p in zip(x, units.polys):
         if xi:
-            acc = [xi * r for r in row] if acc is None else [a + xi * r for a, r in zip(acc, row)]
-    n = len(x)
-    out = []
-    for k in range(0, len(acc), n):
-        y = acc[k:k + n]
-        out.append(tuple(y) if next(v for v in y if v) > 0 else tuple([-v for v in y]))
-    return out
+            acc += xi * p
+    step = len(x) * units.width >> 3
+    size = step * units.count
+    pos = acc.to_bytes(size, "big")
+    neg = ((units.bias << 1) - acc).to_bytes(size, "big")
+    return [max(pos[i:i + step], neg[i:i + step]) for i in range(0, size, step)]
 
 
 def _double_coset_orbits(seeds, left, right, covered, room):
     """Witnesses of the left unit orbits met by the double cosets of seeds.
 
     seeds are sign-normalized coordinate vectors of one norm equation,
-    drawn lazily; left and right are the stacked matrices of
-    _unit_matrices for G_a (left) and G_b (right), each group taken
-    modulo +-1.  A seed x in no orbit found so far gives the left orbits
-    of its right translates x h, h in G_b: G_a x G_b is a union of left
-    orbits, and every vector of the orbits found goes into covered.  The
-    lexicographic minimum of each new orbit is its witness.  The draw
-    stops once room orbits are found: room is what the Brandt column has
-    left of its Np + 1 neighbors.
+    drawn lazily; left and right are the packed units of _unit_matrices
+    for G_a (left) and G_b (right), each group taken modulo +-1.  The
+    units act on keys (_unit_keys): a seed x whose key lies in no orbit
+    found so far gives the left orbits of its right translates x h, h in
+    G_b, since G_a x G_b is a union of left orbits, and the key of every
+    vector of the orbits found goes into covered.  The least key of each
+    new orbit is its witness, the lexicographic minimum of the orbit, and
+    only the witnesses (and the translates that seed new orbits) are
+    decoded back to coordinate vectors.  The draw stops once room orbits
+    are found: room is what the Brandt column has left of its Np + 1
+    neighbors.
 
-    Certificates, each raising ArithmeticError: every left orbit has
+    Certificates, each raising ArithmeticError: every vector whose images
+    are cut fits the slot width (_check_width), every left orbit has
     |G_a| distinct elements and holds its seed translate, no orbit meets
     one found before, and the double cosets drawn hold no more than room
     orbits.
     """
     out = []
     for x in seeds:
-        if x in covered:
+        if _vector_key(x, right) in covered:
             continue
-        for y in _images(x, right):
+        for y in _unit_keys(x, right):
             if y in covered:
                 continue
-            images = _images(y, left)
-            orbit = set(images)
-            if len(orbit) != len(images) or y not in orbit:
+            keys = _unit_keys(_key_vector(y, left), left)
+            orbit = set(keys)
+            if len(orbit) != len(keys) or y not in orbit:
                 raise ArithmeticError("left unit orbit is not free through its seed")
             if not covered.isdisjoint(orbit):
                 raise ArithmeticError("left unit orbits of a cell overlap")
@@ -698,7 +788,7 @@ def _double_coset_orbits(seeds, left, right, covered, room):
             if len(out) > room:
                 raise ArithmeticError("Brandt column exceeds Np + 1 orbits")
             break
-    return out
+    return [_key_vector(k, left) for k in out]
 
 
 def _brandt_column(cs, bi, pr):
@@ -711,9 +801,9 @@ def _brandt_column(cs, bi, pr):
     class (_class_units: the span of its norm-one units, and the unit
     coefficients over it) is taken once, when the first column after the
     class joined is filled; each pair of classes then solves only the
-    span's matrices on L = a * b^-1 (_unit_matrices).  Returns the
-    witness coordinates of each cell searched (_brandt_cell), on the
-    basis of L.
+    span's matrices on L = a * b^-1 and packs its units from them
+    (_unit_matrices).  Returns the witness coordinates of each cell
+    searched (_brandt_cell), on the basis of L.
     """
     br = cs.brandt
     # the unit data of the classes that joined since the last fill
@@ -753,11 +843,7 @@ def _brandt_cell(cs, ai, bi, pr, room):
         lb = [r for u in L.rows for r in int_product(b.rows, L.alg.left_matrix(u)[0])]
         if a.int_coords(lb, b.den * L.den) is None:
             raise ArithmeticError("L * b does not lie in a for L = a * b^-1")
-        br.pairs[ai, bi] = (
-            L,
-            _unit_matrices(L, ca.coeffs, ca.lefts),
-            _unit_matrices(L, cb.coeffs, cb.rights),
-        )
+        br.pairs[ai, bi] = (L, *_unit_matrices(L, ca, cb))
     L, left, right = br.pairs[ai, bi]
     forms, D = L.norm_forms()
     covered = set()
@@ -822,14 +908,16 @@ def compute_theta(cs, bound):
     cell lists the lexicographic minima of its orbits, sorted per
     target.  The columns compute_class_set closed at the support primes
     are taken as they are, and only the others are filled.  Solutions
-    stay integer coordinate vectors on the basis of L throughout: the
-    units act on them by integer matrices, each a combination of the
-    matrices of a few span elements (_unit_matrices), the witness checks
-    run on the norm forms of L, and only the witnesses become
-    quaternions.
+    are integer coordinate vectors on the basis of L: the units act on
+    them by packed integers, one per coordinate of L, that hold every
+    unit matrix at once, each a combination of the matrices of a few span
+    elements (_unit_matrices), so one integer sum gives every image of a
+    vector as a key.  The orbits are sets of keys, only the orbit minima
+    are decoded back to coordinate vectors, the witness checks run on the
+    norm forms of L, and only the witnesses become quaternions.
 
     Certificates, each raising ArithmeticError: a narrowly trivial J has
-    a totally positive generator, the orbit checks of
+    a totally positive generator, the slot width and orbit checks of
     _double_coset_orbits, L * b lies in a for each pair of classes (one
     check per pair, _brandt_cell), every witness u takes the target
     values on the norm forms of L, and the neighbors of each b at each p

@@ -87,15 +87,14 @@ def _continued_fraction(D: int, P: int, Q: int) -> Iterator[tuple[int, int, int,
         q1, q2 = a * q1 + q2, q1
 
 
-def _fundamental_unit_quadratic(d: int) -> tuple[int, int]:
-    """Coordinates over (1, omega) of the fundamental unit eps > 1.
+def _fundamental_unit_quadratic(F: FieldCtx) -> tuple[int, int]:
+    """Coordinates over (1, omega) of the fundamental unit eps > 1 of F.
 
     x_0 = omega + m, m = floor((sqrt D - t1)/2), is reduced, so its
     period closes when Q_k returns to 2, and eps = q_(l-1) x_0 + q_(l-2)
     for the period length l (Buchmann-Vollmer, Binary Quadratic Forms,
     the cycle of reduced forms).  Certified by N(eps) = +-1.
     """
-    F = FieldCtx(d)
     D, t1 = F.disc, F.t1
     m = (isqrt(D) - t1) // 2
     period = itertools.islice(_continued_fraction(D, t1 + 2 * m, 2), 1, None)
@@ -583,7 +582,7 @@ def make_quadratic_field(d: int) -> FieldCtx:
     narrow_mul is a group table with identity row 0.
     """
     F = FieldCtx(d)
-    F.fundamental_units = [F.el(_fundamental_unit_quadratic(d))]
+    F.fundamental_units = [F.el(_fundamental_unit_quadratic(F))]
     F.zeta_minus_one = siegel_zeta_quadratic(F.disc)
     cycles = _reduced_cycles(F.disc)
     reps = [F.unit_ideal()]

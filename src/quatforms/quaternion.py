@@ -33,12 +33,14 @@ from .arith import factor_int
 from .intmat import (
     abs_det,
     canonical_lattice,
+    hnf_rows,
     int_product,
     integral_preimage_rows,
     inverse_rows,
     lattice_coords,
 )
 from .latticetools import _quad, enumerate_norm, iter_norm
+from .numberfield import FieldIdeal
 from .residue import (
     LatticeQuotient,
     center_rows,
@@ -412,15 +414,19 @@ class QuatLattice:
     def nr_ideal(self):
         """Field ideal generated by reduced norms of lattice elements."""
         if self._nr is None:
+            F = self.alg.base
             forms, scale = self.norm_forms()
             m = len(self.rows)
-            # nr(b_i) on the diagonal, trd(b_i conj(b_j)) off it
-            gens = [
-                tuple(Fraction(N[i][j] * (1 if i == j else 2), scale) for N in forms)
+            # scale nr(b_i) on the diagonal, scale trd(b_i conj(b_j)) off
+            # it; the ideal over scale is the O_F-span of the HNF basis of
+            # their Z-span
+            gens = hnf_rows([
+                [N[i][j] * (1 if i == j else 2) for N in forms]
                 for i in range(m)
                 for j in range(i, m)
-            ]
-            self._nr = self.alg.base.ideal(*gens)
+            ])
+            rows = [row for g in gens for row in F.rep_rows(g)]
+            self._nr = FieldIdeal(F, *canonical_lattice(rows, scale, F.degree))
         return self._nr
 
     def inverse(self):
@@ -444,12 +450,13 @@ class QuatLattice:
         """Determinant of the Z-Gram of Tr_{F/Q}(trd(x * conj(y))).
 
         The Gram is positive definite, and trace_form_gram at w = 1 gives
-        it as gram / scale on the m basis rows, so its determinant is
-        abs_det(gram) / scale^m.
+        it as (2 g / D) gram on the m basis rows, so its determinant is
+        abs_det(gram) (2 g / D)^m.
         """
         if self._disc is None:
-            gram, scale = trace_form_gram(self, self.alg.base.one)
-            self._disc = abs_det(gram) / scale ** len(self.rows)
+            gram, g = trace_form_gram(self, (1, 0))
+            _, D = self.norm_forms()
+            self._disc = abs_det(gram) * Fraction(2 * g, D) ** len(self.rows)
         return self._disc
 
 
@@ -697,29 +704,27 @@ def hilbert_ramification_free_algebra(F):
 
 
 def trace_form_gram(lat, w):
-    """(gram, scale): scale times the Gram of Tr(w trd(x conj(y))) on lat.
+    """(gram, g): the Gram of Tr(w trd(x conj(y))) on lat is (2 g / D)
+    gram, D = 2 den^2 the denominator of the norm forms.
 
-    The Gram is taken on the basis rows of the lattice and built from its
-    integer norm forms; gram is the primitive integer multiple.  It is
-    positive definite when the field element w is totally positive.
+    w is a field element with integer coordinates.  The Gram is taken on
+    the basis rows of the lattice and built from its integer norm forms
+    with the integer weights Tr(w w_k), w_k the integral basis of the
+    field; gram is its primitive integer multiple and g the gcd divided
+    out.  It is positive definite when w is totally positive.
     """
     F = lat.alg.base
-    forms, D = lat.norm_forms()
-    # Tr(w trd(x conj y)) = (2 / D) sum_k Tr(w w_k) x forms[k] y^T
-    weights = [
-        F.trace(F.mul(w, tuple(int(s == k) for s in range(F.degree))))
-        for k in range(F.degree)
-    ]
-    den = lcm(*(t.denominator for t in weights))
-    ints = [int(t * den) for t in weights]
+    forms, _ = lat.norm_forms()
+    # Tr(w trd(x conj y)) = (2 / D) sum_k Tr(w w_k) x forms[k] y^T, and
+    # row k of the matrix of w is w_k w
+    weights = [F.trace(row) for row in F.rep_rows(w)]
     m = len(forms[0])
     gram = [
-        [sum(t * N[i][j] for t, N in zip(ints, forms)) for j in range(m)]
+        [sum(t * N[i][j] for t, N in zip(weights, forms)) for j in range(m)]
         for i in range(m)
     ]
     g = gcd(*(v for row in gram for v in row))
-    gram = [[v // g for v in row] for row in gram]
-    return gram, Fraction(den * D, 2 * g)
+    return [[v // g for v in row] for row in gram], g
 
 
 def _norm_shell(lat, alpha):
@@ -727,32 +732,35 @@ def _norm_shell(lat, alpha):
     latticetools.iter_norm, all in ints, or None when no lattice vector
     can have that norm.
 
-    With w = N(alpha) / alpha, a solution x has w nr(x) = N(alpha), a
-    rational number, so it lies on the shell Tr(w trd(x conj x)) =
-    2 n N(alpha) of the form weighted by w (n the field degree).  The
-    weight is totally positive exactly when alpha is, which makes the
-    form definite and the shell finite.  The walk runs on the integer
-    Gram of trace_form_gram, where the shell value is scale * 2 n
-    N(alpha); that Gram is integral, so a value that is not an integer
-    has no vector on it.  A shell vector is kept when each norm form
-    takes the value D * alpha_k on it; the forms are tested on the
-    LLL-reduced coordinates, and only solutions are mapped back.  No
-    ambient vector and no Fraction is built per shell vector.
+    A solution x has D nr(x) = A for the integer A = D alpha, since the
+    norm forms take integer values, so a target whose A is not integral
+    has none.  With w = sigma(A) the conjugate, w nr(x) = N(A) / D, a
+    rational number, so x lies on the shell Tr(w trd(x conj x)) =
+    2 n N(A) / D (n = 2 the field degree) of the form weighted by w,
+    whose Gram is (2 g / D) gram (trace_form_gram): the shell value on
+    the integer gram is 2 N(A) / g.  The
+    weight is totally positive exactly when alpha is, N(alpha) > 0 and
+    Tr(alpha) > 0, which makes the form definite and the shell finite.
+    gram is integral, so a value that is not an integer has no vector on
+    it.  A shell vector is kept when each norm form takes the value A_k
+    on it; the forms are tested on the LLL-reduced coordinates, and only
+    solutions are mapped back.  No ambient vector and no Fraction is
+    built per shell vector.
     """
     F = lat.alg.base
     alpha = F.el(alpha) if not isinstance(alpha, int) else F.from_int(alpha)
-    if not F.is_totally_positive(alpha):
+    if F.norm(alpha) <= 0 or F.trace(alpha) <= 0:
         raise ValueError("norm target must be totally positive")
     forms, D = lat.norm_forms()
-    want = [D * a for a in alpha]
-    if any(v.denominator != 1 for v in want):
+    A = [D * a for a in alpha]
+    if any(v.denominator != 1 for v in A):
         return None  # D nr(x) is integral on the lattice
-    nm = F.norm(alpha)
-    gram, scale = trace_form_gram(lat, F.smul(nm, F.inv(alpha)))
-    value = scale * 2 * F.degree * nm
-    if value.denominator != 1:
-        return None  # the Gram is integral
-    return gram, int(value), [(N, int(v)) for N, v in zip(forms, want)]
+    A = [v.numerator for v in A]
+    gram, g = trace_form_gram(lat, (A[0] + F.t1 * A[1], -A[1]))
+    value, rest = divmod(2 * F.norm(A), g)
+    if rest:
+        return None  # gram is integral
+    return gram, value, list(zip(forms, A))
 
 
 def iter_norm_equation_coords(lat, alpha):

@@ -4,8 +4,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import quatforms
+
+# CI runs the "ci" profile (HYPOTHESIS_PROFILE=ci): derandomized, so a
+# failing example there is the one a local run of that profile draws;
+# local runs keep the default, random profile
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 SRC = str(Path(quatforms.__file__).resolve().parents[1])
 

@@ -11,8 +11,9 @@ lattice coordinates built on them, the quaternion product in closed form
 (ref_mul), the structure table from it and the order test on basis
 vectors, the lattice product over all products of basis rows
 (ref_compose), the class set by isomorphism tests of every neighbor
-(ref_class_set), the theta table by full enumeration of every cell, and
-principal generators of field ideals by a brute-force search of a box
+(ref_class_set), the theta table by full enumeration of every cell, the
+images of a coordinate vector under stacked unit matrices by one list pass
+per coordinate (ref_unit_images), and principal generators of field ideals by a brute-force search of a box
 around the ellipse of trace forms up to a bound linear in the
 fundamental unit (ref_principal_generator), and the class of a field
 ideal by one principality test per representative (ref_narrow_class).
@@ -375,6 +376,31 @@ def ref_theta_entries(cs, bound):
                 if xs:
                     entries[(pi, ai, bi)] = xs
     return entries
+
+
+def ref_unit_images(x, mats, coeffs):
+    """The images x M_g, M_g = sum_j coeffs[g][j] mats[j], in unit order
+    and not sign-normalized, by lists.
+
+    Row i of the stacked form holds row i of every M_g in turn, the
+    entries of M_g taken over the nonzero coefficients only; the images
+    are one list pass per nonzero coordinate of x, cut into chunks of n.
+    """
+    n = len(x)
+    flats = [[v for row in m for v in row] for m in mats]
+    stacked = [[] for _ in range(n)]
+    for cg in coeffs:
+        acc = [0] * (n * n)
+        for c, w in zip(cg, flats):
+            if c:
+                acc = [a + c * v for a, v in zip(acc, w)]
+        for i, row in enumerate(stacked):
+            row += acc[i * n:(i + 1) * n]
+    acc = [0] * (n * len(coeffs))
+    for xi, row in zip(x, stacked):
+        if xi:
+            acc = [a + xi * r for a, r in zip(acc, row)]
+    return [tuple(acc[k:k + n]) for k in range(0, len(acc), n)]
 
 
 def ref_class_set(R):

@@ -10,9 +10,14 @@ from hypothesis import given, settings, strategies as st
 from quatforms.classset import (
     _class_units,
     _double_coset_orbits,
-    _images,
+    _key_vector,
     _norm_one_units,
+    _pack_units,
+    _span_matrices,
+    _unit_bound,
+    _unit_keys,
     _unit_matrices,
+    _vector_key,
     compute_class_set,
     compute_theta,
     eichler_mass,
@@ -36,6 +41,7 @@ from fraction_refs import (
     ref_lmul,
     ref_pair,
     ref_theta_entries,
+    ref_unit_images,
 )
 from quatforms import numberfield
 from quatforms.intmat import integral_preimage_rows, integral_rows
@@ -400,6 +406,19 @@ def test_class_set_table_to_105(d):
     cs = compute_class_set(R, narrow_support(F))
     assert (F.class_number, F.narrow_class_number, cs.size, cs.mass) == CLASS_SETS_TO_105[d]
     assert cs.mass == eichler_mass(F)
+    # the packed units on the pairs the walk built, and on the order itself,
+    # give the images of the list reference
+    br = cs.brandt
+    rng = random.Random(d)
+    pairs = sorted(br.pairs)
+    for ai, bi in [(0, 0)] + rng.sample(pairs, min(6, len(pairs))):
+        L = br.pairs[ai, bi][0] if (ai, bi) in br.pairs else R
+        ca, cb = (br.classes[i] if i < len(br.classes) else _class_units(cs, i) for i in (ai, bi))
+        x = tuple(rng.randint(-2 ** 20, 2 ** 20) for _ in range(8))
+        for units, cu, lams in zip(_unit_matrices(L, ca, cb), (ca, cb), (ca.lefts, cb.rights)):
+            want = ref_unit_images(x, _span_matrices(L, lams), cu.coeffs)
+            assert [_key_vector(k, units) for k in _unit_keys(x, units)] == [
+                sign_normal(y) for y in want]
 
 
 def test_class_set_walks_a_split_prime_at_narrow_class_number_one():
@@ -1021,16 +1040,20 @@ def test_theta_containment_checked_under_optimize(run_optimized):
 
 
 def test_double_coset_certificates_under_optimize(run_optimized):
-    # unit matrices that are no group, on three coordinates: a repeated
+    # packed units that are no group, on three coordinates: a repeated
     # unit leaves an orbit short of |G_a| elements, a shift e1 -> e2 ->
     # e3 makes the orbits of e2 and e1 meet, and a right translate that
     # moves e1 to e2 under trivial left units gives two orbits where the
     # column has room for one.  Each must raise with asserts stripped
     out = run_optimized(
-        "from quatforms.classset import _double_coset_orbits\n"
-        "one = [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]]\n"
-        "shift = [[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0]]\n"
-        "ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+        "from quatforms.classset import _double_coset_orbits, _pack_units, _unit_bound\n"
+        "I = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+        "S = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]\n"
+        "def units(mats, coeffs):\n"
+        "    return _pack_units(mats, coeffs, _unit_bound(mats, coeffs), 72)\n"
+        "one = units([I], [[1], [1]])\n"
+        "shift = units([I, S], [[1, 0], [0, 1]])\n"
+        "ident = units([I], [[1]])\n"
         "e1, e2 = (1, 0, 0), (0, 1, 0)\n"
         "cases = ((one, ident, [e1], 3), (shift, ident, [e2, e1], 3), (ident, shift, [e1], 1))\n"
         "for left, right, seeds, room in cases:\n"
@@ -1046,12 +1069,18 @@ def test_double_coset_certificates_under_optimize(run_optimized):
     ]
 
 
+def packed(mats, coeffs):
+    """The _UnitKeys of the units sum_j coeffs[g][j] mats[j], at 72-bit
+    slots."""
+    return _pack_units(mats, coeffs, _unit_bound(mats, coeffs), 72)
+
+
 def test_double_coset_orbits_stop_at_room():
     # on Z^2 with no left unit but the identity and the swap as a right
     # translate, the seed (1, 2) gives the orbits of (1, 2) and (2, 1);
     # once the room is used up no further seed is drawn
-    ident = [[1, 0], [0, 1]]
-    swap = [[1, 0, 0, 1], [0, 1, 1, 0]]
+    ident = packed([[[1, 0], [0, 1]]], [[1]])
+    swap = packed([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [[1, 0], [0, 1]])
     drawn = []
 
     def seeds():
@@ -1062,10 +1091,81 @@ def test_double_coset_orbits_stop_at_room():
     covered = set()
     assert _double_coset_orbits(seeds(), ident, swap, covered, 2) == [(1, 2), (2, 1)]
     assert drawn == [(1, 2)]
-    assert covered == {(1, 2), (2, 1)}
+    assert {_key_vector(k, ident) for k in covered} == {(1, 2), (2, 1)}
     assert _double_coset_orbits(iter([(2, 1), (3, 4)]), ident, swap, covered, 5) == [
         (3, 4), (4, 3)
     ]
+
+
+def zero_safe_sign_normal(y):
+    """sign_normal, with the zero vector left as it is."""
+    return sign_normal(y) if any(y) else y
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unit_keys_match_list_reference(data):
+    # random span matrices and unit coefficients, packed at the tightest
+    # slot width the check allows for x: the keys decode to the images of
+    # the list reference, sign-normalized; raw keys decode to the raw
+    # images and order like them; and max(k, 2B - k) is the normalized key
+    n = data.draw(st.integers(1, 8), label="n")
+    k = data.draw(st.integers(1, 8), label="k")
+    m = data.draw(st.integers(1, 70), label="m")
+    entries = st.integers(-2 ** 40, 2 ** 40)
+    mats = data.draw(st.lists(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=k, max_size=k), label="mats")
+    coeffs = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                                min_size=m, max_size=m), label="coeffs")
+    x = tuple(data.draw(st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=n, max_size=n),
+                        label="x"))
+    bound = _unit_bound(mats, coeffs)
+    reach = max(sum(map(abs, x)), 1) * max(bound, 1)
+    width = (reach.bit_length() + 8) >> 3 << 3
+    units = _pack_units(mats, coeffs, bound, width)
+    raw = ref_unit_images(x, mats, coeffs)
+    keys = _unit_keys(x, units)
+    assert [_key_vector(key, units) for key in keys] == [zero_safe_sign_normal(y) for y in raw]
+    assert _key_vector(_vector_key(x, units), units) == x
+    # the raw keys: chunk g of bias + sum_i x_i polys[i]
+    step = n * width >> 3
+    total = (units.bias + sum(xi * p for xi, p in zip(x, units.polys))).to_bytes(m * step, "big")
+    cut = [total[g * step:(g + 1) * step] for g in range(m)]
+    assert [_key_vector(key, units) for key in cut] == raw
+    assert sorted(range(m), key=cut.__getitem__) == sorted(range(m), key=raw.__getitem__)
+    twice_zero = 2 * int.from_bytes(_vector_key((0,) * n, units), "big")
+    for key, normal in zip(cut, keys):
+        key = int.from_bytes(key, "big")
+        assert max(key, twice_zero - key) == int.from_bytes(normal, "big")
+    if width > 8 and any(x) and bound:
+        # one byte less and the width check refuses x
+        with pytest.raises(ArithmeticError, match="unit image exceeds the slot width"):
+            _unit_keys(x, units._replace(width=width - 8))
+
+
+def test_slot_width_checked_under_optimize(run_optimized):
+    # units whose entry bound E is forced past the slot must be refused
+    # before any image is cut, with asserts stripped: in the walk of
+    # quad:10, and in theta on quad:5, whose one class needs no walk
+    out = run_optimized(
+        "from quatforms import classset\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
+        "pack = classset._pack_units\n"
+        "def forced(mats, coeffs, bound, width):\n"
+        "    return pack(mats, coeffs, bound, width)._replace(bound=1 << width)\n"
+        "classset._pack_units = forced\n"
+        "for spec in ('quad:10', 'quad:5'):\n"
+        "    F = field_from_spec(spec)\n"
+        "    R = maximalize(hilbert_ramification_free_algebra(F).standard_order())\n"
+        "    try:\n"
+        "        cs = classset.compute_class_set(R, classset.narrow_support(F))\n"
+        "        print('returned', classset.compute_theta(cs, 4))\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('ArithmeticError:', exc)\n"
+    )
+    assert out.splitlines() == ["ArithmeticError: unit image exceeds the slot width"] * 2
 
 
 @pytest.mark.parametrize("spec,bound", [("quad:3", 4), ("quad:5", 11), ("quad:10", 12),
@@ -1141,8 +1241,8 @@ SPAN_RANKS = {"quad:5": [8], "quad:10": [4, 4, 2, 2], "quad:85": [4, 2, 1, 4, 2,
 
 @pytest.mark.parametrize("spec", ["quad:5", "quad:10", "quad:85"])
 def test_unit_matrices_match_quaternion_products(spec):
-    # the images of x under the stacked unit matrices, built from the span
-    # of each class's units, are the coordinates of g * x (norm-one units of
+    # the images of x under the packed units, built from the span of each
+    # class's units, decode to the coordinates of g * x (norm-one units of
     # O_l(a)) and of x * h (those of O_l(b)) on the basis of L = a * b^-1,
     # sign-normalized, in unit order
     cs = class_set(spec)
@@ -1157,9 +1257,10 @@ def test_unit_matrices_match_quaternion_products(spec):
         u = L.vector(x)
         left = _norm_one_units(alg, cs.unit_groups[ai])
         right = _norm_one_units(alg, cs.unit_groups[bi])
-        ys = _images(x, _unit_matrices(L, units[ai].coeffs, units[ai].lefts))
+        lefts, rights = _unit_matrices(L, units[ai], units[bi])
+        ys = [_key_vector(k, lefts) for k in _unit_keys(x, lefts)]
         assert [L.vector(y) for y in ys] == [sign_normal(alg.mul(g, u)) for g in left]
-        ys = _images(x, _unit_matrices(L, units[bi].coeffs, units[bi].rights))
+        ys = [_key_vector(k, rights) for k in _unit_keys(x, rights)]
         assert [L.vector(y) for y in ys] == [sign_normal(alg.mul(u, h)) for h in right]
 
 

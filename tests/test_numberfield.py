@@ -273,7 +273,7 @@ def test_fundamental_units_below_200():
     ds = [d for d in range(2, 200) if all(d % (q * q) for q in range(2, 15))]
     assert sorted(UNITS_BELOW_200) == ds
     for d, unit in UNITS_BELOW_200.items():
-        assert _fundamental_unit_quadratic(d) == unit, d
+        assert _fundamental_unit_quadratic(FieldCtx(d)) == unit, d
 
 
 # (h, h+) of every squarefree d <= 105, as the short-vector principality

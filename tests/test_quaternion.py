@@ -455,9 +455,10 @@ def test_trace_form_is_positive_definite():
     eps_sq = F10.mul(eps, eps)
     skewed = F10.smul(F10.norm(eps_sq), F10.inv(eps_sq))
     bs = lattice_basis(R)
-    for w in (F10.from_int(1), skewed):
-        gram, scale = trace_form_gram(R, w)
-        # the integer Gram is scale times the Fraction one from ref_pair
+    for w in ((1, 0), tuple(c.numerator for c in skewed)):
+        gram, g = trace_form_gram(R, w)
+        # the integer Gram is D / (2 g) times the Fraction one from ref_pair
+        scale = Fraction(R.norm_forms()[1], 2 * g)
         assert [[Fraction(v) / scale for v in row] for row in gram] == [
             [F10.trace(F10.mul(w, ref_pair(alg, x, y))) for y in bs] for x in bs
         ]
