@@ -6,16 +6,16 @@ two real embeddings, the trace form, the fundamental unit, the primes,
 class and narrow class data, and the value of the Dedekind zeta
 function at -1.
 
-make_quadratic_field computes every invariant from scratch.  One
-continued fraction walk gives the unit, from one period of the reduced
-omega + m, certified by its norm +-1.  Cl(F) and Cl+(F) are the cycles
-of the reduced (P, Q) of D (Buchmann-Vollmer, Binary Quadratic Forms),
-and one walk per ideal, kept on the context, runs into the cycle of its
-class: it gives a generator, certified by norm and membership, or None,
-and the class, a class being the index of its representative.  zeta(-1)
-is the finite divisor sum.  The primes above p are the roots of x^2 -
-t1 x - t0 mod p (Dedekind-Kummer), and the norm of the fundamental unit
-decides the totally positive units and the kernel of Cl+(F) -> Cl(F).
+make_quadratic_field computes every invariant from scratch.  Cl(F) and
+Cl+(F) are the cycles of the reduced (P, Q) of D (Buchmann-Vollmer,
+Binary Quadratic Forms), and one period of any cycle gives the unit:
+all cycles must give one unit, integral and of norm +-1.  One walk per
+ideal, kept on the context, stops at its first generator, certified by
+norm and membership, or else closes the cycle of its class; a class is
+the index of its representative.  zeta(-1) is the finite divisor sum.
+The primes above p are the roots of x^2 - t1 x - t0 mod p
+(Dedekind-Kummer), and the norm of the fundamental unit decides the
+totally positive units and the kernel of Cl+(F) -> Cl(F).
 
 Elements are coordinate tuples of Fractions over (1, omega), and their
 arithmetic is in closed form.  An element is (a + b sqrt D)/2 with a, b
@@ -87,24 +87,6 @@ def _continued_fraction(D: int, P: int, Q: int) -> Iterator[tuple[int, int, int,
         q1, q2 = a * q1 + q2, q1
 
 
-def _fundamental_unit_quadratic(F: FieldCtx) -> tuple[int, int]:
-    """Coordinates over (1, omega) of the fundamental unit eps > 1 of F.
-
-    x_0 = omega + m, m = floor((sqrt D - t1)/2), is reduced, so its
-    period closes when Q_k returns to 2, and eps = q_(l-1) x_0 + q_(l-2)
-    for the period length l (Buchmann-Vollmer, Binary Quadratic Forms,
-    the cycle of reduced forms).  Certified by N(eps) = +-1.
-    """
-    D, t1 = F.disc, F.t1
-    m = (isqrt(D) - t1) // 2
-    period = itertools.islice(_continued_fraction(D, t1 + 2 * m, 2), 1, None)
-    q, q_prev = next((q1, q2) for _, Q, q1, q2 in period if Q == 2)
-    eps = (q * m + q_prev, q)
-    if F.norm(eps) not in (1, -1):
-        raise ArithmeticError("continued fraction period gives no unit")
-    return eps
-
-
 def _sign_plus_root(a, b, D: int) -> int:
     """Sign of a + b sqrt(D) for rationals a, b and a non-square D > 0.
 
@@ -118,6 +100,11 @@ def _sign_plus_root(a, b, D: int) -> int:
     if not sa or D * b * b > a * a:
         return sb
     return sa
+
+
+# _cycle_walk's keys of the principal classes: the wide and trivial narrow
+# class, and the narrow class of ideals with no totally positive generator
+_PRINCIPAL, _PRINCIPAL_SIGNED = "principal", "principal, not totally positive"
 
 
 class FieldCtx:
@@ -166,7 +153,6 @@ class FieldCtx:
         self._narrow_keys = {}  # narrow key -> index into narrow_reps
         self._primes_cache = {}
         self._walks = {}  # (rows, den) -> _cycle_walk
-        self._positive_generators = {}  # (rows, den) -> narrowly_principal_generator
 
     # -- basic element arithmetic ------------------------------------
 
@@ -353,13 +339,16 @@ class FieldCtx:
         quotients theta_k = (P_k + sqrt D)/Q_k, and N(theta_k) < 0 exactly
         when P_k^2 < D.  Equivalent quadratic irrationals share the tails of
         their continued fractions (Lagrange), so the walk runs into the
-        cycle of reduced (P, Q) of the class of a; the wide key is its least
-        (P, Q), the narrow key the least reached by a multiplier of positive
-        norm, or by either sign when one period flips it.  p is principal
-        exactly when some |Q_k| = 2; at the first, p = (A/lam) O for
-        lam = q_(k-1) theta_k + q_(k-2).  Certificates, each raising
-        ArithmeticError: the generator lies in p and has norm +-A, and the
-        walk closes.
+        cycle of reduced (P, Q) of the class of a.  p is principal exactly
+        when some |Q_k| = 2, and the walk stops at the first: p = (A/lam) O
+        for lam = q_(k-1) theta_k + q_(k-2), and both keys are _PRINCIPAL
+        unless N(g) < 0 and N(eps) = 1, when no unit multiple of the
+        generator g is totally positive and the narrow key is
+        _PRINCIPAL_SIGNED.  Otherwise the walk closes its cycle; the wide
+        key is its least (P, Q), the narrow key the least reached by a
+        multiplier of positive norm, or by either sign when one period
+        flips it.  Certificates, each raising ArithmeticError: the generator
+        lies in p and has norm +-A, and the walk stops.
         """
         (r0, r1), (_, r2) = a.rows
         c = gcd(r0, r1, r2)
@@ -367,44 +356,40 @@ class FieldCtx:
         A = r0 * r2
         # u (r0, r1) + v (0, r2) = (u r0, 1) for u = 1/r1 mod r2
         x = pow(r1, -1, r2) * r0 % A
-        g, sign, seen = None, 1, {}  # (P, Q) -> sign
+        sign, seen = 1, {}  # (P, Q) -> sign
         for P, Q, q1, q2 in _continued_fraction(self.disc, 2 * x + self.t1, 2 * A):
-            if seen and P * P < self.disc:  # theta_0 carries nothing
-                sign = -sign
-            if g is None and Q in (2, -2):
+            if Q in (2, -2):
                 s, m = Q // 2, (P - self.t1) // 2
                 g = self.smul(A, self.inv((s * q1 * m + q2, s * q1)))
                 # g0 + g1 omega = g1 (x + omega) + g0 - x g1 is in p when A | g0 - x g1
                 inside = self.is_integral(g) and (g[0] - x * g[1]) % A == 0
                 if not inside or abs(self.norm(g)) != A:
                     raise ArithmeticError("continued fraction gives no generator of the ideal")
-                g = self.smul(Fraction(c, a.den), g)
+                signed = self.norm(g) < 0 < self.norm(self.fundamental_units[0])
+                return self.smul(Fraction(c, a.den), g), _PRINCIPAL_SIGNED if signed else _PRINCIPAL, _PRINCIPAL
+            if seen and P * P < self.disc:  # theta_0 carries nothing
+                sign = -sign
             if (P, Q) in seen:
                 cycle = list(seen.items())[list(seen).index((P, Q)):]
                 plus = [t for t, sg in cycle if sg > 0 or seen[P, Q] != sign]
-                return g, min(plus), min(t for t, _ in cycle)
+                return None, min(plus), min(t for t, _ in cycle)
             seen[P, Q] = sign
         raise ArithmeticError("continued fraction walk ends before its cycle closes")
 
     def narrowly_principal_generator(self, a: "FieldIdeal"):
         """A totally positive generator, or None.
 
-        The generator of principal_generator times one of +-1, +-eps, the
-        units modulo squares, if one is totally positive.  None with a
-        principal ideal is a certificate that the class of a in the narrow
+        The generator of principal_generator times the first of +-1, +-eps,
+        the units modulo squares, that makes it totally positive.  None with
+        a principal ideal is a certificate that the class of a in the narrow
         class group is the nontrivial coset cut out by unit signs; None
-        otherwise certifies non-principality outright.  Kept per ideal, as
-        in principal_generator.
+        otherwise certifies non-principality outright.
         """
-        key = (a.rows, a.den)
-        if key not in self._positive_generators:
-            g = self.principal_generator(a)
-            if g is not None:
-                ge = self.mul(g, self.fundamental_units[0])
-                signed = (g, ge, self.neg(g), self.neg(ge))
-                g = next((x for x in signed if self.is_totally_positive(x)), None)
-            self._positive_generators[key] = g
-        return self._positive_generators[key]
+        g = self.principal_generator(a)
+        if g is None:
+            return None
+        ge = self.mul(g, self.fundamental_units[0])
+        return next((x for x in (g, ge, self.neg(g), self.neg(ge)) if self.is_totally_positive(x)), None)
 
     # -- class data --------------------------------------------------------
 
@@ -569,22 +554,27 @@ class PrimeIdeal:
 def make_quadratic_field(d: int) -> FieldCtx:
     """The real quadratic field Q(sqrt d), d squarefree and > 1.
 
-    The reduced (P, Q) of D fall into h cycles (_reduced_cycles), and a
-    walk's sign alternates on them, so an odd cycle holds one narrow class
-    and an even one two.  narrow_reps is the unit ideal, then the ideal
-    Z Q/2 + Z ((P - t1)/2 + omega) of the first state at each parity of
-    each cycle, duplicate narrow keys dropped; class_reps the first of
-    each wide key (_cycle_walk).  Certificates, each raising
-    ArithmeticError: the representatives walk to h wide and sum(2 - len
-    mod 2) narrow keys; h+ = h |ker(Cl+ -> Cl)|, the kernel trivial
-    exactly when N(eps) = -1; h+ over the number of squares in narrow_mul
-    is 2^(t-1), t the number of primes dividing D (genus theory); and
-    narrow_mul is a group table with identity row 0.
+    The reduced (P, Q) of D fall into h cycles, each of which gives the
+    fundamental unit eps (_reduced_cycles), and a walk's sign alternates
+    on them, so an odd cycle holds one narrow class and an even one two.
+    narrow_reps is the unit ideal, then the ideal Z Q/2 + Z ((P - t1)/2 +
+    omega) of the first state at each parity of each cycle, duplicate
+    narrow keys dropped; class_reps the first of each wide key
+    (_cycle_walk, which keys the principal classes by their generator's
+    norm).  Certificates, each raising ArithmeticError: N(eps) = +-1; the
+    representatives walk to h wide and sum(2 - len mod 2) narrow keys;
+    h+ = h |ker(Cl+ -> Cl)|, the kernel trivial exactly when N(eps) = -1;
+    h+ over the number of squares in narrow_mul is 2^(t-1), t the number
+    of primes dividing D (genus theory); and narrow_mul is a group table
+    with identity row 0.
     """
     F = FieldCtx(d)
-    F.fundamental_units = [F.el(_fundamental_unit_quadratic(F))]
+    cycles, eps = _reduced_cycles(F.disc)
+    F.fundamental_units = [F.el(eps)]
+    unit_norm = F.norm(F.fundamental_units[0])
+    if unit_norm not in (1, -1):
+        raise ArithmeticError("continued fraction period gives no unit")
     F.zeta_minus_one = siegel_zeta_quadratic(F.disc)
-    cycles = _reduced_cycles(F.disc)
     reps = [F.unit_ideal()]
     # the second parity of an odd cycle holds no other narrow class
     reps += [F.ideal(Q // 2, ((P - F.t1) // 2, 1)) for c in cycles for P, Q in c[: 2 - len(c) % 2]]
@@ -596,7 +586,7 @@ def make_quadratic_field(d: int) -> FieldCtx:
     h, hp = len(cycles), sum(2 - len(cycle) % 2 for cycle in cycles)
     if (len(wide), len(narrow)) != (h, hp):
         raise ArithmeticError("class representatives do not walk to one key per class")
-    if hp != h * (1 if F.norm(F.fundamental_units[0]) == -1 else 2):
+    if hp != h * (1 if unit_norm == -1 else 2):
         raise ArithmeticError("narrow class number is not h times the sign kernel")
     F.class_reps, F.narrow_reps = list(wide.values()), list(narrow.values())
     F.class_number, F.narrow_class_number = h, hp
@@ -614,34 +604,42 @@ def make_quadratic_field(d: int) -> FieldCtx:
     return F
 
 
-def _reduced_cycles(D: int) -> list[list[tuple[int, int]]]:
+def _reduced_cycles(D: int) -> tuple[list[list[tuple[int, int]]], tuple[int, int]]:
     """The reduced (P, Q) of D in cycles under the continued fraction
-    step, each from its least state: 0 < P < sqrt D, sqrt D - P < Q <
-    sqrt D + P, Q = 2a and a | (D - P^2)/4, compared on r = isqrt(D).
-    Reduced quadratic irrationals have purely periodic continued
-    fractions and are equivalent exactly when they share a cycle, and
-    for a fundamental D every form is primitive, so the cycles are the
-    classes of Cl(F).  Certificate: each cycle closes, else
-    ArithmeticError."""
-    r = isqrt(D)
+    step, each from its least state, and the fundamental unit eps over
+    (1, omega): 0 < P < sqrt D, sqrt D - P < Q < sqrt D + P, Q = 2a and
+    a | (D - P^2)/4, compared on r = isqrt(D).  Reduced quadratic
+    irrationals have purely periodic continued fractions and are
+    equivalent exactly when they share a cycle, and for a fundamental D
+    every form is primitive, so the cycles are the classes of Cl(F).  A
+    period of length l from theta_0 = (P_0 + sqrt D)/Q_0 gives eps =
+    q_(l-1) theta_0 + q_(l-2) (Buchmann-Vollmer, Binary Quadratic Forms).
+    Certificates, each raising ArithmeticError: each cycle closes, and
+    all give one unit with integral coordinates."""
+    r, t1 = isqrt(D), D % 2
     left = {
         (P, 2 * a)
-        for P in range(2 - D % 2, r + 1, 2)
+        for P in range(2 - t1, r + 1, 2)
         for a in range((r - P) // 2 + 1, (r + P) // 2 + 1)
         if (D - P * P) // 4 % a == 0
     }
-    cycles = []
+    cycles, units = [], set()
     while left:
         start, cycle = min(left), []
-        for P, Q, _, _ in _continued_fraction(D, *start):
+        for P, Q, q1, q2 in _continued_fraction(D, *start):
             if (P, Q) not in left:
                 break
             left.remove((P, Q))
             cycle.append((P, Q))
         if (P, Q) != start:
             raise ArithmeticError("reduced forms do not close into a cycle")
+        # eps = q2 + q1 theta_0 over (1, omega), theta_0 = (P - t1 + 2 omega)/Q
+        x0, x1 = q2 * Q + q1 * (P - t1), 2 * q1
+        units.add((x0 // Q, x1 // Q) if x0 % Q == x1 % Q == 0 else None)
         cycles.append(cycle)
-    return cycles
+    if len(units) != 1 or None in units:
+        raise ArithmeticError("cycle periods do not give one integral unit")
+    return cycles, units.pop()
 
 
 def field_from_spec(spec: str) -> FieldCtx:

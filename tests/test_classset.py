@@ -314,6 +314,32 @@ def test_narrow_class_tests_each_ideal_once(monkeypatch):
     assert walked and max(walked.values()) == 1
 
 
+def test_continued_fraction_steps_pinned(monkeypatch):
+    # continued fraction steps are a work count no host changes: over the
+    # field, class set and theta of quad:10 and quad:85 at bound 12, and
+    # over the field of quad:1021.  The cycles of Cl(F) give the unit,
+    # and a principal ideal's walk stops at its generator
+    walk = numberfield._continued_fraction
+    steps = []
+
+    def counted(D, P, Q):
+        for step in walk(D, P, Q):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(numberfield, "_continued_fraction", counted)
+    counts = []
+    for spec in ("quad:10", "quad:85"):
+        steps.clear()
+        F = field_from_spec(spec)
+        R = maximalize(hilbert_ramification_free_algebra(F).standard_order())
+        compute_theta(compute_class_set(R, narrow_support(F)), 12)
+        counts.append(len(steps))
+    steps.clear()
+    make_quadratic_field(1021)
+    assert counts + [len(steps)] == [63, 109, 22]
+
+
 def test_theta_trivial_class_search_checked_under_optimize(run_optimized):
     # lookups that call every class trivial send compute_theta to search
     # generators that do not exist; with asserts stripped it must raise
@@ -728,7 +754,9 @@ def test_walk_and_theta_make_no_isomorphism_test(monkeypatch):
         return lists[-1]
 
     def recorded_canonical(rows, den, rank):
-        spans.append(len(rows))
+        # quaternion lattices only, not the field ideals of reduced norms
+        if rank == 8:
+            spans.append(len(rows))
         return canonical(rows, den, rank)
 
     monkeypatch.setattr(classset, "is_isomorphic", counted_isomorphic)

@@ -17,7 +17,7 @@ from fraction_refs import (
 from quatforms import numberfield
 from quatforms.numberfield import (
     FieldCtx,
-    _fundamental_unit_quadratic,
+    _reduced_cycles,
     field_from_spec,
     make_quadratic_field,
     siegel_zeta_quadratic,
@@ -273,7 +273,7 @@ def test_fundamental_units_below_200():
     ds = [d for d in range(2, 200) if all(d % (q * q) for q in range(2, 15))]
     assert sorted(UNITS_BELOW_200) == ds
     for d, unit in UNITS_BELOW_200.items():
-        assert _fundamental_unit_quadratic(FieldCtx(d)) == unit, d
+        assert _reduced_cycles(FieldCtx(d).disc)[1] == unit, d
 
 
 # (h, h+) of every squarefree d <= 105, as the short-vector principality
@@ -373,11 +373,11 @@ def test_classes_match_principality_reference():
 
 
 def test_large_unit_1021(monkeypatch):
-    # eps = 41531201 + 2683493 omega; the unit and every principality
-    # test of the class group closure walk a continued fraction.  The
-    # convergent denominators grow at least as the Fibonacci numbers, so
-    # a period has at most about 2.1 log eps steps; all walks together
-    # stay within 4 log eps
+    # eps = 41531201 + 2683493 omega; the cycles of reduced forms, which
+    # give the unit, and the walk of every class representative step
+    # through a continued fraction.  The convergent denominators grow at
+    # least as the Fibonacci numbers, so a period has at most about
+    # 2.1 log eps steps; all walks together stay within 4 log eps
     walk = numberfield._continued_fraction
     steps = []
 
@@ -398,23 +398,53 @@ def test_large_unit_1021(monkeypatch):
 
 
 def test_unit_norm_checked_under_optimize(run_optimized):
-    # a wrong last partial quotient gives no unit: quad:7 has the period
-    # 4, 1, 1, 1, and 4, 1, 1, 2 adds q_(l-2) to the last convergent
-    # denominator q_(l-1), giving 12 + 5 sqrt 7 of norm -31; with asserts
-    # stripped the norm certificate must still raise
+    # a wrong last partial quotient gives no unit: quad:7 has the one
+    # cycle from (1 + sqrt 7)/2 with the period 1, 1, 4, 1, and 1, 1, 4, 2
+    # adds q_(l-2) = 5 to the last convergent denominator q_(l-1) = 6,
+    # giving 11 theta_0 + 5 = (21 + 11 sqrt 7)/2, not integral; with
+    # asserts stripped the unit certificate must still raise
     out = run_optimized(
         "from quatforms import numberfield\n"
         "walk = numberfield._continued_fraction\n"
         "def faulty(D, P, Q):\n"
+        "    start = P, Q\n"
         "    for k, (P, Q, q1, q2) in enumerate(walk(D, P, Q)):\n"
-        "        yield (P, Q, q1 + q2, q2) if k and Q == 2 else (P, Q, q1, q2)\n"
+        "        yield (P, Q, q1 + q2, q2) if k and (P, Q) == start else (P, Q, q1, q2)\n"
         "numberfield._continued_fraction = faulty\n"
         "try:\n"
         "    print('returned', numberfield.make_quadratic_field(7).fundamental_units)\n"
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
-    assert out.startswith("ArithmeticError: continued fraction period gives no unit")
+    assert out.startswith("ArithmeticError: cycle periods do not give one integral unit")
+
+
+@pytest.mark.parametrize("shifted, message", [
+    # eps + 1 from the second cycle only: two units
+    ("(2,)", "cycle periods do not give one integral unit"),
+    # eps + 1 = 81 + 9 sqrt 79 from all three: one unit of norm 162
+    ("(1, 2, 3)", "continued fraction period gives no unit"),
+])
+def test_cycle_units_checked_under_optimize(run_optimized, shifted, message):
+    # quad:79 has three cycles, each of which gives eps = 80 + 9 sqrt 79;
+    # q_(l-2) shifted by 1 at the closing state of some of them adds 1 to
+    # their unit.  With asserts stripped the field layer must raise
+    out = run_optimized(
+        "from quatforms import numberfield\n"
+        "walk = numberfield._continued_fraction\n"
+        "calls = []\n"
+        "def faulty(D, P, Q):\n"
+        "    calls.append((P, Q))\n"
+        "    for k, (P, Q, q1, q2) in enumerate(walk(D, P, Q)):\n"
+        f"        shift = k and (P, Q) == calls[-1] and len(calls) in {shifted}\n"
+        "        yield P, Q, q1, q2 + shift\n"
+        "numberfield._continued_fraction = faulty\n"
+        "try:\n"
+        "    print('returned', numberfield.make_quadratic_field(79).fundamental_units)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith(f"ArithmeticError: {message}")
 
 
 def test_generator_certified_under_optimize(run_optimized):
@@ -732,8 +762,10 @@ def test_quadratic_characters_of_a_cyclic_narrow_class_group():
 
 def test_narrow_class_number_checked_under_optimize(run_optimized):
     # a sign-blind narrow key, the wide key, folds Cl+ of quad:3 onto its
-    # trivial Cl: both parities of its one even cycle walk to one key
-    # where h * |kernel| = 2; with asserts stripped the count must raise
+    # trivial Cl: every class is principal, and the principal wide key
+    # also names the principal ideals with no totally positive generator,
+    # so both parities of its one even cycle walk to one key where
+    # h * |kernel| = 2; with asserts stripped the count must raise
     out = run_optimized(
         "from quatforms import numberfield\n"
         "walk = numberfield.FieldCtx._cycle_walk\n"
@@ -786,9 +818,12 @@ def test_dropped_cycle_checked_under_optimize(run_optimized):
     # stripped both must raise
     out = run_optimized(
         "from quatforms import numberfield\n"
-        "cycles = numberfield._reduced_cycles\n"
+        "reduced_cycles = numberfield._reduced_cycles\n"
         "for part in (slice(-1), slice(1, None)):\n"
-        "    numberfield._reduced_cycles = lambda D: cycles(D)[part]\n"
+        "    def dropped(D):\n"
+        "        cycles, eps = reduced_cycles(D)\n"
+        "        return cycles[part], eps\n"
+        "    numberfield._reduced_cycles = dropped\n"
         "    try:\n"
         "        print('returned', numberfield.make_quadratic_field(79).class_number)\n"
         "    except ArithmeticError as exc:\n"
