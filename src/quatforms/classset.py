@@ -202,17 +202,17 @@ def eichler_mass(F):
 
 
 def _prime_parts(p):
-    """(ideal, residue characteristic, residue degree) for a prime input."""
+    """(ideal, residue characteristic, residue degree) for a PrimeIdeal,
+    or for an ideal that F.primes_above lists; ValueError otherwise."""
     if isinstance(p, PrimeIdeal):
         return p.ideal, p.p, p.f
-    nrm = p.norm()
-    if nrm.denominator != 1:
-        raise ValueError("not an integral ideal")
-    fac = factor_int(int(nrm))
-    if len(fac) != 1:
-        raise ValueError("ideal norm is not a prime power")
-    ((ell, f),) = fac.items()
-    return p, ell, f
+    fac = factor_int(p.norm().numerator)
+    if len(fac) == 1:
+        (ell,) = fac
+        for ideal, f, _ in p.field.primes_above(ell):
+            if ideal == p:
+                return p, ell, f
+    raise ValueError("not a prime ideal")
 
 
 def neighbors(b, p):

@@ -4,8 +4,9 @@ Gram matrices, bounds and norm targets are Python ints; every entry
 point raises ValueError on anything else.  Integral LLL keeps the
 Gram-Schmidt data as integer minors d_i and lambda_ij = d_{j+1} mu_ij
 (_gram_schmidt_row), and the Fincke-Pohst shell walk reads its integer
-Cholesky form off the same data: it walks only vectors of the given
-value, solving the last coordinate by one integer square root.
+Cholesky form off the same data: each level walks its interval once, in
+increasing order, and the last coordinate is solved by one integer
+square root, so only vectors of the given value are yielded.
 iter_norm, which norm-equation searches are built on, walks a reduced
 basis, can test further integer forms on each shell vector before
 mapping it back, and yields the survivors lazily, as integer
@@ -155,89 +156,42 @@ def fincke_pohst(gram, bound):
     """Yield the coords of all x != 0 with Q(x) = x G x^T = bound.
 
     One representative per +-pair: the last nonzero coordinate is
-    positive.  Each level walks outward from the real center of its
-    interval, so callers doing existence tests can stop at the first
-    hit.  gram is an integer Gram and bound an int, else ValueError; the
-    walk runs on the integer Cholesky form of the Gram, so centers,
-    remainders and every comparison are Python ints.  At the last level
-    the remainder must be k_0 (e_0 x_0 + C_0)^2 exactly, so x_0 comes
-    from one integer square root and a divisibility test instead of a
-    walk over the interval.
+    positive.  gram is an integer Gram and bound an int, else
+    ValueError.  The walk runs on the integer Cholesky form of the Gram
+    (_cholesky), s Q(x) = sum_i k_i (e_i x_i + C_i)^2, so centers,
+    remainders and every comparison are Python ints.  Level i walks its
+    interval once, in increasing order: the integers v with
+    |e_i v + C_i| <= isqrt(rem // k_i), and only v >= 0 while every
+    higher coordinate is zero.  At level 0 the remainder must be
+    k_0 (e_0 x_0 + C_0)^2 exactly, one integer square root, so only the
+    ends of that interval can be solutions.
     """
     check_int_rows(gram, 1)
     if not isinstance(bound, int):
         raise ValueError("bound must be an integer")
     n = len(gram)
-    if n == 0 or bound < 0:
+    if n == 0 or bound <= 0:
         return
     s, k, e, c = _cholesky(gram)
     x = [0] * n
 
-    def last(rem, tie):
-        # the x_0 with k_0 (e_0 x_0 + C_0)^2 = rem, in walk order
-        k0, e0 = k[0], e[0]
-        r2, m = divmod(rem, k0)
-        r = math.isqrt(r2)
-        if m or r * r != r2:
-            return
-        if tie:
-            # center zero and x_0 > 0, as in the walk
-            nums = (r,) if r else ()
-        else:
-            cen = sum(c[0][j] * x[j] for j in range(1, n) if x[j])
-            # the walk goes up from v0, the nearest integer to -cen / e0,
-            # and then down from v0 - 1; (r - cen) / e0 >= v0 always, and
-            # (-r - cen) / e0 <= v0
-            v0 = (e0 - 2 * cen) // (2 * e0)
-            up, down = r - cen, -r - cen
-            nums = (down, up) if down >= v0 * e0 else (up, down)
-            if not r:
-                nums = nums[:1]
-        for num in nums:
-            if num % e0 == 0:
-                x[0] = num // e0
-                yield tuple(x)
-
     def walk(i, rem, tie):
-        if i == 0:
-            yield from last(rem, tie)
+        ki, ei, ci = k[i], e[i], c[i]
+        r = math.isqrt(rem // ki)
+        if i == 0 and ki * r * r != rem:
             return
-        ki, ei = k[i], e[i]
-        if tie:
-            # all higher coordinates are zero, so the center is zero;
-            # nonnegative values only, which halves the search
-            v = 0
-            while True:
-                t = ki * (ei * v) ** 2
-                if t > rem:
-                    break
-                x[i] = v
-                yield from walk(i - 1, rem - t, v == 0)
-                v += 1
-        else:
-            ci = c[i]
-            cen = 0
-            for j in range(i + 1, n):
-                if x[j]:
-                    cen += ci[j] * x[j]
-            # the nearest integer to -cen / ei, halves rounding up
-            v0 = (ei - 2 * cen) // (2 * ei)
-            v = v0
-            while True:
-                t = ki * (ei * v + cen) ** 2
-                if t > rem:
-                    break
-                x[i] = v
-                yield from walk(i - 1, rem - t, False)
-                v += 1
-            v = v0 - 1
-            while True:
-                t = ki * (ei * v + cen) ** 2
-                if t > rem:
-                    break
-                x[i] = v
-                yield from walk(i - 1, rem - t, False)
-                v -= 1
+        cen = 0
+        for j in range(i + 1, n):
+            if x[j]:
+                cen += ci[j] * x[j]
+        lo, hi = (0 if tie else -((r + cen) // ei)), (r - cen) // ei
+        # at level 0 only the ends of the interval can be solutions
+        for v in range(lo, hi + 1, 1 if i else max(hi - lo, 1)):
+            x[i] = v
+            if i:
+                yield from walk(i - 1, rem - ki * (ei * v + cen) ** 2, tie and not v)
+            elif abs(ei * v + cen) == r:
+                yield tuple(x)
 
     yield from walk(n - 1, s * bound, True)
 
@@ -255,18 +209,19 @@ class NormSolutions:
 
 
 def iter_norm(gram, t, forms):
-    """The vectors x with Q(x) = x gram x^T = t, one per +-pair, as the
-    walk finds them.
+    """The vectors x with Q(x) = x gram x^T = t, one per +-pair.
 
     gram is a square positive definite integer Gram matrix and t a
     positive int, else ValueError.  Reduces the basis first, then walks
     the shell Q(x) = t alone (fincke_pohst), lazily: a caller that has
-    what it needs stops the walk by dropping the iterator.  forms holds pairs (N, v) of integer forms on the
-    coefficient vectors and the values they must take: each is carried
-    to the reduced basis once, as u N u^T for the LLL transform u, and
-    every shell vector is tested there, so only the vectors that pass
-    are mapped back.  Vectors come as integer coefficient tuples,
-    sign-normalized (first nonzero entry positive).
+    what it needs stops the walk by dropping the iterator.  The vectors
+    come in the order of that walk on the reduced basis, which promises
+    nothing; enumerate_norm sorts them.  forms holds pairs (N, v) of
+    integer forms on the coefficient vectors and the values they must
+    take: each is carried to the reduced basis once, as u N u^T for the
+    LLL transform u, and every shell vector is tested there, so only the
+    vectors that pass are mapped back.  Vectors come as integer
+    coefficient tuples, sign-normalized (first nonzero entry positive).
     """
     n = len(gram)
     if any(len(row) != n for row in gram):

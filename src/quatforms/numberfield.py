@@ -181,18 +181,8 @@ class FieldCtx:
     def mul(self, x, y) -> tuple:
         x0, x1 = x
         y0, y1 = y
-        # each Fraction operation costs a gcd, and quaternion products
-        # pass many zero coordinates, so only nonzero terms are formed
-        z0 = x0 * y0 if x0 and y0 else _ZERO
-        z1 = x0 * y1 if x0 and y1 else _ZERO
-        if x1 and y0:
-            z1 = z1 + x1 * y0 if z1 else x1 * y0
-        if x1 and y1:
-            c = x1 * y1
-            z0 = z0 + self.t0 * c if z0 else self.t0 * c
-            if self.t1:
-                z1 = z1 + c if z1 else c
-        return (z0, z1)
+        c = x1 * y1
+        return (x0 * y0 + self.t0 * c, x0 * y1 + x1 * y0 + self.t1 * c)
 
     def rep_rows(self, x) -> list[list]:
         """Rows of multiplication by x: row i is e_i * x."""

@@ -160,6 +160,19 @@ def test_neighbors_at_ramified_norm_two_prime():
         assert c.nr_ideal() * p2.ideal == R.nr_ideal()
 
 
+def test_prime_inputs_must_be_prime_ideals():
+    # (3) splits on quad:10 and (2) is the square of the ramified prime
+    # above 2: both have prime power norm, and neither is a prime
+    R = maximal_order("quad:10")
+    for ideal in (F10.ideal(3), F10.ideal(2)):
+        with pytest.raises(ValueError, match="not a prime ideal"):
+            neighbors(R, ideal)
+        with pytest.raises(ValueError, match="not a prime ideal"):
+            split_residue_matrix(R, ideal)
+    (p2,) = [p for p in F10.prime_ideals_up_to(2) if p.norm == 2]
+    assert neighbors(R, p2.ideal) == neighbors(R, p2)
+
+
 def test_neighbor_symmetry():
     # walking away from b and back: b rescaled by p^-1 is a neighbor of
     # every neighbor of b
@@ -1323,3 +1336,51 @@ def test_theta_witnesses_pinned_on_quad85():
     assert sum(len(v) for v in th.entries.values()) == 152
     digest = hashlib.sha256(repr(sorted(th.entries.items())).encode()).hexdigest()
     assert digest == "cb7fcde8dd59a76c17a19b0c53f3c2c044f4868d95e6c3521b543ccb2d7af6d9"
+
+
+def test_witnesses_do_not_depend_on_the_walk_order(monkeypatch):
+    # each cell keeps the least element of each orbit, in columns that
+    # close at exactly Np + 1, so a shell walk run backwards gives the same
+    # classes and the same witnesses
+    import quatforms.latticetools as latticetools
+
+    want = class_set("quad:85").representatives
+    walk = latticetools.fincke_pohst
+    bounds = []
+
+    def backwards(gram, bound):
+        bounds.append(bound)
+        yield from reversed(list(walk(gram, bound)))
+
+    monkeypatch.setattr(latticetools, "fincke_pohst", backwards)
+    cs = compute_class_set(maximal_order("quad:85"), narrow_support(F85))
+    assert cs.representatives == want
+    th = compute_theta(cs, 6)
+    assert bounds
+    digest = hashlib.sha256(repr(sorted(th.entries.items())).encode()).hexdigest()
+    assert digest == "cb7fcde8dd59a76c17a19b0c53f3c2c044f4868d95e6c3521b543ccb2d7af6d9"
+
+
+@pytest.mark.parametrize("spec,searched,empty", [("quad:85", 16, 6), ("quad:34", 67, 25)])
+def test_class_set_walk_searched_and_empty_cells_pinned(spec, searched, empty, monkeypatch):
+    # a cell is searched when [nr a] [p] = [nr b] in Cl+(F), and empty
+    # when its search finds no witness: deterministic work counts of the
+    # class-set walk, read off the cells' arguments and results
+    import quatforms.classset as classset
+
+    cell = classset._brandt_cell
+    counts = Counter()
+
+    def counted(cs, ai, bi, pr, room):
+        xs = cell(cs, ai, bi, pr, room)
+        F = cs.order.alg.base
+        na, nb = (cs.representatives[i].nr_ideal() for i in (ai, bi))
+        if F.narrow_mul[F.narrow_class(na)][F.narrow_class(pr.ideal)] == F.narrow_class(nb):
+            counts["searched"] += 1
+            counts["empty"] += not xs
+        return xs
+
+    monkeypatch.setattr(classset, "_brandt_cell", counted)
+    R = maximal_order(spec)
+    compute_class_set(R, narrow_support(R.alg.base))
+    assert (counts["searched"], counts["empty"]) == (searched, empty)

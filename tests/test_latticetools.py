@@ -155,8 +155,9 @@ def test_fincke_pohst_against_brute_force():
 
 
 def _rational_walk(gram, bound):
-    # the Fincke-Pohst walk over Fractions, every center and remainder a
-    # rational number; it must yield the same vectors in the same order
+    # the Fincke-Pohst ball walk over Fractions, every center and
+    # remainder a rational number: each x != 0 with Q(x) <= bound, one per
+    # +-pair, with its value
     n = len(gram)
     q = [[Fraction(v) for v in row] for row in gram]
     for i in range(n):
@@ -188,34 +189,38 @@ def _rational_walk(gram, bound):
     yield from walk(n - 1, bound, True)
 
 
-def test_fincke_pohst_order_matches_rational_walk():
-    # callers that stop at the first hit (norm equations) see the vectors
-    # in the order of the Fraction ball walk: every shell 1, ..., t is the
-    # ball walk of radius t cut down to that value, in the same order
+def _reference_shells(gram, ts):
+    # the shells Q(x) = t for each t in ts, sorted, from one Fraction ball
+    # walk at the largest t
+    shells = {t: [] for t in ts}
+    for x, v in _rational_walk(gram, max(ts)):
+        if v in shells:
+            shells[v].append(x)
+    return {t: sorted(xs) for t, xs in shells.items()}
+
+
+def test_fincke_pohst_shells_match_rational_walk():
+    # every shell 1, ..., t is the Fraction ball walk of radius t cut down
+    # to that value: the same vectors, one per +-pair, whatever the order
     rng = random.Random(23)
     for _ in range(40):
         g = _random_gram(rng, rng.choice([2, 3, 4, 5]))
         t = rng.randint(1, 60)
-        ball = list(_rational_walk(g, t))
-        for v in range(1, t + 1):
-            assert list(fincke_pohst(g, v)) == [x for x, w in ball if w == v]
+        for v, want in _reference_shells(g, range(1, t + 1)).items():
+            assert sorted(fincke_pohst(g, v)) == want
 
 
 def test_shell_walk_matches_filtered_fincke_pohst():
-    # the shell walk yields exactly the vectors of value t, in walk order;
-    # t is random or, every other time, the value of a random vector, so
-    # the shell is not empty
+    # the shell walk yields exactly the vectors of value t, for a random t
+    # and for the value of a random vector, so that one shell is not empty
     rng = random.Random(43)
-    for trial in range(40):
+    for _ in range(20):
         n = rng.choice([1, 2, 3, 4, 5])
         g = _random_gram(rng, n)
-        if trial % 2:
-            x = [rng.randint(-2, 2) for _ in range(n)]
-            t = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
-        else:
-            t = rng.randint(1, 60)
-        want = [x for x, v in _rational_walk(g, t) if v == t]
-        assert list(fincke_pohst(g, t)) == want
+        x = [rng.randint(-2, 2) for _ in range(n)]
+        value = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) or 1
+        for t, want in _reference_shells(g, {rng.randint(1, 60), value}).items():
+            assert sorted(fincke_pohst(g, t)) == want
 
 
 def _random_gram(rng, n):
