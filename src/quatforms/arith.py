@@ -57,6 +57,11 @@ def next_prime(n: int) -> int:
     return n
 
 
+# the first prime of every CRT run mod primes above 2^61, computed once:
+# next_prime there costs more than a small charpoly or gcd
+FIRST_CRT_PRIME = next_prime(1 << 61)
+
+
 def sqrt_mod(a: int, p: int) -> int:
     """A square root of a mod the odd prime p, for a square a (Tonelli-Shanks;
     Cohen, A Course in Computational Algebraic Number Theory, 1.5.1)."""

@@ -20,12 +20,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .arith import next_prime, symmetric_mod
+from .arith import FIRST_CRT_PRIME, next_prime, symmetric_mod
 from .intmat import check_int_rows, identity_int, int_product, lowest_terms
 from .polynomials import Poly
-
-# the first CRT prime; next_prime costs more than a small charpoly
-_FIRST_PRIME = next_prime(1 << 61)
 
 
 def primitive(row):
@@ -242,7 +239,7 @@ def _charpoly_crt(int_rows, den) -> Poly:
         return Poly([0] * n + [1])
     # |c_k| <= C(n,k) (sqrt(n) B)^n <= 2^n (sqrt(n)+1)^n B^n
     bound = (2 * (isqrt(n) + 1) * bmax) ** n
-    p = _FIRST_PRIME
+    p = FIRST_CRT_PRIME
     residues, modulus = _charpoly_mod_p(int_rows, p), p
     while modulus <= 2 * bound:
         p = next_prime(p)

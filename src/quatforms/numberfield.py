@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import factor_int, next_prime, sqrt_mod
+from .arith import factor_int, is_probable_prime, next_prime, sqrt_mod
 from .intmat import (
     canonical_lattice,
     int_product,
@@ -263,8 +263,11 @@ class FieldCtx:
         with f = e = 1, a double root e = 2, and no root leaves pO prime
         with f = 2.  For odd p the roots are (t1 +- sqrt D)/2, D a square
         mod p by Euler's criterion; at p = 2 both residues are tried.  The
-        degree sum and the product with multiplicities are checked.
+        degree sum and the product with multiplicities are checked.  p must
+        be a rational prime (ValueError otherwise).
         """
+        if not is_probable_prime(p):
+            raise ValueError("not a rational prime")
         if p in self._primes_cache:
             return self._primes_cache[p]
         if p == 2:

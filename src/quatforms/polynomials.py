@@ -6,6 +6,11 @@ the rest runs on integer coefficient lists: Yun's squarefree split with
 gcd_int_poly, distinct-degree patterns mod five primes to bound factor
 degrees, and equal-degree splitting, Hensel lifting and recombination
 at the one of those primes with the fewest factors.
+
+Every gcd over Z has a monic first argument, which makes it monic and
+bounds its coefficients (Mignotte), and the one exact division over Z,
+_zquotient, is by a monic polynomial.  There is no gcd over Q:
+isolate_real_roots tests squarefreeness on the monic integer rescaling.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
-from .arith import next_prime, symmetric_mod
-from .intmat import integral_rows
+from .arith import FIRST_CRT_PRIME, next_prime, symmetric_mod
 
 
 class Poly:
@@ -156,19 +160,6 @@ def _coerce(v) -> Poly:
     return Poly([v])
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q.
-
-    Clearing denominators scales each input by a nonzero constant, which
-    leaves the monic gcd alone, and by Gauss's lemma the gcd in Q[x] of
-    integer polynomials is their gcd in Z[x] made monic; the modular
-    gcd_int_poly computes that without coefficient blowup.
-    """
-    _, (f, h) = integral_rows([a.coeffs, b.coeffs])
-    g = gcd_int_poly(f, h)
-    return Poly([Fraction(c, g[-1]) for c in g])
-
-
 # ---------------------------------------------------------------------------
 # integer coefficient lists (low degree first), helpers for the factor code
 
@@ -188,13 +179,6 @@ def _zmul(f, g):
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return out
-
-
-def _zcontent(f) -> int:
-    c = 0
-    for v in f:
-        c = gcd(c, v)
-    return c
 
 
 def _zderiv(f):
@@ -251,88 +235,52 @@ def _zgcd_mod(f, g, p):
 
 
 def gcd_int_poly(f: list[int], g: list[int]) -> list[int]:
-    """gcd in Z[x] (primitive, positive leading coefficient), modular CRT."""
+    """The monic gcd h in Z[x] of a monic f (else ValueError) and any g.
+
+    h divides the gcd mod every prime, of equal degree at all but finitely
+    many, and its coefficients lie below _coeff_bound(f) (Mignotte).  Euclid
+    runs mod the primes from FIRST_CRT_PRIME on; residues of least degree are
+    combined by CRT (a lower degree restarts, a higher one is skipped) until
+    the modulus passes 2 _coeff_bound(f).  The symmetric lift is returned
+    once it divides f and g exactly.  A residue of degree 0 gives 1, a zero
+    g gives f.
+    """
     f, g = _ztrim(list(f)), _ztrim(list(g))
-    if not f:
-        return _make_primitive(g)
+    if not f or f[-1] != 1:
+        raise ValueError("polynomial is not monic")
     if not g:
-        return _make_primitive(f)
-    cf, cg = abs(_zcontent(f)), abs(_zcontent(g))
-    cont = gcd(cf, cg)
-    f = [c // cf for c in f]
-    g = [c // cg for c in g]
-    lc = gcd(f[-1], g[-1])
-    p = 1 << 30
-    best_deg = None
-    res_mod = 0
-    res_coeffs: list[int] = []
-    stable = 0
+        return f
+    bound = 2 * _coeff_bound(f)
+    p, modulus, residues = FIRST_CRT_PRIME, 1, None
     while True:
+        h = _zgcd_mod(f, g, p)
+        if len(h) == 1:
+            return [1]
+        if residues is None or len(h) < len(residues):
+            modulus, residues = p, h
+        elif len(h) == len(residues):
+            inv = pow(modulus, -1, p)
+            residues = [a + (b - a) * inv % p * modulus for a, b in zip(residues, h)]
+            modulus *= p
+        if len(h) == len(residues) and modulus > bound:
+            lift = [symmetric_mod(c, modulus) for c in residues]
+            if _zquotient(f, lift) is not None and _zquotient(g, lift) is not None:
+                return lift
         p = next_prime(p)
-        if f[-1] % p == 0 or g[-1] % p == 0:
-            continue
-        hp = _zgcd_mod(f, g, p)
-        d = len(hp) - 1
-        if d == 0:
-            return [cont] if cont else [1]
-        if best_deg is None or d < best_deg:
-            best_deg = d
-            scaled = [c * lc % p for c in hp]
-            res_mod, res_coeffs, stable = p, scaled, 0
-        elif d == best_deg:
-            scaled = [c * lc % p for c in hp]
-            new = []
-            m = res_mod * p
-            for a, b in zip(res_coeffs, scaled):
-                # CRT then store reduced; symmetric lift only when testing
-                x = (a + (b - a) * pow(res_mod, -1, p) % p * res_mod) % m
-                new.append(x)
-            if [symmetric_mod(c, m) for c in new] == [
-                symmetric_mod(c, res_mod) for c in res_coeffs
-            ]:
-                stable += 1
-            else:
-                stable = 0
-            res_mod, res_coeffs = m, new
-        else:
-            continue
-        if stable >= 1 or res_mod > (1 << 128):
-            cand = _make_primitive([symmetric_mod(c, res_mod) for c in res_coeffs])
-            if cand and _zdivides(cand, f) and _zdivides(cand, g):
-                return [cont * c for c in cand] if cont else cand
-            stable = 0
 
 
-def _make_primitive(f):
-    f = _ztrim(list(f))
-    if not f:
-        return []
-    c = abs(_zcontent(f))
-    f = [v // c for v in f]
-    if f[-1] < 0:
-        f = [-v for v in f]
-    return f
-
-
-def _zdivides(g, f) -> bool:
-    """g | f in Q[x] with both primitive integer: test exact division in Z[x]."""
-    if not g:
-        return not f
+def _zquotient(f, g):
+    """f / g in Z[x] for a monic g, or None when g does not divide f."""
+    if not g or g[-1] != 1:
+        raise ValueError("divisor is not monic")
     r = list(f)
-    dn = len(g)
-    lc = g[-1]
-    while len(r) >= dn:
-        if r[-1] % lc:
-            return False
-        c = r[-1] // lc
-        k = len(r) - dn
-        for j, b in enumerate(g):
-            r[k + j] -= c * b
-        r.pop()
-        _ztrim(r)
-        if not r:
-            return True
-    return not _ztrim(r)
+    q = [0] * max(0, len(r) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(g) - 1]
+        if c:
+            for j, b in enumerate(g):
+                r[k + j] -= c * b
+    return None if any(r[: len(g) - 1]) else q
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +309,27 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
     """[(g_i, i)] with the monic integer f = prod g_i^i, g_i squarefree,
     pairwise coprime and of positive degree.
 
-    Yun's algorithm over Z: every gcd divides a monic polynomial, so it
-    is monic, and every quotient is an exact division by it.
+    Yun's algorithm over Z: every gcd has a monic first argument, so it is
+    monic, and a quotient by it that leaves a remainder raises.
     """
+
+    def div(u, v):
+        q = _zquotient(u, v)
+        if q is None:
+            raise ArithmeticError("polynomial division leaves a remainder")
+        return q
+
     out = []
     df = _zderiv(f)
     a = gcd_int_poly(f, df)
-    b = _zdivexact(f, a)
-    c = _zdivexact(df, a)
+    b, c = div(f, a), div(df, a)
     i = 1
     while len(b) > 1:
         d = _zsubtract(c, _zderiv(b))
         g = gcd_int_poly(b, d)
         if len(g) > 1:
             out.append((g, i))
-        b = _zdivexact(b, g)
-        c = _zdivexact(d, g)
+        b, c = div(b, g), div(d, g)
         i += 1
     return out
 
@@ -586,11 +539,14 @@ def factor_squarefree_monic_int(f: list[int]) -> list[list[int]]:
     degrees at each of them, so f is irreducible once only 0 and n remain.
     Otherwise the first of the five primes with the fewest modular factors
     is split completely, and its factors are lifted and recombined.
+    ValueError unless f is monic and squarefree, else no prime is good.
     """
+    df = _zderiv(f)
+    if gcd_int_poly(f, df) != [1]:
+        raise ValueError("polynomial is not squarefree")
     n = len(f) - 1
     if n <= 1:
         return [list(f)]
-    df = _zderiv(f)
     degset = set(range(n + 1))
     best = None
     p = 101
@@ -637,9 +593,10 @@ def _recombine(f, lifted, modulus, degset):
             # cheap test first: constant term must divide f(0) when nonzero
             if fcur[0] and cand[0] and fcur[0] % cand[0]:
                 continue
-            if _zdivides(cand, fcur):
+            quo = _zquotient(fcur, cand)
+            if quo is not None:
                 out.append(cand)
-                fcur = _zdivexact(fcur, cand)
+                fcur = quo
                 remaining = [i for i in remaining if i not in subset]
                 hit = True
                 break
@@ -650,24 +607,6 @@ def _recombine(f, lifted, modulus, degset):
     if _zsubtract(_zprod(out), f):
         raise ArithmeticError("recombined factors do not multiply back")
     return sorted(out)
-
-
-def _zdivexact(f, g):
-    q, r = [], list(f)
-    dn = len(g)
-    qc = [0] * (len(f) - dn + 1)
-    while len(r) >= dn:
-        c = r[-1] // g[-1]
-        k = len(r) - dn
-        qc[k] = c
-        for j, b in enumerate(g):
-            r[k + j] -= c * b
-        if r[-1]:
-            raise ArithmeticError("polynomial division is not exact")
-        r.pop()
-    if _ztrim(r):
-        raise ArithmeticError("polynomial division leaves a remainder")
-    return qc
 
 
 def _zprod(fs):
@@ -731,14 +670,15 @@ def root_bound(f: Poly) -> Fraction:
 def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open intervals (a, b), each containing exactly one real root.
 
-    Requires f squarefree.  Interval endpoints are never roots.
+    Requires f squarefree (ValueError otherwise), tested as gcd(h, h') = 1
+    on the monic integer h of _monic_integer(f).  Endpoints are never roots.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no isolated roots")
     if f.degree == 0:
         return []
-    g = poly_gcd(f, f.derivative())
-    if g.degree != 0:
+    _, _, h = _monic_integer(f)
+    if gcd_int_poly(h, _zderiv(h)) != [1]:
         raise ValueError("input must be squarefree")
     chain = sturm_chain(f.monic())
     bound = root_bound(f)

@@ -748,7 +748,7 @@ def _norm_shell(lat, alpha):
     built per shell vector.
     """
     F = lat.alg.base
-    alpha = F.el(alpha) if not isinstance(alpha, int) else F.from_int(alpha)
+    alpha = F.from_int(alpha) if isinstance(alpha, (int, Fraction)) else F.el(alpha)
     if F.norm(alpha) <= 0 or F.trace(alpha) <= 0:
         raise ValueError("norm target must be totally positive")
     forms, D = lat.norm_forms()

@@ -498,6 +498,20 @@ def test_primes_above_10():
     assert [(f, e) for _, f, e in F.primes_above(7)] == [(2, 1)]
 
 
+def test_primes_above_rejects_non_primes():
+    # (9) and (15) are not primes of Q(sqrt 10), (1) is the unit ideal and
+    # 3 splits; none of them may be returned, or cached, as a prime
+    F = F10()
+    for n in (0, 1, -3, 4, 9, 15):
+        with pytest.raises(ValueError):
+            F.primes_above(n)
+    shapes = {2: [(1, 2)], 3: [(1, 1), (1, 1)], 5: [(1, 2)]}
+    for p, shape in shapes.items():
+        above = F.primes_above(p)
+        assert [(f, e) for _, f, e in above] == shape
+        assert [P.norm() for P, _, _ in above] == [p] * len(shape)
+
+
 def _kronecker(D, p):
     """(D/p) for a prime p."""
     if p == 2:

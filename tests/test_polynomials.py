@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatforms.arith import next_prime
+from quatforms import polynomials
+from quatforms.arith import FIRST_CRT_PRIME, next_prime
 from quatforms.polynomials import (
     Poly,
     _coeff_bound,
@@ -14,10 +16,10 @@ from quatforms.polynomials import (
     _zgcd_mod,
     factor_poly,
     factor_squarefree_mod_p,
+    factor_squarefree_monic_int,
     gcd_int_poly,
     hensel_lift_factors,
     isolate_real_roots,
-    poly_gcd,
 )
 
 small_coeff = st.integers(min_value=-9, max_value=9)
@@ -49,14 +51,26 @@ def test_divmod_identity(a, b):
     assert r.is_zero() or r.degree < b.degree
 
 
-@given(nonzero_polys, nonzero_polys, nonzero_polys)
-@settings(max_examples=40, deadline=None)
-def test_gcd_common_factor(a, b, h):
-    g = poly_gcd(a * h, b * h)
-    assert (g % h.monic()).is_zero() or not (a * h % g).is_zero()
-    # h | gcd always; and gcd divides both products
-    assert (g % h.monic()).is_zero()
-    assert ((a * h) % g).is_zero() and ((b * h) % g).is_zero()
+def ref_gcd(a, b):
+    """Monic gcd over Q by Euclid on Fraction polynomials."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def _ints(f):
+    return [int(c) for c in f.coeffs]
+
+
+monic_polys = st.lists(small_coeff, min_size=0, max_size=4).map(lambda cs: Poly(cs + [1]))
+
+
+@given(monic_polys, monic_polys, monic_polys, st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_gcd_common_factor(a, b, h, c):
+    # the monic product a h against any integer multiple of b h, zero too
+    f, g = a * h, b * h * c
+    assert Poly(gcd_int_poly(_ints(f), _ints(g))) == ref_gcd(f, g)
 
 
 def test_gcd_int_poly_known():
@@ -64,10 +78,58 @@ def test_gcd_int_poly_known():
     f = [-2, -1, 2, 1]
     g = [-3, 2, 1]
     assert gcd_int_poly(f, g) == [-1, 1]
+    assert gcd_int_poly(f, []) == f
+    assert gcd_int_poly(f, [6]) == [1]
 
 
-def test_gcd_content():
-    assert gcd_int_poly([2, 4], [6]) == [2]
+def test_gcd_needs_monic_first_argument():
+    for f in ([2, 4], [], [1, 2, -1]):
+        with pytest.raises(ValueError):
+            gcd_int_poly(f, [6])
+
+
+def _residue_degrees(monkeypatch):
+    """The degrees of the gcds mod p that gcd_int_poly computes, in order."""
+    degrees = []
+
+    def recording(f, g, p):
+        h = _zgcd_mod(f, g, p)
+        degrees.append(len(h) - 1)
+        return h
+
+    monkeypatch.setattr(polynomials, "_zgcd_mod", recording)
+    return degrees
+
+
+def test_gcd_restarts_after_an_unlucky_prime(monkeypatch):
+    # g = f mod the first CRT prime p0, so the gcd mod p0 is f itself
+    p0 = FIRST_CRT_PRIME
+    f = _ints(Poly([-2, 0, 1]) * Poly([-1, 1]))
+    g = _ints(Poly([-2, 0, 1]) * Poly([-1 - p0, 1]))
+    degrees = _residue_degrees(monkeypatch)
+    assert gcd_int_poly(f, g) == [-2, 0, 1]
+    assert degrees == [3, 2]
+
+
+def test_gcd_bound_needs_two_primes(monkeypatch):
+    # the common factor x - a has a coefficient above 2^61, so one CRT
+    # prime cannot certify it
+    a = (1 << 62) + 3
+    f = _ints(Poly([-a, 1]) * Poly([-2, 0, 1]))
+    g = _ints(Poly([-a, 1]) * Poly([5, 1]) * 7)
+    assert 2 * _coeff_bound(f) > FIRST_CRT_PRIME
+    degrees = _residue_degrees(monkeypatch)
+    assert gcd_int_poly(f, g) == [-a, 1]
+    assert degrees == [1, 1]
+
+
+def test_factor_squarefree_monic_int_rejects_bad_input():
+    # without the check no prime keeps x^2 or (x + 1)^2 squarefree, and the
+    # search for five good primes never ends
+    for f in ([0, 0, 1], [1, 2, 1], [1, 2], [2, 0, 2]):
+        with pytest.raises(ValueError):
+            factor_squarefree_monic_int(f)
+    assert factor_squarefree_monic_int([-2, 0, 1]) == [[-2, 0, 1]]
 
 
 def test_factor_poly_multiplicities():
@@ -252,16 +314,19 @@ def test_factor_mod_2_matches_trial_division():
             assert factor_mod_p(f, 2) == _ref_factor_mod_2(f), f
 
 
-def test_poly_gcd_rational_inputs_under_optimize(run_optimized):
+def test_rational_inputs_under_optimize(run_optimized):
     # rational inputs are cleared of denominators with no assert that -O strips
     out = run_optimized(
         "from fractions import Fraction\n"
-        "from quatforms.polynomials import Poly, factor_poly, poly_gcd\n"
+        "from quatforms.polynomials import Poly, factor_poly, isolate_real_roots\n"
         "a = Poly([Fraction(1, 2), 1])\n"
-        "print(poly_gcd(a, a * Poly([3, 1])))\n"
         "print(factor_poly(a * a)[1])\n"
+        "try:\n"
+        "    print('returned', isolate_real_roots(a * a * Poly([3, 1])))\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
     )
-    assert out.splitlines() == ["Poly(x + 1/2)", "[(Poly(x + 1/2), 2)]"]
+    assert out.splitlines() == ["[(Poly(x + 1/2), 2)]", "ValueError: input must be squarefree"]
 
 
 def test_bad_inputs_raise_under_optimize(run_optimized):
@@ -284,33 +349,41 @@ def test_bad_inputs_raise_under_optimize(run_optimized):
 
 
 def test_recombination_certificate_checked_under_optimize(run_optimized):
-    # a divisibility test that accepts everything makes recombination take
+    # an exact division that drops its remainder makes recombination take
     # a modular factor of the irreducible x^4 - 10x^2 + 1 for a true one.
     # Modulo 103 it splits into two quadratics with constant term -1, so
     # the constant-term pre-test lets the bogus factor through.  With
-    # asserts stripped the exact division must still raise; and when the
-    # division also drops its remainder, the product check must raise
+    # asserts stripped the product check must still raise
     out = run_optimized(
         "from quatforms import polynomials\n"
-        "polynomials._zdivides = lambda g, f: True\n"
         "def dropping(f, g):\n"
         "    q, r = [0] * (len(f) - len(g) + 1), list(f)\n"
         "    for k in range(len(q) - 1, -1, -1):\n"
-        "        q[k] = r[k + len(g) - 1] // g[-1]\n"
+        "        q[k] = r[k + len(g) - 1]\n"
         "        for j, b in enumerate(g):\n"
         "            r[k + j] -= q[k] * b\n"
         "    return q\n"
-        "for patch in (polynomials._zdivexact, dropping):\n"
-        "    polynomials._zdivexact = patch\n"
-        "    try:\n"
-        "        print('returned', polynomials.factor_poly(polynomials.Poly([1, 0, -10, 0, 1])))\n"
-        "    except ArithmeticError as exc:\n"
-        "        print('ArithmeticError:', exc)\n"
+        "polynomials._zquotient = dropping\n"
+        "try:\n"
+        "    print('returned', polynomials.factor_poly(polynomials.Poly([1, 0, -10, 0, 1])))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
     )
-    assert out.splitlines() == [
-        "ArithmeticError: polynomial division leaves a remainder",
-        "ArithmeticError: recombined factors do not multiply back",
-    ]
+    assert out.splitlines() == ["ArithmeticError: recombined factors do not multiply back"]
+
+
+def test_squarefree_split_checked_under_optimize(run_optimized):
+    # a gcd that is monic but divides nothing: Yun's exact division must
+    # raise with asserts stripped
+    out = run_optimized(
+        "from quatforms import polynomials\n"
+        "polynomials.gcd_int_poly = lambda f, g: [1, 1]\n"
+        "try:\n"
+        "    print('returned', polynomials.factor_poly(polynomials.Poly([-2, 0, 1])))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.splitlines() == ["ArithmeticError: polynomial division leaves a remainder"]
 
 
 # --- the factorization against the earlier Fraction Yun and nine-prime search ---
@@ -324,12 +397,12 @@ def ref_squarefree_decomposition(f):
         return lc, []
     out = []
     df = f.derivative()
-    a = poly_gcd(f, df)
+    a = ref_gcd(f, df)
     b, c = f.divmod(a)[0], df.divmod(a)[0]
     i = 1
     while b.degree > 0:
         d = c - b.derivative()
-        g = poly_gcd(b, d)
+        g = ref_gcd(b, d)
         if g.degree > 0:
             out.append((g, i))
         b, c = b.divmod(g)[0], d.divmod(g)[0]

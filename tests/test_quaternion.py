@@ -427,6 +427,15 @@ def test_norm_equation_recovers_witness():
     assert R.int_coords(rows, d) is not None
 
 
+def test_norm_equation_takes_rational_scalar_targets():
+    # a Fraction scalar is the field element it names, as an int is
+    R = maximalize(hilbert_ramification_free_algebra(F5).standard_order())
+    sols = norm_equation_solutions(R, 1)
+    assert len(sols) == 60
+    assert norm_equation_solutions(R, Fraction(1)) == sols
+    assert norm_equation_solutions(R, Fraction(1, 2)) == []
+
+
 def test_norm_equation_rejects_not_totally_positive():
     alg = hilbert_ramification_free_algebra(F85)
     R = maximalize(alg.standard_order())
