@@ -2,13 +2,14 @@
 
 The class set and the neighbor tables that feed Brandt matrices come
 from one walk over Brandt columns.  The p-neighbors of b in the class of
-a are the solutions of one norm equation over a * b^-1, counted modulo
-left multiplication by the units of the left order of a; each solution u
-gives the neighbor u^-1 a.  That solution set is also stable under right
-multiplication by the units of the left order of b, so one solution
-gives every neighbor of its double coset.  A column (b, p) is filled one
-cell at a time in class order, drawing solutions lazily from the norm
-equation walks of its cells, and it stops at Np + 1 neighbors.
+a are the solutions of one norm equation over a * b^-1, the left colon
+(a : b) = {x : x b in a}, counted modulo left multiplication by the
+units of the left order of a; each solution u gives the neighbor u^-1 a.
+That solution set is also stable under right multiplication by the
+units of the left order of b, so one solution gives every neighbor of
+its double coset.  A column (b, p) is filled one cell at a time in class
+order, drawing solutions lazily from the norm equation walks of its
+cells, and it stops at Np + 1 neighbors.
 
 compute_class_set fills the columns at the support primes over the
 classes found so far; a column short of Np + 1 neighbors has a neighbor
@@ -16,14 +17,15 @@ in a new class, the first neighbor lattice that no witness gives.  The
 walk is certified complete by the exact Eichler mass, and it keeps the
 columns it closed for compute_theta, which fills the columns at the
 other primes.  Unit images that fit their packed slots, free and
-disjoint unit orbits, a bound of Np + 1 on every column, one containment
-check L * b in a per pair of classes, a norm check of every witness, and
-column sums of exactly Np + 1 certify the table.
+disjoint unit orbits, a bound of Np + 1 on every column, one covolume
+check of L = a * b^-1 per pair of classes, a norm check of every
+witness, and column sums of exactly Np + 1 certify the table.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -301,7 +303,10 @@ def is_isomorphic(a, b):
 
     The pipeline makes no call to it, since the walk identifies classes
     by their Brandt witnesses: it is the tests' class test, independent of
-    the walk, and a tracing target of benchmarks/tracing.py.
+    the walk, and a tracing target of benchmarks/tracing.py.  So it builds
+    a * b^-1 as the ideal product of a with the inverse of b (compose,
+    inverse), not as the colon the walk takes (_brandt_cell): a fault in
+    one construction cannot hide in the other.
     """
     alg = a.alg
     F = alg.base
@@ -358,9 +363,10 @@ def unit_group(O):
 
 
 class _ClassUnits(NamedTuple):
-    """What the Brandt cells read off one class: the inverse of the
-    representative's reduced norm, the norm-one units of its left order
-    through their Z-span, and its coset targets (_norm_coset_targets).
+    """What the Brandt cells read off one class: the generators of the
+    representative as a right module (_right_generators), the inverse of
+    its reduced norm, the norm-one units of its left order through their
+    Z-span, and its coset targets (_norm_coset_targets).
 
     The span has the HNF basis s_1, ..., s_k of the units' integer
     coordinates on the left order, k at most 8; coeffs[g] holds the
@@ -371,6 +377,7 @@ class _ClassUnits(NamedTuple):
     units are packed on each lattice (_unit_matrices).
     """
 
+    gens: list
     nr_inv: object
     coeffs: list
     lefts: list
@@ -378,8 +385,9 @@ class _ClassUnits(NamedTuple):
     targets: list
 
 
-def _class_units(cs, i):
-    """The _ClassUnits of class i of the class set cs.
+def _class_units(cs, i, gens):
+    """The _ClassUnits of class i of the class set cs, whose
+    representative the rows gens generate (_right_generators).
 
     Certificate: the norm-one units lie in the left order and in the
     span of its HNF basis, else ArithmeticError.
@@ -396,6 +404,7 @@ def _class_units(cs, i):
         raise ArithmeticError("unit lies outside the span of its HNF basis")
     span = [O.vector(s) for s in basis]
     return _ClassUnits(
+        gens=gens,
         nr_inv=cs.representatives[i].nr_ideal().inverse(),
         coeffs=coeffs,
         lefts=[alg.left_matrix(s) for s in span],
@@ -408,9 +417,10 @@ def _class_units(cs, i):
 class _BrandtCells:
     """The Brandt data a class set keeps, for the walk and theta alike.
 
-    classes[i] holds the _ClassUnits of class i; pairs[(ai, bi)] holds
-    L = a * b^-1, checked once to satisfy L * b in a (_brandt_cell), with
-    its packed left and right units (_unit_matrices); columns[(bi, p)],
+    classes[i] holds the _ClassUnits of class i, from when it joined
+    (_join); pairs[(ai, bi)] holds L = a * b^-1, the colon (a : b) with
+    its covolume checked once (_brandt_cell), with its packed left and
+    right units (_unit_matrices); columns[(bi, p)],
     p a prime ideal, holds the cells of the Brandt column (b, p) in class
     order: the witness coordinates on L of each cell searched, until the
     column closed at Np + 1 orbits.
@@ -515,7 +525,7 @@ def compute_class_set(R, support):
         support=list(support),
         mass=Fraction(0),
     )
-    _join(cs, R, R)
+    _join(cs, R)
     if not cs.support and cs.mass != target:
         cs.support = [_first_split_prime(F)]
     pending = [(0, si) for si in range(len(cs.support))]
@@ -546,7 +556,7 @@ def compute_class_set(R, support):
             c = next((c for c in nbrs if c not in covered), None)
             if c is None:
                 raise ArithmeticError("Brandt column short of Np + 1 orbits covers every neighbor")
-            _join(cs, c, c.left_order())
+            _join(cs, c)
             if cs.mass > target:
                 raise ArithmeticError(
                     "unit masses exceed the Eichler mass; class identification is broken"
@@ -555,14 +565,47 @@ def compute_class_set(R, support):
     return cs
 
 
-def _join(cs, rep, left):
-    """Add the class of rep, with its left order, its unit group and its
-    share of the mass."""
+def _join(cs, rep):
+    """Add the class of rep, a right ideal of cs.order: its generators
+    (_right_generators), its left order, its unit group, its share of the
+    mass and the unit data of its Brandt cells (_class_units).
+
+    A left order not known yet is the colon of rep by its generators:
+    O_l(c) = {x : x y in c for each generator y}, as c is a right module
+    over cs.order.
+    """
+    gens = _right_generators(rep, cs.order)
+    left = rep._left
+    if left is None:
+        left = rep._left = rep.colon(gens, rep.den, left=True)
+        left._left = left._right = left
     G = unit_group(left)
     cs.representatives.append(rep)
     cs.left_orders.append(left)
     cs.unit_groups.append(G)
     cs.mass += Fraction(1, G.order)
+    cs.brandt.classes.append(_class_units(cs, cs.size - 1, gens))
+
+
+def _right_generators(b, R):
+    """Generators of the right ideal b as a right module over its right
+    order R, as integer rows over b.den: the first pair of basis rows
+    y, z, in the order of itertools.combinations, with y R + z R = b, or
+    every basis row when no pair generates b.
+
+    y R is the span of the products y r over the basis rows r of R, the
+    rows of R times the left matrix of y; it lies in b, as b R = b, so a
+    pair generates b exactly when the span of its products is b.
+    """
+    alg = b.alg
+    spans = [None] * len(b.rows)
+    for i, j in combinations(range(len(b.rows)), 2):
+        for k in (i, j):
+            if spans[k] is None:
+                spans[k] = int_product(R.rows, alg.left_matrix(b.rows[k])[0])
+        if QuatLattice(alg, spans[i] + spans[j], b.den * R.den) == b:
+            return [b.rows[i], b.rows[j]]
+    return list(b.rows)
 
 
 def _witness_neighbor(a, u):
@@ -799,15 +842,13 @@ def _brandt_column(cs, bi, pr):
     fewer than Np + 1 orbits: a neighbor lies in one class only, so a
     closed column leaves its later cells empty.  The unit data of each
     class (_class_units: the span of its norm-one units, and the unit
-    coefficients over it) is taken once, when the first column after the
-    class joined is filled; each pair of classes then solves only the
-    span's matrices on L = a * b^-1 and packs its units from them
-    (_unit_matrices).  Returns the witness coordinates of each cell
-    searched (_brandt_cell), on the basis of L.
+    coefficients over it) is taken once, when the class joins (_join);
+    each pair of classes then solves only the span's matrices on
+    L = a * b^-1 and packs its units from them (_unit_matrices).  Returns
+    the witness coordinates of each cell searched (_brandt_cell), on the
+    basis of L.
     """
     br = cs.brandt
-    # the unit data of the classes that joined since the last fill
-    br.classes += [_class_units(cs, i) for i in range(len(br.classes), cs.size)]
     cells = br.columns.setdefault((bi, pr.ideal), [])
     room = pr.norm + 1 - sum(map(len, cells))
     while room and len(cells) < cs.size:
@@ -822,11 +863,16 @@ def _brandt_cell(cs, ai, bi, pr, room):
     most room of them (compute_theta), none unless [nr a] [p] = [nr b]:
     one lookup in F.narrow_mul on the classes F.narrow_class keeps.
 
-    The first cell of a pair of classes builds L = a * b^-1 and checks
-    once that L * b lies in a: the products u * b of the basis rows u of
-    L, over b.den * L.den, have integer coordinates on a.  Every witness
-    has integer coordinates on L, so u * b lies in a for each of them,
-    and its index there is Np^2 by its norm (compute_theta).
+    The first cell of a pair of classes builds L = a * b^-1 as the left
+    colon (a : b) = {x : x b in a}, one solve over the generators of b
+    (QuatLattice.colon, _right_generators): b is invertible, so the colon
+    is a * b^-1, with left order O_l(a) and right order O_l(b).  Every
+    witness u lies in L, so u * b lies in a by construction, and its
+    index there is Np^2 by its norm (compute_theta).
+
+    Certificate: L has the index of a * b^-1, covol(L) covol(b) =
+    covol(a) covol(R) for R = cs.order, else ArithmeticError.  Generators that span less
+    than b give a larger colon, so a smaller covolume.
     """
     br = cs.brandt
     F = cs.order.alg.base
@@ -839,10 +885,10 @@ def _brandt_cell(cs, ai, bi, pr, room):
     if beta is None:
         raise ArithmeticError("narrowly trivial ideal has no totally positive generator")
     if (ai, bi) not in br.pairs:
-        L = a.compose(b.inverse())
-        lb = [r for u in L.rows for r in int_product(b.rows, L.alg.left_matrix(u)[0])]
-        if a.int_coords(lb, b.den * L.den) is None:
-            raise ArithmeticError("L * b does not lie in a for L = a * b^-1")
+        L = a.colon(cb.gens, b.den, left=True)
+        if L.covolume() * b.covolume() != a.covolume() * cs.order.covolume():
+            raise ArithmeticError("Brandt pair lattice does not have the index of a * b^-1")
+        L._left, L._right = cs.left_orders[ai], cs.left_orders[bi]
         br.pairs[ai, bi] = (L, *_unit_matrices(L, ca, cb))
     L, left, right = br.pairs[ai, bi]
     forms, D = L.norm_forms()
@@ -918,11 +964,12 @@ def compute_theta(cs, bound):
 
     Certificates, each raising ArithmeticError: a narrowly trivial J has
     a totally positive generator, the slot width and orbit checks of
-    _double_coset_orbits, L * b lies in a for each pair of classes (one
-    check per pair, _brandt_cell), every witness u takes the target
-    values on the norm forms of L, and the neighbors of each b at each p
-    number Np + 1 (check_norm_classes).  Each witness u lies in L, so
-    u * b lies in a, and its index there needs no check of its own:
+    _double_coset_orbits, L has the covolume of a * b^-1 for each pair of
+    classes (one check per pair, _brandt_cell), every witness u takes the
+    target values on the norm forms of L, and the neighbors of each b at
+    each p number Np + 1 (check_norm_classes).  L is the colon
+    {x : x b in a}, so each witness u lies in it exactly when u * b lies
+    in a, and its index there needs no check of its own:
     left multiplication by u scales covolumes by N(nr u)^2, and the norm
     check pins nr(u) = beta * e with N(e) = 1, so covol(u * b) =
     N(J)^2 covol(b) and [a : u * b] = Np^2, since covol(a) / covol(b) =

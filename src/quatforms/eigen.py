@@ -43,7 +43,6 @@ class Constituent:
     factors: list
     primes: list
     certified: bool
-    minpoly: Poly | None = None
     presentations: list | None = None
     eisenstein: bool = False
 
@@ -163,7 +162,6 @@ def present_eigenvalues(c, blocks):
             break
     if gi is None:
         return None
-    c.minpoly = c.factors[gi][0]
     M = _restrict(blocks[gi].matrix.rows, c.basis)
     n = c.dimension
     # M^k e_0 = A^k e_0 / d^k for M = A / d: the Krylov vectors are the

@@ -12,12 +12,12 @@ intmat.canonical_lattice.
 The structure constants on the ambient basis are integers, read off the
 relations in integer field arithmetic (QuatAlgebra.mul_table).  Every
 lattice computation runs on them and on integer rows: products, scaling
-by field ideals, conjugates, inverses, left and right orders,
-membership, the order test is_order, and the maximal order search of
-maximalize, whose residue algebras O/pO take their products from the
-sparse table and their radicals from the norm forms, and whose
-certificate is the reduced discriminant dropping to the unit ideal
-(norm 1).  Norm equations are solved in integer coordinates on a
+by field ideals, conjugates, inverses, colons and with them left and
+right orders, membership, the order test is_order, and the maximal
+order search of maximalize, whose residue algebras O/pO take their
+products from the sparse table and their radicals from the norm forms,
+and whose certificate is the reduced discriminant dropping to the unit
+ideal (norm 1).  Norm equations are solved in integer coordinates on a
 lattice's basis, where the reduced norm is a set of integer quadratic
 forms (QuatLattice.norm_forms).  Single rational elements multiply
 through the same table (mul, and nr, fmul and inv on it), so the table
@@ -364,27 +364,35 @@ class QuatLattice:
         return self._right
 
     def _stabilizer(self, left):
-        """The left order {x : x L in L} of L, or its right order.
-
-        Row r of the system holds the coordinates of e_r b_j (b_j e_r
-        for the right order) over the basis rows b_j, for every j, read
-        off the integer structure table.
-        """
-        alg = self.alg
-        T = alg.mul_table()
-        if not left:
-            T = list(zip(*T))
-        adj, rho = self._inverse()
-        mat = []
-        for Tr in T:
-            # den * (e_r b_j) is row j of rows * Tr; its coordinates are
-            # that row times adj / rho
-            coords = int_product(int_product(self.rows, Tr), adj)
-            mat.append([c for row in coords for c in row])
+        """The left order {x : x L in L} of L, or its right order: the
+        colon of L by its own basis rows."""
+        order = self.colon(self.rows, self.den, left)
         # an order is its own left and right order
-        order = QuatLattice(alg, *integral_preimage_rows(mat, rho))
         order._left = order._right = order
         return order
+
+    def colon(self, gens, den, left):
+        """The left colon {x : x g / den in L for every integer row g of
+        gens}, or the right colon {x : g x / den in L} when left is false.
+
+        One integral preimage solve: row r of the system holds, for each
+        g in turn, the coordinates of e_r g (g e_r for the right colon)
+        over the basis rows, read off the integer right (left)
+        multiplication matrix M_g of g.  The coordinates of x g / den are
+        x M_g adj L.den / (den rho), adj / rho the inverse of the basis.
+        When L is a right module over an order S and the g / den generate
+        the right S-module M, the left colon is {x : x M in L}, since
+        x g S lies in L S = L once x g does; on the left likewise.
+        """
+        alg = self.alg
+        side = alg.right_matrix if left else alg.left_matrix
+        adj, rho = self._inverse()
+        q = den * rho
+        g = gcd(self.den, q)
+        scale = self.den // g
+        blocks = [int_product(side(v)[0], adj) for v in gens]
+        mat = [[scale * c for block in blocks for c in block[r]] for r in range(alg.dim)]
+        return QuatLattice(alg, *integral_preimage_rows(mat, q // g))
 
     def norm_forms(self):
         """The reduced norm on the basis rows as integer quadratic forms.
@@ -716,13 +724,9 @@ def trace_form_gram(lat, w):
     F = lat.alg.base
     forms, _ = lat.norm_forms()
     # Tr(w trd(x conj y)) = (2 / D) sum_k Tr(w w_k) x forms[k] y^T, and
-    # row k of the matrix of w is w_k w
-    weights = [F.trace(row) for row in F.rep_rows(w)]
-    m = len(forms[0])
-    gram = [
-        [sum(t * N[i][j] for t, N in zip(weights, forms)) for j in range(m)]
-        for i in range(m)
-    ]
+    # row k of the matrix of w is w_k w; the field is quadratic, k = 0, 1
+    t0, t1 = (F.trace(row) for row in F.rep_rows(w))
+    gram = [[t0 * a + t1 * b for a, b in zip(r0, r1)] for r0, r1 in zip(*forms)]
     g = gcd(*(v for row in gram for v in row))
     return [[v // g for v in row] for row in gram], g
 

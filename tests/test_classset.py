@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatforms.classset import (
-    _class_units,
     _double_coset_orbits,
     _key_vector,
     _norm_one_units,
@@ -452,7 +451,7 @@ def test_class_set_table_to_105(d):
     pairs = sorted(br.pairs)
     for ai, bi in [(0, 0)] + rng.sample(pairs, min(6, len(pairs))):
         L = br.pairs[ai, bi][0] if (ai, bi) in br.pairs else R
-        ca, cb = (br.classes[i] if i < len(br.classes) else _class_units(cs, i) for i in (ai, bi))
+        ca, cb = br.classes[ai], br.classes[bi]
         x = tuple(rng.randint(-2 ** 20, 2 ** 20) for _ in range(8))
         for units, cu, lams in zip(_unit_matrices(L, ca, cb), (ca, cb), (ca.lefts, cb.rights)):
             want = ref_unit_images(x, _span_matrices(L, lams), cu.coeffs)
@@ -520,11 +519,9 @@ def test_inverse_presets_orders_known_by_construction():
 
 
 def test_inverse_built_once_per_lattice(monkeypatch):
-    # the walk inverts a representative b once it fills a Brandt column
-    # (b, p), for the quotients a * b^-1 of its cells: 5 inversions of 5
-    # distinct lattices on a fresh quad:85 walk.  The inverse is kept on
-    # the lattice, so no lattice object is inverted twice, and the walk
-    # gives the pinned representatives and unit groups.
+    # the walk builds its quotients a * b^-1 as colons, so a fresh quad:85
+    # walk inverts no lattice, and it gives the pinned representatives and
+    # unit groups.  An inverse, once built, is kept on the lattice
     R = maximalize(hilbert_ramification_free_algebra(F85).standard_order())
     built = []
     conjugate = QuatLattice.conjugate
@@ -536,9 +533,8 @@ def test_inverse_built_once_per_lattice(monkeypatch):
     monkeypatch.setattr(QuatLattice, "conjugate", recording)
     cs = compute_class_set(R, narrow_support(F85))
     monkeypatch.undo()
-    assert len({id(lat) for lat in built}) == len(built) == 5
-    assert len({(lat.rows, lat.den) for lat in built}) == 5
-    for lat in built:
+    assert built == []
+    for lat in cs.representatives:
         assert lat.inverse() is lat.inverse()
     reps = repr([(r.rows, r.den) for r in cs.representatives])
     units = repr([g.elements for g in cs.unit_groups])
@@ -565,26 +561,27 @@ def ref_stabilizer(lat, left):
     return QuatLattice(alg, *integral_preimage_rows(ints, den))
 
 
-@pytest.mark.parametrize("spec,bound,stabilized", [("quad:10", 12, 3), ("quad:85", 5, 7)])
-def test_orders_known_by_construction(spec, bound, stabilized, monkeypatch):
-    # neighbors carry their right order and compose products the outer
-    # orders of their factors, so the walk stabilizes only the left orders
-    # of the new representatives; every preset order is the one
-    # _stabilizer finds on a fresh copy
+@pytest.mark.parametrize("spec,bound,new_classes", [("quad:10", 12, 3), ("quad:85", 5, 7)])
+def test_orders_known_by_construction(spec, bound, new_classes, monkeypatch):
+    # neighbors carry their right order, the walk takes the left order of
+    # each new representative as a colon by its generators, and every
+    # Brandt pair lattice, a colon too, carries the left orders of its
+    # classes; so neither the walk nor compute_theta stabilizes a lattice,
+    # and every preset order is the one _stabilizer finds on a fresh copy
     import quatforms.classset as classset
 
-    walk, compose = classset.neighbors, QuatLattice.compose
+    walk, colon = classset.neighbors, QuatLattice.colon
     stabilizer = QuatLattice._stabilizer
-    neighbor_lats, products, calls = [], [], []
+    neighbor_lats, colons, calls = [], [], []
 
     def recorded_neighbors(b, p):
         out = walk(b, p)
         neighbor_lats.extend(out)
         return out
 
-    def recorded_compose(self, other):
-        out = compose(self, other)
-        products.append(out)
+    def recorded_colon(self, gens, den, left):
+        out = colon(self, gens, den, left)
+        colons.append(out)
         return out
 
     def counted(self, left):
@@ -592,25 +589,28 @@ def test_orders_known_by_construction(spec, bound, stabilized, monkeypatch):
         return stabilizer(self, left)
 
     monkeypatch.setattr(classset, "neighbors", recorded_neighbors)
-    monkeypatch.setattr(QuatLattice, "compose", recorded_compose)
+    monkeypatch.setattr(QuatLattice, "colon", recorded_colon)
     monkeypatch.setattr(QuatLattice, "_stabilizer", counted)
     R = maximal_order(spec)
     cs = compute_class_set(R, narrow_support(R.alg.base))
-    assert calls == [True] * stabilized
-    assert stabilized == cs.size - 1
-    walked = len(products)
+    walked = len(colons)
+    assert new_classes == cs.size - 1
     compute_theta(cs, bound)
-    assert calls == [True] * stabilized
-    assert neighbor_lats and 0 < walked < len(products)
+    assert calls == []
+    pairs = [L for L, _, _ in cs.brandt.pairs.values()]
+    # one colon per left order of a new class, and one per pair of classes
+    assert len(colons) == cs.size - 1 + len(pairs)
+    assert neighbor_lats and 0 < walked < len(colons)
+    assert all(any(L is c for c in colons) for L in pairs)
+    assert all(any(O is c for c in colons) for O in cs.left_orders[1:])
 
     def known(lat, left):
         want = stabilizer(QuatLattice(lat.alg, lat.rows, lat.den), left)
         return (lat._left if left else lat._right) == want
 
-    # every compose, in the walk or in compute_theta, knows both orders
-    # of its representative factors
     assert all(known(c, False) for c in neighbor_lats)
-    assert all(known(L, True) and known(L, False) for L in products)
+    assert all(known(c, True) for c in cs.representatives)
+    assert all(known(L, True) and known(L, False) for L in pairs)
 
 
 def test_compose_certificate_checked_under_optimize(run_optimized):
@@ -660,6 +660,39 @@ def test_compose_matches_full_product(spec):
     for a in cs.representatives:
         for b in cs.representatives:
             assert a.compose(b.inverse()) == ref_compose(a, b.inverse())
+
+
+@pytest.mark.parametrize("spec", ["quad:10", "quad:85", pytest.param("quad:34", marks=pytest.mark.slow)])
+def test_colon_matches_fraction_product(spec):
+    # the Brandt pair lattice, the left colon (a : b) by the generators of
+    # b, is the span of the products of a with the Fraction inverse of b,
+    # on every ordered pair of classes; a pair of basis rows generates
+    # every representative, and the colon by all the basis rows, the
+    # fallback of _right_generators, gives the same lattice
+    cs = class_set(spec)
+    reps = cs.representatives
+    gens = [cu.gens for cu in cs.brandt.classes]
+    assert [len(g) for g in gens] == [2] * cs.size
+    for bi, b in enumerate(reps):
+        inv = ref_inverse(b)
+        for ai, a in enumerate(reps):
+            L = a.colon(gens[bi], b.den, left=True)
+            assert L == ref_compose(a, inv) == a.colon(b.rows, b.den, left=True)
+            if (ai, bi) in cs.brandt.pairs:
+                assert cs.brandt.pairs[ai, bi][0] == L
+
+
+def test_right_generators_fall_back_to_every_basis_row(monkeypatch):
+    # with no pair to try, the generators are all the basis rows, and the
+    # left order is still their colon
+    import quatforms.classset as classset
+
+    cs = class_set("quad:85")
+    monkeypatch.setattr(classset, "combinations", lambda rows, r: iter(()))
+    for b, left in zip(cs.representatives, cs.left_orders):
+        gens = classset._right_generators(b, cs.order)
+        assert gens == list(b.rows)
+        assert b.colon(gens, b.den, left=True) == left
 
 
 def test_stabilizer_matches_fraction_reference():
@@ -1023,10 +1056,11 @@ def test_isomorphism_witness_checked_under_optimize(run_optimized):
 
 
 def test_theta_orbit_count_checked_under_optimize(run_optimized):
-    # a right translate by 2 h, which is not a unit of O_l(b), and a norm
-    # equation walk that yields 2 x for each solution x both give orbits
-    # of four times the norm; with asserts stripped the witness norm
-    # check must catch each
+    # right matrices doubled make the pair lattice the colon by 2 b, half
+    # of a * b^-1, and a norm equation walk that yields 2 x for each
+    # solution x gives orbits of four times the norm; with asserts
+    # stripped the pair's covolume check must catch the first and the
+    # witness norm check the second
     prelude = (
         "from quatforms import classset\n"
         "from quatforms.numberfield import field_from_spec\n"
@@ -1044,7 +1078,11 @@ def test_theta_orbit_count_checked_under_optimize(run_optimized):
         "classset.iter_norm_equation_coords = lambda lat, alpha: (\n"
         "    tuple(2 * c for c in x) for x in walk(lat, alpha))\n",
     )
-    for fault in faults:
+    messages = (
+        "ArithmeticError: Brandt pair lattice does not have the index of a * b^-1",
+        "ArithmeticError: theta witness does not have the target norm",
+    )
+    for fault, message in zip(faults, messages):
         out = run_optimized(
             prelude + fault
             + "try:\n"
@@ -1052,24 +1090,21 @@ def test_theta_orbit_count_checked_under_optimize(run_optimized):
             "except ArithmeticError as exc:\n"
             "    print('ArithmeticError:', exc)\n"
         )
-        assert out.startswith("ArithmeticError: theta witness does not have the target norm")
+        assert out.startswith(message)
 
 
-def test_theta_containment_checked_under_optimize(run_optimized):
-    # an inverse scaled by 1/2 makes L = a * b^-1 / 2, so L * b = a / 2
-    # does not lie in a; with asserts stripped the pair check must catch it
-    # before any witness is drawn from L
+def test_theta_pair_covolume_checked_under_optimize(run_optimized):
+    # twice one basis row of the maximal order R of quad:5 generates 2 R
+    # only, so the colon by it is R / 2, larger than R * R^-1 = R; with
+    # asserts stripped the covolume certificate must catch it before any
+    # witness is drawn from the pair lattice
     out = run_optimized(
-        "from fractions import Fraction\n"
         "from quatforms import classset\n"
         "from quatforms.numberfield import field_from_spec\n"
-        "from quatforms.quaternion import (\n"
-        "    QuatLattice, hilbert_ramification_free_algebra, maximalize)\n"
-        "F = field_from_spec('quad:5')\n"
-        "alg = hilbert_ramification_free_algebra(F)\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
+        "alg = hilbert_ramification_free_algebra(field_from_spec('quad:5'))\n"
+        "classset._right_generators = lambda b, R: [[2 * c for c in b.rows[0]]]\n"
         "cs = classset.compute_class_set(maximalize(alg.standard_order()), [])\n"
-        "inverse = QuatLattice.inverse\n"
-        "QuatLattice.inverse = lambda b: inverse(b).iscale(F.ideal(Fraction(1, 2)))\n"
         "try:\n"
         "    print('returned', classset.compute_theta(cs, 4))\n"
         "except ArithmeticError as exc:\n"
@@ -1077,7 +1112,28 @@ def test_theta_containment_checked_under_optimize(run_optimized):
         "print(len(cs.brandt.pairs))\n"
     )
     assert out.splitlines() == [
-        "ArithmeticError: L * b does not lie in a for L = a * b^-1", "0"]
+        "ArithmeticError: Brandt pair lattice does not have the index of a * b^-1", "0"]
+
+
+def test_column_sums_checked_under_optimize(run_optimized):
+    # a table that lost one witness of its first entry leaves that column
+    # one short of Np + 1; with asserts stripped check_norm_classes must
+    # catch it
+    out = run_optimized(
+        "from quatforms import classset\n"
+        "from quatforms.numberfield import field_from_spec\n"
+        "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
+        "alg = hilbert_ramification_free_algebra(field_from_spec('quad:5'))\n"
+        "cs = classset.compute_class_set(maximalize(alg.standard_order()), [])\n"
+        "th = classset.compute_theta(cs, 4)\n"
+        "key = next(iter(th.entries))\n"
+        "th.entries[key] = th.entries[key][1:]\n"
+        "try:\n"
+        "    print('returned', classset.check_norm_classes(cs, th))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: orbit table column does not sum to Np + 1")
 
 
 def test_double_coset_certificates_under_optimize(run_optimized):
@@ -1287,7 +1343,7 @@ def test_unit_matrices_match_quaternion_products(spec):
     # O_l(a)) and of x * h (those of O_l(b)) on the basis of L = a * b^-1,
     # sign-normalized, in unit order
     cs = class_set(spec)
-    units = [_class_units(cs, i) for i in range(cs.size)]
+    units = cs.brandt.classes
     assert [len(cu.lefts) for cu in units] == [len(cu.rights) for cu in units] == SPAN_RANKS[spec]
     alg = cs.order.alg
     for cu, G in zip(units, cs.unit_groups):

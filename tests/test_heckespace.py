@@ -643,10 +643,36 @@ def diag(*entries):
     # I_2 claimed irreducible x^2 + 1, so the piece is final; diag(1, 2) is not isotypic on it
     ("[(Poly([1, 0, 1]), 1)]", [diag(1, 1), diag(1, 2)],
      "piece is not isotypic for some operator"),
-], ids=["wrong-dimension", "not-a-degree-multiple", "not-isotypic"])
+    # diag(1, 2, 3) claimed to have (x - 1)(x - 2): each kernel has its
+    # dimension, but the two pieces miss the third coordinate line
+    ("[(Poly([-1, 1]), 1), (Poly([-2, 1]), 1)]", [diag(1, 2, 3)],
+     "constituent dimensions do not add up to the space"),
+], ids=["wrong-dimension", "not-a-degree-multiple", "not-isotypic", "dimensions-short"])
 def test_decompose_certificates_checked_under_optimize(run_optimized, lie, mats, message):
     out = run_optimized(LYING_DECOMPOSE.format(lie=lie, mats=mats))
     assert out.startswith(f"ArithmeticError: {message}")
+
+
+def test_presentation_identity_checked_under_optimize(run_optimized):
+    # the generator [[1, 0], [1, 2]] is cyclic on e_0, and the swap, which
+    # does not commute with it, stands in for a faulty restriction: its
+    # Krylov coordinates exist, but the polynomial they give is not the
+    # swap, and with asserts stripped the matrix identity must catch it
+    out = run_optimized(
+        "from types import SimpleNamespace\n"
+        "from quatforms.eigen import Constituent, present_eigenvalues\n"
+        "from quatforms.matrices import Matrix\n"
+        "from quatforms.polynomials import Poly\n"
+        "blocks = [SimpleNamespace(matrix=Matrix(m), prime=None)\n"
+        "          for m in ([[1, 0], [1, 2]], [[0, 1], [1, 0]])]\n"
+        "c = Constituent(basis=[[1, 0], [0, 1]], primes=[None, None], certified=True,\n"
+        "                factors=[(Poly([2, -3, 1]), 1), (Poly([-1, 0, 1]), 1)])\n"
+        "try:\n"
+        "    print('returned', present_eigenvalues(c, blocks))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: operator is not a polynomial in the generator")
 
 
 @pytest.mark.parametrize("spec", ["quad:10", "quad:85"])
