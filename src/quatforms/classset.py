@@ -35,14 +35,13 @@ from .intmat import echelon_coords, hnf_rows, identity_int, int_product, integra
 from .numberfield import PrimeIdeal
 from .quaternion import QuatLattice, iter_norm_equation_coords, norm_equation_solutions
 from .residue import (
-    FiniteField,
     LatticeQuotient,
     MatrixSplitting,
     QuotientSpace,
     in_span_mod,
     matmul_mod,
+    quadratic_roots,
     span_basis_mod,
-    subalgebra,
 )
 
 
@@ -59,8 +58,8 @@ class ResidueSplitting:
     integral at q: a field multiplier congruent to 1 there clears
     denominators supported away from it.  Unit group elements and theta
     witnesses are of this kind, their norms being units or neighbor
-    steps at q.  Root counts of fixed_points are kept per (trace,
-    determinant).
+    steps at q.  fixed_points keeps its root counts (quadratic_roots)
+    per (trace, determinant).
     """
 
     def __init__(self, order, prime, quo, k, split, lam):
@@ -152,10 +151,7 @@ class ResidueSplitting:
             return k.q + 1
         key = (k.add(a, d), k.sub(k.mul(a, d), k.mul(b, c)))
         if key not in self._root_counts:
-            tr, det = key
-            self._root_counts[key] = sum(
-                not k.add(k.sub(k.mul(x, x), k.mul(tr, x)), det) for x in range(k.q)
-            )
+            self._root_counts[key] = len(quadratic_roots(k, *key))
         return self._root_counts[key]
 
 
@@ -166,8 +162,9 @@ def split_residue_matrix(R, prime):
     The neighbor walk reads its quotient and matrix splitting, and the
     level layer (heckespace) reduces elements through it.  k is the
     image of the base ring, on the rref basis of the images of its
-    integral basis; the idempotent search draws from one fixed random
-    stream, so the splitting is the same on every run.
+    integral basis, made a FiniteField by MatrixSplitting; the idempotent
+    comes from the first draw of one fixed random stream whose relation
+    over k has two roots, so the splitting is the same on every run.
     """
     ideal, ell, f = _prime_parts(prime)
     if ideal in R._splits:
@@ -186,8 +183,7 @@ def split_residue_matrix(R, prime):
         tuple(c for row in split.image(quo.reduce(e)) for entry in row for c in entry)
         for e in units
     )
-    k = FiniteField(subalgebra(A, k_rows, A.one))
-    R._splits[ideal] = ResidueSplitting(R, ideal, quo, k, split, lam)
+    R._splits[ideal] = ResidueSplitting(R, ideal, quo, split.k, split, lam)
     return R._splits[ideal]
 
 

@@ -335,49 +335,8 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
 
 
 # ---------------------------------------------------------------------------
-# factorization mod p (distinct degree + equal degree), every prime p
-
-
-def factor_mod_p(f: list[int], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """Full factorization of f mod p: sorted [(monic irreducible coeffs, multiplicity)].
-
-    Handles every prime the same way: the squarefree part is split by
-    degree (_distinct_degree) and then into irreducibles (_equal_degree_split),
-    drawing from random.Random(0).  The sorted factorization is unique, so
-    the result does not depend on the draws.
-    """
-    f = _zmod(f, p)
-    if not f:
-        raise ValueError("zero polynomial mod p")
-    inv = pow(f[-1], -1, p)
-    f = [c * inv % p for c in f]
-    out: dict[tuple[int, ...], int] = {}
-    _factor_mod_p_rec(f, p, random.Random(0), out, 1)
-    return sorted(out.items())
-
-
-def _factor_mod_p_rec(f, p, rng, out, scale):
-    if len(f) <= 1:
-        return
-    deriv = _zmod(_zderiv(f), p)
-    if not deriv:
-        # f = g(x^p) = (coefficient-wise root of g)(x)^p over F_p
-        g = [f[i] for i in range(0, len(f), p)]
-        _factor_mod_p_rec(g, p, rng, out, scale * p)
-        return
-    gcd_fd = _zgcd_mod(f, deriv, p)
-    w = _zdivmod_monic(f, gcd_fd, p)[0]
-    irr = factor_squarefree_mod_p(_distinct_degree(w, p), p, rng)
-    rem = f
-    for q in irr:
-        e = 0
-        while True:
-            quo, r = _zdivmod_monic(rem, q, p)
-            if r:
-                break
-            rem, e = quo, e + 1
-        out[tuple(q)] = out.get(tuple(q), 0) + e * scale
-    _factor_mod_p_rec(rem, p, rng, out, scale)
+# squarefree factorization mod an odd prime p (distinct degree, then
+# equal degree), for Hensel lifting
 
 
 def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
@@ -405,7 +364,7 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
 
 
 def factor_squarefree_mod_p(parts: list[tuple[int, list[int]]], p: int, rng: random.Random) -> list[list[int]]:
-    """Monic irreducible factors mod a prime p of a monic squarefree
+    """Monic irreducible factors mod an odd prime p of a monic squarefree
     polynomial, given its distinct-degree parts (_distinct_degree)."""
     found = [h for d, g in parts for h in _equal_degree_split(g, d, p, rng)]
     if sum(len(h) - 1 for h in found) != sum(len(g) - 1 for _, g in parts):
@@ -414,12 +373,15 @@ def factor_squarefree_mod_p(parts: list[tuple[int, list[int]]], p: int, rng: ran
 
 
 def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """All irreducible factors of g, which is a product of degree-d primes mod p.
+    """All irreducible factors of g, which is a product of degree-d primes
+    mod an odd prime p.
 
     gcd(b, g) splits g for most random a, with b = a^((p^d - 1)/2) - 1
-    for odd p (Cantor-Zassenhaus) and the trace b = a + a^2 + ... +
-    a^(2^(d-1)) for p = 2.
+    (Cantor-Zassenhaus).  That b needs an odd p, so p = 2 raises
+    ValueError; factor_squarefree_monic_int uses primes above 101.
     """
+    if p == 2:
+        raise ValueError("equal-degree splitting needs an odd prime")
     n = len(g) - 1
     if n == d:
         return [g]
@@ -428,14 +390,8 @@ def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> lis
         a = _ztrim([rng.randrange(p) for _ in range(n)])
         if not a:
             continue
-        if p == 2:
-            b, t = a, a
-            for _ in range(d - 1):
-                t = _zmulmod(t, t, g, 2)
-                b = _zmod([u + v for u, v in _zip_pad(b, t)], 2)
-        else:
-            b = _zpowmod(a, e, g, p)
-            b = _zmod([(b[0] if b else 0) - 1] + b[1:], p)
+        b = _zpowmod(a, e, g, p)
+        b = _zmod([(b[0] if b else 0) - 1] + b[1:], p)
         h = _zgcd_mod(b, g, p)
         if 0 < len(h) - 1 < n:
             rest = _zdivmod_monic(g, h, p)[0]

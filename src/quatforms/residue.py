@@ -7,10 +7,10 @@ commutative algebras (which locate the maximal two-sided ideals that
 maximal-order enlargement lifts), the explicit splitting of a rank-4
 quotient algebra as 2x2 matrices over its center, and finite fields as
 log tables (FiniteField), on which the 2x2 matrices and projective lines
-of the level structure run.  Every idempotent is found by one rule
-(_nil_idempotent): 1 - y^N, for N a multiple of every unit order of
-F_p[y] and at least every nilpotency index, is the idempotent of the
-part where y is nilpotent.
+of the level structure run.  Fermat powers give the primitive
+idempotents (_nil_idempotent), and one quadratic relation over the
+center gives the splitting (MatrixSplitting._find_idempotent): no
+polynomial is factored.
 
 Vectors are tuples of ints mod p; matrices are tuples of row tuples.
 Elements of a FiniteField are single ints, coded by discrete logarithm.
@@ -21,12 +21,10 @@ come from the ambient algebra's integer structure table.
 """
 
 import itertools
-import math
 import random
 
 from .arith import factor_int
 from .intmat import hnf_rows, int_product, integral_rows, inverse_rows, lattice_coords
-from .polynomials import factor_mod_p
 
 
 # ---------------------------------------------------------------------------
@@ -188,28 +186,6 @@ class FpAlgebra:
     def rep_right(self, x):
         cols = [self.mul(self.unit(j), x) for j in range(self.dim)]
         return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
-
-    def minpoly(self, x):
-        """Monic minimal polynomial of x, low-degree-first int coefficients."""
-        rows = []
-        power = self.one
-        while True:
-            if rows:
-                sol = solve_right_mod(tuple(zip(*rows)), power, self.p)
-                if sol is not None:
-                    return [(-c) % self.p for c in sol] + [1]
-            rows.append(power)
-            power = self.mul(power, x)
-
-    def evaluate(self, coeffs, x):
-        """Evaluate an integer polynomial (low-first) at x."""
-        out = self.zero()
-        power = self.one
-        for c in coeffs:
-            if c % self.p:
-                out = self.add(out, self.smul(c, power))
-            power = self.mul(power, x)
-        return out
 
     def elements(self):
         """All p^dim coordinate vectors, lexicographic. Only for tiny algebras."""
@@ -458,7 +434,8 @@ class MatrixSplitting:
 
     Entry coordinates refer to the caller-fixed basis of k supplied as
     unit_embedding (images in A of that basis), so the identification of
-    the center is pinned once and shared by every consumer.
+    the center is pinned once and shared by every consumer.  k is built
+    on that basis as a FiniteField, where _find_idempotent finds roots.
     """
 
     def __init__(self, A, unit_embedding):
@@ -476,27 +453,41 @@ class MatrixSplitting:
             if not in_span_mod(center, row, p):
                 raise ArithmeticError("unit embedding does not centralize")
         self.k_basis = [vec_mod(r, p) for r in unit_embedding]
+        self.k = FiniteField(subalgebra(A, self.k_basis, A.one))
         self._build_units(self._find_idempotent())
 
+    def _scalar(self, a):
+        """The central element of A that the code a of k stands for."""
+        return vec_mod(int_product([self.k.coords(a)], self.k_basis)[0], self.p)
+
     def _find_idempotent(self):
-        """The idempotent of the q0-primary part of A for v, the first
-        draw of a fixed random stream whose minimal polynomial has two
-        coprime factors, and q0 its first irreducible factor.  q0(v) is
-        nilpotent on that part and a unit elsewhere, of order dividing
-        p^d (p^L - 1) for d = deg minpoly and L = lcm(1, ..., d)."""
-        A, p = self.A, self.p
+        """The rank-one idempotent (v - mu) / (lambda - mu) for v, the first
+        non-central draw of a fixed random stream whose relation
+        v^2 = t v - n over k (one solve over the columns k_i v and -k_i)
+        has two distinct roots lambda != mu in k.  A central c satisfies
+        (x - c)(x - s) for every s, which can give e = 0 or 1, so central
+        draws are skipped.  Certificate: e^2 = e, e != 0, 1, else
+        ArithmeticError."""
+        A, p, f, k, kb = self.A, self.p, self.f, self.k, self.k_basis
         # one fixed stream: the same splitting, so the same neighbor order
         # and level codes, on every run
         rng = random.Random(0)
         for _ in range(500):
             v = tuple(rng.randrange(p) for _ in range(A.dim))
-            mp = A.minpoly(v)
-            fac = factor_mod_p(mp, p)
-            if len(fac) < 2:
+            if in_span_mod(kb, v, p):
                 continue
-            d = len(mp) - 1
-            order = p**d * (p ** math.lcm(*range(1, d + 1)) - 1)
-            return _nil_idempotent(A, A.evaluate(fac[0][0], v), order)
+            cols = [A.mul(z, v) for z in kb] + [A.smul(-1, z) for z in kb]
+            sol = solve_right_mod(tuple(zip(*cols)), A.mul(v, v), p)
+            if sol is None:
+                continue
+            roots = quadratic_roots(k, k.code(sol[:f]), k.code(sol[f:]))
+            if len(roots) < 2:
+                continue
+            lam, mu = roots
+            e = A.mul(self._scalar(k.inv(k.sub(lam, mu))), A.sub(v, self._scalar(mu)))
+            if A.mul(e, e) != e or e in (A.zero(), A.one):
+                raise ArithmeticError("quadratic relation gives no nontrivial idempotent")
+            return e
         raise ArithmeticError("no splitting idempotent found")
 
     def _build_units(self, e):
@@ -629,6 +620,11 @@ class FiniteField:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+
+def quadratic_roots(k, t, n):
+    """The codes x of k, ascending, with x^2 - t x + n = 0."""
+    return [x for x in range(k.q) if not k.add(k.sub(k.mul(x, x), k.mul(t, x)), n)]
 
 
 def mat2_mul(k, M, N):

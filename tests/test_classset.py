@@ -834,7 +834,8 @@ def test_walk_identification_checked_under_optimize(run_optimized):
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
-    assert out.startswith("ArithmeticError: unit masses exceed the Eichler mass")
+    assert out.startswith(
+        "ArithmeticError: unit masses exceed the Eichler mass; class identification is broken")
 
 
 def test_class_set_needs_generating_support():

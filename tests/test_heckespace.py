@@ -107,7 +107,7 @@ def test_orbit_partition_checked_under_optimize(run_optimized):
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
-    assert out.startswith("ArithmeticError: unit orbits do not partition")
+    assert out.startswith("ArithmeticError: unit orbits do not partition P^1")
 
 
 def test_point_index_order_pinned():
@@ -226,7 +226,7 @@ def test_norm_class_identity_checked_under_optimize(run_optimized):
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
-    assert out.startswith("ArithmeticError: theta witness leaves the norm class")
+    assert out.startswith("ArithmeticError: theta witness leaves the norm class [p]^-1 [nr b]")
 
 
 def test_multiplier_certificate_checked_under_optimize(run_optimized):
@@ -393,7 +393,8 @@ def test_burnside_divisibility_checked_under_optimize(run_optimized):
         "except ArithmeticError as exc:\n"
         "    print('ArithmeticError:', exc)\n"
     )
-    assert out.startswith("ArithmeticError: fixed point sum is not divisible")
+    assert out.startswith(
+        "ArithmeticError: fixed point sum is not divisible by the unit group order")
 
 
 def test_level_primes_split_once_per_order(monkeypatch):

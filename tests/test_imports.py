@@ -483,18 +483,12 @@ def test_field_layer_imports_only_integer_layers():
     assert imported_modules(source) == {"arith", "intmat"}
 
 
-def test_residue_imports_only_factor_mod_p_from_polynomials():
-    # every idempotent of the residue layer is a power of one element, so
-    # it needs no polynomial arithmetic beyond factoring a minimal
-    # polynomial
-    tree = ast.parse((Path(quatforms.__file__).parent / "residue.py").read_text())
-    names = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "polynomials"
-        for alias in node.names
-    ]
-    assert names == ["factor_mod_p"]
+def test_residue_imports_nothing_from_polynomials():
+    # the residue layer finds its idempotents as Fermat powers and from
+    # one quadratic relation over the center, so it needs no polynomial
+    # arithmetic
+    source = (Path(quatforms.__file__).parent / "residue.py").read_text()
+    assert "polynomials" not in imported_modules(source)
 
 
 def test_no_orphan_modules():

@@ -22,7 +22,6 @@ from quatforms.numberfield import (
     make_quadratic_field,
     siegel_zeta_quadratic,
 )
-from quatforms.polynomials import factor_mod_p
 
 
 def F85():
@@ -536,26 +535,33 @@ def test_splitting_follows_kronecker_symbol(d):
         assert prod == F.ideal(p)
 
 
-def _primes_from_factor_mod_p(F, p):
-    """primes_above by the general factorization of x^2 - t1 x - t0 mod p:
-    (rows, den, f, e) sorted by norm and rows."""
+def _primes_from_roots(F, p):
+    """primes_above by the roots of x^2 - t1 x - t0 mod p, found by trying
+    every residue: (rows, den, f, e) sorted by rows.  Two roots r
+    give the primes (p, omega - r), one gives (p, omega - r) squared, and
+    none leaves (p) inert."""
+    roots = [r for r in range(p) if (r * r - F.t1 * r - F.t0) % p == 0]
+    if not roots:
+        P = F.ideal(p)
+        return [(P.rows, P.den, 2, 1)]
     out = []
-    for q, e in factor_mod_p([-F.t0, -F.t1, 1], p):
-        P, f = (F.ideal(p, (q[0], 1)), 1) if len(q) == 2 else (F.ideal(p), 2)
-        out.append((P.rows, P.den, f, e))
-    return sorted(out, key=lambda t: (p ** t[2], t[0]))
+    for r in roots:
+        P = F.ideal(p, (-r, 1))
+        out.append((P.rows, P.den, 1, 3 - len(roots)))
+    return sorted(out, key=lambda t: t[0])
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 13, 15, 34, 85, 94, 105])
 def test_primes_above_match_factor_mod_p(d):
     # the roots from Euler's criterion and one modular square root give
-    # the primes the general factorization mod p gives
+    # the primes that the factorization of x^2 - t1 x - t0 mod p gives,
+    # read off its roots by enumeration
     F = FieldCtx(d)
     for p in range(2, 2000):
         if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             continue
         got = [(P.rows, P.den, f, e) for P, f, e in F.primes_above(p)]
-        assert got == _primes_from_factor_mod_p(F, p), (d, p)
+        assert got == _primes_from_roots(F, p), (d, p)
 
 
 def test_prime_ideals_up_to():

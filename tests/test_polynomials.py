@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -227,9 +228,7 @@ def test_isolate_no_real_roots():
     assert isolate_real_roots(Poly([1, 0, 1])) == []
 
 
-# --- full factorization over F_p ---
-
-from quatforms.polynomials import factor_mod_p
+# --- squarefree factorization over F_p at odd p ---
 
 
 def _pmul(a, b, p):
@@ -242,76 +241,77 @@ def _pmul(a, b, p):
     return out
 
 
-def test_factor_mod_p_known():
-    # x^2 + 1 stays irreducible mod 3, splits mod 5, ramifies mod 2
-    assert factor_mod_p([1, 0, 1], 3) == [((1, 0, 1), 1)]
-    assert factor_mod_p([1, 0, 1], 5) == [((2, 1), 1), ((3, 1), 1)]
-    assert factor_mod_p([1, 0, 1], 2) == [((1, 1), 2)]
-    # (x^2+x+1)^2 over F_2, written out
-    assert factor_mod_p([1, 0, 1, 0, 1], 2) == [((1, 1, 1), 2)]
+def _factor(f, p, rng=None):
+    """The distinct-degree and equal-degree split that Hensel lifting uses."""
+    return factor_squarefree_mod_p(_distinct_degree(f, p), p, rng or random.Random(0))
 
 
-def test_factor_mod_p_derivative_zero():
-    # x^5 - x = x(x-1)(x+1)(x^2+2)... over F_5 it is prod (x - a)
-    got = factor_mod_p([0, 4, 0, 0, 0, 1], 5)
-    assert got == [((0, 1), 1), ((1, 1), 1), ((2, 1), 1), ((3, 1), 1), ((4, 1), 1)]
-    # x^4 + x^2 + 1 = (x^2 + x + 1)^2 mod 2; f' = 0
-    assert factor_mod_p([1, 0, 1, 0, 1], 2) == [((1, 1, 1), 2)]
-    # x^9 mod 3
-    assert factor_mod_p([0] * 9 + [1], 3) == [((0, 1), 9)]
-
-
-def test_factor_mod_p_multiply_back():
-    rng = random.Random(11)
-    for p in (2, 3, 5, 13):
-        for _ in range(25):
-            deg = rng.randint(1, 7)
-            f = [rng.randrange(p) for _ in range(deg)] + [1]
-            fac = factor_mod_p(f, p)
-            prod = [1]
-            total = 0
-            for q, m in fac:
-                assert q[-1] == 1 and len(q) >= 2
-                total += (len(q) - 1) * m
-                for _ in range(m):
-                    prod = _pmul(prod, list(q), p)
-            assert total == deg
-            assert prod == [c % p for c in f]
-
-
-def _ref_factor_mod_2(f):
-    """Sorted factorization of a monic f over F_2 by trial division: the
-    monic divisors of each degree are tried in turn, and the first divisor
-    of least degree is irreducible."""
-    out = {}
-    d = 1
-    while len(f) > 1:
-        if len(f) - 1 < 2 * d:
-            out[tuple(f)] = out.get(tuple(f), 0) + 1
-            break
-        for bits in range(1 << d):
-            q = [(bits >> i) & 1 for i in range(d)] + [1]
+def _ref_factor_mod_p(f, p):
+    """Sorted monic irreducible factors of a monic squarefree f over F_p by
+    trial division: the monic polynomials of each degree are tried in
+    turn, and a divisor of least degree is irreducible."""
+    out, d = [], 1
+    f = [c % p for c in f]
+    while len(f) - 1 >= 2 * d:
+        for low in itertools.product(range(p), repeat=d):
+            q = list(low) + [1]
             quo, rem = [0] * (len(f) - d), list(f)
             for k in range(len(f) - 1 - d, -1, -1):
-                if rem[k + d]:
-                    quo[k] = 1
-                    for i, c in enumerate(q):
-                        rem[k + i] ^= c
+                c = rem[k + d]
+                if c:
+                    quo[k] = c
+                    for i, a in enumerate(q):
+                        rem[k + i] = (rem[k + i] - c * a) % p
             if not any(rem):
-                out[tuple(q)] = out.get(tuple(q), 0) + 1
+                out.append(q)
                 f = quo
                 break
         else:
             d += 1
-    return sorted(out.items())
+    if len(f) > 1:
+        out.append(f)
+    return sorted(out)
 
 
-def test_factor_mod_2_matches_trial_division():
-    # every monic f of degree at most 8 over F_2
-    for deg in range(9):
-        for bits in range(1 << deg):
-            f = [(bits >> i) & 1 for i in range(deg)] + [1]
-            assert factor_mod_p(f, 2) == _ref_factor_mod_2(f), f
+def test_factor_mod_p_known():
+    # x^2 + 1 stays irreducible mod 3 and splits mod 5; x^4 + 1 is two
+    # quadratics mod 3
+    assert _factor([1, 0, 1], 3) == [[1, 0, 1]]
+    assert _factor([1, 0, 1], 5) == [[2, 1], [3, 1]]
+    assert _factor([1, 0, 0, 0, 1], 3) == [[2, 1, 1], [2, 2, 1]]
+    # the split needs an odd prime, and says so at 2
+    with pytest.raises(ValueError, match="odd prime"):
+        _factor([1, 1, 1], 2)
+
+
+def test_factor_mod_p_derivative_zero():
+    # x^(p^2) - x, whose leading term has derivative zero mod p, is the
+    # product of the monic irreducibles of degree 1 and 2 over F_p
+    for p in (3, 5):
+        f = [0, p - 1] + [0] * (p * p - 2) + [1]
+        got = _factor(f, p)
+        assert got == _ref_factor_mod_p(f, p)
+        assert [len(g) - 1 for g in got].count(2) == (p * p - p) // 2
+
+
+def test_factor_mod_p_multiply_back():
+    rng = random.Random(11)
+    checked = 0
+    for p in (3, 5, 13):
+        for _ in range(25):
+            deg = rng.randint(1, 7)
+            f = [rng.randrange(p) for _ in range(deg)] + [1]
+            if len(_zgcd_mod(f, _zderiv(f), p)) != 1:
+                continue
+            got = _factor(f, p, rng)
+            prod = [1]
+            for g in got:
+                assert g[-1] == 1 and len(g) >= 2
+                prod = _pmul(prod, g, p)
+            assert prod == [c % p for c in f]
+            assert got == _ref_factor_mod_p(f, p)
+            checked += 1
+    assert checked >= 40
 
 
 def test_rational_inputs_under_optimize(run_optimized):

@@ -1,21 +1,20 @@
 import functools
-import math
+import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from quatforms import quaternion
+from quatforms import quaternion, residue
 from quatforms.classset import split_residue_matrix
 from quatforms.intmat import identity_int, int_product
 from quatforms.numberfield import field_from_spec
-from quatforms.polynomials import _poly_xgcd_mod, _zdivmod_monic, _zmod, _zmul, factor_mod_p
 from quatforms.residue import (
     FiniteField,
     FpAlgebra,
     LatticeQuotient,
     MatrixSplitting,
-    _nil_idempotent,
     in_span_mod,
     kernel_mod,
     mat2_det,
@@ -23,6 +22,7 @@ from quatforms.residue import (
     matmul_mod,
     p1_act,
     primitive_idempotents,
+    quadratic_roots,
     quotient_by_ideal,
     rank_mod,
     rref_mod,
@@ -84,7 +84,6 @@ def ref_inv(A, x):
 def test_fp_algebra_field_basics():
     k = _field_f25()
     x = (0, 1)
-    assert k.minpoly(x) == [2, 0, 1]
     assert k.mul(x, x) == (3, 0)
     assert k.mul(x, ref_inv(k, x)) == k.one
     assert k.mul((2, 3), ref_inv(k, (2, 3))) == k.one
@@ -301,7 +300,7 @@ def _coded(k, m):
 def test_matrix_splitting_m2():
     a = _m2_fp(3)
     sp = MatrixSplitting(a, [(1, 0, 0, 1)])
-    k = FiniteField(subalgebra(a, [(1, 0, 0, 1)], a.one))
+    k = sp.k
     rng = random.Random(4)
     flat = []
     for _ in range(12):
@@ -334,7 +333,7 @@ def test_matrix_splitting_hamilton():
     for p in (3, 5, 13):
         a = _hamilton_mod_p(p)
         sp = MatrixSplitting(a, [(1, 0, 0, 0)])
-        k = FiniteField(subalgebra(a, [(1, 0, 0, 0)], a.one))
+        k = sp.k
         rng = random.Random(p)
         for _ in range(20):
             x = tuple(rng.randrange(p) for _ in range(4))
@@ -349,47 +348,152 @@ def test_matrix_splitting_seed_stability():
     sp0 = MatrixSplitting(a, [(1, 0, 0, 0)])
     sp1 = MatrixSplitting(a, [(1, 0, 0, 0)])
     assert sp0.e == sp1.e
-    k = FiniteField(subalgebra(a, [(1, 0, 0, 0)], a.one))
+    k = sp0.k
     x, y = (1, 2, 3, 4), (0, 1, 4, 2)
     assert _coded(k, sp0.image(a.mul(x, y))) == mat2_mul(
         k, _coded(k, sp0.image(x)), _coded(k, sp0.image(y))
     )
 
 
-def _crt_idempotent(A, v, mp, g):
-    """(s h)(v) for mp = g h and s h = 1 mod g, by an extended gcd: the
-    idempotent of the g-primary part of F_p[v]."""
-    p = A.p
-    h, _ = _zdivmod_monic(list(mp), g, p)
-    s, _ = _poly_xgcd_mod(h, g, p)
-    return A.evaluate(_zmod(_zmul(s, h), p), v)
+def _splittings(spec, bound):
+    """(prime, split_residue_matrix) of the maximal order of spec at every
+    prime of norm up to bound."""
+    R = _maximal(spec)
+    return [(pr, split_residue_matrix(R, pr)) for pr in R.alg.base.prime_ideals_up_to(bound)]
 
 
-@pytest.mark.parametrize("spec", ["quad:5", "quad:10", "quad:85"])
-def test_power_idempotent_is_the_crt_idempotent(spec):
-    # on R/qR for the maximal order R and every q of norm up to 30, the
-    # power 1 - q0(v)^N of the splitting is the CRT idempotent of the
-    # q0-primary factor of the minimal polynomial of v, for random v
-    F = field_from_spec(spec)
-    R = quaternion.maximalize(quaternion.hilbert_ramification_free_algebra(F).standard_order())
-    rng = random.Random(spec)
-    checked = 0
-    for pr in F.prime_ideals_up_to(30):
-        A, p = split_residue_matrix(R, pr).quo.algebra, pr.p
-        for _ in range(8):
-            v = tuple(rng.randrange(p) for _ in range(A.dim))
-            mp = A.minpoly(v)
-            fac = factor_mod_p(mp, p)
-            if len(fac) < 2:
-                continue
-            (q0, e0), d = fac[0], len(mp) - 1
-            g = functools.reduce(lambda f, _: _zmod(_zmul(f, list(q0)), p), range(e0), [1])
-            order = p**d * (p ** math.lcm(*range(1, d + 1)) - 1)
-            e = _nil_idempotent(A, A.evaluate(q0, v), order)
-            assert e == _crt_idempotent(A, v, mp, g)
-            assert e not in (A.zero(), A.one)
-            checked += 1
-    assert checked >= 20
+@pytest.mark.parametrize("spec", ["quad:2", "quad:5", "quad:10", "quad:85"])
+def test_residue_splitting_is_a_ring_isomorphism(spec):
+    # at every prime of norm up to 60: split ones, inert ones (k = F_4 on
+    # quad:5 and quad:85, F_9, F_25 and F_49) and ramified ones, the 2 of
+    # quad:2 and quad:10 among them: image is bijective, sends 1 to the
+    # identity and products to products, and its determinant is the
+    # reduced norm of a lift, reduced without the splitting
+    alg = _algebra(spec)
+    shapes = set()
+    for pr, res in _splittings(spec, 60):
+        quo, split, k = res.quo, res.split, res.k
+        A, p = quo.algebra, pr.p
+        shapes.add((p == 2, pr.f))
+
+        def image(x):
+            return _coded(k, split.image(x))
+
+        def residue_code(c):
+            # the field element c, integral at pr, as a code of k
+            x = quo.proj(alg.el(c))
+            return k.code(solve_right_mod(tuple(zip(*split.k_basis)), x, p))
+
+        flat = [
+            tuple(c for row in split.image(A.unit(j)) for e in row for c in e)
+            for j in range(A.dim)
+        ]
+        assert rank_mod(flat, p) == A.dim == 4 * pr.f
+        assert image(A.one) == ((1, 0), (0, 1))
+        rng = random.Random(f"{spec} {pr.norm}")
+        for _ in range(6):
+            x = tuple(rng.randrange(p) for _ in range(A.dim))
+            y = tuple(rng.randrange(p) for _ in range(A.dim))
+            assert image(A.mul(x, y)) == mat2_mul(k, image(x), image(y))
+            lift = [Fraction(c, quo.L_den) for c in quo.lift(x)]
+            assert mat2_det(k, image(x)) == residue_code(alg.nr(lift))
+    assert (True, 1 if spec in ("quad:2", "quad:10") else 2) in shapes
+
+
+class _ScalarsFirst:
+    """A random stream whose first draws spell out the given vectors and
+    then continue as random.Random(seed)."""
+
+    def __init__(self, seed, vectors):
+        self._rng = random.Random(seed)
+        self._head = [c for v in vectors for c in v]
+
+    def randrange(self, n):
+        return self._head.pop(0) if self._head else self._rng.randrange(n)
+
+
+@pytest.mark.parametrize("spec,norm", [("quad:5", 4), ("quad:5", 11), ("quad:10", 2), ("quad:10", 49)])
+def test_central_draws_are_skipped(spec, norm, monkeypatch):
+    # a central draw c satisfies (x - c)(x - s) for every s, so its
+    # relation is not unique and can give e = 0 or 1: every element of k
+    # drawn first is skipped, and the splitting is the default one
+    pr, res = next((pr, res) for pr, res in _splittings(spec, norm) if pr.norm == norm)
+    A, kb = res.quo.algebra, res.split.k_basis
+    scalars = [res.split._scalar(a) for a in res.k.elements()]
+    assert len(set(scalars)) == pr.norm and all(in_span_mod(kb, c, pr.p) for c in scalars)
+    default = MatrixSplitting(A, kb)
+    streams = []
+
+    def stream(seed):
+        streams.append(_ScalarsFirst(seed, scalars))
+        return streams[-1]
+
+    monkeypatch.setattr(residue, "random", SimpleNamespace(Random=stream))
+    patched = MatrixSplitting(A, kb)
+    assert len(streams) == 1 and not streams[0]._head
+    assert patched.e == default.e == res.split.e
+
+
+SPLIT_OPTIMIZED = (
+    "from quatforms import residue\n"
+    "from quatforms.classset import split_residue_matrix\n"
+    "from quatforms.numberfield import field_from_spec\n"
+    "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
+    "F = field_from_spec('quad:5')\n"
+    "R = maximalize(hilbert_ramification_free_algebra(F).standard_order())\n"
+    "q = next(p for p in F.prime_ideals_up_to(11) if p.norm == 11)\n"
+)
+
+
+@pytest.mark.parametrize("roots,message", [
+    # lambda = 1, mu = 0 makes e the draw itself, which is no idempotent
+    ("[1, 0]", "quadratic relation gives no nontrivial idempotent"),
+    # no relation ever has two roots
+    ("[]", "no splitting idempotent found"),
+], ids=["wrong-roots", "no-roots"])
+def test_splitting_idempotent_checked_under_optimize(run_optimized, roots, message):
+    out = run_optimized(
+        SPLIT_OPTIMIZED
+        + f"residue.quadratic_roots = lambda k, t, n: {roots}\n"
+        "try:\n"
+        "    print('returned', split_residue_matrix(R, q))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith(f"ArithmeticError: {message}")
+
+
+def test_quadratic_roots_match_fp_algebra():
+    # x^2 - t x + n over F_4, F_5 and F_9 for every t and n: the roots are
+    # the elements where the FpAlgebra arithmetic gives zero, ascending,
+    # and two of them multiply to n and add to t
+    for name in ("F4", "F5", "F9"):
+        A = SMALL_FIELDS[name]
+        k = FiniteField(A)
+        for t, n in itertools.product(range(k.q), repeat=2):
+            ct, cn = k.coords(t), k.coords(n)
+            want = [
+                x for x in range(k.q)
+                if not any(A.add(A.sub(A.pow(k.coords(x), 2), A.mul(ct, k.coords(x))), cn))
+            ]
+            assert quadratic_roots(k, t, n) == want
+            if len(want) == 2:
+                assert (k.mul(*want), k.add(*want)) == (n, t)
+
+
+def test_matrix_splitting_rejects_bad_centers(monkeypatch):
+    # F_3^4 is commutative, so its center is 4-dimensional; the unit e12
+    # of M_2(F_3) is not central; an idempotent e = 1 has a 4-dimensional
+    # corner e A e
+    diagonal = FpAlgebra(3, [[tuple(int(i == j == t) for t in range(4)) for j in range(4)]
+                             for i in range(4)], (1, 1, 1, 1))
+    with pytest.raises(ArithmeticError, match="center has unexpected dimension"):
+        MatrixSplitting(diagonal, [(1, 1, 1, 1)])
+    with pytest.raises(ArithmeticError, match="unit embedding does not centralize"):
+        MatrixSplitting(_m2_fp(3), [(0, 1, 0, 0)])
+    monkeypatch.setattr(MatrixSplitting, "_find_idempotent", lambda self: self.A.one)
+    with pytest.raises(ArithmeticError, match="idempotent corner has wrong dimension"):
+        MatrixSplitting(_m2_fp(3), [(1, 0, 0, 1)])
 
 
 def test_matrix_splitting_rejects_wrong_dimension():
@@ -418,7 +522,7 @@ def test_p1_normalize_rejects_zero_divisors():
     # F_5 x F_5 is not a field: (1, 0) is nonzero but has no inverse, no
     # element has multiplicative order 24, and no projective line is built
     k = FpAlgebra(5, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], (1, 1))
-    with pytest.raises(ArithmeticError, match="not a field"):
+    with pytest.raises(ArithmeticError, match="algebra is not a field"):
         FiniteField(k)
 
 
@@ -431,7 +535,6 @@ def test_p1_points_f4():
         [(0, 1), (1, 1)],
     ]
     f4 = FpAlgebra(2, mult, (1, 0))
-    assert f4.minpoly((0, 1)) == [1, 1, 1]
     k = FiniteField(f4)
     assert [p1_act(k, ((1, 0), (0, 1)), i) for i in range(5)] == list(range(5))
     assert (p1_act(k, ((0, 1), (1, 0)), 4), p1_act(k, ((0, 1), (1, 0)), 0)) == (0, 4)
