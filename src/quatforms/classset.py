@@ -49,22 +49,22 @@ class ResidueSplitting:
     """R/qR = M_2(k) for an order R and a prime q of the base field, and
     the reduction of elements integral at q into 2x2 matrices over k.
 
-    quo is the quotient R/qR with its algebra, k the residue field as log
-    tables, split the isomorphism onto 2x2 matrices over k and lam the
-    reduction map as an F_p-matrix: row i holds the four entries of the
-    image of the i-th basis row of R, each as f coordinates over k.  So
-    reducing an element is one integer product with the inverse of R's
-    basis and one with lam.  Reduction accepts any element that is
-    integral at q: a field multiplier congruent to 1 there clears
-    denominators supported away from it.  Unit group elements and theta
-    witnesses are of this kind, their norms being units or neighbor
-    steps at q.  fixed_points keeps its root counts (quadratic_roots)
-    per (trace, determinant).
+    quo is the quotient R/qR with its algebra, split the isomorphism onto
+    2x2 matrices over k, the residue field as log tables, which is kept
+    as split.k, and lam the reduction map as an F_p-matrix: row i holds
+    the four entries of the image of the i-th basis row of R, each as f
+    coordinates over k.  So reducing an element is one integer product
+    with the inverse of R's basis and one with lam.  Reduction accepts
+    any element that is integral at q: a field multiplier congruent to 1
+    there clears denominators supported away from it.  Unit group
+    elements and theta witnesses are of this kind, their norms being
+    units or neighbor steps at q.  fixed_points keeps its root counts
+    (quadratic_roots) per (trace, determinant).
     """
 
-    def __init__(self, order, prime, quo, k, split, lam):
+    def __init__(self, order, prime, quo, split, lam):
         self.order, self.prime = order, prime
-        self.quo, self.k, self.split, self.lam = quo, k, split, lam
+        self.quo, self.k, self.split, self.lam = quo, split.k, split, lam
         self._root_counts = {}
 
     def _one_mod_prime(self, d):
@@ -183,7 +183,7 @@ def split_residue_matrix(R, prime):
         tuple(c for row in split.image(quo.reduce(e)) for entry in row for c in entry)
         for e in units
     )
-    R._splits[ideal] = ResidueSplitting(R, ideal, quo, split.k, split, lam)
+    R._splits[ideal] = ResidueSplitting(R, ideal, quo, split, lam)
     return R._splits[ideal]
 
 

@@ -12,7 +12,9 @@ once a single restricted operator is cyclic with irreducible
 characteristic polynomial: the rest of the commuting algebra then lives
 inside the field it generates and cannot split the piece further.
 Pieces that never certify are returned uncertified; more operators
-might still split them.
+might still split them.  Characteristic polynomials and their factors
+are monic integer Polys; only the presentations, the coefficients of
+each operator as a polynomial in a cyclic generator, are rational.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from .intmat import identity_int, int_product
 from .matrices import (
     Matrix, _echelon, int_poly_at, int_powers, integer_kernel, poly_at_matrix, primitive,
 )
-from .polynomials import Poly, factor_poly
+from .polynomials import _zprod, _zquotient, factor_poly
 
 
 @dataclass
@@ -109,7 +111,7 @@ def decompose(blocks):
                 nxt.append((basis, facs, done))
                 continue
             M = _restrict(rows, basis)
-            _, split = factor_poly(M.charpoly())
+            split = factor_poly(M.charpoly())
             if len(split) == 1:
                 facs[i] = split[0]
                 nxt.append((basis, facs, split[0][1] == 1))
@@ -117,7 +119,7 @@ def decompose(blocks):
             powers = int_powers(M.rows, max(g.degree * e for g, e in split))
             for g, e in split:
                 dim = g.degree * e
-                ker = integer_kernel(int_poly_at(g ** e, M.den, powers)[1])
+                ker = integer_kernel(int_poly_at(_zprod([g.coeffs] * e), M.den, powers)[1])
                 if len(ker) != dim:
                     raise ArithmeticError("generalized eigenspace has the wrong dimension")
                 if any(dim % h.degree for h, _ in facs[:i]):
@@ -129,7 +131,7 @@ def decompose(blocks):
     for basis, facs, _ in pieces:
         for i, rows in enumerate(mats):
             if facs[i] is None:
-                _, split = factor_poly(_restrict(rows, basis).charpoly())
+                split = factor_poly(_restrict(rows, basis).charpoly())
                 if len(split) != 1:
                     raise ArithmeticError("piece is not isotypic for some operator")
                 facs[i] = split[0]
@@ -178,7 +180,7 @@ def present_eigenvalues(c, blocks):
         Mi = M if i == gi else _restrict(block.matrix.rows, c.basis)
         coeffs = K.solve_right(Mi.apply(w))
         # the cyclic vector identity extends to the whole piece, checked
-        if coeffs is None or poly_at_matrix(Poly(coeffs), M) != Mi:
+        if coeffs is None or poly_at_matrix(coeffs, M) != Mi:
             raise ArithmeticError("operator is not a polynomial in the generator")
         pres.append(list(coeffs))
     c.presentations = pres
@@ -199,7 +201,7 @@ def flag_eisenstein(c, F):
     """
     h = F.narrow_class_number
     return all(
-        (Poly([-(pr.norm + 1) ** h] + [0] * (h - 1) + [1]) % g).is_zero()
+        _zquotient([-(pr.norm + 1) ** h] + [0] * (h - 1) + [1], g.coeffs) is not None
         for (g, _), pr in zip(c.factors, c.primes)
     )
 

@@ -7,11 +7,14 @@ entry.  Row reduction is fraction-free, each row kept primitive by its
 content; integer_kernel reads a kernel basis off it as primitive integer
 rows, without dividing at all.  A polynomial at a matrix is an integer
 combination of the powers of its integer rows, so one list of powers
-serves every polynomial evaluated at that matrix.  The characteristic
-polynomial is computed modulo primes near 2^61, by Hessenberg reduction
-and its leading-minor recurrence (Cohen, A Course in Computational
-Algebraic Number Theory, section 2.2), and recombined by CRT under a
-Hadamard-style coefficient bound, so intermediates never grow.
+serves every polynomial evaluated at that matrix; its coefficients are
+ints or Fractions.  The characteristic polynomial is computed modulo
+primes near 2^61, by Hessenberg reduction and its leading-minor
+recurrence (Cohen, A Course in Computational Algebraic Number Theory,
+section 2.2), and recombined by CRT under a Hadamard-style coefficient
+bound, so intermediates never grow.  It is returned as a monic integer
+Poly behind a certificate that it is integral, which holds for every
+matrix of an integer operator on a stable subspace.
 """
 
 from __future__ import annotations
@@ -90,7 +93,13 @@ class Matrix:
         return x
 
     def charpoly(self) -> Poly:
-        """det(x*I - A), computed exactly."""
+        """det(x*I - A) as a monic integer Poly.
+
+        It is integral when A is an integer operator restricted to a
+        stable subspace: it divides the operator's monic integer charpoly
+        (Gauss's lemma).  Certificate: the coefficient at x^k of
+        charpoly(den A) is divisible by den^(n-k), else ArithmeticError.
+        """
         if not self.is_square():
             raise ValueError("characteristic polynomial of a non-square matrix")
         return _charpoly_crt(self.rows, self.den)
@@ -156,14 +165,14 @@ def int_powers(a, top):
     return out
 
 
-def int_poly_at(p: Poly, d, powers):
-    """(den, rows) with p(A/d) = rows / den, for powers = int_powers(A, k),
-    k >= deg p.
+def int_poly_at(cs, d, powers):
+    """(den, rows) with p(A/d) = rows / den for the polynomial p with
+    coefficients cs (ints or Fractions, lowest degree first), for
+    powers = int_powers(A, k), k >= deg p.
 
     With L the least common denominator of the coefficients c_k,
     L d^deg p(A/d) = sum_k (L c_k d^(deg-k)) A^k has integer entries.
     """
-    cs = p.coeffs
     deg = len(cs) - 1
     L = lcm(*(c.denominator for c in cs))
     terms = [
@@ -181,11 +190,12 @@ def int_poly_at(p: Poly, d, powers):
     return L * d ** max(deg, 0), rows
 
 
-def poly_at_matrix(p: Poly, a: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix, exactly."""
+def poly_at_matrix(cs, a: Matrix) -> Matrix:
+    """The polynomial with coefficients cs (ints or Fractions, lowest
+    degree first) at a square matrix, exactly."""
     if not a.is_square():
         raise ValueError("polynomial evaluated at a non-square matrix")
-    den, rows = int_poly_at(p, a.den, int_powers(a.rows, max(p.degree, 0)))
+    den, rows = int_poly_at(cs, a.den, int_powers(a.rows, max(len(cs) - 1, 0)))
     return Matrix(rows, den)
 
 
@@ -250,6 +260,8 @@ def _charpoly_crt(int_rows, den) -> Poly:
             (a + (b - a) * inv % p * modulus) % new_mod for a, b in zip(residues, cp)
         ]
         modulus = new_mod
-    coeffs = [symmetric_mod(c, modulus) for c in residues]
     # scale back: charpoly(A) coefficients from charpoly(den*A)
-    return Poly([Fraction(c, den ** (n - k)) for k, c in enumerate(coeffs)])
+    coeffs = [divmod(symmetric_mod(c, modulus), den ** (n - k)) for k, c in enumerate(residues)]
+    if any(r for _, r in coeffs):
+        raise ArithmeticError("characteristic polynomial is not integral")
+    return Poly([q for q, _ in coeffs])

@@ -1,16 +1,20 @@
-"""Dense univariate polynomials over Q, and factorization over Z.
+"""Monic integer polynomials: factorization over Z and real roots.
 
-The public Poly class keeps Fraction coefficients, lowest degree first.
-factor_poly clears denominators once (y = d x makes f monic integral);
-the rest runs on integer coefficient lists: Yun's squarefree split with
-gcd_int_poly, distinct-degree patterns mod five primes to bound factor
-degrees, and equal-degree splitting, Hensel lifting and recombination
-at the one of those primes with the fewest factors.
+Every polynomial of the pipeline is the characteristic polynomial of an
+integer Hecke matrix on a stable subspace, or a factor of one.  It
+divides the monic integer characteristic polynomial of the whole matrix,
+so by Gauss's lemma it is monic in Z[x], and integer coefficients are
+its one representation: Poly holds them, lowest degree first, and the
+arithmetic runs on plain integer lists.  factor_poly splits a monic
+integer polynomial by Yun's squarefree split with gcd_int_poly,
+distinct-degree patterns mod five primes to bound factor degrees, and
+equal-degree splitting, Hensel lifting and recombination at the one of
+those primes with the fewest factors.
 
 Every gcd over Z has a monic first argument, which makes it monic and
 bounds its coefficients (Mignotte), and the one exact division over Z,
-_zquotient, is by a monic polynomial.  There is no gcd over Q:
-isolate_real_roots tests squarefreeness on the monic integer rescaling.
+_zquotient, is by a monic polynomial.  isolate_real_roots runs a Sturm
+chain of integer pseudo-remainders.
 """
 
 from __future__ import annotations
@@ -18,146 +22,38 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import gcd, isqrt
 
 from .arith import FIRST_CRT_PRIME, next_prime, symmetric_mod
 
 
 class Poly:
-    """Polynomial with Fraction coefficients, coeffs[i] is the x^i term."""
+    """Polynomial with int coefficients, coeffs[i] is the x^i term.
+
+    Trailing zeros are trimmed; a coefficient that is not an int raises
+    ValueError.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = list(coeffs)
+        if not all(isinstance(c, int) for c in cs):
+            raise ValueError("polynomial coefficients must be ints")
+        self.coeffs = tuple(_ztrim(cs))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dn = len(other.coeffs)
-        while len(r) >= dn and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < dn:
-                break
-            c = r[-1] / dlead
-            k = len(r) - dn
-            q[k] = c
-            for j, b in enumerate(other.coeffs):
-                r[k + j] -= c * b
-            r.pop()
-        return Poly(q), Poly(r)
-
-    def __mod__(self, other):
-        return self.divmod(_coerce(other))[1]
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lc = self.coeffs[-1]
-        return Poly([c / lc for c in self.coeffs])
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                if c == 1:
-                    terms.append(xs)
-                elif c == -1:
-                    terms.append(f"-{xs}")
-                else:
-                    terms.append(f"{c}*{xs}")
-        return "Poly(" + " + ".join(terms).replace("+ -", "- ") + ")"
-
-
-def _coerce(v) -> Poly:
-    if isinstance(v, Poly):
-        return v
-    return Poly([v])
+        return f"Poly({list(self.coeffs)})"
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +181,6 @@ def _zquotient(f, g):
 
 # ---------------------------------------------------------------------------
 # squarefree decomposition (Yun)
-
-
-def _monic_integer(f: Poly) -> tuple[Fraction, int, list[int]]:
-    """(lc, d, h) with f(x) = lc * h(d x) / d^n, h monic in Z[x], n = deg f.
-
-    d is the least common denominator of the coefficients of f / lc.
-    """
-    lc = f.leading()
-    g = f.monic()
-    d = lcm(*(c.denominator for c in g.coeffs))
-    n = g.degree
-    return lc, d, [c.numerator * d ** (n - i) // c.denominator for i, c in enumerate(g.coeffs)]
-
-
-def _unscale(h: list[int], d: int) -> Poly:
-    """The monic h(d x) / d^deg h of a monic integer h."""
-    m = len(h) - 1
-    return Poly([Fraction(c, d ** (m - i)) for i, c in enumerate(h)])
 
 
 def _yun(f: list[int]) -> list[tuple[list[int], int]]:
@@ -576,75 +454,85 @@ def _zsubtract(f, g):
     return _ztrim([a - b for a, b in _zip_pad(list(f), list(g))])
 
 
-def factor_poly(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
-    """Full factorization over Q: f = unit * prod factor_i^mult_i.
+def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
+    """[(g, e)] with f = prod g^e for a monic f in Z[x] (ValueError
+    otherwise), each g monic and irreducible over Z, hence over Q (Gauss).
 
-    Factors are monic irreducible over Q with integer coefficients after
-    scaling (returned monic, so coefficients may be rational).  Sorted by
-    (degree, coefficient tuple) for reproducible output.
+    Sorted by (degree, coefficient tuple) for reproducible output.
     """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    unit, d, h = _monic_integer(f)
+    if not f.coeffs or f.coeffs[-1] != 1:
+        raise ValueError("polynomial is not monic")
     out = [
-        (_unscale(q, d), mult)
-        for g, mult in _yun(h)
+        (Poly(q), mult)
+        for g, mult in _yun(list(f.coeffs))
         for q in factor_squarefree_monic_int(g)
     ]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return unit, out
+    return out
 
 
 # ---------------------------------------------------------------------------
 # real root isolation (Sturm)
 
 
-def sturm_chain(f: Poly) -> list[Poly]:
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero():
-        chain.pop()
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """The Sturm chain of a squarefree integer f, in integer polynomials,
+    ending in a nonzero constant.
+
+    Each next member is the negated pseudo-remainder of the two before
+    it: the remainder of |lc|^(delta+1) a by b, exact over Z for
+    lc = lc(b) and delta = deg a - deg b, divided by its positive content.
+    Positive scalings keep every sign, so the chain counts roots as the
+    rational Sturm chain does.
+    """
+    chain = [f, _zderiv(f)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = [abs(b[-1]) ** (len(a) - len(b) + 1) * c for c in a]
+        for k in range(len(a) - len(b), -1, -1):
+            q = r[k + len(b) - 1] // b[-1]
+            for j, c in enumerate(b):
+                r[k + j] -= q * c
+        r = _ztrim(r[: len(b) - 1])
+        g = gcd(*r)
+        chain.append([-c // g for c in r])
     return chain
 
 
-def _sign_changes(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_at(f: list[int], x: Fraction) -> int:
+    """The sign of f(x) at x = n/d, as that of the integer d^deg f(n/d)."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for c in reversed(f):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
 
 
-def root_bound(f: Poly) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B)."""
-    lc = abs(f.leading())
-    return 1 + max((abs(c) for c in f.coeffs[:-1]), default=Fraction(0)) / lc
+def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(g, x) for g in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals (a, b), each containing exactly one real root.
+    """Disjoint open intervals (a, b), sorted, each containing exactly one
+    real root of a monic squarefree f in Z[x] (ValueError otherwise).
 
-    Requires f squarefree (ValueError otherwise), tested as gcd(h, h') = 1
-    on the monic integer h of _monic_integer(f).  Endpoints are never roots.
+    Bisection from the Cauchy bound 1 + max |c_i|, which every real root
+    lies strictly inside, with Sturm counts at the endpoints; endpoints
+    are Fractions and never roots.
     """
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no isolated roots")
-    if f.degree == 0:
-        return []
-    _, _, h = _monic_integer(f)
+    h = list(f.coeffs)
+    if not h or h[-1] != 1:
+        raise ValueError("polynomial is not monic")
     if gcd_int_poly(h, _zderiv(h)) != [1]:
         raise ValueError("input must be squarefree")
-    chain = sturm_chain(f.monic())
-    bound = root_bound(f)
-    lo, hi = -bound, bound
-    while f(lo) == 0:
-        lo -= 1
-    while f(hi) == 0:
-        hi += 1
+    if len(h) == 1:
+        return []
+    chain = _sturm_chain(h)
+    bound = Fraction(1 + max(abs(c) for c in h[:-1]))
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, _sign_changes(chain, lo), _sign_changes(chain, hi))]
+    stack = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
     while stack:
         a, b, va, vb = stack.pop()
         count = va - vb
@@ -654,11 +542,10 @@ def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        while f(mid) == 0:
+        while _sign_at(h, mid) == 0:
             mid = (a + mid) / 2
         vm = _sign_changes(chain, mid)
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))
     out.sort()
     return out
-

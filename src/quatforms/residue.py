@@ -384,15 +384,17 @@ def quotient_by_ideal(A, ideal_rows):
 # idempotents of commutative algebras
 
 
-def _nil_idempotent(A, y, N):
-    """The idempotent 1 - y^N of the part of F_p[y] on which y is nilpotent.
+def _nil_idempotent(A, y):
+    """The idempotent 1 - y^(p-1) of the part of F_p[y] on which y is
+    nilpotent, p = A.p.
 
     F_p[y] is commutative, a product of local algebras; on each, y is
-    nilpotent or a unit.  When N is at least every nilpotency index and
-    a multiple of every unit order there, y^N is 0 on the first kind and
-    1 on the second.  Certificate: e^2 = e, else ArithmeticError.
+    nilpotent or a unit.  When y^p = y, as for y = z - c with z fixed by
+    Frobenius and c in F_p, every nilpotency index is 1 and every unit
+    order divides p - 1, so y^(p-1) is 0 on the first kind and 1 on the
+    second.  Certificate: e^2 = e, else ArithmeticError.
     """
-    e = A.sub(A.one, A.pow(y, N))
+    e = A.sub(A.one, A.pow(y, A.p - 1))
     if A.mul(e, e) != e:
         raise ArithmeticError("power is not idempotent")
     return e
@@ -418,7 +420,7 @@ def primitive_idempotents(A):
     )
     idems = [A.one]
     for z in fixed:
-        parts = [_nil_idempotent(A, A.sub(z, A.smul(c, A.one)), p - 1) for c in range(p)]
+        parts = [_nil_idempotent(A, A.sub(z, A.smul(c, A.one))) for c in range(p)]
         idems = [f for f in (A.mul(e, g) for e in idems for g in parts) if any(f)]
     if len(idems) != len(fixed):
         raise ArithmeticError("idempotent count differs from the Frobenius-fixed dimension")

@@ -15,8 +15,11 @@ vectors, the lattice product over all products of basis rows
 images of a coordinate vector under stacked unit matrices by one list pass
 per coordinate (ref_unit_images), and principal generators of field ideals by a brute-force search of a box
 around the ellipse of trace forms up to a bound linear in the
-fundamental unit (ref_principal_generator), and the class of a field
-ideal by one principality test per representative (ref_narrow_class).
+fundamental unit (ref_principal_generator), the class of a field
+ideal by one principality test per representative (ref_narrow_class),
+and polynomial arithmetic over Q on Fraction coefficient lists, lowest
+degree first: division with remainder (ref_divmod), the Euclid gcd
+(ref_gcd) and Yun's squarefree split (ref_yun).
 Tests state rational data through them and check the integer builders
 against them.  The basis vectors of lattices and ideals (lattice_basis,
 ideal_basis), the reduced trace form (ref_pair) and powers of field
@@ -431,3 +434,52 @@ def ref_class_set(R):
             if mass == target:
                 break
     return reps, lefts, units
+
+
+def _ref_trim(f):
+    f = [Fraction(c) for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def ref_divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b over Q, for coefficient
+    lists a and b, b nonzero: long division in Fractions."""
+    r, b = _ref_trim(a), _ref_trim(b)
+    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] / b[-1]
+        for j, v in enumerate(b):
+            r[k + j] -= c * v
+    return _ref_trim(q), _ref_trim(r[:len(b) - 1])
+
+
+def ref_gcd(a, b):
+    """The monic gcd over Q of coefficient lists, a nonzero, by Euclid."""
+    a, b = _ref_trim(a), _ref_trim(b)
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def ref_yun(f):
+    """[(g_i, i)] with the monic f = prod g_i^i over Q, g_i squarefree,
+    pairwise coprime and of positive degree: Yun's algorithm in Fractions."""
+
+    def deriv(g):
+        return [i * c for i, c in enumerate(g)][1:]
+
+    out = []
+    df = deriv(_ref_trim(f))
+    a = ref_gcd(f, df)
+    b, c = ref_divmod(f, a)[0], ref_divmod(df, a)[0]
+    i = 1
+    while len(b) > 1:
+        d = _ref_trim([x - y for x, y in itertools.zip_longest(c, deriv(b), fillvalue=0)])
+        g = ref_gcd(b, d)
+        if len(g) > 1:
+            out.append((g, i))
+        b, c = ref_divmod(b, g)[0], ref_divmod(d, g)[0]
+        i += 1
+    return out

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,6 +110,52 @@ def test_orbit_partition_checked_under_optimize(run_optimized):
         "    print('ArithmeticError:', exc)\n"
     )
     assert out.startswith("ArithmeticError: unit orbits do not partition P^1")
+
+
+QUAD5_OPTIMIZED = (
+    "import dataclasses\n"
+    "from quatforms.classset import UnitGroup, compute_class_set, compute_theta, narrow_support\n"
+    "from quatforms.heckespace import build_space, hecke_operator, parallel_weight_two\n"
+    "from quatforms.numberfield import field_from_spec\n"
+    "from quatforms.quaternion import hilbert_ramification_free_algebra, maximalize\n"
+    "F = field_from_spec('quad:5')\n"
+    "R = maximalize(hilbert_ramification_free_algebra(F).standard_order())\n"
+    "cs = compute_class_set(R, narrow_support(F))\n"
+)
+
+
+def test_orbit_divisibility_checked_under_optimize(run_optimized):
+    # the unit group of quad:5 with its 60 elements but an order of 61:
+    # the orbits on P^1 mod the prime of norm 31 still partition it, but
+    # no orbit of more than one point divides 61; asserts are stripped
+    out = run_optimized(
+        QUAD5_OPTIMIZED
+        + "G = cs.unit_groups[0]\n"
+        "cs = dataclasses.replace(cs, unit_groups=[UnitGroup(G.elements, G.order + 1, G.norms)])\n"
+        "N = next(p for p in F.prime_ideals_up_to(31) if p.norm == 31).ideal\n"
+        "try:\n"
+        "    print('returned', build_space(cs, N, parallel_weight_two(F)).dim)\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: orbit size does not divide the unit group order")
+
+
+def test_column_sum_checked_under_optimize(run_optimized):
+    # a theta table short one witness at the prime of norm 4 leaves a
+    # Brandt column summing to 4, not Np + 1 = 5; asserts are stripped
+    out = run_optimized(
+        QUAD5_OPTIMIZED
+        + "th = compute_theta(cs, 4)\n"
+        "key = next(iter(th.entries))\n"
+        "th = dataclasses.replace(th, entries={**th.entries, key: th.entries[key][1:]})\n"
+        "sp = build_space(cs, F.unit_ideal(), parallel_weight_two(F))\n"
+        "try:\n"
+        "    print('returned', hecke_operator(cs, th, sp, th.primes[key[0]]))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.startswith("ArithmeticError: column sum differs from the neighbor count")
 
 
 def test_point_index_order_pinned():
@@ -589,7 +637,7 @@ def test_carried_factor_data_matches_direct_restriction():
     for c in cons:
         assert all(math.gcd(*row) == 1 for row in c.basis)
         for block, fac in zip(blocks, c.factors):
-            assert factor_poly(_restrict(block.matrix.rows, c.basis).charpoly())[1] == [fac]
+            assert factor_poly(_restrict(block.matrix.rows, c.basis).charpoly()) == [fac]
 
 
 def test_restriction_to_an_unstable_subspace_raises():
@@ -601,10 +649,12 @@ def test_restriction_to_an_unstable_subspace_raises():
 def test_decompose_piece_bases_pinned():
     # the integer generalized eigenspaces give the pieces of the earlier
     # Fraction right_kernel: SHA-256 of the bases, factor data and flags
-    # in decompose's order, pinned on that earlier implementation
+    # in decompose's order, pinned on that earlier implementation, whose
+    # factor coefficients were Fractions
     cons = decompose(blocks_31x41())
     assert [c.dimension for c in cons] == [1, 1, 1, 2, 2, 2, 2, 4, 4, 5]
-    text = repr([(c.basis, [(tuple(g.coeffs), e) for g, e in c.factors], c.certified) for c in cons])
+    text = repr([(c.basis, [(tuple(map(Fraction, g.coeffs)), e) for g, e in c.factors], c.certified)
+                 for c in cons])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ddf71349b287a480105310f2dd1712bc0e39ce09b263c561306297b9600fcd87"
     )
@@ -620,7 +670,7 @@ LYING_DECOMPOSE = (
     "real, calls = eigen.factor_poly, []\n"
     "def lying(f):\n"
     "    calls.append(f)\n"
-    "    return (1, {lie}) if len(calls) == 1 else real(f)\n"
+    "    return {lie} if len(calls) == 1 else real(f)\n"
     "eigen.factor_poly = lying\n"
     "blocks = [SimpleNamespace(matrix=Matrix(m), prime=None) for m in {mats}]\n"
     "try:\n"
@@ -685,7 +735,7 @@ def test_multiplier_closed_form_at_split_inert_and_ramified_primes(spec):
     kinds = set()
     for pr in F.prime_ideals_up_to(50):
         q = pr.ideal
-        comp = ResidueSplitting(order, q, None, None, None, None)
+        comp = ResidueSplitting(order, q, None, SimpleNamespace(k=None), None)
         kinds.add((pr.f, pr.e))
         for d in (1, pr.p, pr.p ** 3, 6 * pr.p ** 2, 35):
             t = comp._one_mod_prime(d)

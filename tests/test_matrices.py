@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fraction_refs import fraction_rows, ref_det, ref_matrix
 from quatforms.intmat import integral_rows
 from quatforms.matrices import Matrix, _echelon, integer_kernel, poly_at_matrix, primitive
-from quatforms.polynomials import Poly
+from quatforms.polynomials import Poly, _zmul, _zprod, _zsubtract, factor_poly
 
 small = st.integers(min_value=-9, max_value=9)
 
@@ -17,35 +17,32 @@ def mats(n):
 
 
 def charpoly_oracle(m: Matrix) -> Poly:
-    """det(x*I - A) by cofactor expansion over Poly entries.  Dim <= 5 only."""
+    """det(x*I - A) by cofactor expansion over integer coefficient
+    lists.  Dim <= 5 only."""
     n = m.nrows
-    entries = [
-        [Poly([-m.rows[i][j], 1]) if i == j else Poly([-m.rows[i][j]]) for j in range(n)]
-        for i in range(n)
-    ]
+    entries = [[[-m.rows[i][j], int(i == j)] for j in range(n)] for i in range(n)]
 
     def det(rows, cols):
         if len(cols) == 1:
             return rows[0][cols[0]]
-        total = Poly([])
+        total = []
         for k, c in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1 :])
-            term = rows[0][c] * minor
-            total = total + term if k % 2 == 0 else total - term
+            term = _zmul(rows[0][c], det(rows[1:], cols[:k] + cols[k + 1 :]))
+            total = _zsubtract(total, [(-1) ** (k + 1) * v for v in term])
         return total
 
-    return det(entries, list(range(n)))
+    return Poly(det(entries, list(range(n))))
 
 
 def companion(f: Poly) -> Matrix:
-    assert f.leading() == 1
+    assert f.coeffs[-1] == 1
     n = f.degree
     rows = [[0] * n for _ in range(n)]
     for i in range(1, n):
         rows[i][i - 1] = 1
     for i in range(n):
         rows[i][n - 1] = -f.coeffs[i]
-    return ref_matrix(rows)
+    return Matrix(rows)
 
 
 @given(mats(3))
@@ -63,7 +60,7 @@ def test_charpoly_oracle_dim4(m):
 @given(mats(3))
 @settings(max_examples=30, deadline=None)
 def test_cayley_hamilton(m):
-    assert all(v == 0 for row in poly_at_matrix(m.charpoly(), m).rows for v in row)
+    assert all(v == 0 for row in poly_at_matrix(m.charpoly().coeffs, m).rows for v in row)
 
 
 def test_charpoly_companion_small():
@@ -79,11 +76,9 @@ def test_charpoly_companion_crt_path():
 
 
 def test_charpoly_block_matches_factor_product():
-    from quatforms.polynomials import factor_poly
-
     parts = [Poly([-4, 1]), Poly([4, 1]), Poly([4, 0, 1]), Poly([2, 0, -6, 0, 1])]
     n = sum(p.degree for p in parts)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     off = 0
     for p in parts:
         c = companion(p)
@@ -91,31 +86,34 @@ def test_charpoly_block_matches_factor_product():
             for j in range(p.degree):
                 rows[off + i][off + j] = c.rows[i][j]
         off += p.degree
-    m = ref_matrix(rows)
-    cp = m.charpoly()
-    prod = Poly([1])
-    for p in parts:
-        prod = prod * p
-    assert cp == prod
-    _, fs = factor_poly(cp)
-    assert [(g, mult) for g, mult in fs] == [(p, 1) for p in sorted(parts, key=lambda q: (q.degree, q.coeffs))]
+    cp = Matrix(rows).charpoly()
+    assert cp == Poly(_zprod([p.coeffs for p in parts]))
+    assert factor_poly(cp) == [(p, 1) for p in sorted(parts, key=lambda q: (q.degree, q.coeffs))]
 
 
 def test_charpoly_rational_entries():
-    m = ref_matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
-    assert m.charpoly() == Poly([Fraction(1, 6), Fraction(-5, 6), 1])
+    # [[1, 1/2], [0, 1]] has den 2 and the integral charpoly (x - 1)^2,
+    # scaled back from charpoly(2 A) = (x - 2)^2; diag(1/2, 1/3) has the
+    # charpoly (x - 1/2)(x - 1/3), which is not integral, and so has A/2
+    # for the 1 x 1 matrix A = 1
+    m = Matrix([[2, 1], [0, 2]], 2)
+    assert m.den == 2 and m.charpoly() == Poly([1, -2, 1])
+    for bad in (ref_matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]), Matrix([[1]], 2)):
+        with pytest.raises(ArithmeticError, match="characteristic polynomial is not integral"):
+            bad.charpoly()
 
 
 def test_charpoly_rational_entries_crt():
-    n = 10
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = Fraction(1, i + 1)
-    cp = ref_matrix(rows).charpoly()
-    prod = Poly([1])
-    for i in range(n):
-        prod = prod * Poly([Fraction(-1, i + 1), 1])
-    assert cp == prod
+    # the companion matrix of degree 12 conjugated by diag(1, 2, ..., 2^11):
+    # 1/2 below the diagonal, so den 2, and the same integral charpoly,
+    # which needs more than one CRT prime
+    rng = random.Random(3)
+    f = Poly([rng.randint(-40, 40) for _ in range(12)] + [1])
+    c = companion(f)
+    m = ref_matrix([[Fraction(v * 2 ** j, 2 ** i) for j, v in enumerate(row)]
+                    for i, row in enumerate(c.rows)])
+    assert m.den == 2
+    assert m.charpoly() == f
 
 
 def charpoly_det(m):
@@ -255,10 +253,10 @@ def ref_solve(a, b):
     return x
 
 
-def ref_poly_at(p, a):
+def ref_poly_at(coeffs, a):
     n = a.nrows
     out = [[Fraction(0)] * n for _ in range(n)]
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs):
         out = ref_mul(ref_matrix(out), a)
         out = [[v + (c if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(out)]
     return out
@@ -292,14 +290,14 @@ def test_elimination_matches_fraction_reference(a, data):
        st.lists(rationals, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_poly_at_matrix_matches_fraction_reference(a, coeffs):
-    p = Poly(coeffs)
-    assert fraction_rows(poly_at_matrix(p, a)) == ref_poly_at(p, a)
+    assert fraction_rows(poly_at_matrix(coeffs, a)) == ref_poly_at(coeffs, a)
 
 
 @given(st.integers(0, 6).flatmap(lambda n: rational_mats(nrows=n, ncols=n)))
 @settings(max_examples=80, deadline=None)
 def test_det_matches_fraction_reference(a):
-    assert charpoly_det(a) == ref_det(fraction_rows(a))
+    # the integer rows of A = rows / den have det(rows) = den^n det(A)
+    assert charpoly_det(Matrix(a.rows)) == ref_det(fraction_rows(a)) * a.den ** a.nrows
 
 
 def test_bad_inputs_raise_under_optimize(run_optimized):
@@ -309,10 +307,9 @@ def test_bad_inputs_raise_under_optimize(run_optimized):
         "from quatforms.eigen import decompose\n"
         "from fractions import Fraction\n"
         "from quatforms.matrices import Matrix, poly_at_matrix\n"
-        "from quatforms.polynomials import Poly\n"
         "for call in (lambda: factor_int(0), lambda: decompose([]),\n"
         "             lambda: Matrix([[1, 2]]).apply([1]),\n"
-        "             lambda: poly_at_matrix(Poly([1]), Matrix([[1, 2]])),\n"
+        "             lambda: poly_at_matrix([1], Matrix([[1, 2]])),\n"
         "             lambda: Matrix([[1, Fraction(1, 2)]]), lambda: Matrix([[1]], 0),\n"
         "             lambda: Matrix([[1]], -2), lambda: Matrix([[1]], Fraction(2)),\n"
         "             lambda: Matrix([[1, 2]]).solve_right([1, 2])):\n"

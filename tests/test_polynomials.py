@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_refs import ref_gcd, ref_yun
 from quatforms import polynomials
 from quatforms.arith import FIRST_CRT_PRIME, next_prime
 from quatforms.polynomials import (
@@ -14,7 +15,12 @@ from quatforms.polynomials import (
     _distinct_degree,
     _recombine,
     _zderiv,
+    _zdivmod_monic,
     _zgcd_mod,
+    _zmul,
+    _zprod,
+    _zquotient,
+    _zsubtract,
     factor_poly,
     factor_squarefree_mod_p,
     factor_squarefree_monic_int,
@@ -24,54 +30,59 @@ from quatforms.polynomials import (
 )
 
 small_coeff = st.integers(min_value=-9, max_value=9)
-polys = st.lists(small_coeff, min_size=0, max_size=6).map(Poly)
-nonzero_polys = polys.filter(lambda p: not p.is_zero())
+int_lists = st.lists(small_coeff, min_size=0, max_size=6)
+
+
+def mul(*fs):
+    """The product of Polys, by the package's integer product."""
+    return Poly(_zprod([f.coeffs for f in fs]))
 
 
 def test_scalar_operands():
-    assert Poly([1, 1]) - 1 == Poly([0, 1])
-    assert 1 + Poly([0, 1]) == Poly([1, 1])
-    assert sum([Poly([0, 1]), Poly([2])]) == Poly([2, 1])
-    assert (Poly([4, 2]) % 2).is_zero()
-    assert Poly([2]) == 2 and Poly([Fraction(1, 2)]) == Fraction(1, 2)
-    assert Poly([0, 1]) != 0
+    # a Poly is integer coefficients and no arithmetic: it neither takes
+    # a scalar operand nor equals one, and it trims trailing zeros
+    x = Poly([0, 1, 0, 0])
+    assert x.coeffs == (0, 1) and x.degree == 1 and x == Poly([0, 1])
+    assert Poly([2]) != 2 and Poly([]).degree == -1 and repr(Poly([-2, 0, 1, 0])) == "Poly([-2, 0, 1])"
+    assert hash(Poly([-2, 0, 1])) == hash(Poly((-2, 0, 1, 0)))
+    with pytest.raises(TypeError):
+        x + 1
+    with pytest.raises(ValueError, match="must be ints"):
+        Poly([1, Fraction(1, 2)])
+    with pytest.raises(ValueError, match="must be ints"):
+        Poly([Fraction(2)])
 
 
-@given(polys, polys)
+@given(int_lists, int_lists)
 @settings(max_examples=80, deadline=None)
 def test_ring_identities(a, b):
-    assert (a + b) * (a - b) == a * a - b * b
-    assert a * b == b * a
+    # the integer products and differences that the factorization runs on
+    s = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    d = _zsubtract(a, b)
+    assert _zsubtract(_zmul(s, d), _zsubtract(_zmul(a, a), _zmul(b, b))) == []
+    assert _zmul(a, b) == _zmul(b, a)
 
 
-@given(polys, nonzero_polys)
+@given(int_lists, st.lists(small_coeff, min_size=0, max_size=4).map(lambda cs: cs + [1]))
 @settings(max_examples=80, deadline=None)
 def test_divmod_identity(a, b):
-    q, r = a.divmod(b)
-    assert q * b + r == a
-    assert r.is_zero() or r.degree < b.degree
+    # exact division by a monic b over Z, and division mod a prime
+    assert _zquotient(_zmul(a, b), b) == a
+    p = 101
+    q, r = _zdivmod_monic(a, b, p)
+    assert all(c % p == 0 for c in _zsubtract(_zsubtract(a, _zmul(q, b)), r))
+    assert len(r) < len(b)
 
 
-def ref_gcd(a, b):
-    """Monic gcd over Q by Euclid on Fraction polynomials."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+monic_lists = st.lists(small_coeff, min_size=0, max_size=4).map(lambda cs: cs + [1])
 
 
-def _ints(f):
-    return [int(c) for c in f.coeffs]
-
-
-monic_polys = st.lists(small_coeff, min_size=0, max_size=4).map(lambda cs: Poly(cs + [1]))
-
-
-@given(monic_polys, monic_polys, monic_polys, st.integers(-3, 3))
+@given(monic_lists, monic_lists, monic_lists, st.integers(-3, 3))
 @settings(max_examples=60, deadline=None)
 def test_gcd_common_factor(a, b, h, c):
     # the monic product a h against any integer multiple of b h, zero too
-    f, g = a * h, b * h * c
-    assert Poly(gcd_int_poly(_ints(f), _ints(g))) == ref_gcd(f, g)
+    f, g = _zmul(a, h), [c * v for v in _zmul(b, h)]
+    assert gcd_int_poly(f, g) == ref_gcd(f, g)
 
 
 def test_gcd_int_poly_known():
@@ -105,8 +116,8 @@ def _residue_degrees(monkeypatch):
 def test_gcd_restarts_after_an_unlucky_prime(monkeypatch):
     # g = f mod the first CRT prime p0, so the gcd mod p0 is f itself
     p0 = FIRST_CRT_PRIME
-    f = _ints(Poly([-2, 0, 1]) * Poly([-1, 1]))
-    g = _ints(Poly([-2, 0, 1]) * Poly([-1 - p0, 1]))
+    f = _zmul([-2, 0, 1], [-1, 1])
+    g = _zmul([-2, 0, 1], [-1 - p0, 1])
     degrees = _residue_degrees(monkeypatch)
     assert gcd_int_poly(f, g) == [-2, 0, 1]
     assert degrees == [3, 2]
@@ -116,8 +127,8 @@ def test_gcd_bound_needs_two_primes(monkeypatch):
     # the common factor x - a has a coefficient above 2^61, so one CRT
     # prime cannot certify it
     a = (1 << 62) + 3
-    f = _ints(Poly([-a, 1]) * Poly([-2, 0, 1]))
-    g = _ints(Poly([-a, 1]) * Poly([5, 1]) * 7)
+    f = _zmul([-a, 1], [-2, 0, 1])
+    g = _zprod([[-a, 1], [5, 1], [7]])
     assert 2 * _coeff_bound(f) > FIRST_CRT_PRIME
     degrees = _residue_degrees(monkeypatch)
     assert gcd_int_poly(f, g) == [-a, 1]
@@ -134,61 +145,53 @@ def test_factor_squarefree_monic_int_rejects_bad_input():
 
 
 def test_factor_poly_multiplicities():
-    # Yun's split gives the multiplicities: (x + 1)^3 (x^2 - 2) times 5
-    f = Poly([1, 1]) ** 3 * Poly([-2, 0, 1]) * 5
-    unit, parts = factor_poly(f)
-    assert unit == 5
+    # Yun's split gives the multiplicities: (x + 1)^3 (x^2 - 2)
+    f = mul(Poly([1, 1]), Poly([1, 1]), Poly([1, 1]), Poly([-2, 0, 1]))
+    parts = factor_poly(f)
     assert parts == [(Poly([1, 1]), 3), (Poly([-2, 0, 1]), 1)]
-    prod = Poly([unit])
-    for g, m in parts:
-        prod = prod * g ** m
-    assert prod == f
+    assert mul(*(g for g, m in parts for _ in range(m))) == f
+    assert factor_poly(Poly([1])) == []
 
 
 def test_factor_quadratics():
-    unit, fs = factor_poly(Poly([-1, 0, 1]))
-    assert unit == 1
-    assert fs == [(Poly([-1, 1]), 1), (Poly([1, 1]), 1)]
+    assert factor_poly(Poly([-1, 0, 1])) == [(Poly([-1, 1]), 1), (Poly([1, 1]), 1)]
 
 
 def test_factor_irreducible_eisenstein():
     # Eisenstein at 2, the oracle for irreducibility
     f = Poly([2, 0, -6, 0, 1])
-    unit, fs = factor_poly(f)
-    assert fs == [(f, 1)]
+    assert factor_poly(f) == [(f, 1)]
 
 
 def test_factor_cyclotomic5():
     f = Poly([1, 1, 1, 1, 1])
-    _, fs = factor_poly(f)
-    assert fs == [(f, 1)]
+    assert factor_poly(f) == [(f, 1)]
 
 
 def test_factor_product_with_multiplicity():
-    f = Poly([-2, 0, 1]) ** 2 * Poly([3, 1])
-    _, fs = factor_poly(f)
-    assert fs == [(Poly([3, 1]), 1), (Poly([-2, 0, 1]), 2)]
+    f = mul(Poly([-2, 0, 1]), Poly([-2, 0, 1]), Poly([3, 1]))
+    assert factor_poly(f) == [(Poly([3, 1]), 1), (Poly([-2, 0, 1]), 2)]
 
 
 def test_factor_level_one_shape():
     # product of the shape that shows up for class-set charpolys
-    f = Poly([-4, 1]) * Poly([4, 1]) * Poly([4, 0, 1]) * Poly([2, 0, -6, 0, 1])
-    unit, fs = factor_poly(f)
-    assert unit == 1
+    f = mul(Poly([-4, 1]), Poly([4, 1]), Poly([4, 0, 1]), Poly([2, 0, -6, 0, 1]))
+    fs = factor_poly(f)
     assert [(g.degree, m) for g, m in fs] == [(1, 1), (1, 1), (2, 1), (4, 1)]
-    prod = Poly([1])
-    for g, m in fs:
-        prod = prod * g ** m
-    assert prod == f
+    assert mul(*(g for g, m in fs for _ in range(m))) == f
 
 
 def test_factor_rational_input():
-    f = Poly([Fraction(1, 4), 0, 1])  # x^2 + 1/4 = (x+i/2)(x-i/2): irreducible over Q
-    _, fs = factor_poly(f)
-    assert fs == [(f, 1)]
-    g = Poly([Fraction(-1, 4), 0, 1])  # (x-1/2)(x+1/2)
-    _, gs = factor_poly(g)
-    assert gs == [(Poly([Fraction(-1, 2), 1]), 1), (Poly([Fraction(1, 2), 1]), 1)]
+    # rational polynomials are rejected; x^2 + 1/4 and x^2 - 1/4 enter as
+    # their monic integer rescalings y^2 + 1 and y^2 - 1, y = 2x, and
+    # integer polynomials that are not monic are rejected too
+    with pytest.raises(ValueError, match="must be ints"):
+        Poly([Fraction(1, 4), 0, 1])
+    with pytest.raises(ValueError, match="not monic"):
+        factor_poly(Poly([1, 0, 4]))
+    f = Poly([1, 0, 1])
+    assert factor_poly(f) == [(f, 1)]
+    assert factor_poly(Poly([-1, 0, 1])) == [(Poly([-1, 1]), 1), (Poly([1, 1]), 1)]
 
 
 def test_factor_random_products():
@@ -202,18 +205,15 @@ def test_factor_random_products():
     ]
     for _ in range(8):
         picks = [rng.choice(irreducibles) for _ in range(rng.randint(1, 4))]
-        f = Poly([rng.choice([1, 2, -3])])
         expected: dict[tuple, int] = {}
         for g in picks:
-            f = f * g
             expected[g.coeffs] = expected.get(g.coeffs, 0) + 1
-        _, fs = factor_poly(f)
-        got = {g.coeffs: m for g, m in fs}
+        got = {g.coeffs: m for g, m in factor_poly(mul(*picks))}
         assert got == expected
 
 
 def test_isolate_and_refine_roots():
-    f = Poly([-2, 0, 1]) * Poly([-3, 1])  # roots -sqrt2, sqrt2, 3
+    f = mul(Poly([-2, 0, 1]), Poly([-3, 1]))  # roots -sqrt2, sqrt2, 3
     ivs = isolate_real_roots(f)
     assert len(ivs) == 3
     # middle interval holds sqrt(2)
@@ -226,6 +226,64 @@ def test_isolate_and_refine_roots():
 
 def test_isolate_no_real_roots():
     assert isolate_real_roots(Poly([1, 0, 1])) == []
+
+
+def _sign(f, x):
+    """The sign of f(x), by Fraction Horner."""
+    v = Fraction(0)
+    for c in reversed(f.coeffs):
+        v = v * x + c
+    return (v > 0) - (v < 0)
+
+
+@pytest.mark.parametrize("coeffs, count", [
+    ([2, 0, -6, 0, 1], 4),
+    ([4, 0, 1], 0),
+    # the level-13 piece of quad:10: no real root, so no real embedding
+    ([36, 0, 220, 0, 253, 0, 102, 0, 17, 0, 1], 0),
+    ([1], 0),
+], ids=["x4-6x2+2", "x2+4", "quad10-level13", "one"])
+def test_isolate_baseline_polynomials(coeffs, count):
+    f = Poly(coeffs)
+    ivs = isolate_real_roots(f)
+    assert len(ivs) == count
+    assert all(_sign(f, a) == -_sign(f, b) != 0 for a, b in ivs)
+
+
+def _root_above(s, disc, b, t):
+    """Whether the root (-b + s sqrt(disc)) / 2 exceeds the rational t."""
+    y = 2 * t + b  # the root exceeds t iff s sqrt(disc) > y
+    return (y < 0 or y * y < disc) if s > 0 else (y < 0 and y * y > disc)
+
+
+def test_isolate_random_products():
+    # products of distinct integer linear factors and distinct monic
+    # irreducible quadratics: each interval holds one sign change of f and
+    # exactly one of its known real roots, and every real root is held
+    rng = random.Random(5)
+    for _ in range(40):
+        roots = rng.sample(range(-12, 13), rng.randint(0, 4))
+        quads, nquads = set(), rng.randint(0, 3)
+        while len(quads) < nquads:
+            b, c = rng.randint(-9, 9), rng.randint(-20, 20)
+            disc = b * b - 4 * c
+            if disc < 0 or isqrt(disc) ** 2 != disc:
+                quads.add((b, c))
+        factors = [Poly([-r, 1]) for r in roots] + [Poly([c, b, 1]) for b, c in quads]
+        if not factors:
+            continue
+        f = mul(*factors)
+        ivs = isolate_real_roots(f)
+        real_quads = [(b, b * b - 4 * c) for b, c in quads if b * b > 4 * c]
+        assert len(ivs) == len(roots) + 2 * len(real_quads)
+        assert ivs == sorted(ivs) and all(b1 <= a2 for (_, b1), (a2, _) in zip(ivs, ivs[1:]))
+        for a, b in ivs:
+            assert _sign(f, a) == -_sign(f, b) != 0
+            inside = sum(a < r < b for r in roots) + sum(
+                _root_above(s, disc, qb, a) and not _root_above(s, disc, qb, b)
+                for qb, disc in real_quads for s in (1, -1)
+            )
+            assert inside == 1
 
 
 # --- squarefree factorization over F_p at odd p ---
@@ -315,18 +373,24 @@ def test_factor_mod_p_multiply_back():
 
 
 def test_rational_inputs_under_optimize(run_optimized):
-    # rational inputs are cleared of denominators with no assert that -O strips
+    # rational coefficients and polynomials that are not monic are
+    # rejected, and a square is refused root isolation, with no assert
+    # that -O strips
     out = run_optimized(
         "from fractions import Fraction\n"
         "from quatforms.polynomials import Poly, factor_poly, isolate_real_roots\n"
-        "a = Poly([Fraction(1, 2), 1])\n"
-        "print(factor_poly(a * a)[1])\n"
-        "try:\n"
-        "    print('returned', isolate_real_roots(a * a * Poly([3, 1])))\n"
-        "except ValueError as exc:\n"
-        "    print('ValueError:', exc)\n"
+        "for call in (lambda: Poly([Fraction(1, 2), 1]), lambda: factor_poly(Poly([1, 2])),\n"
+        "             lambda: isolate_real_roots(Poly([1, 2, 1]))):\n"
+        "    try:\n"
+        "        print('returned', call())\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
     )
-    assert out.splitlines() == ["[(Poly(x + 1/2), 2)]", "ValueError: input must be squarefree"]
+    assert out.splitlines() == [
+        "ValueError: polynomial coefficients must be ints",
+        "ValueError: polynomial is not monic",
+        "ValueError: input must be squarefree",
+    ]
 
 
 def test_bad_inputs_raise_under_optimize(run_optimized):
@@ -334,18 +398,19 @@ def test_bad_inputs_raise_under_optimize(run_optimized):
     out = run_optimized(
         "from quatforms.polynomials import Poly, factor_poly, isolate_real_roots,"
         " _poly_xgcd_mod, _zdivmod_monic\n"
-        "zero, x = Poly([]), Poly([0, 1])\n"
-        "for call in (zero.leading, lambda: x ** -1, lambda: x.divmod(zero),\n"
-        "             lambda: factor_poly(zero),\n"
-        "             lambda: isolate_real_roots(zero), lambda: isolate_real_roots(x * x),\n"
+        "zero = Poly([])\n"
+        "for call in (lambda: Poly([1.0]), lambda: factor_poly(zero),\n"
+        "             lambda: factor_poly(Poly([0, 2])),\n"
+        "             lambda: isolate_real_roots(zero), lambda: isolate_real_roots(Poly([0, 0, 1])),\n"
+        "             lambda: isolate_real_roots(Poly([1, 3])),\n"
         "             lambda: _zdivmod_monic([1, 2, 3], [1, 2], 5),\n"
         "             lambda: _poly_xgcd_mod([0, 1], [0, 2, 1], 3)):\n"
         "    try:\n"
         "        print('returned', call())\n"
-        "    except (ValueError, ZeroDivisionError) as exc:\n"
+        "    except ValueError as exc:\n"
         "        print(type(exc).__name__)\n"
     )
-    assert out.split() == ["ValueError", "ValueError", "ZeroDivisionError"] + ["ValueError"] * 5
+    assert out.split() == ["ValueError"] * 8
 
 
 def test_recombination_certificate_checked_under_optimize(run_optimized):
@@ -372,6 +437,22 @@ def test_recombination_certificate_checked_under_optimize(run_optimized):
     assert out.splitlines() == ["ArithmeticError: recombined factors do not multiply back"]
 
 
+def test_modular_factor_degrees_checked_under_optimize(run_optimized):
+    # x^4 - 10x^2 + 1 splits modulo every prime, so its factorization
+    # reaches the equal-degree split; one that drops a factor must trip
+    # the degree sum with asserts stripped
+    out = run_optimized(
+        "from quatforms import polynomials\n"
+        "real = polynomials._equal_degree_split\n"
+        "polynomials._equal_degree_split = lambda g, d, p, rng: real(g, d, p, rng)[:-1]\n"
+        "try:\n"
+        "    print('returned', polynomials.factor_poly(polynomials.Poly([1, 0, -10, 0, 1])))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    assert out.splitlines() == ["ArithmeticError: modular factor degrees do not sum to the degree"]
+
+
 def test_squarefree_split_checked_under_optimize(run_optimized):
     # a gcd that is monic but divides nothing: Yun's exact division must
     # raise with asserts stripped
@@ -387,27 +468,6 @@ def test_squarefree_split_checked_under_optimize(run_optimized):
 
 
 # --- the factorization against the earlier Fraction Yun and nine-prime search ---
-
-
-def ref_squarefree_decomposition(f):
-    """Yun's algorithm on Fraction polynomials."""
-    lc = f.leading()
-    f = f.monic()
-    if f.degree == 0:
-        return lc, []
-    out = []
-    df = f.derivative()
-    a = ref_gcd(f, df)
-    b, c = f.divmod(a)[0], df.divmod(a)[0]
-    i = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        g = ref_gcd(b, d)
-        if g.degree > 0:
-            out.append((g, i))
-        b, c = b.divmod(g)[0], d.divmod(g)[0]
-        i += 1
-    return lc, out
 
 
 def ref_factor_squarefree_monic_int(f):
@@ -452,33 +512,23 @@ def ref_factor_squarefree_monic_int(f):
 
 
 def ref_factor_poly(f):
-    unit, sqfree = ref_squarefree_decomposition(f)
+    """Yun's split over Q (ref_yun) and the earlier prime search; the
+    squarefree parts of a monic integer f are monic integer (Gauss)."""
     out = []
-    for g, mult in sqfree:
-        d = 1
-        for c in g.coeffs:
-            d = d * c.denominator // gcd(d, c.denominator)
-        n = g.degree
-        h = [(c * d ** (n - i)).numerator for i, c in enumerate(g.coeffs)]
-        for fc in ref_factor_squarefree_monic_int(h):
-            m = len(fc) - 1
-            out.append((Poly([Fraction(c, d ** (m - i)) for i, c in enumerate(fc)]), mult))
+    for g, mult in ref_yun(f.coeffs):
+        assert all(c.denominator == 1 for c in g)
+        out += [(Poly(fc), mult) for fc in ref_factor_squarefree_monic_int([int(c) for c in g])]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return unit, out
+    return out
 
 
-small_factors = st.lists(st.integers(-4, 4), min_size=2, max_size=4).map(Poly).filter(
-    lambda p: p.degree >= 1
-)
+small_factors = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(lambda cs: Poly(cs + [1]))
 
 
-@given(st.lists(st.tuples(small_factors, st.integers(1, 3)), min_size=1, max_size=3),
-       st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+@given(st.lists(st.tuples(small_factors, st.integers(1, 3)), min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_factor_poly_matches_reference(parts, unit):
-    f = Poly([unit])
-    for g, m in parts:
-        f = f * g ** m
+def test_factor_poly_matches_reference(parts):
+    f = mul(*(g for g, m in parts for _ in range(m)))
     assert factor_poly(f) == ref_factor_poly(f)
 
 
@@ -488,7 +538,8 @@ def test_factor_poly_on_polynomials_split_modulo_every_prime():
     # split into linear or quadratic factors modulo every prime, so only
     # recombination proves them irreducible
     c12, s23 = Poly([1, 0, -1, 0, 1]), Poly([1, 0, -10, 0, 1])
-    for f in (c12, s23, c12 * s23 ** 2, c12 * Poly([-3, 0, 1]) * Poly([-2, 0, 1]) ** 3):
+    r2, r3 = Poly([-2, 0, 1]), Poly([-3, 0, 1])
+    for f in (c12, s23, mul(c12, s23, s23), mul(c12, r3, r2, r2, r2)):
         assert factor_poly(f) == ref_factor_poly(f)
-    assert factor_poly(c12) == (1, [(c12, 1)])
-    assert factor_poly(s23) == (1, [(s23, 1)])
+    assert factor_poly(c12) == [(c12, 1)]
+    assert factor_poly(s23) == [(s23, 1)]

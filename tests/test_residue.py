@@ -126,22 +126,25 @@ def test_primitive_idempotents_split():
 
 
 def test_idempotent_certificates_under_optimize(run_optimized):
-    # over F_5[x]/(x^2 - 1), 1 - (x - 1)^4 is (1 + x) / 2; the exponent 2
-    # there, the exponent 1 for x over F_5[x]/(x^2) (below its nilpotency
-    # index), and an extra fixed vector that makes the Frobenius-fixed
-    # space look larger than the idempotent count must each raise with
-    # asserts stripped
+    # over F_5[x]/(x^2 - 1), 1 - (x - 1)^4 is (1 + x) / 2; x over F_2[x]/(x^2)
+    # and over F_3[x]/(x^3) has nilpotency index above p - 1, so 1 - x^(p-1)
+    # is not idempotent; and an extra fixed vector that makes the
+    # Frobenius-fixed space look larger than the idempotent count: each
+    # but the first must raise with asserts stripped
     out = run_optimized(
         "from quatforms import residue\n"
         "split = residue.FpAlgebra(5, [[(1, 0), (0, 1)], [(0, 1), (1, 0)]], (1, 0))\n"
-        "dual = residue.FpAlgebra(5, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))\n"
+        "dual = residue.FpAlgebra(2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))\n"
+        "cube = residue.FpAlgebra(3, [[(1, 0, 0), (0, 1, 0), (0, 0, 1)],\n"
+        "                             [(0, 1, 0), (0, 0, 1), (0, 0, 0)],\n"
+        "                             [(0, 0, 1), (0, 0, 0), (0, 0, 0)]], (1, 0, 0))\n"
         "kernel = residue.kernel_mod\n"
         "def extra(rows, p):\n"
         "    basis = kernel(rows, p)\n"
         "    return basis + [tuple(2 * c % p for c in basis[-1])]\n"
-        "calls = (lambda: residue._nil_idempotent(split, (4, 1), 4),\n"
-        "         lambda: residue._nil_idempotent(split, (4, 1), 2),\n"
-        "         lambda: residue._nil_idempotent(dual, (0, 1), 1),\n"
+        "calls = (lambda: residue._nil_idempotent(split, (4, 1)),\n"
+        "         lambda: residue._nil_idempotent(dual, (0, 1)),\n"
+        "         lambda: residue._nil_idempotent(cube, (0, 1, 0)),\n"
         "         lambda: setattr(residue, 'kernel_mod', extra) or residue.primitive_idempotents(split))\n"
         "for call in calls:\n"
         "    try:\n"
